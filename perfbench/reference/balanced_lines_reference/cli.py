@@ -1,0 +1,394 @@
+"""Command line frontend.
+
+Subcommands: gen, enumerate, trace, verify, plot.  Machine-readable output
+goes to stdout, diagnostics to stderr.  Exit codes: 2 invalid parameters,
+3 instance validation failure, 4 enumerator disagreement, 5 certificate or
+guarantee failure.
+
+The environment variable BL_SEED supplies a default seed for `gen random`
+and `verify --random-batch`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+from dataclasses import dataclass, field
+
+from . import svg
+from .certificate import (
+    BalancedLinesError,
+    CertificateFailure,
+    GuaranteeViolation,
+    certificate_to_json,
+    verify_lower_bound,
+)
+from .generators import gen_random, gen_separated_convex
+from .geometry import (
+    Color,
+    Direction,
+    Instance,
+    ValidationError,
+    instance_from_json,
+    instance_to_json,
+)
+from .oracle import (
+    enumerate_naive,
+    enumerate_sweep,
+    lines_to_csv,
+    lines_to_json,
+    sorted_lines,
+)
+from .rotation import (
+    LevelOutOfRange,
+    RotationSpec,
+    run_rotation,
+    trace_to_jsonl,
+    transitions_at,
+    check_level_coupling,
+    find_balanced_halving,
+    is_delta_preserving,
+)
+
+EXIT_BAD_PARAMS = 2
+EXIT_INVALID_INSTANCE = 3
+EXIT_MISMATCH = 4
+EXIT_CHECK_FAILED = 5
+
+
+class _CliError(Exception):
+    def __init__(self, code: int, message: str):
+        self.code = code
+        super().__init__(message)
+
+
+def _default_seed() -> int:
+    try:
+        return int(os.environ.get("BL_SEED", "0"))
+    except ValueError:
+        return 0
+
+
+def _load_instance(path: str) -> Instance:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return instance_from_json(fh.read())
+    except OSError as exc:
+        raise _CliError(EXIT_BAD_PARAMS, f"cannot read {path}: {exc}")
+    except (ValidationError, KeyError, ValueError) as exc:
+        raise _CliError(EXIT_INVALID_INSTANCE, f"invalid instance {path}: {exc}")
+
+
+def _write_output(text: str, out_path: str | None) -> None:
+    if out_path is None:
+        sys.stdout.write(text)
+    else:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def cmd_gen(args) -> int:
+    try:
+        if args.kind == "random":
+            seed = args.seed if args.seed is not None else _default_seed()
+            inst = gen_random(seed, args.r, args.b, args.bound)
+        else:
+            inst = gen_separated_convex(args.r, args.b)
+    except BalancedLinesError as exc:
+        raise _CliError(EXIT_BAD_PARAMS, str(exc))
+    _write_output(instance_to_json(inst), args.out)
+    print(
+        f"instance: n={inst.n} r={inst.r} b={inst.b} delta={inst.delta}",
+        file=sys.stderr,
+    )
+    return 0
+
+
+def cmd_enumerate(args) -> int:
+    inst = _load_instance(args.instance)
+    if args.method in ("naive", "both"):
+        naive = enumerate_naive(inst)
+    if args.method in ("sweep", "both"):
+        sweep = enumerate_sweep(inst)
+    if args.method == "both":
+        if naive != sweep:
+            raise _CliError(
+                EXIT_MISMATCH,
+                f"enumerators disagree: naive={len(naive)} sweep={len(sweep)}",
+            )
+        lines = naive
+    else:
+        lines = naive if args.method == "naive" else sweep
+    emit = lines_to_json if args.format == "json" else lines_to_csv
+    sys.stdout.write(emit(inst, lines))
+    print(f"count: {len(lines)} (r={inst.r})", file=sys.stderr)
+    return 0
+
+
+def _parse_subset(text: str):
+    if text == "red":
+        return Color.RED
+    if text == "blue":
+        return Color.BLUE
+    try:
+        return frozenset(int(x) for x in text.split(","))
+    except ValueError:
+        raise _CliError(EXIT_BAD_PARAMS, f"bad subset {text!r}")
+
+
+def _parse_direction(text: str) -> Direction:
+    try:
+        dx, dy = text.split(",")
+        return Direction.of(int(dx), int(dy))
+    except ValueError as exc:
+        raise _CliError(EXIT_BAD_PARAMS, f"bad direction {text!r}: {exc}")
+
+
+def cmd_trace(args) -> int:
+    inst = _load_instance(args.instance)
+    subset = _parse_subset(args.subset)
+    start = _parse_direction(args.start)
+    spec = RotationSpec(subset, args.k, start)
+    try:
+        trace = run_rotation(spec, inst)
+    except LevelOutOfRange as exc:
+        raise _CliError(EXIT_BAD_PARAMS, str(exc))
+    for line in trace_to_jsonl(trace):
+        sys.stdout.write(line + "\n")
+    if args.transitions is not None:
+        for t in transitions_at(trace, args.transitions, inst):
+            record = {
+                "transition": {
+                    "dir": {"dx": t.direction.dx, "dy": t.direction.dy},
+                    "from": t.from_omega,
+                    "to": t.to_omega,
+                    "pivot": t.pivot_id,
+                    "crossed": t.crossed_id,
+                    "balanced": t.is_balanced,
+                }
+            }
+            sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
+    return 0
+
+
+@dataclass
+class RunReport:
+    """Summary of one verified instance."""
+
+    r: int
+    b: int
+    delta: int
+    balanced_count: int
+    certificate_total: int
+    checks: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)
+
+    def to_json(self) -> str:
+        payload = {
+            "r": self.r,
+            "b": self.b,
+            "delta": self.delta,
+            "balanced_count": self.balanced_count,
+            "certificate_total": self.certificate_total,
+            "checks": self.checks,
+            "timings": {k: round(v, 4) for k, v in self.timings.items()},
+        }
+        return json.dumps(payload, separators=(",", ":"))
+
+
+def _verify_instance(inst: Instance) -> RunReport:
+    report = RunReport(inst.r, inst.b, inst.delta, 0, 0)
+
+    t0 = time.perf_counter()
+    naive = enumerate_naive(inst)
+    sweep = enumerate_sweep(inst)
+    report.timings["oracle"] = time.perf_counter() - t0
+    report.checks["oracle_agreement"] = naive == sweep
+    report.balanced_count = len(sweep)
+    report.checks["count_at_least_r"] = len(sweep) >= inst.r
+    oracle_keys = {l.key for l in naive}
+
+    t0 = time.perf_counter()
+    ok = True
+    for color, low in ((Color.RED, inst.delta), (Color.BLUE, inst.delta - 1)):
+        ids = inst.ids_of(color)
+        for k in range(len(ids)):
+            trace = run_rotation(RotationSpec(color, k), inst)
+            for t in transitions_at(trace, low, inst):
+                if not t.is_balanced:
+                    ok = False
+    report.timings["transitions"] = time.perf_counter() - t0
+    report.checks["transitions_balanced"] = ok
+
+    if inst.r % 2 == 1:
+        t0 = time.perf_counter()
+        halving = find_balanced_halving(inst)
+        report.checks["halving_line"] = halving.key in oracle_keys
+        report.timings["halving"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    coupling = all(
+        check_level_coupling(inst, j)
+        for j in range(inst.r // 2 + 1)
+        if j + inst.delta <= inst.b - 1
+    )
+    report.checks["level_coupling"] = coupling
+    report.timings["coupling"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    cert = verify_lower_bound(inst)
+    report.timings["certificate"] = time.perf_counter() - t0
+    report.certificate_total = cert.total
+    report.checks["certificate"] = cert.total >= inst.r
+    report.checks["certificate_within_count"] = cert.total <= report.balanced_count
+
+    return report
+
+
+def cmd_verify(args) -> int:
+    instances: list[tuple[str, Instance]] = []
+    for path in args.instances:
+        instances.append((path, _load_instance(path)))
+    if args.random_batch:
+        seed0 = args.seed if args.seed is not None else _default_seed()
+        for i in range(args.random_batch):
+            delta = i % 4
+            r = 1 + i % max(1, (args.max_points - 2 * delta) // 2)
+            b = r + 2 * delta
+            while r + b > args.max_points:
+                r -= 1
+                b = r + 2 * delta
+            if r < 1:
+                continue
+            instances.append(
+                (f"random[{seed0 + i}]", gen_random(seed0 + i, r, b, args.bound))
+            )
+    if not instances:
+        raise _CliError(EXIT_BAD_PARAMS, "nothing to verify")
+    failed = 0
+    for name, inst in instances:
+        try:
+            report = _verify_instance(inst)
+        except (GuaranteeViolation, CertificateFailure, AssertionError) as exc:
+            print(f"{name}: FAILED {exc}", file=sys.stderr)
+            failed += 1
+            continue
+        bad = [k for k, v in report.checks.items() if v is False]
+        if bad:
+            print(f"{name}: FAILED checks {bad}", file=sys.stderr)
+            failed += 1
+        sys.stdout.write(report.to_json() + "\n")
+    if failed:
+        raise _CliError(EXIT_CHECK_FAILED, f"{failed} instance(s) failed")
+    print(f"verified {len(instances)} instance(s)", file=sys.stderr)
+    return 0
+
+
+def cmd_plot(args) -> int:
+    inst = _load_instance(args.instance)
+    if args.what == "points":
+        text = svg.render_points(inst)
+    elif args.what == "balanced":
+        text = svg.render_balanced(inst, enumerate_sweep(inst))
+    elif args.what == "rotation":
+        subset = _parse_subset(args.subset)
+        try:
+            trace = run_rotation(RotationSpec(subset, args.k), inst)
+        except LevelOutOfRange as exc:
+            raise _CliError(EXIT_BAD_PARAMS, str(exc))
+        text = svg.render_rotation(inst, trace)
+    elif args.what == "certificate":
+        try:
+            cert = verify_lower_bound(inst)
+        except (GuaranteeViolation, CertificateFailure) as exc:
+            raise _CliError(EXIT_CHECK_FAILED, str(exc))
+        text = svg.render_certificate(inst, cert)
+    else:
+        raise _CliError(EXIT_BAD_PARAMS, f"unknown plot kind {args.what!r}")
+    _write_output(text, args.out)
+    return 0
+
+
+def cmd_certificate(args) -> int:
+    inst = _load_instance(args.instance)
+    try:
+        cert = verify_lower_bound(inst)
+    except (GuaranteeViolation, CertificateFailure) as exc:
+        raise _CliError(EXIT_CHECK_FAILED, str(exc))
+    sys.stdout.write(certificate_to_json(cert))
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="balanced-lines",
+        description="enumerate balanced lines and verify lower-bound certificates",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("gen", help="generate an instance")
+    p.add_argument("kind", choices=["random", "separated"])
+    p.add_argument("-r", type=int, required=True, help="red count")
+    p.add_argument("-b", type=int, required=True, help="blue count")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--bound", type=int, default=1000)
+    p.add_argument("-o", "--out", default=None)
+    p.set_defaults(func=cmd_gen)
+
+    p = sub.add_parser("enumerate", help="list balanced lines")
+    p.add_argument("instance")
+    p.add_argument("--method", choices=["naive", "sweep", "both"], default="both")
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.set_defaults(func=cmd_enumerate)
+
+    p = sub.add_parser("trace", help="dump rotation events as JSON lines")
+    p.add_argument("instance")
+    p.add_argument("--subset", default="red", help="red, blue, or comma separated ids")
+    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--start", default="0,1", help="start direction as dx,dy")
+    p.add_argument("--transitions", type=int, default=None,
+                   help="also list weight steps between this value and value+1")
+    p.set_defaults(func=cmd_trace)
+
+    p = sub.add_parser("verify", help="run all checks and certificates")
+    p.add_argument("instances", nargs="*")
+    p.add_argument("--random-batch", type=int, default=0)
+    p.add_argument("--max-points", type=int, default=30)
+    p.add_argument("--bound", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=None)
+    p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("certificate", help="print the certificate JSON")
+    p.add_argument("instance")
+    p.set_defaults(func=cmd_certificate)
+
+    p = sub.add_parser("plot", help="emit a deterministic SVG figure")
+    p.add_argument("instance")
+    p.add_argument("--what", choices=["points", "balanced", "rotation", "certificate"],
+                   default="points")
+    p.add_argument("--subset", default="red")
+    p.add_argument("--k", type=int, default=0)
+    p.add_argument("-o", "--out", default=None)
+    p.set_defaults(func=cmd_plot)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except _CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+    except BalancedLinesError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,463 @@
+"""Selection of the minimum-waist delta-preserving sliding rotation.
+
+The candidate family is finite and constructive:
+
+* every plain level rotation, of either color, that is delta-preserving in
+  the one-sided sliding sense and positively oriented;
+* composites spawned from the current best candidate: the level rotations
+  of its strip points spliced with the candidate between their coincidence
+  directions, and parallel-shift curves that follow such a rotation at the
+  nearest opposite-color point on its right.
+
+New composites are adopted only after full validation (curve continuity,
+preservation, positive orientation) and only when they strictly shrink the
+waist, so the iteration terminates.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+from .geometry import (
+    KEY_END,
+    KEY_START,
+    Color,
+    DirectedLine,
+    Direction,
+    Instance,
+    ccw_arc_contains,
+    direction_between,
+    direction_key_from,
+)
+from .rotation import (
+    EventKind,
+    RotationSpec,
+    RotationTrace,
+    Transition,
+    run_rotation,
+    transitions_at,
+)
+from .sliding import (
+    InvalidCurve,
+    NotDeltaPreserving,
+    NotPositivelyOriented,
+    Piece,
+    RotateArc,
+    Slide,
+    SlidingRotation,
+    Waist,
+    evaluate_at,
+    is_delta_preserving_sliding,
+    lift_rotation,
+    validate_curve,
+    waist,
+)
+
+
+@dataclass(frozen=True)
+class Gamma:
+    """A validated family member: curve, color, waist and bookkeeping."""
+
+    sr: SlidingRotation
+    color: Color
+    waist: Waist
+    kind: str
+    level: int
+
+    @property
+    def sort_key(self) -> tuple:
+        return (
+            self.waist.value,
+            0 if self.color is Color.RED else 1,
+            0 if self.kind == "plain" else 1,
+            self.level,
+            self.waist.achieved_at.rank,
+        )
+
+
+def transition_low(color: Color, delta: int) -> int:
+    """Lower value of the weight boundary relevant to the given subset color."""
+    return delta if color is Color.RED else delta - 1
+
+
+def _sliding_preserving_from_trace(trace: RotationTrace, color: Color, delta: int) -> bool:
+    if color is Color.RED:
+        return trace.omega_max <= delta
+    return trace.omega_min >= delta
+
+
+def _validated(sr: SlidingRotation, inst: Instance, color: Color, kind: str,
+               level: int, *, preserving_known: bool = False,
+               waist_cap: Optional[int] = None) -> Optional[Gamma]:
+    """Full membership check; None when the curve does not qualify.
+
+    The waist computation itself detects orientation failures, and the
+    expensive preservation walk runs last so hopeless candidates drop out
+    early (``waist_cap`` prunes candidates that cannot improve).
+    """
+    try:
+        validate_curve(sr, inst)
+    except InvalidCurve:
+        return None
+    try:
+        w = waist(sr, inst)
+    except NotPositivelyOriented:
+        return None
+    if waist_cap is not None and w.value >= waist_cap:
+        return None
+    if not preserving_known and not is_delta_preserving_sliding(sr, inst):
+        return None
+    return Gamma(sr, color, w, kind, level)
+
+
+def plain_candidates(inst: Instance) -> list[Gamma]:
+    """All delta-preserving, positively oriented plain rotations, lifted.
+
+    Levels above (m - 2) / 2 cannot be positively oriented: the strip
+    between the antipodal lines would have to hold m - 2k - 2 < 0 subset
+    points.  They are skipped before tracing.
+    """
+    out = []
+    for color in (Color.RED, Color.BLUE):
+        ids = inst.ids_of(color)
+        m = len(ids)
+        for k in range((m - 1) // 2 if m >= 2 else 0):
+            trace = run_rotation(RotationSpec(color, k), inst)
+            if not _sliding_preserving_from_trace(trace, color, inst.delta):
+                continue
+            cand = _validated(
+                lift_rotation(trace, inst, color), inst, color, "plain", k,
+                preserving_known=True,
+            )
+            if cand is not None:
+                out.append(cand)
+    return out
+
+
+def find_gamma(inst: Instance) -> Optional[Gamma]:
+    """Minimum-waist family member, or None when the family is empty.
+
+    An empty family means no level rotation preserves delta at all, in
+    which case the direct transition accounting already certifies the
+    lower bound and no curve is needed.
+    """
+    family = plain_candidates(inst)
+    if not family:
+        return None
+    best = min(family, key=lambda c: c.sort_key)
+    while True:
+        improvements = [
+            c for c in surgery_candidates(inst, best) if c.waist.value < best.waist.value
+        ]
+        if not improvements:
+            return best
+        family.extend(improvements)
+        best = min(family, key=lambda c: c.sort_key)
+
+
+def decompose_fhg(inst: Instance, gamma: Gamma) -> tuple[
+        tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Split the subset by the waist-achieving antipodal lines.
+
+    The first flank holds the subset points in the closed right halfplane
+    of the achieving line, the second those in the closed right halfplane
+    of its antipodal partner, and the strip set is everything in between
+    (exactly the waist witnesses).
+    """
+    if not is_delta_preserving_sliding(gamma.sr, inst):
+        raise NotDeltaPreserving("decomposition needs a delta-preserving curve")
+    t = gamma.waist.achieved_at
+    o_low = _line_offset_at(gamma.waist.line_low, t)
+    o_high = _line_offset_at(gamma.waist.line_high, t)
+    flank_f = []
+    flank_h = []
+    strip = []
+    for i in inst.ids_of(gamma.color):
+        p = inst.point(i)
+        o = t.dx * p.y - t.dy * p.x
+        if o <= o_low:
+            flank_f.append(i)
+        elif o >= o_high:
+            flank_h.append(i)
+        else:
+            strip.append(i)
+    assert frozenset(strip) == gamma.waist.witnesses
+    return tuple(flank_f), tuple(flank_h), tuple(strip)
+
+
+def _line_offset_at(line: DirectedLine, frame: Direction):
+    return frame.dx * line.ay - frame.dy * line.ax
+
+
+def central_region_bounds(inst: Instance, gamma: Gamma, t: Direction):
+    """Offsets (low, high) of the strip between the curve's lines at t and t + pi."""
+    low = evaluate_at(gamma.sr, inst, t)
+    high = evaluate_at(gamma.sr, inst, t.antipode)
+    return _line_offset_at(low, t), _line_offset_at(high, t)
+
+
+def in_central_region(inst: Instance, gamma: Gamma, transition: Transition) -> bool:
+    """Whether the transition's line lies inside or on the strip boundary."""
+    t = transition.direction
+    o_low, o_high = central_region_bounds(inst, gamma, t)
+    o = _line_offset_at(transition.line, t)
+    return o_low <= o <= o_high
+
+
+def central_transitions(inst: Instance, gamma: Gamma, trace: RotationTrace) -> list[Transition]:
+    low = transition_low(gamma.color, inst.delta)
+    return [
+        t for t in transitions_at(trace, low, inst) if in_central_region(inst, gamma, t)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# surgery: composites derived from the current best candidate
+
+
+def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
+    """Candidates spawned by the strip rotations of the current best curve."""
+    _, _, strip = decompose_fhg(inst, best)
+    if not strip:
+        return []
+    theta = best.waist.achieved_at
+    cap = best.waist.value
+    out = []
+    levels = (len(strip) + 1) // 2
+    for k in range(levels):
+        trace = run_rotation(RotationSpec(frozenset(strip), k, theta), inst)
+        spliced = build_splice(inst, best, trace)
+        if spliced is not None:
+            cand = _validated(spliced, inst, best.color, "splice", k, waist_cap=cap)
+            if cand is not None:
+                out.append(cand)
+        shifted = build_shift(inst, trace, best.color.opposite)
+        if shifted is not None:
+            cand = _validated(shifted, inst, best.color.opposite, "shift", k,
+                              waist_cap=cap)
+            if cand is not None:
+                out.append(cand)
+    return out
+
+
+def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> Optional[SlidingRotation]:
+    """Follow the strip rotation except between its outermost meetings with the curve.
+
+    Between the first and last direction where the rotating line lands on
+    the curve, the composite follows the curve instead.  Returns the plain
+    lift when they never meet.  Meetings inside a slide of the curve are
+    ignored as junction choices; the validation step rejects any composite
+    this makes unusable.
+    """
+    theta = trace.start_direction
+    marks = _curve_meetings(inst, best.sr, trace)
+    lifted = lift_rotation(trace, inst, best.color)
+    if not marks:
+        return lifted
+    marks.sort(key=lambda m: direction_key_from(theta, m[0]))
+    (t1, piece1), (t2, piece2) = marks[0], marks[-1]
+    if t1 == t2:
+        return lifted
+    head = _clip_arcs(lifted.pieces, theta, t1)
+    middle = _clip_curve(best.sr.pieces, piece1, t1, piece2, t2)
+    tail = _clip_arcs(lifted.pieces, t2, theta)
+    if middle is None:
+        return None
+    pieces = tuple(head + middle + tail)
+    if not pieces:
+        return None
+    return SlidingRotation(pieces, best.color)
+
+
+def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace):
+    """Directions where the rotating line coincides with an arc line of the curve.
+
+    Returns (direction, piece_index) pairs.  Arc overlaps with a shared
+    pivot contribute their boundary directions.
+    """
+    pts = inst.points
+    marks = []
+    for dfrom, dto, pivot, _ in trace.intervals():
+        g = pts[pivot]
+        for idx, piece in enumerate(sr.pieces):
+            if not isinstance(piece, RotateArc):
+                continue
+            c = pts[piece.pivot]
+            if piece.pivot == pivot:
+                for d in (dfrom, dto, piece.d_from, piece.d_to):
+                    if _in_span(dfrom, dto, d) and _arc_contains(piece, d):
+                        marks.append((d, idx))
+                continue
+            fwd = Direction.of(c.x - g.x, c.y - g.y)
+            for d in (fwd, fwd.antipode):
+                if _in_span(dfrom, dto, d) and _arc_contains(piece, d):
+                    marks.append((d, idx))
+    return marks
+
+
+def _arc_contains(arc: RotateArc, t: Direction) -> bool:
+    return ccw_arc_contains(arc.d_from, arc.d_to, t)
+
+
+def _in_span(dfrom: Direction, dto: Direction, t: Direction) -> bool:
+    if dfrom == dto:
+        return True
+    return ccw_arc_contains(dfrom, dto, t)
+
+
+def _clip_arcs(pieces: tuple[Piece, ...], w_from: Direction, w_to: Direction) -> list[Piece]:
+    """Restrict an arc-only lift to the window [w_from, w_to].
+
+    The pieces must be in walk order starting at the lift's start direction
+    (the window ends are measured from it; the start direction as a window
+    end means the very beginning or the very end of the full turn).
+    """
+    if w_from == w_to:
+        return []
+    start = pieces[0].d_from
+
+    def pos(d: Direction, at_end: bool):
+        if d == start:
+            return KEY_END if at_end else KEY_START
+        return direction_key_from(start, d)
+
+    lo = pos(w_from, False)
+    hi = pos(w_to, w_to == start)
+    out: list[Piece] = []
+    for i, piece in enumerate(pieces):
+        assert isinstance(piece, RotateArc)
+        a_pos = pos(piece.d_from, False)
+        b_pos = pos(piece.d_to, i == len(pieces) - 1)
+        new_a, new_a_pos = (piece.d_from, a_pos) if a_pos >= lo else (w_from, lo)
+        new_b, new_b_pos = (piece.d_to, b_pos) if b_pos <= hi else (w_to, hi)
+        if new_a_pos < new_b_pos:
+            out.append(RotateArc(piece.pivot, new_a, new_b))
+    return out
+
+
+def _clip_curve(pieces: tuple[Piece, ...], idx_from: int, w_from: Direction,
+                idx_to: int, w_to: Direction) -> Optional[list[Piece]]:
+    """Pieces of a cyclic curve from w_from (on piece idx_from) to w_to.
+
+    Both window ends must sit on rotation arcs; slides interior to the
+    window are kept whole.  A window end on a shared piece boundary clips
+    to zero length on its side, so the neighbouring piece carries it.
+    """
+    n = len(pieces)
+    entry = pieces[idx_from]
+    exit_ = pieces[idx_to]
+    if not isinstance(entry, RotateArc) or not isinstance(exit_, RotateArc):
+        return None
+    if idx_from == idx_to:
+        forward = (
+            w_to != entry.d_from
+            and (w_from == entry.d_from
+                 or (w_from != entry.d_to
+                     and direction_key_from(entry.d_from, w_from)
+                     <= direction_key_from(entry.d_from, w_to)))
+        )
+        if forward:
+            return [RotateArc(entry.pivot, w_from, w_to)]
+    out: list[Piece] = []
+    if w_from != entry.d_to:
+        out.append(RotateArc(entry.pivot, w_from, entry.d_to))
+    i = (idx_from + 1) % n
+    steps = 0
+    while i != idx_to:
+        out.append(pieces[i])
+        i = (i + 1) % n
+        steps += 1
+        if steps > n:
+            return None
+    if w_to != exit_.d_from:
+        out.append(RotateArc(exit_.pivot, exit_.d_from, w_to))
+    return out
+
+
+def build_shift(inst: Instance, trace: RotationTrace, shift_color: Color) -> Optional[SlidingRotation]:
+    """Curve through the nearest shift-colored point right of the rotating line.
+
+    Follows the rotation: while the nearest point on the right stays the
+    same the curve rotates about it; when the nearest point changes with
+    equal offsets the pivot hands over continuously, otherwise the curve
+    slides between the two parallel lines.  Returns None when at some
+    direction no shift-colored point lies strictly right.
+    """
+    pts = inst.points
+    shift_ids = inst.ids_of(shift_color)
+    theta = trace.start_direction
+    cuts: set[Direction] = set()
+    for ev in trace.events:
+        cuts.add(ev.direction)
+    for i, uid in enumerate(shift_ids):
+        u = pts[uid]
+        for vid in shift_ids[i + 1:]:
+            v = pts[vid]
+            d = Direction.of(v.x - u.x, v.y - u.y)
+            cuts.add(d)
+            cuts.add(d.antipode)
+    cuts.add(theta)
+    ordered = sorted(
+        cuts,
+        key=lambda d: KEY_START if d == theta else direction_key_from(theta, d),
+    )
+    anchors: list[tuple[Direction, int]] = []  # (interval start, chosen point)
+    for j, u in enumerate(ordered):
+        v = ordered[(j + 1) % len(ordered)]
+        m = direction_between(u, v) if u != v else u.perp_ccw
+        pivot = trace.pivot_at(m)
+        g = pts[pivot]
+        o_line = m.dx * g.y - m.dy * g.x
+        best_id, best_off = None, None
+        for sid in shift_ids:
+            s = pts[sid]
+            o = m.dx * s.y - m.dy * s.x
+            if o < o_line and (best_off is None or o > best_off):
+                best_id, best_off = sid, o
+        if best_id is None:
+            return None
+        anchors.append((u, best_id))
+    pieces: list[Piece] = []
+    m = len(anchors)
+    for j in range(m):
+        u, aid = anchors[j]
+        v, next_aid = anchors[(j + 1) % m]
+        arc_end = v if v != u else u.antipode
+        _extend_arc(pieces, RotateArc(aid, u, arc_end))
+        if next_aid != aid:
+            a, b = pts[aid], pts[next_aid]
+            o_a = arc_end.dx * a.y - arc_end.dy * a.x
+            o_b = arc_end.dx * b.y - arc_end.dy * b.x
+            if o_a != o_b:
+                pieces.append(Slide(arc_end, aid, next_aid))
+    if not pieces:
+        return None
+    merged = _merge_cyclic(pieces)
+    if len(merged) == 1 and isinstance(merged[0], RotateArc):
+        arc = merged[0]
+        merged = [
+            RotateArc(arc.pivot, arc.d_from, arc.d_from.antipode),
+            RotateArc(arc.pivot, arc.d_from.antipode, arc.d_from),
+        ]
+    return SlidingRotation(tuple(merged), shift_color)
+
+
+def _extend_arc(pieces: list[Piece], arc: RotateArc) -> None:
+    if arc.d_from == arc.d_to:
+        return
+    if pieces and isinstance(pieces[-1], RotateArc):
+        last = pieces[-1]
+        if last.pivot == arc.pivot and last.d_to == arc.d_from:
+            pieces[-1] = RotateArc(last.pivot, last.d_from, arc.d_to)
+            return
+    pieces.append(arc)
+
+
+def _merge_cyclic(pieces: list[Piece]) -> list[Piece]:
+    if len(pieces) >= 2 and isinstance(pieces[0], RotateArc) and isinstance(pieces[-1], RotateArc):
+        first, last = pieces[0], pieces[-1]
+        if first.pivot == last.pivot and last.d_to == first.d_from and len(pieces) > 1:
+            if first.d_from != last.d_from:
+                return [RotateArc(first.pivot, last.d_from, first.d_to)] + pieces[1:-1]
+    return pieces

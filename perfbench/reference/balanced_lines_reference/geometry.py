@@ -1,0 +1,468 @@
+"""Exact planar primitives for two-colored point sets.
+
+Every predicate in this module works on integer or Fraction coordinates and
+reduces to sign computations, so side tests, sweep orderings and weight sums
+are exact. Floating point appears nowhere below the SVG rendering layer.
+
+Conventions used throughout the package:
+
+* a point is blue (+1) or red (-1); the weight of an open halfplane is the
+  sum of the weights of the points strictly inside it;
+* an instance has ``r`` red and ``b = r + 2*delta`` blue points with
+  ``delta >= 0``;
+* a directed line splits the plane into a left and a right open halfplane;
+  a point ``x`` is left of the line through ``a`` with direction ``d``
+  exactly when ``cross(d, x - a) > 0``.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from enum import Enum
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import gcd
+from typing import Iterable, Sequence, Union
+
+Coord = Union[int, Fraction]
+
+VERTICAL: "Direction"
+
+
+class BalancedLinesError(Exception):
+    """Base class for all errors raised by this package."""
+
+
+class ValidationError(BalancedLinesError):
+    """An input point set violates an instance invariant."""
+
+
+class CollinearTriple(ValidationError):
+    def __init__(self, ids: tuple[int, int, int]):
+        self.ids = ids
+        super().__init__(f"points {ids} are collinear")
+
+
+class DuplicateAbscissa(ValidationError):
+    def __init__(self, ids: tuple[int, int]):
+        self.ids = ids
+        super().__init__(f"points {ids} share an x coordinate")
+
+
+class ColorImbalance(ValidationError):
+    def __init__(self, r: int, b: int):
+        self.r = r
+        self.b = b
+        super().__init__(
+            f"need b >= r and b - r even, got r={r} b={b}"
+        )
+
+
+class SameColorPair(BalancedLinesError):
+    """A balanced-line query was made for two points of equal color."""
+
+
+class BoundTooSmall(BalancedLinesError):
+    """Random generation cannot satisfy the instance invariants."""
+
+
+class Color(Enum):
+    RED = "R"
+    BLUE = "B"
+
+    @property
+    def weight(self) -> int:
+        return 1 if self is Color.BLUE else -1
+
+    @property
+    def opposite(self) -> "Color":
+        return Color.BLUE if self is Color.RED else Color.RED
+
+
+def weight(color: Color) -> int:
+    """Point weight: +1 for blue, -1 for red."""
+    return color.weight
+
+
+class Side(Enum):
+    LEFT = 1
+    ON = 0
+    RIGHT = -1
+
+    @property
+    def flipped(self) -> "Side":
+        if self is Side.ON:
+            return self
+        return Side.LEFT if self is Side.RIGHT else Side.RIGHT
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def orientation(p, q, s) -> Side:
+    """Turn direction of the triple: LEFT, RIGHT, or ON for collinear.
+
+    Accepts LabeledPoints or plain (x, y) pairs.  The result is the sign of
+    the determinant of (q - p, s - p), computed exactly.
+    """
+    px, py = _xy(p)
+    qx, qy = _xy(q)
+    sx, sy = _xy(s)
+    d = (qx - px) * (sy - py) - (qy - py) * (sx - px)
+    return Side(_sign(d))
+
+
+def _xy(p):
+    if isinstance(p, LabeledPoint):
+        return p.x, p.y
+    return p[0], p[1]
+
+
+def _as_exact(v) -> Coord:
+    """Coerce a coordinate to int or Fraction, rejecting floats."""
+    if isinstance(v, bool):
+        raise TypeError("bool is not a coordinate")
+    if isinstance(v, int):
+        return v
+    if isinstance(v, Fraction):
+        return int(v) if v.denominator == 1 else v
+    if isinstance(v, str):
+        f = Fraction(v)
+        return int(f) if f.denominator == 1 else f
+    raise TypeError(f"coordinates must be exact (int, Fraction or string), got {type(v)!r}")
+
+
+@dataclass(frozen=True)
+class LabeledPoint:
+    """A colored point with a stable index inside its instance."""
+
+    id: int
+    x: Coord
+    y: Coord
+    color: Color
+
+    @property
+    def weight(self) -> int:
+        return self.color.weight
+
+
+@dataclass(frozen=True)
+class Direction:
+    """An exact direction, identified up to positive scaling.
+
+    Stored as a primitive integer vector so equality and hashing are
+    canonical.  The cyclic order starts at the vertical direction (0, 1)
+    and advances counterclockwise; comparisons are sign computations only.
+    """
+
+    dx: int
+    dy: int
+
+    @staticmethod
+    @lru_cache(maxsize=1 << 16)
+    def of(vx: Coord, vy: Coord) -> "Direction":
+        if vx == 0 and vy == 0:
+            raise ValueError("zero vector has no direction")
+        if isinstance(vx, int) and isinstance(vy, int):
+            ix, iy = vx, vy
+        else:
+            fx, fy = Fraction(vx), Fraction(vy)
+            scale = fx.denominator * fy.denominator // gcd(
+                fx.denominator, fy.denominator
+            )
+            ix, iy = int(fx * scale), int(fy * scale)
+        g = gcd(abs(ix), abs(iy))
+        return Direction(ix // g, iy // g)
+
+    @property
+    def antipode(self) -> "Direction":
+        return Direction(-self.dx, -self.dy)
+
+    @property
+    def perp_ccw(self) -> "Direction":
+        """The direction a quarter turn counterclockwise from this one."""
+        return Direction.of(-self.dy, self.dx)
+
+    def cross(self, other: "Direction") -> int:
+        return self.dx * other.dy - self.dy * other.dx
+
+    def dot(self, other: "Direction") -> int:
+        return self.dx * other.dx + self.dy * other.dy
+
+    @cached_property
+    def rank(self) -> tuple:
+        """Sort key realizing the cyclic order from vertical, counterclockwise."""
+        half = 0 if (self.dx < 0 or (self.dx == 0 and self.dy > 0)) else 1
+        if self.dx == 0:
+            return (half, 0, Fraction(0))
+        return (half, 1, Fraction(self.dy, self.dx))
+
+    def __repr__(self) -> str:
+        return f"Direction({self.dx}, {self.dy})"
+
+
+class Ratio:
+    """An exact quotient ordered by cross multiplication.
+
+    Cheaper than Fraction inside sort keys: construction skips gcd
+    normalization and comparisons stay in plain integers.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int):
+        if den < 0:
+            num, den = -num, -den
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other) -> bool:
+        return self.num * other.den == other.num * self.den
+
+    def __lt__(self, other) -> bool:
+        return self.num * other.den < other.num * self.den
+
+    def __le__(self, other) -> bool:
+        return self.num * other.den <= other.num * self.den
+
+    def __gt__(self, other) -> bool:
+        return self.num * other.den > other.num * self.den
+
+    def __ge__(self, other) -> bool:
+        return self.num * other.den >= other.num * self.den
+
+    def __repr__(self) -> str:
+        return f"Ratio({self.num}/{self.den})"
+
+
+_RATIO_ZERO = Ratio(0, 1)
+
+KEY_START = (0, _RATIO_ZERO)  # before everything: the base itself, walks that begin there
+KEY_END = (5, _RATIO_ZERO)  # after everything: the base seen as a full turn
+
+
+@lru_cache(maxsize=1 << 18)
+def direction_key_from(base: Direction, d: Direction) -> tuple:
+    """Sort key for the counterclockwise angle from ``base`` to ``d``.
+
+    ``base`` itself sorts last (angle treated as a full turn), which matches
+    walks whose initial state lives just past the start direction.
+    """
+    if d == base:
+        return (4, _RATIO_ZERO)
+    c = base.cross(d)
+    if c > 0:
+        return (1, Ratio(-base.dot(d), c))
+    if c == 0:
+        return (2, _RATIO_ZERO)
+    return (3, Ratio(-base.dot(d), c))
+
+
+def ccw_arc_contains(d_from: Direction, d_to: Direction, t: Direction) -> bool:
+    """Whether t lies on the counterclockwise arc from d_from to d_to, inclusive."""
+    if t == d_from or t == d_to:
+        return True
+    ct = d_from.cross(t)
+    cb = d_from.cross(d_to)
+    kt = 1 if ct > 0 else (2 if ct == 0 else 3)
+    kb = 1 if cb > 0 else (2 if cb == 0 else 3)
+    if kt != kb:
+        return kt < kb
+    if kt == 2:
+        return False
+    return t.cross(d_to) > 0
+
+
+def direction_between(u: Direction, v: Direction) -> Direction:
+    """A direction strictly inside the counterclockwise arc from u to v."""
+    if u == v:
+        raise ValueError("empty arc")
+    c = u.cross(v)
+    if c > 0:
+        return Direction.of(u.dx + v.dx, u.dy + v.dy)
+    if c < 0:
+        return Direction.of(-(u.dx + v.dx), -(u.dy + v.dy))
+    return u.perp_ccw  # antipodal endpoints
+
+
+@dataclass(frozen=True)
+class DirectedLine:
+    """An oriented line through an exact anchor point.
+
+    ``span`` records the instance points the line passes through when it was
+    built from them: ``(a, b)`` for a line spanned by two points (direction
+    from a to b), or ``(pivot,)`` for a pivot-and-direction line.
+    """
+
+    ax: Coord
+    ay: Coord
+    direction: Direction
+    span: tuple[int, ...] = ()
+
+    def side(self, p) -> Side:
+        px, py = _xy(p)
+        c = self.direction.dx * (py - self.ay) - self.direction.dy * (px - self.ax)
+        return Side(_sign(c))
+
+    @property
+    def reversed(self) -> "DirectedLine":
+        return DirectedLine(self.ax, self.ay, self.direction.antipode, self.span)
+
+    def offset(self, frame: Direction) -> Coord:
+        """Signed position of this line among lines parallel to ``frame``.
+
+        Only meaningful when the line is parallel to ``frame``; larger
+        offsets are further to the left of the frame direction.
+        """
+        return frame.dx * self.ay - frame.dy * self.ax
+
+    def contains(self, p) -> bool:
+        return self.side(p) is Side.ON
+
+    @staticmethod
+    def through_points(inst: "Instance", id_a: int, id_b: int) -> "DirectedLine":
+        a, b = inst.point(id_a), inst.point(id_b)
+        return DirectedLine(a.x, a.y, Direction.of(b.x - a.x, b.y - a.y), (id_a, id_b))
+
+    @staticmethod
+    def pivot_direction(inst: "Instance", pivot_id: int, direction: Direction) -> "DirectedLine":
+        p = inst.point(pivot_id)
+        return DirectedLine(p.x, p.y, direction, (pivot_id,))
+
+
+def side_just_after(d: Direction, ax: Coord, ay: Coord, px: Coord, py: Coord) -> Side:
+    """Side of (px, py) for the line through (ax, ay) rotated a hair past d.
+
+    Points exactly on the line at direction ``d`` are classified by where
+    they land once the line turns counterclockwise by an infinitesimal
+    angle: ahead of the anchor means right, behind it means left.
+    """
+    c = d.dx * (py - ay) - d.dy * (px - ax)
+    if c != 0:
+        return Side.LEFT if c > 0 else Side.RIGHT
+    ahead = d.dx * (px - ax) + d.dy * (py - ay)
+    if ahead == 0:
+        raise ValueError("point coincides with the anchor")
+    return Side.RIGHT if ahead > 0 else Side.LEFT
+
+
+@dataclass(frozen=True)
+class Instance:
+    """An immutable validated instance: red and blue points in general position."""
+
+    points: tuple[LabeledPoint, ...]
+    r: int
+    b: int
+    delta: int
+
+    @property
+    def n(self) -> int:
+        return len(self.points)
+
+    def point(self, pid: int) -> LabeledPoint:
+        p = self.points[pid]
+        if p.id != pid:
+            raise KeyError(pid)
+        return p
+
+    @cached_property
+    def red_ids(self) -> tuple[int, ...]:
+        return tuple(p.id for p in self.points if p.color is Color.RED)
+
+    @cached_property
+    def blue_ids(self) -> tuple[int, ...]:
+        return tuple(p.id for p in self.points if p.color is Color.BLUE)
+
+    def ids_of(self, color: Color) -> tuple[int, ...]:
+        return self.red_ids if color is Color.RED else self.blue_ids
+
+
+def build_points(raw: Iterable[tuple[Coord, Coord, Color | str]]) -> list[LabeledPoint]:
+    """Build LabeledPoints from (x, y, color) triples, ids by position."""
+    pts = []
+    for i, (x, y, c) in enumerate(raw):
+        color = c if isinstance(c, Color) else Color(c)
+        pts.append(LabeledPoint(i, _as_exact(x), _as_exact(y), color))
+    return pts
+
+
+def validate(points: Sequence[LabeledPoint]) -> Instance:
+    """Check all instance invariants and derive r, b and delta.
+
+    Raises CollinearTriple, DuplicateAbscissa or ColorImbalance naming the
+    offending points; ids must equal list positions.
+    """
+    if not points:
+        raise ValidationError("instance must contain at least one point")
+    for i, p in enumerate(points):
+        if p.id != i:
+            raise ValidationError(f"point at position {i} carries id {p.id}")
+        _as_exact(p.x)
+        _as_exact(p.y)
+    n = len(points)
+    by_x: dict[Coord, int] = {}
+    for p in points:
+        if p.x in by_x:
+            raise DuplicateAbscissa((by_x[p.x], p.id))
+        by_x[p.x] = p.id
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if orientation(points[i], points[j], points[k]) is Side.ON:
+                    raise CollinearTriple((i, j, k))
+    r = sum(1 for p in points if p.color is Color.RED)
+    b = n - r
+    if b < r or (b - r) % 2 != 0:
+        raise ColorImbalance(r, b)
+    return Instance(tuple(points), r, b, (b - r) // 2)
+
+
+def swap_colors(inst: Instance) -> Instance:
+    """Re-validate the instance with every color flipped.
+
+    Only legal when r == b; otherwise the flipped set has a red surplus and
+    validation rejects it.
+    """
+    return validate(
+        [LabeledPoint(p.id, p.x, p.y, p.color.opposite) for p in inst.points]
+    )
+
+
+def halfplane_weight(line: DirectedLine, inst: Instance, side: Side) -> int:
+    """Total weight of the points strictly on one side of the line."""
+    if side is Side.ON:
+        raise ValueError("side must be LEFT or RIGHT")
+    return sum(p.weight for p in inst.points if line.side(p) is side)
+
+
+def is_balanced(id_red: int, id_blue: int, inst: Instance) -> bool:
+    """True when the line spanned by the pair leaves weight delta on each side."""
+    a, b = inst.point(id_red), inst.point(id_blue)
+    if a.color is b.color:
+        raise SameColorPair(f"points {id_red} and {id_blue} have the same color")
+    line = DirectedLine.through_points(inst, id_red, id_blue)
+    return (
+        halfplane_weight(line, inst, Side.RIGHT) == inst.delta
+        and halfplane_weight(line, inst, Side.LEFT) == inst.delta
+    )
+
+
+def instance_to_json(inst: Instance) -> str:
+    """Serialize to the canonical instance JSON (lossless rationals)."""
+    pts = [
+        {"x": str(Fraction(p.x)), "y": str(Fraction(p.y)), "color": p.color.value}
+        for p in inst.points
+    ]
+    return json.dumps({"points": pts}, separators=(",", ":")) + "\n"
+
+
+def instance_from_json(text: str) -> Instance:
+    """Parse and validate the instance JSON format."""
+    data = json.loads(text)
+    raw = [(p["x"], p["y"], p["color"]) for p in data["points"]]
+    return validate(build_points(raw))
+
+
+VERTICAL = Direction(0, 1)

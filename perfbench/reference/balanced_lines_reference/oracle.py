@@ -1,0 +1,127 @@
+"""Ground-truth enumeration of balanced lines.
+
+Two independent methods: a cubic check of every red/blue pair against every
+other point, and an n^2 log n angular sweep around each red point.  The two
+must agree on every instance; everything else in the package is tested
+against their output.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+from .geometry import (
+    Color,
+    Direction,
+    Instance,
+    Side,
+    direction_key_from,
+    side_just_after,
+    VERTICAL,
+)
+
+
+@dataclass(frozen=True, order=True)
+class BalancedLine:
+    """A balanced red/blue pair with its halfplane weights as a certificate."""
+
+    red_id: int
+    blue_id: int
+    weights: tuple[int, int]
+
+    @property
+    def key(self) -> tuple[int, int]:
+        return (self.red_id, self.blue_id)
+
+
+def enumerate_naive(inst: Instance) -> set[BalancedLine]:
+    """Check all r*b bichromatic pairs by classifying every other point."""
+    found = set()
+    pts = inst.points
+    for rid in inst.red_ids:
+        a = pts[rid]
+        for bid in inst.blue_ids:
+            b = pts[bid]
+            dx, dy = b.x - a.x, b.y - a.y
+            right = 0
+            left = 0
+            for p in pts:
+                if p.id == rid or p.id == bid:
+                    continue
+                c = dx * (p.y - a.y) - dy * (p.x - a.x)
+                if c > 0:
+                    left += p.weight
+                elif c < 0:
+                    right += p.weight
+            if right == inst.delta and left == inst.delta:
+                found.add(BalancedLine(rid, bid, (right, left)))
+    return found
+
+
+def enumerate_sweep(inst: Instance) -> set[BalancedLine]:
+    """Rotate a directed line around each red point, keeping weights incrementally.
+
+    For anchor p the critical directions are those toward and away from each
+    other point; between them the right-halfplane weight is constant.  A blue
+    point hit while the right weight (excluding the hit point) equals delta
+    spans a balanced line with the anchor.
+    """
+    found = set()
+    pts = inst.points
+    delta = inst.delta
+    for rid in inst.red_ids:
+        a = pts[rid]
+        others = [p for p in pts if p.id != rid]
+        w = 0
+        for p in others:
+            if side_just_after(VERTICAL, a.x, a.y, p.x, p.y) is Side.RIGHT:
+                w += p.weight
+        tags = []
+        for p in others:
+            head = Direction.of(p.x - a.x, p.y - a.y)
+            tags.append((direction_key_from(VERTICAL, head), p, True))
+            tags.append((direction_key_from(VERTICAL, head.antipode), p, False))
+        tags.sort(key=lambda t: (t[0], t[1].id, t[2]))
+        w0 = w
+        for _, p, at_head in tags:
+            if at_head:
+                w_inst = w
+                w += p.weight
+            else:
+                w_inst = w - p.weight
+                w -= p.weight
+            if p.color is Color.BLUE and w_inst == delta:
+                found.add(BalancedLine(rid, p.id, (delta, delta)))
+        if w != w0:
+            raise AssertionError("sweep weight did not close over a full turn")
+    return found
+
+
+def count_balanced(inst: Instance) -> int:
+    """Number of balanced lines; always at least r."""
+    count = len(enumerate_sweep(inst))
+    if count < inst.r:
+        raise AssertionError(
+            f"found {count} balanced lines on an instance with r={inst.r}"
+        )
+    return count
+
+
+def sorted_lines(lines: set[BalancedLine]) -> list[BalancedLine]:
+    return sorted(lines, key=lambda l: l.key)
+
+
+def lines_to_csv(inst: Instance, lines: set[BalancedLine]) -> str:
+    rows = [f"# delta={inst.delta}", "red_id,blue_id"]
+    rows += [f"{l.red_id},{l.blue_id}" for l in sorted_lines(lines)]
+    return "\n".join(rows) + "\n"
+
+
+def lines_to_json(inst: Instance, lines: set[BalancedLine]) -> str:
+    payload = {
+        "delta": inst.delta,
+        "count": len(lines),
+        "lines": [{"red": l.red_id, "blue": l.blue_id} for l in sorted_lines(lines)],
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"

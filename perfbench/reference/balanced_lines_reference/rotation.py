@@ -1,0 +1,420 @@
+"""Discrete-event simulation of level rotations.
+
+A level rotation for a subset P and level k moves a directed line through a
+full counterclockwise turn so that it always contains exactly one point of P
+(the pivot) and keeps exactly k points of P strictly to its right.  The
+combinatorial state changes only at directions pointing from the pivot
+toward (or away from) another point:
+
+* hitting a point of P swaps the pivot and leaves the count at k;
+* hitting any other point moves it across the line and steps the weight of
+  the right halfplane by that point's weight.
+
+A point met by the head of the line (the ray in the sweep direction) moves
+from the left halfplane to the right one; a point met by the tail moves the
+other way.  All of this is computed with exact sign tests on the critical
+directions, walked in cyclic order from the start direction.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+from functools import cached_property, lru_cache
+from typing import Iterator, Union
+
+from .geometry import (
+    BalancedLinesError,
+    Color,
+    DirectedLine,
+    Direction,
+    Instance,
+    Side,
+    VERTICAL,
+    direction_between,
+    direction_key_from,
+    halfplane_weight,
+    side_just_after,
+)
+from .oracle import BalancedLine
+
+
+class WrongSubset(BalancedLinesError):
+    """The operation needs an all-red or all-blue rotation subset."""
+
+
+class EvenRedCount(BalancedLinesError):
+    """The halving construction needs an odd number of red points."""
+
+
+class LevelOutOfRange(BalancedLinesError):
+    """The requested level is not in [0, |P| - 1] or violates a coupling bound."""
+
+
+class End(Enum):
+    HEAD = "head"
+    TAIL = "tail"
+
+
+class EventKind(Enum):
+    PIVOT_CHANGE = "pivot_change"
+    WEIGHT_CHANGE = "weight_change"
+
+
+Subset = Union[Color, frozenset]
+
+
+@dataclass(frozen=True)
+class RotationSpec:
+    """Which points rotate (a color or an explicit id set), at which level."""
+
+    subset: Subset
+    level: int
+    start_direction: Direction = VERTICAL
+
+    def resolve(self, inst: Instance) -> tuple[int, ...]:
+        if isinstance(self.subset, Color):
+            ids = inst.ids_of(self.subset)
+        else:
+            ids = tuple(sorted(self.subset))
+            for i in ids:
+                inst.point(i)
+        if not ids:
+            raise LevelOutOfRange("rotation subset is empty")
+        if not 0 <= self.level <= len(ids) - 1:
+            raise LevelOutOfRange(
+                f"level {self.level} invalid for a subset of {len(ids)} points"
+            )
+        return ids
+
+
+@dataclass(frozen=True)
+class RotationEvent:
+    direction: Direction
+    kind: EventKind
+    pivot_before: int
+    pivot_after: int
+    crossed_id: int
+    end: End
+    omega_before: int
+    omega_after: int
+    line: DirectedLine
+
+
+@dataclass(frozen=True)
+class RotationTrace:
+    """The full cyclic event sequence of one level rotation.
+
+    The state between events is (pivot, omega); the first interval starts
+    just past the start direction and the walk returns to the initial state
+    after a full turn.
+    """
+
+    spec: RotationSpec
+    subset_ids: tuple[int, ...]
+    start_direction: Direction
+    initial_pivot: int
+    initial_omega: int
+    events: tuple[RotationEvent, ...]
+
+    @property
+    def level(self) -> int:
+        return self.spec.level
+
+    def intervals(self) -> Iterator[tuple[Direction, Direction, int, int]]:
+        """Yield (from, to, pivot, omega) for every inter-event interval."""
+        if not self.events:
+            yield (self.start_direction, self.start_direction,
+                   self.initial_pivot, self.initial_omega)
+            return
+        d = self.start_direction
+        pivot, omega = self.initial_pivot, self.initial_omega
+        for ev in self.events:
+            if ev.direction != d:
+                yield (d, ev.direction, pivot, omega)
+            d, pivot, omega = ev.direction, ev.pivot_after, ev.omega_after
+        if d != self.start_direction:
+            yield (d, self.start_direction, pivot, omega)
+
+    def interval_representatives(self) -> Iterator[tuple[Direction, int, int]]:
+        """Yield (direction, pivot, omega) with one direction inside each interval."""
+        for dfrom, dto, pivot, omega in self.intervals():
+            if dfrom == dto:
+                yield (dfrom, pivot, omega)
+            else:
+                yield (direction_between(dfrom, dto), pivot, omega)
+
+    @cached_property
+    def omega_values(self) -> tuple[int, ...]:
+        return (self.initial_omega,) + tuple(ev.omega_after for ev in self.events)
+
+    @property
+    def omega_min(self) -> int:
+        return min(self.omega_values)
+
+    @property
+    def omega_max(self) -> int:
+        return max(self.omega_values)
+
+    def pivot_at(self, d: Direction) -> int:
+        """Pivot of the interval containing the direction ``d``.
+
+        At an event direction the state just after the event is reported,
+        matching the half-open interval convention of the walk.
+        """
+        key = direction_key_from(self.start_direction, d)
+        pivot = self.initial_pivot
+        for ev in self.events:
+            if direction_key_from(self.start_direction, ev.direction) <= key:
+                pivot = ev.pivot_after
+            else:
+                break
+        return pivot
+
+
+def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
+    """Simulate one full turn of the rotation described by ``spec``.
+
+    The initial pivot is the unique subset point with exactly ``level``
+    subset points strictly right of the start line; the walk then processes
+    every critical direction incident to the current pivot in cyclic order.
+    """
+    ids = spec.resolve(inst)
+    id_set = frozenset(ids)
+    k = spec.level
+    d0 = spec.start_direction
+    pts = inst.points
+
+    pivot = _initial_pivot(inst, ids, k, d0)
+    a = pts[pivot]
+    omega = sum(
+        p.weight
+        for p in pts
+        if p.id != pivot and side_just_after(d0, a.x, a.y, p.x, p.y) is Side.RIGHT
+    )
+
+    tags = _sorted_tags(inst, ids, d0)
+    initial_pivot, initial_omega = pivot, omega
+    events = []
+    for _, d, qid, sid, end in tags:
+        if end is None:
+            if pivot not in (qid, sid):
+                continue
+            other = sid if pivot == qid else qid
+            o = pts[other]
+            p = pts[pivot]
+            at_head = Direction.of(o.x - p.x, o.y - p.y) == d
+            if at_head:
+                new_omega = omega
+            else:
+                new_omega = omega + p.weight - o.weight
+            events.append(RotationEvent(
+                d, EventKind.PIVOT_CHANGE, pivot, other, other,
+                End.HEAD if at_head else End.TAIL, omega, new_omega,
+                DirectedLine(p.x, p.y, d, (pivot, other)),
+            ))
+            pivot, omega = other, new_omega
+        else:
+            if qid != pivot:
+                continue
+            s = pts[sid]
+            new_omega = omega + (s.weight if end is End.HEAD else -s.weight)
+            events.append(RotationEvent(
+                d, EventKind.WEIGHT_CHANGE, pivot, pivot, sid, end, omega, new_omega,
+                DirectedLine(pts[pivot].x, pts[pivot].y, d, (pivot, sid)),
+            ))
+            omega = new_omega
+
+    if pivot != initial_pivot or omega != initial_omega:
+        raise AssertionError("rotation walk failed to close after a full turn")
+    return RotationTrace(spec, ids, d0, initial_pivot, initial_omega, tuple(events))
+
+
+@lru_cache(maxsize=128)
+def _sorted_tags(inst: Instance, ids: tuple[int, ...], d0: Direction):
+    """Critical directions of a subset, sorted cyclically from the start.
+
+    One tag per geometric incidence: a subset pair aligned with the sweep
+    direction is a single event no matter which of the two is the pivot,
+    so pair tags are generated once per unordered pair.  The tag list does
+    not depend on the level, hence the cache.
+    """
+    pts = inst.points
+    id_set = frozenset(ids)
+    tags = []
+    for qid in ids:
+        q = pts[qid]
+        for p in pts:
+            if p.id == qid or p.id in id_set:
+                continue
+            head = Direction.of(p.x - q.x, p.y - q.y)
+            tags.append((direction_key_from(d0, head), head, qid, p.id, End.HEAD))
+            tail = head.antipode
+            tags.append((direction_key_from(d0, tail), tail, qid, p.id, End.TAIL))
+    for i, uid in enumerate(ids):
+        u = pts[uid]
+        for vid in ids[i + 1:]:
+            v = pts[vid]
+            fwd = Direction.of(v.x - u.x, v.y - u.y)
+            tags.append((direction_key_from(d0, fwd), fwd, uid, vid, None))
+            rev = fwd.antipode
+            tags.append((direction_key_from(d0, rev), rev, uid, vid, None))
+    tags.sort(key=lambda t: (t[0], t[2], t[3], t[4].value if t[4] else ""))
+    return tags
+
+
+def _initial_pivot(inst: Instance, ids: tuple[int, ...], k: int, d0: Direction) -> int:
+    pts = inst.points
+    candidates = []
+    for qid in ids:
+        q = pts[qid]
+        right = sum(
+            1
+            for other in ids
+            if other != qid
+            and side_just_after(d0, q.x, q.y, pts[other].x, pts[other].y) is Side.RIGHT
+        )
+        if right == k:
+            candidates.append(qid)
+    if len(candidates) != 1:
+        raise AssertionError(
+            f"expected a unique start pivot at level {k}, found {candidates}"
+        )
+    return candidates[0]
+
+
+@dataclass(frozen=True)
+class Transition:
+    """A single weight step across the boundary between ``low`` and ``low+1``."""
+
+    direction: Direction
+    from_omega: int
+    to_omega: int
+    line: DirectedLine
+    pivot_id: int
+    crossed_id: int
+    end: End
+    is_balanced: bool
+
+    @property
+    def rising(self) -> bool:
+        return self.to_omega > self.from_omega
+
+
+def transitions_at(trace: RotationTrace, low: int, inst: Instance) -> list[Transition]:
+    """All weight steps between ``low`` and ``low + 1`` along the trace.
+
+    Each is annotated with whether the snapshot line (through the pivot and
+    the crossed point) is a balanced line, checked by exact recount.
+    """
+    out = []
+    for ev in trace.events:
+        if ev.kind is not EventKind.WEIGHT_CHANGE:
+            continue
+        if {ev.omega_before, ev.omega_after} != {low, low + 1}:
+            continue
+        out.append(_make_transition(ev, inst))
+    return out
+
+
+def _make_transition(ev: RotationEvent, inst: Instance) -> Transition:
+    pivot = inst.point(ev.pivot_before)
+    crossed = inst.point(ev.crossed_id)
+    balanced = (
+        pivot.color is not crossed.color
+        and halfplane_weight(ev.line, inst, Side.RIGHT) == inst.delta
+        and halfplane_weight(ev.line, inst, Side.LEFT) == inst.delta
+    )
+    return Transition(
+        ev.direction, ev.omega_before, ev.omega_after, ev.line,
+        ev.pivot_before, ev.crossed_id, ev.end, balanced,
+    )
+
+
+def is_delta_preserving(trace: RotationTrace, inst: Instance) -> bool:
+    """Whether the right-halfplane weight never crosses its color boundary.
+
+    An all-red rotation preserves when its weight stays <= delta or stays
+    > delta for the whole turn; an all-blue rotation when it stays >= delta
+    or stays < delta.
+    """
+    ids = set(trace.subset_ids)
+    delta = inst.delta
+    if ids == set(inst.red_ids):
+        return trace.omega_max <= delta or trace.omega_min > delta
+    if ids == set(inst.blue_ids):
+        return trace.omega_min >= delta or trace.omega_max < delta
+    raise WrongSubset("subset is neither all red nor all blue")
+
+
+def find_balanced_halving(inst: Instance) -> BalancedLine:
+    """A balanced line that also halves the point set (odd red count only).
+
+    Runs the all-red rotation at the middle level; its weight profile must
+    cross the delta boundary, and every such step spans a balanced line with
+    (n - 2) / 2 points strictly on each side.
+    """
+    if inst.r % 2 == 0:
+        raise EvenRedCount(f"r={inst.r} is even")
+    trace = run_rotation(RotationSpec(Color.RED, inst.r // 2), inst)
+    steps = transitions_at(trace, inst.delta, inst)
+    if not steps:
+        raise AssertionError("middle-level rotation produced no delta steps")
+    t = steps[0]
+    if not t.is_balanced:
+        raise AssertionError("middle-level delta step is not balanced")
+    half = (inst.n - 2) // 2
+    sides = _side_counts(t.line, inst)
+    if sides != (half, half):
+        raise AssertionError(f"expected a halving line, sides are {sides}")
+    red, blue = t.pivot_id, t.crossed_id
+    if inst.point(red).color is not Color.RED:
+        red, blue = blue, red
+    return BalancedLine(red, blue, (inst.delta, inst.delta))
+
+
+def _side_counts(line: DirectedLine, inst: Instance) -> tuple[int, int]:
+    left = sum(1 for p in inst.points if line.side(p) is Side.LEFT)
+    right = sum(1 for p in inst.points if line.side(p) is Side.RIGHT)
+    return (left, right)
+
+
+def check_level_coupling(inst: Instance, j: int) -> bool:
+    """Cross-color weight coupling between levels j (red) and j + delta (blue).
+
+    Checks, on actual traces, that a red rotation staying above delta forces
+    the blue rotation at level j + delta to stay at or above delta, and that
+    the blue rotation dropping below delta forces the red one to stay at or
+    below it.  A False return signals an implementation bug.
+    """
+    if not 0 <= j <= inst.r // 2:
+        raise LevelOutOfRange(f"j={j} outside [0, {inst.r // 2}]")
+    if j + inst.delta > inst.b - 1:
+        raise LevelOutOfRange(f"blue level {j + inst.delta} exceeds b-1={inst.b - 1}")
+    red = run_rotation(RotationSpec(Color.RED, j), inst)
+    blue = run_rotation(RotationSpec(Color.BLUE, j + inst.delta), inst)
+    delta = inst.delta
+    red_above = red.omega_min > delta
+    blue_at_least = blue.omega_min >= delta
+    blue_below = blue.omega_max < delta
+    red_at_most = red.omega_max <= delta
+    return ((not red_above) or blue_at_least) and ((not blue_below) or red_at_most)
+
+
+def trace_to_jsonl(trace: RotationTrace) -> Iterator[str]:
+    """One JSON record per event: direction, kind, pivot and weight."""
+    import json
+
+    for ev in trace.events:
+        yield json.dumps(
+            {
+                "dir": {"dx": ev.direction.dx, "dy": ev.direction.dy},
+                "kind": ev.kind.value,
+                "pivot": ev.pivot_after,
+                "omega": ev.omega_after,
+                "crossed": ev.crossed_id,
+                "end": ev.end.value,
+                "omega_before": ev.omega_before,
+            },
+            separators=(",", ":"),
+        )

@@ -1,0 +1,328 @@
+"""Sliding rotations: closed, angularly monotone curves in line space.
+
+A sliding rotation alternates rotation arcs about points of its subset with
+parallel displacements (slides) taken at a fixed direction.  Plain level
+rotations embed as arc-only curves.  The predicates here evaluate the curve
+combinatorially: one representative per interval between critical
+directions, everything by exact sign tests.
+
+The subset of a curve is a full color class; its waist at direction t
+counts the subset points strictly inside the strip between the line at t
+and the line at t + pi, and the waist of the curve is the minimum over a
+half turn.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Union
+
+from .geometry import (
+    KEY_START,
+    BalancedLinesError,
+    Color,
+    DirectedLine,
+    Direction,
+    Instance,
+    ccw_arc_contains,
+    direction_between,
+    direction_key_from,
+)
+from .rotation import EventKind, RotationTrace
+
+
+class NotPositivelyOriented(BalancedLinesError):
+    """Waist is undefined for a curve whose antipodal lines do not bound a strip."""
+
+
+class NotDeltaPreserving(BalancedLinesError):
+    """The operation needs a delta-preserving sliding rotation."""
+
+
+class InvalidCurve(BalancedLinesError):
+    """Pieces do not form a closed angularly monotone curve."""
+
+
+@dataclass(frozen=True)
+class RotateArc:
+    pivot: int
+    d_from: Direction
+    d_to: Direction
+
+
+@dataclass(frozen=True)
+class Slide:
+    direction: Direction
+    from_id: int
+    to_id: int
+
+
+Piece = Union[RotateArc, Slide]
+
+
+@dataclass(frozen=True)
+class SlidingRotation:
+    pieces: tuple[Piece, ...]
+    subset_color: Color
+
+    @property
+    def start_direction(self) -> Direction:
+        first = self.pieces[0]
+        return first.d_from if isinstance(first, RotateArc) else first.direction
+
+    def piece_boundaries(self) -> list[Direction]:
+        out = []
+        for piece in self.pieces:
+            if isinstance(piece, RotateArc):
+                out.append(piece.d_from)
+                out.append(piece.d_to)
+            else:
+                out.append(piece.direction)
+        return out
+
+
+def _arc_contains(arc: RotateArc, t: Direction) -> bool:
+    return ccw_arc_contains(arc.d_from, arc.d_to, t)
+
+
+def lift_rotation(trace: RotationTrace, inst: Instance, subset_color: Color) -> SlidingRotation:
+    """Embed a plain rotation as an arc-only sliding rotation."""
+    start = trace.start_direction
+    changes = [ev for ev in trace.events if ev.kind is EventKind.PIVOT_CHANGE]
+    arcs: list[RotateArc] = []
+    if not changes:
+        pivot = trace.initial_pivot
+        arcs.append(RotateArc(pivot, start, start.antipode))
+        arcs.append(RotateArc(pivot, start.antipode, start))
+    else:
+        d = start
+        pivot = trace.initial_pivot
+        for ev in changes:
+            if ev.direction != d:
+                arcs.append(RotateArc(pivot, d, ev.direction))
+            d, pivot = ev.direction, ev.pivot_after
+        if d != start:
+            arcs.append(RotateArc(pivot, d, start))
+    return SlidingRotation(tuple(arcs), subset_color)
+
+
+def validate_curve(sr: SlidingRotation, inst: Instance) -> None:
+    """Check continuity and closure of the piece sequence."""
+    if not sr.pieces:
+        raise InvalidCurve("curve has no pieces")
+    subset = set(inst.ids_of(sr.subset_color))
+
+    def endpoints(piece: Piece) -> tuple[tuple[Direction, int], tuple[Direction, int]]:
+        if isinstance(piece, RotateArc):
+            if piece.pivot not in subset:
+                raise InvalidCurve(f"arc pivot {piece.pivot} outside the subset")
+            if piece.d_from == piece.d_to:
+                raise InvalidCurve("zero-length arc")
+            return ((piece.d_from, piece.pivot), (piece.d_to, piece.pivot))
+        if piece.from_id not in subset or piece.to_id not in subset:
+            raise InvalidCurve("slide endpoints must be subset points")
+        if piece.from_id == piece.to_id:
+            raise InvalidCurve("zero-length slide")
+        return ((piece.direction, piece.from_id), (piece.direction, piece.to_id))
+
+    n = len(sr.pieces)
+    for i, piece in enumerate(sr.pieces):
+        (_, _), (d_end, anchor_end) = endpoints(piece)
+        nxt = sr.pieces[(i + 1) % n]
+        (d_start, anchor_start), _ = endpoints(nxt)
+        if d_end != d_start:
+            raise InvalidCurve(
+                f"piece {i} ends at direction {d_end}, next starts at {d_start}"
+            )
+        a = inst.point(anchor_end)
+        b = inst.point(anchor_start)
+        if d_end.dx * (b.y - a.y) - d_end.dy * (b.x - a.x) != 0:
+            raise InvalidCurve(f"pieces {i} and {(i + 1) % n} do not share a line")
+
+
+def evaluate_at(sr: SlidingRotation, inst: Instance, t: Direction) -> DirectedLine:
+    """The curve's line at direction t; the leftmost one if a slide sits at t."""
+    best = None
+    best_offset = None
+    for piece in sr.pieces:
+        anchors: list[int] = []
+        if isinstance(piece, RotateArc):
+            if _arc_contains(piece, t):
+                anchors.append(piece.pivot)
+        elif piece.direction == t:
+            anchors += [piece.from_id, piece.to_id]
+        for aid in anchors:
+            p = inst.point(aid)
+            off = t.dx * p.y - t.dy * p.x
+            if best_offset is None or off > best_offset:
+                best_offset = off
+                best = DirectedLine(p.x, p.y, t, (aid,))
+    if best is None:
+        raise InvalidCurve(f"curve has no line at direction {t}")
+    return best
+
+
+def _line_offset(line: DirectedLine, frame: Direction):
+    return frame.dx * line.ay - frame.dy * line.ax
+
+
+def _anchor_for_offset(d: Direction, offset) -> tuple[Fraction, Fraction]:
+    norm = d.dx * d.dx + d.dy * d.dy
+    return (Fraction(-d.dy * offset, norm), Fraction(d.dx * offset, norm))
+
+
+def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedLine, int]]:
+    """Weight of the right halfplane on every combinatorial interval.
+
+    Arc intervals are split at every direction critical for the pivot;
+    slide intervals at every offset of a crossed point.  Each entry pairs a
+    representative line with its exact recount, so the result is safe to use
+    as an oracle for incremental walks.
+    """
+    pts = inst.points
+    out: list[tuple[DirectedLine, int]] = []
+    for piece in sr.pieces:
+        if isinstance(piece, RotateArc):
+            q = inst.point(piece.pivot)
+            inside = []
+            for p in pts:
+                if p.id == piece.pivot:
+                    continue
+                for d in _both_directions(q, p):
+                    if d == piece.d_from or d == piece.d_to:
+                        continue
+                    if _arc_contains(piece, d):
+                        inside.append(d)
+            inside.sort(key=lambda d: direction_key_from(piece.d_from, d))
+            fences = [piece.d_from] + inside + [piece.d_to]
+            for u, v in zip(fences, fences[1:]):
+                m = direction_between(u, v)
+                w = sum(
+                    p.weight
+                    for p in pts
+                    if m.dx * (p.y - q.y) - m.dy * (p.x - q.x) < 0
+                )
+                out.append((DirectedLine(q.x, q.y, m, (piece.pivot,)), w))
+        else:
+            d = piece.direction
+            o_from = _point_offset(d, inst.point(piece.from_id))
+            o_to = _point_offset(d, inst.point(piece.to_id))
+            lo, hi = min(o_from, o_to), max(o_from, o_to)
+            crossing = sorted(
+                {_point_offset(d, p) for p in pts if lo < _point_offset(d, p) < hi}
+            )
+            fences = [lo] + crossing + [hi]
+            for a, b in zip(fences, fences[1:]):
+                rep = Fraction(a + b, 2)
+                w = sum(p.weight for p in pts if _point_offset(d, p) < rep)
+                ax, ay = _anchor_for_offset(d, rep)
+                out.append((DirectedLine(ax, ay, d), w))
+    return out
+
+
+def _point_offset(d: Direction, p):
+    return d.dx * p.y - d.dy * p.x
+
+
+def _both_directions(q, p) -> tuple[Direction, Direction]:
+    fwd = Direction.of(p.x - q.x, p.y - q.y)
+    return (fwd, fwd.antipode)
+
+
+def is_delta_preserving_sliding(sr: SlidingRotation, inst: Instance) -> bool:
+    """One-sided preservation: red curves stay <= delta, blue curves >= delta."""
+    omegas = [w for _, w in sliding_profile(sr, inst)]
+    if sr.subset_color is Color.RED:
+        return max(omegas) <= inst.delta
+    return min(omegas) >= inst.delta
+
+
+def half_cycle_representatives(sr: SlidingRotation, inst: Instance) -> list[Direction]:
+    """One direction inside each combinatorial interval of the half cycle.
+
+    Breakpoints are every pairwise direction of the subset plus all piece
+    boundaries, folded onto [start, start + pi); between consecutive
+    breakpoints both antipodal lines of the curve keep their anchors, so the
+    strip membership of every subset point is constant there.
+    """
+    start = sr.start_direction
+    ids = inst.ids_of(sr.subset_color)
+    pts = inst.points
+    raw: set[Direction] = set(sr.piece_boundaries())
+    raw.update(d.antipode for d in sr.piece_boundaries())
+    for i, uid in enumerate(ids):
+        u = pts[uid]
+        for vid in ids[i + 1:]:
+            v = pts[vid]
+            d = Direction.of(v.x - u.x, v.y - u.y)
+            raw.add(d)
+            raw.add(d.antipode)
+    folded = set()
+    for d in raw:
+        if d == start or start.cross(d) > 0:
+            folded.add(d)
+        else:
+            folded.add(d.antipode)
+    folded.add(start)
+    ordered = sorted(
+        folded,
+        key=lambda d: KEY_START if d == start else direction_key_from(start, d),
+    )
+    reps = []
+    for u, v in zip(ordered, ordered[1:]):
+        reps.append(direction_between(u, v))
+    reps.append(direction_between(ordered[-1], start.antipode))
+    return reps
+
+
+def is_positively_oriented(sr: SlidingRotation, inst: Instance) -> bool:
+    """Whether the line at t + pi stays strictly left of the line at t.
+
+    Checked at one representative direction per combinatorial interval of
+    the half cycle.
+    """
+    for t in half_cycle_representatives(sr, inst):
+        low = evaluate_at(sr, inst, t)
+        high = evaluate_at(sr, inst, t.antipode)
+        if _line_offset(high, t) <= _line_offset(low, t):
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class Waist:
+    """The minimum strip occupancy of a positively oriented curve."""
+
+    value: int
+    achieved_at: Direction
+    witnesses: frozenset[int]
+    line_low: DirectedLine
+    line_high: DirectedLine
+
+
+def waist(sr: SlidingRotation, inst: Instance) -> Waist:
+    """Minimum number of subset points strictly between the antipodal lines.
+
+    Evaluated at one representative per interval; the minimum over the
+    continuous parameter is attained on an interval, so this is exact.
+    Raises NotPositivelyOriented when some antipodal pair fails to bound a
+    strip.
+    """
+    ids = inst.ids_of(sr.subset_color)
+    pts = inst.points
+    best: Waist | None = None
+    for t in half_cycle_representatives(sr, inst):
+        low = evaluate_at(sr, inst, t)
+        high = evaluate_at(sr, inst, t.antipode)
+        o_low = _line_offset(low, t)
+        o_high = _line_offset(high, t)
+        if o_high <= o_low:
+            raise NotPositivelyOriented(f"antipodal lines out of order at {t}")
+        inside = frozenset(
+            i for i in ids if o_low < _point_offset(t, pts[i]) < o_high
+        )
+        if best is None or len(inside) < best.value:
+            best = Waist(len(inside), t, inside, low, high)
+    assert best is not None
+    return best
