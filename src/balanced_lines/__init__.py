@@ -14,6 +14,7 @@ from .geometry import (
     DirectedLine,
     Direction,
     DuplicateAbscissa,
+    GuaranteeViolation,
     Instance,
     LabeledPoint,
     SameColorPair,
@@ -75,7 +76,6 @@ from .certificate import (
     Certificate,
     CertificateFailure,
     CertifiedLine,
-    GuaranteeViolation,
     Provenance,
     RechargeRecord,
     UnclassifiableTransition,

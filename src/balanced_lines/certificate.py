@@ -27,6 +27,7 @@ from .geometry import (
     Color,
     DirectedLine,
     Direction,
+    GuaranteeViolation,
     Instance,
     Side,
     halfplane_weight,
@@ -46,10 +47,6 @@ from .gamma import (
     in_central_region,
     transition_low,
 )
-
-
-class GuaranteeViolation(BalancedLinesError):
-    """A step the construction proves must exist could not be found."""
 
 
 class UnclassifiableTransition(BalancedLinesError):
@@ -208,6 +205,15 @@ def recharge(inst: Instance, gamma: Gamma, transition: Transition,
     that flank's rotation at the level of the induced line, which forces a
     distinct new balanced departure there; the record carries that line.
     """
+    return _recharge(inst, gamma, transition, f_ids, h_ids, {}, used)
+
+
+def _recharge(inst: Instance, gamma: Gamma, transition: Transition, f_ids, h_ids,
+              pools: dict, used) -> Union[BalancedLine, RechargeRecord]:
+    """``recharge`` drawing flank pools from ``pools``, keyed (flank, level).
+
+    A pool missing from ``pools`` is built and stored there.
+    """
     crossed = inst.point(transition.crossed_id)
     if crossed.color is not gamma.color:
         if not transition.is_balanced:
@@ -223,44 +229,25 @@ def recharge(inst: Instance, gamma: Gamma, transition: Transition,
         raise UnclassifiableTransition(
             f"crossed point {crossed.id} is neither a flank nor an opposite point"
         )
-    record = _resolve_recharge(inst, gamma, transition, name, family, None, used)
-    return record
-
-
-def _induced_level(inst: Instance, transition: Transition, crossed_id: int,
-                   family: tuple[int, ...]) -> tuple[Direction, int]:
     g = inst.point(transition.pivot_id)
-    x = inst.point(crossed_id)
-    d_star = Direction.of(g.x - x.x, g.y - x.y)
+    d_star = Direction.of(g.x - crossed.x, g.y - crossed.y)
+    o_crossed = d_star.offset(crossed.x, crossed.y)
     level = 0
     for fid in family:
-        if fid == crossed_id:
-            continue
         p = inst.point(fid)
-        if d_star.dx * (p.y - x.y) - d_star.dy * (p.x - x.x) < 0:
+        if fid != crossed.id and d_star.offset(p.x, p.y) < o_crossed:
             level += 1
-    return d_star, level
-
-
-def _resolve_recharge(inst, gamma: Gamma, transition: Transition, name: str,
-                      family: tuple[int, ...], pools, used) -> RechargeRecord:
-    d_star, level = _induced_level(inst, transition, transition.crossed_id, family)
     sgn = 1 if gamma.color is Color.RED else -1
-    x = inst.point(transition.crossed_id)
-    induced = DirectedLine(x.x, x.y, d_star, (transition.crossed_id, transition.pivot_id))
+    induced = DirectedLine(crossed.x, crossed.y, d_star, (crossed.id, transition.pivot_id))
     w = halfplane_weight(induced, inst, Side.RIGHT)
     if w != inst.delta + sgn:
         raise GuaranteeViolation(
             f"induced flank step at {d_star} has weight {w}, expected {inst.delta + sgn}"
         )
-    if pools is None:
-        pool = _flank_pool(inst, gamma, family, level)
-    else:
-        key = (name, level)
-        if key not in pools:
-            pools[key] = _flank_pool(inst, gamma, family, level)
-        pool = pools[key]
-    for t in pool:
+    key = (name, level)
+    if key not in pools:
+        pools[key] = _flank_pool(inst, gamma, family, level)
+    for t in pools[key]:
         line = _line_of(inst, t, inst.delta)
         if line.key in used:
             continue
@@ -329,12 +316,15 @@ def _gamma_certificate(inst: Instance, gamma: Gamma) -> Certificate:
         quota = 1 if (s % 2 == 1 and level == s // 2) else 2
         got = 0
         for t in central:
-            resolved = _resolve_strip_transition(
-                inst, gamma, t, level, f_ids, h_ids, pools, frozenset(used)
-            )
-            if resolved is None:
+            try:
+                resolved = _recharge(inst, gamma, t, f_ids, h_ids, pools, used)
+            except GuaranteeViolation:
                 continue
-            line, prov, snapshot = resolved
+            if isinstance(resolved, RechargeRecord):
+                line, snapshot = resolved.new_line, resolved.new_snapshot
+                prov = Provenance("recharge", level, resolved.via, resolved.level)
+            else:
+                line, prov, snapshot = resolved, Provenance("strip", level), t.line
             if line.key in used:
                 continue
             used.add(line.key)
@@ -349,31 +339,6 @@ def _gamma_certificate(inst: Instance, gamma: Gamma) -> Certificate:
     return Certificate(
         gamma, gamma.color, f_ids, h_ids, g_ids, tuple(lines), len(lines)
     )
-
-
-def _resolve_strip_transition(inst, gamma: Gamma, t: Transition, level: int,
-                              f_ids, h_ids, pools, used):
-    crossed = inst.point(t.crossed_id)
-    if crossed.color is not gamma.color:
-        if not t.is_balanced:
-            raise UnclassifiableTransition(
-                f"opposite-color strip transition at {t.direction} is unbalanced"
-            )
-        return _line_of(inst, t, inst.delta), Provenance("strip", level), t.line
-    if crossed.id in f_ids:
-        name, family = "f", f_ids
-    elif crossed.id in h_ids:
-        name, family = "h", h_ids
-    else:
-        raise UnclassifiableTransition(
-            f"strip transition crossed unexpected point {crossed.id}"
-        )
-    try:
-        rec = _resolve_recharge(inst, gamma, t, name, family, pools, used)
-    except GuaranteeViolation:
-        return None
-    prov = Provenance("recharge", level, name, rec.level)
-    return rec.new_line, prov, rec.new_snapshot
 
 
 def _check_certificate(inst: Instance, cert: Certificate, oracle: set) -> None:

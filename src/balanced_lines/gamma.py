@@ -23,15 +23,14 @@ from .geometry import (
     KEY_END,
     KEY_START,
     Color,
-    DirectedLine,
     Direction,
+    GuaranteeViolation,
     Instance,
     ccw_arc_contains,
     direction_between,
     direction_key_from,
 )
 from .rotation import (
-    EventKind,
     RotationSpec,
     RotationTrace,
     Transition,
@@ -47,6 +46,7 @@ from .sliding import (
     Slide,
     SlidingRotation,
     Waist,
+    _preserves_delta,
     evaluate_at,
     is_delta_preserving_sliding,
     lift_rotation,
@@ -79,12 +79,6 @@ class Gamma:
 def transition_low(color: Color, delta: int) -> int:
     """Lower value of the weight boundary relevant to the given subset color."""
     return delta if color is Color.RED else delta - 1
-
-
-def _sliding_preserving_from_trace(trace: RotationTrace, color: Color, delta: int) -> bool:
-    if color is Color.RED:
-        return trace.omega_max <= delta
-    return trace.omega_min >= delta
 
 
 def _validated(sr: SlidingRotation, inst: Instance, color: Color, kind: str,
@@ -124,7 +118,7 @@ def plain_candidates(inst: Instance) -> list[Gamma]:
         m = len(ids)
         for k in range((m - 1) // 2 if m >= 2 else 0):
             trace = run_rotation(RotationSpec(color, k), inst)
-            if not _sliding_preserving_from_trace(trace, color, inst.delta):
+            if not _preserves_delta(color, trace.omega_values, inst.delta):
                 continue
             cand = _validated(
                 lift_rotation(trace, inst, color), inst, color, "plain", k,
@@ -168,40 +162,37 @@ def decompose_fhg(inst: Instance, gamma: Gamma) -> tuple[
     if not is_delta_preserving_sliding(gamma.sr, inst):
         raise NotDeltaPreserving("decomposition needs a delta-preserving curve")
     t = gamma.waist.achieved_at
-    o_low = _line_offset_at(gamma.waist.line_low, t)
-    o_high = _line_offset_at(gamma.waist.line_high, t)
+    o_low = gamma.waist.line_low.offset(t)
+    o_high = gamma.waist.line_high.offset(t)
     flank_f = []
     flank_h = []
     strip = []
     for i in inst.ids_of(gamma.color):
         p = inst.point(i)
-        o = t.dx * p.y - t.dy * p.x
+        o = t.offset(p.x, p.y)
         if o <= o_low:
             flank_f.append(i)
         elif o >= o_high:
             flank_h.append(i)
         else:
             strip.append(i)
-    assert frozenset(strip) == gamma.waist.witnesses
+    if frozenset(strip) != gamma.waist.witnesses:
+        raise GuaranteeViolation("strip set differs from the waist witnesses")
     return tuple(flank_f), tuple(flank_h), tuple(strip)
-
-
-def _line_offset_at(line: DirectedLine, frame: Direction):
-    return frame.dx * line.ay - frame.dy * line.ax
 
 
 def central_region_bounds(inst: Instance, gamma: Gamma, t: Direction):
     """Offsets (low, high) of the strip between the curve's lines at t and t + pi."""
     low = evaluate_at(gamma.sr, inst, t)
     high = evaluate_at(gamma.sr, inst, t.antipode)
-    return _line_offset_at(low, t), _line_offset_at(high, t)
+    return low.offset(t), high.offset(t)
 
 
 def in_central_region(inst: Instance, gamma: Gamma, transition: Transition) -> bool:
     """Whether the transition's line lies inside or on the strip boundary."""
     t = transition.direction
     o_low, o_high = central_region_bounds(inst, gamma, t)
-    o = _line_offset_at(transition.line, t)
+    o = transition.line.offset(t)
     return o_low <= o <= o_high
 
 
@@ -286,18 +277,14 @@ def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace):
             c = pts[piece.pivot]
             if piece.pivot == pivot:
                 for d in (dfrom, dto, piece.d_from, piece.d_to):
-                    if _in_span(dfrom, dto, d) and _arc_contains(piece, d):
+                    if _in_span(dfrom, dto, d) and piece.contains(d):
                         marks.append((d, idx))
                 continue
             fwd = Direction.of(c.x - g.x, c.y - g.y)
             for d in (fwd, fwd.antipode):
-                if _in_span(dfrom, dto, d) and _arc_contains(piece, d):
+                if _in_span(dfrom, dto, d) and piece.contains(d):
                     marks.append((d, idx))
     return marks
-
-
-def _arc_contains(arc: RotateArc, t: Direction) -> bool:
-    return ccw_arc_contains(arc.d_from, arc.d_to, t)
 
 
 def _in_span(dfrom: Direction, dto: Direction, t: Direction) -> bool:
@@ -326,7 +313,8 @@ def _clip_arcs(pieces: tuple[Piece, ...], w_from: Direction, w_to: Direction) ->
     hi = pos(w_to, w_to == start)
     out: list[Piece] = []
     for i, piece in enumerate(pieces):
-        assert isinstance(piece, RotateArc)
+        if not isinstance(piece, RotateArc):
+            raise GuaranteeViolation("a plain rotation lift holds a slide")
         a_pos = pos(piece.d_from, False)
         b_pos = pos(piece.d_to, i == len(pieces) - 1)
         new_a, new_a_pos = (piece.d_from, a_pos) if a_pos >= lo else (w_from, lo)
@@ -408,11 +396,11 @@ def build_shift(inst: Instance, trace: RotationTrace, shift_color: Color) -> Opt
         m = direction_between(u, v) if u != v else u.perp_ccw
         pivot = trace.pivot_at(m)
         g = pts[pivot]
-        o_line = m.dx * g.y - m.dy * g.x
+        o_line = m.offset(g.x, g.y)
         best_id, best_off = None, None
         for sid in shift_ids:
             s = pts[sid]
-            o = m.dx * s.y - m.dy * s.x
+            o = m.offset(s.x, s.y)
             if o < o_line and (best_off is None or o > best_off):
                 best_id, best_off = sid, o
         if best_id is None:
@@ -427,9 +415,7 @@ def build_shift(inst: Instance, trace: RotationTrace, shift_color: Color) -> Opt
         _extend_arc(pieces, RotateArc(aid, u, arc_end))
         if next_aid != aid:
             a, b = pts[aid], pts[next_aid]
-            o_a = arc_end.dx * a.y - arc_end.dy * a.x
-            o_b = arc_end.dx * b.y - arc_end.dy * b.x
-            if o_a != o_b:
+            if arc_end.offset(a.x, a.y) != arc_end.offset(b.x, b.y):
                 pieces.append(Slide(arc_end, aid, next_aid))
     if not pieces:
         return None

@@ -59,6 +59,10 @@ class ColorImbalance(ValidationError):
         )
 
 
+class GuaranteeViolation(BalancedLinesError):
+    """A step the construction proves must exist could not be found."""
+
+
 class SameColorPair(BalancedLinesError):
     """A balanced-line query was made for two points of equal color."""
 
@@ -191,13 +195,18 @@ class Direction:
     def dot(self, other: "Direction") -> int:
         return self.dx * other.dx + self.dy * other.dy
 
+    def offset(self, x: Coord, y: Coord) -> Coord:
+        """Signed position of the line through (x, y) parallel to this direction.
+
+        Larger offsets are further to the left of the direction, so a point
+        is right of a parallel line exactly when its offset is smaller.
+        """
+        return self.dx * y - self.dy * x
+
     @cached_property
     def rank(self) -> tuple:
         """Sort key realizing the cyclic order from vertical, counterclockwise."""
-        half = 0 if (self.dx < 0 or (self.dx == 0 and self.dy > 0)) else 1
-        if self.dx == 0:
-            return (half, 0, Fraction(0))
-        return (half, 1, Fraction(self.dy, self.dx))
+        return KEY_START if self == VERTICAL else direction_key_from(VERTICAL, self)
 
     def __repr__(self) -> str:
         return f"Direction({self.dx}, {self.dy})"
@@ -316,7 +325,7 @@ class DirectedLine:
         Only meaningful when the line is parallel to ``frame``; larger
         offsets are further to the left of the frame direction.
         """
-        return frame.dx * self.ay - frame.dy * self.ax
+        return frame.offset(self.ax, self.ay)
 
     def contains(self, p) -> bool:
         return self.side(p) is Side.ON
@@ -458,11 +467,18 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps({"points": pts}, separators=(",", ":")) + "\n"
 
 
-def instance_from_json(text: str) -> Instance:
-    """Parse and validate the instance JSON format."""
-    data = json.loads(text)
-    raw = [(p["x"], p["y"], p["color"]) for p in data["points"]]
-    return validate(build_points(raw))
+def instance_from_json(text: str | bytes) -> Instance:
+    """Parse and validate the instance JSON format.
+
+    Every malformed document, whatever part of it is wrong, raises
+    ValidationError.
+    """
+    try:
+        data = json.loads(text)
+        points = build_points((p["x"], p["y"], p["color"]) for p in data["points"])
+    except (ValueError, TypeError, KeyError, ZeroDivisionError, RecursionError) as exc:
+        raise ValidationError(f"malformed instance document: {exc!r}") from exc
+    return validate(points)
 
 
 VERTICAL = Direction(0, 1)

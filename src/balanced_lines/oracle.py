@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .geometry import (
     Color,
     Direction,
+    GuaranteeViolation,
     Instance,
     Side,
     direction_key_from,
@@ -94,7 +95,7 @@ def enumerate_sweep(inst: Instance) -> set[BalancedLine]:
             if p.color is Color.BLUE and w_inst == delta:
                 found.add(BalancedLine(rid, p.id, (delta, delta)))
         if w != w0:
-            raise AssertionError("sweep weight did not close over a full turn")
+            raise GuaranteeViolation("sweep weight did not close over a full turn")
     return found
 
 
@@ -102,7 +103,7 @@ def count_balanced(inst: Instance) -> int:
     """Number of balanced lines; always at least r."""
     count = len(enumerate_sweep(inst))
     if count < inst.r:
-        raise AssertionError(
+        raise GuaranteeViolation(
             f"found {count} balanced lines on an instance with r={inst.r}"
         )
     return count

@@ -28,6 +28,7 @@ from .geometry import (
     Color,
     DirectedLine,
     Direction,
+    GuaranteeViolation,
     Instance,
     Side,
     VERTICAL,
@@ -180,7 +181,6 @@ def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
     every critical direction incident to the current pivot in cyclic order.
     """
     ids = spec.resolve(inst)
-    id_set = frozenset(ids)
     k = spec.level
     d0 = spec.start_direction
     pts = inst.points
@@ -226,7 +226,7 @@ def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
             omega = new_omega
 
     if pivot != initial_pivot or omega != initial_omega:
-        raise AssertionError("rotation walk failed to close after a full turn")
+        raise GuaranteeViolation("rotation walk failed to close after a full turn")
     return RotationTrace(spec, ids, d0, initial_pivot, initial_omega, tuple(events))
 
 
@@ -277,7 +277,7 @@ def _initial_pivot(inst: Instance, ids: tuple[int, ...], k: int, d0: Direction) 
         if right == k:
             candidates.append(qid)
     if len(candidates) != 1:
-        raise AssertionError(
+        raise GuaranteeViolation(
             f"expected a unique start pivot at level {k}, found {candidates}"
         )
     return candidates[0]
@@ -359,14 +359,14 @@ def find_balanced_halving(inst: Instance) -> BalancedLine:
     trace = run_rotation(RotationSpec(Color.RED, inst.r // 2), inst)
     steps = transitions_at(trace, inst.delta, inst)
     if not steps:
-        raise AssertionError("middle-level rotation produced no delta steps")
+        raise GuaranteeViolation("middle-level rotation produced no delta steps")
     t = steps[0]
     if not t.is_balanced:
-        raise AssertionError("middle-level delta step is not balanced")
+        raise GuaranteeViolation("middle-level delta step is not balanced")
     half = (inst.n - 2) // 2
     sides = _side_counts(t.line, inst)
     if sides != (half, half):
-        raise AssertionError(f"expected a halving line, sides are {sides}")
+        raise GuaranteeViolation(f"expected a halving line, sides are {sides}")
     red, blue = t.pivot_id, t.crossed_id
     if inst.point(red).color is not Color.RED:
         red, blue = blue, red

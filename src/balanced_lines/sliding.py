@@ -24,6 +24,7 @@ from .geometry import (
     Color,
     DirectedLine,
     Direction,
+    GuaranteeViolation,
     Instance,
     ccw_arc_contains,
     direction_between,
@@ -49,6 +50,10 @@ class RotateArc:
     pivot: int
     d_from: Direction
     d_to: Direction
+
+    def contains(self, t: Direction) -> bool:
+        """Whether t lies on the arc, endpoints included."""
+        return ccw_arc_contains(self.d_from, self.d_to, t)
 
 
 @dataclass(frozen=True)
@@ -80,10 +85,6 @@ class SlidingRotation:
             else:
                 out.append(piece.direction)
         return out
-
-
-def _arc_contains(arc: RotateArc, t: Direction) -> bool:
-    return ccw_arc_contains(arc.d_from, arc.d_to, t)
 
 
 def lift_rotation(trace: RotationTrace, inst: Instance, subset_color: Color) -> SlidingRotation:
@@ -137,7 +138,7 @@ def validate_curve(sr: SlidingRotation, inst: Instance) -> None:
             )
         a = inst.point(anchor_end)
         b = inst.point(anchor_start)
-        if d_end.dx * (b.y - a.y) - d_end.dy * (b.x - a.x) != 0:
+        if d_end.offset(a.x, a.y) != d_end.offset(b.x, b.y):
             raise InvalidCurve(f"pieces {i} and {(i + 1) % n} do not share a line")
 
 
@@ -148,23 +149,19 @@ def evaluate_at(sr: SlidingRotation, inst: Instance, t: Direction) -> DirectedLi
     for piece in sr.pieces:
         anchors: list[int] = []
         if isinstance(piece, RotateArc):
-            if _arc_contains(piece, t):
+            if piece.contains(t):
                 anchors.append(piece.pivot)
         elif piece.direction == t:
             anchors += [piece.from_id, piece.to_id]
         for aid in anchors:
             p = inst.point(aid)
-            off = t.dx * p.y - t.dy * p.x
+            off = t.offset(p.x, p.y)
             if best_offset is None or off > best_offset:
                 best_offset = off
                 best = DirectedLine(p.x, p.y, t, (aid,))
     if best is None:
         raise InvalidCurve(f"curve has no line at direction {t}")
     return best
-
-
-def _line_offset(line: DirectedLine, frame: Direction):
-    return frame.dx * line.ay - frame.dy * line.ax
 
 
 def _anchor_for_offset(d: Direction, offset) -> tuple[Fraction, Fraction]:
@@ -192,37 +189,29 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
                 for d in _both_directions(q, p):
                     if d == piece.d_from or d == piece.d_to:
                         continue
-                    if _arc_contains(piece, d):
+                    if piece.contains(d):
                         inside.append(d)
             inside.sort(key=lambda d: direction_key_from(piece.d_from, d))
             fences = [piece.d_from] + inside + [piece.d_to]
             for u, v in zip(fences, fences[1:]):
                 m = direction_between(u, v)
-                w = sum(
-                    p.weight
-                    for p in pts
-                    if m.dx * (p.y - q.y) - m.dy * (p.x - q.x) < 0
-                )
+                o_q = m.offset(q.x, q.y)
+                w = sum(p.weight for p in pts if m.offset(p.x, p.y) < o_q)
                 out.append((DirectedLine(q.x, q.y, m, (piece.pivot,)), w))
         else:
             d = piece.direction
-            o_from = _point_offset(d, inst.point(piece.from_id))
-            o_to = _point_offset(d, inst.point(piece.to_id))
+            offsets = [d.offset(p.x, p.y) for p in pts]
+            o_from = offsets[piece.from_id]
+            o_to = offsets[piece.to_id]
             lo, hi = min(o_from, o_to), max(o_from, o_to)
-            crossing = sorted(
-                {_point_offset(d, p) for p in pts if lo < _point_offset(d, p) < hi}
-            )
+            crossing = sorted({o for o in offsets if lo < o < hi})
             fences = [lo] + crossing + [hi]
             for a, b in zip(fences, fences[1:]):
                 rep = Fraction(a + b, 2)
-                w = sum(p.weight for p in pts if _point_offset(d, p) < rep)
+                w = sum(p.weight for p, o in zip(pts, offsets) if o < rep)
                 ax, ay = _anchor_for_offset(d, rep)
                 out.append((DirectedLine(ax, ay, d), w))
     return out
-
-
-def _point_offset(d: Direction, p):
-    return d.dx * p.y - d.dy * p.x
 
 
 def _both_directions(q, p) -> tuple[Direction, Direction]:
@@ -230,12 +219,17 @@ def _both_directions(q, p) -> tuple[Direction, Direction]:
     return (fwd, fwd.antipode)
 
 
+def _preserves_delta(color: Color, omegas, delta: int) -> bool:
+    """One-sided preservation of right-halfplane weights: red <= delta, blue >= delta."""
+    if color is Color.RED:
+        return max(omegas) <= delta
+    return min(omegas) >= delta
+
+
 def is_delta_preserving_sliding(sr: SlidingRotation, inst: Instance) -> bool:
     """One-sided preservation: red curves stay <= delta, blue curves >= delta."""
     omegas = [w for _, w in sliding_profile(sr, inst)]
-    if sr.subset_color is Color.RED:
-        return max(omegas) <= inst.delta
-    return min(omegas) >= inst.delta
+    return _preserves_delta(sr.subset_color, omegas, inst.delta)
 
 
 def half_cycle_representatives(sr: SlidingRotation, inst: Instance) -> list[Direction]:
@@ -285,7 +279,7 @@ def is_positively_oriented(sr: SlidingRotation, inst: Instance) -> bool:
     for t in half_cycle_representatives(sr, inst):
         low = evaluate_at(sr, inst, t)
         high = evaluate_at(sr, inst, t.antipode)
-        if _line_offset(high, t) <= _line_offset(low, t):
+        if high.offset(t) <= low.offset(t):
             return False
     return True
 
@@ -315,14 +309,15 @@ def waist(sr: SlidingRotation, inst: Instance) -> Waist:
     for t in half_cycle_representatives(sr, inst):
         low = evaluate_at(sr, inst, t)
         high = evaluate_at(sr, inst, t.antipode)
-        o_low = _line_offset(low, t)
-        o_high = _line_offset(high, t)
+        o_low = low.offset(t)
+        o_high = high.offset(t)
         if o_high <= o_low:
             raise NotPositivelyOriented(f"antipodal lines out of order at {t}")
         inside = frozenset(
-            i for i in ids if o_low < _point_offset(t, pts[i]) < o_high
+            i for i in ids if o_low < t.offset(pts[i].x, pts[i].y) < o_high
         )
         if best is None or len(inside) < best.value:
             best = Waist(len(inside), t, inside, low, high)
-    assert best is not None
+    if best is None:
+        raise GuaranteeViolation("curve has no half-cycle representative")
     return best

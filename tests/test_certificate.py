@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import support
@@ -177,6 +178,23 @@ def test_certificate_deterministic():
     a = certificate_to_json(verify_lower_bound(inst))
     b = certificate_to_json(verify_lower_bound(inst))
     assert a == b
+
+
+# SHA-256 of the certificates of the pool below.  Any changed certificate
+# byte changes it; update it only with a deliberate change of the output.
+GOLDEN_CERTIFICATE_DIGEST = "e69de5f974949d136eecca8065735ae4cb7edb3b3c3ceef4a4c6423c94ec23a4"
+
+
+def test_certificate_golden_digest(nested_instances, mixed_instances, recharge_instances):
+    pool = nested_instances + mixed_instances + recharge_instances
+    for seed in range(100):
+        for delta in range(4):
+            r = 1 + seed % 6
+            pool.append(gen_random(seed, r, r + 2 * delta, 1000))
+    digest = hashlib.sha256()
+    for inst in pool:
+        digest.update(certificate_to_json(verify_lower_bound(inst)).encode())
+    assert digest.hexdigest() == GOLDEN_CERTIFICATE_DIGEST
 
 
 def test_certificate_total_below_balanced_count(small_random_pool):

@@ -65,13 +65,24 @@ def test_enumerate_separated_tight(run, sep44):
     assert len(rows) == 2 + 4
 
 
-def test_enumerate_validation_exit_3(run, tmp_path):
+@pytest.mark.parametrize("body", [
+    '{"points":[{"x":"0","y":"0","color":"R"},'
+    '{"x":"1","y":"1","color":"R"},{"x":"2","y":"2","color":"B"},'
+    '{"x":"3","y":"5","color":"B"}]}',
+    '{"points":[{"x":1.5,"y":"0","color":"R"}]}',
+    '{"points":[{"x":true,"y":"0","color":"R"}]}',
+    '{"points":[{"x":"1/0","y":"0","color":"R"}]}',
+    '{"points":5}',
+    '[1,2]',
+    '{"points":' + '[' * 100_000 + ']' * 100_000 + '}',
+], ids=["collinear", "float", "bool", "zero-denominator", "points-not-list",
+        "top-level-list", "deep-nesting"])
+def test_enumerate_validation_exit_3(run, tmp_path, body):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"points":[{"x":"0","y":"0","color":"R"},'
-                   '{"x":"1","y":"1","color":"R"},{"x":"2","y":"2","color":"B"},'
-                   '{"x":"3","y":"5","color":"B"}]}')
-    code, _, _ = run("enumerate", str(bad))
+    bad.write_text(body)
+    code, _, err = run("enumerate", str(bad))
     assert code == 3
+    assert err.startswith("error: invalid instance ")
 
 
 def test_trace_separated_two_transitions(run, sep44):

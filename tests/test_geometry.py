@@ -171,6 +171,26 @@ def test_direction_normalization_and_cycle():
     assert ranks == sorted(ranks)
 
 
+def _slope_rank(d):
+    """Reference cyclic key from vertical: half turn, then Fraction slope."""
+    half = 0 if (d.dx < 0 or (d.dx == 0 and d.dy > 0)) else 1
+    if d.dx == 0:
+        return (half, 0, Fraction(0))
+    return (half, 1, Fraction(d.dy, d.dx))
+
+
+nonzero_vectors = st.tuples(coords, coords).filter(lambda v: v != (0, 0))
+
+
+@given(nonzero_vectors, nonzero_vectors)
+@settings(max_examples=200)
+def test_direction_rank_matches_slope_key(u, v):
+    a, b = Direction.of(*u), Direction.of(*v)
+    ra, rb = a.rank, b.rank
+    sa, sb = _slope_rank(a), _slope_rank(b)
+    assert (ra < rb, ra == rb, rb < ra) == (sa < sb, sa == sb, sb < sa)
+
+
 def test_direction_key_from_orders_full_cycle():
     base = Direction.of(0, 1)
     ring = [(-1, 2), (-1, 0), (-1, -2), (0, -1), (1, -2), (1, 0), (1, 2), (0, 1)]
