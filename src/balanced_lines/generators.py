@@ -15,6 +15,7 @@ from .geometry import (
     ColorImbalance,
     Instance,
     LabeledPoint,
+    slope,
     validate,
 )
 
@@ -32,9 +33,11 @@ def gen_random(seed: int, r: int, b: int, coordinate_bound: int = 1000) -> Insta
     """Sample an instance with integer coordinates in [0, coordinate_bound).
 
     Points are drawn one at a time and redrawn whenever they would repeat an
-    abscissa or complete a collinear triple.  Raises BoundTooSmall when the
-    grid cannot hold the instance (fewer than n distinct abscissae) or when
-    the draw budget runs out.
+    abscissa or complete a collinear triple; the collinearity test hashes the
+    slopes from the candidate to the accepted points, so a draw costs O(k)
+    with k points accepted and the whole instance O(n^2) expected.  Raises
+    BoundTooSmall when the grid cannot hold the instance (fewer than n
+    distinct abscissae) or when the draw budget runs out.
     """
     _check_color_counts(r, b)
     n = r + b
@@ -68,13 +71,12 @@ def gen_random(seed: int, r: int, b: int, coordinate_bound: int = 1000) -> Insta
 
 
 def _completes_collinear_triple(accepted: list[tuple[int, int]], x: int, y: int) -> bool:
-    for i in range(len(accepted)):
-        ax, ay = accepted[i]
-        for j in range(i + 1, len(accepted)):
-            bx, by = accepted[j]
-            if (bx - ax) * (y - ay) == (by - ay) * (x - ax):
-                return True
-    return False
+    """Whether (x, y) lies on a line through two accepted points.
+
+    The candidate's abscissa is unused, so two accepted points are collinear
+    with it exactly when they share a slope as seen from it.
+    """
+    return len({slope(ax - x, ay - y) for ax, ay in accepted}) < len(accepted)
 
 
 def gen_separated_convex(r: int, b: int) -> Instance:

@@ -118,14 +118,39 @@ def orientation(p, q, s) -> Side:
     return Side(_sign(d))
 
 
+def slope(dx: Coord, dy: Coord) -> tuple[int, int]:
+    """Canonical slope of a non-vertical vector, as a hashable key.
+
+    The reduced quotient dy/dx as (numerator, denominator) with a positive
+    denominator: two vectors share a slope exactly when they are parallel,
+    whichever their signs, and int and Fraction inputs give equal keys.
+    """
+    if isinstance(dx, int) and isinstance(dy, int):
+        if dx < 0:
+            dx, dy = -dx, -dy
+        g = gcd(dx, dy)
+        return dy // g, dx // g
+    q = Fraction(dy) / dx
+    return q.numerator, q.denominator
+
+
 def _xy(p):
     if isinstance(p, LabeledPoint):
         return p.x, p.y
     return p[0], p[1]
 
 
+_MAX_COORD_CHARS = 1000
+_MAX_COORD_EXPONENT = 1000
+
+
 def _as_exact(v) -> Coord:
-    """Coerce a coordinate to int or Fraction, rejecting floats."""
+    """Coerce a coordinate to int or Fraction, rejecting floats.
+
+    Strings longer than ``_MAX_COORD_CHARS`` or with a decimal exponent
+    beyond ``_MAX_COORD_EXPONENT`` raise ValidationError before parsing, so
+    an input such as ``"1e999999999"`` never expands into a huge integer.
+    """
     if isinstance(v, bool):
         raise TypeError("bool is not a coordinate")
     if isinstance(v, int):
@@ -133,6 +158,16 @@ def _as_exact(v) -> Coord:
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else v
     if isinstance(v, str):
+        _, e, exponent = v.lower().rpartition("e")
+        try:
+            huge_exponent = bool(e) and abs(int(exponent)) > _MAX_COORD_EXPONENT
+        except ValueError:
+            huge_exponent = False  # no integer after the "e": Fraction rejects v below
+        if len(v) > _MAX_COORD_CHARS or huge_exponent:
+            raise ValidationError(
+                f"coordinate string over {_MAX_COORD_CHARS} characters or with an"
+                f" exponent beyond ±{_MAX_COORD_EXPONENT}"
+            )
         f = Fraction(v)
         return int(f) if f.denominator == 1 else f
     raise TypeError(f"coordinates must be exact (int, Fraction or string), got {type(v)!r}")
@@ -401,7 +436,9 @@ def validate(points: Sequence[LabeledPoint]) -> Instance:
     """Check all instance invariants and derive r, b and delta.
 
     Raises CollinearTriple, DuplicateAbscissa or ColorImbalance naming the
-    offending points; ids must equal list positions.
+    offending points; ids must equal list positions.  Collinearity is found
+    by grouping the later points around each point by ``slope``, in O(n^2)
+    expected time; the triple reported is the lexicographically first one.
     """
     if not points:
         raise ValidationError("instance must contain at least one point")
@@ -416,11 +453,13 @@ def validate(points: Sequence[LabeledPoint]) -> Instance:
         if p.x in by_x:
             raise DuplicateAbscissa((by_x[p.x], p.id))
         by_x[p.x] = p.id
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orientation(points[i], points[j], points[k]) is Side.ON:
-                    raise CollinearTriple((i, j, k))
+    for i, p in enumerate(points):
+        groups: dict[tuple[int, int], list[int]] = {}
+        for q in points[i + 1:]:
+            groups.setdefault(slope(q.x - p.x, q.y - p.y), []).append(q.id)
+        for g in groups.values():
+            if len(g) > 1:
+                raise CollinearTriple((i, g[0], g[1]))
     r = sum(1 for p in points if p.color is Color.RED)
     b = n - r
     if b < r or (b - r) % 2 != 0:

@@ -39,23 +39,24 @@ class BalancedLine:
 def enumerate_naive(inst: Instance) -> set[BalancedLine]:
     """Check all r*b bichromatic pairs by classifying every other point."""
     found = set()
-    pts = inst.points
+    delta = inst.delta
+    rows = [(p.id, p.x, p.y, p.color.weight) for p in inst.points]
     for rid in inst.red_ids:
-        a = pts[rid]
+        _, ax, ay, _ = rows[rid]
         for bid in inst.blue_ids:
-            b = pts[bid]
-            dx, dy = b.x - a.x, b.y - a.y
+            _, bx, by, _ = rows[bid]
+            dx, dy = bx - ax, by - ay
             right = 0
             left = 0
-            for p in pts:
-                if p.id == rid or p.id == bid:
+            for pid, x, y, w in rows:
+                if pid == rid or pid == bid:
                     continue
-                c = dx * (p.y - a.y) - dy * (p.x - a.x)
+                c = dx * (y - ay) - dy * (x - ax)
                 if c > 0:
-                    left += p.weight
+                    left += w
                 elif c < 0:
-                    right += p.weight
-            if right == inst.delta and left == inst.delta:
+                    right += w
+            if right == delta and left == delta:
                 found.add(BalancedLine(rid, bid, (right, left)))
     return found
 

@@ -75,8 +75,9 @@ def test_enumerate_separated_tight(run, sep44):
     '{"points":5}',
     '[1,2]',
     '{"points":' + '[' * 100_000 + ']' * 100_000 + '}',
+    '{"points":[{"x":"1e999999999","y":"0","color":"R"}]}',
 ], ids=["collinear", "float", "bool", "zero-denominator", "points-not-list",
-        "top-level-list", "deep-nesting"])
+        "top-level-list", "deep-nesting", "huge-exponent"])
 def test_enumerate_validation_exit_3(run, tmp_path, body):
     bad = tmp_path / "bad.json"
     bad.write_text(body)

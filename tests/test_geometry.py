@@ -13,6 +13,7 @@ from balanced_lines.geometry import (
     LabeledPoint,
     SameColorPair,
     Side,
+    ValidationError,
     build_points,
     direction_between,
     direction_key_from,
@@ -21,12 +22,17 @@ from balanced_lines.geometry import (
     instance_to_json,
     is_balanced,
     orientation,
+    slope,
     swap_colors,
     validate,
     weight,
     VERTICAL,
 )
-from balanced_lines.generators import gen_random, gen_separated_convex
+from balanced_lines.generators import (
+    _completes_collinear_triple,
+    gen_random,
+    gen_separated_convex,
+)
 
 coords = st.integers(min_value=-1000, max_value=1000)
 
@@ -66,6 +72,89 @@ def test_validate_collinear_diagonal():
     with pytest.raises(CollinearTriple) as err:
         validate(pts)
     assert err.value.ids == (0, 1, 2)
+
+
+def _first_collinear_triple(points):
+    """Reference: the cubic scan of every triple, in lexicographic order."""
+    n = len(points)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if orientation(points[i], points[j], points[k]) is Side.ON:
+                    return (i, j, k)
+    return None
+
+
+def _reported_collinear_triple(points):
+    try:
+        validate(points)
+    except CollinearTriple as err:
+        return err.ids
+    except ColorImbalance:
+        pass
+    return None
+
+
+small_ints = st.integers(min_value=-4, max_value=4)
+small_fractions = st.builds(
+    Fraction, st.integers(min_value=-8, max_value=8), st.integers(min_value=1, max_value=3)
+)
+
+
+@st.composite
+def distinct_abscissa_points(draw, coord):
+    """Points with distinct x on a small grid, where collinear triples are common.
+
+    Coordinates keep the type drawn (a Fraction may have denominator 1), so
+    int and Fraction differences meet inside one instance.
+    """
+    xs = draw(st.lists(coord, min_size=1, max_size=9, unique=True))
+    ys = draw(st.lists(coord, min_size=len(xs), max_size=len(xs)))
+    colors = draw(st.lists(st.sampled_from(Color), min_size=len(xs), max_size=len(xs)))
+    return [LabeledPoint(i, x, y, c) for i, (x, y, c) in enumerate(zip(xs, ys, colors))]
+
+
+@given(st.one_of(
+    distinct_abscissa_points(small_ints),
+    distinct_abscissa_points(small_fractions),
+    distinct_abscissa_points(st.one_of(small_ints, small_fractions)),
+))
+@settings(max_examples=400)
+def test_validate_collinear_matches_cubic_scan(points):
+    assert _reported_collinear_triple(points) == _first_collinear_triple(points)
+
+
+def _pairwise_completes(accepted, x, y):
+    """Reference: test the candidate against every pair of accepted points."""
+    return any(
+        (bx - ax) * (y - ay) == (by - ay) * (x - ax)
+        for i, (ax, ay) in enumerate(accepted)
+        for bx, by in accepted[i + 1:]
+    )
+
+
+@given(
+    st.lists(st.tuples(small_ints, small_ints), max_size=8, unique_by=lambda p: p[0]),
+    st.tuples(small_ints, small_ints),
+)
+@settings(max_examples=400)
+def test_completes_collinear_triple_matches_pairwise(accepted, candidate):
+    x, y = candidate
+    if any(ax == x for ax, _ in accepted):
+        return  # gen_random redraws a repeated abscissa before this test
+    assert _completes_collinear_triple(accepted, x, y) == _pairwise_completes(accepted, x, y)
+
+
+nonvertical = st.tuples(
+    st.one_of(coords, small_fractions).filter(lambda v: v != 0),
+    st.one_of(coords, small_fractions),
+)
+
+
+@given(nonvertical, nonvertical)
+@settings(max_examples=200)
+def test_slope_equal_exactly_when_parallel(u, v):
+    assert (slope(*u) == slope(*v)) == (u[0] * v[1] - u[1] * v[0] == 0)
 
 
 def test_validate_duplicate_abscissa():
@@ -235,3 +324,10 @@ def test_labeled_point_ids_must_match_positions():
     pts = [LabeledPoint(1, 0, 0, Color.RED), LabeledPoint(0, 1, 1, Color.BLUE)]
     with pytest.raises(Exception):
         validate(pts)
+
+
+def test_coordinate_strings_are_capped():
+    assert build_points([("1e3", "-2.5E+2", "R")])[0].x == 1000
+    for text in ("1e999999999", "1E-1001", "1e+1_000_000", "1" * 1001):
+        with pytest.raises(ValidationError):
+            build_points([(text, "0", "R")])
