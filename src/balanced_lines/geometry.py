@@ -287,12 +287,13 @@ KEY_START = (0, _RATIO_ZERO)  # before everything: the base itself, walks that b
 KEY_END = (5, _RATIO_ZERO)  # after everything: the base seen as a full turn
 
 
-@lru_cache(maxsize=1 << 18)
-def direction_key_from(base: Direction, d: Direction) -> tuple:
+def direction_key(base: Direction, d: Direction) -> tuple:
     """Sort key for the counterclockwise angle from ``base`` to ``d``.
 
     ``base`` itself sorts last (angle treated as a full turn), which matches
-    walks whose initial state lives just past the start direction.
+    walks whose initial state lives just past the start direction.  Callers
+    that meet the same pairs again use the memoized ``direction_key_from``;
+    one-off directions take this uncached form, so they do not fill the memo.
     """
     if d == base:
         return (4, _RATIO_ZERO)
@@ -302,6 +303,9 @@ def direction_key_from(base: Direction, d: Direction) -> tuple:
     if c == 0:
         return (2, _RATIO_ZERO)
     return (3, Ratio(-base.dot(d), c))
+
+
+direction_key_from = lru_cache(maxsize=1 << 18)(direction_key)
 
 
 def ccw_arc_contains(d_from: Direction, d_to: Direction, t: Direction) -> bool:
@@ -436,7 +440,9 @@ def validate(points: Sequence[LabeledPoint]) -> Instance:
     """Check all instance invariants and derive r, b and delta.
 
     Raises CollinearTriple, DuplicateAbscissa or ColorImbalance naming the
-    offending points; ids must equal list positions.  Collinearity is found
+    offending points; ids must equal list positions and every coordinate
+    must be an int or a Fraction (``build_points`` coerces strings), else
+    ValidationError.  Collinearity is found
     by grouping the later points around each point by ``slope``, in O(n^2)
     expected time; the triple reported is the lexicographically first one.
     """
@@ -445,8 +451,11 @@ def validate(points: Sequence[LabeledPoint]) -> Instance:
     for i, p in enumerate(points):
         if p.id != i:
             raise ValidationError(f"point at position {i} carries id {p.id}")
-        _as_exact(p.x)
-        _as_exact(p.y)
+        for v in (p.x, p.y):
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                raise ValidationError(
+                    f"point {i} has a coordinate of type {type(v).__name__}, not int or Fraction"
+                )
     n = len(points)
     by_x: dict[Coord, int] = {}
     for p in points:

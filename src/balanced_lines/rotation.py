@@ -18,6 +18,7 @@ directions, walked in cyclic order from the start direction.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -33,6 +34,7 @@ from .geometry import (
     Side,
     VERTICAL,
     direction_between,
+    direction_key,
     direction_key_from,
     halfplane_weight,
     side_just_after,
@@ -157,20 +159,21 @@ class RotationTrace:
     def omega_max(self) -> int:
         return max(self.omega_values)
 
+    @cached_property
+    def event_keys(self) -> tuple[tuple, ...]:
+        """``direction_key_from(start_direction, ev.direction)`` of every event, in order."""
+        return tuple(direction_key_from(self.start_direction, ev.direction) for ev in self.events)
+
     def pivot_at(self, d: Direction) -> int:
         """Pivot of the interval containing the direction ``d``.
 
         At an event direction the state just after the event is reported,
-        matching the half-open interval convention of the walk.
+        matching the half-open interval convention of the walk.  The events
+        are sorted by key from the start direction, so this is one bisection
+        of ``event_keys``, O(log events).
         """
-        key = direction_key_from(self.start_direction, d)
-        pivot = self.initial_pivot
-        for ev in self.events:
-            if direction_key_from(self.start_direction, ev.direction) <= key:
-                pivot = ev.pivot_after
-            else:
-                break
-        return pivot
+        i = bisect_right(self.event_keys, direction_key(self.start_direction, d))
+        return self.events[i - 1].pivot_after if i else self.initial_pivot
 
 
 def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:

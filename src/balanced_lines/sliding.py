@@ -10,12 +10,24 @@ The subset of a curve is a full color class; its waist at direction t
 counts the subset points strictly inside the strip between the line at t
 and the line at t + pi, and the waist of the curve is the minimum over a
 half turn.
+
+A valid curve turns exactly once: its arcs, in piece order, advance from
+the start direction through one full counterclockwise turn and back.
+``validate_curve`` checks this, and ``evaluate_at`` relies on it: each
+curve keeps an angular index of its arcs (``SlidingRotation.arc_index``),
+so finding the line at a direction costs one bisection, O(log pieces),
+instead of a scan of every piece.  ``sliding_profile`` sorts the critical
+directions of each pivot once, O(n log n), and then walks every arc in
+O(log n) plus one step per crossed point.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import itemgetter
 from typing import Union
 
 from .geometry import (
@@ -26,8 +38,11 @@ from .geometry import (
     Direction,
     GuaranteeViolation,
     Instance,
+    LabeledPoint,
+    VERTICAL,
     ccw_arc_contains,
     direction_between,
+    direction_key,
     direction_key_from,
 )
 from .rotation import EventKind, RotationTrace
@@ -76,6 +91,31 @@ class SlidingRotation:
         first = self.pieces[0]
         return first.d_from if isinstance(first, RotateArc) else first.direction
 
+    @cached_property
+    def arc_index(self) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+        """Start keys and piece positions of the arcs, in angular order.
+
+        Keys are ``direction_key_from(start_direction, d_from)``, with
+        ``KEY_START`` for the first arc.  Raises InvalidCurve unless the
+        arcs advance through exactly one full turn: the first arc starts at
+        the start direction, the start keys increase strictly, and the last
+        arc ends at the start direction.
+        """
+        start = self.start_direction
+        keys: list[tuple] = []
+        where: list[int] = []
+        for i, piece in enumerate(self.pieces):
+            if not isinstance(piece, RotateArc):
+                continue
+            key = KEY_START if piece.d_from == start else direction_key_from(start, piece.d_from)
+            if not (keys[-1] < key if keys else key == KEY_START):
+                raise InvalidCurve("arcs do not advance through exactly one turn")
+            keys.append(key)
+            where.append(i)
+        if not where or self.pieces[where[-1]].d_to != start:
+            raise InvalidCurve("arcs do not advance through exactly one turn")
+        return tuple(keys), tuple(where)
+
     def piece_boundaries(self) -> list[Direction]:
         out = []
         for piece in self.pieces:
@@ -109,7 +149,7 @@ def lift_rotation(trace: RotationTrace, inst: Instance, subset_color: Color) -> 
 
 
 def validate_curve(sr: SlidingRotation, inst: Instance) -> None:
-    """Check continuity and closure of the piece sequence."""
+    """Check continuity and closure of the piece sequence, and a single turn."""
     if not sr.pieces:
         raise InvalidCurve("curve has no pieces")
     subset = set(inst.ids_of(sr.subset_color))
@@ -140,27 +180,40 @@ def validate_curve(sr: SlidingRotation, inst: Instance) -> None:
         b = inst.point(anchor_start)
         if d_end.offset(a.x, a.y) != d_end.offset(b.x, b.y):
             raise InvalidCurve(f"pieces {i} and {(i + 1) % n} do not share a line")
+    sr.arc_index  # raises InvalidCurve unless the arcs turn exactly once
 
 
 def evaluate_at(sr: SlidingRotation, inst: Instance, t: Direction) -> DirectedLine:
-    """The curve's line at direction t; the leftmost one if a slide sits at t."""
+    """The curve's line at direction t; the leftmost one if a slide sits at t.
+
+    Bisects the curve's arc index for the arc starting at or before t.  When
+    t is that arc's start, the previous arc ends at t and any slides at t
+    lie between the two, so those pieces are compared too, in piece order.
+    Needs a curve that turns exactly once (see ``validate_curve``).
+    """
+    keys, where = sr.arc_index
+    start = sr.start_direction
+    j = bisect_right(keys, KEY_START if t == start else direction_key(start, t)) - 1
+    here = where[j]
+    if t != sr.pieces[here].d_from:
+        near = (here,)
+    else:
+        before = where[j - 1]
+        if before < here:
+            near = range(before, here + 1)
+        else:  # t is the start direction: the pieces at t wrap around the tuple
+            near = [*range(here + 1), *range(before, len(sr.pieces))]
     best = None
     best_offset = None
-    for piece in sr.pieces:
-        anchors: list[int] = []
-        if isinstance(piece, RotateArc):
-            if piece.contains(t):
-                anchors.append(piece.pivot)
-        elif piece.direction == t:
-            anchors += [piece.from_id, piece.to_id]
+    for i in near:
+        piece = sr.pieces[i]
+        anchors = [piece.pivot] if isinstance(piece, RotateArc) else [piece.from_id, piece.to_id]
         for aid in anchors:
             p = inst.point(aid)
             off = t.offset(p.x, p.y)
             if best_offset is None or off > best_offset:
                 best_offset = off
                 best = DirectedLine(p.x, p.y, t, (aid,))
-    if best is None:
-        raise InvalidCurve(f"curve has no line at direction {t}")
     return best
 
 
@@ -174,49 +227,79 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
 
     Arc intervals are split at every direction critical for the pivot;
     slide intervals at every offset of a crossed point.  Each entry pairs a
-    representative line with its exact recount, so the result is safe to use
-    as an oracle for incremental walks.
+    representative line with its weight.  Only the first interval of each
+    piece is counted in full; after it the weight steps by the point crossed
+    at each fence: a point met by the head of the rotating line moves to the
+    right halfplane, one met by the tail leaves it, and a slide passes the
+    points whose offsets lie between its ends.  The critical directions of
+    each pivot are sorted once per call; each arc bisects its range out of
+    them instead of testing every direction against the arc.
     """
     pts = inst.points
+    tags_of: dict[int, list[tuple[tuple, Direction, int]]] = {}
     out: list[tuple[DirectedLine, int]] = []
     for piece in sr.pieces:
         if isinstance(piece, RotateArc):
             q = inst.point(piece.pivot)
-            inside = []
-            for p in pts:
-                if p.id == piece.pivot:
-                    continue
-                for d in _both_directions(q, p):
-                    if d == piece.d_from or d == piece.d_to:
-                        continue
-                    if piece.contains(d):
-                        inside.append(d)
-            inside.sort(key=lambda d: direction_key_from(piece.d_from, d))
-            fences = [piece.d_from] + inside + [piece.d_to]
-            for u, v in zip(fences, fences[1:]):
+            if q.id not in tags_of:
+                tags_of[q.id] = _pivot_fences(inst, q)
+            tags = tags_of[q.id]
+            key_from = direction_key_from(VERTICAL, piece.d_from)
+            key_to = direction_key_from(VERTICAL, piece.d_to)
+            lo = bisect_right(tags, key_from, key=_KEY)
+            hi = bisect_left(tags, key_to, key=_KEY)
+            # an arc whose end keys lower wraps past the vertical direction
+            inside = tags[lo:hi] if key_from < key_to else tags[lo:] + tags[:hi]
+            fences = [piece.d_from, *(d for _, d, _ in inside), piece.d_to]
+            for j, (u, v) in enumerate(zip(fences, fences[1:])):
                 m = direction_between(u, v)
-                o_q = m.offset(q.x, q.y)
-                w = sum(p.weight for p in pts if m.offset(p.x, p.y) < o_q)
+                if j:
+                    w += inside[j - 1][2]
+                else:
+                    o_q = m.offset(q.x, q.y)
+                    w = sum(p.weight for p in pts if m.offset(p.x, p.y) < o_q)
                 out.append((DirectedLine(q.x, q.y, m, (piece.pivot,)), w))
         else:
             d = piece.direction
             offsets = [d.offset(p.x, p.y) for p in pts]
-            o_from = offsets[piece.from_id]
-            o_to = offsets[piece.to_id]
-            lo, hi = min(o_from, o_to), max(o_from, o_to)
-            crossing = sorted({o for o in offsets if lo < o < hi})
-            fences = [lo] + crossing + [hi]
+            lo, hi = sorted((offsets[piece.from_id], offsets[piece.to_id]))
+            w = 0
+            crossed: dict = {}  # offset strictly between the ends -> weight of its points
+            for p, o in zip(pts, offsets):
+                if o <= lo:
+                    w += p.weight
+                elif o < hi:
+                    crossed[o] = crossed.get(o, 0) + p.weight
+            fences = [lo, *sorted(crossed), hi]
             for a, b in zip(fences, fences[1:]):
                 rep = Fraction(a + b, 2)
-                w = sum(p.weight for p, o in zip(pts, offsets) if o < rep)
                 ax, ay = _anchor_for_offset(d, rep)
                 out.append((DirectedLine(ax, ay, d), w))
+                w += crossed.get(b, 0)
     return out
 
 
-def _both_directions(q, p) -> tuple[Direction, Direction]:
-    fwd = Direction.of(p.x - q.x, p.y - q.y)
-    return (fwd, fwd.antipode)
+_KEY = itemgetter(0)
+
+
+def _pivot_fences(inst: Instance, q: LabeledPoint) -> list[tuple[tuple, Direction, int]]:
+    """Critical directions of a line turning about q, in cyclic order from vertical.
+
+    One ``(key, direction, step)`` per direction, keyed by
+    ``direction_key_from(VERTICAL, direction)``, where step is the change
+    of the right-halfplane weight as the line passes it: ``+w`` where the
+    head meets a point of weight ``w``, ``-w`` where the tail does.
+    """
+    tags = []
+    for p in inst.points:
+        if p.id == q.id:
+            continue
+        head = Direction.of(p.x - q.x, p.y - q.y)
+        tail = Direction.of(q.x - p.x, q.y - p.y)
+        tags.append((direction_key_from(VERTICAL, head), head, p.weight))
+        tags.append((direction_key_from(VERTICAL, tail), tail, -p.weight))
+    tags.sort(key=_KEY)
+    return tags
 
 
 def _preserves_delta(color: Color, omegas, delta: int) -> bool:

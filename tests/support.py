@@ -4,15 +4,37 @@ The nested and mixed builders produce configurations where one color
 partly or fully surrounds the other; those are the instances whose level
 rotations stay on one side of delta, which is what drives the sliding
 rotation pipeline.  Everything is deterministic in the seed.
+
+It also holds the linear-scan oracles of the indexed curve and trace
+queries: ``linear_evaluate_at``, ``linear_waist``, ``recount_profile`` and
+``linear_pivot_at`` share nothing with the angular indexes in the package
+beyond the exact primitives.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
-from balanced_lines.geometry import Color, Instance, build_points, validate
+from balanced_lines.geometry import (
+    Color,
+    DirectedLine,
+    Direction,
+    Instance,
+    build_points,
+    direction_between,
+    direction_key_from,
+    validate,
+)
 from balanced_lines.generators import gen_random, gen_separated_convex
+from balanced_lines.sliding import (
+    InvalidCurve,
+    NotPositivelyOriented,
+    RotateArc,
+    Waist,
+    half_cycle_representatives,
+)
 
 
 def _draw(rng, pts, taken_x, lo_x, hi_x, lo_y, hi_y):
@@ -158,3 +180,93 @@ def separated_grid(max_r: int = 8, max_b: int = 12) -> list[Instance]:
             if (b - r) % 2 == 0 and r + b >= 2:
                 out.append(gen_separated_convex(r, b))
     return out
+
+
+def linear_evaluate_at(sr, inst: Instance, t: Direction) -> DirectedLine:
+    """Oracle for ``evaluate_at``: scan every piece, keep the leftmost line."""
+    best = None
+    best_offset = None
+    for piece in sr.pieces:
+        anchors: list[int] = []
+        if isinstance(piece, RotateArc):
+            if piece.contains(t):
+                anchors.append(piece.pivot)
+        elif piece.direction == t:
+            anchors += [piece.from_id, piece.to_id]
+        for aid in anchors:
+            p = inst.point(aid)
+            off = t.offset(p.x, p.y)
+            if best_offset is None or off > best_offset:
+                best_offset = off
+                best = DirectedLine(p.x, p.y, t, (aid,))
+    if best is None:
+        raise InvalidCurve(f"curve has no line at direction {t}")
+    return best
+
+
+def linear_waist(sr, inst: Instance) -> Waist:
+    """Oracle for ``waist``: the same minimum, every line found by a linear scan."""
+    ids = inst.ids_of(sr.subset_color)
+    pts = inst.points
+    best = None
+    for t in half_cycle_representatives(sr, inst):
+        low = linear_evaluate_at(sr, inst, t)
+        high = linear_evaluate_at(sr, inst, t.antipode)
+        o_low, o_high = low.offset(t), high.offset(t)
+        if o_high <= o_low:
+            raise NotPositivelyOriented(f"antipodal lines out of order at {t}")
+        inside = frozenset(i for i in ids if o_low < t.offset(pts[i].x, pts[i].y) < o_high)
+        if best is None or len(inside) < best.value:
+            best = Waist(len(inside), t, inside, low, high)
+    return best
+
+
+def recount_profile(sr, inst: Instance) -> list[tuple[DirectedLine, int]]:
+    """Oracle for ``sliding_profile``: recount every interval in full."""
+    pts = inst.points
+    out: list[tuple[DirectedLine, int]] = []
+    for piece in sr.pieces:
+        if isinstance(piece, RotateArc):
+            q = inst.point(piece.pivot)
+            inside = []
+            for p in pts:
+                if p.id == piece.pivot:
+                    continue
+                fwd = Direction.of(p.x - q.x, p.y - q.y)
+                for d in (fwd, fwd.antipode):
+                    if d != piece.d_from and d != piece.d_to and piece.contains(d):
+                        inside.append(d)
+            inside.sort(key=lambda d: direction_key_from(piece.d_from, d))
+            fences = [piece.d_from] + inside + [piece.d_to]
+            for u, v in zip(fences, fences[1:]):
+                m = direction_between(u, v)
+                o_q = m.offset(q.x, q.y)
+                w = sum(p.weight for p in pts if m.offset(p.x, p.y) < o_q)
+                out.append((DirectedLine(q.x, q.y, m, (piece.pivot,)), w))
+        else:
+            d = piece.direction
+            offsets = [d.offset(p.x, p.y) for p in pts]
+            o_from = offsets[piece.from_id]
+            o_to = offsets[piece.to_id]
+            lo, hi = min(o_from, o_to), max(o_from, o_to)
+            crossing = sorted({o for o in offsets if lo < o < hi})
+            fences = [lo] + crossing + [hi]
+            norm = d.dx * d.dx + d.dy * d.dy
+            for a, b in zip(fences, fences[1:]):
+                rep = Fraction(a + b, 2)
+                w = sum(p.weight for p, o in zip(pts, offsets) if o < rep)
+                anchor = (Fraction(-d.dy * rep, norm), Fraction(d.dx * rep, norm))
+                out.append((DirectedLine(*anchor, d), w))
+    return out
+
+
+def linear_pivot_at(trace, d: Direction) -> int:
+    """Oracle for ``RotationTrace.pivot_at``: walk the events in order."""
+    key = direction_key_from(trace.start_direction, d)
+    pivot = trace.initial_pivot
+    for ev in trace.events:
+        if direction_key_from(trace.start_direction, ev.direction) <= key:
+            pivot = ev.pivot_after
+        else:
+            break
+    return pivot

@@ -31,7 +31,7 @@ from balanced_lines.rotation import (
     run_rotation,
     transitions_at,
 )
-from balanced_lines.sliding import evaluate_at, lift_rotation, waist
+from balanced_lines.sliding import lift_rotation, waist
 from balanced_lines.gamma import find_gamma
 from balanced_lines.certificate import (
     CertificateFailure,
@@ -186,8 +186,8 @@ def brute_force_waist(sr, inst):
     reps.append(direction_between(ordered[-1], start.antipode))
     best = None
     for t in reps:
-        low = evaluate_at(sr, inst, t)
-        high = evaluate_at(sr, inst, t.antipode)
+        low = support.linear_evaluate_at(sr, inst, t)
+        high = support.linear_evaluate_at(sr, inst, t.antipode)
         o_low = t.dx * low.ay - t.dy * low.ax
         o_high = t.dx * high.ay - t.dy * high.ax
         count = sum(

@@ -1,0 +1,141 @@
+"""The angular indexes of curves and traces against their linear-scan oracles.
+
+``evaluate_at``, and with it ``waist``, bisects a curve's arc index,
+``sliding_profile`` bisects the sorted critical directions of each pivot
+and ``RotationTrace.pivot_at`` bisects the trace's event keys; the oracles
+in ``support`` scan every piece, direction or event instead.  The curves are
+every one that the gamma search's membership check sees (plain, splice and
+shift), and the traces every rotation the search runs.
+"""
+
+import pytest
+
+import support
+
+from balanced_lines import gamma as gamma_module
+from balanced_lines.geometry import Color, Direction
+from balanced_lines.generators import gen_random
+from balanced_lines.rotation import RotationSpec, run_rotation
+from balanced_lines.sliding import (
+    InvalidCurve,
+    NotPositivelyOriented,
+    Slide,
+    evaluate_at,
+    half_cycle_representatives,
+    lift_rotation,
+    sliding_profile,
+    validate_curve,
+    waist,
+)
+
+
+def _search(instances):
+    """Run find_gamma on each instance; every checked curve and every trace."""
+    curves, traces = [], []
+    validated, run = gamma_module._validated, gamma_module.run_rotation
+
+    def spy_validated(sr, inst, *args, **kwargs):
+        curves.append((sr, inst, args[1]))
+        return validated(sr, inst, *args, **kwargs)
+
+    def spy_run(spec, inst):
+        trace = run(spec, inst)
+        traces.append(trace)
+        return trace
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gamma_module, "_validated", spy_validated)
+        mp.setattr(gamma_module, "run_rotation", spy_run)
+        for inst in instances:
+            gamma_module.find_gamma(inst)
+    valid = []
+    for sr, inst, kind in curves:
+        try:
+            validate_curve(sr, inst)
+        except InvalidCurve:
+            continue
+        valid.append((sr, inst, kind))
+    return valid, traces
+
+
+@pytest.fixture(scope="module")
+def searched():
+    instances = support.nested_pool() + support.recharge_pool()
+    instances += [gen_random(seed, 2 + seed % 7, 2 + seed % 7 + 2 * (seed % 4), 1000)
+                  for seed in range(50)]
+    return _search(instances)
+
+
+def test_search_sees_every_curve_kind(searched):
+    curves, traces = searched
+    assert {kind for _, _, kind in curves} == {"plain", "splice", "shift"}
+    assert any(isinstance(piece, Slide) for sr, _, _ in curves for piece in sr.pieces)
+    assert traces
+
+
+def test_waist_matches_linear_scan(searched):
+    for sr, inst, _ in searched[0]:
+        try:
+            expected = support.linear_waist(sr, inst)
+        except NotPositivelyOriented:
+            with pytest.raises(NotPositivelyOriented):
+                waist(sr, inst)
+            continue
+        got = waist(sr, inst)
+        assert (got.value, got.achieved_at, got.witnesses, got.line_low, got.line_high) == (
+            expected.value, expected.achieved_at, expected.witnesses,
+            expected.line_low, expected.line_high,
+        )
+
+
+def test_profile_matches_recount(searched):
+    for sr, inst, _ in searched[0]:
+        assert sliding_profile(sr, inst) == support.recount_profile(sr, inst)
+
+
+def test_evaluate_at_matches_linear_scan(searched):
+    for sr, inst, _ in searched[0]:
+        reps = half_cycle_representatives(sr, inst)
+        for t in reps + [t.antipode for t in reps] + sr.piece_boundaries():
+            assert evaluate_at(sr, inst, t) == support.linear_evaluate_at(sr, inst, t)
+
+
+def test_pivot_at_matches_linear_walk(searched):
+    for trace in searched[1]:
+        directions = [ev.direction for ev in trace.events]
+        directions += [d for d, _, _ in trace.interval_representatives()]
+        for d in directions:
+            assert trace.pivot_at(d) == support.linear_pivot_at(trace, d)
+
+
+def test_evaluate_at_pivot_handover_at_start():
+    """Started along a subset pair, a lift hands its pivot over at the start.
+
+    Both pivots then give the same line there; like the linear scan, the
+    index must report the anchor of the first piece, not of the last.
+    """
+    inst = gen_random(3, 5, 5, 1000)
+    a, b = inst.point(0), inst.point(1)
+    start = Direction.of(b.x - a.x, b.y - a.y)
+    handovers = 0
+    for k in range(inst.r):
+        sr = lift_rotation(run_rotation(RotationSpec(Color.RED, k, start), inst), inst, Color.RED)
+        validate_curve(sr, inst)
+        handovers += sr.pieces[0].pivot != sr.pieces[-1].pivot
+        for t in [start, start.antipode] + sr.piece_boundaries():
+            assert evaluate_at(sr, inst, t) == support.linear_evaluate_at(sr, inst, t)
+    assert handovers
+
+
+@pytest.mark.parametrize("make", [
+    lambda: support.gen_nested(1, 16, 24, Color.RED),
+    lambda: support.gen_nested(2, 20, 20, Color.BLUE),
+    lambda: support.gen_mixed(3, 16, 24, 0.5),
+], ids=["nested-red", "nested-blue", "mixed"])
+def test_find_gamma_at_n40_matches_waist_oracle(make):
+    inst = make()
+    assert inst.n == 40
+    gamma = gamma_module.find_gamma(inst)
+    assert gamma is not None
+    assert gamma.waist == support.linear_waist(gamma.sr, inst)
+    assert sliding_profile(gamma.sr, inst) == support.recount_profile(gamma.sr, inst)

@@ -331,3 +331,15 @@ def test_coordinate_strings_are_capped():
     for text in ("1e999999999", "1E-1001", "1e+1_000_000", "1" * 1001):
         with pytest.raises(ValidationError):
             build_points([(text, "0", "R")])
+
+
+@pytest.mark.parametrize("coords", [
+    [("1", "2"), (3, 5)],
+    [(0, 0), (3, 5), (1, "7")],
+    [(0, 0), (3, 5), (1, 7), (2.5, 1)],
+    [(0, 0), (True, 5)],
+], ids=["n2-str", "n3-str", "n4-float", "n2-bool"])
+def test_validate_rejects_inexact_coordinates(coords):
+    pts = [LabeledPoint(i, x, y, Color.BLUE) for i, (x, y) in enumerate(coords)]
+    with pytest.raises(ValidationError, match="not int or Fraction"):
+        validate(pts)

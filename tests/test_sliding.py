@@ -58,8 +58,8 @@ def brute_waist(sr, inst):
     reps.append(direction_between(ordered[-1], start.antipode))
     best = None
     for t in reps:
-        low = evaluate_at(sr, inst, t)
-        high = evaluate_at(sr, inst, t.antipode)
+        low = support.linear_evaluate_at(sr, inst, t)
+        high = support.linear_evaluate_at(sr, inst, t.antipode)
         o_low = t.dx * low.ay - t.dy * low.ax
         o_high = t.dx * high.ay - t.dy * high.ax
         assert o_high > o_low
@@ -223,6 +223,15 @@ def test_validate_curve_rejects_gaps():
             ),
             inst,
         )
+
+
+def test_validate_curve_rejects_double_turn():
+    inst = gen_random(3, 5, 5, 1000)
+    sr = lifted(inst, Color.RED, 0)
+    validate_curve(sr, inst)
+    twice = SlidingRotation(sr.pieces + sr.pieces, Color.RED)
+    with pytest.raises(InvalidCurve, match="exactly one turn"):
+        validate_curve(twice, inst)
 
 
 def test_shift_curve_structure():
