@@ -208,8 +208,12 @@ def central_transitions(inst: Instance, gamma: Gamma, trace: RotationTrace) -> l
 
 
 def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
-    """Candidates spawned by the strip rotations of the current best curve."""
-    _, _, strip = decompose_fhg(inst, best)
+    """Candidates spawned by the strip rotations of the current best curve.
+
+    The strip is the waist witnesses: ``best`` passed the membership check,
+    so it preserves delta, and ``decompose_fhg`` would return the same set.
+    """
+    strip = best.waist.witnesses
     if not strip:
         return []
     theta = best.waist.achieved_at
@@ -217,7 +221,7 @@ def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
     out = []
     levels = (len(strip) + 1) // 2
     for k in range(levels):
-        trace = run_rotation(RotationSpec(frozenset(strip), k, theta), inst)
+        trace = run_rotation(RotationSpec(strip, k, theta), inst)
         spliced = build_splice(inst, best, trace)
         if spliced is not None:
             cand = _validated(spliced, inst, best.color, "splice", k, waist_cap=cap)
@@ -374,17 +378,10 @@ def build_shift(inst: Instance, trace: RotationTrace, shift_color: Color) -> Opt
     """
     pts = inst.points
     shift_ids = inst.ids_of(shift_color)
+    shift_set = set(shift_ids)
     theta = trace.start_direction
-    cuts: set[Direction] = set()
-    for ev in trace.events:
-        cuts.add(ev.direction)
-    for i, uid in enumerate(shift_ids):
-        u = pts[uid]
-        for vid in shift_ids[i + 1:]:
-            v = pts[vid]
-            d = Direction.of(v.x - u.x, v.y - u.y)
-            cuts.add(d)
-            cuts.add(d.antipode)
+    cuts = {ev.direction for ev in trace.events}
+    cuts.update(d for i in shift_ids for _, d, other, _ in inst.fences(i) if other in shift_set)
     cuts.add(theta)
     ordered = sorted(
         cuts,

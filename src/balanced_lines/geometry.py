@@ -23,6 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 Coord = Union[int, Fraction]
@@ -425,6 +426,39 @@ class Instance:
 
     def ids_of(self, color: Color) -> tuple[int, ...]:
         return self.red_ids if color is Color.RED else self.blue_ids
+
+    @cached_property
+    def _fence_table(self) -> dict[int, tuple[tuple[tuple, Direction, int, bool], ...]]:
+        return {}
+
+    def fences(self, pid: int) -> tuple[tuple[tuple, Direction, int, bool], ...]:
+        """Angular order of the point ``pid``: where a line turning about it changes.
+
+        One ``(key, direction, other_id, head)`` entry for the direction
+        toward (``head``) and the direction away from every other point,
+        sorted by ``key = direction_key(VERTICAL, direction)``: the cyclic
+        order from just past vertical, counterclockwise, vertical last.
+        General position makes the 2(n-1) keys distinct.  Built on first use
+        in O(n log n) and kept on the instance, so the table lives exactly as
+        long as the instance does; its keys are computed once per instance,
+        so they skip the ``direction_key_from`` memo and equal its values.
+        """
+        table = self._fence_table
+        if pid not in table:
+            q = self.point(pid)
+            entries = []
+            for p in self.points:
+                if p.id == pid:
+                    continue
+                head = Direction.of(p.x - q.x, p.y - q.y)
+                tail = head.antipode
+                entries.append((direction_key(VERTICAL, head), head, p.id, True))
+                entries.append((direction_key(VERTICAL, tail), tail, p.id, False))
+            table[pid] = tuple(sorted(entries, key=FENCE_KEY))
+        return table[pid]
+
+
+FENCE_KEY = itemgetter(0)  # the sort and bisection key of an ``Instance.fences`` entry
 
 
 def build_points(raw: Iterable[tuple[Coord, Coord, Color | str]]) -> list[LabeledPoint]:

@@ -1,9 +1,11 @@
 """Ground-truth enumeration of balanced lines.
 
-Two independent methods: a cubic check of every red/blue pair against every
-other point, and an n^2 log n angular sweep around each red point.  The two
-must agree on every instance; everything else in the package is tested
-against their output.
+Two methods: a cubic check of every red/blue pair against every other
+point, and an n^2 log n angular sweep around each red point.  The two must
+agree on every instance.  The sweep walks the same per-point angular order
+(``Instance.fences``) as the rotations and sliding profiles, so the naive
+check, which shares nothing with that table, is the cross-check of the
+construction: ``verify_lower_bound`` compares certificates against it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ from dataclasses import dataclass
 
 from .geometry import (
     Color,
-    Direction,
     GuaranteeViolation,
     Instance,
     Side,
-    direction_key_from,
     side_just_after,
     VERTICAL,
 )
@@ -64,8 +64,9 @@ def enumerate_naive(inst: Instance) -> set[BalancedLine]:
 def enumerate_sweep(inst: Instance) -> set[BalancedLine]:
     """Rotate a directed line around each red point, keeping weights incrementally.
 
-    For anchor p the critical directions are those toward and away from each
-    other point; between them the right-halfplane weight is constant.  A blue
+    For anchor p the critical directions are its fences
+    (``Instance.fences``), those toward and away from each other point;
+    between them the right-halfplane weight is constant.  A blue
     point hit while the right weight (excluding the hit point) equals delta
     spans a balanced line with the anchor.
     """
@@ -74,19 +75,13 @@ def enumerate_sweep(inst: Instance) -> set[BalancedLine]:
     delta = inst.delta
     for rid in inst.red_ids:
         a = pts[rid]
-        others = [p for p in pts if p.id != rid]
         w = 0
-        for p in others:
-            if side_just_after(VERTICAL, a.x, a.y, p.x, p.y) is Side.RIGHT:
+        for p in pts:
+            if p.id != rid and side_just_after(VERTICAL, a.x, a.y, p.x, p.y) is Side.RIGHT:
                 w += p.weight
-        tags = []
-        for p in others:
-            head = Direction.of(p.x - a.x, p.y - a.y)
-            tags.append((direction_key_from(VERTICAL, head), p, True))
-            tags.append((direction_key_from(VERTICAL, head.antipode), p, False))
-        tags.sort(key=lambda t: (t[0], t[1].id, t[2]))
         w0 = w
-        for _, p, at_head in tags:
+        for _, _, pid, at_head in inst.fences(rid):
+            p = pts[pid]
             if at_head:
                 w_inst = w
                 w += p.weight

@@ -13,7 +13,10 @@ toward (or away from) another point:
 A point met by the head of the line (the ray in the sweep direction) moves
 from the left halfplane to the right one; a point met by the tail moves the
 other way.  All of this is computed with exact sign tests on the critical
-directions, walked in cyclic order from the start direction.
+directions, walked in cyclic order from the start direction through each
+pivot's fences (``Instance.fences``).  ``oracle.enumerate_naive`` shares
+nothing with that table and is the cross-check of the balanced lines the
+walks report.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import chain
 from typing import Iterator, Union
 
 from .geometry import (
+    FENCE_KEY,
     BalancedLinesError,
     Color,
     DirectedLine,
@@ -180,13 +185,21 @@ def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
     """Simulate one full turn of the rotation described by ``spec``.
 
     The initial pivot is the unique subset point with exactly ``level``
-    subset points strictly right of the start line; the walk then processes
-    every critical direction incident to the current pivot in cyclic order.
+    subset points strictly right of the start line.  The walk then reads
+    the pivot's fences (``Instance.fences``) from the start direction on:
+    first the keys above it, up to vertical, then the wrap past vertical up
+    to the start direction inclusive.  A fence toward or away from a subset
+    point hands the pivot over, and the walk goes on from the same
+    direction in the new pivot's fences, found by bisection; any other
+    fence is a weight step.  After the instance's fences are built, O(n log n)
+    per point and once per instance, each event costs O(1) and each pivot
+    change O(log n).
     """
     ids = spec.resolve(inst)
     k = spec.level
     d0 = spec.start_direction
     pts = inst.points
+    subset = frozenset(ids)
 
     pivot = _initial_pivot(inst, ids, k, d0)
     a = pts[pivot]
@@ -196,74 +209,41 @@ def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
         if p.id != pivot and side_just_after(d0, a.x, a.y, p.x, p.y) is Side.RIGHT
     )
 
-    tags = _sorted_tags(inst, ids, d0)
     initial_pivot, initial_omega = pivot, omega
+    key0 = direction_key(VERTICAL, d0)
+    key, wrapped = key0, False
     events = []
-    for _, d, qid, sid, end in tags:
-        if end is None:
-            if pivot not in (qid, sid):
-                continue
-            other = sid if pivot == qid else qid
+    while True:
+        fences = inst.fences(pivot)
+        p = pts[pivot]
+        lo = bisect_right(fences, key, key=FENCE_KEY)
+        stop = bisect_right(fences, key0, key=FENCE_KEY)
+        order = range(lo, stop) if wrapped else chain(range(lo, len(fences)), range(stop))
+        for i in order:
+            key, d, other, head = fences[i]
             o = pts[other]
-            p = pts[pivot]
-            at_head = Direction.of(o.x - p.x, o.y - p.y) == d
-            if at_head:
-                new_omega = omega
-            else:
-                new_omega = omega + p.weight - o.weight
+            end = End.HEAD if head else End.TAIL
+            if other in subset:
+                new_omega = omega if head else omega + p.weight - o.weight
+                events.append(RotationEvent(
+                    d, EventKind.PIVOT_CHANGE, pivot, other, other, end, omega, new_omega,
+                    DirectedLine(p.x, p.y, d, (pivot, other)),
+                ))
+                pivot, omega = other, new_omega
+                wrapped = wrapped or i < lo  # indices below lo come after the wrap
+                break
+            new_omega = omega + (o.weight if head else -o.weight)
             events.append(RotationEvent(
-                d, EventKind.PIVOT_CHANGE, pivot, other, other,
-                End.HEAD if at_head else End.TAIL, omega, new_omega,
+                d, EventKind.WEIGHT_CHANGE, pivot, pivot, other, end, omega, new_omega,
                 DirectedLine(p.x, p.y, d, (pivot, other)),
             ))
-            pivot, omega = other, new_omega
-        else:
-            if qid != pivot:
-                continue
-            s = pts[sid]
-            new_omega = omega + (s.weight if end is End.HEAD else -s.weight)
-            events.append(RotationEvent(
-                d, EventKind.WEIGHT_CHANGE, pivot, pivot, sid, end, omega, new_omega,
-                DirectedLine(pts[pivot].x, pts[pivot].y, d, (pivot, sid)),
-            ))
             omega = new_omega
+        else:
+            break
 
     if pivot != initial_pivot or omega != initial_omega:
         raise GuaranteeViolation("rotation walk failed to close after a full turn")
     return RotationTrace(spec, ids, d0, initial_pivot, initial_omega, tuple(events))
-
-
-@lru_cache(maxsize=128)
-def _sorted_tags(inst: Instance, ids: tuple[int, ...], d0: Direction):
-    """Critical directions of a subset, sorted cyclically from the start.
-
-    One tag per geometric incidence: a subset pair aligned with the sweep
-    direction is a single event no matter which of the two is the pivot,
-    so pair tags are generated once per unordered pair.  The tag list does
-    not depend on the level, hence the cache.
-    """
-    pts = inst.points
-    id_set = frozenset(ids)
-    tags = []
-    for qid in ids:
-        q = pts[qid]
-        for p in pts:
-            if p.id == qid or p.id in id_set:
-                continue
-            head = Direction.of(p.x - q.x, p.y - q.y)
-            tags.append((direction_key_from(d0, head), head, qid, p.id, End.HEAD))
-            tail = head.antipode
-            tags.append((direction_key_from(d0, tail), tail, qid, p.id, End.TAIL))
-    for i, uid in enumerate(ids):
-        u = pts[uid]
-        for vid in ids[i + 1:]:
-            v = pts[vid]
-            fwd = Direction.of(v.x - u.x, v.y - u.y)
-            tags.append((direction_key_from(d0, fwd), fwd, uid, vid, None))
-            rev = fwd.antipode
-            tags.append((direction_key_from(d0, rev), rev, uid, vid, None))
-    tags.sort(key=lambda t: (t[0], t[2], t[3], t[4].value if t[4] else ""))
-    return tags
 
 
 def _initial_pivot(inst: Instance, ids: tuple[int, ...], k: int, d0: Direction) -> int:

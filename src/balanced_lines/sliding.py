@@ -16,9 +16,10 @@ the start direction through one full counterclockwise turn and back.
 ``validate_curve`` checks this, and ``evaluate_at`` relies on it: each
 curve keeps an angular index of its arcs (``SlidingRotation.arc_index``),
 so finding the line at a direction costs one bisection, O(log pieces),
-instead of a scan of every piece.  ``sliding_profile`` sorts the critical
-directions of each pivot once, O(n log n), and then walks every arc in
-O(log n) plus one step per crossed point.
+instead of a scan of every piece.  ``sliding_profile`` reads each pivot's
+fences, the angular order the instance keeps per point
+(``Instance.fences``), and walks every arc in O(log n) plus one step per
+crossed point.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 from typing import Union
 
 from .geometry import (
+    FENCE_KEY,
     KEY_START,
     BalancedLinesError,
     Color,
@@ -38,7 +39,6 @@ from .geometry import (
     Direction,
     GuaranteeViolation,
     Instance,
-    LabeledPoint,
     VERTICAL,
     ccw_arc_contains,
     direction_between,
@@ -231,30 +231,28 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
     piece is counted in full; after it the weight steps by the point crossed
     at each fence: a point met by the head of the rotating line moves to the
     right halfplane, one met by the tail leaves it, and a slide passes the
-    points whose offsets lie between its ends.  The critical directions of
-    each pivot are sorted once per call; each arc bisects its range out of
-    them instead of testing every direction against the arc.
+    points whose offsets lie between its ends.  Each arc bisects its range
+    out of the pivot's fences (``Instance.fences``) instead of testing every
+    direction against the arc.
     """
     pts = inst.points
-    tags_of: dict[int, list[tuple[tuple, Direction, int]]] = {}
     out: list[tuple[DirectedLine, int]] = []
     for piece in sr.pieces:
         if isinstance(piece, RotateArc):
             q = inst.point(piece.pivot)
-            if q.id not in tags_of:
-                tags_of[q.id] = _pivot_fences(inst, q)
-            tags = tags_of[q.id]
+            fences = inst.fences(q.id)
             key_from = direction_key_from(VERTICAL, piece.d_from)
             key_to = direction_key_from(VERTICAL, piece.d_to)
-            lo = bisect_right(tags, key_from, key=_KEY)
-            hi = bisect_left(tags, key_to, key=_KEY)
+            lo = bisect_right(fences, key_from, key=FENCE_KEY)
+            hi = bisect_left(fences, key_to, key=FENCE_KEY)
             # an arc whose end keys lower wraps past the vertical direction
-            inside = tags[lo:hi] if key_from < key_to else tags[lo:] + tags[:hi]
-            fences = [piece.d_from, *(d for _, d, _ in inside), piece.d_to]
-            for j, (u, v) in enumerate(zip(fences, fences[1:])):
+            inside = fences[lo:hi] if key_from < key_to else fences[lo:] + fences[:hi]
+            bounds = [piece.d_from, *(d for _, d, _, _ in inside), piece.d_to]
+            for j, (u, v) in enumerate(zip(bounds, bounds[1:])):
                 m = direction_between(u, v)
                 if j:
-                    w += inside[j - 1][2]
+                    _, _, other, head = inside[j - 1]
+                    w += pts[other].weight if head else -pts[other].weight
                 else:
                     o_q = m.offset(q.x, q.y)
                     w = sum(p.weight for p in pts if m.offset(p.x, p.y) < o_q)
@@ -279,29 +277,6 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
     return out
 
 
-_KEY = itemgetter(0)
-
-
-def _pivot_fences(inst: Instance, q: LabeledPoint) -> list[tuple[tuple, Direction, int]]:
-    """Critical directions of a line turning about q, in cyclic order from vertical.
-
-    One ``(key, direction, step)`` per direction, keyed by
-    ``direction_key_from(VERTICAL, direction)``, where step is the change
-    of the right-halfplane weight as the line passes it: ``+w`` where the
-    head meets a point of weight ``w``, ``-w`` where the tail does.
-    """
-    tags = []
-    for p in inst.points:
-        if p.id == q.id:
-            continue
-        head = Direction.of(p.x - q.x, p.y - q.y)
-        tail = Direction.of(q.x - p.x, q.y - p.y)
-        tags.append((direction_key_from(VERTICAL, head), head, p.weight))
-        tags.append((direction_key_from(VERTICAL, tail), tail, -p.weight))
-    tags.sort(key=_KEY)
-    return tags
-
-
 def _preserves_delta(color: Color, omegas, delta: int) -> bool:
     """One-sided preservation of right-halfplane weights: red <= delta, blue >= delta."""
     if color is Color.RED:
@@ -318,23 +293,18 @@ def is_delta_preserving_sliding(sr: SlidingRotation, inst: Instance) -> bool:
 def half_cycle_representatives(sr: SlidingRotation, inst: Instance) -> list[Direction]:
     """One direction inside each combinatorial interval of the half cycle.
 
-    Breakpoints are every pairwise direction of the subset plus all piece
-    boundaries, folded onto [start, start + pi); between consecutive
-    breakpoints both antipodal lines of the curve keep their anchors, so the
-    strip membership of every subset point is constant there.
+    Breakpoints are every pairwise direction of the subset (the subset
+    points' fences toward each other) plus all piece boundaries, folded onto
+    [start, start + pi); between consecutive breakpoints both antipodal
+    lines of the curve keep their anchors, so the strip membership of every
+    subset point is constant there.
     """
     start = sr.start_direction
     ids = inst.ids_of(sr.subset_color)
-    pts = inst.points
+    subset = set(ids)
     raw: set[Direction] = set(sr.piece_boundaries())
     raw.update(d.antipode for d in sr.piece_boundaries())
-    for i, uid in enumerate(ids):
-        u = pts[uid]
-        for vid in ids[i + 1:]:
-            v = pts[vid]
-            d = Direction.of(v.x - u.x, v.y - u.y)
-            raw.add(d)
-            raw.add(d.antipode)
+    raw.update(d for i in ids for _, d, other, _ in inst.fences(i) if other in subset)
     folded = set()
     for d in raw:
         if d == start or start.cross(d) > 0:

@@ -79,8 +79,6 @@ def _infinite_line(view: _View, line: DirectedLine, stroke: str, dash: str = "")
 
 
 def _segment_line(view: _View, inst: Instance, red_id: int, blue_id: int) -> str:
-    a = inst.point(red_id)
-    b = inst.point(blue_id)
     line = DirectedLine.through_points(inst, red_id, blue_id)
     return _infinite_line(view, line, LINE)
 

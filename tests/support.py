@@ -8,7 +8,8 @@ rotation pipeline.  Everything is deterministic in the seed.
 It also holds the linear-scan oracles of the indexed curve and trace
 queries: ``linear_evaluate_at``, ``linear_waist``, ``recount_profile`` and
 ``linear_pivot_at`` share nothing with the angular indexes in the package
-beyond the exact primitives.
+beyond the exact primitives, and ``tag_walk_rotation`` walks a rotation
+without the per-instance fence table.
 """
 
 from __future__ import annotations
@@ -22,12 +23,21 @@ from balanced_lines.geometry import (
     DirectedLine,
     Direction,
     Instance,
+    Side,
     build_points,
     direction_between,
     direction_key_from,
+    side_just_after,
     validate,
 )
 from balanced_lines.generators import gen_random, gen_separated_convex
+from balanced_lines.rotation import (
+    End,
+    EventKind,
+    RotationEvent,
+    RotationTrace,
+    _initial_pivot,
+)
 from balanced_lines.sliding import (
     InvalidCurve,
     NotPositivelyOriented,
@@ -270,3 +280,64 @@ def linear_pivot_at(trace, d: Direction) -> int:
         else:
             break
     return pivot
+
+
+def tag_walk_rotation(spec, inst: Instance) -> RotationTrace:
+    """Oracle for ``run_rotation``: sort every critical direction of the subset.
+
+    Builds one tag per (subset point, other point, end) and one per unordered
+    subset pair and end, sorts them all by key from the start direction and
+    walks the whole list, skipping the tags that do not touch the pivot.
+    """
+    ids = spec.resolve(inst)
+    d0 = spec.start_direction
+    pts = inst.points
+    id_set = frozenset(ids)
+    tags = []
+    for qid in ids:
+        q = pts[qid]
+        for p in pts:
+            if p.id == qid or p.id in id_set:
+                continue
+            head = Direction.of(p.x - q.x, p.y - q.y)
+            tags.append((direction_key_from(d0, head), head, qid, p.id, End.HEAD))
+            tags.append((direction_key_from(d0, head.antipode), head.antipode, qid, p.id, End.TAIL))
+    for i, uid in enumerate(ids):
+        u = pts[uid]
+        for vid in ids[i + 1:]:
+            v = pts[vid]
+            fwd = Direction.of(v.x - u.x, v.y - u.y)
+            tags.append((direction_key_from(d0, fwd), fwd, uid, vid, None))
+            tags.append((direction_key_from(d0, fwd.antipode), fwd.antipode, uid, vid, None))
+    tags.sort(key=lambda t: (t[0], t[2], t[3], t[4].value if t[4] else ""))
+
+    pivot = _initial_pivot(inst, ids, spec.level, d0)
+    a = pts[pivot]
+    omega = sum(p.weight for p in pts
+                if p.id != pivot and side_just_after(d0, a.x, a.y, p.x, p.y) is Side.RIGHT)
+    initial_pivot, initial_omega = pivot, omega
+    events = []
+    for _, d, qid, sid, end in tags:
+        p = pts[pivot]
+        if end is None:
+            if pivot not in (qid, sid):
+                continue
+            other = sid if pivot == qid else qid
+            o = pts[other]
+            at_head = Direction.of(o.x - p.x, o.y - p.y) == d
+            new_omega = omega if at_head else omega + p.weight - o.weight
+            events.append(RotationEvent(
+                d, EventKind.PIVOT_CHANGE, pivot, other, other,
+                End.HEAD if at_head else End.TAIL, omega, new_omega,
+                DirectedLine(p.x, p.y, d, (pivot, other)),
+            ))
+            pivot, omega = other, new_omega
+        elif qid == pivot:
+            s = pts[sid]
+            new_omega = omega + (s.weight if end is End.HEAD else -s.weight)
+            events.append(RotationEvent(
+                d, EventKind.WEIGHT_CHANGE, pivot, pivot, sid, end, omega, new_omega,
+                DirectedLine(p.x, p.y, d, (pivot, sid)),
+            ))
+            omega = new_omega
+    return RotationTrace(spec, ids, d0, initial_pivot, initial_omega, tuple(events))

@@ -1,21 +1,24 @@
 """The angular indexes of curves and traces against their linear-scan oracles.
 
 ``evaluate_at``, and with it ``waist``, bisects a curve's arc index,
-``sliding_profile`` bisects the sorted critical directions of each pivot
-and ``RotationTrace.pivot_at`` bisects the trace's event keys; the oracles
-in ``support`` scan every piece, direction or event instead.  The curves are
-every one that the gamma search's membership check sees (plain, splice and
-shift), and the traces every rotation the search runs.
+``sliding_profile`` bisects each pivot's fences (``Instance.fences``),
+``RotationTrace.pivot_at`` bisects the trace's event keys and
+``run_rotation`` walks the pivots' fences; the oracles in ``support`` scan
+every piece, direction, event or tag instead.  The curves are every one that
+the gamma search's membership check sees (plain, splice and shift), and the
+traces every rotation the search runs.
 """
+
+import random
 
 import pytest
 
 import support
 
 from balanced_lines import gamma as gamma_module
-from balanced_lines.geometry import Color, Direction
+from balanced_lines.geometry import VERTICAL, Color, Direction, direction_key_from
 from balanced_lines.generators import gen_random
-from balanced_lines.rotation import RotationSpec, run_rotation
+from balanced_lines.rotation import EventKind, RotationSpec, run_rotation
 from balanced_lines.sliding import (
     InvalidCurve,
     NotPositivelyOriented,
@@ -139,3 +142,45 @@ def test_find_gamma_at_n40_matches_waist_oracle(make):
     assert gamma is not None
     assert gamma.waist == support.linear_waist(gamma.sr, inst)
     assert sliding_profile(gamma.sr, inst) == support.recount_profile(gamma.sr, inst)
+
+
+def _fence_starts(inst, subset, level):
+    """The first weight step and the first pivot change of the vertical walk.
+
+    An event direction is a fence of the pivot just after it, so a walk
+    started there begins exactly on a fence of its initial pivot (and, at a
+    pivot change, hands the pivot over there at the end of its turn).
+    """
+    events = run_rotation(RotationSpec(subset, level), inst).events
+    return [next(ev.direction for ev in events if ev.kind is kind)
+            for kind in EventKind if any(ev.kind is kind for ev in events)]
+
+
+@pytest.mark.parametrize("pool", [
+    support.nested_pool,
+    support.mixed_pool,
+    support.recharge_pool,
+    lambda: [gen_random(seed, 1 + seed % 9, 1 + seed % 9 + 2 * (seed % 4), 1000)
+             for seed in range(40)],
+], ids=["nested", "mixed", "recharge", "gen_random"])
+def test_run_rotation_matches_tag_walk(pool):
+    """Every level of red, blue and random subsets, from four kinds of start."""
+    rng = random.Random(5)
+    for inst in pool():
+        for q in range(inst.n):
+            keys = [key for key, _, _, _ in inst.fences(q)]
+            assert len(keys) == 2 * (inst.n - 1)
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert keys == [direction_key_from(VERTICAL, d) for _, d, _, _ in inst.fences(q)]
+        drawn = frozenset(rng.sample(range(inst.n), rng.randint(1, inst.n)))
+        for subset in (Color.RED, Color.BLUE, drawn):
+            size = len(inst.ids_of(subset)) if isinstance(subset, Color) else len(subset)
+            for level in range(size):
+                random_start = Direction.of(rng.randint(-60, 60), rng.randint(1, 60))
+                on_fence = _fence_starts(inst, subset, level)
+                for d0 in [VERTICAL, random_start, *on_fence]:
+                    spec = RotationSpec(subset, level, d0)
+                    trace = run_rotation(spec, inst)
+                    assert trace == support.tag_walk_rotation(spec, inst)
+                    if d0 in on_fence:
+                        assert d0 in {d for _, d, _, _ in inst.fences(trace.initial_pivot)}

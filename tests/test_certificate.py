@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import support
 
@@ -42,6 +44,16 @@ def test_separated_uses_direct_accounting(separated_instances):
         assert cert.total == inst.r
         assert all(c.provenance.kind == "direct" for c in cert.lines)
         check_certificate(inst, cert)
+
+
+def test_verify_releases_the_instance():
+    """No module-level cache keeps an instance alive once its certificate is built."""
+    inst = support.gen_nested(4, 8, 6, Color.BLUE)
+    ref = weakref.ref(inst)
+    assert verify_lower_bound(inst).gamma is not None
+    del inst
+    gc.collect()
+    assert ref() is None
 
 
 def test_seeded_random():
