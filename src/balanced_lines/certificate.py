@@ -41,8 +41,8 @@ from .rotation import (
 )
 from .gamma import (
     Gamma,
+    _split_fhg,
     central_transitions,
-    decompose_fhg,
     find_gamma,
     in_central_region,
     transition_low,
@@ -306,7 +306,7 @@ def _direct_certificate(inst: Instance) -> Certificate:
 
 
 def _gamma_certificate(inst: Instance, gamma: Gamma) -> Certificate:
-    f_ids, h_ids, g_ids = decompose_fhg(inst, gamma)
+    f_ids, h_ids, g_ids = _split_fhg(inst, gamma)  # find_gamma returns preserving curves
     picks, pools = _flank_picks(inst, gamma, f_ids, h_ids)
     used = {c.line.key for c in picks}
     lines = list(picks)

@@ -12,25 +12,39 @@ The candidate family is finite and constructive:
 New composites are adopted only after full validation (curve continuity,
 preservation, positive orientation) and only when they strictly shrink the
 waist, so the iteration terminates.
+
+Both surgeries walk their inputs in angular order instead of pairing every
+part with every other: the splice finds where the strip rotation meets the
+curve by moving one pointer through the curve's arc index along the
+trace's intervals, and the shift keeps the opposite-color points sorted by
+offset as the line turns, so the nearest one on its right changes only at
+a trace event or at a pair fence of two such points.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Optional
 
 from .geometry import (
     KEY_END,
     KEY_START,
+    VERTICAL,
     Color,
     Direction,
     GuaranteeViolation,
     Instance,
     ccw_arc_contains,
     direction_between,
+    direction_key,
     direction_key_from,
+    fences_within,
 )
 from .rotation import (
+    End,
     RotationSpec,
     RotationTrace,
     Transition,
@@ -157,10 +171,22 @@ def decompose_fhg(inst: Instance, gamma: Gamma) -> tuple[
     The first flank holds the subset points in the closed right halfplane
     of the achieving line, the second those in the closed right halfplane
     of its antipodal partner, and the strip set is everything in between
-    (exactly the waist witnesses).
+    (exactly the waist witnesses).  Raises NotDeltaPreserving unless the
+    curve preserves delta; ``_split_fhg`` is the split alone.
     """
     if not is_delta_preserving_sliding(gamma.sr, inst):
         raise NotDeltaPreserving("decomposition needs a delta-preserving curve")
+    return _split_fhg(inst, gamma)
+
+
+def _split_fhg(inst: Instance, gamma: Gamma) -> tuple[
+        tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """``decompose_fhg`` without its preservation walk.
+
+    For a gamma known to preserve delta, as every ``find_gamma`` result is:
+    ``_validated`` walked its profile, or ``plain_candidates`` read it off
+    the rotation.
+    """
     t = gamma.waist.achieved_at
     o_low = gamma.waist.line_low.offset(t)
     o_high = gamma.waist.line_high.offset(t)
@@ -268,22 +294,44 @@ def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> Optional[
 def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace):
     """Directions where the rotating line coincides with an arc line of the curve.
 
-    Returns (direction, piece_index) pairs.  Arc overlaps with a shared
-    pivot contribute their boundary directions.
+    Returns (direction, piece_index) pairs, by trace interval and then by
+    piece.  Arc overlaps with a shared pivot contribute their boundary
+    directions.  The trace's intervals and the curve's arcs both advance
+    counterclockwise, so one pointer into ``sr.arc_index``, placed by one
+    bisection, yields the arcs that overlap each interval: the walk costs
+    O(intervals + arcs) instead of their product.
     """
     pts = inst.points
+    keys, where = sr.arc_index
+    start, theta = sr.start_direction, trace.start_direction
+    n = len(where)
+    j = bisect_right(keys, KEY_START if theta == start else direction_key(start, theta)) - 1
     marks = []
     for dfrom, dto, pivot, _ in trace.intervals():
+        if dfrom == dto:  # a trace without events: one interval, the full turn
+            near = range(n)
+        else:
+            # the arc holding dfrom, the arc ending there, then every arc
+            # starting in (dfrom, dto]; j ends on the arc holding dto
+            near = {j}
+            if sr.pieces[where[j]].d_from == dfrom:
+                near.add((j - 1) % n)
+            for _ in range(n):
+                d = sr.pieces[where[(j + 1) % n]].d_from
+                if d == dfrom or not ccw_arc_contains(dfrom, dto, d):
+                    break
+                j = (j + 1) % n
+                near.add(j)
+            near = sorted(near)
         g = pts[pivot]
-        for idx, piece in enumerate(sr.pieces):
-            if not isinstance(piece, RotateArc):
-                continue
-            c = pts[piece.pivot]
+        for idx in (where[i] for i in near):
+            piece = sr.pieces[idx]
             if piece.pivot == pivot:
                 for d in (dfrom, dto, piece.d_from, piece.d_to):
                     if _in_span(dfrom, dto, d) and piece.contains(d):
                         marks.append((d, idx))
                 continue
+            c = pts[piece.pivot]
             fwd = Direction.of(c.x - g.x, c.y - g.y)
             for d in (fwd, fwd.antipode):
                 if _in_span(dfrom, dto, d) and piece.contains(d):
@@ -370,52 +418,66 @@ def _clip_curve(pieces: tuple[Piece, ...], idx_from: int, w_from: Direction,
 def build_shift(inst: Instance, trace: RotationTrace, shift_color: Color) -> Optional[SlidingRotation]:
     """Curve through the nearest shift-colored point right of the rotating line.
 
-    Follows the rotation: while the nearest point on the right stays the
-    same the curve rotates about it; when the nearest point changes with
-    equal offsets the pivot hands over continuously, otherwise the curve
-    slides between the two parallel lines.  Returns None when at some
-    direction no shift-colored point lies strictly right.
+    Follows the rotation, whose points must all have the other color: while
+    the nearest point on the right stays the same the curve rotates about
+    it; when the nearest point changes with equal offsets the pivot hands
+    over continuously, otherwise the curve slides between the two parallel
+    lines.  Returns None when at some direction no shift-colored point lies
+    strictly right.
+
+    The walk keeps the shift-colored points sorted by offset and counts
+    those right of the line.  The count steps only at the trace's events
+    that cross a shift-colored point, and two points swap places only at
+    their pair fence (``Instance.pair_fences``), where they are adjacent;
+    so after one sort each event and fence costs O(1).
     """
     pts = inst.points
-    shift_ids = inst.ids_of(shift_color)
-    shift_set = set(shift_ids)
     theta = trace.start_direction
-    cuts = {ev.direction for ev in trace.events}
-    cuts.update(d for i in shift_ids for _, d, other, _ in inst.fences(i) if other in shift_set)
-    cuts.add(theta)
-    ordered = sorted(
-        cuts,
-        key=lambda d: KEY_START if d == theta else direction_key_from(theta, d),
-    )
-    anchors: list[tuple[Direction, int]] = []  # (interval start, chosen point)
-    for j, u in enumerate(ordered):
-        v = ordered[(j + 1) % len(ordered)]
-        m = direction_between(u, v) if u != v else u.perp_ccw
-        pivot = trace.pivot_at(m)
-        g = pts[pivot]
-        o_line = m.offset(g.x, g.y)
-        best_id, best_off = None, None
-        for sid in shift_ids:
-            s = pts[sid]
-            o = m.offset(s.x, s.y)
-            if o < o_line and (best_off is None or o > best_off):
-                best_id, best_off = sid, o
-        if best_id is None:
+    k0 = direction_key(VERTICAL, theta)
+    # events at theta itself close the turn; the walk stops before them
+    events = [(direction_key(VERTICAL, ev.direction), ev.direction, None, ev)
+              for ev in trace.events if ev.direction != theta]
+    cuts = fences_within(inst.pair_fences(shift_color), k0, k0, events)
+    m = direction_between(theta, cuts[0][1]) if cuts else theta.perp_ccw
+    order = sorted(inst.ids_of(shift_color), key=lambda i: m.offset(pts[i].x, pts[i].y))
+    place = {sid: i for i, sid in enumerate(order)}
+    g = pts[trace.initial_pivot]
+    o_line = m.offset(g.x, g.y)
+    right = sum(1 for sid in order if m.offset(pts[sid].x, pts[sid].y) < o_line)
+    anchors: list[tuple[Direction, int]] = []  # (direction, chosen point) where the choice changes
+    for u, entries in chain([(theta, ())], groupby(cuts, key=itemgetter(1))):
+        for _, _, p, q in entries:  # a pair fence (p, q) or a trace event (None, q)
+            if p is not None:  # p and q meet in offset and swap places
+                i, j = place[p], place[q]
+                order[i], order[j] = q, p
+                place[p], place[q] = j, i
+            elif pts[q.crossed_id].color is shift_color:  # the line crosses it
+                right += 1 if q.end is End.HEAD else -1
+        if not right:
             return None
-        anchors.append((u, best_id))
+        if not anchors or anchors[-1][1] != order[right - 1]:
+            anchors.append((u, order[right - 1]))
+    return _shift_curve(inst, anchors, shift_color)
+
+
+def _shift_curve(inst: Instance, anchors: list[tuple[Direction, int]],
+                 shift_color: Color) -> SlidingRotation:
+    """The shift curve rotating about each anchor from its direction to the next one's.
+
+    ``anchors`` holds (direction, point) pairs in turn order from the start
+    direction.  Where the point changes, the curve slides unless both lie
+    on one line at that direction.
+    """
+    pts = inst.points
     pieces: list[Piece] = []
-    m = len(anchors)
-    for j in range(m):
-        u, aid = anchors[j]
-        v, next_aid = anchors[(j + 1) % m]
+    for j, (u, aid) in enumerate(anchors):
+        v, next_aid = anchors[(j + 1) % len(anchors)]
         arc_end = v if v != u else u.antipode
         _extend_arc(pieces, RotateArc(aid, u, arc_end))
         if next_aid != aid:
             a, b = pts[aid], pts[next_aid]
             if arc_end.offset(a.x, a.y) != arc_end.offset(b.x, b.y):
                 pieces.append(Slide(arc_end, aid, next_aid))
-    if not pieces:
-        return None
     merged = _merge_cyclic(pieces)
     if len(merged) == 1 and isinstance(merged[0], RotateArc):
         arc = merged[0]

@@ -13,10 +13,13 @@ half turn.
 
 A valid curve turns exactly once: its arcs, in piece order, advance from
 the start direction through one full counterclockwise turn and back.
-``validate_curve`` checks this, and ``evaluate_at`` relies on it: each
-curve keeps an angular index of its arcs (``SlidingRotation.arc_index``),
-so finding the line at a direction costs one bisection, O(log pieces),
-instead of a scan of every piece.  ``sliding_profile`` reads each pivot's
+``validate_curve`` checks this, and the queries rely on it: each curve
+keeps an angular index of its arcs (``SlidingRotation.arc_index``), so
+finding the line at a direction (``evaluate_at``) costs one bisection,
+O(log pieces).  The waist, the orientation check and the half-cycle
+representatives are views of one ordered walk, ``curve_sweep``, which
+passes every breakpoint of the half cycle once and carries both antipodal
+anchors and the strip along.  ``sliding_profile`` reads each pivot's
 fences, the angular order the instance keeps per point
 (``Instance.fences``), and walks every arc in O(log n) plus one step per
 crossed point.
@@ -28,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import Iterator, Union
 
 from .geometry import (
     FENCE_KEY,
@@ -37,13 +40,13 @@ from .geometry import (
     Color,
     DirectedLine,
     Direction,
-    GuaranteeViolation,
     Instance,
     VERTICAL,
     ccw_arc_contains,
     direction_between,
     direction_key,
     direction_key_from,
+    fences_within,
 )
 from .rotation import EventKind, RotationTrace
 
@@ -290,51 +293,94 @@ def is_delta_preserving_sliding(sr: SlidingRotation, inst: Instance) -> bool:
     return _preserves_delta(sr.subset_color, omegas, inst.delta)
 
 
-def half_cycle_representatives(sr: SlidingRotation, inst: Instance) -> list[Direction]:
-    """One direction inside each combinatorial interval of the half cycle.
+def curve_sweep(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direction, int, int, set[int]]]:
+    """Walk the half cycle once: ``(t, low, high, strip)`` per combinatorial interval.
 
-    Breakpoints are every pairwise direction of the subset (the subset
-    points' fences toward each other) plus all piece boundaries, folded onto
-    [start, start + pi); between consecutive breakpoints both antipodal
-    lines of the curve keep their anchors, so the strip membership of every
-    subset point is constant there.
+    The breakpoints are the piece boundaries, their antipodes and every
+    direction between two subset points (``Instance.pair_fences``), folded
+    onto [start, start + pi); ``t`` is ``direction_between`` two consecutive
+    ones.  ``low`` and ``high`` anchor the curve's lines at ``t`` and
+    ``t + pi`` (what ``evaluate_at`` returns there), and ``strip`` holds the
+    subset points strictly between them.  Both anchors advance through
+    ``sr.arc_index`` at arc starts; in between, a point crosses an anchor's
+    line only at their pair fence.  So a walk costs O(1) per breakpoint plus
+    O(m) per anchor change, m the subset size.  ``strip`` is the walk's own
+    set and changes as it goes on: copy it to keep it.  Needs a curve that
+    turns exactly once.
     """
     start = sr.start_direction
+    half = start.antipode
+    keys, where = sr.arc_index
+    arcs = [sr.pieces[i] for i in where]
+    pts = inst.points
     ids = inst.ids_of(sr.subset_color)
-    subset = set(ids)
-    raw: set[Direction] = set(sr.piece_boundaries())
-    raw.update(d.antipode for d in sr.piece_boundaries())
-    raw.update(d for i in ids for _, d, other, _ in inst.fences(i) if other in subset)
-    folded = set()
-    for d in raw:
-        if d == start or start.cross(d) > 0:
-            folded.add(d)
-        else:
-            folded.add(d.antipode)
-    folded.add(start)
-    ordered = sorted(
-        folded,
-        key=lambda d: KEY_START if d == start else direction_key_from(start, d),
-    )
-    reps = []
-    for u, v in zip(ordered, ordered[1:]):
-        reps.append(direction_between(u, v))
-    reps.append(direction_between(ordered[-1], start.antipode))
-    return reps
+    # arcs[:n_low] start in [start, start + pi); arcs[i_high] holds start + pi
+    key_half = direction_key(start, half)
+    n_low = bisect_left(keys, key_half)
+    i_high = bisect_right(keys, key_half) - 1
+    k_start = direction_key(VERTICAL, start)
+    turns = [a.d_from for a in arcs[1:n_low]] + [a.d_from.antipode for a in arcs[i_high + 1:]]
+    # in the turn's order: keys above the start's, then those past vertical
+    marks = sorted(((direction_key(VERTICAL, d), d, None, None) for d in turns),
+                   key=lambda e: (e[0] < k_start, e[0]))
+    stops = fences_within(inst.pair_fences(sr.subset_color), k_start,
+                          direction_key(VERTICAL, half), marks)
+    stops.append((None, half, None, None))  # closes the last interval
+
+    i_low = 0
+    a, b = arcs[i_low].pivot, arcs[i_high].pivot
+    left_low: set[int] = set()  # subset points strictly left of the line at t
+    left_high: set[int] = set()  # ... strictly left of the line at t + pi
+    strip: set[int] = set()
+    stale_low = stale_high = True
+    u = start
+    for _, d, p, q in stops:
+        if d != u:
+            t = direction_between(u, d)
+            if stale_low:
+                pa = pts[a]
+                o = t.offset(pa.x, pa.y)
+                left_low = {i for i in ids if t.offset(pts[i].x, pts[i].y) > o}
+            if stale_high:
+                pb = pts[b]
+                o = t.offset(pb.x, pb.y)
+                left_high = {i for i in ids if t.offset(pts[i].x, pts[i].y) < o}
+            if stale_low or stale_high:
+                strip = left_low & left_high
+                stale_low = stale_high = False
+            yield t, a, b, strip
+            u = d
+        if p is None:  # an arc start, or the antipode of one
+            if i_low + 1 < n_low and d == arcs[i_low + 1].d_from:
+                i_low += 1
+                a, stale_low = arcs[i_low].pivot, True
+            if i_high + 1 < len(arcs) and d == arcs[i_high + 1].d_from.antipode:
+                i_high += 1
+                b, stale_high = arcs[i_high].pivot, True
+            continue
+        # d points from p to q: the line at t meets q with its head or p with
+        # its tail, the line at t + pi meets p with its head or q with its tail
+        if not stale_low:
+            if a == p:
+                left_low.discard(q)
+                strip.discard(q)
+            elif a == q:
+                left_low.add(p)
+                if p in left_high:
+                    strip.add(p)
+        if not stale_high:
+            if b == q:
+                left_high.discard(p)
+                strip.discard(p)
+            elif b == p:
+                left_high.add(q)
+                if q in left_low:
+                    strip.add(q)
 
 
-def is_positively_oriented(sr: SlidingRotation, inst: Instance) -> bool:
-    """Whether the line at t + pi stays strictly left of the line at t.
-
-    Checked at one representative direction per combinatorial interval of
-    the half cycle.
-    """
-    for t in half_cycle_representatives(sr, inst):
-        low = evaluate_at(sr, inst, t)
-        high = evaluate_at(sr, inst, t.antipode)
-        if high.offset(t) <= low.offset(t):
-            return False
-    return True
+def half_cycle_representatives(sr: SlidingRotation, inst: Instance) -> list[Direction]:
+    """One direction inside each combinatorial interval of the half cycle (``curve_sweep``)."""
+    return [t for t, _, _, _ in curve_sweep(sr, inst)]
 
 
 @dataclass(frozen=True)
@@ -351,26 +397,32 @@ class Waist:
 def waist(sr: SlidingRotation, inst: Instance) -> Waist:
     """Minimum number of subset points strictly between the antipodal lines.
 
-    Evaluated at one representative per interval; the minimum over the
-    continuous parameter is attained on an interval, so this is exact.
-    Raises NotPositivelyOriented when some antipodal pair fails to bound a
-    strip.
+    Read off ``curve_sweep``, one representative per interval; the minimum
+    over the continuous parameter is attained on an interval, so this is
+    exact, and the first interval attaining it wins.  Raises
+    NotPositivelyOriented when some antipodal pair fails to bound a strip.
     """
-    ids = inst.ids_of(sr.subset_color)
     pts = inst.points
     best: Waist | None = None
-    for t in half_cycle_representatives(sr, inst):
-        low = evaluate_at(sr, inst, t)
-        high = evaluate_at(sr, inst, t.antipode)
-        o_low = low.offset(t)
-        o_high = high.offset(t)
-        if o_high <= o_low:
+    for t, low, high, strip in curve_sweep(sr, inst):
+        a, b = pts[low], pts[high]
+        if t.offset(b.x, b.y) <= t.offset(a.x, a.y):
             raise NotPositivelyOriented(f"antipodal lines out of order at {t}")
-        inside = frozenset(
-            i for i in ids if o_low < t.offset(pts[i].x, pts[i].y) < o_high
-        )
-        if best is None or len(inside) < best.value:
-            best = Waist(len(inside), t, inside, low, high)
-    if best is None:
-        raise GuaranteeViolation("curve has no half-cycle representative")
+        if best is None or len(strip) < best.value:
+            best = Waist(len(strip), t, frozenset(strip),
+                         DirectedLine(a.x, a.y, t, (low,)),
+                         DirectedLine(b.x, b.y, t.antipode, (high,)))
     return best
+
+
+def is_positively_oriented(sr: SlidingRotation, inst: Instance) -> bool:
+    """Whether the line at t + pi stays strictly left of the line at t.
+
+    Checked at one representative direction per combinatorial interval of
+    the half cycle: the check ``waist`` makes on its walk.
+    """
+    try:
+        waist(sr, inst)
+    except NotPositivelyOriented:
+        return False
+    return True

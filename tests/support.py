@@ -6,10 +6,12 @@ rotations stay on one side of delta, which is what drives the sliding
 rotation pipeline.  Everything is deterministic in the seed.
 
 It also holds the linear-scan oracles of the indexed curve and trace
-queries: ``linear_evaluate_at``, ``linear_waist``, ``recount_profile`` and
-``linear_pivot_at`` share nothing with the angular indexes in the package
-beyond the exact primitives, and ``tag_walk_rotation`` walks a rotation
-without the per-instance fence table.
+queries: ``linear_evaluate_at``, ``linear_half_cycle_representatives``,
+``linear_waist``, ``recount_profile``, ``linear_pivot_at`` and
+``linear_curve_meetings`` share nothing with the angular indexes and walks
+in the package beyond the exact primitives; ``linear_build_shift`` scans
+for its anchors and shares only the assembly of a curve from them; and
+``tag_walk_rotation`` walks a rotation without the per-instance fence table.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from balanced_lines.sliding import (
     NotPositivelyOriented,
     RotateArc,
     Waist,
-    half_cycle_representatives,
 )
+from balanced_lines.gamma import _in_span, _shift_curve
 
 
 def _draw(rng, pts, taken_x, lo_x, hi_x, lo_y, hi_y):
@@ -148,6 +150,17 @@ def recharge_pool() -> list[Instance]:
     return out
 
 
+def recharge_drop_pool() -> list[Instance]:
+    """Instances whose certificates skip recharges that found no unused departure.
+
+    ``_gamma_certificate`` drops each strip transition whose ``_recharge``
+    raises and still reaches ``r`` through later transitions; these four
+    instances drop two each.
+    """
+    nested = nested_pool()
+    return [nested[3], nested[5], nested[17], gen_random(238, 7, 9, 1000)]
+
+
 def random_pool(count: int, seed0: int = 1000, max_total: int = 30) -> list[Instance]:
     """Deterministic pool of random instances with delta in 0..3."""
     out = []
@@ -214,12 +227,30 @@ def linear_evaluate_at(sr, inst: Instance, t: Direction) -> DirectedLine:
     return best
 
 
+def linear_half_cycle_representatives(sr, inst: Instance) -> list[Direction]:
+    """Oracle for ``half_cycle_representatives``: fold and sort every breakpoint."""
+    start = sr.start_direction
+    ids = inst.ids_of(sr.subset_color)
+    raw = set(sr.piece_boundaries())
+    raw.update(d.antipode for d in sr.piece_boundaries())
+    for i in ids:
+        for j in ids:
+            if i != j:
+                p, q = inst.point(i), inst.point(j)
+                raw.add(Direction.of(q.x - p.x, q.y - p.y))
+    folded = {d if d == start or start.cross(d) > 0 else d.antipode for d in raw}
+    folded.add(start)
+    ordered = sorted(folded, key=lambda d: (d != start, direction_key_from(start, d)))
+    ends = ordered[1:] + [start.antipode]
+    return [direction_between(u, v) for u, v in zip(ordered, ends)]
+
+
 def linear_waist(sr, inst: Instance) -> Waist:
     """Oracle for ``waist``: the same minimum, every line found by a linear scan."""
     ids = inst.ids_of(sr.subset_color)
     pts = inst.points
     best = None
-    for t in half_cycle_representatives(sr, inst):
+    for t in linear_half_cycle_representatives(sr, inst):
         low = linear_evaluate_at(sr, inst, t)
         high = linear_evaluate_at(sr, inst, t.antipode)
         o_low, o_high = low.offset(t), high.offset(t)
@@ -341,3 +372,54 @@ def tag_walk_rotation(spec, inst: Instance) -> RotationTrace:
             ))
             omega = new_omega
     return RotationTrace(spec, ids, d0, initial_pivot, initial_omega, tuple(events))
+
+
+def linear_curve_meetings(inst: Instance, sr, trace):
+    """Oracle for ``gamma._curve_meetings``: test every interval against every arc."""
+    pts = inst.points
+    marks = []
+    for dfrom, dto, pivot, _ in trace.intervals():
+        g = pts[pivot]
+        for idx, piece in enumerate(sr.pieces):
+            if not isinstance(piece, RotateArc):
+                continue
+            c = pts[piece.pivot]
+            if piece.pivot == pivot:
+                for d in (dfrom, dto, piece.d_from, piece.d_to):
+                    if _in_span(dfrom, dto, d) and piece.contains(d):
+                        marks.append((d, idx))
+                continue
+            fwd = Direction.of(c.x - g.x, c.y - g.y)
+            for d in (fwd, fwd.antipode):
+                if _in_span(dfrom, dto, d) and piece.contains(d):
+                    marks.append((d, idx))
+    return marks
+
+
+def linear_build_shift(inst: Instance, trace, shift_color: Color):
+    """Oracle for ``gamma.build_shift``: scan every shift-colored point per cut interval."""
+    pts = inst.points
+    shift_ids = inst.ids_of(shift_color)
+    theta = trace.start_direction
+    cuts = {ev.direction for ev in trace.events}
+    for i in shift_ids:
+        for j in shift_ids:
+            if i != j:
+                cuts.add(Direction.of(pts[j].x - pts[i].x, pts[j].y - pts[i].y))
+    cuts.add(theta)
+    ordered = sorted(cuts, key=lambda d: (d != theta, direction_key_from(theta, d)))
+    anchors = []
+    for j, u in enumerate(ordered):
+        v = ordered[(j + 1) % len(ordered)]
+        m = direction_between(u, v) if u != v else u.perp_ccw
+        g = pts[linear_pivot_at(trace, m)]
+        o_line = m.offset(g.x, g.y)
+        best_id, best_off = None, None
+        for sid in shift_ids:
+            o = m.offset(pts[sid].x, pts[sid].y)
+            if o < o_line and (best_off is None or o > best_off):
+                best_id, best_off = sid, o
+        if best_id is None:
+            return None
+        anchors.append((u, best_id))
+    return _shift_curve(inst, anchors, shift_color)

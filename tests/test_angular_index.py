@@ -1,12 +1,14 @@
-"""The angular indexes of curves and traces against their linear-scan oracles.
+"""The angular indexes and walks of curves and traces against their linear-scan oracles.
 
-``evaluate_at``, and with it ``waist``, bisects a curve's arc index,
-``sliding_profile`` bisects each pivot's fences (``Instance.fences``),
-``RotationTrace.pivot_at`` bisects the trace's event keys and
-``run_rotation`` walks the pivots' fences; the oracles in ``support`` scan
-every piece, direction, event or tag instead.  The curves are every one that
-the gamma search's membership check sees (plain, splice and shift), and the
-traces every rotation the search runs.
+``evaluate_at`` bisects a curve's arc index, ``curve_sweep`` (and with it
+``waist``) walks the half cycle's breakpoints once, ``sliding_profile``
+bisects each pivot's fences (``Instance.fences``), ``RotationTrace.pivot_at``
+bisects the trace's event keys, ``run_rotation`` walks the pivots' fences,
+and the surgery's ``_curve_meetings`` and ``build_shift`` walk a trace in
+order; the oracles in ``support`` scan every piece, direction, event, tag,
+arc or point instead.  The curves are every one that the gamma search's
+membership check sees (plain, splice and shift), and the traces every
+rotation the search runs.
 """
 
 import random
@@ -23,8 +25,10 @@ from balanced_lines.sliding import (
     InvalidCurve,
     NotPositivelyOriented,
     Slide,
+    curve_sweep,
     evaluate_at,
     half_cycle_representatives,
+    is_positively_oriented,
     lift_rotation,
     sliding_profile,
     validate_curve,
@@ -33,8 +37,8 @@ from balanced_lines.sliding import (
 
 
 def _search(instances):
-    """Run find_gamma on each instance; every checked curve and every trace."""
-    curves, traces = [], []
+    """Run find_gamma on each instance; every checked curve, every trace and its instance."""
+    curves, runs = [], []
     validated, run = gamma_module._validated, gamma_module.run_rotation
 
     def spy_validated(sr, inst, *args, **kwargs):
@@ -43,7 +47,7 @@ def _search(instances):
 
     def spy_run(spec, inst):
         trace = run(spec, inst)
-        traces.append(trace)
+        runs.append((trace, inst))
         return trace
 
     with pytest.MonkeyPatch.context() as mp:
@@ -58,15 +62,21 @@ def _search(instances):
         except InvalidCurve:
             continue
         valid.append((sr, inst, kind))
-    return valid, traces
+    return valid, runs
 
 
 @pytest.fixture(scope="module")
-def searched():
+def search_log():
     instances = support.nested_pool() + support.recharge_pool()
     instances += [gen_random(seed, 2 + seed % 7, 2 + seed % 7 + 2 * (seed % 4), 1000)
                   for seed in range(50)]
     return _search(instances)
+
+
+@pytest.fixture(scope="module")
+def searched(search_log):
+    curves, runs = search_log
+    return curves, [trace for trace, _ in runs]
 
 
 def test_search_sees_every_curve_kind(searched):
@@ -184,3 +194,49 @@ def test_run_rotation_matches_tag_walk(pool):
                     assert trace == support.tag_walk_rotation(spec, inst)
                     if d0 in on_fence:
                         assert d0 in {d for _, d, _, _ in inst.fences(trace.initial_pivot)}
+
+
+def test_half_cycle_representatives_match_sort(searched):
+    for sr, inst, _ in searched[0]:
+        assert half_cycle_representatives(sr, inst) == support.linear_half_cycle_representatives(sr, inst)
+
+
+def test_curve_sweep_matches_linear_scan(searched):
+    """Every step of the sweep: both anchors and the strip, recounted from scratch."""
+    for sr, inst, _ in searched[0]:
+        pts = inst.points
+        ids = inst.ids_of(sr.subset_color)
+        oriented = True
+        for t, low, high, strip in curve_sweep(sr, inst):
+            line_low = support.linear_evaluate_at(sr, inst, t)
+            line_high = support.linear_evaluate_at(sr, inst, t.antipode)
+            assert (low, high) == (line_low.span[0], line_high.span[0])
+            o_low, o_high = line_low.offset(t), line_high.offset(t)
+            assert strip == {i for i in ids if o_low < t.offset(pts[i].x, pts[i].y) < o_high}
+            oriented = oriented and o_low < o_high
+        assert is_positively_oriented(sr, inst) == oriented
+
+
+def test_curve_meetings_match_all_pairs(search_log):
+    """Every trace of the search against every checked curve of its instance."""
+    curves, runs = search_log
+    pairs = 0
+    for trace, inst in runs:
+        for sr, curve_inst, _ in curves:
+            if curve_inst is inst:
+                got = gamma_module._curve_meetings(inst, sr, trace)
+                assert got == support.linear_curve_meetings(inst, sr, trace)
+                pairs += bool(got)
+    assert pairs
+
+
+def test_build_shift_matches_scan(search_log):
+    """Every trace of the search, followed by the nearest point of the other color."""
+    shifted = 0
+    for trace, inst in search_log[1]:
+        subset = trace.spec.subset
+        color = subset if isinstance(subset, Color) else inst.point(next(iter(subset))).color
+        got = gamma_module.build_shift(inst, trace, color.opposite)
+        assert got == support.linear_build_shift(inst, trace, color.opposite)
+        shifted += got is not None
+    assert shifted

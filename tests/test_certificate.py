@@ -5,7 +5,8 @@ import weakref
 
 import support
 
-from balanced_lines.geometry import Color, Side, build_points, validate
+from balanced_lines import certificate as certificate_module
+from balanced_lines.geometry import Color, GuaranteeViolation, Side, build_points, validate
 from balanced_lines.generators import gen_random
 from balanced_lines.oracle import enumerate_naive
 from balanced_lines.gamma import decompose_fhg, find_gamma, in_central_region
@@ -171,6 +172,30 @@ def test_recharged_lines_distinct_from_flank_picks(recharge_instances):
             assert base is not None
             assert c.line.key != base
     assert seen_recharge >= 1
+
+
+def test_recharge_drops_are_counted(monkeypatch):
+    """Failed recharges in the drop pool: two per instance, and the totals still reach r.
+
+    The count documents the skipped recharges; a change that explains or
+    removes them changes it deliberately.
+    """
+    drops = []
+    original = certificate_module._recharge
+
+    def counting(*args, **kwargs):
+        try:
+            return original(*args, **kwargs)
+        except GuaranteeViolation:
+            drops[-1] += 1
+            raise
+
+    monkeypatch.setattr(certificate_module, "_recharge", counting)
+    for inst in support.recharge_drop_pool():
+        drops.append(0)
+        cert = verify_lower_bound(inst)
+        assert cert.total >= inst.r
+    assert drops == [2, 2, 2, 2]
 
 
 def test_certificate_json_shape(nested_instances):

@@ -5,7 +5,10 @@ Guarantees must raise typed errors: ``assert`` statements vanish under
 Names imported from sibling modules must be used, so dead imports do not
 accumulate; ``__init__`` only re-exports and is exempt from that check.
 Likewise every local name a function assigns must be read somewhere in it;
-names that start with ``_`` mark values discarded on purpose.
+names that start with ``_`` mark values discarded on purpose.  Global memos
+stay the two that exist: a new ``lru_cache`` or ``functools.cache`` would
+hold the directions of every instance ever seen, where per-instance tables
+(``Instance.fences``) are freed with their instance.
 """
 
 import ast
@@ -69,3 +72,50 @@ def test_no_unread_locals():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 problems += _unread_in(path, node)
     assert not problems, "\n".join(problems)
+
+
+MEMO_NAMES = {"lru_cache", "cache"}
+ALLOWED_MEMOS = {"Direction.of", "direction_key_from"}  # perfbench/spans.py reads both
+
+
+def _memo_sites(path: Path) -> list[str]:
+    """Where the module wraps a function in a memo: the qualified name it defines.
+
+    A memo mentioned anywhere else (called inline, imported under another
+    name) is reported by its line.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    sites = []
+
+    def mentions(node) -> bool:
+        return any(
+            (isinstance(n, ast.Name) and n.id in MEMO_NAMES)
+            or (isinstance(n, ast.Attribute) and n.attr in MEMO_NAMES)
+            for n in ast.walk(node)
+        )
+
+    def visit(nodes, scope):
+        for child in nodes:
+            if isinstance(child, ast.ImportFrom):
+                sites.extend(f"{path.name}:{child.lineno}: {a.name} as {a.asname}"
+                             for a in child.names if a.name in MEMO_NAMES and a.asname)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = ".".join(scope + (child.name,))
+                sites.extend(name for d in child.decorator_list if mentions(d))
+                visit(child.body, scope + (child.name,))
+            elif isinstance(child, ast.Assign) and mentions(child.value):
+                sites.extend(".".join(scope + (t.id,)) if isinstance(t, ast.Name)
+                             else f"{path.name}:{child.lineno}" for t in child.targets)
+            elif isinstance(child, ast.expr) and mentions(child):
+                sites.append(f"{path.name}:{child.lineno}")
+            else:
+                visit(ast.iter_child_nodes(child), scope)
+
+    visit(tree.body, ())
+    return sites
+
+
+def test_no_new_global_memos():
+    sites = [s for path in sorted(PACKAGE.glob("*.py")) for s in _memo_sites(path)]
+    assert set(sites) <= ALLOWED_MEMOS, sorted(set(sites) - ALLOWED_MEMOS)
+    assert ALLOWED_MEMOS <= set(sites)  # the check still finds the memos that exist
