@@ -2,7 +2,12 @@
 
 Every predicate in this module works on integer or Fraction coordinates and
 reduces to sign computations, so side tests, sweep orderings and weight sums
-are exact. Floating point appears nowhere below the SVG rendering layer.
+are exact. Floating point appears nowhere below the SVG rendering layer
+(``tests/test_source_hygiene.py`` rejects float literals, ``float(`` calls
+and ``math`` imports other than ``gcd`` in every other module).  Angular
+sort keys (``direction_key``) lead with an integer prefix of the exact
+quotient, so comparing them is integer work in C; the exact ``Ratio``
+decides only between keys whose prefixes tie.
 
 Conventions used throughout the package:
 
@@ -189,6 +194,27 @@ class LabeledPoint:
         return self.color.weight
 
 
+def direction_of(vx: Coord, vy: Coord) -> "Direction":
+    """The direction of a nonzero vector, as a primitive integer vector.
+
+    ``Direction.of`` is this function behind a memo, for callers that meet
+    the same vectors again; one-off vectors (the fences of an instance) take
+    this uncached form, so they do not fill the memo.
+    """
+    if vx == 0 and vy == 0:
+        raise ValueError("zero vector has no direction")
+    if isinstance(vx, int) and isinstance(vy, int):
+        ix, iy = vx, vy
+    else:
+        fx, fy = Fraction(vx), Fraction(vy)
+        scale = fx.denominator * fy.denominator // gcd(
+            fx.denominator, fy.denominator
+        )
+        ix, iy = int(fx * scale), int(fy * scale)
+    g = gcd(ix, iy)
+    return Direction(ix // g, iy // g)
+
+
 @dataclass(frozen=True)
 class Direction:
     """An exact direction, identified up to positive scaling.
@@ -201,21 +227,7 @@ class Direction:
     dx: int
     dy: int
 
-    @staticmethod
-    @lru_cache(maxsize=1 << 16)
-    def of(vx: Coord, vy: Coord) -> "Direction":
-        if vx == 0 and vy == 0:
-            raise ValueError("zero vector has no direction")
-        if isinstance(vx, int) and isinstance(vy, int):
-            ix, iy = vx, vy
-        else:
-            fx, fy = Fraction(vx), Fraction(vy)
-            scale = fx.denominator * fy.denominator // gcd(
-                fx.denominator, fy.denominator
-            )
-            ix, iy = int(fx * scale), int(fy * scale)
-        g = gcd(abs(ix), abs(iy))
-        return Direction(ix // g, iy // g)
+    of = staticmethod(lru_cache(maxsize=1 << 16)(direction_of))
 
     @property
     def antipode(self) -> "Direction":
@@ -253,14 +265,12 @@ class Ratio:
     """An exact quotient ordered by cross multiplication.
 
     Cheaper than Fraction inside sort keys: construction skips gcd
-    normalization and comparisons stay in plain integers.
+    normalization and comparisons stay in plain integers.  ``den > 0``.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int):
-        if den < 0:
-            num, den = -num, -den
         self.num = num
         self.den = den
 
@@ -285,26 +295,37 @@ class Ratio:
 
 _RATIO_ZERO = Ratio(0, 1)
 
-KEY_START = (0, _RATIO_ZERO)  # before everything: the base itself, walks that begin there
-KEY_END = (5, _RATIO_ZERO)  # after everything: the base seen as a full turn
+KEY_START = (0, 0, _RATIO_ZERO)  # before everything: the base itself, walks that begin there
+KEY_END = (5, 0, _RATIO_ZERO)  # after everything: the base seen as a full turn
+_KEY_ANTIPODE = (2, 0, _RATIO_ZERO)
+_KEY_BASE = (4, 0, _RATIO_ZERO)
+_PREFIX_BITS = 64
 
 
 def direction_key(base: Direction, d: Direction) -> tuple:
     """Sort key for the counterclockwise angle from ``base`` to ``d``.
 
-    ``base`` itself sorts last (angle treated as a full turn), which matches
-    walks whose initial state lives just past the start direction.  Callers
-    that meet the same pairs again use the memoized ``direction_key_from``;
-    one-off directions take this uncached form, so they do not fill the memo.
+    ``(half, prefix, Ratio(num, den))``: ``half`` is 1 strictly left of
+    ``base``, 2 at its antipode, 3 strictly right and 4 at ``base`` itself,
+    which sorts last (angle treated as a full turn), matching walks whose
+    initial state lives just past the start direction.  Within a half the
+    angle grows with ``num/den`` (minus the cotangent, ``den > 0``), and
+    ``prefix`` is ``floor(num * 2**64 / den)``.  A floor is monotone, so
+    when two prefixes differ they already order the keys, by integer
+    comparisons alone; only two keys whose prefixes tie reach the exact
+    ``Ratio`` comparison.  The axis halves and ``KEY_START``/``KEY_END``
+    carry prefix 0.  Callers that meet the same pairs again use the memoized
+    ``direction_key_from``; one-off directions take this uncached form, so
+    they do not fill the memo.
     """
-    if d == base:
-        return (4, _RATIO_ZERO)
-    c = base.cross(d)
-    if c > 0:
-        return (1, Ratio(-base.dot(d), c))
+    bx, by, dx, dy = base.dx, base.dy, d.dx, d.dy
+    c = bx * dy - by * dx
+    num = -(bx * dx + by * dy)
     if c == 0:
-        return (2, _RATIO_ZERO)
-    return (3, Ratio(-base.dot(d), c))
+        return _KEY_BASE if num < 0 else _KEY_ANTIPODE
+    if c > 0:
+        return (1, (num << _PREFIX_BITS) // c, Ratio(num, c))
+    return (3, (-num << _PREFIX_BITS) // -c, Ratio(-num, -c))
 
 
 direction_key_from = lru_cache(maxsize=1 << 18)(direction_key)
@@ -441,8 +462,12 @@ class Instance:
         order from just past vertical, counterclockwise, vertical last.
         General position makes the 2(n-1) keys distinct.  Built on first use
         in O(n log n) and kept on the instance, so the table lives exactly as
-        long as the instance does; its keys are computed once per instance,
-        so they skip the ``direction_key_from`` memo and equal its values.
+        long as the instance does.  Its directions and keys are computed once
+        per instance, so they skip both memos (``direction_of``, not
+        ``Direction.of``; ``direction_key``, not ``direction_key_from``) and
+        equal their values.  No two points share an abscissa, so no fence is
+        vertical: the tail's key is the head's with the half turned over
+        (1 and 3 swap) and the same prefix and ``Ratio``.
         """
         table = self._fence_table
         if pid not in table:
@@ -451,10 +476,10 @@ class Instance:
             for p in self.points:
                 if p.id == pid:
                     continue
-                head = Direction.of(p.x - q.x, p.y - q.y)
-                tail = head.antipode
-                entries.append((direction_key(VERTICAL, head), head, p.id, True))
-                entries.append((direction_key(VERTICAL, tail), tail, p.id, False))
+                head = direction_of(p.x - q.x, p.y - q.y)
+                half, prefix, ratio = key = direction_key(VERTICAL, head)
+                entries.append((key, head, p.id, True))
+                entries.append(((4 - half, prefix, ratio), head.antipode, p.id, False))
             table[pid] = tuple(sorted(entries, key=FENCE_KEY))
         return table[pid]
 

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 from .geometry import (
-    Color,
     GuaranteeViolation,
     Instance,
     Side,
@@ -37,27 +36,29 @@ class BalancedLine:
 
 
 def enumerate_naive(inst: Instance) -> set[BalancedLine]:
-    """Check all r*b bichromatic pairs by classifying every other point."""
+    """Check all r*b bichromatic pairs by classifying every other point.
+
+    Per red anchor, one row ``(x - ax, y - ay, w)`` per point; a point is
+    right of the line from the anchor toward a blue point ``(dx, dy)`` (in
+    the same frame) when its cross product ``dx*y - dy*x`` is below 0.
+    The anchor and the blue point itself have cross product 0, as no other
+    point has in general position, so they count on neither side.  The
+    left weight is summed only for pairs whose right weight is delta.
+    Cubic, and shares nothing with ``Instance.fences`` or ``Direction``.
+    """
     found = set()
     delta = inst.delta
-    rows = [(p.id, p.x, p.y, p.color.weight) for p in inst.points]
+    pts = inst.points
+    weights = [p.weight for p in pts]
     for rid in inst.red_ids:
-        _, ax, ay, _ = rows[rid]
+        ax, ay = pts[rid].x, pts[rid].y
+        rows = [(p.x - ax, p.y - ay, w) for p, w in zip(pts, weights)]
         for bid in inst.blue_ids:
-            _, bx, by, _ = rows[bid]
-            dx, dy = bx - ax, by - ay
-            right = 0
-            left = 0
-            for pid, x, y, w in rows:
-                if pid == rid or pid == bid:
-                    continue
-                c = dx * (y - ay) - dy * (x - ax)
-                if c > 0:
-                    left += w
-                elif c < 0:
-                    right += w
-            if right == delta and left == delta:
-                found.add(BalancedLine(rid, bid, (right, left)))
+            dx, dy, _ = rows[bid]
+            if sum([w for x, y, w in rows if dx * y < dy * x]) != delta:
+                continue
+            if sum([w for x, y, w in rows if dx * y > dy * x]) == delta:
+                found.add(BalancedLine(rid, bid, (delta, delta)))
     return found
 
 
@@ -73,23 +74,24 @@ def enumerate_sweep(inst: Instance) -> set[BalancedLine]:
     found = set()
     pts = inst.points
     delta = inst.delta
+    weights = [p.weight for p in pts]
     for rid in inst.red_ids:
         a = pts[rid]
         w = 0
         for p in pts:
             if p.id != rid and side_just_after(VERTICAL, a.x, a.y, p.x, p.y) is Side.RIGHT:
-                w += p.weight
+                w += weights[p.id]
         w0 = w
         for _, _, pid, at_head in inst.fences(rid):
-            p = pts[pid]
+            wp = weights[pid]
             if at_head:
                 w_inst = w
-                w += p.weight
+                w += wp
             else:
-                w_inst = w - p.weight
-                w -= p.weight
-            if p.color is Color.BLUE and w_inst == delta:
-                found.add(BalancedLine(rid, p.id, (delta, delta)))
+                w -= wp
+                w_inst = w
+            if wp > 0 and w_inst == delta:
+                found.add(BalancedLine(rid, pid, (delta, delta)))
         if w != w0:
             raise GuaranteeViolation("sweep weight did not close over a full turn")
     return found

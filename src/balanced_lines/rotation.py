@@ -40,7 +40,6 @@ from .geometry import (
     VERTICAL,
     direction_between,
     direction_key,
-    direction_key_from,
     halfplane_weight,
     side_just_after,
 )
@@ -163,22 +162,6 @@ class RotationTrace:
     @property
     def omega_max(self) -> int:
         return max(self.omega_values)
-
-    @cached_property
-    def event_keys(self) -> tuple[tuple, ...]:
-        """``direction_key_from(start_direction, ev.direction)`` of every event, in order."""
-        return tuple(direction_key_from(self.start_direction, ev.direction) for ev in self.events)
-
-    def pivot_at(self, d: Direction) -> int:
-        """Pivot of the interval containing the direction ``d``.
-
-        At an event direction the state just after the event is reported,
-        matching the half-open interval convention of the walk.  The events
-        are sorted by key from the start direction, so this is one bisection
-        of ``event_keys``, O(log events).
-        """
-        i = bisect_right(self.event_keys, direction_key(self.start_direction, d))
-        return self.events[i - 1].pivot_after if i else self.initial_pivot
 
 
 def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:

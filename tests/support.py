@@ -7,11 +7,14 @@ rotation pipeline.  Everything is deterministic in the seed.
 
 It also holds the linear-scan oracles of the indexed curve and trace
 queries: ``linear_evaluate_at``, ``linear_half_cycle_representatives``,
-``linear_waist``, ``recount_profile``, ``linear_pivot_at`` and
-``linear_curve_meetings`` share nothing with the angular indexes and walks
-in the package beyond the exact primitives; ``linear_build_shift`` scans
-for its anchors and shares only the assembly of a curve from them; and
-``tag_walk_rotation`` walks a rotation without the per-instance fence table.
+``linear_waist``, ``recount_profile`` and ``linear_curve_meetings`` share
+nothing with the angular indexes and walks in the package beyond the exact
+primitives; ``linear_build_shift`` scans for its anchors (the pivot of each
+cut from ``linear_pivot_at``) and shares only the assembly of a curve from
+them; ``tag_walk_rotation`` walks a rotation without the per-instance fence
+table; and ``pairwise_naive`` classifies every point against every
+red/blue pair the way ``enumerate_naive`` did before it kept its rows
+relative to each red anchor.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from balanced_lines.geometry import (
     validate,
 )
 from balanced_lines.generators import gen_random, gen_separated_convex
+from balanced_lines.oracle import BalancedLine
 from balanced_lines.rotation import (
     End,
     EventKind,
@@ -302,7 +306,10 @@ def recount_profile(sr, inst: Instance) -> list[tuple[DirectedLine, int]]:
 
 
 def linear_pivot_at(trace, d: Direction) -> int:
-    """Oracle for ``RotationTrace.pivot_at``: walk the events in order."""
+    """Pivot of the trace interval holding ``d``: walk the events in order.
+
+    At an event direction the state just after the event is reported.
+    """
     key = direction_key_from(trace.start_direction, d)
     pivot = trace.initial_pivot
     for ev in trace.events:
@@ -423,3 +430,28 @@ def linear_build_shift(inst: Instance, trace, shift_color: Color):
             return None
         anchors.append((u, best_id))
     return _shift_curve(inst, anchors, shift_color)
+
+
+def pairwise_naive(inst: Instance) -> set[BalancedLine]:
+    """Oracle for ``enumerate_naive``: classify every other point against each pair."""
+    found = set()
+    delta = inst.delta
+    rows = [(p.id, p.x, p.y, p.color.weight) for p in inst.points]
+    for rid in inst.red_ids:
+        _, ax, ay, _ = rows[rid]
+        for bid in inst.blue_ids:
+            _, bx, by, _ = rows[bid]
+            dx, dy = bx - ax, by - ay
+            right = 0
+            left = 0
+            for pid, x, y, w in rows:
+                if pid == rid or pid == bid:
+                    continue
+                c = dx * (y - ay) - dy * (x - ax)
+                if c > 0:
+                    left += w
+                elif c < 0:
+                    right += w
+            if right == delta and left == delta:
+                found.add(BalancedLine(rid, bid, (right, left)))
+    return found

@@ -2,11 +2,10 @@
 
 ``evaluate_at`` bisects a curve's arc index, ``curve_sweep`` (and with it
 ``waist``) walks the half cycle's breakpoints once, ``sliding_profile``
-bisects each pivot's fences (``Instance.fences``), ``RotationTrace.pivot_at``
-bisects the trace's event keys, ``run_rotation`` walks the pivots' fences,
-and the surgery's ``_curve_meetings`` and ``build_shift`` walk a trace in
-order; the oracles in ``support`` scan every piece, direction, event, tag,
-arc or point instead.  The curves are every one that the gamma search's
+bisects each pivot's fences (``Instance.fences``), ``run_rotation`` walks
+the pivots' fences, and the surgery's ``_curve_meetings`` and
+``build_shift`` walk a trace in order; the oracles in ``support`` scan
+every piece, direction, tag, arc or point instead.  The curves are every one that the gamma search's
 membership check sees (plain, splice and shift), and the traces every
 rotation the search runs.
 """
@@ -111,14 +110,6 @@ def test_evaluate_at_matches_linear_scan(searched):
         reps = half_cycle_representatives(sr, inst)
         for t in reps + [t.antipode for t in reps] + sr.piece_boundaries():
             assert evaluate_at(sr, inst, t) == support.linear_evaluate_at(sr, inst, t)
-
-
-def test_pivot_at_matches_linear_walk(searched):
-    for trace in searched[1]:
-        directions = [ev.direction for ev in trace.events]
-        directions += [d for d, _, _ in trace.interval_representatives()]
-        for d in directions:
-            assert trace.pivot_at(d) == support.linear_pivot_at(trace, d)
 
 
 def test_evaluate_at_pivot_handover_at_start():

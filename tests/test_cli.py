@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -163,3 +164,21 @@ def test_certificate_json(run, sep44):
     payload = json.loads(out)
     assert payload["total"] == 4
     assert payload["gamma"] is None
+
+
+ENUMERATE_BOTH_N100_DIGEST = "986d4083427e8ac4fa7f79a527f7ea37e7136057e2e36d05aa431aaba789b8a7"
+
+
+def test_enumerate_both_digest_at_benchmark_size(run, tmp_path):
+    """``enumerate --method both`` stdout at n 100 stays byte-identical."""
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for delta in range(4):
+            path = str(tmp_path / f"inst-{seed}-{delta}.json")
+            code, _, _ = run("gen", "random", "-r", str(50 - delta), "-b", str(50 + delta),
+                             "--seed", str(seed), "-o", path)
+            assert code == 0
+            code, out, _ = run("enumerate", path, "--method", "both")
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == ENUMERATE_BOTH_N100_DIGEST

@@ -16,6 +16,7 @@ from balanced_lines.geometry import (
     ValidationError,
     build_points,
     direction_between,
+    direction_key,
     direction_key_from,
     halfplane_weight,
     instance_from_json,
@@ -285,6 +286,61 @@ def test_direction_key_from_orders_full_cycle():
     ring = [(-1, 2), (-1, 0), (-1, -2), (0, -1), (1, -2), (1, 0), (1, 2), (0, 1)]
     keys = [direction_key_from(base, Direction.of(*v)) for v in ring]
     assert keys == sorted(keys)
+
+
+def _reference_half(base, d):
+    """1 strictly left of base, 2 at its antipode, 3 strictly right, 4 at base."""
+    c = base.cross(d)
+    if c != 0:
+        return 1 if c > 0 else 3
+    return 4 if base.dot(d) > 0 else 2
+
+
+def _reference_before(base, u, v):
+    """Whether u comes strictly before v counterclockwise from base, base last."""
+    hu, hv = _reference_half(base, u), _reference_half(base, v)
+    if hu != hv:
+        return hu < hv
+    return hu in (1, 3) and u.cross(v) > 0
+
+
+huge = st.integers(min_value=-(1 << 80), max_value=1 << 80)
+components = st.one_of(st.integers(min_value=-3, max_value=3), coords, huge)
+any_vectors = st.tuples(components, components).filter(lambda v: v != (0, 0))
+
+
+@given(any_vectors, any_vectors, any_vectors)
+@settings(max_examples=400)
+def test_direction_key_order_matches_reference(b, u, v):
+    base, du, dv = Direction.of(*b), Direction.of(*u), Direction.of(*v)
+    ku, kv = direction_key(base, du), direction_key(base, dv)
+    assert (ku < kv) == _reference_before(base, du, dv)
+    assert (kv < ku) == _reference_before(base, dv, du)
+    assert (ku == kv) == (du == dv)
+
+
+def test_direction_key_tied_prefixes_fall_back_to_ratio():
+    # num/den = 1 + 2**-65 and 1 + 1/(2**65 + 1): both floor to 2**64 after
+    # the 64-bit shift, so only the exact Ratio tells them apart.
+    big = 1 << 65
+    u = Direction.of(-big, -(big + 1))
+    v = Direction.of(-(big + 1), -(big + 2))
+    ku, kv = direction_key(VERTICAL, u), direction_key(VERTICAL, v)
+    assert ku[:2] == kv[:2] == (1, 1 << 64)
+    assert _reference_before(VERTICAL, v, u)
+    assert kv < ku and not ku < kv and ku != kv
+
+
+def test_fences_invariant_under_exact_scaling():
+    base = gen_random(5, 6, 8, 1000)
+    frac = validate(build_points(
+        (Fraction(p.x, 12) + Fraction(1, 3), Fraction(p.y, 12) - Fraction(2, 5), p.color)
+        for p in base.points
+    ))
+    scaled = validate(build_points((60 * p.x, 60 * p.y, p.color) for p in frac.points))
+    assert all(isinstance(p.x, int) for p in scaled.points)
+    for pid in range(frac.n):
+        assert frac.fences(pid) == scaled.fences(pid) == base.fences(pid)
 
 
 def test_direction_between():

@@ -1,4 +1,9 @@
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings, strategies as st
+
+import support
 
 from balanced_lines.geometry import Side, build_points, swap_colors, validate
 from balanced_lines.generators import gen_random, gen_separated_convex
@@ -113,3 +118,29 @@ def test_json_emission():
     assert payload["delta"] == 1
     assert payload["count"] == 2
     assert all(set(e) == {"red", "blue"} for e in payload["lines"])
+
+
+def _fraction_copy(inst, sx, sy, oy):
+    """The instance under the exact map (x, y) -> (sx*x, sy*y + oy)."""
+    return validate(build_points((sx * p.x, sy * p.y + oy, p.color) for p in inst.points))
+
+
+def test_naive_equals_pairwise_on_pools(nested_instances, mixed_instances, recharge_instances):
+    for inst in nested_instances + mixed_instances + recharge_instances:
+        assert enumerate_naive(inst) == support.pairwise_naive(inst)
+
+
+@pytest.mark.parametrize("n", [10, 40, 70, 100])
+@pytest.mark.parametrize("delta", range(4))
+def test_naive_equals_pairwise_random(n, delta):
+    inst = gen_random(n + delta, n // 2 - delta, n // 2 + delta, 1000)
+    assert enumerate_naive(inst) == support.pairwise_naive(inst)
+
+
+def test_naive_equals_pairwise_fractions():
+    for seed in range(8):
+        delta = seed % 4
+        inst = _fraction_copy(gen_random(seed, 6 - delta, 6 + delta, 1000),
+                              Fraction(3, 7), Fraction(-5, 2), Fraction(1, 3))
+        assert any(isinstance(p.x, Fraction) for p in inst.points)
+        assert enumerate_naive(inst) == support.pairwise_naive(inst)

@@ -8,7 +8,9 @@ Likewise every local name a function assigns must be read somewhere in it;
 names that start with ``_`` mark values discarded on purpose.  Global memos
 stay the two that exist: a new ``lru_cache`` or ``functools.cache`` would
 hold the directions of every instance ever seen, where per-instance tables
-(``Instance.fences``) are freed with their instance.
+(``Instance.fences``) are freed with their instance.  Outside the SVG
+renderer the package computes exactly: no float literal, no ``float(``
+call and nothing from ``math`` but ``gcd``.
 """
 
 import ast
@@ -119,3 +121,28 @@ def test_no_new_global_memos():
     sites = [s for path in sorted(PACKAGE.glob("*.py")) for s in _memo_sites(path)]
     assert set(sites) <= ALLOWED_MEMOS, sorted(set(sites) - ALLOWED_MEMOS)
     assert ALLOWED_MEMOS <= set(sites)  # the check still finds the memos that exist
+
+
+def _inexact(path: Path) -> list[str]:
+    """Float literals, ``float(`` calls and ``math`` imports other than ``gcd``."""
+    problems = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            problems.append(f"{path.name}:{node.lineno}: float literal {node.value!r}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            problems.append(f"{path.name}:{node.lineno}: float() call")
+        elif isinstance(node, ast.Import):
+            problems += [f"{path.name}:{node.lineno}: import {a.name}"
+                         for a in node.names if a.name.split(".")[0] in ("math", "cmath")]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath"):
+            problems += [f"{path.name}:{node.lineno}: from {node.module} import {a.name}"
+                         for a in node.names if node.module != "math" or a.name != "gcd"]
+    return problems
+
+
+def test_no_floats_in_exact_core():
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "svg.py"]
+    assert len(paths) >= 8  # the check still finds the package
+    problems = [p for path in paths for p in _inexact(path)]
+    assert not problems, "\n".join(problems)
