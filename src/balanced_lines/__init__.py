@@ -48,6 +48,7 @@ from .rotation import (
     RotationSpec,
     RotationTrace,
     Transition,
+    UnknownPoint,
     WrongSubset,
     check_level_coupling,
     find_balanced_halving,

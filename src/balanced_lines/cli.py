@@ -39,6 +39,7 @@ from .oracle import (
 from .rotation import (
     LevelOutOfRange,
     RotationSpec,
+    UnknownPoint,
     run_rotation,
     trace_to_jsonl,
     transitions_at,
@@ -147,7 +148,7 @@ def cmd_trace(args) -> int:
     spec = RotationSpec(subset, args.k, start)
     try:
         trace = run_rotation(spec, inst)
-    except LevelOutOfRange as exc:
+    except (LevelOutOfRange, UnknownPoint) as exc:
         raise _CliError(EXIT_BAD_PARAMS, str(exc))
     for line in trace_to_jsonl(trace):
         sys.stdout.write(line + "\n")
@@ -290,7 +291,7 @@ def cmd_plot(args) -> int:
         subset = _parse_subset(args.subset)
         try:
             trace = run_rotation(RotationSpec(subset, args.k), inst)
-        except LevelOutOfRange as exc:
+        except (LevelOutOfRange, UnknownPoint) as exc:
             raise _CliError(EXIT_BAD_PARAMS, str(exc))
         text = svg.render_rotation(inst, trace)
     elif args.what == "certificate":

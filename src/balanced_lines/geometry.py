@@ -9,6 +9,13 @@ sort keys (``direction_key``) lead with an integer prefix of the exact
 quotient, so comparing them is integer work in C; the exact ``Ratio``
 decides only between keys whose prefixes tie.
 
+The value records of the rotation path, ``Direction``, ``DirectedLine`` and
+``rotation.RotationEvent``, are tuples (``typing.NamedTuple``): they build,
+hash and compare for equality in C.  Being tuples, they equal plain tuples
+of the same values (``Direction(0, 1) == (0, 1)``), and they cannot be
+ordered: ``<``, ``<=``, ``>`` and ``>=`` raise TypeError, because tuple
+order is not angular order (``Direction.rank`` and ``direction_key`` are).
+
 Conventions used throughout the package:
 
 * a point is blue (+1) or red (-1); the weight of an open halfplane is the
@@ -30,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Coord = Union[int, Fraction]
 
@@ -215,19 +222,28 @@ def direction_of(vx: Coord, vy: Coord) -> "Direction":
     return Direction(ix // g, iy // g)
 
 
-@dataclass(frozen=True)
-class Direction:
+def _unordered(self, other):
+    raise TypeError(f"{type(self).__name__} values have no order")
+
+
+class _DirectionFields(NamedTuple):
+    dx: int
+    dy: int
+
+
+class Direction(_DirectionFields):
     """An exact direction, identified up to positive scaling.
 
     Stored as a primitive integer vector so equality and hashing are
     canonical.  The cyclic order starts at the vertical direction (0, 1)
     and advances counterclockwise; comparisons are sign computations only.
+    A tuple ``(dx, dy)`` underneath; the subclass keeps an instance
+    ``__dict__`` for the cached ``rank``.
     """
 
-    dx: int
-    dy: int
-
     of = staticmethod(lru_cache(maxsize=1 << 16)(direction_of))
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     @property
     def antipode(self) -> "Direction":
@@ -358,8 +374,7 @@ def direction_between(u: Direction, v: Direction) -> Direction:
     return u.perp_ccw  # antipodal endpoints
 
 
-@dataclass(frozen=True)
-class DirectedLine:
+class DirectedLine(NamedTuple):
     """An oriented line through an exact anchor point.
 
     ``span`` records the instance points the line passes through when it was
@@ -371,6 +386,8 @@ class DirectedLine:
     ay: Coord
     direction: Direction
     span: tuple[int, ...] = ()
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def side(self, p) -> Side:
         px, py = _xy(p)
@@ -403,20 +420,19 @@ class DirectedLine:
         return DirectedLine(p.x, p.y, direction, (pivot_id,))
 
 
-def side_just_after(d: Direction, ax: Coord, ay: Coord, px: Coord, py: Coord) -> Side:
-    """Side of (px, py) for the line through (ax, ay) rotated a hair past d.
+def just_after_keys(d: Direction, points: Sequence[LabeledPoint]) -> list[tuple[Coord, Coord]]:
+    """Where each point lies once a line at direction ``d`` turns a hair past it.
 
-    Points exactly on the line at direction ``d`` are classified by where
-    they land once the line turns counterclockwise by an infinitesimal
-    angle: ahead of the anchor means right, behind it means left.
+    A point ``p`` is right of the line through the anchor ``a`` rotated
+    counterclockwise by an infinitesimal angle past ``d`` exactly when
+    ``key(p) < key(a)``: when its offset ``d.offset`` is lower than the
+    anchor's, or, on the line at ``d`` itself, when it lies ahead of the
+    anchor (a larger dot product with ``d``).  The key is ``(offset, -ahead)``,
+    so the test is one tuple comparison in C; distinct points have distinct
+    keys, and the number of points right of an anchor is its rank among the
+    keys.  One key per point, in the order given.
     """
-    c = d.dx * (py - ay) - d.dy * (px - ax)
-    if c != 0:
-        return Side.LEFT if c > 0 else Side.RIGHT
-    ahead = d.dx * (px - ax) + d.dy * (py - ay)
-    if ahead == 0:
-        raise ValueError("point coincides with the anchor")
-    return Side.RIGHT if ahead > 0 else Side.LEFT
+    return [(d.offset(p.x, p.y), -(d.dx * p.x + d.dy * p.y)) for p in points]
 
 
 @dataclass(frozen=True)
@@ -605,10 +621,19 @@ def swap_colors(inst: Instance) -> Instance:
 
 
 def halfplane_weight(line: DirectedLine, inst: Instance, side: Side) -> int:
-    """Total weight of the points strictly on one side of the line."""
+    """Total weight of the points strictly on one side of the line.
+
+    A full, exact recount: a point is right of the line when its offset
+    against the line's direction is below the anchor's, left when above,
+    so each point costs one integer comparison and no ``Side``.
+    """
     if side is Side.ON:
         raise ValueError("side must be LEFT or RIGHT")
-    return sum(p.weight for p in inst.points if line.side(p) is side)
+    offset = line.direction.offset
+    o = offset(line.ax, line.ay)
+    if side is Side.RIGHT:
+        return sum(p.weight for p in inst.points if offset(p.x, p.y) < o)
+    return sum(p.weight for p in inst.points if offset(p.x, p.y) > o)
 
 
 def is_balanced(id_red: int, id_blue: int, inst: Instance) -> bool:

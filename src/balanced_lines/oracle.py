@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from .geometry import (
     GuaranteeViolation,
     Instance,
-    Side,
-    side_just_after,
     VERTICAL,
+    just_after_keys,
 )
 
 
@@ -69,18 +68,18 @@ def enumerate_sweep(inst: Instance) -> set[BalancedLine]:
     (``Instance.fences``), those toward and away from each other point;
     between them the right-halfplane weight is constant.  A blue
     point hit while the right weight (excluding the hit point) equals delta
-    spans a balanced line with the anchor.
+    spans a balanced line with the anchor.  The start weight of each anchor,
+    just past vertical, sums the points whose ``just_after_keys`` at
+    vertical are below the anchor's; the keys are built once per instance.
     """
     found = set()
     pts = inst.points
     delta = inst.delta
     weights = [p.weight for p in pts]
+    keys = just_after_keys(VERTICAL, pts)
     for rid in inst.red_ids:
-        a = pts[rid]
-        w = 0
-        for p in pts:
-            if p.id != rid and side_just_after(VERTICAL, a.x, a.y, p.x, p.y) is Side.RIGHT:
-                w += weights[p.id]
+        key_a = keys[rid]
+        w = sum([wp for wp, key in zip(weights, keys) if key < key_a])
         w0 = w
         for _, _, pid, at_head in inst.fences(rid):
             wp = weights[pid]

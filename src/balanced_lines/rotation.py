@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .geometry import (
     FENCE_KEY,
@@ -38,12 +38,17 @@ from .geometry import (
     Instance,
     Side,
     VERTICAL,
+    _unordered,
     direction_between,
     direction_key,
     halfplane_weight,
-    side_just_after,
+    just_after_keys,
 )
 from .oracle import BalancedLine
+
+
+class UnknownPoint(BalancedLinesError):
+    """A rotation subset names a point id the instance does not have."""
 
 
 class WrongSubset(BalancedLinesError):
@@ -84,8 +89,9 @@ class RotationSpec:
             ids = inst.ids_of(self.subset)
         else:
             ids = tuple(sorted(self.subset))
-            for i in ids:
-                inst.point(i)
+            unknown = [i for i in ids if not 0 <= i < inst.n]
+            if unknown:
+                raise UnknownPoint(f"rotation subset names unknown point ids {unknown}")
         if not ids:
             raise LevelOutOfRange("rotation subset is empty")
         if not 0 <= self.level <= len(ids) - 1:
@@ -95,8 +101,9 @@ class RotationSpec:
         return ids
 
 
-@dataclass(frozen=True)
-class RotationEvent:
+class RotationEvent(NamedTuple):
+    """One state change of a rotation, with the line through pivot and crossed point."""
+
     direction: Direction
     kind: EventKind
     pivot_before: int
@@ -106,6 +113,8 @@ class RotationEvent:
     omega_before: int
     omega_after: int
     line: DirectedLine
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
 
 @dataclass(frozen=True)
@@ -167,35 +176,36 @@ class RotationTrace:
 def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
     """Simulate one full turn of the rotation described by ``spec``.
 
-    The initial pivot is the unique subset point with exactly ``level``
-    subset points strictly right of the start line.  The walk then reads
-    the pivot's fences (``Instance.fences``) from the start direction on:
-    first the keys above it, up to vertical, then the wrap past vertical up
-    to the start direction inclusive.  A fence toward or away from a subset
+    The start state is read from ``geometry.just_after_keys`` at the start
+    direction: the initial pivot is the subset point of rank ``level``
+    among the subset's keys (exactly ``level`` subset points right of its
+    line just past the start direction), and the initial weight sums the
+    points whose keys are below the pivot's, in O(n + m log m) for a subset
+    of m points.  The walk then reads the pivot's fences
+    (``Instance.fences``) from the start direction on: first the keys above
+    it, up to vertical, then the wrap past vertical up to the start
+    direction inclusive.  A fence toward or away from a subset
     point hands the pivot over, and the walk goes on from the same
     direction in the new pivot's fences, found by bisection; any other
     fence is a weight step.  After the instance's fences are built, O(n log n)
     per point and once per instance, each event costs O(1) and each pivot
-    change O(log n).
+    change O(log n).  Events and their lines are tuples, built in C.
     """
     ids = spec.resolve(inst)
-    k = spec.level
     d0 = spec.start_direction
     pts = inst.points
     subset = frozenset(ids)
 
-    pivot = _initial_pivot(inst, ids, k, d0)
-    a = pts[pivot]
-    omega = sum(
-        p.weight
-        for p in pts
-        if p.id != pivot and side_just_after(d0, a.x, a.y, p.x, p.y) is Side.RIGHT
-    )
+    keys = just_after_keys(d0, pts)
+    pivot = sorted(ids, key=keys.__getitem__)[spec.level]
+    key_p = keys[pivot]
+    omega = sum(p.weight for p, key in zip(pts, keys) if key < key_p)
 
     initial_pivot, initial_omega = pivot, omega
     key0 = direction_key(VERTICAL, d0)
     key, wrapped = key0, False
     events = []
+    new = tuple.__new__  # builds a record from its fields in C, past NamedTuple's Python __new__
     while True:
         fences = inst.fences(pivot)
         p = pts[pivot]
@@ -208,18 +218,18 @@ def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
             end = End.HEAD if head else End.TAIL
             if other in subset:
                 new_omega = omega if head else omega + p.weight - o.weight
-                events.append(RotationEvent(
+                events.append(new(RotationEvent, (
                     d, EventKind.PIVOT_CHANGE, pivot, other, other, end, omega, new_omega,
-                    DirectedLine(p.x, p.y, d, (pivot, other)),
-                ))
+                    new(DirectedLine, (p.x, p.y, d, (pivot, other))),
+                )))
                 pivot, omega = other, new_omega
                 wrapped = wrapped or i < lo  # indices below lo come after the wrap
                 break
             new_omega = omega + (o.weight if head else -o.weight)
-            events.append(RotationEvent(
+            events.append(new(RotationEvent, (
                 d, EventKind.WEIGHT_CHANGE, pivot, pivot, other, end, omega, new_omega,
-                DirectedLine(p.x, p.y, d, (pivot, other)),
-            ))
+                new(DirectedLine, (p.x, p.y, d, (pivot, other))),
+            )))
             omega = new_omega
         else:
             break
@@ -227,26 +237,6 @@ def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
     if pivot != initial_pivot or omega != initial_omega:
         raise GuaranteeViolation("rotation walk failed to close after a full turn")
     return RotationTrace(spec, ids, d0, initial_pivot, initial_omega, tuple(events))
-
-
-def _initial_pivot(inst: Instance, ids: tuple[int, ...], k: int, d0: Direction) -> int:
-    pts = inst.points
-    candidates = []
-    for qid in ids:
-        q = pts[qid]
-        right = sum(
-            1
-            for other in ids
-            if other != qid
-            and side_just_after(d0, q.x, q.y, pts[other].x, pts[other].y) is Side.RIGHT
-        )
-        if right == k:
-            candidates.append(qid)
-    if len(candidates) != 1:
-        raise GuaranteeViolation(
-            f"expected a unique start pivot at level {k}, found {candidates}"
-        )
-    return candidates[0]
 
 
 @dataclass(frozen=True)

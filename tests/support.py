@@ -12,7 +12,9 @@ nothing with the angular indexes and walks in the package beyond the exact
 primitives; ``linear_build_shift`` scans for its anchors (the pivot of each
 cut from ``linear_pivot_at``) and shares only the assembly of a curve from
 them; ``tag_walk_rotation`` walks a rotation without the per-instance fence
-table; and ``pairwise_naive`` classifies every point against every
+table, from its own start state (``initial_state``, which classifies every
+pair with its own copy of the per-point just-after rule, ``side_just_after``);
+and ``pairwise_naive`` classifies every point against every
 red/blue pair the way ``enumerate_naive`` did before it kept its rows
 relative to each red anchor.
 """
@@ -32,7 +34,6 @@ from balanced_lines.geometry import (
     build_points,
     direction_between,
     direction_key_from,
-    side_just_after,
     validate,
 )
 from balanced_lines.generators import gen_random, gen_separated_convex
@@ -42,7 +43,6 @@ from balanced_lines.rotation import (
     EventKind,
     RotationEvent,
     RotationTrace,
-    _initial_pivot,
 )
 from balanced_lines.sliding import (
     InvalidCurve,
@@ -320,6 +320,46 @@ def linear_pivot_at(trace, d: Direction) -> int:
     return pivot
 
 
+def side_just_after(d: Direction, ax, ay, px, py) -> Side:
+    """Side of (px, py) for the line through (ax, ay) rotated a hair past d.
+
+    Points exactly on the line at direction ``d`` are classified by where
+    they land once the line turns counterclockwise by an infinitesimal
+    angle: ahead of the anchor means right, behind it means left.
+    """
+    c = d.dx * (py - ay) - d.dy * (px - ax)
+    if c != 0:
+        return Side.LEFT if c > 0 else Side.RIGHT
+    ahead = d.dx * (px - ax) + d.dy * (py - ay)
+    if ahead == 0:
+        raise ValueError("point coincides with the anchor")
+    return Side.RIGHT if ahead > 0 else Side.LEFT
+
+
+def initial_state(inst: Instance, ids, k: int, d0: Direction) -> tuple[int, int]:
+    """Oracle for a rotation's start state: classify every pair with ``side_just_after``.
+
+    The pivot is the unique subset point with exactly ``k`` subset points
+    right of the line just past ``d0``; the weight is that of every point
+    right of the pivot's line.
+    """
+    pts = inst.points
+    candidates = [
+        qid for qid in ids
+        if sum(1 for other in ids
+               if other != qid
+               and side_just_after(d0, pts[qid].x, pts[qid].y,
+                                   pts[other].x, pts[other].y) is Side.RIGHT) == k
+    ]
+    if len(candidates) != 1:
+        raise AssertionError(f"expected a unique start pivot at level {k}, found {candidates}")
+    pivot = candidates[0]
+    a = pts[pivot]
+    omega = sum(p.weight for p in pts
+                if p.id != pivot and side_just_after(d0, a.x, a.y, p.x, p.y) is Side.RIGHT)
+    return pivot, omega
+
+
 def tag_walk_rotation(spec, inst: Instance) -> RotationTrace:
     """Oracle for ``run_rotation``: sort every critical direction of the subset.
 
@@ -349,10 +389,7 @@ def tag_walk_rotation(spec, inst: Instance) -> RotationTrace:
             tags.append((direction_key_from(d0, fwd.antipode), fwd.antipode, uid, vid, None))
     tags.sort(key=lambda t: (t[0], t[2], t[3], t[4].value if t[4] else ""))
 
-    pivot = _initial_pivot(inst, ids, spec.level, d0)
-    a = pts[pivot]
-    omega = sum(p.weight for p in pts
-                if p.id != pivot and side_just_after(d0, a.x, a.y, p.x, p.y) is Side.RIGHT)
+    pivot, omega = initial_state(inst, ids, spec.level, d0)
     initial_pivot, initial_omega = pivot, omega
     events = []
     for _, d, qid, sid, end in tags:

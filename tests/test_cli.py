@@ -102,6 +102,19 @@ def test_trace_bad_level_exit_2(run, sep44):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("trace", "--subset", "0,99"),
+    ("trace", "--subset=-1,0"),
+    ("plot", "--what", "rotation", "--subset", "0,99"),
+], ids=["trace-unknown-id", "trace-negative-id", "plot-unknown-id"])
+def test_unknown_subset_ids_exit_2(run, sep44, argv):
+    command, *options = argv
+    code, out, err = run(command, sep44, *options)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: rotation subset names unknown point ids")
+
+
 def test_verify_reports(run, sep44):
     code, out, err = run("verify", sep44)
     assert code == 0

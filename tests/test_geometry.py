@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from balanced_lines.geometry import (
     DirectedLine,
     Direction,
     DuplicateAbscissa,
+    KEY_START,
     LabeledPoint,
     SameColorPair,
     Side,
@@ -22,6 +24,7 @@ from balanced_lines.geometry import (
     instance_from_json,
     instance_to_json,
     is_balanced,
+    just_after_keys,
     orientation,
     slope,
     swap_colors,
@@ -34,6 +37,8 @@ from balanced_lines.generators import (
     gen_random,
     gen_separated_convex,
 )
+from balanced_lines.rotation import End, EventKind, RotationEvent
+from support import side_just_after
 
 coords = st.integers(min_value=-1000, max_value=1000)
 
@@ -226,6 +231,95 @@ def test_reversal_swaps_sides(seed):
     rev = line.reversed
     for p in inst.points:
         assert line.side(p) is rev.side(p).flipped
+
+
+@st.composite
+def int_or_fraction_instances(draw):
+    """A small random instance, or its image under an exact affine map to Fractions."""
+    r = draw(st.integers(min_value=1, max_value=5))
+    inst = gen_random(draw(st.integers(min_value=0, max_value=10_000)),
+                      r, r + 2 * draw(st.integers(min_value=0, max_value=2)), 200)
+    if draw(st.booleans()):
+        inst = validate(build_points(
+            (Fraction(p.x, 12) + Fraction(1, 3), Fraction(p.y, 7) - Fraction(2, 5), p.color)
+            for p in inst.points
+        ))
+    return inst
+
+
+def _two_ids(data, inst):
+    a = data.draw(st.integers(min_value=0, max_value=inst.n - 1))
+    b = data.draw(st.integers(min_value=0, max_value=inst.n - 1).filter(lambda i: i != a))
+    return a, b
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_halfplane_weight_matches_side_recount(data):
+    inst = data.draw(int_or_fraction_instances())
+    a, b = _two_ids(data, inst)
+    lines = [
+        DirectedLine.through_points(inst, a, b),
+        DirectedLine.pivot_direction(inst, a, Direction.of(*data.draw(nonzero_vectors))),
+    ]
+    for line in lines:
+        for side in (Side.RIGHT, Side.LEFT):
+            recount = sum(p.weight for p in inst.points if line.side(p) is side)
+            assert halfplane_weight(line, inst, side) == recount
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_just_after_keys_match_per_point_rule(data):
+    # through a and b the line meets b exactly: ahead of a (a -> b) or behind it (b -> a)
+    inst = data.draw(int_or_fraction_instances())
+    a, b = _two_ids(data, inst)
+    pa, pb = inst.point(a), inst.point(b)
+    directions = [
+        Direction.of(pb.x - pa.x, pb.y - pa.y),
+        Direction.of(pa.x - pb.x, pa.y - pb.y),
+        Direction.of(*data.draw(nonzero_vectors)),
+    ]
+    for d in directions:
+        keys = just_after_keys(d, inst.points)
+        for p in inst.points:
+            if p.id != a:
+                right = side_just_after(d, pa.x, pa.y, p.x, p.y) is Side.RIGHT
+                assert (keys[p.id] < keys[a]) == right
+
+
+_D = Direction(3, -4)
+_LINE = DirectedLine(1, Fraction(1, 2), _D, (0, 1))
+RECORDS = {
+    "direction": (Direction, (3, -4)),
+    "line": (DirectedLine, (1, Fraction(1, 2), _D, (0, 1))),
+    "event": (RotationEvent, (_D, EventKind.WEIGHT_CHANGE, 0, 0, 1, End.HEAD, 0, 1, _LINE)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS))
+def test_record_contract(kind):
+    cls, fields = RECORDS[kind]
+    record, again = cls(*fields), cls(*fields)
+    assert tuple(record) == fields and record == fields  # a plain tuple underneath
+    assert record == again and hash(record) == hash(again)
+    assert hash(record) == hash(fields)
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], fields[0])
+    for order in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            order(record, again)
+
+
+def test_direction_keeps_memo_and_rank():
+    Direction.of.cache_clear()
+    assert Direction.of(6, -8) is Direction.of(6, -8) == Direction(3, -4)
+    assert Direction.of.cache_info().hits == 1
+    assert VERTICAL.rank is KEY_START
+    west = Direction(-1, 0)
+    assert west.rank == direction_key(VERTICAL, west)
+    assert repr(west) == "Direction(-1, 0)"
+    assert DirectedLine(0, 0, VERTICAL).span == ()
 
 
 def test_is_balanced_two_points():
