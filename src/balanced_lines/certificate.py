@@ -30,6 +30,7 @@ from .geometry import (
     GuaranteeViolation,
     Instance,
     Side,
+    ccw_arc_contains,
     halfplane_weight,
 )
 from .oracle import BalancedLine, enumerate_naive
@@ -98,13 +99,6 @@ class Certificate:
     total: int
 
 
-def _is_first_half(theta: Direction, d: Direction) -> bool:
-    if d == theta:
-        return True
-    c = theta.cross(d)
-    return c > 0 or (c == 0 and d == theta.antipode)
-
-
 def _flank_pool(inst: Instance, gamma: Gamma, family: tuple[int, ...], level: int):
     """Balanced central-strip boundary steps of one flank rotation, in sweep order.
 
@@ -142,6 +136,11 @@ def flank_lines(inst: Instance, gamma: Gamma, f_ids: tuple[int, ...],
 
 
 def _flank_picks(inst: Instance, gamma: Gamma, f_ids, h_ids):
+    """``flank_lines`` with the pools it picked from, keyed by (flank, level).
+
+    A departure qualifies when its direction lies on the closed half turn
+    from the flank's reference line (``ccw_arc_contains``).
+    """
     theta = gamma.waist.achieved_at
     pools: dict[tuple[str, int], list[Transition]] = {}
     picks: list[CertifiedLine] = []
@@ -158,7 +157,7 @@ def _flank_picks(inst: Instance, gamma: Gamma, f_ids, h_ids):
             for t in pool:
                 if t.from_omega != inst.delta:
                     continue
-                if not _is_first_half(base, t.direction):
+                if not ccw_arc_contains(base, base.antipode, t.direction):
                     continue
                 line = _line_of(inst, t, inst.delta)
                 if line.key in used:

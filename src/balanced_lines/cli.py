@@ -79,9 +79,12 @@ def _load_instance(path: str) -> Instance:
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _CliError(EXIT_BAD_PARAMS, f"cannot write {out_path}: {exc}")
 
 
 def cmd_gen(args) -> int:
@@ -223,14 +226,15 @@ def _verify_instance(inst: Instance) -> RunReport:
         report.checks["halving_line"] = halving.key in oracle_keys
         report.timings["halving"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    coupling = all(
-        check_level_coupling(inst, j)
-        for j in range(inst.r // 2 + 1)
-        if j + inst.delta <= inst.b - 1
-    )
-    report.checks["level_coupling"] = coupling
-    report.timings["coupling"] = time.perf_counter() - t0
+    if inst.r:  # no red point, no red rotation to couple
+        t0 = time.perf_counter()
+        coupling = all(
+            check_level_coupling(inst, j)
+            for j in range(inst.r // 2 + 1)
+            if j + inst.delta <= inst.b - 1
+        )
+        report.checks["level_coupling"] = coupling
+        report.timings["coupling"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     cert = verify_lower_bound(inst)

@@ -30,7 +30,6 @@ from operator import itemgetter
 from typing import Optional
 
 from .geometry import (
-    KEY_END,
     KEY_START,
     VERTICAL,
     Color,
@@ -248,11 +247,10 @@ def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
     levels = (len(strip) + 1) // 2
     for k in range(levels):
         trace = run_rotation(RotationSpec(strip, k, theta), inst)
-        spliced = build_splice(inst, best, trace)
-        if spliced is not None:
-            cand = _validated(spliced, inst, best.color, "splice", k, waist_cap=cap)
-            if cand is not None:
-                out.append(cand)
+        cand = _validated(build_splice(inst, best, trace), inst, best.color, "splice", k,
+                          waist_cap=cap)
+        if cand is not None:
+            out.append(cand)
         shifted = build_shift(inst, trace, best.color.opposite)
         if shifted is not None:
             cand = _validated(shifted, inst, best.color.opposite, "shift", k,
@@ -262,7 +260,7 @@ def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
     return out
 
 
-def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> Optional[SlidingRotation]:
+def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> SlidingRotation:
     """Follow the strip rotation except between its outermost meetings with the curve.
 
     Between the first and last direction where the rotating line lands on
@@ -270,6 +268,13 @@ def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> Optional[
     lift when they never meet.  Meetings inside a slide of the curve are
     ignored as junction choices; the validation step rejects any composite
     this makes unusable.
+
+    The lift starts at the rotation's start direction theta, so its arc
+    index is keyed from theta, and ``_clip_curve`` cuts its head [theta, t1]
+    and tail [t2, theta] at arcs found by bisection.  A meeting at theta
+    sorts last (a full turn), so t1 is never theta and the head is never
+    empty; t2 = theta bisects to the last arc, which ends there, and leaves
+    the tail empty.
     """
     theta = trace.start_direction
     marks = _curve_meetings(inst, best.sr, trace)
@@ -280,15 +285,15 @@ def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> Optional[
     (t1, piece1), (t2, piece2) = marks[0], marks[-1]
     if t1 == t2:
         return lifted
-    head = _clip_arcs(lifted.pieces, theta, t1)
+    keys, where = lifted.arc_index
+
+    def arc_at(t: Direction) -> int:  # the lift's arc holding t, or the one starting there
+        return where[bisect_right(keys, direction_key_from(theta, t)) - 1]
+
+    head = _clip_curve(lifted.pieces, 0, theta, arc_at(t1), t1)
     middle = _clip_curve(best.sr.pieces, piece1, t1, piece2, t2)
-    tail = _clip_arcs(lifted.pieces, t2, theta)
-    if middle is None:
-        return None
-    pieces = tuple(head + middle + tail)
-    if not pieces:
-        return None
-    return SlidingRotation(pieces, best.color)
+    tail = _clip_curve(lifted.pieces, arc_at(t2), t2, 0, theta)
+    return SlidingRotation(tuple(head + middle + tail), best.color)
 
 
 def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace):
@@ -345,50 +350,18 @@ def _in_span(dfrom: Direction, dto: Direction, t: Direction) -> bool:
     return ccw_arc_contains(dfrom, dto, t)
 
 
-def _clip_arcs(pieces: tuple[Piece, ...], w_from: Direction, w_to: Direction) -> list[Piece]:
-    """Restrict an arc-only lift to the window [w_from, w_to].
-
-    The pieces must be in walk order starting at the lift's start direction
-    (the window ends are measured from it; the start direction as a window
-    end means the very beginning or the very end of the full turn).
-    """
-    if w_from == w_to:
-        return []
-    start = pieces[0].d_from
-
-    def pos(d: Direction, at_end: bool):
-        if d == start:
-            return KEY_END if at_end else KEY_START
-        return direction_key_from(start, d)
-
-    lo = pos(w_from, False)
-    hi = pos(w_to, w_to == start)
-    out: list[Piece] = []
-    for i, piece in enumerate(pieces):
-        if not isinstance(piece, RotateArc):
-            raise GuaranteeViolation("a plain rotation lift holds a slide")
-        a_pos = pos(piece.d_from, False)
-        b_pos = pos(piece.d_to, i == len(pieces) - 1)
-        new_a, new_a_pos = (piece.d_from, a_pos) if a_pos >= lo else (w_from, lo)
-        new_b, new_b_pos = (piece.d_to, b_pos) if b_pos <= hi else (w_to, hi)
-        if new_a_pos < new_b_pos:
-            out.append(RotateArc(piece.pivot, new_a, new_b))
-    return out
-
-
 def _clip_curve(pieces: tuple[Piece, ...], idx_from: int, w_from: Direction,
-                idx_to: int, w_to: Direction) -> Optional[list[Piece]]:
-    """Pieces of a cyclic curve from w_from (on piece idx_from) to w_to.
+                idx_to: int, w_to: Direction) -> list[Piece]:
+    """Pieces of a cyclic curve from w_from (on arc idx_from) to w_to (on arc idx_to).
 
-    Both window ends must sit on rotation arcs; slides interior to the
-    window are kept whole.  A window end on a shared piece boundary clips
-    to zero length on its side, so the neighbouring piece carries it.
+    Both indexes are arc positions: meetings from ``_curve_meetings``, or
+    arcs of a lift's index.  The pieces strictly between the two arcs are
+    kept whole, as one slice or, when the window wraps past the end of the
+    tuple, two.  A window end on a shared piece boundary clips to zero
+    length on its side, so the neighbouring piece carries it.
     """
-    n = len(pieces)
     entry = pieces[idx_from]
     exit_ = pieces[idx_to]
-    if not isinstance(entry, RotateArc) or not isinstance(exit_, RotateArc):
-        return None
     if idx_from == idx_to:
         forward = (
             w_to != entry.d_from
@@ -402,14 +375,10 @@ def _clip_curve(pieces: tuple[Piece, ...], idx_from: int, w_from: Direction,
     out: list[Piece] = []
     if w_from != entry.d_to:
         out.append(RotateArc(entry.pivot, w_from, entry.d_to))
-    i = (idx_from + 1) % n
-    steps = 0
-    while i != idx_to:
-        out.append(pieces[i])
-        i = (i + 1) % n
-        steps += 1
-        if steps > n:
-            return None
+    if idx_from < idx_to:
+        out += pieces[idx_from + 1:idx_to]
+    else:
+        out += pieces[idx_from + 1:] + pieces[:idx_to]
     if w_to != exit_.d_from:
         out.append(RotateArc(exit_.pivot, exit_.d_from, w_to))
     return out

@@ -312,7 +312,6 @@ class Ratio:
 _RATIO_ZERO = Ratio(0, 1)
 
 KEY_START = (0, 0, _RATIO_ZERO)  # before everything: the base itself, walks that begin there
-KEY_END = (5, 0, _RATIO_ZERO)  # after everything: the base seen as a full turn
 _KEY_ANTIPODE = (2, 0, _RATIO_ZERO)
 _KEY_BASE = (4, 0, _RATIO_ZERO)
 _PREFIX_BITS = 64
@@ -329,8 +328,8 @@ def direction_key(base: Direction, d: Direction) -> tuple:
     ``prefix`` is ``floor(num * 2**64 / den)``.  A floor is monotone, so
     when two prefixes differ they already order the keys, by integer
     comparisons alone; only two keys whose prefixes tie reach the exact
-    ``Ratio`` comparison.  The axis halves and ``KEY_START``/``KEY_END``
-    carry prefix 0.  Callers that meet the same pairs again use the memoized
+    ``Ratio`` comparison.  The axis halves and ``KEY_START`` carry prefix
+    0.  Callers that meet the same pairs again use the memoized
     ``direction_key_from``; one-off directions take this uncached form, so
     they do not fill the memo.
     """

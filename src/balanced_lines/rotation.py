@@ -343,6 +343,8 @@ def check_level_coupling(inst: Instance, j: int) -> bool:
     the blue rotation dropping below delta forces the red one to stay at or
     below it.  A False return signals an implementation bug.
     """
+    if not inst.r:
+        raise LevelOutOfRange("no red point: r=0 has no red rotation to couple")
     if not 0 <= j <= inst.r // 2:
         raise LevelOutOfRange(f"j={j} outside [0, {inst.r // 2}]")
     if j + inst.delta > inst.b - 1:

@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import Iterator, Union
 
 from .geometry import (
-    FENCE_KEY,
     KEY_START,
     BalancedLinesError,
     Color,
@@ -234,9 +233,9 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
     piece is counted in full; after it the weight steps by the point crossed
     at each fence: a point met by the head of the rotating line moves to the
     right halfplane, one met by the tail leaves it, and a slide passes the
-    points whose offsets lie between its ends.  Each arc bisects its range
-    out of the pivot's fences (``Instance.fences``) instead of testing every
-    direction against the arc.
+    points whose offsets lie between its ends.  Each arc cuts its range out
+    of the pivot's fences (``Instance.fences``) with ``fences_within``, two
+    bisections, instead of testing every direction against the arc.
     """
     pts = inst.points
     out: list[tuple[DirectedLine, int]] = []
@@ -244,12 +243,8 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
         if isinstance(piece, RotateArc):
             q = inst.point(piece.pivot)
             fences = inst.fences(q.id)
-            key_from = direction_key_from(VERTICAL, piece.d_from)
-            key_to = direction_key_from(VERTICAL, piece.d_to)
-            lo = bisect_right(fences, key_from, key=FENCE_KEY)
-            hi = bisect_left(fences, key_to, key=FENCE_KEY)
-            # an arc whose end keys lower wraps past the vertical direction
-            inside = fences[lo:hi] if key_from < key_to else fences[lo:] + fences[:hi]
+            inside = fences_within(fences, direction_key_from(VERTICAL, piece.d_from),
+                                   direction_key_from(VERTICAL, piece.d_to), ())
             bounds = [piece.d_from, *(d for _, d, _, _ in inside), piece.d_to]
             for j, (u, v) in enumerate(zip(bounds, bounds[1:])):
                 m = direction_between(u, v)

@@ -7,7 +7,8 @@ rotation pipeline.  Everything is deterministic in the seed.
 
 It also holds the linear-scan oracles of the indexed curve and trace
 queries: ``linear_evaluate_at``, ``linear_half_cycle_representatives``,
-``linear_waist``, ``recount_profile`` and ``linear_curve_meetings`` share
+``linear_waist``, ``brute_waist``, ``recount_profile`` and
+``linear_curve_meetings`` share
 nothing with the angular indexes and walks in the package beyond the exact
 primitives; ``linear_build_shift`` scans for its anchors (the pivot of each
 cut from ``linear_pivot_at``) and shares only the assembly of a curve from
@@ -263,6 +264,39 @@ def linear_waist(sr, inst: Instance) -> Waist:
         inside = frozenset(i for i in ids if o_low < t.offset(pts[i].x, pts[i].y) < o_high)
         if best is None or len(inside) < best.value:
             best = Waist(len(inside), t, inside, low, high)
+    return best
+
+
+def brute_waist(sr, inst):
+    """Independent oracle: scan representatives between all pairwise directions."""
+    ids = inst.ids_of(sr.subset_color)
+    pts = inst.points
+    start = sr.start_direction
+    raw = set(sr.piece_boundaries())
+    raw |= {d.antipode for d in sr.piece_boundaries()}
+    for i in range(inst.n):
+        for j in range(i + 1, inst.n):
+            d = Direction.of(pts[j].x - pts[i].x, pts[j].y - pts[i].y)
+            raw.add(d)
+            raw.add(d.antipode)
+    folded = {d if (d == start or start.cross(d) > 0) else d.antipode for d in raw}
+    folded.add(start)
+    ordered = sorted(
+        folded, key=lambda d: (0,) if d == start else direction_key_from(start, d)
+    )
+    reps = [direction_between(u, v) for u, v in zip(ordered, ordered[1:])]
+    reps.append(direction_between(ordered[-1], start.antipode))
+    best = None
+    for t in reps:
+        low = linear_evaluate_at(sr, inst, t)
+        high = linear_evaluate_at(sr, inst, t.antipode)
+        o_low = t.dx * low.ay - t.dy * low.ax
+        o_high = t.dx * high.ay - t.dy * high.ax
+        assert o_high > o_low
+        count = sum(
+            1 for i in ids if o_low < t.dx * pts[i].y - t.dy * pts[i].x < o_high
+        )
+        best = count if best is None else min(best, count)
     return best
 
 

@@ -15,11 +15,8 @@ import support
 from balanced_lines.geometry import (
     Color,
     DirectedLine,
-    Direction,
     Side,
     build_points,
-    direction_between,
-    direction_key_from,
     validate,
 )
 from balanced_lines.generators import gen_separated_convex
@@ -166,37 +163,6 @@ def test_criterion_7_level_coupling():
     report("7 level-coupling", f"{checked} level pairs on {len(pool)} instances")
 
 
-def brute_force_waist(sr, inst):
-    ids = inst.ids_of(sr.subset_color)
-    pts = inst.points
-    start = sr.start_direction
-    raw = set(sr.piece_boundaries())
-    raw |= {d.antipode for d in sr.piece_boundaries()}
-    for i in range(inst.n):
-        for j in range(i + 1, inst.n):
-            d = Direction.of(pts[j].x - pts[i].x, pts[j].y - pts[i].y)
-            raw.add(d)
-            raw.add(d.antipode)
-    folded = {d if (d == start or start.cross(d) > 0) else d.antipode for d in raw}
-    folded.add(start)
-    ordered = sorted(
-        folded, key=lambda d: (0,) if d == start else direction_key_from(start, d)
-    )
-    reps = [direction_between(u, v) for u, v in zip(ordered, ordered[1:])]
-    reps.append(direction_between(ordered[-1], start.antipode))
-    best = None
-    for t in reps:
-        low = support.linear_evaluate_at(sr, inst, t)
-        high = support.linear_evaluate_at(sr, inst, t.antipode)
-        o_low = t.dx * low.ay - t.dy * low.ax
-        o_high = t.dx * high.ay - t.dy * high.ax
-        count = sum(
-            1 for i in ids if o_low < t.dx * pts[i].y - t.dy * pts[i].x < o_high
-        )
-        best = count if best is None else min(best, count)
-    return best
-
-
 def test_criterion_8_waist_oracle(core_pool):
     checked = 0
     for inst in core_pool[:40]:
@@ -206,13 +172,13 @@ def test_criterion_8_waist_oracle(core_pool):
                 trace = run_rotation(RotationSpec(color, k), inst)
                 sr = lift_rotation(trace, inst, color)
                 w = waist(sr, inst)
-                assert w.value == brute_force_waist(sr, inst)
+                assert w.value == support.brute_waist(sr, inst)
                 checked += 1
     for inst in support.nested_pool() + support.recharge_pool():
         gamma = find_gamma(inst)
         if gamma is None:
             continue
-        assert gamma.waist.value == brute_force_waist(gamma.sr, inst)
+        assert gamma.waist.value == support.brute_waist(gamma.sr, inst)
         checked += 1
     report("8 waist-oracle", f"{checked} sliding rotations, exact agreement")
 

@@ -7,9 +7,13 @@ the pivots' fences, and the surgery's ``_curve_meetings`` and
 ``build_shift`` walk a trace in order; the oracles in ``support`` scan
 every piece, direction, tag, arc or point instead.  The curves are every one that the gamma search's
 membership check sees (plain, splice and shift), and the traces every
-rotation the search runs.
+rotation the search runs.  ``build_splice`` cuts its lift with
+``_clip_curve`` at arcs it bisects out of the lift's index; the cuts are
+checked against arcs found by a scan, and every splice of the search
+against a recorded digest.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -17,12 +21,19 @@ import pytest
 import support
 
 from balanced_lines import gamma as gamma_module
-from balanced_lines.geometry import VERTICAL, Color, Direction, direction_key_from
+from balanced_lines.geometry import (
+    VERTICAL,
+    Color,
+    Direction,
+    direction_between,
+    direction_key_from,
+)
 from balanced_lines.generators import gen_random
 from balanced_lines.rotation import EventKind, RotationSpec, run_rotation
 from balanced_lines.sliding import (
     InvalidCurve,
     NotPositivelyOriented,
+    RotateArc,
     Slide,
     curve_sweep,
     evaluate_at,
@@ -36,9 +47,13 @@ from balanced_lines.sliding import (
 
 
 def _search(instances):
-    """Run find_gamma on each instance; every checked curve, every trace and its instance."""
-    curves, runs = [], []
+    """Run find_gamma on each instance; every checked curve, every trace and its instance.
+
+    Also returns every ``build_splice`` result, in call order.
+    """
+    curves, runs, splices = [], [], []
     validated, run = gamma_module._validated, gamma_module.run_rotation
+    splice = gamma_module.build_splice
 
     def spy_validated(sr, inst, *args, **kwargs):
         curves.append((sr, inst, args[1]))
@@ -49,9 +64,14 @@ def _search(instances):
         runs.append((trace, inst))
         return trace
 
+    def spy_splice(inst, best, trace):
+        splices.append(splice(inst, best, trace))
+        return splices[-1]
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gamma_module, "_validated", spy_validated)
         mp.setattr(gamma_module, "run_rotation", spy_run)
+        mp.setattr(gamma_module, "build_splice", spy_splice)
         for inst in instances:
             gamma_module.find_gamma(inst)
     valid = []
@@ -61,7 +81,7 @@ def _search(instances):
         except InvalidCurve:
             continue
         valid.append((sr, inst, kind))
-    return valid, runs
+    return valid, runs, splices
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +94,7 @@ def search_log():
 
 @pytest.fixture(scope="module")
 def searched(search_log):
-    curves, runs = search_log
+    curves, runs, _ = search_log
     return curves, [trace for trace, _ in runs]
 
 
@@ -210,7 +230,7 @@ def test_curve_sweep_matches_linear_scan(searched):
 
 def test_curve_meetings_match_all_pairs(search_log):
     """Every trace of the search against every checked curve of its instance."""
-    curves, runs = search_log
+    curves, runs, _ = search_log
     pairs = 0
     for trace, inst in runs:
         for sr, curve_inst, _ in curves:
@@ -231,3 +251,41 @@ def test_build_shift_matches_scan(search_log):
         assert got == support.linear_build_shift(inst, trace, color.opposite)
         shifted += got is not None
     assert shifted
+
+
+def test_lift_windows_rejoin_to_the_lift():
+    """Cut at t, a lift's head [theta, t] and tail [t, theta] are its arcs split at t.
+
+    The arc holding t is found by a scan with ``RotateArc.contains``, not
+    by bisection; a cut at theta leaves the tail empty.
+    """
+    rng = random.Random(7)
+    cuts = 0
+    for seed in range(20):
+        inst = gen_random(seed, 2 + seed % 5, 2 + seed % 5 + 2 * (seed % 3), 1000)
+        for k in range(inst.r):
+            theta = Direction.of(rng.randint(-50, 50), rng.randint(1, 50))
+            arcs = lift_rotation(run_rotation(RotationSpec(Color.RED, k, theta), inst),
+                                 inst, Color.RED).pieces
+            mids = [direction_between(a.d_from, a.d_to) for a in arcs]
+            for t in [a.d_from for a in arcs[1:]] + mids:
+                j = next(i for i, a in enumerate(arcs) if a.contains(t) and t != a.d_to)
+                a = arcs[j]
+                head = [*arcs[:j], *([RotateArc(a.pivot, a.d_from, t)] if t != a.d_from else [])]
+                tail = [RotateArc(a.pivot, t, a.d_to), *arcs[j + 1:]]
+                assert gamma_module._clip_curve(arcs, 0, theta, j, t) == head
+                assert gamma_module._clip_curve(arcs, j, t, 0, theta) == tail
+                cuts += 1
+            assert gamma_module._clip_curve(arcs, len(arcs) - 1, theta, 0, theta) == []
+    assert cuts > 500
+
+
+SPLICE_DIGEST = (48, "8c2287f62c0e4c8f9dfc41d55667a5f02d6032c4223e9ca2e0a50276c01f3776")
+
+
+def test_build_splice_digest(search_log):
+    """Every splice the search builds, piece by piece, is the recorded one."""
+    splices = search_log[2]
+    assert any(s is not None for s in splices)
+    digest = hashlib.sha256("\n".join(map(repr, splices)).encode()).hexdigest()
+    assert (len(splices), digest) == SPLICE_DIGEST

@@ -115,6 +115,31 @@ def test_unknown_subset_ids_exit_2(run, sep44, argv):
     assert err.startswith("error: rotation subset names unknown point ids")
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "random", "-r", "2", "-b", "4", "-o", "{missing}/x.json"),
+    ("plot", "{instance}", "-o", "{missing}/x.svg"),
+], ids=["gen", "plot"])
+def test_unwritable_output_exit_2(run, sep44, tmp_path, argv):
+    missing = tmp_path / "no-such-dir"
+    code, out, err = run(*(a.format(instance=sep44, missing=missing) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {missing}/x.")
+    assert "Traceback" not in err
+
+
+def test_verify_without_red_points(run, tmp_path):
+    """r = 0 has no red rotation to couple; the certificate still holds."""
+    path = tmp_path / "r0.json"
+    assert run("gen", "random", "-r", "0", "-b", "4", "--seed", "3", "-o", str(path))[0] == 0
+    code, out, err = run("verify", str(path))
+    assert code == 0, err
+    report = json.loads(out.strip())
+    assert (report["r"], report["certificate_total"]) == (0, 0)
+    assert "level_coupling" not in report["checks"]
+    assert all(report["checks"].values())
+
+
 def test_verify_reports(run, sep44):
     code, out, err = run("verify", sep44)
     assert code == 0

@@ -181,6 +181,8 @@ def test_level_coupling_out_of_range():
     inst = gen_random(1, 4, 4, 1000)
     with pytest.raises(LevelOutOfRange):
         check_level_coupling(inst, 3)
+    with pytest.raises(LevelOutOfRange, match="r=0"):
+        check_level_coupling(gen_random(3, 0, 4, 1000), 0)
 
 
 def test_custom_start_direction():

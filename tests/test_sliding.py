@@ -8,8 +8,6 @@ from balanced_lines.geometry import (
     Direction,
     Side,
     build_points,
-    direction_between,
-    direction_key_from,
     halfplane_weight,
     validate,
 )
@@ -35,39 +33,6 @@ from balanced_lines.gamma import build_shift
 def lifted(inst, color, k, start=None):
     spec = RotationSpec(color, k) if start is None else RotationSpec(color, k, start)
     return lift_rotation(run_rotation(spec, inst), inst, color)
-
-
-def brute_waist(sr, inst):
-    """Independent oracle: scan representatives between all pairwise directions."""
-    ids = inst.ids_of(sr.subset_color)
-    pts = inst.points
-    start = sr.start_direction
-    raw = set(sr.piece_boundaries())
-    raw |= {d.antipode for d in sr.piece_boundaries()}
-    for i in range(inst.n):
-        for j in range(i + 1, inst.n):
-            d = Direction.of(pts[j].x - pts[i].x, pts[j].y - pts[i].y)
-            raw.add(d)
-            raw.add(d.antipode)
-    folded = {d if (d == start or start.cross(d) > 0) else d.antipode for d in raw}
-    folded.add(start)
-    ordered = sorted(
-        folded, key=lambda d: (0,) if d == start else direction_key_from(start, d)
-    )
-    reps = [direction_between(u, v) for u, v in zip(ordered, ordered[1:])]
-    reps.append(direction_between(ordered[-1], start.antipode))
-    best = None
-    for t in reps:
-        low = support.linear_evaluate_at(sr, inst, t)
-        high = support.linear_evaluate_at(sr, inst, t.antipode)
-        o_low = t.dx * low.ay - t.dy * low.ax
-        o_high = t.dx * high.ay - t.dy * high.ax
-        assert o_high > o_low
-        count = sum(
-            1 for i in ids if o_low < t.dx * pts[i].y - t.dy * pts[i].x < o_high
-        )
-        best = count if best is None else min(best, count)
-    return best
 
 
 def test_lift_is_valid_curve():
@@ -123,7 +88,7 @@ def test_waist_matches_brute_force():
     for k in (0, 1, 2):
         sr = lifted(inst, Color.RED, k)
         w = waist(sr, inst)
-        assert w.value == brute_waist(sr, inst)
+        assert w.value == support.brute_waist(sr, inst)
         assert w.value == len(w.witnesses)
         assert set(w.witnesses) <= set(inst.red_ids)
 
@@ -132,7 +97,7 @@ def test_waist_on_separated():
     inst = gen_separated_convex(5, 5)
     sr = lifted(inst, Color.RED, 0)
     w = waist(sr, inst)
-    assert w.value == brute_waist(sr, inst)
+    assert w.value == support.brute_waist(sr, inst)
     assert w.value <= inst.r - 2
 
 

@@ -10,13 +10,16 @@ stay the two that exist: a new ``lru_cache`` or ``functools.cache`` would
 hold the directions of every instance ever seen, where per-instance tables
 (``Instance.fences``) are freed with their instance.  Outside the SVG
 renderer the package computes exactly: no float literal, no ``float(``
-call and nothing from ``math`` but ``gcd``.
+call and nothing from ``math`` but ``gcd``.  Every module-level function,
+class and constant of the package is read somewhere in ``src/``, ``tests/``
+or ``perfbench/``, so dead definitions do not accumulate either.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "balanced_lines"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "balanced_lines"
 
 
 def _problems(path: Path) -> list[str]:
@@ -145,4 +148,44 @@ def test_no_floats_in_exact_core():
     paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "svg.py"]
     assert len(paths) >= 8  # the check still finds the package
     problems = [p for path in paths for p in _inexact(path)]
+    assert not problems, "\n".join(problems)
+
+
+def _module_names(path: Path) -> dict[str, int]:
+    """The functions, classes and constants a module defines at top level, with their lines."""
+    names = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((n.id, node.lineno) for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def _read_names(path: Path) -> set[str]:
+    """Every name the file loads, bare or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_no_unread_module_names():
+    # perfbench/reference is a frozen earlier copy of the package: its reads
+    # would keep names alive that the package itself no longer needs
+    sources = [path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")
+               if "reference" not in path.relative_to(ROOT).parts]
+    read = set().union(*map(_read_names, sources))
+    problems = [
+        f"{path.name}:{line}: {name} is defined but never read"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in _module_names(path).items()
+        if name not in read and name != "__version__"
+    ]
+    assert len(sources) > 20  # the check still finds the sources
     assert not problems, "\n".join(problems)
