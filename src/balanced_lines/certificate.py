@@ -12,8 +12,9 @@ provenance explaining which mechanism produced it:
   point is recharged: it induces a crossing back toward the boundary in
   that flank's rotation, which forces one more balanced crossing there.
 
-Every certified line is re-checked by exact recount and against the naive
-enumeration before the certificate is returned.
+Before the certificate is returned, every certified line is recounted once
+by ``geometry.is_balanced``, which shares nothing with the rotations and
+curves that chose it; the cubic ``oracle.enumerate_naive`` is not needed.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from .geometry import (
     Side,
     ccw_arc_contains,
     halfplane_weight,
+    is_balanced,
 )
-from .oracle import BalancedLine, enumerate_naive
+from .oracle import BalancedLine
 from .rotation import (
     RotationSpec,
     Transition,
@@ -45,8 +47,6 @@ from .gamma import (
     _split_fhg,
     central_transitions,
     find_gamma,
-    in_central_region,
-    transition_low,
 )
 
 
@@ -105,17 +105,8 @@ def _flank_pool(inst: Instance, gamma: Gamma, family: tuple[int, ...], level: in
     Both step directions qualify: each spans a balanced line when the
     crossed point has the opposite color, and recharges may consume either.
     """
-    theta = gamma.waist.achieved_at
-    trace = run_rotation(RotationSpec(frozenset(family), level, theta), inst)
-    low = transition_low(gamma.color, inst.delta)
-    pool = []
-    for t in transitions_at(trace, low, inst):
-        if not t.is_balanced:
-            continue
-        if not in_central_region(inst, gamma, t):
-            continue
-        pool.append(t)
-    return pool
+    trace = run_rotation(RotationSpec(frozenset(family), level, gamma.waist.achieved_at), inst)
+    return [t for t in central_transitions(inst, gamma, trace) if t.is_balanced]
 
 
 def _line_of(inst: Instance, t: Transition, delta: int) -> BalancedLine:
@@ -258,13 +249,12 @@ def _recharge(inst: Instance, gamma: Gamma, transition: Transition, f_ids, h_ids
 
 def verify_lower_bound(inst: Instance) -> Certificate:
     """Build and fully verify a certificate of at least r balanced lines."""
-    oracle = {l.key for l in enumerate_naive(inst)}
     gamma = find_gamma(inst)
     if gamma is None:
         cert = _direct_certificate(inst)
     else:
         cert = _gamma_certificate(inst, gamma)
-    _check_certificate(inst, cert, oracle)
+    _check_certificate(inst, cert)
     return cert
 
 
@@ -340,13 +330,14 @@ def _gamma_certificate(inst: Instance, gamma: Gamma) -> Certificate:
     )
 
 
-def _check_certificate(inst: Instance, cert: Certificate, oracle: set) -> None:
+def _check_certificate(inst: Instance, cert: Certificate) -> None:
     keys = [c.line.key for c in cert.lines]
     if len(set(keys)) != len(keys):
         raise CertificateFailure("certified lines are not pairwise distinct")
-    for c in cert.lines:
-        if c.line.key not in oracle:
-            raise CertificateFailure(f"certified line {c.line.key} not in the oracle set")
+    for red, blue in keys:
+        colors = (inst.point(red).color, inst.point(blue).color)
+        if colors != (Color.RED, Color.BLUE) or not is_balanced(red, blue, inst):
+            raise CertificateFailure(f"line {(red, blue)} is not a balanced red/blue pair")
     if cert.total != len(cert.lines):
         raise CertificateFailure("total does not match the number of lines")
     if cert.total < inst.r:

@@ -29,6 +29,7 @@ from .geometry import (
     ValidationError,
     instance_from_json,
     instance_to_json,
+    is_balanced,
 )
 from .oracle import (
     enumerate_naive,
@@ -206,7 +207,6 @@ def _verify_instance(inst: Instance) -> RunReport:
     report.checks["oracle_agreement"] = naive == sweep
     report.balanced_count = len(sweep)
     report.checks["count_at_least_r"] = len(sweep) >= inst.r
-    oracle_keys = {l.key for l in naive}
 
     t0 = time.perf_counter()
     ok = True
@@ -215,7 +215,7 @@ def _verify_instance(inst: Instance) -> RunReport:
         for k in range(len(ids)):
             trace = run_rotation(RotationSpec(color, k), inst)
             for t in transitions_at(trace, low, inst):
-                if not t.is_balanced:
+                if not (t.is_balanced and is_balanced(t.pivot_id, t.crossed_id, inst)):
                     ok = False
     report.timings["transitions"] = time.perf_counter() - t0
     report.checks["transitions_balanced"] = ok
@@ -223,7 +223,7 @@ def _verify_instance(inst: Instance) -> RunReport:
     if inst.r % 2 == 1:
         t0 = time.perf_counter()
         halving = find_balanced_halving(inst)
-        report.checks["halving_line"] = halving.key in oracle_keys
+        report.checks["halving_line"] = halving in naive
         report.timings["halving"] = time.perf_counter() - t0
 
     if inst.r:  # no red point, no red rotation to couple
@@ -251,18 +251,16 @@ def cmd_verify(args) -> int:
     for path in args.instances:
         instances.append((path, _load_instance(path)))
     if args.random_batch:
+        if args.max_points < 2:
+            raise _CliError(EXIT_BAD_PARAMS, "--max-points must be at least 2 for a random batch")
         seed0 = args.seed if args.seed is not None else _default_seed()
+        # delta cycles over the values whose smallest instance (r = 1) fits
+        deltas = [d for d in range(4) if 2 + 2 * d <= args.max_points]
         for i in range(args.random_batch):
-            delta = i % 4
-            r = 1 + i % max(1, (args.max_points - 2 * delta) // 2)
-            b = r + 2 * delta
-            while r + b > args.max_points:
-                r -= 1
-                b = r + 2 * delta
-            if r < 1:
-                continue
+            delta = deltas[i % len(deltas)]
+            r = 1 + i % ((args.max_points - 2 * delta) // 2)
             instances.append(
-                (f"random[{seed0 + i}]", gen_random(seed0 + i, r, b, args.bound))
+                (f"random[{seed0 + i}]", gen_random(seed0 + i, r, r + 2 * delta, args.bound))
             )
     if not instances:
         raise _CliError(EXIT_BAD_PARAMS, "nothing to verify")

@@ -206,19 +206,12 @@ def _split_fhg(inst: Instance, gamma: Gamma) -> tuple[
     return tuple(flank_f), tuple(flank_h), tuple(strip)
 
 
-def central_region_bounds(inst: Instance, gamma: Gamma, t: Direction):
-    """Offsets (low, high) of the strip between the curve's lines at t and t + pi."""
-    low = evaluate_at(gamma.sr, inst, t)
-    high = evaluate_at(gamma.sr, inst, t.antipode)
-    return low.offset(t), high.offset(t)
-
-
 def in_central_region(inst: Instance, gamma: Gamma, transition: Transition) -> bool:
     """Whether the transition's line lies inside or on the strip boundary."""
     t = transition.direction
-    o_low, o_high = central_region_bounds(inst, gamma, t)
-    o = transition.line.offset(t)
-    return o_low <= o <= o_high
+    o_low = evaluate_at(gamma.sr, inst, t).offset(t)  # the strip: the curve's lines at t, t + pi
+    o_high = evaluate_at(gamma.sr, inst, t.antipode).offset(t)
+    return o_low <= transition.line.offset(t) <= o_high
 
 
 def central_transitions(inst: Instance, gamma: Gamma, trace: RotationTrace) -> list[Transition]:

@@ -635,16 +635,25 @@ def halfplane_weight(line: DirectedLine, inst: Instance, side: Side) -> int:
     return sum(p.weight for p in inst.points if offset(p.x, p.y) > o)
 
 
-def is_balanced(id_red: int, id_blue: int, inst: Instance) -> bool:
-    """True when the line spanned by the pair leaves weight delta on each side."""
-    a, b = inst.point(id_red), inst.point(id_blue)
+def is_balanced(id_a: int, id_b: int, inst: Instance) -> bool:
+    """True when the line through the pair leaves weight delta on each side.
+
+    One pass of integer cross products relative to point ``id_a``, sharing
+    nothing with ``Direction`` or ``Instance.fences``: the recount that stays
+    independent of the construction.  Symmetric in the two ids.
+    """
+    a, b = inst.point(id_a), inst.point(id_b)
     if a.color is b.color:
-        raise SameColorPair(f"points {id_red} and {id_blue} have the same color")
-    line = DirectedLine.through_points(inst, id_red, id_blue)
-    return (
-        halfplane_weight(line, inst, Side.RIGHT) == inst.delta
-        and halfplane_weight(line, inst, Side.LEFT) == inst.delta
-    )
+        raise SameColorPair(f"points {id_a} and {id_b} have the same color")
+    dx, dy = b.x - a.x, b.y - a.y
+    right = left = 0
+    for p in inst.points:
+        c = dx * (p.y - a.y) - dy * (p.x - a.x)
+        if c < 0:
+            right += p.weight
+        elif c > 0:
+            left += p.weight
+    return right == left == inst.delta
 
 
 def instance_to_json(inst: Instance) -> str:

@@ -3,9 +3,9 @@
 Two methods: a cubic check of every red/blue pair against every other
 point, and an n^2 log n angular sweep around each red point.  The two must
 agree on every instance.  The sweep walks the same per-point angular order
-(``Instance.fences``) as the rotations and sliding profiles, so the naive
-check, which shares nothing with that table, is the cross-check of the
-construction: ``verify_lower_bound`` compares certificates against it.
+(``Instance.fences``) as the rotations and sliding profiles; the naive
+check shares nothing with that table and cross-checks the sweep.  Certificates
+use neither: ``verify_lower_bound`` recounts with ``geometry.is_balanced``.
 """
 
 from __future__ import annotations
@@ -66,11 +66,12 @@ def enumerate_sweep(inst: Instance) -> set[BalancedLine]:
 
     For anchor p the critical directions are its fences
     (``Instance.fences``), those toward and away from each other point;
-    between them the right-halfplane weight is constant.  A blue
-    point hit while the right weight (excluding the hit point) equals delta
-    spans a balanced line with the anchor.  The start weight of each anchor,
-    just past vertical, sums the points whose ``just_after_keys`` at
-    vertical are below the anchor's; the keys are built once per instance.
+    between them the right-halfplane weight is constant.  A blue point
+    hit while the right weight at that instant equals delta spans a
+    balanced line with the anchor (the rule ``rotation.transitions_at``
+    states).  The start weight of each anchor, just past vertical, sums the
+    points whose ``just_after_keys`` at vertical are below the anchor's;
+    the keys are built once per instance.
     """
     found = set()
     pts = inst.points

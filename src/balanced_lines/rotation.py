@@ -14,9 +14,9 @@ A point met by the head of the line (the ray in the sweep direction) moves
 from the left halfplane to the right one; a point met by the tail moves the
 other way.  All of this is computed with exact sign tests on the critical
 directions, walked in cyclic order from the start direction through each
-pivot's fences (``Instance.fences``).  ``oracle.enumerate_naive`` shares
-nothing with that table and is the cross-check of the balanced lines the
-walks report.
+pivot's fences (``Instance.fences``).  ``geometry.is_balanced`` shares
+nothing with that table and recounts every line a certificate takes from
+the walks.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .geometry import (
     _unordered,
     direction_between,
     direction_key,
-    halfplane_weight,
     just_after_keys,
 )
 from .oracle import BalancedLine
@@ -261,7 +260,11 @@ def transitions_at(trace: RotationTrace, low: int, inst: Instance) -> list[Trans
     """All weight steps between ``low`` and ``low + 1`` along the trace.
 
     Each is annotated with whether the snapshot line (through the pivot and
-    the crossed point) is a balanced line, checked by exact recount.
+    the crossed point) is balanced, in O(1): the instance weighs 2 delta, so
+    when the two points on the line differ in color (weight 0) the line is
+    balanced exactly when its right weight at the instant of the step is
+    delta.  That weight is ``omega_before`` for a head crossing and
+    ``omega_after`` for a tail crossing.
     """
     out = []
     for ev in trace.events:
@@ -274,12 +277,10 @@ def transitions_at(trace: RotationTrace, low: int, inst: Instance) -> list[Trans
 
 
 def _make_transition(ev: RotationEvent, inst: Instance) -> Transition:
-    pivot = inst.point(ev.pivot_before)
-    crossed = inst.point(ev.crossed_id)
+    instant = ev.omega_before if ev.end is End.HEAD else ev.omega_after
     balanced = (
-        pivot.color is not crossed.color
-        and halfplane_weight(ev.line, inst, Side.RIGHT) == inst.delta
-        and halfplane_weight(ev.line, inst, Side.LEFT) == inst.delta
+        inst.point(ev.pivot_before).color is not inst.point(ev.crossed_id).color
+        and instant == inst.delta
     )
     return Transition(
         ev.direction, ev.omega_before, ev.omega_after, ev.line,

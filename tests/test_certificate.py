@@ -1,16 +1,28 @@
+import dataclasses
 import gc
 import hashlib
 import json
 import weakref
 
+import pytest
+
 import support
 
-from balanced_lines import certificate as certificate_module
-from balanced_lines.geometry import Color, GuaranteeViolation, Side, build_points, validate
-from balanced_lines.generators import gen_random
-from balanced_lines.oracle import enumerate_naive
+from balanced_lines import certificate as certificate_module, oracle as oracle_module
+from balanced_lines.cli import main
+from balanced_lines.geometry import (
+    Color,
+    GuaranteeViolation,
+    Side,
+    build_points,
+    instance_to_json,
+    validate,
+)
+from balanced_lines.generators import gen_random, gen_separated_convex
+from balanced_lines.oracle import BalancedLine, enumerate_naive
 from balanced_lines.gamma import decompose_fhg, find_gamma, in_central_region
 from balanced_lines.certificate import (
+    CertificateFailure,
     RechargeRecord,
     certificate_to_json,
     flank_lines,
@@ -238,3 +250,61 @@ def test_certificate_total_below_balanced_count(small_random_pool):
     for inst in small_random_pool[:10]:
         cert = verify_lower_bound(inst)
         assert cert.total <= len(enumerate_naive(inst))
+
+
+def test_verify_needs_no_naive_enumeration(monkeypatch, nested_instances):
+    """Certificates recount their own lines; the cubic enumeration never runs."""
+    def refuse(inst):
+        raise RuntimeError("enumerate_naive called")
+
+    monkeypatch.setattr(oracle_module, "enumerate_naive", refuse)
+    monkeypatch.setattr(certificate_module, "enumerate_naive", refuse, raising=False)
+    pool = nested_instances[:6] + [gen_separated_convex(3, 5), gen_random(13, 6, 8, 1000)]
+    kinds = set()
+    for inst in pool:
+        cert = verify_lower_bound(inst)
+        assert cert.total >= inst.r
+        kinds.add(cert.gamma is None)
+    assert kinds == {True, False}  # both the direct and the curve accounting ran
+
+
+def _mutants(inst, cert):
+    """Broken copies of a valid certificate, each of which the final check must reject."""
+    lines = list(cert.lines)
+    first = lines[0]
+    red, blue = first.line.key
+    balanced = {l.key for l in enumerate_naive(inst)}
+    partner = next(b for b in inst.blue_ids if (red, b) not in balanced)
+
+    def with_first(line):
+        return dataclasses.replace(
+            cert, lines=(dataclasses.replace(first, line=line),) + cert.lines[1:])
+
+    return {
+        "duplicated": dataclasses.replace(cert, lines=tuple(lines[:-1] + [first])),
+        "unbalanced partner": with_first(BalancedLine(red, partner, first.line.weights)),
+        "exchanged ids": with_first(BalancedLine(blue, red, first.line.weights)),
+        "short total": dataclasses.replace(cert, lines=tuple(lines[:-1]), total=len(lines) - 1),
+    }
+
+
+@pytest.mark.parametrize("kind", ["duplicated", "unbalanced partner", "exchanged ids",
+                                  "short total"])
+def test_check_rejects_broken_certificates(kind):
+    # direct accounting, then a curve certificate
+    for inst in (gen_separated_convex(4, 6), support.gen_nested(4, 8, 6, Color.BLUE)):
+        cert = verify_lower_bound(inst)
+        with pytest.raises(CertificateFailure):
+            certificate_module._check_certificate(inst, _mutants(inst, cert)[kind])
+
+
+def test_cli_reports_a_broken_certificate(monkeypatch, tmp_path, capsys):
+    inst = gen_separated_convex(4, 4)
+    path = tmp_path / "sep44.json"
+    path.write_text(instance_to_json(inst))
+    mutant = _mutants(inst, certificate_module._direct_certificate(inst))["exchanged ids"]
+    monkeypatch.setattr(certificate_module, "_direct_certificate", lambda _inst: mutant)
+    assert main(["certificate", str(path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: line ") and "Traceback" not in err

@@ -159,6 +159,27 @@ def test_verify_random_batch(run):
         assert rep["certificate_total"] <= rep["balanced_count"]
 
 
+def test_verify_random_batch_counts_every_instance(run):
+    """With room for fewer deltas, the batch still verifies as many instances as asked."""
+    def sizes(out):
+        return [(rep["r"], rep["b"]) for rep in map(json.loads, out.strip().split("\n"))]
+
+    code, out, err = run("verify", "--random-batch", "3", "--max-points", "2", "--seed", "1")
+    assert code == 0, err
+    assert sizes(out) == [(1, 1)] * 3
+    assert "verified 3 instance(s)" in err
+    code, out, _ = run("verify", "--random-batch", "4", "--max-points", "5", "--seed", "1")
+    assert code == 0
+    assert sizes(out) == [(1, 1), (1, 3), (1, 1), (1, 3)]
+
+
+def test_verify_random_batch_without_room_exit_2(run):
+    code, out, err = run("verify", "--random-batch", "3", "--max-points", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --max-points")
+
+
 def test_verify_nothing_exit_2(run):
     code, _, _ = run("verify")
     assert code == 2

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import support
 
-from balanced_lines.geometry import Side, build_points, swap_colors, validate
+from balanced_lines.geometry import Color, Side, build_points, is_balanced, swap_colors, validate
 from balanced_lines.generators import gen_random, gen_separated_convex
 from balanced_lines.oracle import (
     count_balanced,
@@ -144,3 +144,17 @@ def test_naive_equals_pairwise_fractions():
                               Fraction(3, 7), Fraction(-5, 2), Fraction(1, 3))
         assert any(isinstance(p.x, Fraction) for p in inst.points)
         assert enumerate_naive(inst) == support.pairwise_naive(inst)
+
+
+def test_is_balanced_equals_naive_membership(nested_instances, mixed_instances,
+                                             recharge_instances):
+    """The per-line recount and the cubic enumeration agree on every red/blue pair."""
+    exact = _fraction_copy(support.gen_nested(4, 8, 6, Color.BLUE),
+                           Fraction(3, 7), Fraction(-5, 2), Fraction(1, 3))
+    assert any(isinstance(p.x, Fraction) for p in exact.points)
+    for inst in nested_instances + mixed_instances + recharge_instances + [exact]:
+        naive = {l.key for l in enumerate_naive(inst)}
+        for rid in inst.red_ids:
+            for bid in inst.blue_ids:
+                expected = (rid, bid) in naive
+                assert is_balanced(rid, bid, inst) is is_balanced(bid, rid, inst) is expected

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +11,7 @@ from balanced_lines.geometry import (
     Direction,
     Side,
     halfplane_weight,
+    is_balanced,
 )
 from balanced_lines.generators import gen_random, gen_separated_convex
 from balanced_lines.oracle import enumerate_naive
@@ -206,3 +209,27 @@ def test_trace_jsonl_shape():
     assert len(records) == len(trace.events)
     for rec in records:
         assert set(rec) >= {"dir", "kind", "pivot", "omega"}
+
+
+def test_transition_flag_is_the_independent_recount(nested_instances, mixed_instances,
+                                                    recharge_instances):
+    """Every boundary step's O(1) balance flag equals the color test and ``is_balanced``.
+
+    Red, blue and random-subset rotations at every level, around the boundaries
+    delta - 1, delta and delta + 1, so unbalanced steps and steps through a
+    point of the pivot's color are covered too.
+    """
+    seen = set()
+    for idx, inst in enumerate(nested_instances + mixed_instances + recharge_instances):
+        rng = random.Random(idx)
+        for subset in (Color.RED, Color.BLUE,
+                       frozenset(rng.sample(range(inst.n), 1 + idx % inst.n))):
+            for k in range(len(RotationSpec(subset, 0).resolve(inst))):
+                trace = run_rotation(RotationSpec(subset, k), inst)
+                for low in (inst.delta - 1, inst.delta, inst.delta + 1):
+                    for t in transitions_at(trace, low, inst):
+                        same = inst.point(t.pivot_id).color is inst.point(t.crossed_id).color
+                        expected = not same and is_balanced(t.pivot_id, t.crossed_id, inst)
+                        assert t.is_balanced is expected
+                        seen.add((same, expected))
+    assert seen == {(True, False), (False, False), (False, True)}

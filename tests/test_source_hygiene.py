@@ -12,7 +12,10 @@ hold the directions of every instance ever seen, where per-instance tables
 renderer the package computes exactly: no float literal, no ``float(``
 call and nothing from ``math`` but ``gcd``.  Every module-level function,
 class and constant of the package is read somewhere in ``src/``, ``tests/``
-or ``perfbench/``, so dead definitions do not accumulate either.
+or ``perfbench/``, so dead definitions do not accumulate either.  The two
+independent checkers, ``geometry.is_balanced`` and ``oracle.enumerate_naive``,
+load nothing of the angular machinery the construction is built from, so a
+fault there cannot hide behind the check meant to catch it.
 """
 
 import ast
@@ -164,15 +167,20 @@ def _module_names(path: Path) -> dict[str, int]:
     return names
 
 
-def _read_names(path: Path) -> set[str]:
-    """Every name the file loads, bare or as an attribute."""
+def _loads(tree: ast.AST) -> set[str]:
+    """Every name the tree loads, bare or as an attribute."""
     read = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             read.add(node.attr)
     return read
+
+
+def _read_names(path: Path) -> set[str]:
+    """Every name the file loads, bare or as an attribute."""
+    return _loads(ast.parse(path.read_text(), filename=str(path)))
 
 
 def test_no_unread_module_names():
@@ -188,4 +196,24 @@ def test_no_unread_module_names():
         if name not in read and name != "__version__"
     ]
     assert len(sources) > 20  # the check still finds the sources
+    assert not problems, "\n".join(problems)
+
+
+INDEPENDENT_CHECKERS = (("geometry.py", "is_balanced"), ("oracle.py", "enumerate_naive"))
+CONSTRUCTION_NAMES = {
+    "Direction", "DirectedLine", "direction_of", "direction_key", "direction_key_from",
+    "fences", "pair_fences", "halfplane_weight", "just_after_keys", "offset",
+}
+
+
+def test_independent_checkers_share_nothing_with_the_construction():
+    problems = []
+    for module, name in INDEPENDENT_CHECKERS:
+        path = PACKAGE / module
+        funcs = [node for node in ast.parse(path.read_text(), filename=str(path)).body
+                 if isinstance(node, ast.FunctionDef) and node.name == name]
+        assert len(funcs) == 1, f"{module} defines no single {name}"
+        shared = _loads(funcs[0]) & CONSTRUCTION_NAMES
+        if shared:
+            problems.append(f"{module}:{funcs[0].lineno}: {name} loads {sorted(shared)}")
     assert not problems, "\n".join(problems)
