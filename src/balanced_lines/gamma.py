@@ -99,21 +99,24 @@ def _validated(sr: SlidingRotation, inst: Instance, color: Color, kind: str,
                waist_cap: Optional[int] = None) -> Optional[Gamma]:
     """Full membership check; None when the curve does not qualify.
 
-    The waist computation itself detects orientation failures, and the
-    expensive preservation walk runs last so hopeless candidates drop out
-    early (``waist_cap`` prunes candidates that cannot improve).
+    Rejection comes first: the preservation test stops at the first weight
+    that breaks it, and most candidates that fail do so on their first
+    interval, so it runs before the full ``waist`` walk, which also detects
+    orientation failures; ``waist_cap`` then prunes candidates that cannot
+    improve.  Every failing filter returns None, so their order cannot
+    change which curves qualify.
     """
     try:
         validate_curve(sr, inst)
     except InvalidCurve:
+        return None
+    if not preserving_known and not is_delta_preserving_sliding(sr, inst):
         return None
     try:
         w = waist(sr, inst)
     except NotPositivelyOriented:
         return None
     if waist_cap is not None and w.value >= waist_cap:
-        return None
-    if not preserving_known and not is_delta_preserving_sliding(sr, inst):
         return None
     return Gamma(sr, color, w, kind, level)
 

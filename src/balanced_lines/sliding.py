@@ -236,9 +236,17 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
     points whose offsets lie between its ends.  Each arc cuts its range out
     of the pivot's fences (``Instance.fences``) with ``fences_within``, two
     bisections, instead of testing every direction against the arc.
+
+    The list of ``_profile_steps``, which yields the same entries one at a
+    time, so that ``is_delta_preserving_sliding`` can stop at the first
+    weight that breaks preservation.
     """
+    return list(_profile_steps(sr, inst))
+
+
+def _profile_steps(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[DirectedLine, int]]:
+    """The entries of ``sliding_profile``, lazily, in piece order."""
     pts = inst.points
-    out: list[tuple[DirectedLine, int]] = []
     for piece in sr.pieces:
         if isinstance(piece, RotateArc):
             q = inst.point(piece.pivot)
@@ -254,7 +262,7 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
                 else:
                     o_q = m.offset(q.x, q.y)
                     w = sum(p.weight for p in pts if m.offset(p.x, p.y) < o_q)
-                out.append((DirectedLine(q.x, q.y, m, (piece.pivot,)), w))
+                yield DirectedLine(q.x, q.y, m, (piece.pivot,)), w
         else:
             d = piece.direction
             offsets = [d.offset(p.x, p.y) for p in pts]
@@ -270,21 +278,28 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
             for a, b in zip(fences, fences[1:]):
                 rep = Fraction(a + b, 2)
                 ax, ay = _anchor_for_offset(d, rep)
-                out.append((DirectedLine(ax, ay, d), w))
+                yield DirectedLine(ax, ay, d), w
                 w += crossed.get(b, 0)
-    return out
 
 
 def _preserves_delta(color: Color, omegas, delta: int) -> bool:
-    """One-sided preservation of right-halfplane weights: red <= delta, blue >= delta."""
+    """One-sided preservation of right-halfplane weights: red <= delta, blue >= delta.
+
+    Stops at the first weight that breaks it, so ``omegas`` may be a lazy
+    iterable.
+    """
     if color is Color.RED:
-        return max(omegas) <= delta
-    return min(omegas) >= delta
+        return all(w <= delta for w in omegas)
+    return all(w >= delta for w in omegas)
 
 
 def is_delta_preserving_sliding(sr: SlidingRotation, inst: Instance) -> bool:
-    """One-sided preservation: red curves stay <= delta, blue curves >= delta."""
-    omegas = [w for _, w in sliding_profile(sr, inst)]
+    """One-sided preservation: red curves stay <= delta, blue curves >= delta.
+
+    Walks ``_profile_steps`` only up to the first interval that breaks it;
+    most curves that fail do so on the first one.
+    """
+    omegas = (w for _, w in _profile_steps(sr, inst))
     return _preserves_delta(sr.subset_color, omegas, inst.delta)
 
 

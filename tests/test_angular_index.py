@@ -35,9 +35,11 @@ from balanced_lines.sliding import (
     NotPositivelyOriented,
     RotateArc,
     Slide,
+    _preserves_delta,
     curve_sweep,
     evaluate_at,
     half_cycle_representatives,
+    is_delta_preserving_sliding,
     is_positively_oriented,
     lift_rotation,
     sliding_profile,
@@ -123,6 +125,17 @@ def test_waist_matches_linear_scan(searched):
 def test_profile_matches_recount(searched):
     for sr, inst, _ in searched[0]:
         assert sliding_profile(sr, inst) == support.recount_profile(sr, inst)
+
+
+def test_early_stop_preservation_matches_full_profile(searched):
+    """Stopping at the first bad weight decides as the whole profile does."""
+    outcomes = set()
+    for sr, inst, _ in searched[0]:
+        omegas = [w for _, w in sliding_profile(sr, inst)]
+        expected = _preserves_delta(sr.subset_color, omegas, inst.delta)
+        assert is_delta_preserving_sliding(sr, inst) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_evaluate_at_matches_linear_scan(searched):

@@ -3,9 +3,14 @@ import json
 
 import pytest
 
+import support
+
+from balanced_lines.certificate import verify_lower_bound
 from balanced_lines.cli import main
 from balanced_lines.generators import gen_separated_convex
-from balanced_lines.geometry import instance_to_json
+from balanced_lines.geometry import Color, instance_to_json
+from balanced_lines.rotation import RotationSpec, run_rotation
+from balanced_lines.svg import render_certificate, render_rotation
 
 
 @pytest.fixture()
@@ -215,6 +220,22 @@ def test_plot_deterministic(run, sep44, tmp_path):
     run("plot", sep44, "--what", "certificate", "-o", str(a))
     run("plot", sep44, "--what", "certificate", "-o", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of a rotation figure and a curve certificate figure of one nested
+# instance: every line the figures draw, the events' lines included.
+SVG_DIGEST = "67098d3c901c023d586da11830ba9c037c3ae946450999b922df4f6762322aee"
+
+
+def test_svg_digest():
+    inst = support.gen_nested(1, 8, 10, Color.RED)
+    cert = verify_lower_bound(inst)
+    assert cert.gamma is not None
+    trace = run_rotation(RotationSpec(Color.RED, 2), inst)
+    digest = hashlib.sha256()
+    digest.update(render_rotation(inst, trace).encode())
+    digest.update(render_certificate(inst, cert).encode())
+    assert digest.hexdigest() == SVG_DIGEST
 
 
 def test_certificate_json(run, sep44):
