@@ -206,7 +206,9 @@ def direction_of(vx: Coord, vy: Coord) -> "Direction":
 
     ``Direction.of`` is this function behind a memo, for callers that meet
     the same vectors again; one-off vectors (the fences of an instance) take
-    this uncached form, so they do not fill the memo.
+    this uncached form, so they do not fill the memo.  The record is built
+    from its fields in C (``tuple.__new__``), past ``NamedTuple``'s Python
+    ``__new__``.
     """
     if vx == 0 and vy == 0:
         raise ValueError("zero vector has no direction")
@@ -219,7 +221,10 @@ def direction_of(vx: Coord, vy: Coord) -> "Direction":
         )
         ix, iy = int(fx * scale), int(fy * scale)
     g = gcd(ix, iy)
-    return Direction(ix // g, iy // g)
+    return _new(Direction, (ix // g, iy // g))
+
+
+_new = tuple.__new__  # builds a tuple-backed record from its fields in C
 
 
 def _unordered(self, other):
@@ -247,7 +252,8 @@ class Direction(_DirectionFields):
 
     @property
     def antipode(self) -> "Direction":
-        return Direction(-self.dx, -self.dy)
+        dx, dy = self
+        return _new(Direction, (-dx, -dy))
 
     @property
     def perp_ccw(self) -> "Direction":
@@ -464,6 +470,22 @@ class Instance:
     def ids_of(self, color: Color) -> tuple[int, ...]:
         return self.red_ids if color is Color.RED else self.blue_ids
 
+    # The rows: one coordinate or weight per point, by id, so the hot loops
+    # index plain tuples instead of reading a LabeledPoint's attributes and
+    # its color's weight.  Cached on the instance, like the fence table.
+
+    @cached_property
+    def xs(self) -> tuple[Coord, ...]:
+        return tuple(p.x for p in self.points)
+
+    @cached_property
+    def ys(self) -> tuple[Coord, ...]:
+        return tuple(p.y for p in self.points)
+
+    @cached_property
+    def ws(self) -> tuple[int, ...]:
+        return tuple(p.color.weight for p in self.points)
+
     @cached_property
     def _fence_table(self) -> dict[int, tuple[tuple[tuple, Direction, int, bool], ...]]:
         return {}
@@ -482,19 +504,23 @@ class Instance:
         ``Direction.of``; ``direction_key``, not ``direction_key_from``) and
         equal their values.  No two points share an abscissa, so no fence is
         vertical: the tail's key is the head's with the half turned over
-        (1 and 3 swap) and the same prefix and ``Ratio``.
+        (1 and 3 swap) and the same prefix and ``Ratio``.  The table fills
+        one point at a time, on that point's first use, reading the
+        coordinate rows: a caller that walks a few points (the sweep
+        enumerator reads only the red ones) builds only theirs.
         """
         table = self._fence_table
         if pid not in table:
             q = self.point(pid)
+            qx, qy = q.x, q.y
             entries = []
-            for p in self.points:
-                if p.id == pid:
+            for other, (x, y) in enumerate(zip(self.xs, self.ys)):
+                if other == pid:
                     continue
-                head = direction_of(p.x - q.x, p.y - q.y)
+                head = direction_of(x - qx, y - qy)
                 half, prefix, ratio = key = direction_key(VERTICAL, head)
-                entries.append((key, head, p.id, True))
-                entries.append(((4 - half, prefix, ratio), head.antipode, p.id, False))
+                entries.append((key, head, other, True))
+                entries.append(((4 - half, prefix, ratio), head.antipode, other, False))
             table[pid] = tuple(sorted(entries, key=FENCE_KEY))
         return table[pid]
 
@@ -624,15 +650,18 @@ def halfplane_weight(line: DirectedLine, inst: Instance, side: Side) -> int:
 
     A full, exact recount: a point is right of the line when its offset
     against the line's direction is below the anchor's, left when above,
-    so each point costs one integer comparison and no ``Side``.
+    so each point costs one integer comparison and no ``Side``.  The loop
+    reads the rows (``Instance.xs``, ``ys``, ``ws``) and computes each
+    ``Direction.offset`` inline, with no call per point.
     """
     if side is Side.ON:
         raise ValueError("side must be LEFT or RIGHT")
-    offset = line.direction.offset
-    o = offset(line.ax, line.ay)
+    dx, dy = d = line.direction
+    o = d.offset(line.ax, line.ay)
+    rows = zip(inst.xs, inst.ys, inst.ws)
     if side is Side.RIGHT:
-        return sum(p.weight for p in inst.points if offset(p.x, p.y) < o)
-    return sum(p.weight for p in inst.points if offset(p.x, p.y) > o)
+        return sum(w for x, y, w in rows if dx * y - dy * x < o)
+    return sum(w for x, y, w in rows if dx * y - dy * x > o)
 
 
 def is_balanced(id_a: int, id_b: int, inst: Instance) -> bool:

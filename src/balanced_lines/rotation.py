@@ -101,7 +101,11 @@ class RotationSpec:
 
 
 class RotationEvent(NamedTuple):
-    """One state change of a rotation, with the line through pivot and crossed point."""
+    """One state change of a rotation: where, what kind, the pivots and the weights.
+
+    The line through the pivot and the crossed point is not stored; few
+    readers need it, and ``line_in`` builds it from the instance.
+    """
 
     direction: Direction
     kind: EventKind
@@ -111,9 +115,13 @@ class RotationEvent(NamedTuple):
     end: End
     omega_before: int
     omega_after: int
-    line: DirectedLine
 
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def line_in(self, inst: Instance) -> DirectedLine:
+        """The line through the pivot before the event and the crossed point."""
+        return DirectedLine(inst.xs[self.pivot_before], inst.ys[self.pivot_before],
+                            self.direction, (self.pivot_before, self.crossed_id))
 
 
 @dataclass(frozen=True)
@@ -179,8 +187,8 @@ def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
     direction: the initial pivot is the subset point of rank ``level``
     among the subset's keys (exactly ``level`` subset points right of its
     line just past the start direction), and the initial weight sums the
-    points whose keys are below the pivot's, in O(n + m log m) for a subset
-    of m points.  The walk then reads the pivot's fences
+    weight row (``Instance.ws``) over the points whose keys are below the
+    pivot's, in O(n + m log m) for a subset of m points.  The walk then reads the pivot's fences
     (``Instance.fences``) from the start direction on: first the keys above
     it, up to vertical, then the wrap past vertical up to the start
     direction inclusive.  A fence toward or away from a subset
@@ -188,17 +196,19 @@ def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
     direction in the new pivot's fences, found by bisection; any other
     fence is a weight step.  After the instance's fences are built, O(n log n)
     per point and once per instance, each event costs O(1) and each pivot
-    change O(log n).  Events and their lines are tuples, built in C.
+    change O(log n).  Events are tuples, built in C, and carry no line: each
+    step reads the weight row and builds nothing but its event
+    (``RotationEvent.line_in`` builds the line where it is read).
     """
     ids = spec.resolve(inst)
     d0 = spec.start_direction
-    pts = inst.points
+    ws = inst.ws
     subset = frozenset(ids)
 
-    keys = just_after_keys(d0, pts)
+    keys = just_after_keys(d0, inst.points)
     pivot = sorted(ids, key=keys.__getitem__)[spec.level]
     key_p = keys[pivot]
-    omega = sum(p.weight for p, key in zip(pts, keys) if key < key_p)
+    omega = sum(w for w, key in zip(ws, keys) if key < key_p)
 
     initial_pivot, initial_omega = pivot, omega
     key0 = direction_key(VERTICAL, d0)
@@ -207,27 +217,23 @@ def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
     new = tuple.__new__  # builds a record from its fields in C, past NamedTuple's Python __new__
     while True:
         fences = inst.fences(pivot)
-        p = pts[pivot]
         lo = bisect_right(fences, key, key=FENCE_KEY)
         stop = bisect_right(fences, key0, key=FENCE_KEY)
         order = range(lo, stop) if wrapped else chain(range(lo, len(fences)), range(stop))
         for i in order:
             key, d, other, head = fences[i]
-            o = pts[other]
             end = End.HEAD if head else End.TAIL
             if other in subset:
-                new_omega = omega if head else omega + p.weight - o.weight
+                new_omega = omega if head else omega + ws[pivot] - ws[other]
                 events.append(new(RotationEvent, (
                     d, EventKind.PIVOT_CHANGE, pivot, other, other, end, omega, new_omega,
-                    new(DirectedLine, (p.x, p.y, d, (pivot, other))),
                 )))
                 pivot, omega = other, new_omega
                 wrapped = wrapped or i < lo  # indices below lo come after the wrap
                 break
-            new_omega = omega + (o.weight if head else -o.weight)
+            new_omega = omega + (ws[other] if head else -ws[other])
             events.append(new(RotationEvent, (
                 d, EventKind.WEIGHT_CHANGE, pivot, pivot, other, end, omega, new_omega,
-                new(DirectedLine, (p.x, p.y, d, (pivot, other))),
             )))
             omega = new_omega
         else:
@@ -283,7 +289,7 @@ def _make_transition(ev: RotationEvent, inst: Instance) -> Transition:
         and instant == inst.delta
     )
     return Transition(
-        ev.direction, ev.omega_before, ev.omega_after, ev.line,
+        ev.direction, ev.omega_before, ev.omega_after, ev.line_in(inst),
         ev.pivot_before, ev.crossed_id, ev.end, balanced,
     )
 

@@ -40,12 +40,14 @@ from .geometry import (
     DirectedLine,
     Direction,
     Instance,
+    Side,
     VERTICAL,
     ccw_arc_contains,
     direction_between,
     direction_key,
     direction_key_from,
     fences_within,
+    halfplane_weight,
 )
 from .rotation import EventKind, RotationTrace
 
@@ -230,10 +232,11 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
     Arc intervals are split at every direction critical for the pivot;
     slide intervals at every offset of a crossed point.  Each entry pairs a
     representative line with its weight.  Only the first interval of each
-    piece is counted in full; after it the weight steps by the point crossed
-    at each fence: a point met by the head of the rotating line moves to the
-    right halfplane, one met by the tail leaves it, and a slide passes the
-    points whose offsets lie between its ends.  Each arc cuts its range out
+    arc is counted in full (``halfplane_weight``, over the instance's rows);
+    after it the weight steps by the weight row (``Instance.ws``) of the
+    point crossed at each fence: a point met by the head of the rotating
+    line moves to the right halfplane, one met by the tail leaves it, and a
+    slide passes the points whose offsets lie between its ends.  Each arc cuts its range out
     of the pivot's fences (``Instance.fences``) with ``fences_within``, two
     bisections, instead of testing every direction against the arc.
 
@@ -246,7 +249,7 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
 
 def _profile_steps(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[DirectedLine, int]]:
     """The entries of ``sliding_profile``, lazily, in piece order."""
-    pts = inst.points
+    ws = inst.ws
     for piece in sr.pieces:
         if isinstance(piece, RotateArc):
             q = inst.point(piece.pivot)
@@ -255,25 +258,24 @@ def _profile_steps(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direct
                                    direction_key_from(VERTICAL, piece.d_to), ())
             bounds = [piece.d_from, *(d for _, d, _, _ in inside), piece.d_to]
             for j, (u, v) in enumerate(zip(bounds, bounds[1:])):
-                m = direction_between(u, v)
+                line = DirectedLine(q.x, q.y, direction_between(u, v), (piece.pivot,))
                 if j:
                     _, _, other, head = inside[j - 1]
-                    w += pts[other].weight if head else -pts[other].weight
+                    w += ws[other] if head else -ws[other]
                 else:
-                    o_q = m.offset(q.x, q.y)
-                    w = sum(p.weight for p in pts if m.offset(p.x, p.y) < o_q)
-                yield DirectedLine(q.x, q.y, m, (piece.pivot,)), w
+                    w = halfplane_weight(line, inst, Side.RIGHT)
+                yield line, w
         else:
             d = piece.direction
-            offsets = [d.offset(p.x, p.y) for p in pts]
+            offsets = [d.offset(x, y) for x, y in zip(inst.xs, inst.ys)]
             lo, hi = sorted((offsets[piece.from_id], offsets[piece.to_id]))
             w = 0
             crossed: dict = {}  # offset strictly between the ends -> weight of its points
-            for p, o in zip(pts, offsets):
+            for pw, o in zip(ws, offsets):
                 if o <= lo:
-                    w += p.weight
+                    w += pw
                 elif o < hi:
-                    crossed[o] = crossed.get(o, 0) + p.weight
+                    crossed[o] = crossed.get(o, 0) + pw
             fences = [lo, *sorted(crossed), hi]
             for a, b in zip(fences, fences[1:]):
                 rep = Fraction(a + b, 2)
@@ -322,7 +324,7 @@ def curve_sweep(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direction
     half = start.antipode
     keys, where = sr.arc_index
     arcs = [sr.pieces[i] for i in where]
-    pts = inst.points
+    xs, ys = inst.xs, inst.ys
     ids = inst.ids_of(sr.subset_color)
     # arcs[:n_low] start in [start, start + pi); arcs[i_high] holds start + pi
     key_half = direction_key(start, half)
@@ -347,15 +349,14 @@ def curve_sweep(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direction
     for _, d, p, q in stops:
         if d != u:
             t = direction_between(u, d)
-            if stale_low:
-                pa = pts[a]
-                o = t.offset(pa.x, pa.y)
-                left_low = {i for i in ids if t.offset(pts[i].x, pts[i].y) > o}
-            if stale_high:
-                pb = pts[b]
-                o = t.offset(pb.x, pb.y)
-                left_high = {i for i in ids if t.offset(pts[i].x, pts[i].y) < o}
             if stale_low or stale_high:
+                tx, ty = t  # recounts read the rows, with t.offset inline per point
+                if stale_low:
+                    o = t.offset(xs[a], ys[a])
+                    left_low = {i for i in ids if tx * ys[i] - ty * xs[i] > o}
+                if stale_high:
+                    o = t.offset(xs[b], ys[b])
+                    left_high = {i for i in ids if tx * ys[i] - ty * xs[i] < o}
                 strip = left_low & left_high
                 stale_low = stale_high = False
             yield t, a, b, strip

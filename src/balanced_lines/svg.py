@@ -109,7 +109,7 @@ def render_rotation(inst: Instance, trace: RotationTrace) -> str:
     )
     body = [_infinite_line(view, start, CURVE)]
     for ev in trace.events:
-        body.append(_infinite_line(view, ev.line, LINE, dash="4 3"))
+        body.append(_infinite_line(view, ev.line_in(inst), LINE, dash="4 3"))
     return "\n".join(_header() + body + _points(view, inst) + ["</svg>"]) + "\n"
 
 

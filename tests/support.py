@@ -438,7 +438,6 @@ def tag_walk_rotation(spec, inst: Instance) -> RotationTrace:
             events.append(RotationEvent(
                 d, EventKind.PIVOT_CHANGE, pivot, other, other,
                 End.HEAD if at_head else End.TAIL, omega, new_omega,
-                DirectedLine(p.x, p.y, d, (pivot, other)),
             ))
             pivot, omega = other, new_omega
         elif qid == pivot:
@@ -446,7 +445,6 @@ def tag_walk_rotation(spec, inst: Instance) -> RotationTrace:
             new_omega = omega + (s.weight if end is End.HEAD else -s.weight)
             events.append(RotationEvent(
                 d, EventKind.WEIGHT_CHANGE, pivot, pivot, sid, end, omega, new_omega,
-                DirectedLine(p.x, p.y, d, (pivot, sid)),
             ))
             omega = new_omega
     return RotationTrace(spec, ids, d0, initial_pivot, initial_omega, tuple(events))

@@ -289,11 +289,10 @@ def test_just_after_keys_match_per_point_rule(data):
 
 
 _D = Direction(3, -4)
-_LINE = DirectedLine(1, Fraction(1, 2), _D, (0, 1))
 RECORDS = {
     "direction": (Direction, (3, -4)),
     "line": (DirectedLine, (1, Fraction(1, 2), _D, (0, 1))),
-    "event": (RotationEvent, (_D, EventKind.WEIGHT_CHANGE, 0, 0, 1, End.HEAD, 0, 1, _LINE)),
+    "event": (RotationEvent, (_D, EventKind.WEIGHT_CHANGE, 0, 0, 1, End.HEAD, 0, 1)),
 }
 
 
