@@ -47,6 +47,8 @@ from .gamma import (
     _split_fhg,
     central_transitions,
     find_gamma,
+    in_central_region,
+    transition_low,
 )
 
 
@@ -104,9 +106,13 @@ def _flank_pool(inst: Instance, gamma: Gamma, family: tuple[int, ...], level: in
 
     Both step directions qualify: each spans a balanced line when the
     crossed point has the opposite color, and recharges may consume either.
+    Balance is read first, in O(1) per step; only balanced steps pay for
+    ``in_central_region``, which evaluates the curve twice.
     """
     trace = run_rotation(RotationSpec(frozenset(family), level, gamma.waist.achieved_at), inst)
-    return [t for t in central_transitions(inst, gamma, trace) if t.is_balanced]
+    low = transition_low(gamma.color, inst.delta)
+    return [t for t in transitions_at(trace, low, inst)
+            if t.is_balanced and in_central_region(inst, gamma, t)]
 
 
 def _line_of(inst: Instance, t: Transition, delta: int) -> BalancedLine:
