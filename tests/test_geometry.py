@@ -1,3 +1,4 @@
+import math
 import operator
 from fractions import Fraction
 
@@ -265,6 +266,33 @@ def test_halfplane_weight_matches_side_recount(data):
     for line in lines:
         for side in (Side.RIGHT, Side.LEFT):
             recount = sum(p.weight for p in inst.points if line.side(p) is side)
+            assert halfplane_weight(line, inst, side) == recount
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_rows_and_fence_lines_match_points(data):
+    """The rows are the points' coordinates and weights, and each fence is the exact direction.
+
+    Every fence of a point is the primitive integer direction toward or
+    away from the other point (through the Fraction path of ``direction_of``
+    when the coordinates are Fractions), and ``halfplane_weight``, which
+    reads the rows, agrees with a per-point ``side`` recount on the line at
+    each fence.
+    """
+    inst = data.draw(int_or_fraction_instances())
+    assert inst.xs == tuple(p.x for p in inst.points)
+    assert inst.ys == tuple(p.y for p in inst.points)
+    assert inst.ws == tuple(p.weight for p in inst.points)
+    q = inst.point(data.draw(st.integers(min_value=0, max_value=inst.n - 1)))
+    for _, d, other, head in inst.fences(q.id):
+        p = inst.point(other)
+        vx, vy = (p.x - q.x, p.y - q.y) if head else (q.x - p.x, q.y - p.y)
+        assert type(d) is Direction and math.gcd(d.dx, d.dy) == 1
+        assert d.dx * vy == d.dy * vx and d.dx * vx + d.dy * vy > 0
+        line = DirectedLine.pivot_direction(inst, q.id, d)
+        for side in (Side.RIGHT, Side.LEFT):
+            recount = sum(s.weight for s in inst.points if line.side(s) is side)
             assert halfplane_weight(line, inst, side) == recount
 
 
