@@ -74,10 +74,9 @@ def enumerate_sweep(inst: Instance) -> set[BalancedLine]:
     the keys are built once per instance.
     """
     found = set()
-    pts = inst.points
     delta = inst.delta
-    weights = [p.weight for p in pts]
-    keys = just_after_keys(VERTICAL, pts)
+    weights = inst.ws
+    keys = just_after_keys(VERTICAL, inst.points)
     for rid in inst.red_ids:
         key_a = keys[rid]
         w = sum([wp for wp, key in zip(weights, keys) if key < key_a])
