@@ -201,6 +201,9 @@ class LabeledPoint:
         return self.color.weight
 
 
+_new = tuple.__new__  # builds a tuple-backed record from its fields in C
+
+
 def direction_of(vx: Coord, vy: Coord) -> "Direction":
     """The direction of a nonzero vector, as a primitive integer vector.
 
@@ -222,9 +225,6 @@ def direction_of(vx: Coord, vy: Coord) -> "Direction":
         ix, iy = int(fx * scale), int(fy * scale)
     g = gcd(ix, iy)
     return _new(Direction, (ix // g, iy // g))
-
-
-_new = tuple.__new__  # builds a tuple-backed record from its fields in C
 
 
 def _unordered(self, other):

@@ -188,17 +188,17 @@ def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
     among the subset's keys (exactly ``level`` subset points right of its
     line just past the start direction), and the initial weight sums the
     weight row (``Instance.ws``) over the points whose keys are below the
-    pivot's, in O(n + m log m) for a subset of m points.  The walk then reads the pivot's fences
-    (``Instance.fences``) from the start direction on: first the keys above
-    it, up to vertical, then the wrap past vertical up to the start
-    direction inclusive.  A fence toward or away from a subset
-    point hands the pivot over, and the walk goes on from the same
-    direction in the new pivot's fences, found by bisection; any other
-    fence is a weight step.  After the instance's fences are built, O(n log n)
-    per point and once per instance, each event costs O(1) and each pivot
-    change O(log n).  Events are tuples, built in C, and carry no line: each
-    step reads the weight row and builds nothing but its event
-    (``RotationEvent.line_in`` builds the line where it is read).
+    pivot's, in O(n + m log m) for a subset of m points.  The walk then
+    reads the pivot's fences (``Instance.fences``) from the start direction
+    on: first the keys above it, up to vertical, then the wrap past
+    vertical up to the start direction inclusive.  A fence toward or away
+    from a subset point hands the pivot over, and the walk goes on from the
+    same direction in the new pivot's fences, found by bisection; any other
+    fence is a weight step.  After the instance's fences are built,
+    O(n log n) per point and once per instance, each event costs O(1) and
+    each pivot change O(log n).  Events are tuples, built in C, and carry
+    no line: each step reads the weight row and builds nothing but its
+    event (``RotationEvent.line_in`` builds the line where it is read).
     """
     ids = spec.resolve(inst)
     d0 = spec.start_direction

@@ -236,9 +236,10 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
     after it the weight steps by the weight row (``Instance.ws``) of the
     point crossed at each fence: a point met by the head of the rotating
     line moves to the right halfplane, one met by the tail leaves it, and a
-    slide passes the points whose offsets lie between its ends.  Each arc cuts its range out
-    of the pivot's fences (``Instance.fences``) with ``fences_within``, two
-    bisections, instead of testing every direction against the arc.
+    slide passes the points whose offsets lie between its ends.  Each arc
+    cuts its range out of the pivot's fences (``Instance.fences``) with
+    ``fences_within``, two bisections, instead of testing every direction
+    against the arc.
 
     The list of ``_profile_steps``, which yields the same entries one at a
     time, so that ``is_delta_preserving_sliding`` can stop at the first
