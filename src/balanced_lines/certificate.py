@@ -32,6 +32,7 @@ from .geometry import (
     Instance,
     Side,
     ccw_arc_contains,
+    direction_of,
     halfplane_weight,
     is_balanced,
 )
@@ -226,7 +227,7 @@ def _recharge(inst: Instance, gamma: Gamma, transition: Transition, f_ids, h_ids
             f"crossed point {crossed.id} is neither a flank nor an opposite point"
         )
     g = inst.point(transition.pivot_id)
-    d_star = Direction.of(g.x - crossed.x, g.y - crossed.y)
+    d_star = direction_of(g.x - crossed.x, g.y - crossed.y)
     o_crossed = d_star.offset(crossed.x, crossed.y)
     level = 0
     for fid in family:

@@ -17,6 +17,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterator
 
 from . import svg
 from .certificate import certificate_to_json, verify_lower_bound
@@ -27,6 +29,7 @@ from .geometry import (
     Direction,
     Instance,
     ValidationError,
+    direction_of,
     instance_from_json,
     instance_to_json,
     is_balanced,
@@ -140,7 +143,7 @@ def _parse_subset(text: str):
 def _parse_direction(text: str) -> Direction:
     try:
         dx, dy = text.split(",")
-        return Direction.of(int(dx), int(dy))
+        return direction_of(int(dx), int(dy))
     except ValueError as exc:
         raise _CliError(EXIT_BAD_PARAMS, f"bad direction {text!r}: {exc}")
 
@@ -246,26 +249,27 @@ def _verify_instance(inst: Instance) -> RunReport:
     return report
 
 
+def _random_batch(args) -> Iterator[tuple[str, Instance]]:
+    """The ``--random-batch`` instances, drawn one at a time as the caller asks."""
+    seed0 = args.seed if args.seed is not None else _default_seed()
+    # delta cycles over the values whose smallest instance (r = 1) fits
+    deltas = [d for d in range(4) if 2 + 2 * d <= args.max_points]
+    for i in range(args.random_batch):
+        delta = deltas[i % len(deltas)]
+        r = 1 + i % ((args.max_points - 2 * delta) // 2)
+        yield f"random[{seed0 + i}]", gen_random(seed0 + i, r, r + 2 * delta, args.bound)
+
+
 def cmd_verify(args) -> int:
-    instances: list[tuple[str, Instance]] = []
-    for path in args.instances:
-        instances.append((path, _load_instance(path)))
-    if args.random_batch:
-        if args.max_points < 2:
-            raise _CliError(EXIT_BAD_PARAMS, "--max-points must be at least 2 for a random batch")
-        seed0 = args.seed if args.seed is not None else _default_seed()
-        # delta cycles over the values whose smallest instance (r = 1) fits
-        deltas = [d for d in range(4) if 2 + 2 * d <= args.max_points]
-        for i in range(args.random_batch):
-            delta = deltas[i % len(deltas)]
-            r = 1 + i % ((args.max_points - 2 * delta) // 2)
-            instances.append(
-                (f"random[{seed0 + i}]", gen_random(seed0 + i, r, r + 2 * delta, args.bound))
-            )
-    if not instances:
+    """Verify the files, all loaded before any output, then the batch, one instance at a time."""
+    instances = [(path, _load_instance(path)) for path in args.instances]
+    if args.random_batch and args.max_points < 2:
+        raise _CliError(EXIT_BAD_PARAMS, "--max-points must be at least 2 for a random batch")
+    count = len(instances) + max(args.random_batch, 0)
+    if not count:
         raise _CliError(EXIT_BAD_PARAMS, "nothing to verify")
     failed = 0
-    for name, inst in instances:
+    for name, inst in chain(instances, _random_batch(args)):
         try:
             report = _verify_instance(inst)
         except BalancedLinesError as exc:
@@ -279,7 +283,7 @@ def cmd_verify(args) -> int:
         sys.stdout.write(report.to_json() + "\n")
     if failed:
         raise _CliError(EXIT_CHECK_FAILED, f"{failed} instance(s) failed")
-    print(f"verified {len(instances)} instance(s)", file=sys.stderr)
+    print(f"verified {count} instance(s)", file=sys.stderr)
     return 0
 
 

@@ -39,7 +39,7 @@ from .geometry import (
     ccw_arc_contains,
     direction_between,
     direction_key,
-    direction_key_from,
+    direction_of,
     fences_within,
 )
 from .rotation import (
@@ -150,20 +150,17 @@ def find_gamma(inst: Instance) -> Optional[Gamma]:
 
     An empty family means no level rotation preserves delta at all, in
     which case the direct transition accounting already certifies the
-    lower bound and no curve is needed.
+    lower bound and no curve is needed.  Every surgery candidate has a
+    smaller waist than the ``best`` it was spawned from (``waist_cap``), so
+    the best of a round's candidates is the best of all curves seen so far.
     """
-    family = plain_candidates(inst)
-    if not family:
+    plain = plain_candidates(inst)
+    if not plain:
         return None
-    best = min(family, key=lambda c: c.sort_key)
-    while True:
-        improvements = [
-            c for c in surgery_candidates(inst, best) if c.waist.value < best.waist.value
-        ]
-        if not improvements:
-            return best
-        family.extend(improvements)
-        best = min(family, key=lambda c: c.sort_key)
+    best = min(plain, key=lambda c: c.sort_key)
+    while improvements := surgery_candidates(inst, best):
+        best = min(improvements, key=lambda c: c.sort_key)
+    return best
 
 
 def decompose_fhg(inst: Instance, gamma: Gamma) -> tuple[
@@ -277,14 +274,14 @@ def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> SlidingRo
     lifted = lift_rotation(trace, inst, best.color)
     if not marks:
         return lifted
-    marks.sort(key=lambda m: direction_key_from(theta, m[0]))
+    marks.sort(key=lambda m: direction_key(theta, m[0]))
     (t1, piece1), (t2, piece2) = marks[0], marks[-1]
     if t1 == t2:
         return lifted
     keys, where = lifted.arc_index
 
     def arc_at(t: Direction) -> int:  # the lift's arc holding t, or the one starting there
-        return where[bisect_right(keys, direction_key_from(theta, t)) - 1]
+        return where[bisect_right(keys, direction_key(theta, t)) - 1]
 
     head = _clip_curve(lifted.pieces, 0, theta, arc_at(t1), t1)
     middle = _clip_curve(best.sr.pieces, piece1, t1, piece2, t2)
@@ -333,7 +330,7 @@ def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace):
                         marks.append((d, idx))
                 continue
             c = pts[piece.pivot]
-            fwd = Direction.of(c.x - g.x, c.y - g.y)
+            fwd = direction_of(c.x - g.x, c.y - g.y)
             for d in (fwd, fwd.antipode):
                 if _in_span(dfrom, dto, d) and piece.contains(d):
                     marks.append((d, idx))
@@ -363,8 +360,8 @@ def _clip_curve(pieces: tuple[Piece, ...], idx_from: int, w_from: Direction,
             w_to != entry.d_from
             and (w_from == entry.d_from
                  or (w_from != entry.d_to
-                     and direction_key_from(entry.d_from, w_from)
-                     <= direction_key_from(entry.d_from, w_to)))
+                     and direction_key(entry.d_from, w_from)
+                     <= direction_key(entry.d_from, w_to)))
         )
         if forward:
             return [RotateArc(entry.pivot, w_from, w_to)]

@@ -16,6 +16,9 @@ of the same values (``Direction(0, 1) == (0, 1)``), and they cannot be
 ordered: ``<``, ``<=``, ``>`` and ``>=`` raise TypeError, because tuple
 order is not angular order (``Direction.rank`` and ``direction_key`` are).
 
+The package keeps no state between instances: what an instance needs again
+(its fences, its rows) is kept on the instance.
+
 Conventions used throughout the package:
 
 * a point is blue (+1) or red (-1); the weight of an open halfplane is the
@@ -207,11 +210,9 @@ _new = tuple.__new__  # builds a tuple-backed record from its fields in C
 def direction_of(vx: Coord, vy: Coord) -> "Direction":
     """The direction of a nonzero vector, as a primitive integer vector.
 
-    ``Direction.of`` is this function behind a memo, for callers that meet
-    the same vectors again; one-off vectors (the fences of an instance) take
-    this uncached form, so they do not fill the memo.  The record is built
-    from its fields in C (``tuple.__new__``), past ``NamedTuple``'s Python
-    ``__new__``.
+    The one direction constructor of the package, which keeps no state
+    between instances.  The record is built from its fields in C
+    (``tuple.__new__``), past ``NamedTuple``'s Python ``__new__``.
     """
     if vx == 0 and vy == 0:
         raise ValueError("zero vector has no direction")
@@ -242,9 +243,11 @@ class Direction(_DirectionFields):
     Stored as a primitive integer vector so equality and hashing are
     canonical.  The cyclic order starts at the vertical direction (0, 1)
     and advances counterclockwise; comparisons are sign computations only.
-    A tuple ``(dx, dy)`` underneath; the subclass keeps an instance
-    ``__dict__`` for the cached ``rank``.
+    A tuple ``(dx, dy)`` underneath, with no instance ``__dict__``.  ``of``
+    is ``direction_of`` behind a memo, which the package never calls.
     """
+
+    __slots__ = ()
 
     of = staticmethod(lru_cache(maxsize=1 << 16)(direction_of))
 
@@ -258,7 +261,7 @@ class Direction(_DirectionFields):
     @property
     def perp_ccw(self) -> "Direction":
         """The direction a quarter turn counterclockwise from this one."""
-        return Direction.of(-self.dy, self.dx)
+        return direction_of(-self.dy, self.dx)
 
     def cross(self, other: "Direction") -> int:
         return self.dx * other.dy - self.dy * other.dx
@@ -274,10 +277,10 @@ class Direction(_DirectionFields):
         """
         return self.dx * y - self.dy * x
 
-    @cached_property
+    @property
     def rank(self) -> tuple:
         """Sort key realizing the cyclic order from vertical, counterclockwise."""
-        return KEY_START if self == VERTICAL else direction_key_from(VERTICAL, self)
+        return KEY_START if self == VERTICAL else direction_key(VERTICAL, self)
 
     def __repr__(self) -> str:
         return f"Direction({self.dx}, {self.dy})"
@@ -335,9 +338,8 @@ def direction_key(base: Direction, d: Direction) -> tuple:
     when two prefixes differ they already order the keys, by integer
     comparisons alone; only two keys whose prefixes tie reach the exact
     ``Ratio`` comparison.  The axis halves and ``KEY_START`` carry prefix
-    0.  Callers that meet the same pairs again use the memoized
-    ``direction_key_from``; one-off directions take this uncached form, so
-    they do not fill the memo.
+    0.  The one angle key of the package, which keeps no state between
+    instances.
     """
     bx, by, dx, dy = base.dx, base.dy, d.dx, d.dy
     c = bx * dy - by * dx
@@ -349,7 +351,7 @@ def direction_key(base: Direction, d: Direction) -> tuple:
     return (3, (-num << _PREFIX_BITS) // -c, Ratio(-num, -c))
 
 
-direction_key_from = lru_cache(maxsize=1 << 18)(direction_key)
+direction_key_from = lru_cache(maxsize=1 << 18)(direction_key)  # for callers outside the package
 
 
 def ccw_arc_contains(d_from: Direction, d_to: Direction, t: Direction) -> bool:
@@ -373,9 +375,9 @@ def direction_between(u: Direction, v: Direction) -> Direction:
         raise ValueError("empty arc")
     c = u.cross(v)
     if c > 0:
-        return Direction.of(u.dx + v.dx, u.dy + v.dy)
+        return direction_of(u.dx + v.dx, u.dy + v.dy)
     if c < 0:
-        return Direction.of(-(u.dx + v.dx), -(u.dy + v.dy))
+        return direction_of(-(u.dx + v.dx), -(u.dy + v.dy))
     return u.perp_ccw  # antipodal endpoints
 
 
@@ -417,7 +419,7 @@ class DirectedLine(NamedTuple):
     @staticmethod
     def through_points(inst: "Instance", id_a: int, id_b: int) -> "DirectedLine":
         a, b = inst.point(id_a), inst.point(id_b)
-        return DirectedLine(a.x, a.y, Direction.of(b.x - a.x, b.y - a.y), (id_a, id_b))
+        return DirectedLine(a.x, a.y, direction_of(b.x - a.x, b.y - a.y), (id_a, id_b))
 
     @staticmethod
     def pivot_direction(inst: "Instance", pivot_id: int, direction: Direction) -> "DirectedLine":
@@ -499,10 +501,8 @@ class Instance:
         order from just past vertical, counterclockwise, vertical last.
         General position makes the 2(n-1) keys distinct.  Built on first use
         in O(n log n) and kept on the instance, so the table lives exactly as
-        long as the instance does.  Its directions and keys are computed once
-        per instance, so they skip both memos (``direction_of``, not
-        ``Direction.of``; ``direction_key``, not ``direction_key_from``) and
-        equal their values.  No two points share an abscissa, so no fence is
+        long as the instance does: the package keeps no state between
+        instances.  No two points share an abscissa, so no fence is
         vertical: the tail's key is the head's with the half turned over
         (1 and 3 swap) and the same prefix and ``Ratio``.  The table fills
         one point at a time, on that point's first use, reading the

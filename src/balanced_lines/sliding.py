@@ -45,7 +45,6 @@ from .geometry import (
     ccw_arc_contains,
     direction_between,
     direction_key,
-    direction_key_from,
     fences_within,
     halfplane_weight,
 )
@@ -99,7 +98,7 @@ class SlidingRotation:
     def arc_index(self) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
         """Start keys and piece positions of the arcs, in angular order.
 
-        Keys are ``direction_key_from(start_direction, d_from)``, with
+        Keys are ``direction_key(start_direction, d_from)``, with
         ``KEY_START`` for the first arc.  Raises InvalidCurve unless the
         arcs advance through exactly one full turn: the first arc starts at
         the start direction, the start keys increase strictly, and the last
@@ -111,7 +110,7 @@ class SlidingRotation:
         for i, piece in enumerate(self.pieces):
             if not isinstance(piece, RotateArc):
                 continue
-            key = KEY_START if piece.d_from == start else direction_key_from(start, piece.d_from)
+            key = KEY_START if piece.d_from == start else direction_key(start, piece.d_from)
             if not (keys[-1] < key if keys else key == KEY_START):
                 raise InvalidCurve("arcs do not advance through exactly one turn")
             keys.append(key)
@@ -153,37 +152,34 @@ def lift_rotation(trace: RotationTrace, inst: Instance, subset_color: Color) -> 
 
 
 def validate_curve(sr: SlidingRotation, inst: Instance) -> None:
-    """Check continuity and closure of the piece sequence, and a single turn."""
+    """Check continuity and closure of the piece sequence, and a single turn.
+
+    Each piece is checked once and its ends taken; then each end meets the
+    next piece's start on one line, the offsets read from the rows.
+    """
     if not sr.pieces:
         raise InvalidCurve("curve has no pieces")
     subset = set(inst.ids_of(sr.subset_color))
-
-    def endpoints(piece: Piece) -> tuple[tuple[Direction, int], tuple[Direction, int]]:
+    ends: list[tuple[Direction, int, Direction, int]] = []  # start, its anchor, end, its anchor
+    for piece in sr.pieces:
         if isinstance(piece, RotateArc):
             if piece.pivot not in subset:
                 raise InvalidCurve(f"arc pivot {piece.pivot} outside the subset")
             if piece.d_from == piece.d_to:
                 raise InvalidCurve("zero-length arc")
-            return ((piece.d_from, piece.pivot), (piece.d_to, piece.pivot))
-        if piece.from_id not in subset or piece.to_id not in subset:
-            raise InvalidCurve("slide endpoints must be subset points")
-        if piece.from_id == piece.to_id:
-            raise InvalidCurve("zero-length slide")
-        return ((piece.direction, piece.from_id), (piece.direction, piece.to_id))
-
-    n = len(sr.pieces)
-    for i, piece in enumerate(sr.pieces):
-        (_, _), (d_end, anchor_end) = endpoints(piece)
-        nxt = sr.pieces[(i + 1) % n]
-        (d_start, anchor_start), _ = endpoints(nxt)
-        if d_end != d_start:
-            raise InvalidCurve(
-                f"piece {i} ends at direction {d_end}, next starts at {d_start}"
-            )
-        a = inst.point(anchor_end)
-        b = inst.point(anchor_start)
-        if d_end.offset(a.x, a.y) != d_end.offset(b.x, b.y):
-            raise InvalidCurve(f"pieces {i} and {(i + 1) % n} do not share a line")
+            ends.append((piece.d_from, piece.pivot, piece.d_to, piece.pivot))
+        else:
+            if piece.from_id not in subset or piece.to_id not in subset:
+                raise InvalidCurve("slide endpoints must be subset points")
+            if piece.from_id == piece.to_id:
+                raise InvalidCurve("zero-length slide")
+            ends.append((piece.direction, piece.from_id, piece.direction, piece.to_id))
+    xs, ys = inst.xs, inst.ys
+    for i, ((_, _, d, a), (d_next, b, _, _)) in enumerate(zip(ends, ends[1:] + ends[:1])):
+        if d != d_next:
+            raise InvalidCurve(f"piece {i} ends at direction {d}, next starts at {d_next}")
+        if d.offset(xs[a], ys[a]) != d.offset(xs[b], ys[b]):
+            raise InvalidCurve(f"pieces {i} and {(i + 1) % len(ends)} do not share a line")
     sr.arc_index  # raises InvalidCurve unless the arcs turn exactly once
 
 
@@ -255,8 +251,8 @@ def _profile_steps(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direct
         if isinstance(piece, RotateArc):
             q = inst.point(piece.pivot)
             fences = inst.fences(q.id)
-            inside = fences_within(fences, direction_key_from(VERTICAL, piece.d_from),
-                                   direction_key_from(VERTICAL, piece.d_to), ())
+            inside = fences_within(fences, direction_key(VERTICAL, piece.d_from),
+                                   direction_key(VERTICAL, piece.d_to), ())
             bounds = [piece.d_from, *(d for _, d, _, _ in inside), piece.d_to]
             for j, (u, v) in enumerate(zip(bounds, bounds[1:])):
                 line = DirectedLine(q.x, q.y, direction_between(u, v), (piece.pivot,))

@@ -12,9 +12,11 @@ from balanced_lines import certificate as certificate_module, oracle as oracle_m
 from balanced_lines.cli import main
 from balanced_lines.geometry import (
     Color,
+    Direction,
     GuaranteeViolation,
     Side,
     build_points,
+    direction_key_from,
     instance_to_json,
     validate,
 )
@@ -67,6 +69,21 @@ def test_verify_releases_the_instance():
     del inst
     gc.collect()
     assert ref() is None
+
+
+def test_certificates_and_traces_leave_the_global_memos_empty(tmp_path, capsys):
+    """The package keeps no state between instances: neither memo fills on the curve path."""
+    pool = support.recharge_pool()
+    path = tmp_path / "inst.json"
+    path.write_text(instance_to_json(pool[0]))
+    memos = (Direction.of, direction_key_from)
+    for memo in memos:
+        memo.cache_clear()
+    certs = [verify_lower_bound(inst) for inst in pool]
+    assert main(["trace", str(path), "--start", "1,2", "--transitions", "0"]) == 0
+    assert capsys.readouterr().out
+    assert sum(cert.gamma is not None for cert in certs) >= 1  # the curve path ran
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
 
 
 def test_seeded_random():

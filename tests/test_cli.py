@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
 import support
 
+from balanced_lines import cli
 from balanced_lines.certificate import verify_lower_bound
 from balanced_lines.cli import main
 from balanced_lines.generators import gen_separated_convex
@@ -176,6 +179,25 @@ def test_verify_random_batch_counts_every_instance(run):
     code, out, _ = run("verify", "--random-batch", "4", "--max-points", "5", "--seed", "1")
     assert code == 0
     assert sizes(out) == [(1, 1), (1, 3), (1, 1), (1, 3)]
+
+
+def test_verify_random_batch_holds_one_instance_at_a_time(run, monkeypatch):
+    """Each drawn instance, with its fence tables, is freed before the next is verified."""
+    refs = []
+    alive = []  # drawn instances still alive when each one's verification starts
+    verify = cli._verify_instance
+
+    def spy(inst):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        refs.append(weakref.ref(inst))
+        return verify(inst)
+
+    monkeypatch.setattr(cli, "_verify_instance", spy)
+    code, out, _ = run("verify", "--random-batch", "4", "--seed", "3")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 4
+    assert alive == [0, 0, 0, 0]
 
 
 def test_verify_random_batch_without_room_exit_2(run):

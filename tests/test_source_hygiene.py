@@ -8,7 +8,8 @@ Likewise every local name a function assigns must be read somewhere in it;
 names that start with ``_`` mark values discarded on purpose.  Global memos
 stay the two that exist: a new ``lru_cache`` or ``functools.cache`` would
 hold the directions of every instance ever seen, where per-instance tables
-(``Instance.fences``) are freed with their instance.  Outside the SVG
+(``Instance.fences``) are freed with their instance, and the package itself
+never reads those two: it keeps no state between instances.  Outside the SVG
 renderer the package computes exactly: no float literal, no ``float(``
 call and nothing from ``math`` but ``gcd``.  Every module-level function,
 class and constant of the package is read somewhere in ``src/``, ``tests/``
@@ -127,6 +128,30 @@ def test_no_new_global_memos():
     sites = [s for path in sorted(PACKAGE.glob("*.py")) for s in _memo_sites(path)]
     assert set(sites) <= ALLOWED_MEMOS, sorted(set(sites) - ALLOWED_MEMOS)
     assert ALLOWED_MEMOS <= set(sites)  # the check still finds the memos that exist
+
+
+def _memo_reads(path: Path) -> list[str]:
+    """Where the module loads ``Direction.of`` or ``direction_key_from``, or imports the latter.
+
+    Their definitions store the names and load neither, so they pass.
+    """
+    problems = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            problems += [f"{path.name}:{node.lineno}: imports {a.name}"
+                         for a in node.names if a.name == "direction_key_from"]
+        elif not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
+        elif isinstance(node, ast.Name) and node.id == "direction_key_from":
+            problems.append(f"{path.name}:{node.lineno}: loads direction_key_from")
+        elif isinstance(node, ast.Attribute) and node.attr == "of":
+            problems.append(f"{path.name}:{node.lineno}: loads .of")
+    return problems
+
+
+def test_package_never_reads_the_global_memos():
+    problems = [p for path in sorted(PACKAGE.glob("*.py")) for p in _memo_reads(path)]
+    assert not problems, "\n".join(problems)
 
 
 def _inexact(path: Path) -> list[str]:
