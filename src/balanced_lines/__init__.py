@@ -78,7 +78,6 @@ from .certificate import (
     CertificateFailure,
     CertifiedLine,
     Provenance,
-    RechargeRecord,
     UnclassifiableTransition,
     certificate_to_json,
     flank_lines,

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import AbstractSet, Optional
 
 from .geometry import (
     BalancedLinesError,
     Color,
     DirectedLine,
-    Direction,
     GuaranteeViolation,
     Instance,
     Side,
@@ -46,7 +45,6 @@ from .rotation import (
 from .gamma import (
     Gamma,
     _split_fhg,
-    central_transitions,
     find_gamma,
     in_central_region,
     transition_low,
@@ -82,16 +80,6 @@ class CertifiedLine:
 
 
 @dataclass(frozen=True)
-class RechargeRecord:
-    source: Transition
-    via: str
-    level: int
-    induced_direction: Direction
-    new_line: BalancedLine
-    new_snapshot: DirectedLine
-
-
-@dataclass(frozen=True)
 class Certificate:
     gamma: Optional[Gamma]
     color: Color
@@ -102,6 +90,13 @@ class Certificate:
     total: int
 
 
+def _boundary_steps(inst: Instance, gamma: Gamma, family: tuple[int, ...],
+                    level: int) -> list[Transition]:
+    """Steps at ``transition_low`` of a rotation of ``family`` from the achieving direction."""
+    trace = run_rotation(RotationSpec(frozenset(family), level, gamma.waist.achieved_at), inst)
+    return transitions_at(trace, transition_low(gamma.color, inst.delta), inst)
+
+
 def _flank_pool(inst: Instance, gamma: Gamma, family: tuple[int, ...], level: int):
     """Balanced central-strip boundary steps of one flank rotation, in sweep order.
 
@@ -110,54 +105,41 @@ def _flank_pool(inst: Instance, gamma: Gamma, family: tuple[int, ...], level: in
     Balance is read first, in O(1) per step; only balanced steps pay for
     ``in_central_region``, which evaluates the curve twice.
     """
-    trace = run_rotation(RotationSpec(frozenset(family), level, gamma.waist.achieved_at), inst)
-    low = transition_low(gamma.color, inst.delta)
-    return [t for t in transitions_at(trace, low, inst)
+    return [t for t in _boundary_steps(inst, gamma, family, level)
             if t.is_balanced and in_central_region(inst, gamma, t)]
 
 
-def _line_of(inst: Instance, t: Transition, delta: int) -> BalancedLine:
+def _line_of(inst: Instance, t: Transition) -> BalancedLine:
     a, b = inst.point(t.pivot_id), inst.point(t.crossed_id)
     red, blue = (a.id, b.id) if a.color is Color.RED else (b.id, a.id)
-    return BalancedLine(red, blue, (delta, delta))
+    return BalancedLine(red, blue, (inst.delta, inst.delta))
 
 
-def flank_lines(inst: Instance, gamma: Gamma, f_ids: tuple[int, ...],
-                h_ids: tuple[int, ...]) -> list[CertifiedLine]:
-    """One balanced central-strip departure per flank level.
+def flank_lines(inst: Instance, gamma: Gamma, f_ids: tuple[int, ...], h_ids: tuple[int, ...]
+                ) -> tuple[list[CertifiedLine], dict[tuple[str, int], list[Transition]]]:
+    """One balanced central-strip departure per flank level, and the pools picked from.
 
-    The guaranteed departure lies in the first half turn past the achieving
-    direction, which keeps the picks distinct across levels and flanks.
-    """
-    picks, _ = _flank_picks(inst, gamma, f_ids, h_ids)
-    return picks
-
-
-def _flank_picks(inst: Instance, gamma: Gamma, f_ids, h_ids):
-    """``flank_lines`` with the pools it picked from, keyed by (flank, level).
-
-    A departure qualifies when its direction lies on the closed half turn
-    from the flank's reference line (``ccw_arc_contains``).
+    The guaranteed departure lies on the closed half turn that starts at the
+    flank's own reference line (``ccw_arc_contains``): the achieving line for
+    the first flank, its antipodal partner for the second.  That keeps the
+    picks distinct across levels and flanks.  The pools are keyed by
+    (flank, level), for ``recharge`` to draw from.
     """
     theta = gamma.waist.achieved_at
     pools: dict[tuple[str, int], list[Transition]] = {}
     picks: list[CertifiedLine] = []
     used: set[tuple[int, int]] = set()
     for name, family in (("f", f_ids), ("h", h_ids)):
-        # the guaranteed departure lies within the half turn that starts at
-        # the flank's own reference line: the achieving line for the first
-        # flank, its antipodal partner for the second
         base = theta if name == "f" else theta.antipode
         for level in range(len(family)):
             pool = _flank_pool(inst, gamma, family, level)
             pools[(name, level)] = pool
             chosen = None
             for t in pool:
-                if t.from_omega != inst.delta:
+                if (t.from_omega != inst.delta
+                        or not ccw_arc_contains(base, base.antipode, t.direction)):
                     continue
-                if not ccw_arc_contains(base, base.antipode, t.direction):
-                    continue
-                line = _line_of(inst, t, inst.delta)
+                line = _line_of(inst, t)
                 if line.key in used:
                     continue
                 chosen = CertifiedLine(line, Provenance(f"flank_{name}", level), t.line)
@@ -179,11 +161,10 @@ def strip_transitions(inst: Instance, gamma: Gamma,
     must contribute at least two transitions whose lines sit inside or on
     the strip at their own direction.
     """
-    theta = gamma.waist.achieved_at
     out = []
     for level in range((len(g_ids) + 1) // 2):
-        trace = run_rotation(RotationSpec(frozenset(g_ids), level, theta), inst)
-        central = central_transitions(inst, gamma, trace)
+        central = [t for t in _boundary_steps(inst, gamma, g_ids, level)
+                   if in_central_region(inst, gamma, t)]
         if len(central) < 2:
             raise GuaranteeViolation(
                 f"strip level {level} produced {len(central)} central transitions"
@@ -192,24 +173,19 @@ def strip_transitions(inst: Instance, gamma: Gamma,
     return out
 
 
-def recharge(inst: Instance, gamma: Gamma, transition: Transition,
+def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
              f_ids: tuple[int, ...], h_ids: tuple[int, ...],
-             used: frozenset = frozenset()) -> Union[BalancedLine, RechargeRecord]:
-    """Resolve one strip transition into a balanced line.
+             pools: dict[tuple[str, int], list[Transition]],
+             used: AbstractSet[tuple[int, int]]) -> Optional[CertifiedLine]:
+    """Resolve one transition of strip level ``level`` into a certified line.
 
-    A transition through an opposite-colored point is already balanced.  A
-    transition through a flank point induces a step back to the boundary in
-    that flank's rotation at the level of the induced line, which forces a
-    distinct new balanced departure there; the record carries that line.
-    """
-    return _recharge(inst, gamma, transition, f_ids, h_ids, {}, used)
-
-
-def _recharge(inst: Instance, gamma: Gamma, transition: Transition, f_ids, h_ids,
-              pools: dict, used) -> Union[BalancedLine, RechargeRecord]:
-    """``recharge`` drawing flank pools from ``pools``, keyed (flank, level).
-
-    A pool missing from ``pools`` is built and stored there.
+    A transition through an opposite-colored point is already balanced: a
+    strip line.  A transition through a flank point induces a step back to
+    the boundary in that flank's rotation at the level j of the induced
+    line, which forces a distinct new balanced departure there: the first
+    line of pool (flank, j) not in ``used``.  A pool missing from ``pools``
+    is built and stored there.  None when every departure of that pool is
+    used; whether the paper's recharge step rules that out is open.
     """
     crossed = inst.point(transition.crossed_id)
     if crossed.color is not gamma.color:
@@ -217,7 +193,8 @@ def _recharge(inst: Instance, gamma: Gamma, transition: Transition, f_ids, h_ids
             raise UnclassifiableTransition(
                 f"opposite-color transition at {transition.direction} is unbalanced"
             )
-        return _line_of(inst, transition, inst.delta)
+        return CertifiedLine(_line_of(inst, transition), Provenance("strip", level),
+                             transition.line)
     if crossed.id in f_ids:
         name, family = "f", f_ids
     elif crossed.id in h_ids:
@@ -229,11 +206,11 @@ def _recharge(inst: Instance, gamma: Gamma, transition: Transition, f_ids, h_ids
     g = inst.point(transition.pivot_id)
     d_star = direction_of(g.x - crossed.x, g.y - crossed.y)
     o_crossed = d_star.offset(crossed.x, crossed.y)
-    level = 0
+    j = 0
     for fid in family:
         p = inst.point(fid)
         if fid != crossed.id and d_star.offset(p.x, p.y) < o_crossed:
-            level += 1
+            j += 1
     sgn = 1 if gamma.color is Color.RED else -1
     induced = DirectedLine(crossed.x, crossed.y, d_star, (crossed.id, transition.pivot_id))
     w = halfplane_weight(induced, inst, Side.RIGHT)
@@ -241,28 +218,49 @@ def _recharge(inst: Instance, gamma: Gamma, transition: Transition, f_ids, h_ids
         raise GuaranteeViolation(
             f"induced flank step at {d_star} has weight {w}, expected {inst.delta + sgn}"
         )
-    key = (name, level)
-    if key not in pools:
-        pools[key] = _flank_pool(inst, gamma, family, level)
-    for t in pools[key]:
-        line = _line_of(inst, t, inst.delta)
-        if line.key in used:
-            continue
-        return RechargeRecord(transition, name, level, d_star, line, t.line)
-    raise GuaranteeViolation(
-        f"flank {name} level {level} has no unused balanced departure to recharge"
-    )
+    if (name, j) not in pools:
+        pools[(name, j)] = _flank_pool(inst, gamma, family, j)
+    for t in pools[(name, j)]:
+        line = _line_of(inst, t)
+        if line.key not in used:
+            return CertifiedLine(line, Provenance("recharge", level, name, j), t.line)
+    return None
 
 
 def verify_lower_bound(inst: Instance) -> Certificate:
     """Build and fully verify a certificate of at least r balanced lines."""
     gamma = find_gamma(inst)
-    if gamma is None:
-        cert = _direct_certificate(inst)
-    else:
-        cert = _gamma_certificate(inst, gamma)
+    cert = _direct_certificate(inst) if gamma is None else _gamma_certificate(inst, gamma)
     _check_certificate(inst, cert)
     return cert
+
+
+def _quota_lines(count: int, candidates, used: set[tuple[int, int]],
+                 what: str) -> list[CertifiedLine]:
+    """Distinct lines from levels 0..ceil(count/2)-1 of a family of ``count`` points.
+
+    Each level must give two lines, the middle level of an odd count one.
+    ``candidates(level)`` yields a level's lines lazily, None for a
+    candidate without one, so nothing past a met quota is computed.  Lines
+    already in ``used`` are skipped, and every line taken is added to it.
+    """
+    lines: list[CertifiedLine] = []
+    for level in range((count + 1) // 2):
+        quota = 1 if (count % 2 == 1 and level == count // 2) else 2
+        got = 0
+        for c in candidates(level):
+            if c is None or c.line.key in used:
+                continue
+            used.add(c.line.key)
+            lines.append(c)
+            got += 1
+            if got == quota:
+                break
+        if got < quota:
+            raise GuaranteeViolation(
+                f"{what} level {level} yielded {got} of {quota} distinct lines"
+            )
+    return lines
 
 
 def _direct_certificate(inst: Instance) -> Certificate:
@@ -273,68 +271,31 @@ def _direct_certificate(inst: Instance) -> Certificate:
     so the first half of the levels already yields r distinct lines (one
     from the middle level when r is odd, two from every other level).
     """
-    delta = inst.delta
-    used: set[tuple[int, int]] = set()
-    lines: list[CertifiedLine] = []
-    r = inst.r
-    for level in range((r + 1) // 2):
+    def candidates(level: int):
         trace = run_rotation(RotationSpec(Color.RED, level), inst)
-        quota = 1 if (r % 2 == 1 and level == r // 2) else 2
-        got = 0
-        for t in transitions_at(trace, delta, inst):
+        for t in transitions_at(trace, inst.delta, inst):
             if not t.is_balanced:
                 raise GuaranteeViolation(
                     f"unbalanced boundary step in red rotation level {level}"
                 )
-            line = _line_of(inst, t, delta)
-            if line.key in used:
-                continue
-            used.add(line.key)
-            lines.append(CertifiedLine(line, Provenance("direct", level), t.line))
-            got += 1
-            if got == quota:
-                break
-        if got < quota:
-            raise GuaranteeViolation(
-                f"red rotation level {level} yielded {got} of {quota} distinct lines"
-            )
+            yield CertifiedLine(_line_of(inst, t), Provenance("direct", level), t.line)
+
+    lines = _quota_lines(inst.r, candidates, set(), "red rotation")
     return Certificate(None, Color.RED, (), (), (), tuple(lines), len(lines))
 
 
 def _gamma_certificate(inst: Instance, gamma: Gamma) -> Certificate:
     f_ids, h_ids, g_ids = _split_fhg(inst, gamma)  # find_gamma returns preserving curves
-    picks, pools = _flank_picks(inst, gamma, f_ids, h_ids)
+    picks, pools = flank_lines(inst, gamma, f_ids, h_ids)
     used = {c.line.key for c in picks}
-    lines = list(picks)
     per_level = strip_transitions(inst, gamma, g_ids)
-    s = len(g_ids)
-    for level, central in enumerate(per_level):
-        quota = 1 if (s % 2 == 1 and level == s // 2) else 2
-        got = 0
-        for t in central:
-            try:
-                resolved = _recharge(inst, gamma, t, f_ids, h_ids, pools, used)
-            except GuaranteeViolation:
-                continue
-            if isinstance(resolved, RechargeRecord):
-                line, snapshot = resolved.new_line, resolved.new_snapshot
-                prov = Provenance("recharge", level, resolved.via, resolved.level)
-            else:
-                line, prov, snapshot = resolved, Provenance("strip", level), t.line
-            if line.key in used:
-                continue
-            used.add(line.key)
-            lines.append(CertifiedLine(line, prov, snapshot))
-            got += 1
-            if got == quota:
-                break
-        if got < quota:
-            raise GuaranteeViolation(
-                f"strip level {level} contributed {got} of {quota} lines"
-            )
-    return Certificate(
-        gamma, gamma.color, f_ids, h_ids, g_ids, tuple(lines), len(lines)
-    )
+
+    def candidates(level: int):
+        return (recharge(inst, gamma, t, level, f_ids, h_ids, pools, used)
+                for t in per_level[level])
+
+    lines = picks + _quota_lines(len(g_ids), candidates, used, "strip")
+    return Certificate(gamma, gamma.color, f_ids, h_ids, g_ids, tuple(lines), len(lines))
 
 
 def _check_certificate(inst: Instance, cert: Certificate) -> None:

@@ -22,6 +22,7 @@ from typing import Iterator
 
 from . import svg
 from .certificate import certificate_to_json, verify_lower_bound
+from .gamma import transition_low
 from .generators import gen_random, gen_separated_convex
 from .geometry import (
     BalancedLinesError,
@@ -63,11 +64,15 @@ class _CliError(Exception):
         super().__init__(message)
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """``--seed`` when given, else the BL_SEED environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get("BL_SEED", "0")
     try:
-        return int(os.environ.get("BL_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise _CliError(EXIT_BAD_PARAMS, f"BL_SEED must be an integer, got {raw!r}")
 
 
 def _load_instance(path: str) -> Instance:
@@ -94,8 +99,7 @@ def _write_output(text: str, out_path: str | None) -> None:
 def cmd_gen(args) -> int:
     try:
         if args.kind == "random":
-            seed = args.seed if args.seed is not None else _default_seed()
-            inst = gen_random(seed, args.r, args.b, args.bound)
+            inst = gen_random(_seed(args), args.r, args.b, args.bound)
         else:
             inst = gen_separated_convex(args.r, args.b)
     except BalancedLinesError as exc:
@@ -213,11 +217,10 @@ def _verify_instance(inst: Instance) -> RunReport:
 
     t0 = time.perf_counter()
     ok = True
-    for color, low in ((Color.RED, inst.delta), (Color.BLUE, inst.delta - 1)):
-        ids = inst.ids_of(color)
-        for k in range(len(ids)):
+    for color in (Color.RED, Color.BLUE):
+        for k in range(len(inst.ids_of(color))):
             trace = run_rotation(RotationSpec(color, k), inst)
-            for t in transitions_at(trace, low, inst):
+            for t in transitions_at(trace, transition_low(color, inst.delta), inst):
                 if not (t.is_balanced and is_balanced(t.pivot_id, t.crossed_id, inst)):
                     ok = False
     report.timings["transitions"] = time.perf_counter() - t0
@@ -249,9 +252,8 @@ def _verify_instance(inst: Instance) -> RunReport:
     return report
 
 
-def _random_batch(args) -> Iterator[tuple[str, Instance]]:
+def _random_batch(args, seed0: int) -> Iterator[tuple[str, Instance]]:
     """The ``--random-batch`` instances, drawn one at a time as the caller asks."""
-    seed0 = args.seed if args.seed is not None else _default_seed()
     # delta cycles over the values whose smallest instance (r = 1) fits
     deltas = [d for d in range(4) if 2 + 2 * d <= args.max_points]
     for i in range(args.random_batch):
@@ -268,8 +270,10 @@ def cmd_verify(args) -> int:
     count = len(instances) + max(args.random_batch, 0)
     if not count:
         raise _CliError(EXIT_BAD_PARAMS, "nothing to verify")
+    # the seed is read before any output, and only for a batch
+    batch = _random_batch(args, _seed(args)) if args.random_batch > 0 else ()
     failed = 0
-    for name, inst in chain(instances, _random_batch(args)):
+    for name, inst in chain(instances, batch):
         try:
             report = _verify_instance(inst)
         except BalancedLinesError as exc:

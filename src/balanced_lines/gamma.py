@@ -48,7 +48,6 @@ from .rotation import (
     RotationTrace,
     Transition,
     run_rotation,
-    transitions_at,
 )
 from .sliding import (
     InvalidCurve,
@@ -171,7 +170,9 @@ def decompose_fhg(inst: Instance, gamma: Gamma) -> tuple[
     of the achieving line, the second those in the closed right halfplane
     of its antipodal partner, and the strip set is everything in between
     (exactly the waist witnesses).  Raises NotDeltaPreserving unless the
-    curve preserves delta; ``_split_fhg`` is the split alone.
+    curve preserves delta; ``_split_fhg`` is the split alone.  Kept public as
+    the paper's decomposition: ``test_gamma.py::test_decompose_partition``
+    checks the partition, ``test_decompose_requires_preserving`` the guard.
     """
     if not is_delta_preserving_sliding(gamma.sr, inst):
         raise NotDeltaPreserving("decomposition needs a delta-preserving curve")
@@ -212,13 +213,6 @@ def in_central_region(inst: Instance, gamma: Gamma, transition: Transition) -> b
     o_low = evaluate_at(gamma.sr, inst, t).offset(t)  # the strip: the curve's lines at t, t + pi
     o_high = evaluate_at(gamma.sr, inst, t.antipode).offset(t)
     return o_low <= transition.line.offset(t) <= o_high
-
-
-def central_transitions(inst: Instance, gamma: Gamma, trace: RotationTrace) -> list[Transition]:
-    low = transition_low(gamma.color, inst.delta)
-    return [
-        t for t in transitions_at(trace, low, inst) if in_central_region(inst, gamma, t)
-    ]
 
 
 # ---------------------------------------------------------------------------

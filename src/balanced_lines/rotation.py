@@ -303,7 +303,9 @@ def is_delta_preserving(trace: RotationTrace, inst: Instance) -> bool:
 
     An all-red rotation preserves when its weight stays <= delta or stays
     > delta for the whole turn; an all-blue rotation when it stays >= delta
-    or stays < delta.
+    or stays < delta.  Kept public as the paper's preservation condition for
+    plain rotations: ``test_rotation.py::test_preserving_when_weight_stays_low``
+    and ``test_separated_rotation_not_preserving`` check it.
     """
     ids = set(trace.subset_ids)
     delta = inst.delta

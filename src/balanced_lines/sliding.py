@@ -16,13 +16,12 @@ the start direction through one full counterclockwise turn and back.
 ``validate_curve`` checks this, and the queries rely on it: each curve
 keeps an angular index of its arcs (``SlidingRotation.arc_index``), so
 finding the line at a direction (``evaluate_at``) costs one bisection,
-O(log pieces).  The waist, the orientation check and the half-cycle
-representatives are views of one ordered walk, ``curve_sweep``, which
-passes every breakpoint of the half cycle once and carries both antipodal
-anchors and the strip along.  ``sliding_profile`` reads each pivot's
-fences, the angular order the instance keeps per point
-(``Instance.fences``), and walks every arc in O(log n) plus one step per
-crossed point.
+O(log pieces).  The waist and the orientation check are views of one
+ordered walk, ``curve_sweep``, which passes every breakpoint of the half
+cycle once and carries both antipodal anchors and the strip along.
+``sliding_profile`` reads each pivot's fences, the angular order the
+instance keeps per point (``Instance.fences``), and walks every arc in
+O(log n) plus one step per crossed point.
 """
 
 from __future__ import annotations
@@ -386,11 +385,6 @@ def curve_sweep(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direction
                     strip.add(q)
 
 
-def half_cycle_representatives(sr: SlidingRotation, inst: Instance) -> list[Direction]:
-    """One direction inside each combinatorial interval of the half cycle (``curve_sweep``)."""
-    return [t for t, _, _, _ in curve_sweep(sr, inst)]
-
-
 @dataclass(frozen=True)
 class Waist:
     """The minimum strip occupancy of a positively oriented curve."""
@@ -427,7 +421,10 @@ def is_positively_oriented(sr: SlidingRotation, inst: Instance) -> bool:
     """Whether the line at t + pi stays strictly left of the line at t.
 
     Checked at one representative direction per combinatorial interval of
-    the half cycle: the check ``waist`` makes on its walk.
+    the half cycle: the check ``waist`` makes on its walk.  Kept public as
+    the paper's orientation condition, which
+    ``test_sliding.py::test_positivity_shortcut_families`` checks against the
+    level rule 2k + 2 <= r.
     """
     try:
         waist(sr, inst)

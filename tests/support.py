@@ -158,9 +158,9 @@ def recharge_pool() -> list[Instance]:
 def recharge_drop_pool() -> list[Instance]:
     """Instances whose certificates skip recharges that found no unused departure.
 
-    ``_gamma_certificate`` drops each strip transition whose ``_recharge``
-    raises and still reaches ``r`` through later transitions; these four
-    instances drop two each.
+    ``_gamma_certificate`` drops each strip transition for which ``recharge``
+    returns None and still reaches ``r`` through later transitions; these
+    four instances drop two each.
     """
     nested = nested_pool()
     return [nested[3], nested[5], nested[17], gen_random(238, 7, 9, 1000)]
@@ -233,7 +233,7 @@ def linear_evaluate_at(sr, inst: Instance, t: Direction) -> DirectedLine:
 
 
 def linear_half_cycle_representatives(sr, inst: Instance) -> list[Direction]:
-    """Oracle for ``half_cycle_representatives``: fold and sort every breakpoint."""
+    """Oracle for the directions of ``curve_sweep``: fold and sort every breakpoint."""
     start = sr.start_direction
     ids = inst.ids_of(sr.subset_color)
     raw = set(sr.piece_boundaries())

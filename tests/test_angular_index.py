@@ -38,7 +38,6 @@ from balanced_lines.sliding import (
     _preserves_delta,
     curve_sweep,
     evaluate_at,
-    half_cycle_representatives,
     is_delta_preserving_sliding,
     is_positively_oriented,
     lift_rotation,
@@ -140,7 +139,7 @@ def test_early_stop_preservation_matches_full_profile(searched):
 
 def test_evaluate_at_matches_linear_scan(searched):
     for sr, inst, _ in searched[0]:
-        reps = half_cycle_representatives(sr, inst)
+        reps = [t for t, _, _, _ in curve_sweep(sr, inst)]
         for t in reps + [t.antipode for t in reps] + sr.piece_boundaries():
             assert evaluate_at(sr, inst, t) == support.linear_evaluate_at(sr, inst, t)
 
@@ -222,7 +221,8 @@ def test_run_rotation_matches_tag_walk(pool):
 
 def test_half_cycle_representatives_match_sort(searched):
     for sr, inst, _ in searched[0]:
-        assert half_cycle_representatives(sr, inst) == support.linear_half_cycle_representatives(sr, inst)
+        reps = [t for t, _, _, _ in curve_sweep(sr, inst)]
+        assert reps == support.linear_half_cycle_representatives(sr, inst)
 
 
 def test_curve_sweep_matches_linear_scan(searched):

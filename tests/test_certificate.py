@@ -25,7 +25,6 @@ from balanced_lines.oracle import BalancedLine, enumerate_naive
 from balanced_lines.gamma import decompose_fhg, find_gamma, in_central_region
 from balanced_lines.certificate import (
     CertificateFailure,
-    RechargeRecord,
     certificate_to_json,
     flank_lines,
     recharge,
@@ -122,7 +121,7 @@ def test_flank_lines_levels_and_membership(nested_instances):
         if gamma is None:
             continue
         f_ids, h_ids, g_ids = decompose_fhg(inst, gamma)
-        picks = flank_lines(inst, gamma, f_ids, h_ids)
+        picks, _ = flank_lines(inst, gamma, f_ids, h_ids)
         assert len(picks) == len(f_ids) + len(h_ids)
         keys = {p.line.key for p in picks}
         assert len(keys) == len(picks)
@@ -164,18 +163,18 @@ def test_recharge_classification(nested_instances):
         f_ids, h_ids, g_ids = decompose_fhg(inst, gamma)
         if not g_ids:
             continue
-        for central in strip_transitions(inst, gamma, g_ids):
+        for level, central in enumerate(strip_transitions(inst, gamma, g_ids)):
             for t in central:
-                result = recharge(inst, gamma, t, f_ids, h_ids)
+                result = recharge(inst, gamma, t, level, f_ids, h_ids, {}, frozenset())
                 crossed = inst.point(t.crossed_id)
+                assert result.line.key in oracle_keys(inst)
                 if crossed.color is gamma.color:
-                    assert isinstance(result, RechargeRecord)
+                    assert result.provenance.kind == "recharge"
                     resolved_records += 1
-                    assert result.new_line.key in oracle_keys(inst)
-                    family = f_ids if result.via == "f" else h_ids
-                    assert 0 <= result.level <= len(family) - 1
+                    family = f_ids if result.provenance.via == "f" else h_ids
+                    assert 0 <= result.provenance.via_level <= len(family) - 1
                 else:
-                    assert result.key in oracle_keys(inst)
+                    assert result.provenance.kind == "strip"
     assert resolved_records >= 1
 
 
@@ -210,21 +209,34 @@ def test_recharge_drops_are_counted(monkeypatch):
     removes them changes it deliberately.
     """
     drops = []
-    original = certificate_module._recharge
+    original = certificate_module.recharge
 
     def counting(*args, **kwargs):
-        try:
-            return original(*args, **kwargs)
-        except GuaranteeViolation:
-            drops[-1] += 1
-            raise
+        result = original(*args, **kwargs)
+        drops[-1] += result is None
+        return result
 
-    monkeypatch.setattr(certificate_module, "_recharge", counting)
+    monkeypatch.setattr(certificate_module, "recharge", counting)
     for inst in support.recharge_drop_pool():
         drops.append(0)
         cert = verify_lower_bound(inst)
         assert cert.total >= inst.r
     assert drops == [2, 2, 2, 2]
+
+
+def test_wrong_induced_weight_surfaces(monkeypatch):
+    """A recharge whose induced flank step has the wrong weight raises; nothing swallows it."""
+    original = certificate_module.halfplane_weight
+    calls = []
+
+    def first_off_by_five(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs) + (5 if len(calls) == 1 else 0)
+
+    monkeypatch.setattr(certificate_module, "halfplane_weight", first_off_by_five)
+    with pytest.raises(GuaranteeViolation, match="induced flank step"):
+        verify_lower_bound(support.recharge_pool()[0])
+    assert len(calls) == 1
 
 
 def test_certificate_json_shape(nested_instances):

@@ -60,6 +60,25 @@ def test_gen_env_seed(run, tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "random", "-r", "2", "-b", "2"),
+    ("verify", "--random-batch", "2"),
+])
+def test_malformed_env_seed_exit_2(run, monkeypatch, argv):
+    monkeypatch.setenv("BL_SEED", "abc")
+    code, out, err = run(*argv)
+    assert code == 2
+    assert out == ""
+    assert "BL_SEED" in err
+
+
+def test_env_seed_unread_without_a_batch(run, sep44, monkeypatch):
+    monkeypatch.setenv("BL_SEED", "abc")
+    code, out, _ = run("verify", sep44)
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1
+
+
 def test_gen_bad_params_exit_2(run):
     code, _, _ = run("gen", "random", "-r", "4", "-b", "2")
     assert code == 2

@@ -16,7 +16,10 @@ class and constant of the package is read somewhere in ``src/``, ``tests/``
 or ``perfbench/``, so dead definitions do not accumulate either.  The two
 independent checkers, ``geometry.is_balanced`` and ``oracle.enumerate_naive``,
 load nothing of the angular machinery the construction is built from, so a
-fault there cannot hide behind the check meant to catch it.
+fault there cannot hide behind the check meant to catch it.  No handler
+catches a theorem-level failure (``GuaranteeViolation``,
+``CertificateFailure``), and there is no bare ``except:``: a guarantee that
+fails must reach the caller.
 """
 
 import ast
@@ -241,4 +244,28 @@ def test_independent_checkers_share_nothing_with_the_construction():
         shared = _loads(funcs[0]) & CONSTRUCTION_NAMES
         if shared:
             problems.append(f"{module}:{funcs[0].lineno}: {name} loads {sorted(shared)}")
+    assert not problems, "\n".join(problems)
+
+
+GUARANTEE_ERRORS = {"GuaranteeViolation", "CertificateFailure"}
+
+
+def _swallowed_guarantees(path: Path) -> list[str]:
+    """Bare ``except:`` handlers, and handlers that name a guarantee error."""
+    problems = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if node.type is None:
+            problems.append(f"{path.name}:{node.lineno}: bare except")
+            continue
+        named = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        problems += [f"{path.name}:{node.lineno}: except {name}"
+                     for name in sorted(named & GUARANTEE_ERRORS)]
+    return problems
+
+
+def test_no_guarantee_is_caught():
+    problems = [p for path in sorted(PACKAGE.glob("*.py")) for p in _swallowed_guarantees(path)]
     assert not problems, "\n".join(problems)
