@@ -23,9 +23,10 @@ from typing import Iterator
 from . import svg
 from .certificate import certificate_to_json, verify_lower_bound
 from .gamma import transition_low
-from .generators import gen_random, gen_separated_convex
+from .generators import check_bound, gen_random, gen_separated_convex
 from .geometry import (
     BalancedLinesError,
+    BoundTooSmall,
     Color,
     Direction,
     Instance,
@@ -252,14 +253,20 @@ def _verify_instance(inst: Instance) -> RunReport:
     return report
 
 
-def _random_batch(args, seed0: int) -> Iterator[tuple[str, Instance]]:
-    """The ``--random-batch`` instances, drawn one at a time as the caller asks."""
+def _batch_shapes(args) -> Iterator[tuple[int, int]]:
+    """(r, b) of each ``--random-batch`` instance, in draw order."""
     # delta cycles over the values whose smallest instance (r = 1) fits
     deltas = [d for d in range(4) if 2 + 2 * d <= args.max_points]
     for i in range(args.random_batch):
         delta = deltas[i % len(deltas)]
         r = 1 + i % ((args.max_points - 2 * delta) // 2)
-        yield f"random[{seed0 + i}]", gen_random(seed0 + i, r, r + 2 * delta, args.bound)
+        yield r, r + 2 * delta
+
+
+def _random_batch(args, seed0: int) -> Iterator[tuple[str, Instance]]:
+    """The ``--random-batch`` instances, drawn one at a time as the caller asks."""
+    for i, (r, b) in enumerate(_batch_shapes(args)):
+        yield f"random[{seed0 + i}]", gen_random(seed0 + i, r, b, args.bound)
 
 
 def cmd_verify(args) -> int:
@@ -270,8 +277,10 @@ def cmd_verify(args) -> int:
     count = len(instances) + max(args.random_batch, 0)
     if not count:
         raise _CliError(EXIT_BAD_PARAMS, "nothing to verify")
-    # the seed is read before any output, and only for a batch
-    batch = _random_batch(args, _seed(args)) if args.random_batch > 0 else ()
+    batch = ()
+    if args.random_batch > 0:  # the bound and the seed are read before any output
+        check_bound(max(r + b for r, b in _batch_shapes(args)), args.bound)
+        batch = _random_batch(args, _seed(args))
     failed = 0
     for name, inst in chain(instances, batch):
         try:
@@ -383,7 +392,7 @@ def main(argv=None) -> int:
         return exc.code
     except BalancedLinesError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return EXIT_BAD_PARAMS if isinstance(exc, BoundTooSmall) else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
@@ -37,10 +37,10 @@ from .geometry import (
     GuaranteeViolation,
     Instance,
     ccw_arc_contains,
-    direction_between,
     direction_key,
     direction_of,
     fences_within,
+    just_after_keys,
 )
 from .rotation import (
     End,
@@ -55,9 +55,9 @@ from .sliding import (
     NotPositivelyOriented,
     Piece,
     RotateArc,
-    Slide,
     SlidingRotation,
     Waist,
+    _curve_through,
     _preserves_delta,
     evaluate_at,
     is_delta_preserving_sliding,
@@ -226,8 +226,6 @@ def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
     so it preserves delta, and ``decompose_fhg`` would return the same set.
     """
     strip = best.waist.witnesses
-    if not strip:
-        return []
     theta = best.waist.achieved_at
     cap = best.waist.value
     out = []
@@ -300,41 +298,31 @@ def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace):
     j = bisect_right(keys, KEY_START if theta == start else direction_key(start, theta)) - 1
     marks = []
     for dfrom, dto, pivot, _ in trace.intervals():
-        if dfrom == dto:  # a trace without events: one interval, the full turn
-            near = range(n)
-        else:
-            # the arc holding dfrom, the arc ending there, then every arc
-            # starting in (dfrom, dto]; j ends on the arc holding dto
-            near = {j}
-            if sr.pieces[where[j]].d_from == dfrom:
-                near.add((j - 1) % n)
-            for _ in range(n):
-                d = sr.pieces[where[(j + 1) % n]].d_from
-                if d == dfrom or not ccw_arc_contains(dfrom, dto, d):
-                    break
-                j = (j + 1) % n
-                near.add(j)
-            near = sorted(near)
+        # the arc holding dfrom, the arc ending there, then every arc
+        # starting in (dfrom, dto]; j ends on the arc holding dto
+        near = {j}
+        if sr.pieces[where[j]].d_from == dfrom:
+            near.add((j - 1) % n)
+        for _ in range(n):
+            d = sr.pieces[where[(j + 1) % n]].d_from
+            if d == dfrom or not ccw_arc_contains(dfrom, dto, d):
+                break
+            j = (j + 1) % n
+            near.add(j)
         g = pts[pivot]
-        for idx in (where[i] for i in near):
+        for idx in (where[i] for i in sorted(near)):
             piece = sr.pieces[idx]
             if piece.pivot == pivot:
                 for d in (dfrom, dto, piece.d_from, piece.d_to):
-                    if _in_span(dfrom, dto, d) and piece.contains(d):
+                    if ccw_arc_contains(dfrom, dto, d) and piece.contains(d):
                         marks.append((d, idx))
                 continue
             c = pts[piece.pivot]
             fwd = direction_of(c.x - g.x, c.y - g.y)
             for d in (fwd, fwd.antipode):
-                if _in_span(dfrom, dto, d) and piece.contains(d):
+                if ccw_arc_contains(dfrom, dto, d) and piece.contains(d):
                     marks.append((d, idx))
     return marks
-
-
-def _in_span(dfrom: Direction, dto: Direction, t: Direction) -> bool:
-    if dfrom == dto:
-        return True
-    return ccw_arc_contains(dfrom, dto, t)
 
 
 def _clip_curve(pieces: tuple[Piece, ...], idx_from: int, w_from: Direction,
@@ -381,27 +369,30 @@ def build_shift(inst: Instance, trace: RotationTrace, shift_color: Color) -> Opt
     lines.  Returns None when at some direction no shift-colored point lies
     strictly right.
 
-    The walk keeps the shift-colored points sorted by offset and counts
-    those right of the line.  The count steps only at the trace's events
-    that cross a shift-colored point, and two points swap places only at
-    their pair fence (``Instance.pair_fences``), where they are adjacent;
-    so after one sort each event and fence costs O(1).
+    The start order and count are read from ``just_after_keys`` at the
+    start direction, as ``run_rotation`` reads its start state.  The walk
+    keeps the shift-colored points sorted by offset and counts those right
+    of the line.  The count steps only at the trace's events that cross a
+    shift-colored point, and two points swap places only at their pair
+    fence (``Instance.pair_fences``), where they are adjacent; so after one
+    sort each event and fence costs O(1).
     """
     pts = inst.points
     theta = trace.start_direction
+    keys = just_after_keys(theta, pts)
+    order = sorted(inst.ids_of(shift_color), key=keys.__getitem__)
+    key_g = keys[trace.initial_pivot]
+    right = sum(1 for sid in order if keys[sid] < key_g)
+    if not right:
+        return None
+    place = {sid: i for i, sid in enumerate(order)}
     k0 = direction_key(VERTICAL, theta)
     # events at theta itself close the turn; the walk stops before them
     events = [(direction_key(VERTICAL, ev.direction), ev.direction, None, ev)
               for ev in trace.events if ev.direction != theta]
     cuts = fences_within(inst.pair_fences(shift_color), k0, k0, events)
-    m = direction_between(theta, cuts[0][1]) if cuts else theta.perp_ccw
-    order = sorted(inst.ids_of(shift_color), key=lambda i: m.offset(pts[i].x, pts[i].y))
-    place = {sid: i for i, sid in enumerate(order)}
-    g = pts[trace.initial_pivot]
-    o_line = m.offset(g.x, g.y)
-    right = sum(1 for sid in order if m.offset(pts[sid].x, pts[sid].y) < o_line)
-    anchors: list[tuple[Direction, int]] = []  # (direction, chosen point) where the choice changes
-    for u, entries in chain([(theta, ())], groupby(cuts, key=itemgetter(1))):
+    anchors = [(theta, order[right - 1])]  # (direction, chosen point) where the choice changes
+    for u, entries in groupby(cuts, key=itemgetter(1)):
         for _, _, p, q in entries:  # a pair fence (p, q) or a trace event (None, q)
             if p is not None:  # p and q meet in offset and swap places
                 i, j = place[p], place[q]
@@ -411,54 +402,8 @@ def build_shift(inst: Instance, trace: RotationTrace, shift_color: Color) -> Opt
                 right += 1 if q.end is End.HEAD else -1
         if not right:
             return None
-        if not anchors or anchors[-1][1] != order[right - 1]:
+        if anchors[-1][1] != order[right - 1]:
             anchors.append((u, order[right - 1]))
-    return _shift_curve(inst, anchors, shift_color)
-
-
-def _shift_curve(inst: Instance, anchors: list[tuple[Direction, int]],
-                 shift_color: Color) -> SlidingRotation:
-    """The shift curve rotating about each anchor from its direction to the next one's.
-
-    ``anchors`` holds (direction, point) pairs in turn order from the start
-    direction.  Where the point changes, the curve slides unless both lie
-    on one line at that direction.
-    """
-    pts = inst.points
-    pieces: list[Piece] = []
-    for j, (u, aid) in enumerate(anchors):
-        v, next_aid = anchors[(j + 1) % len(anchors)]
-        arc_end = v if v != u else u.antipode
-        _extend_arc(pieces, RotateArc(aid, u, arc_end))
-        if next_aid != aid:
-            a, b = pts[aid], pts[next_aid]
-            if arc_end.offset(a.x, a.y) != arc_end.offset(b.x, b.y):
-                pieces.append(Slide(arc_end, aid, next_aid))
-    merged = _merge_cyclic(pieces)
-    if len(merged) == 1 and isinstance(merged[0], RotateArc):
-        arc = merged[0]
-        merged = [
-            RotateArc(arc.pivot, arc.d_from, arc.d_from.antipode),
-            RotateArc(arc.pivot, arc.d_from.antipode, arc.d_from),
-        ]
-    return SlidingRotation(tuple(merged), shift_color)
-
-
-def _extend_arc(pieces: list[Piece], arc: RotateArc) -> None:
-    if arc.d_from == arc.d_to:
-        return
-    if pieces and isinstance(pieces[-1], RotateArc):
-        last = pieces[-1]
-        if last.pivot == arc.pivot and last.d_to == arc.d_from:
-            pieces[-1] = RotateArc(last.pivot, last.d_from, arc.d_to)
-            return
-    pieces.append(arc)
-
-
-def _merge_cyclic(pieces: list[Piece]) -> list[Piece]:
-    if len(pieces) >= 2 and isinstance(pieces[0], RotateArc) and isinstance(pieces[-1], RotateArc):
-        first, last = pieces[0], pieces[-1]
-        if first.pivot == last.pivot and last.d_to == first.d_from and len(pieces) > 1:
-            if first.d_from != last.d_from:
-                return [RotateArc(first.pivot, last.d_from, first.d_to)] + pieces[1:-1]
-    return pieces
+    if len(anchors) > 1 and anchors[-1][1] == anchors[0][1]:  # one arc about it across theta
+        anchors[0] = anchors.pop()
+    return _curve_through(inst, anchors, shift_color)

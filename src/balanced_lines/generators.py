@@ -41,10 +41,7 @@ def gen_random(seed: int, r: int, b: int, coordinate_bound: int = 1000) -> Insta
     """
     _check_color_counts(r, b)
     n = r + b
-    if coordinate_bound < n or coordinate_bound * coordinate_bound < n:
-        raise BoundTooSmall(
-            f"bound {coordinate_bound} cannot hold {n} points in general position"
-        )
+    check_bound(n, coordinate_bound)
     rng = random.Random(seed)
     accepted: list[tuple[int, int]] = []
     xs_used: set[int] = set()
@@ -68,6 +65,14 @@ def gen_random(seed: int, r: int, b: int, coordinate_bound: int = 1000) -> Insta
         for i, (x, y) in enumerate(accepted)
     ]
     return validate(points)
+
+
+def check_bound(n: int, coordinate_bound: int) -> None:
+    """Raise BoundTooSmall when the grid of ``gen_random`` has fewer than n abscissae."""
+    if coordinate_bound < n or coordinate_bound * coordinate_bound < n:
+        raise BoundTooSmall(
+            f"bound {coordinate_bound} cannot hold {n} points in general position"
+        )
 
 
 def _completes_collinear_triple(accepted: list[tuple[int, int]], x: int, y: int) -> bool:

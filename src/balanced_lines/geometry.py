@@ -232,12 +232,7 @@ def _unordered(self, other):
     raise TypeError(f"{type(self).__name__} values have no order")
 
 
-class _DirectionFields(NamedTuple):
-    dx: int
-    dy: int
-
-
-class Direction(_DirectionFields):
+class Direction(NamedTuple):
     """An exact direction, identified up to positive scaling.
 
     Stored as a primitive integer vector so equality and hashing are
@@ -247,7 +242,8 @@ class Direction(_DirectionFields):
     is ``direction_of`` behind a memo, which the package never calls.
     """
 
-    __slots__ = ()
+    dx: int
+    dy: int
 
     of = staticmethod(lru_cache(maxsize=1 << 16)(direction_of))
 

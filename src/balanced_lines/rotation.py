@@ -145,11 +145,10 @@ class RotationTrace:
         return self.spec.level
 
     def intervals(self) -> Iterator[tuple[Direction, Direction, int, int]]:
-        """Yield (from, to, pivot, omega) for every inter-event interval."""
-        if not self.events:
-            yield (self.start_direction, self.start_direction,
-                   self.initial_pivot, self.initial_omega)
-            return
+        """Yield (from, to, pivot, omega) for every inter-event interval.
+
+        There are events: a full turn meets every other point of the instance.
+        """
         d = self.start_direction
         pivot, omega = self.initial_pivot, self.initial_omega
         for ev in self.events:
@@ -162,10 +161,7 @@ class RotationTrace:
     def interval_representatives(self) -> Iterator[tuple[Direction, int, int]]:
         """Yield (direction, pivot, omega) with one direction inside each interval."""
         for dfrom, dto, pivot, omega in self.intervals():
-            if dfrom == dto:
-                yield (dfrom, pivot, omega)
-            else:
-                yield (direction_between(dfrom, dto), pivot, omega)
+            yield (direction_between(dfrom, dto), pivot, omega)
 
     @cached_property
     def omega_values(self) -> tuple[int, ...]:

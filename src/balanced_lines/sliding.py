@@ -130,24 +130,36 @@ class SlidingRotation:
 
 
 def lift_rotation(trace: RotationTrace, inst: Instance, subset_color: Color) -> SlidingRotation:
-    """Embed a plain rotation as an arc-only sliding rotation."""
+    """Embed a plain rotation as an arc-only sliding rotation.
+
+    Anchored at the start and at each pivot change off it; a handover keeps
+    both pivots on one line, so no slide joins them.
+    """
     start = trace.start_direction
-    changes = [ev for ev in trace.events if ev.kind is EventKind.PIVOT_CHANGE]
-    arcs: list[RotateArc] = []
-    if not changes:
-        pivot = trace.initial_pivot
-        arcs.append(RotateArc(pivot, start, start.antipode))
-        arcs.append(RotateArc(pivot, start.antipode, start))
-    else:
-        d = start
-        pivot = trace.initial_pivot
-        for ev in changes:
-            if ev.direction != d:
-                arcs.append(RotateArc(pivot, d, ev.direction))
-            d, pivot = ev.direction, ev.pivot_after
-        if d != start:
-            arcs.append(RotateArc(pivot, d, start))
-    return SlidingRotation(tuple(arcs), subset_color)
+    anchors = [(start, trace.initial_pivot)]
+    anchors += [(ev.direction, ev.pivot_after) for ev in trace.events
+                if ev.kind is EventKind.PIVOT_CHANGE and ev.direction != start]
+    return _curve_through(inst, anchors, subset_color)
+
+
+def _curve_through(inst: Instance, anchors: list[tuple[Direction, int]],
+                   color: Color) -> SlidingRotation:
+    """The curve rotating about each anchor's point from its direction to the next anchor's.
+
+    ``anchors`` holds (direction, point) pairs at distinct directions in turn
+    order; the last arc closes the turn at the first direction.  A slide joins
+    two consecutive points not on one line there; one anchor makes two half arcs.
+    """
+    if len(anchors) == 1:
+        (u, a), = anchors
+        return SlidingRotation((RotateArc(a, u, u.antipode), RotateArc(a, u.antipode, u)), color)
+    xs, ys = inst.xs, inst.ys
+    pieces: list[Piece] = []
+    for (u, a), (v, b) in zip(anchors, anchors[1:] + anchors[:1]):
+        pieces.append(RotateArc(a, u, v))
+        if v.offset(xs[a], ys[a]) != v.offset(xs[b], ys[b]):
+            pieces.append(Slide(v, a, b))
+    return SlidingRotation(tuple(pieces), color)
 
 
 def validate_curve(sr: SlidingRotation, inst: Instance) -> None:

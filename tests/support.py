@@ -8,16 +8,18 @@ rotation pipeline.  Everything is deterministic in the seed.
 It also holds the linear-scan oracles of the indexed curve and trace
 queries: ``linear_evaluate_at``, ``linear_half_cycle_representatives``,
 ``linear_waist``, ``brute_waist``, ``recount_profile`` and
-``linear_curve_meetings`` share
-nothing with the angular indexes and walks in the package beyond the exact
-primitives; ``linear_build_shift`` scans for its anchors (the pivot of each
-cut from ``linear_pivot_at``) and shares only the assembly of a curve from
-them; ``tag_walk_rotation`` walks a rotation without the per-instance fence
-table, from its own start state (``initial_state``, which classifies every
-pair with its own copy of the per-point just-after rule, ``side_just_after``);
-and ``pairwise_naive`` classifies every point against every
-red/blue pair the way ``enumerate_naive`` did before it kept its rows
-relative to each red anchor.
+``linear_curve_meetings`` (which tests every interval against every arc
+with ``ccw_arc_contains``) share nothing with the angular indexes and walks
+in the package beyond the exact primitives; ``linear_build_shift`` scans
+for its anchors (the pivot of each cut from ``linear_pivot_at``) and
+shares only the assembly of a curve from them, ``sliding._curve_through``,
+which ``test_curve_assembly_digest`` pins; ``tag_walk_rotation`` walks a
+rotation without the per-instance fence table, from its own start state
+(``initial_state``, which classifies every pair with its own copy of the
+per-point just-after rule, ``side_just_after``); and ``pairwise_naive``
+classifies every point against every red/blue pair the way
+``enumerate_naive`` did before it kept its rows relative to each red
+anchor.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from balanced_lines.geometry import (
     Instance,
     Side,
     build_points,
+    ccw_arc_contains,
     direction_between,
     direction_key_from,
     validate,
@@ -50,8 +53,8 @@ from balanced_lines.sliding import (
     NotPositivelyOriented,
     RotateArc,
     Waist,
+    _curve_through,
 )
-from balanced_lines.gamma import _in_span, _shift_curve
 
 
 def _draw(rng, pts, taken_x, lo_x, hi_x, lo_y, hi_y):
@@ -462,18 +465,22 @@ def linear_curve_meetings(inst: Instance, sr, trace):
             c = pts[piece.pivot]
             if piece.pivot == pivot:
                 for d in (dfrom, dto, piece.d_from, piece.d_to):
-                    if _in_span(dfrom, dto, d) and piece.contains(d):
+                    if ccw_arc_contains(dfrom, dto, d) and piece.contains(d):
                         marks.append((d, idx))
                 continue
             fwd = Direction.of(c.x - g.x, c.y - g.y)
             for d in (fwd, fwd.antipode):
-                if _in_span(dfrom, dto, d) and piece.contains(d):
+                if ccw_arc_contains(dfrom, dto, d) and piece.contains(d):
                     marks.append((d, idx))
     return marks
 
 
 def linear_build_shift(inst: Instance, trace, shift_color: Color):
-    """Oracle for ``gamma.build_shift``: scan every shift-colored point per cut interval."""
+    """Oracle for ``gamma.build_shift``: scan every shift-colored point per cut interval.
+
+    One anchor per cut where the nearest point changes; the wrap folds as
+    ``build_shift`` folds it, and ``_curve_through`` assembles the curve.
+    """
     pts = inst.points
     shift_ids = inst.ids_of(shift_color)
     theta = trace.start_direction
@@ -487,7 +494,7 @@ def linear_build_shift(inst: Instance, trace, shift_color: Color):
     anchors = []
     for j, u in enumerate(ordered):
         v = ordered[(j + 1) % len(ordered)]
-        m = direction_between(u, v) if u != v else u.perp_ccw
+        m = direction_between(u, v)
         g = pts[linear_pivot_at(trace, m)]
         o_line = m.offset(g.x, g.y)
         best_id, best_off = None, None
@@ -497,8 +504,11 @@ def linear_build_shift(inst: Instance, trace, shift_color: Color):
                 best_id, best_off = sid, o
         if best_id is None:
             return None
-        anchors.append((u, best_id))
-    return _shift_curve(inst, anchors, shift_color)
+        if not anchors or anchors[-1][1] != best_id:
+            anchors.append((u, best_id))
+    if len(anchors) > 1 and anchors[-1][1] == anchors[0][1]:
+        anchors[0] = anchors.pop()
+    return _curve_through(inst, anchors, shift_color)
 
 
 def pairwise_naive(inst: Instance) -> set[BalancedLine]:

@@ -10,7 +10,10 @@ membership check sees (plain, splice and shift), and the traces every
 rotation the search runs.  ``build_splice`` cuts its lift with
 ``_clip_curve`` at arcs it bisects out of the lift's index; the cuts are
 checked against arcs found by a scan, and every splice of the search
-against a recorded digest.
+against a recorded digest.  Lifts and shift curves share one assembly,
+``sliding._curve_through``, which ``linear_build_shift`` calls too; every
+lift and shift curve of the search's traces is checked against a second
+digest.
 """
 
 import hashlib
@@ -254,12 +257,17 @@ def test_curve_meetings_match_all_pairs(search_log):
     assert pairs
 
 
+def _subset_color(trace, inst):
+    """The color of a search trace's subset: a color class, or strip points of one color."""
+    subset = trace.spec.subset
+    return subset if isinstance(subset, Color) else inst.point(next(iter(subset))).color
+
+
 def test_build_shift_matches_scan(search_log):
     """Every trace of the search, followed by the nearest point of the other color."""
     shifted = 0
     for trace, inst in search_log[1]:
-        subset = trace.spec.subset
-        color = subset if isinstance(subset, Color) else inst.point(next(iter(subset))).color
+        color = _subset_color(trace, inst)
         got = gamma_module.build_shift(inst, trace, color.opposite)
         assert got == support.linear_build_shift(inst, trace, color.opposite)
         shifted += got is not None
@@ -302,3 +310,49 @@ def test_build_splice_digest(search_log):
     assert any(s is not None for s in splices)
     digest = hashlib.sha256("\n".join(map(repr, splices)).encode()).hexdigest()
     assert (len(splices), digest) == SPLICE_DIGEST
+
+
+ASSEMBLY_DIGEST = (526, "d8388a133bd0f02db2f67a2183068284e1ab90f99fe885b39598fbc60b7d572a")
+
+
+def test_curve_assembly_digest(search_log):
+    """Every lift and every shift curve of the search's traces, piece by piece, is the recorded one.
+
+    ``linear_build_shift`` assembles its curve the way ``build_shift`` does,
+    so ``test_build_shift_matches_scan`` cannot see a change of the assembly
+    itself; this digest does.
+    """
+    curves = []
+    for trace, inst in search_log[1]:
+        color = _subset_color(trace, inst)
+        curves.append(lift_rotation(trace, inst, color))
+        shifted = gamma_module.build_shift(inst, trace, color.opposite)
+        if shifted is not None:
+            curves.append(shifted)
+    digest = hashlib.sha256("\n".join(map(repr, curves)).encode()).hexdigest()
+    assert (len(curves), digest) == ASSEMBLY_DIGEST
+
+
+def test_every_trace_has_events(search_log):
+    """A full turn meets every other point, so no rotation of a valid instance is event-less.
+
+    Every trace of the search, and every rotation of the two-point
+    instances from vertical, from a random start and from a fence of each
+    point; each interval of a trace is a proper arc.
+    """
+    rng = random.Random(11)
+    traces = [trace for trace, _ in search_log[1]]
+    for r, b in ((1, 1), (0, 2)):
+        for seed in range(10):
+            inst = gen_random(seed, r, b, 1000)
+            starts = [VERTICAL, Direction.of(rng.randint(-60, 60), rng.randint(1, 60)),
+                      *(d for q in range(inst.n) for _, d, _, _ in inst.fences(q))]
+            for subset in (Color.RED, Color.BLUE, frozenset({0}), frozenset({1}),
+                           frozenset({0, 1})):
+                size = len(inst.ids_of(subset)) if isinstance(subset, Color) else len(subset)
+                traces += [run_rotation(RotationSpec(subset, level, d0), inst)
+                           for level in range(size) for d0 in starts]
+    assert len(traces) > 500
+    for trace in traces:
+        assert trace.events
+        assert all(dfrom != dto for dfrom, dto, _, _ in trace.intervals())

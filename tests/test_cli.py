@@ -226,6 +226,25 @@ def test_verify_random_batch_without_room_exit_2(run):
     assert err.startswith("error: --max-points")
 
 
+def test_verify_random_batch_bound_too_small_exit_2(run):
+    """A bound too small for the batch's largest instance fails before any report, as `gen` does."""
+    code, out, err = run("verify", "--random-batch", "3", "--bound", "2")
+    assert code == 2
+    assert out == ""
+    assert "cannot hold 10 points" in err
+    code, _, _ = run("gen", "random", "-r", "3", "-b", "7", "--bound", "2")
+    assert code == 2
+
+
+def test_verify_random_batch_draw_budget_exit_2(run):
+    """A draw that runs out of budget is a bad parameter too; the reports before it stand."""
+    code, out, err = run("verify", "--random-batch", "4", "--max-points", "8",
+                         "--bound", "8", "--seed", "8")
+    assert code == 2
+    assert len(out.strip().split("\n")) == 3
+    assert "exhausted its budget" in err
+
+
 def test_verify_nothing_exit_2(run):
     code, _, _ = run("verify")
     assert code == 2
