@@ -15,7 +15,7 @@ from .geometry import (
     ColorImbalance,
     Instance,
     LabeledPoint,
-    slope,
+    slopes,
     validate,
 )
 
@@ -33,9 +33,10 @@ def gen_random(seed: int, r: int, b: int, coordinate_bound: int = 1000) -> Insta
     """Sample an instance with integer coordinates in [0, coordinate_bound).
 
     Points are drawn one at a time and redrawn whenever they would repeat an
-    abscissa or complete a collinear triple; the collinearity test hashes the
-    slopes from the candidate to the accepted points, so a draw costs O(k)
-    with k points accepted and the whole instance O(n^2) expected.  Raises
+    abscissa or complete a collinear triple (``_completes_collinear_triple``,
+    one batched ``slopes`` loop from the candidate to the accepted points),
+    so a draw costs O(k) with k points accepted and the whole instance
+    O(n^2) expected; ``validate`` then checks the result once more.  Raises
     BoundTooSmall when the grid cannot hold the instance (fewer than n
     distinct abscissae) or when the draw budget runs out.
     """
@@ -69,7 +70,7 @@ def gen_random(seed: int, r: int, b: int, coordinate_bound: int = 1000) -> Insta
 
 def check_bound(n: int, coordinate_bound: int) -> None:
     """Raise BoundTooSmall when the grid of ``gen_random`` has fewer than n abscissae."""
-    if coordinate_bound < n or coordinate_bound * coordinate_bound < n:
+    if coordinate_bound < n:
         raise BoundTooSmall(
             f"bound {coordinate_bound} cannot hold {n} points in general position"
         )
@@ -79,9 +80,10 @@ def _completes_collinear_triple(accepted: list[tuple[int, int]], x: int, y: int)
     """Whether (x, y) lies on a line through two accepted points.
 
     The candidate's abscissa is unused, so two accepted points are collinear
-    with it exactly when they share a slope as seen from it.
+    with it exactly when they share a slope as seen from it: the ``slopes``
+    from the candidate, hashed in a set, count fewer than the points.
     """
-    return len({slope(ax - x, ay - y) for ax, ay in accepted}) < len(accepted)
+    return len(set(slopes(x, y, accepted))) < len(accepted)
 
 
 def gen_separated_convex(r: int, b: int) -> Instance:

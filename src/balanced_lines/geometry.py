@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -141,6 +142,7 @@ def slope(dx: Coord, dy: Coord) -> tuple[int, int]:
     The reduced quotient dy/dx as (numerator, denominator) with a positive
     denominator: two vectors share a slope exactly when they are parallel,
     whichever their signs, and int and Fraction inputs give equal keys.
+    The per-pair definition; ``slopes`` computes it for many pairs at once.
     """
     if isinstance(dx, int) and isinstance(dy, int):
         if dx < 0:
@@ -149,6 +151,28 @@ def slope(dx: Coord, dy: Coord) -> tuple[int, int]:
         return dy // g, dx // g
     q = Fraction(dy) / dx
     return q.numerator, q.denominator
+
+
+def slopes(px: Coord, py: Coord, points: Sequence[tuple[Coord, Coord]]) -> list[tuple[int, int]]:
+    """``slope`` from (px, py) to each of the ``(x, y)`` points, in order.
+
+    The one batched slope loop of the package: ``Instance.fences``,
+    ``validate`` and ``gen_random`` read it.  Integer differences are
+    reduced inline, by ``gcd`` and floor division (the gcd negated when
+    dx < 0, so the denominator stays positive), with no call per pair.  A
+    difference with a Fraction in it is a Fraction, which ``gcd`` rejects
+    with TypeError; then every pair goes through ``slope``.  No point may
+    share the abscissa px.
+    """
+    out = []
+    try:
+        for x, y in points:
+            dx, dy = x - px, y - py
+            g = -gcd(dx, dy) if dx < 0 else gcd(dx, dy)
+            out.append((dy // g, dx // g))
+    except TypeError:
+        return [slope(x - px, y - py) for x, y in points]
+    return out
 
 
 def _xy(p):
@@ -496,28 +520,39 @@ class Instance:
         sorted by ``key = direction_key(VERTICAL, direction)``: the cyclic
         order from just past vertical, counterclockwise, vertical last.
         General position makes the 2(n-1) keys distinct.  Built on first use
-        in O(n log n) and kept on the instance, so the table lives exactly as
-        long as the instance does: the package keeps no state between
-        instances.  No two points share an abscissa, so no fence is
-        vertical: the tail's key is the head's with the half turned over
-        (1 and 3 swap) and the same prefix and ``Ratio``.  The table fills
-        one point at a time, on that point's first use, reading the
-        coordinate rows: a caller that walks a few points (the sweep
+        and kept on the instance, so the table lives exactly as long as the
+        instance does: the package keeps no state between instances.  The
+        table fills one point at a time, on that point's first use, reading
+        the coordinate rows: a caller that walks a few points (the sweep
         enumerator reads only the red ones) builds only theirs.
+
+        No two points share an abscissa, so no fence is vertical, and the
+        two fences of another point lie on the line of slope ``num/den``
+        (``slopes``, ``den > 0``): their directions are ``(-den, -num)``,
+        key ``(1, prefix, Ratio(num, den))``, and ``(den, num)``, key
+        ``(3, prefix, Ratio(num, den))``, with ``prefix = (num << 64) //
+        den``; the head is the one that points toward the other point, by
+        the sign of its ``x - qx``.  So one row ``(prefix, Ratio, other,
+        ...)`` per other point, sorted once in O(n log n), orders both
+        halves: the half-1 entries in row order, then the half-3 entries.
         """
         table = self._fence_table
         if pid not in table:
-            q = self.point(pid)
-            qx, qy = q.x, q.y
-            entries = []
-            for other, (x, y) in enumerate(zip(self.xs, self.ys)):
-                if other == pid:
-                    continue
-                head = direction_of(x - qx, y - qy)
-                half, prefix, ratio = key = direction_key(VERTICAL, head)
-                entries.append((key, head, other, True))
-                entries.append(((4 - half, prefix, ratio), head.antipode, other, False))
-            table[pid] = tuple(sorted(entries, key=FENCE_KEY))
+            xs, ys = self.xs, self.ys
+            qx = xs[pid]
+            pts = list(zip(xs, ys))
+            del pts[pid]
+            others = chain(range(pid), range(pid + 1, len(xs)))
+            rows = sorted([
+                ((num << _PREFIX_BITS) // den, Ratio(num, den), other, num, den, x > qx)
+                for other, (x, _), (num, den) in zip(others, pts, slopes(qx, ys[pid], pts))
+            ])
+            table[pid] = tuple(
+                [((1, prefix, ratio), _new(Direction, (-den, -num)), other, not right)
+                 for prefix, ratio, other, num, den, right in rows]
+                + [((3, prefix, ratio), _new(Direction, (den, num)), other, right)
+                   for prefix, ratio, other, num, den, right in rows]
+            )
         return table[pid]
 
     @cached_property
@@ -596,9 +631,13 @@ def validate(points: Sequence[LabeledPoint]) -> Instance:
     Raises CollinearTriple, DuplicateAbscissa or ColorImbalance naming the
     offending points; ids must equal list positions and every coordinate
     must be an int or a Fraction (``build_points`` coerces strings), else
-    ValidationError.  Collinearity is found
-    by grouping the later points around each point by ``slope``, in O(n^2)
-    expected time; the triple reported is the lexicographically first one.
+    ValidationError.  General position is checked in x order: each point
+    sees its later points at dx > 0, so two of them lie on one line with
+    it exactly when they share a slope, and every triple is seen from its
+    leftmost point.  Each point's ``slopes`` to the later points are
+    counted in a set, in O(n^2) expected time.  Only when some count falls
+    short, the later points around each point are grouped by ``slope`` in
+    id order, which names the lexicographically first collinear triple.
     """
     if not points:
         raise ValidationError("instance must contain at least one point")
@@ -616,13 +655,16 @@ def validate(points: Sequence[LabeledPoint]) -> Instance:
         if p.x in by_x:
             raise DuplicateAbscissa((by_x[p.x], p.id))
         by_x[p.x] = p.id
-    for i, p in enumerate(points):
-        groups: dict[tuple[int, int], list[int]] = {}
-        for q in points[i + 1:]:
-            groups.setdefault(slope(q.x - p.x, q.y - p.y), []).append(q.id)
-        for g in groups.values():
-            if len(g) > 1:
-                raise CollinearTriple((i, g[0], g[1]))
+    by_abscissa = sorted([(p.x, p.y) for p in points])
+    if any(len(set(slopes(x, y, by_abscissa[i + 1:]))) < n - 1 - i
+           for i, (x, y) in enumerate(by_abscissa)):
+        for i, p in enumerate(points):
+            groups: dict[tuple[int, int], list[int]] = {}
+            for q in points[i + 1:]:
+                groups.setdefault(slope(q.x - p.x, q.y - p.y), []).append(q.id)
+            for g in groups.values():
+                if len(g) > 1:
+                    raise CollinearTriple((i, g[0], g[1]))
     r = sum(1 for p in points if p.color is Color.RED)
     b = n - r
     if b < r or (b - r) % 2 != 0:

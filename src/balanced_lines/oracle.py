@@ -42,8 +42,11 @@ def enumerate_naive(inst: Instance) -> set[BalancedLine]:
     the same frame) when its cross product ``dx*y - dy*x`` is below 0.
     The anchor and the blue point itself have cross product 0, as no other
     point has in general position, so they count on neither side.  The
-    left weight is summed only for pairs whose right weight is delta.
-    Cubic, and shares nothing with ``Instance.fences`` or ``Direction``.
+    left weight is summed only for pairs whose right weight is delta, and
+    then it cannot miss: the instance weighs b - r = 2*delta and the
+    red/blue pair weighs 0, so the left side weighs 2*delta - delta.  It
+    stays as a guard against weights that do not sum to 2*delta.  Cubic,
+    and shares nothing with ``Instance.fences`` or ``Direction``.
     """
     found = set()
     delta = inst.delta

@@ -39,7 +39,6 @@ from .geometry import (
     Side,
     VERTICAL,
     _unordered,
-    direction_between,
     direction_key,
     just_after_keys,
 )
@@ -157,11 +156,6 @@ class RotationTrace:
             d, pivot, omega = ev.direction, ev.pivot_after, ev.omega_after
         if d != self.start_direction:
             yield (d, self.start_direction, pivot, omega)
-
-    def interval_representatives(self) -> Iterator[tuple[Direction, int, int]]:
-        """Yield (direction, pivot, omega) with one direction inside each interval."""
-        for dfrom, dto, pivot, omega in self.intervals():
-            yield (direction_between(dfrom, dto), pivot, omega)
 
     @cached_property
     def omega_values(self) -> tuple[int, ...]:

@@ -20,6 +20,13 @@ per-point just-after rule, ``side_just_after``); and ``pairwise_naive``
 classifies every point against every red/blue pair the way
 ``enumerate_naive`` did before it kept its rows relative to each red
 anchor.
+
+``reference_fences`` builds a point's angular order fence by fence, with
+``direction_of`` and ``direction_key`` and one sort of all 2(n-1) entries,
+as ``Instance.fences`` did before it sorted one slope row per other point.
+``interval_representatives`` takes one direction inside each interval of a
+rotation trace, which only the tests sample, and ``rational_image`` maps an
+instance onto Fraction coordinates exactly, keeping its balanced lines.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
+from typing import Iterator
 
 from balanced_lines.geometry import (
     Color,
@@ -34,10 +43,13 @@ from balanced_lines.geometry import (
     Direction,
     Instance,
     Side,
+    VERTICAL,
     build_points,
     ccw_arc_contains,
     direction_between,
+    direction_key,
     direction_key_from,
+    direction_of,
     validate,
 )
 from balanced_lines.generators import gen_random, gen_separated_convex
@@ -534,3 +546,42 @@ def pairwise_naive(inst: Instance) -> set[BalancedLine]:
             if right == delta and left == delta:
                 found.add(BalancedLine(rid, bid, (right, left)))
     return found
+
+
+def reference_fences(inst: Instance, pid: int) -> tuple[tuple[tuple, Direction, int, bool], ...]:
+    """``Instance.fences(pid)`` built fence by fence: the oracle of its slope rows.
+
+    Each head direction comes from ``direction_of``, each tail from
+    ``Direction.antipode``, every key from ``direction_key(VERTICAL, ·)``,
+    and the 2(n-1) entries are sorted together by key.
+    """
+    q = inst.point(pid)
+    entries = []
+    for p in inst.points:
+        if p.id == pid:
+            continue
+        head = direction_of(p.x - q.x, p.y - q.y)
+        for d, at_head in ((head, True), (head.antipode, False)):
+            entries.append((direction_key(VERTICAL, d), d, p.id, at_head))
+    return tuple(sorted(entries, key=itemgetter(0)))
+
+
+def interval_representatives(trace: RotationTrace) -> Iterator[tuple[Direction, int, int]]:
+    """Yield (direction, pivot, omega) with one direction inside each interval of the trace."""
+    for dfrom, dto, pivot, omega in trace.intervals():
+        yield (direction_between(dfrom, dto), pivot, omega)
+
+
+def rational_image(inst: Instance) -> Instance:
+    """The instance under the exact map (x, y) -> (2x/3 + 1/5, x/7 + 5y/11 - 1/2).
+
+    The new abscissa grows with the old one alone and the map's determinant,
+    10/33, is positive, so abscissae stay distinct, every point stays on the
+    same side of every line and the balanced lines are the same pairs.  No
+    new abscissa is an integer, so every slope takes the Fraction path.
+    """
+    return validate(build_points(
+        (Fraction(2 * p.x, 3) + Fraction(1, 5),
+         Fraction(p.x, 7) + Fraction(5 * p.y, 11) - Fraction(1, 2), p.color)
+        for p in inst.points
+    ))

@@ -28,8 +28,10 @@ from balanced_lines.geometry import (
     VERTICAL,
     Color,
     Direction,
+    build_points,
     direction_between,
     direction_key_from,
+    validate,
 )
 from balanced_lines.generators import gen_random
 from balanced_lines.rotation import EventKind, RotationSpec, run_rotation
@@ -220,6 +222,43 @@ def test_run_rotation_matches_tag_walk(pool):
                     assert trace == support.tag_walk_rotation(spec, inst)
                     if d0 in on_fence:
                         assert d0 in {d for _, d, _, _ in inst.fences(trace.initial_pivot)}
+
+
+def _plain(fences):
+    """Each fence entry as plain values: the key's Ratio as its two integers."""
+    return [(half, prefix, ratio.num, ratio.den, type(d), d, other, head)
+            for (half, prefix, ratio), d, other, head in fences]
+
+
+def _prefix_tie_instance():
+    """Point 0 sees points 1 and 2 at slopes (2**66 + 1)/(3 * 2**66) and 1/3.
+
+    The two slopes share their 64-bit prefix, so only the ``Ratio`` orders
+    them, and the points come in the order opposite to their slopes.
+    """
+    big = 1 << 66
+    return validate(build_points([(0, 0, "R"), (3 * big, big + 1, "B"), (3, 1, "R"), (1, 5, "B")]))
+
+
+@pytest.mark.parametrize("pool", [
+    support.nested_pool,
+    support.mixed_pool,
+    support.recharge_pool,
+    lambda: [support.rational_image(gen_random(seed, 4, 6, 1000)) for seed in range(3)],
+    lambda: [_prefix_tie_instance()],
+], ids=["nested", "mixed", "recharge", "fraction", "prefix-tie"])
+def test_fences_match_reference_construction(pool):
+    """The slope rows give the fence-by-fence table, entry for entry."""
+    for inst in pool():
+        for q in range(inst.n):
+            assert _plain(inst.fences(q)) == _plain(support.reference_fences(inst, q))
+
+
+def test_prefix_tie_instance_ties():
+    fences = _prefix_tie_instance().fences(0)
+    tied = [key for key, _, other, _ in fences if other in (1, 2)]
+    assert len({(half, prefix) for half, prefix, _ in tied}) == 2
+    assert [other for _, _, other, head in fences if head] == [2, 1, 3]
 
 
 def test_half_cycle_representatives_match_sort(searched):

@@ -28,6 +28,7 @@ from balanced_lines.geometry import (
     just_after_keys,
     orientation,
     slope,
+    slopes,
     swap_colors,
     validate,
     weight,
@@ -162,6 +163,31 @@ nonvertical = st.tuples(
 @settings(max_examples=200)
 def test_slope_equal_exactly_when_parallel(u, v):
     assert (slope(*u) == slope(*v)) == (u[0] * v[1] - u[1] * v[0] == 0)
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_slopes_match_slope(data):
+    """The batched loop gives ``slope`` of every difference, on ints, Fractions and both."""
+    coord = data.draw(st.sampled_from([coords, small_fractions, st.one_of(coords, small_fractions)]))
+    px, py = data.draw(coord), data.draw(coord)
+    points = data.draw(st.lists(st.tuples(coord.filter(lambda x: x != px), coord), max_size=12))
+    assert slopes(px, py, points) == [slope(x - px, y - py) for x, y in points]
+
+
+def test_validate_large_coordinates_reports_first_triple():
+    """Two collinear triples, met in x order in the opposite order to their ids."""
+    s = 10**30
+    raw = [(7 * s, 2 * s), (3 * s + 1, 9 * s + 4), (5 * s, 0), (-s + 1, -3 * s + 4),
+           (6 * s, s), (2 * s + 1, 6 * s + 4), (-2 * s, 5), (4 * s + 3, -7 * s)]
+    points = [LabeledPoint(i, x, y, Color.RED if i % 2 else Color.BLUE)
+              for i, (x, y) in enumerate(raw)]
+    with pytest.raises(CollinearTriple) as err:
+        validate(points)
+    assert err.value.ids == _first_collinear_triple(points) == (0, 2, 4)
+    assert str(err.value) == "points (0, 2, 4) are collinear"
+    by_x = sorted(points, key=lambda p: p.x)
+    assert {by_x[i].id for i in _first_collinear_triple(by_x)} == {1, 3, 5}
 
 
 def test_validate_duplicate_abscissa():

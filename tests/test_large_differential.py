@@ -1,7 +1,10 @@
 """Differential runs at n = 120, outside tier-1: give ``--run-slow`` to run them.
 
 Both enumerators must agree, and the certificate must reach ``r``, on
-random instances and on red clusters inside a blue ring, two seeds each.
+random instances, on red clusters inside a blue ring, on blue clusters
+inside a flat red ellipse, and on an exact rational image of the random
+ones (``support.rational_image``, so every slope takes the Fraction path),
+two seeds each.  The rational image must keep the random instance's lines.
 """
 
 import pytest
@@ -16,6 +19,8 @@ from balanced_lines.oracle import enumerate_naive, enumerate_sweep
 FAMILIES = {
     "random": lambda seed: gen_random(seed, 45, 75, 10**6),
     "nested": lambda seed: support.gen_nested(seed, 55, 65, Color.RED),
+    "ellipse": lambda seed: support.gen_ellipse(seed, 62, 58, Color.BLUE),
+    "rational": lambda seed: support.rational_image(gen_random(seed, 45, 75, 10**6)),
 }
 
 
@@ -29,3 +34,10 @@ def test_enumerators_and_certificate_agree_at_n120(family, seed):
     assert enumerate_sweep(inst) == lines
     cert = verify_lower_bound(inst)
     assert inst.r <= cert.total <= len(lines)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rational_image_keeps_lines_at_n120(seed):
+    inst = gen_random(seed, 45, 75, 10**6)
+    assert enumerate_sweep(support.rational_image(inst)) == enumerate_sweep(inst)

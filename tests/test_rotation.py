@@ -66,7 +66,7 @@ def test_recount_and_level_invariant(seed):
     ids = inst.ids_of(color)
     k = seed % len(ids)
     trace = run_rotation(RotationSpec(color, k), inst)
-    for d, pivot, omega in trace.interval_representatives():
+    for d, pivot, omega in support.interval_representatives(trace):
         line = DirectedLine.pivot_direction(inst, pivot, d)
         assert halfplane_weight(line, inst, Side.RIGHT) == omega
         right = sum(
@@ -116,7 +116,7 @@ def test_antipodal_level_structure():
     k = 1
     t_low = run_rotation(RotationSpec(Color.RED, k), inst)
     t_high = run_rotation(RotationSpec(Color.RED, inst.r - 1 - k), inst)
-    samples = list(t_low.interval_representatives())[::3]
+    samples = list(support.interval_representatives(t_low))[::3]
     for d, pivot, _ in samples:
         assert support.linear_pivot_at(t_high, d.antipode) == pivot
 

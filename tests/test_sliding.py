@@ -59,7 +59,7 @@ def test_evaluate_at_plain_rotation():
     inst = gen_random(3, 4, 4, 1000)
     trace = run_rotation(RotationSpec(Color.RED, 1), inst)
     sr = lift_rotation(trace, inst, Color.RED)
-    for d, pivot, _ in list(trace.interval_representatives())[::2]:
+    for d, pivot, _ in list(support.interval_representatives(trace))[::2]:
         line = evaluate_at(sr, inst, d)
         assert line.contains(inst.point(pivot))
         right = sum(
@@ -210,7 +210,7 @@ def test_shift_curve_structure():
     assert sr.subset_color is Color.BLUE
     # every curve line passes through the nearest blue strictly right of the
     # rotating line at the same direction
-    for t, pivot, _ in list(trace.interval_representatives())[::2]:
+    for t, pivot, _ in list(support.interval_representatives(trace))[::2]:
         g = inst.point(pivot)
         o_line = t.dx * g.y - t.dy * g.x
         best = None
