@@ -631,13 +631,13 @@ def validate(points: Sequence[LabeledPoint]) -> Instance:
     Raises CollinearTriple, DuplicateAbscissa or ColorImbalance naming the
     offending points; ids must equal list positions and every coordinate
     must be an int or a Fraction (``build_points`` coerces strings), else
-    ValidationError.  General position is checked in x order: each point
-    sees its later points at dx > 0, so two of them lie on one line with
-    it exactly when they share a slope, and every triple is seen from its
-    leftmost point.  Each point's ``slopes`` to the later points are
-    counted in a set, in O(n^2) expected time.  Only when some count falls
-    short, the later points around each point are grouped by ``slope`` in
-    id order, which names the lexicographically first collinear triple.
+    ValidationError.  General position is checked in id order: two later
+    points lie on one line with a point exactly when its ``slopes`` to them
+    are equal (``slope`` is sign-free), so every triple is seen from its
+    lowest id, and the distinct slopes of each row are counted in a set, in
+    O(n^2) expected time.  The first row that falls short is grouped by
+    slope, in the order of the later points, to name the lexicographically
+    first collinear triple.
     """
     if not points:
         raise ValidationError("instance must contain at least one point")
@@ -655,13 +655,13 @@ def validate(points: Sequence[LabeledPoint]) -> Instance:
         if p.x in by_x:
             raise DuplicateAbscissa((by_x[p.x], p.id))
         by_x[p.x] = p.id
-    by_abscissa = sorted([(p.x, p.y) for p in points])
-    if any(len(set(slopes(x, y, by_abscissa[i + 1:]))) < n - 1 - i
-           for i, (x, y) in enumerate(by_abscissa)):
-        for i, p in enumerate(points):
+    coords = [(p.x, p.y) for p in points]
+    for i, (x, y) in enumerate(coords):
+        row = slopes(x, y, coords[i + 1:])
+        if len(set(row)) < len(row):
             groups: dict[tuple[int, int], list[int]] = {}
-            for q in points[i + 1:]:
-                groups.setdefault(slope(q.x - p.x, q.y - p.y), []).append(q.id)
+            for j, s in enumerate(row, i + 1):
+                groups.setdefault(s, []).append(j)
             for g in groups.values():
                 if len(g) > 1:
                     raise CollinearTriple((i, g[0], g[1]))
