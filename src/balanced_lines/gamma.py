@@ -1,24 +1,23 @@
 """Selection of the minimum-waist delta-preserving sliding rotation.
 
-The candidate family is finite and constructive:
+The candidate family is finite and constructive, and every member is made
+of arcs only:
 
 * every plain level rotation, of either color, that is delta-preserving in
   the one-sided sliding sense and positively oriented;
-* composites spawned from the current best candidate: the level rotations
-  of its strip points spliced with the candidate between their coincidence
-  directions, and parallel-shift curves that follow such a rotation at the
-  nearest opposite-color point on its right.
+* splices spawned from the current best candidate: the level rotations of
+  its strip points, each followed except between its outermost meetings
+  with the candidate, where the candidate is followed instead.
 
 New composites are adopted only after full validation (curve continuity,
 preservation, positive orientation) and only when they strictly shrink the
 waist, so the iteration terminates.
 
-Both surgeries walk their inputs in angular order instead of pairing every
-part with every other: the splice finds where the strip rotation meets the
-curve by moving one pointer through the curve's arc index along the
-trace's intervals, and the shift keeps the opposite-color points sorted by
-offset as the line turns, so the nearest one on its right changes only at
-a trace event or at a pair fence of two such points.
+The splice walks its inputs in angular order instead of pairing every part
+with every other: it finds where the strip rotation meets the curve by
+moving one pointer through the curve's arc index along the trace's
+intervals.  ``build_shift`` builds the one curve with slides that the
+package constructs; it is not part of the family.
 """
 
 from __future__ import annotations
@@ -69,13 +68,16 @@ from .sliding import (
 
 @dataclass(frozen=True)
 class Gamma:
-    """A validated family member: curve, color, waist and bookkeeping."""
+    """A validated family member: curve, waist and bookkeeping."""
 
     sr: SlidingRotation
-    color: Color
     waist: Waist
     kind: str
     level: int
+
+    @property
+    def color(self) -> Color:
+        return self.sr.subset_color
 
     @property
     def sort_key(self) -> tuple:
@@ -93,8 +95,8 @@ def transition_low(color: Color, delta: int) -> int:
     return delta if color is Color.RED else delta - 1
 
 
-def _validated(sr: SlidingRotation, inst: Instance, color: Color, kind: str,
-               level: int, *, preserving_known: bool = False,
+def _validated(sr: SlidingRotation, inst: Instance, kind: str, level: int, *,
+               preserving_known: bool = False,
                waist_cap: Optional[int] = None) -> Optional[Gamma]:
     """Full membership check; None when the curve does not qualify.
 
@@ -117,7 +119,7 @@ def _validated(sr: SlidingRotation, inst: Instance, color: Color, kind: str,
         return None
     if waist_cap is not None and w.value >= waist_cap:
         return None
-    return Gamma(sr, color, w, kind, level)
+    return Gamma(sr, w, kind, level)
 
 
 def plain_candidates(inst: Instance) -> list[Gamma]:
@@ -136,7 +138,7 @@ def plain_candidates(inst: Instance) -> list[Gamma]:
             if not _preserves_delta(color, trace.omega_values, inst.delta):
                 continue
             cand = _validated(
-                lift_rotation(trace, inst, color), inst, color, "plain", k,
+                lift_rotation(trace, inst, color), inst, "plain", k,
                 preserving_known=True,
             )
             if cand is not None:
@@ -149,9 +151,14 @@ def find_gamma(inst: Instance) -> Optional[Gamma]:
 
     An empty family means no level rotation preserves delta at all, in
     which case the direct transition accounting already certifies the
-    lower bound and no curve is needed.  Every surgery candidate has a
-    smaller waist than the ``best`` it was spawned from (``waist_cap``), so
-    the best of a round's candidates is the best of all curves seen so far.
+    lower bound and no curve is needed.  Every splice has a smaller waist
+    than the ``best`` it was spawned from (``waist_cap``), so the best of a
+    round's splices is the best of all curves seen so far.
+
+    Soundness never rests on the family: ``certificate._check_certificate``
+    rechecks every certified line with ``geometry.is_balanced``, whatever
+    curve the lines were read from.  The family only decides whether a
+    curve is found and which lines are certified.
     """
     plain = plain_candidates(inst)
     if not plain:
@@ -220,7 +227,7 @@ def in_central_region(inst: Instance, gamma: Gamma, transition: Transition) -> b
 
 
 def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
-    """Candidates spawned by the strip rotations of the current best curve.
+    """Splices of the current best curve with the rotations of its strip points.
 
     The strip is the waist witnesses: ``best`` passed the membership check,
     so it preserves delta, and ``decompose_fhg`` would return the same set.
@@ -232,16 +239,9 @@ def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
     levels = (len(strip) + 1) // 2
     for k in range(levels):
         trace = run_rotation(RotationSpec(strip, k, theta), inst)
-        cand = _validated(build_splice(inst, best, trace), inst, best.color, "splice", k,
-                          waist_cap=cap)
+        cand = _validated(build_splice(inst, best, trace), inst, "splice", k, waist_cap=cap)
         if cand is not None:
             out.append(cand)
-        shifted = build_shift(inst, trace, best.color.opposite)
-        if shifted is not None:
-            cand = _validated(shifted, inst, best.color.opposite, "shift", k,
-                              waist_cap=cap)
-            if cand is not None:
-                out.append(cand)
     return out
 
 
@@ -250,9 +250,7 @@ def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> SlidingRo
 
     Between the first and last direction where the rotating line lands on
     the curve, the composite follows the curve instead.  Returns the plain
-    lift when they never meet.  Meetings inside a slide of the curve are
-    ignored as junction choices; the validation step rejects any composite
-    this makes unusable.
+    lift when they never meet.
 
     The lift starts at the rotation's start direction theta, so its arc
     index is keyed from theta, and ``_clip_curve`` cuts its head [theta, t1]
@@ -368,6 +366,15 @@ def build_shift(inst: Instance, trace: RotationTrace, shift_color: Color) -> Opt
     over continuously, otherwise the curve slides between the two parallel
     lines.  Returns None when at some direction no shift-colored point lies
     strictly right.
+
+    It is the package's one constructor of a curve with slides, and
+    ``find_gamma`` does not search it: no curve it built for a strip
+    rotation of the search ever passed membership (0 of 387 on 660
+    instances, 0 of 355 on ``gen_random`` seeds 0-299 with n <= 34; every
+    one failed preservation), and with it left out the certificates stayed
+    byte-identical.  It is kept because the ``perfbench`` spans time it by
+    name (``gamma.build_shift``), and ``test_build_shift_matches_scan`` and
+    ``test_shift_curve_structure`` keep its slide paths checked.
 
     The start order and count are read from ``just_after_keys`` at the
     start direction, as ``run_rotation`` reads its start state.  The walk

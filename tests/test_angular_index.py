@@ -5,9 +5,11 @@
 bisects each pivot's fences (``Instance.fences``), ``run_rotation`` walks
 the pivots' fences, and the surgery's ``_curve_meetings`` and
 ``build_shift`` walk a trace in order; the oracles in ``support`` scan
-every piece, direction, tag, arc or point instead.  The curves are every one that the gamma search's
-membership check sees (plain, splice and shift), and the traces every
-rotation the search runs.  ``build_splice`` cuts its lift with
+every piece, direction, tag, arc or point instead.  The curves are every
+one that the gamma search's membership check sees (plain and splice, arcs
+only), with the shift curves that ``build_shift`` makes of the search's
+strip rotations, the curves with slides; the traces are every rotation the
+search runs.  ``build_splice`` cuts its lift with
 ``_clip_curve`` at arcs it bisects out of the lift's index; the cuts are
 checked against arcs found by a scan, and every splice of the search
 against a recorded digest.  Lifts and shift curves share one assembly,
@@ -62,7 +64,7 @@ def _search(instances):
     splice = gamma_module.build_splice
 
     def spy_validated(sr, inst, *args, **kwargs):
-        curves.append((sr, inst, args[1]))
+        curves.append((sr, inst, args[0]))
         return validated(sr, inst, *args, **kwargs)
 
     def spy_run(spec, inst):
@@ -80,6 +82,11 @@ def _search(instances):
         mp.setattr(gamma_module, "build_splice", spy_splice)
         for inst in instances:
             gamma_module.find_gamma(inst)
+    return _valid(curves), runs, splices
+
+
+def _valid(curves):
+    """The (curve, instance, kind) entries whose curve passes ``validate_curve``."""
     valid = []
     for sr, inst, kind in curves:
         try:
@@ -87,7 +94,7 @@ def _search(instances):
         except InvalidCurve:
             continue
         valid.append((sr, inst, kind))
-    return valid, runs, splices
+    return valid
 
 
 @pytest.fixture(scope="module")
@@ -100,14 +107,28 @@ def search_log():
 
 @pytest.fixture(scope="module")
 def searched(search_log):
+    """The search's valid curves and the valid shift curves of its strip rotations."""
     curves, runs, _ = search_log
-    return curves, [trace for trace, _ in runs]
+    shifts = []
+    for trace, inst in runs:
+        if isinstance(trace.spec.subset, frozenset):
+            sr = gamma_module.build_shift(inst, trace, _subset_color(trace, inst).opposite)
+            if sr is not None:
+                shifts.append((sr, inst, "shift"))
+    return curves + _valid(shifts), [trace for trace, _ in runs]
 
 
-def test_search_sees_every_curve_kind(searched):
-    curves, traces = searched
-    assert {kind for _, _, kind in curves} == {"plain", "splice", "shift"}
-    assert any(isinstance(piece, Slide) for sr, _, _ in curves for piece in sr.pieces)
+def _has_slide(sr):
+    return any(isinstance(piece, Slide) for piece in sr.pieces)
+
+
+def test_search_sees_every_curve_kind(search_log, searched):
+    """The search validates arc-only plain lifts and splices; the pool also holds slides."""
+    curves = search_log[0]
+    assert {kind for _, _, kind in curves} == {"plain", "splice"}
+    assert not any(_has_slide(sr) for sr, _, _ in curves)
+    pool, traces = searched
+    assert any(_has_slide(sr) for sr, _, _ in pool)
     assert traces
 
 

@@ -275,6 +275,20 @@ def test_certificate_golden_digest(nested_instances, mixed_instances, recharge_i
     assert digest.hexdigest() == GOLDEN_CERTIFICATE_DIGEST
 
 
+RANDOM_CERTIFICATE_DIGEST = "49ca720baa9545e41448ea66b46223398987a27759941336b7f331d410916090"
+
+
+def test_random_certificate_digest():
+    """The certificates of 1,200 random instances (n up to 34, grid 10**4), byte for byte."""
+    digest = hashlib.sha256()
+    for seed in range(300):
+        for delta in range(4):
+            r = 2 + seed % 13
+            inst = gen_random(seed, r, r + 2 * delta, 10**4)
+            digest.update(certificate_to_json(verify_lower_bound(inst)).encode())
+    assert digest.hexdigest() == RANDOM_CERTIFICATE_DIGEST
+
+
 def test_certificate_total_below_balanced_count(small_random_pool):
     for inst in small_random_pool[:10]:
         cert = verify_lower_bound(inst)

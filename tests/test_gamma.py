@@ -101,7 +101,7 @@ def test_decompose_requires_preserving():
     trace = run_rotation(RotationSpec(Color.RED, 0), inst)
     sr = lift_rotation(trace, inst, Color.RED)
     assert not is_delta_preserving_sliding(sr, inst)
-    fake = Gamma(sr, Color.RED, waist(sr, inst), "plain", 0)
+    fake = Gamma(sr, waist(sr, inst), "plain", 0)
     with pytest.raises(NotDeltaPreserving):
         decompose_fhg(inst, fake)
 
