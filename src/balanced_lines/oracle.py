@@ -4,14 +4,19 @@ Two methods: a cubic check of every red/blue pair against every other
 point, and an n^2 log n angular sweep around each red point.  The two must
 agree on every instance.  The sweep walks the same per-point angular order
 (``Instance.fences``) as the rotations and sliding profiles; the naive
-check shares nothing with that table and cross-checks the sweep.  Certificates
-use neither: ``verify_lower_bound`` recounts with ``geometry.is_balanced``.
+check shares nothing with that table and cross-checks the sweep.  It packs
+every point into one fixed-width lane of a big integer, wide enough for any
+cross product inside the instance's bounding box, so one pair's side counts
+are a few big-integer operations and two popcounts, not a loop over points.
+Certificates use neither: ``verify_lower_bound`` recounts with
+``geometry.is_balanced``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 
 from .geometry import (
     GuaranteeViolation,
@@ -37,29 +42,63 @@ class BalancedLine:
 def enumerate_naive(inst: Instance) -> set[BalancedLine]:
     """Check all r*b bichromatic pairs by classifying every other point.
 
-    Per red anchor, one row ``(x - ax, y - ay, w)`` per point; a point is
-    right of the line from the anchor toward a blue point ``(dx, dy)`` (in
-    the same frame) when its cross product ``dx*y - dy*x`` is below 0.
-    The anchor and the blue point itself have cross product 0, as no other
-    point has in general position, so they count on neither side.  The
-    left weight is summed only for pairs whose right weight is delta, and
-    then it cannot miss: the instance weighs b - r = 2*delta and the
-    red/blue pair weighs 0, so the left side weighs 2*delta - delta.  It
-    stays as a guard against weights that do not sum to 2*delta.  Cubic,
+    The coordinates are scaled to integers by their common denominator
+    (the lcm of every ``.denominator``; an int's is 1) and shifted into a
+    box ``[0, W] x [0, H]``.  Every point gets one lane of ``k`` bits in
+    the big integers ``px`` and ``py``, which hold its coordinates at bit
+    ``k*id``.  A point is right of the line from a red anchor toward a blue
+    point ``(dx, dy)`` (relative to the anchor) when its cross product
+    ``dx*(y - ay) - dy*(x - ax)`` is below 0, and one pair's
+    ``v = dx*ry - dy*rx``, with ``rx = px - ax*ones`` and ``ry`` alike,
+    holds all n cross products at once, one per lane.  Each is twice the
+    signed area of a triangle inside the box, so its magnitude is at most
+    ``W*H < 2**(k - 1)`` with ``k = (W*H).bit_length() + 1``: adding
+    ``2**(k - 1)`` to every lane (``bias``) makes each lane a value in
+    ``[1, 2**k - 1]`` with no carry or borrow between lanes, whose top bit
+    is clear exactly when that cross product is negative.  So the right
+    weight is the blue points less the red points whose lanes' top bits
+    are clear, two popcounts against the colour masks.  The anchor and the
+    blue point itself have cross product 0, as no other point has in
+    general position; their lanes read ``bias`` and count on neither side.
+
+    The left weight is counted, from ``bias - v``, only for pairs whose
+    right weight is delta, and then it cannot miss: the instance weighs
+    b - r = 2*delta and the red/blue pair weighs 0, so the left side weighs
+    2*delta - delta.  It stays as a guard against weights that do not sum
+    to 2*delta.  Cubic in meaning, a few big-integer operations per pair,
     and shares nothing with ``Instance.fences`` or ``Direction``.
     """
     found = set()
     delta = inst.delta
     pts = inst.points
-    weights = [p.weight for p in pts]
+    den = 1
+    for p in pts:
+        for c in (p.x.denominator, p.y.denominator):
+            den = den // gcd(den, c) * c
+    xs = [p.x.numerator * (den // p.x.denominator) for p in pts]
+    ys = [p.y.numerator * (den // p.y.denominator) for p in pts]
+    x0, y0 = min(xs), min(ys)
+    xs = [x - x0 for x in xs]
+    ys = [y - y0 for y in ys]
+    k = (max(xs) * max(ys)).bit_length() + 1
+    ones = sum(1 << k * i for i in range(len(pts)))
+    px = sum(x << k * i for i, x in enumerate(xs))
+    py = sum(y << k * i for i, y in enumerate(ys))
+    bias = ones << k - 1
+    blue_top = sum(1 << k * i + k - 1 for i in inst.blue_ids)
+    red_top = bias - blue_top
+    nb, nr = len(inst.blue_ids), len(inst.red_ids)
     for rid in inst.red_ids:
-        ax, ay = pts[rid].x, pts[rid].y
-        rows = [(p.x - ax, p.y - ay, w) for p, w in zip(pts, weights)]
+        ax, ay = xs[rid], ys[rid]
+        rx = px - ax * ones
+        ry = py - ay * ones
         for bid in inst.blue_ids:
-            dx, dy, _ = rows[bid]
-            if sum([w for x, y, w in rows if dx * y < dy * x]) != delta:
+            v = (xs[bid] - ax) * ry - (ys[bid] - ay) * rx
+            t = v + bias
+            if (nb - (t & blue_top).bit_count()) - (nr - (t & red_top).bit_count()) != delta:
                 continue
-            if sum([w for x, y, w in rows if dx * y > dy * x]) == delta:
+            t = bias - v
+            if (nb - (t & blue_top).bit_count()) - (nr - (t & red_top).bit_count()) == delta:
                 found.add(BalancedLine(rid, bid, (delta, delta)))
     return found
 

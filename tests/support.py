@@ -26,7 +26,8 @@ anchor.
 as ``Instance.fences`` did before it sorted one slope row per other point.
 ``interval_representatives`` takes one direction inside each interval of a
 rotation trace, which only the tests sample, and ``rational_image`` maps an
-instance onto Fraction coordinates exactly, keeping its balanced lines.
+instance exactly under a rational affine map (by default onto Fraction
+coordinates), keeping its balanced lines.
 """
 
 from __future__ import annotations
@@ -572,16 +573,24 @@ def interval_representatives(trace: RotationTrace) -> Iterator[tuple[Direction, 
         yield (direction_between(dfrom, dto), pivot, omega)
 
 
-def rational_image(inst: Instance) -> Instance:
-    """The instance under the exact map (x, y) -> (2x/3 + 1/5, x/7 + 5y/11 - 1/2).
+def rational_image(inst: Instance,
+                   m: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]] = (
+                       (Fraction(2, 3), 0), (Fraction(1, 7), Fraction(5, 11))),
+                   t: tuple[Fraction, Fraction] = (Fraction(1, 5), Fraction(-1, 2))) -> Instance:
+    """The instance under the exact affine map (x, y) -> m (x, y) + t.
 
-    The new abscissa grows with the old one alone and the map's determinant,
-    10/33, is positive, so abscissae stay distinct, every point stays on the
-    same side of every line and the balanced lines are the same pairs.  No
-    new abscissa is an integer, so every slope takes the Fraction path.
+    Any map with nonzero determinant keeps general position, and every
+    point stays on the same side of every line (or, when the determinant is
+    negative, a mirror, on the opposite side of every line), so the
+    balanced lines are the same pairs.  The caller keeps the new abscissae
+    distinct; ``validate`` rejects the image otherwise.  The default map,
+    (x, y) -> (2x/3 + 1/5, x/7 + 5y/11 - 1/2), has determinant 10/33 and
+    its new abscissa grows with the old one alone, so abscissae stay
+    distinct, and none is an integer, so every slope takes the Fraction
+    path.
     """
+    (a, b), (c, d) = m
+    e, f = t
     return validate(build_points(
-        (Fraction(2 * p.x, 3) + Fraction(1, 5),
-         Fraction(p.x, 7) + Fraction(5 * p.y, 11) - Fraction(1, 2), p.color)
-        for p in inst.points
+        (a * p.x + b * p.y + e, c * p.x + d * p.y + f, p.color) for p in inst.points
     ))

@@ -1,10 +1,12 @@
-"""Differential runs at n = 120, outside tier-1: give ``--run-slow`` to run them.
+"""Differential runs at n = 120 and 160, outside tier-1: give ``--run-slow`` to run them.
 
 Both enumerators must agree, and the certificate must reach ``r``, on
 random instances, on red clusters inside a blue ring, on blue clusters
 inside a flat red ellipse, and on an exact rational image of the random
 ones (``support.rational_image``, so every slope takes the Fraction path),
-two seeds each.  The rational image must keep the random instance's lines.
+two seeds each at n = 120; and on random instances and on blue points half
+clustered at the centre (``support.gen_mixed``), two seeds each at n = 160.
+The rational image must keep the random instance's lines.
 """
 
 import pytest
@@ -22,6 +24,10 @@ FAMILIES = {
     "ellipse": lambda seed: support.gen_ellipse(seed, 62, 58, Color.BLUE),
     "rational": lambda seed: support.rational_image(gen_random(seed, 45, 75, 10**6)),
 }
+FAMILIES_160 = {
+    "random": lambda seed: gen_random(seed, 60, 100, 10**6),
+    "mixed": lambda seed: support.gen_mixed(seed, 70, 90, 0.5, 10**6),
+}
 
 
 @pytest.mark.slow
@@ -30,6 +36,18 @@ FAMILIES = {
 def test_enumerators_and_certificate_agree_at_n120(family, seed):
     inst = FAMILIES[family](seed)
     assert inst.n == 120
+    lines = enumerate_naive(inst)
+    assert enumerate_sweep(inst) == lines
+    cert = verify_lower_bound(inst)
+    assert inst.r <= cert.total <= len(lines)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("family", sorted(FAMILIES_160))
+def test_enumerators_and_certificate_agree_at_n160(family, seed):
+    inst = FAMILIES_160[family](seed)
+    assert inst.n == 160
     lines = enumerate_naive(inst)
     assert enumerate_sweep(inst) == lines
     cert = verify_lower_bound(inst)

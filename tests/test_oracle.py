@@ -1,7 +1,9 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import support
 
@@ -158,3 +160,100 @@ def test_is_balanced_equals_naive_membership(nested_instances, mixed_instances,
             for bid in inst.blue_ids:
                 expected = (rid, bid) in naive
                 assert is_balanced(rid, bid, inst) is is_balanced(bid, rid, inst) is expected
+
+
+def test_naive_equals_pairwise_at_the_lane_bound():
+    """The red anchor (0, 0) sees the blue corners (1025, 1) and (1, 1025) at
+    a cross product of 1025**2 - 1 > 2**20, just under the box product
+    W*H = 1025**2: one bit less than ``enumerate_naive``'s lane width would
+    carry that lane into the next."""
+    inst = validate(build_points([(0, 0, "R"), (700, 650, "R"), (1025, 1, "B"), (1, 1025, "B"),
+                                  (500, 300, "B"), (300, 900, "B")]))
+    assert enumerate_naive(inst) == support.pairwise_naive(inst)
+    assert keys(enumerate_naive(inst)) == {(0, 4), (0, 5), (1, 3), (1, 4)}
+
+
+def test_left_guard_rejects_a_wrong_delta():
+    """An instance built without ``validate`` whose delta is not (b - r)/2:
+    pairs right of which lies that delta exist, but their left sides weigh
+    2*((b - r)/2) - delta, so the left count of both independent checkers
+    must reject every one."""
+    inst = gen_random(3, 5, 9, 1000)
+    wrong = dataclasses.replace(inst, delta=inst.delta + 1)
+
+    def right_weight(rid, bid):
+        line = DirectedLine.through_points(inst, rid, bid)
+        return sum(p.weight for p in inst.points if line.side(p) is Side.RIGHT)
+
+    assert any(right_weight(rid, bid) == wrong.delta
+               for rid in inst.red_ids for bid in inst.blue_ids)
+    assert support.pairwise_naive(wrong) == set()
+    assert enumerate_naive(wrong) == set()
+    assert not any(is_balanced(rid, bid, wrong) for rid in inst.red_ids for bid in inst.blue_ids)
+
+
+@st.composite
+def exact_instances(draw):
+    """General-position instances of 2-30 points, every delta, with exact coordinates.
+
+    Numerators run up to 2**bits in magnitude, bits from a few to 80, over
+    one denominator ``den`` (ints for ``den == 1``), or each coordinate an
+    int or a Fraction at random: the naive oracle's lanes run from a few
+    bits to about 160.  Points are drawn from a seeded ``random.Random``
+    and redrawn when they repeat an abscissa or fall on a line with two
+    earlier points.
+    """
+    r = draw(st.integers(1, 15))
+    delta = draw(st.integers(0, 15 - r))
+    n = 2 * (r + delta)
+    bits = draw(st.integers(n.bit_length() + 1, 80))
+    den = draw(st.sampled_from([1, 2, 3, 7, 12, 16]))
+    mixed = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def coord():
+        m = rng.randint(-2**bits, 2**bits)
+        return Fraction(m, den) if not mixed or rng.random() < 0.5 else m
+
+    pts = []
+    while len(pts) < n:
+        x, y = coord(), coord()
+        if any(x == px for px, _ in pts) or any(
+                (bx - ax) * (y - ay) == (by - ay) * (x - ax)
+                for i, (ax, ay) in enumerate(pts) for bx, by in pts[i + 1:]):
+            continue
+        pts.append((x, y))
+    return validate(build_points(
+        (x, y, "R" if i < r else "B") for i, (x, y) in enumerate(pts)
+    ))
+
+
+@given(exact_instances())
+@settings(max_examples=100, deadline=None)
+def test_naive_equals_pairwise_exact(inst):
+    assert enumerate_naive(inst) == support.pairwise_naive(inst)
+
+
+MAP_ENTRIES = st.fractions(min_value=-4, max_value=4, max_denominator=9)
+
+
+@given(exact_instances(), MAP_ENTRIES, MAP_ENTRIES, MAP_ENTRIES, MAP_ENTRIES,
+       MAP_ENTRIES, MAP_ENTRIES)
+@example(gen_random(5, 3, 7, 1000), -1, 0, 0, 1, 0, 0)
+@example(gen_random(6, 4, 6, 1000), 1, 0, 0, -1, 0, 0)
+@example(gen_random(7, 4, 4, 1000), 0, 1, 1, 0, 3, -2)
+@settings(max_examples=50, deadline=None)
+def test_affine_image_keeps_naive_lines(inst, a, b, c, d, e, f):
+    """A rational affine map with nonzero determinant keeps the balanced set.
+
+    It keeps collinearity, and it keeps or swaps the two sides of every
+    line (a mirror, determinant below 0, swaps them); either way both sides
+    of a pair still weigh delta.  Maps that make two abscissae equal are
+    skipped.
+    """
+    assume(a * d != b * c)
+    assume(len({a * p.x + b * p.y for p in inst.points}) == inst.n)
+    image = support.rational_image(inst, ((a, b), (c, d)), (e, f))
+    lines = enumerate_naive(image)
+    assert lines == enumerate_naive(inst)
+    assert enumerate_sweep(image) == lines
