@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import AbstractSet, Optional
+from typing import AbstractSet, Mapping, Optional
 
 from .geometry import (
     BalancedLinesError,
@@ -175,7 +175,7 @@ def strip_transitions(inst: Instance, gamma: Gamma,
 
 def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
              f_ids: tuple[int, ...], h_ids: tuple[int, ...],
-             pools: dict[tuple[str, int], list[Transition]],
+             pools: Mapping[tuple[str, int], list[Transition]],
              used: AbstractSet[tuple[int, int]]) -> Optional[CertifiedLine]:
     """Resolve one transition of strip level ``level`` into a certified line.
 
@@ -183,9 +183,11 @@ def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
     strip line.  A transition through a flank point induces a step back to
     the boundary in that flank's rotation at the level j of the induced
     line, which forces a distinct new balanced departure there: the first
-    line of pool (flank, j) not in ``used``.  A pool missing from ``pools``
-    is built and stored there.  None when every departure of that pool is
-    used; whether the paper's recharge step rules that out is open.
+    line of pool (flank, j) not in ``used``.  ``pools`` is the pool map of
+    ``flank_lines``, which holds every level 0..|family| - 1 of both flanks;
+    j counts the family points other than the crossed one, so it is always
+    there.  None when every departure of that pool is used; whether the
+    paper's recharge step rules that out is open.
     """
     crossed = inst.point(transition.crossed_id)
     if crossed.color is not gamma.color:
@@ -218,8 +220,6 @@ def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
         raise GuaranteeViolation(
             f"induced flank step at {d_star} has weight {w}, expected {inst.delta + sgn}"
         )
-    if (name, j) not in pools:
-        pools[(name, j)] = _flank_pool(inst, gamma, family, j)
     for t in pools[(name, j)]:
         line = _line_of(inst, t)
         if line.key not in used:

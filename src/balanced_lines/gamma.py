@@ -16,13 +16,15 @@ waist, so the iteration terminates.
 The splice walks its inputs in angular order instead of pairing every part
 with every other: it finds where the strip rotation meets the curve by
 moving one pointer through the curve's arc index along the trace's
-intervals.  ``build_shift`` builds the one curve with slides that the
-package constructs; it is not part of the family.
+intervals, then cuts three anchor windows out of the lift's and the
+curve's arc indexes and hands them to ``sliding._curve_through``, the
+package's one assembly of a curve.  ``build_shift`` builds the one curve
+with slides that the package constructs; it is not part of the family.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
@@ -52,8 +54,6 @@ from .sliding import (
     InvalidCurve,
     NotDeltaPreserving,
     NotPositivelyOriented,
-    Piece,
-    RotateArc,
     SlidingRotation,
     Waist,
     _curve_through,
@@ -249,42 +249,54 @@ def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> SlidingRo
     """Follow the strip rotation except between its outermost meetings with the curve.
 
     Between the first and last direction where the rotating line lands on
-    the curve, the composite follows the curve instead.  Returns the plain
-    lift when they never meet.
+    the curve, t1 and t2 in turn order from the rotation's start direction
+    theta, the composite follows the curve instead.  Returns the plain lift
+    when they meet at fewer than two directions.
 
-    The lift starts at the rotation's start direction theta, so its arc
-    index is keyed from theta, and ``_clip_curve`` cuts its head [theta, t1]
-    and tail [t2, theta] at arcs found by bisection.  A meeting at theta
-    sorts last (a full turn), so t1 is never theta and the head is never
-    empty; t2 = theta bisects to the last arc, which ends there, and leaves
-    the tail empty.
+    ``_curve_through`` assembles the splice from three anchor windows: the
+    lift on [theta, t1), ``best`` on [t1, t2) and, unless t2 is theta, the
+    lift on [t2, theta).  A meeting at theta sorts last (a full turn), so
+    t1 is never theta.  The lines agree at t1 and t2, so no slide joins the
+    windows.
     """
     theta = trace.start_direction
-    marks = _curve_meetings(inst, best.sr, trace)
     lifted = lift_rotation(trace, inst, best.color)
-    if not marks:
+    meetings = sorted(_curve_meetings(inst, best.sr, trace),
+                      key=lambda d: direction_key(theta, d))
+    if len(meetings) < 2:
         return lifted
-    marks.sort(key=lambda m: direction_key(theta, m[0]))
-    (t1, piece1), (t2, piece2) = marks[0], marks[-1]
-    if t1 == t2:
-        return lifted
-    keys, where = lifted.arc_index
-
-    def arc_at(t: Direction) -> int:  # the lift's arc holding t, or the one starting there
-        return where[bisect_right(keys, direction_key(theta, t)) - 1]
-
-    head = _clip_curve(lifted.pieces, 0, theta, arc_at(t1), t1)
-    middle = _clip_curve(best.sr.pieces, piece1, t1, piece2, t2)
-    tail = _clip_curve(lifted.pieces, arc_at(t2), t2, 0, theta)
-    return SlidingRotation(tuple(head + middle + tail), best.color)
+    t1, t2 = meetings[0], meetings[-1]
+    anchors = _window(lifted, theta, t1) + _window(best.sr, t1, t2)
+    if t2 != theta:
+        anchors += _window(lifted, t2, theta)
+    return _curve_through(inst, anchors, best.color)
 
 
-def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace):
+def _window(sr: SlidingRotation, u: Direction, v: Direction) -> list[tuple[Direction, int]]:
+    """The anchors of the curve on the counterclockwise window [u, v).
+
+    The curve's point at u (the pivot of the arc holding u, or of the one
+    starting there), then the start and pivot of every arc that starts
+    strictly inside the window, cut from ``sr.arc_index`` by two
+    bisections.  The window wraps past the start direction exactly when
+    u's key is not below v's; v at the start direction keys as a full turn.
+    """
+    keys, where = sr.arc_index
+    start = sr.start_direction
+    key_u = KEY_START if u == start else direction_key(start, u)
+    key_v = direction_key(start, v)
+    i = bisect_right(keys, key_u) - 1
+    j = bisect_left(keys, key_v)
+    inside = range(i + 1, j) if key_u < key_v else [*range(i + 1, len(keys)), *range(j)]
+    arcs = [sr.pieces[where[k]] for k in (i, *inside)]
+    return [(u, arcs[0].pivot)] + [(arc.d_from, arc.pivot) for arc in arcs[1:]]
+
+
+def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace) -> set[Direction]:
     """Directions where the rotating line coincides with an arc line of the curve.
 
-    Returns (direction, piece_index) pairs, by trace interval and then by
-    piece.  Arc overlaps with a shared pivot contribute their boundary
-    directions.  The trace's intervals and the curve's arcs both advance
+    Arc overlaps with a shared pivot contribute their boundary directions.
+    The trace's intervals and the curve's arcs both advance
     counterclockwise, so one pointer into ``sr.arc_index``, placed by one
     bisection, yields the arcs that overlap each interval: the walk costs
     O(intervals + arcs) instead of their product.
@@ -294,7 +306,7 @@ def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace):
     start, theta = sr.start_direction, trace.start_direction
     n = len(where)
     j = bisect_right(keys, KEY_START if theta == start else direction_key(start, theta)) - 1
-    marks = []
+    meetings: set[Direction] = set()
     for dfrom, dto, pivot, _ in trace.intervals():
         # the arc holding dfrom, the arc ending there, then every arc
         # starting in (dfrom, dto]; j ends on the arc holding dto
@@ -308,53 +320,18 @@ def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace):
             j = (j + 1) % n
             near.add(j)
         g = pts[pivot]
-        for idx in (where[i] for i in sorted(near)):
-            piece = sr.pieces[idx]
+        for i in near:
+            piece = sr.pieces[where[i]]
             if piece.pivot == pivot:
-                for d in (dfrom, dto, piece.d_from, piece.d_to):
-                    if ccw_arc_contains(dfrom, dto, d) and piece.contains(d):
-                        marks.append((d, idx))
-                continue
-            c = pts[piece.pivot]
-            fwd = direction_of(c.x - g.x, c.y - g.y)
-            for d in (fwd, fwd.antipode):
+                ends = (dfrom, dto, piece.d_from, piece.d_to)
+            else:
+                c = pts[piece.pivot]
+                fwd = direction_of(c.x - g.x, c.y - g.y)
+                ends = (fwd, fwd.antipode)
+            for d in ends:
                 if ccw_arc_contains(dfrom, dto, d) and piece.contains(d):
-                    marks.append((d, idx))
-    return marks
-
-
-def _clip_curve(pieces: tuple[Piece, ...], idx_from: int, w_from: Direction,
-                idx_to: int, w_to: Direction) -> list[Piece]:
-    """Pieces of a cyclic curve from w_from (on arc idx_from) to w_to (on arc idx_to).
-
-    Both indexes are arc positions: meetings from ``_curve_meetings``, or
-    arcs of a lift's index.  The pieces strictly between the two arcs are
-    kept whole, as one slice or, when the window wraps past the end of the
-    tuple, two.  A window end on a shared piece boundary clips to zero
-    length on its side, so the neighbouring piece carries it.
-    """
-    entry = pieces[idx_from]
-    exit_ = pieces[idx_to]
-    if idx_from == idx_to:
-        forward = (
-            w_to != entry.d_from
-            and (w_from == entry.d_from
-                 or (w_from != entry.d_to
-                     and direction_key(entry.d_from, w_from)
-                     <= direction_key(entry.d_from, w_to)))
-        )
-        if forward:
-            return [RotateArc(entry.pivot, w_from, w_to)]
-    out: list[Piece] = []
-    if w_from != entry.d_to:
-        out.append(RotateArc(entry.pivot, w_from, entry.d_to))
-    if idx_from < idx_to:
-        out += pieces[idx_from + 1:idx_to]
-    else:
-        out += pieces[idx_from + 1:] + pieces[:idx_to]
-    if w_to != exit_.d_from:
-        out.append(RotateArc(exit_.pivot, exit_.d_from, w_to))
-    return out
+                    meetings.add(d)
+    return meetings
 
 
 def build_shift(inst: Instance, trace: RotationTrace, shift_color: Color) -> Optional[SlidingRotation]:

@@ -148,11 +148,12 @@ def _curve_through(inst: Instance, anchors: list[tuple[Direction, int]],
 
     ``anchors`` holds (direction, point) pairs at distinct directions in turn
     order; the last arc closes the turn at the first direction.  A slide joins
-    two consecutive points not on one line there; one anchor makes two half arcs.
+    two consecutive points not on one line there.  A lone anchor is joined by
+    its antipode, so the curve is two half arcs about its point.
     """
     if len(anchors) == 1:
         (u, a), = anchors
-        return SlidingRotation((RotateArc(a, u, u.antipode), RotateArc(a, u.antipode, u)), color)
+        anchors = [(u, a), (u.antipode, a)]
     xs, ys = inst.xs, inst.ys
     pieces: list[Piece] = []
     for (u, a), (v, b) in zip(anchors, anchors[1:] + anchors[:1]):

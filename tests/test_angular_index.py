@@ -9,11 +9,12 @@ every piece, direction, tag, arc or point instead.  The curves are every
 one that the gamma search's membership check sees (plain and splice, arcs
 only), with the shift curves that ``build_shift`` makes of the search's
 strip rotations, the curves with slides; the traces are every rotation the
-search runs.  ``build_splice`` cuts its lift with
-``_clip_curve`` at arcs it bisects out of the lift's index; the cuts are
-checked against arcs found by a scan, and every splice of the search
-against a recorded digest.  Lifts and shift curves share one assembly,
-``sliding._curve_through``, which ``linear_build_shift`` calls too; every
+search runs.  Lifts, splices and shift curves share one assembly,
+``sliding._curve_through``, which ``linear_build_shift`` calls too.
+``build_splice`` hands it anchor windows (``gamma._window``) that it
+bisects out of curves' arc indexes; windows of every lift are checked to
+rejoin to the lift, split where they were cut, against arcs found by a
+scan, and every splice of the search against a recorded digest.  Every
 lift and shift curve of the search's traces is checked against a second
 digest.
 """
@@ -42,6 +43,7 @@ from balanced_lines.sliding import (
     NotPositivelyOriented,
     RotateArc,
     Slide,
+    _curve_through,
     _preserves_delta,
     curve_sweep,
     evaluate_at,
@@ -312,7 +314,7 @@ def test_curve_meetings_match_all_pairs(search_log):
         for sr, curve_inst, _ in curves:
             if curve_inst is inst:
                 got = gamma_module._curve_meetings(inst, sr, trace)
-                assert got == support.linear_curve_meetings(inst, sr, trace)
+                assert got == {d for d, _ in support.linear_curve_meetings(inst, sr, trace)}
                 pairs += bool(got)
     assert pairs
 
@@ -334,31 +336,66 @@ def test_build_shift_matches_scan(search_log):
     assert shifted
 
 
-def test_lift_windows_rejoin_to_the_lift():
-    """Cut at t, a lift's head [theta, t] and tail [t, theta] are its arcs split at t.
-
-    The arc holding t is found by a scan with ``RotateArc.contains``, not
-    by bisection; a cut at theta leaves the tail empty.
-    """
+def _lifts():
+    """A red lift of every level of 20 random instances, each from a random start."""
     rng = random.Random(7)
-    cuts = 0
     for seed in range(20):
         inst = gen_random(seed, 2 + seed % 5, 2 + seed % 5 + 2 * (seed % 3), 1000)
         for k in range(inst.r):
             theta = Direction.of(rng.randint(-50, 50), rng.randint(1, 50))
-            arcs = lift_rotation(run_rotation(RotationSpec(Color.RED, k, theta), inst),
-                                 inst, Color.RED).pieces
-            mids = [direction_between(a.d_from, a.d_to) for a in arcs]
-            for t in [a.d_from for a in arcs[1:]] + mids:
-                j = next(i for i, a in enumerate(arcs) if a.contains(t) and t != a.d_to)
-                a = arcs[j]
-                head = [*arcs[:j], *([RotateArc(a.pivot, a.d_from, t)] if t != a.d_from else [])]
-                tail = [RotateArc(a.pivot, t, a.d_to), *arcs[j + 1:]]
-                assert gamma_module._clip_curve(arcs, 0, theta, j, t) == head
-                assert gamma_module._clip_curve(arcs, j, t, 0, theta) == tail
-                cuts += 1
-            assert gamma_module._clip_curve(arcs, len(arcs) - 1, theta, 0, theta) == []
+            yield inst, lift_rotation(run_rotation(RotationSpec(Color.RED, k, theta), inst),
+                                      inst, Color.RED)
+
+
+def _split(arcs, t):
+    """The arcs with the one holding t strictly inside cut in two there.
+
+    The arc is found by a scan with ``RotateArc.contains``, not by bisection.
+    """
+    j = next(i for i, a in enumerate(arcs) if a.contains(t) and t != a.d_to)
+    a = arcs[j]
+    if t == a.d_from:
+        return list(arcs)
+    return [*arcs[:j], RotateArc(a.pivot, a.d_from, t), RotateArc(a.pivot, t, a.d_to),
+            *arcs[j + 1:]]
+
+
+def test_lift_windows_rejoin_to_the_lift():
+    """Cut at t, a lift's windows [theta, t) and [t, theta) rejoin to its arcs split at t."""
+    window = gamma_module._window
+    cuts = 0
+    for inst, lift in _lifts():
+        arcs, theta = lift.pieces, lift.start_direction
+        mids = [direction_between(a.d_from, a.d_to) for a in arcs]
+        for t in [a.d_from for a in arcs[1:]] + mids:
+            rejoined = _curve_through(inst, window(lift, theta, t) + window(lift, t, theta),
+                                      Color.RED)
+            assert list(rejoined.pieces) == _split(arcs, t)
+            cuts += 1
     assert cuts > 500
+
+
+def test_long_way_window_wraps_past_every_other_arc():
+    """Both ends inside one arc, v before u: [u, v) passes every other arc and the arc's start.
+
+    Whether the window wraps is read from the keys of u and v: both lie on
+    one arc, so its position cannot tell.
+    """
+    window = gamma_module._window
+    wraps = 0
+    for inst, lift in _lifts():
+        arcs = lift.pieces
+        for i, a in enumerate(arcs):
+            v = direction_between(a.d_from, a.d_to)
+            u = direction_between(v, a.d_to)
+            long_way = window(lift, u, v)
+            assert long_way == [(u, a.pivot)] + [(b.d_from, b.pivot)
+                                                 for b in arcs[i + 1:] + arcs[:i + 1]]
+            rejoined = _curve_through(inst, long_way + window(lift, v, u), Color.RED)
+            split = _split(_split(arcs, v), u)  # ..., [d_from, v], [v, u], [u, d_to], ...
+            assert list(rejoined.pieces) == split[i + 2:] + split[:i + 2]
+            wraps += 1
+    assert wraps > 300
 
 
 SPLICE_DIGEST = (48, "8c2287f62c0e4c8f9dfc41d55667a5f02d6032c4223e9ca2e0a50276c01f3776")

@@ -163,9 +163,10 @@ def test_recharge_classification(nested_instances):
         f_ids, h_ids, g_ids = decompose_fhg(inst, gamma)
         if not g_ids:
             continue
+        pools = flank_lines(inst, gamma, f_ids, h_ids)[1]
         for level, central in enumerate(strip_transitions(inst, gamma, g_ids)):
             for t in central:
-                result = recharge(inst, gamma, t, level, f_ids, h_ids, {}, frozenset())
+                result = recharge(inst, gamma, t, level, f_ids, h_ids, pools, frozenset())
                 crossed = inst.point(t.crossed_id)
                 assert result.line.key in oracle_keys(inst)
                 if crossed.color is gamma.color:

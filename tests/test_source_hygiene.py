@@ -19,7 +19,9 @@ load nothing of the angular machinery the construction is built from, so a
 fault there cannot hide behind the check meant to catch it.  No handler
 catches a theorem-level failure (``GuaranteeViolation``,
 ``CertificateFailure``), and there is no bare ``except:``: a guarantee that
-fails must reach the caller.
+fails must reach the caller.  One function assembles curves:
+``sliding._curve_through`` is the only place that constructs a
+``RotateArc``, a ``Slide`` or a ``SlidingRotation``.
 """
 
 import ast
@@ -268,4 +270,32 @@ def _swallowed_guarantees(path: Path) -> list[str]:
 
 def test_no_guarantee_is_caught():
     problems = [p for path in sorted(PACKAGE.glob("*.py")) for p in _swallowed_guarantees(path)]
+    assert not problems, "\n".join(problems)
+
+
+CURVE_TYPES = {"RotateArc", "Slide", "SlidingRotation"}
+
+
+def _curve_constructions(path: Path) -> list[str]:
+    """Calls of a curve type, by the innermost function that makes them."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in CURVE_TYPES):
+                sites.append(f"{path.stem}.{'.'.join(scope)}: {child.func.id}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), ())
+    return sites
+
+
+def test_one_curve_assembly():
+    sites = [s for path in sorted(PACKAGE.glob("*.py")) for s in _curve_constructions(path)]
+    assert sites  # the check still finds the assembly
+    problems = [s for s in sites if not s.startswith("sliding._curve_through:")]
     assert not problems, "\n".join(problems)
