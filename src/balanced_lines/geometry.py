@@ -156,7 +156,7 @@ def slope(dx: Coord, dy: Coord) -> tuple[int, int]:
 def slopes(px: Coord, py: Coord, points: Sequence[tuple[Coord, Coord]]) -> list[tuple[int, int]]:
     """``slope`` from (px, py) to each of the ``(x, y)`` points, in order.
 
-    The one batched slope loop of the package: ``Instance.fences``,
+    The one batched slope loop of the package: ``Instance.fence_rows``,
     ``validate`` and ``gen_random`` read it.  Integer differences are
     reduced inline, by ``gcd`` and floor division (the gcd negated when
     dx < 0, so the denominator stays positive), with no call per pair.  A
@@ -183,6 +183,7 @@ def _xy(p):
 
 _MAX_COORD_CHARS = 1000
 _MAX_COORD_EXPONENT = 1000
+_INT_LIMIT = 10 ** _MAX_COORD_CHARS
 
 
 def _as_exact(v) -> Coord:
@@ -191,13 +192,13 @@ def _as_exact(v) -> Coord:
     Strings longer than ``_MAX_COORD_CHARS`` or with a decimal exponent
     beyond ``_MAX_COORD_EXPONENT`` raise ValidationError before parsing, so
     an input such as ``"1e999999999"`` never expands into a huge integer.
+    Every coordinate, a JSON number or a parsed string alike, is then held
+    to the same cap: its canonical string, the form ``instance_to_json``
+    writes, must fit in ``_MAX_COORD_CHARS`` characters, so every instance
+    that loads can be written and read back.
     """
     if isinstance(v, bool):
         raise TypeError("bool is not a coordinate")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else v
     if isinstance(v, str):
         _, e, exponent = v.lower().rpartition("e")
         try:
@@ -209,9 +210,19 @@ def _as_exact(v) -> Coord:
                 f"coordinate string over {_MAX_COORD_CHARS} characters or with an"
                 f" exponent beyond ±{_MAX_COORD_EXPONENT}"
             )
-        f = Fraction(v)
-        return int(f) if f.denominator == 1 else f
-    raise TypeError(f"coordinates must be exact (int, Fraction or string), got {type(v)!r}")
+        v = Fraction(v)
+    if isinstance(v, Fraction) and v.denominator == 1:
+        v = v.numerator
+    if isinstance(v, int):
+        fits = -_INT_LIMIT // 10 < v < _INT_LIMIT
+    elif isinstance(v, Fraction):  # both terms under the cap first, so ``str`` stays cheap
+        fits = (abs(v.numerator) < _INT_LIMIT and v.denominator < _INT_LIMIT
+                and len(str(v)) <= _MAX_COORD_CHARS)
+    else:
+        raise TypeError(f"coordinates must be exact (int, Fraction or string), got {type(v)!r}")
+    if not fits:
+        raise ValidationError(f"coordinate whose canonical string is over {_MAX_COORD_CHARS} characters")
+    return v
 
 
 @dataclass(frozen=True)
@@ -508,6 +519,33 @@ class Instance:
     def ws(self) -> tuple[int, ...]:
         return tuple(p.color.weight for p in self.points)
 
+    def fence_rows(self, pid: int) -> list[tuple[int, Ratio, int, int, int, bool]]:
+        """One row per other point, in the angular order about the point ``pid``.
+
+        No two points share an abscissa, so no fence is vertical, and the
+        two fences of another point lie on the line of slope ``num/den``
+        (``slopes``, ``den > 0``).  The row ``(prefix, Ratio(num, den),
+        other, num, den, right)`` carries ``prefix = (num << 64) // den``
+        and whether the other point lies right of ``pid`` (``x > qx``).
+        The rows are sorted once, in O(n log n), by the ``direction_key``
+        order of a half turn: their directions ``(-den, -num)`` are the
+        half-1 fences (``fences``), from just past vertical to just before
+        its antipode, and each line through ``pid`` and another point is
+        crossed there exactly once, toward the other point exactly when it
+        is not ``right``.  Built anew on each call and kept nowhere: a
+        caller that reads a point's order once (the sweep enumerator)
+        leaves nothing on the instance.
+        """
+        xs, ys = self.xs, self.ys
+        qx = xs[pid]
+        pts = list(zip(xs, ys))
+        del pts[pid]
+        others = chain(range(pid), range(pid + 1, len(xs)))
+        return sorted([
+            ((num << _PREFIX_BITS) // den, Ratio(num, den), other, num, den, x > qx)
+            for other, (x, _), (num, den) in zip(others, pts, slopes(qx, ys[pid], pts))
+        ])
+
     @cached_property
     def _fence_table(self) -> dict[int, tuple[tuple[tuple, Direction, int, bool], ...]]:
         return {}
@@ -522,31 +560,19 @@ class Instance:
         General position makes the 2(n-1) keys distinct.  Built on first use
         and kept on the instance, so the table lives exactly as long as the
         instance does: the package keeps no state between instances.  The
-        table fills one point at a time, on that point's first use, reading
-        the coordinate rows: a caller that walks a few points (the sweep
-        enumerator reads only the red ones) builds only theirs.
+        table fills one point at a time, on that point's first use: the
+        rotations and sliding profiles, which come back to a pivot many
+        times, build only the pivots they visit.
 
-        No two points share an abscissa, so no fence is vertical, and the
-        two fences of another point lie on the line of slope ``num/den``
-        (``slopes``, ``den > 0``): their directions are ``(-den, -num)``,
-        key ``(1, prefix, Ratio(num, den))``, and ``(den, num)``, key
-        ``(3, prefix, Ratio(num, den))``, with ``prefix = (num << 64) //
-        den``; the head is the one that points toward the other point, by
-        the sign of its ``x - qx``.  So one row ``(prefix, Ratio, other,
-        ...)`` per other point, sorted once in O(n log n), orders both
-        halves: the half-1 entries in row order, then the half-3 entries.
+        Built from ``fence_rows``: the row of slope ``num/den`` gives the
+        direction ``(-den, -num)``, key ``(1, prefix, Ratio(num, den))``,
+        and ``(den, num)``, key ``(3, prefix, Ratio(num, den))``; the head
+        is the one that points toward the other point.  So the rows, in
+        order, give the half-1 entries, then the half-3 entries.
         """
         table = self._fence_table
         if pid not in table:
-            xs, ys = self.xs, self.ys
-            qx = xs[pid]
-            pts = list(zip(xs, ys))
-            del pts[pid]
-            others = chain(range(pid), range(pid + 1, len(xs)))
-            rows = sorted([
-                ((num << _PREFIX_BITS) // den, Ratio(num, den), other, num, den, x > qx)
-                for other, (x, _), (num, den) in zip(others, pts, slopes(qx, ys[pid], pts))
-            ])
+            rows = self.fence_rows(pid)
             table[pid] = tuple(
                 [((1, prefix, ratio), _new(Direction, (-den, -num)), other, not right)
                  for prefix, ratio, other, num, den, right in rows]

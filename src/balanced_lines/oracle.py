@@ -3,8 +3,10 @@
 Two methods: a cubic check of every red/blue pair against every other
 point, and an n^2 log n angular sweep around each red point.  The two must
 agree on every instance.  The sweep walks the same per-point angular order
-(``Instance.fences``) as the rotations and sliding profiles; the naive
-check shares nothing with that table and cross-checks the sweep.  It packs
+as the rotations and sliding profiles, over half a turn, from the sorted
+rows (``Instance.fence_rows``) that ``Instance.fences`` is built from, and
+keeps none of it on the instance; the naive check shares nothing with
+that order and cross-checks the sweep.  It packs
 every point into one fixed-width lane of a big integer, wide enough for any
 cross product inside the instance's bounding box, so one pair's side counts
 are a few big-integer operations and two popcounts, not a loop over points.
@@ -104,37 +106,48 @@ def enumerate_naive(inst: Instance) -> set[BalancedLine]:
 
 
 def enumerate_sweep(inst: Instance) -> set[BalancedLine]:
-    """Rotate a directed line around each red point, keeping weights incrementally.
+    """Turn a directed line half a turn around each red point, keeping weights incrementally.
 
-    For anchor p the critical directions are its fences
-    (``Instance.fences``), those toward and away from each other point;
-    between them the right-halfplane weight is constant.  A blue point
-    hit while the right weight at that instant equals delta spans a
-    balanced line with the anchor (the rule ``rotation.transitions_at``
-    states).  The start weight of each anchor, just past vertical, sums the
-    points whose ``just_after_keys`` at vertical are below the anchor's;
-    the keys are built once per instance.
+    For anchor p the critical directions are where the line crosses
+    another point; between them the right-halfplane weight is constant.
+    The line starts just past vertical and turns counterclockwise to just
+    before the antipode, so it meets each other point once, in the order
+    of p's rows (``Instance.fence_rows``): ahead of p (at the head) when
+    that point is not ``right`` of p, behind it otherwise.  A point met at
+    the head joins the right side as the line passes it, one behind leaves
+    it.  A blue point crossed while the right weight at that instant
+    equals delta spans a balanced line with the anchor (the rule
+    ``rotation.transitions_at`` states); the points other than the pair
+    weigh 2*delta, so then its left side weighs delta too, and one
+    crossing per line settles it.  The start weight of each anchor, just
+    past vertical, sums the points whose ``just_after_keys`` at vertical are
+    below the anchor's; the keys are built once per instance.  After the
+    half turn the two sides have swapped, so the right weight must read the
+    other points' total, ``b - r + 1``, less the start weight.  The rows
+    are built per anchor and dropped, so the sweep keeps no fence table on
+    the instance.
     """
     found = set()
     delta = inst.delta
     weights = inst.ws
+    others = inst.b - inst.r + 1  # everything but the red anchor
     keys = just_after_keys(VERTICAL, inst.points)
     for rid in inst.red_ids:
         key_a = keys[rid]
         w = sum([wp for wp, key in zip(weights, keys) if key < key_a])
         w0 = w
-        for _, _, pid, at_head in inst.fences(rid):
+        for _, _, pid, _, _, right in inst.fence_rows(rid):
             wp = weights[pid]
-            if at_head:
-                w_inst = w
-                w += wp
-            else:
+            if right:
                 w -= wp
                 w_inst = w
+            else:
+                w_inst = w
+                w += wp
             if wp > 0 and w_inst == delta:
                 found.add(BalancedLine(rid, pid, (delta, delta)))
-        if w != w0:
-            raise GuaranteeViolation("sweep weight did not close over a full turn")
+        if w != others - w0:
+            raise GuaranteeViolation("sweep weight did not reverse over a half turn")
     return found
 
 

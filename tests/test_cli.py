@@ -104,8 +104,9 @@ def test_enumerate_separated_tight(run, sep44):
     '[1,2]',
     '{"points":' + '[' * 100_000 + ']' * 100_000 + '}',
     '{"points":[{"x":"1e999999999","y":"0","color":"R"}]}',
+    '{"points":[{"x":1' + '0' * 1500 + ',"y":"0","color":"R"},{"x":0,"y":1,"color":"B"}]}',
 ], ids=["collinear", "float", "bool", "zero-denominator", "points-not-list",
-        "top-level-list", "deep-nesting", "huge-exponent"])
+        "top-level-list", "deep-nesting", "huge-exponent", "huge-integer"])
 def test_enumerate_validation_exit_3(run, tmp_path, body):
     bad = tmp_path / "bad.json"
     bad.write_text(body)

@@ -530,10 +530,28 @@ def test_labeled_point_ids_must_match_positions():
 
 
 def test_coordinate_strings_are_capped():
+    """Strings are capped before parsing; then an int, a parsed string or a
+    Fraction loads exactly when the string ``instance_to_json`` writes for
+    it fits in 1000 characters."""
     assert build_points([("1e3", "-2.5E+2", "R")])[0].x == 1000
-    for text in ("1e999999999", "1E-1001", "1e+1_000_000", "1" * 1001):
+    for v in ("1e999999999", "1E-1001", "1e+1_000_000", "1" * 1001, 10**1000, -10**999,
+              "1e1000", "1e-999", Fraction(1, 10**998), Fraction(10**1000)):
         with pytest.raises(ValidationError):
-            build_points([(text, "0", "R")])
+            build_points([(v, "0", "R")])
+    for v in (10**1000 - 1, -(10**999 - 1), "1e999", Fraction(-1, 10**996)):
+        assert len(str(build_points([(v, "0", "R")])[0].x)) == 1000
+
+
+def test_instance_json_round_trip_at_the_coordinate_cap():
+    """Coordinates whose canonical strings are 1000 characters long, from
+    JSON numbers and from strings, are written and read back unchanged."""
+    top, low = 10**1000 - 1, -(10**999 - 1)
+    text = ('{"points":[{"x":%d,"y":0,"color":"R"},{"x":%d,"y":"%s","color":"B"}]}'
+            % (top, low, Fraction(-1, 10**996)))
+    inst = instance_from_json(text)
+    assert (inst.point(0).x, inst.point(1).x) == (top, low)
+    again = instance_to_json(inst)
+    assert instance_from_json(again).points == inst.points
 
 
 @pytest.mark.parametrize("coords", [

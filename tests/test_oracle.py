@@ -7,7 +7,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import support
 
-from balanced_lines.geometry import Color, Side, build_points, is_balanced, swap_colors, validate
+from balanced_lines.geometry import (
+    Color,
+    GuaranteeViolation,
+    Instance,
+    Side,
+    build_points,
+    is_balanced,
+    swap_colors,
+    validate,
+)
 from balanced_lines.generators import gen_random, gen_separated_convex
 from balanced_lines.oracle import (
     count_balanced,
@@ -192,6 +201,31 @@ def test_left_guard_rejects_a_wrong_delta():
     assert not any(is_balanced(rid, bid, wrong) for rid in inst.red_ids for bid in inst.blue_ids)
 
 
+def test_sweep_keeps_no_fence_table():
+    """The sweep builds each red point's rows, walks them and drops them."""
+    inst = gen_random(4, 6, 10, 1000)
+    assert enumerate_sweep(inst) == enumerate_naive(inst)
+    assert inst._fence_table == {}
+
+
+@pytest.mark.parametrize("flip", [0, 7, -1])
+def test_sweep_reversal_guard_catches_a_wrong_side(monkeypatch, flip):
+    """One row whose ``right`` is flipped moves the weight after the half
+    turn by twice that point's weight, off the reversal ``(b - r + 1) - w0``."""
+    inst = gen_random(4, 6, 10, 1000)
+    rows_of = Instance.fence_rows
+
+    def flipped(self, pid):
+        rows = rows_of(self, pid)
+        prefix, ratio, other, num, den, right = rows[flip]
+        rows[flip] = (prefix, ratio, other, num, den, not right)
+        return rows
+
+    monkeypatch.setattr(Instance, "fence_rows", flipped)
+    with pytest.raises(GuaranteeViolation, match="half turn"):
+        enumerate_sweep(inst)
+
+
 @st.composite
 def exact_instances(draw):
     """General-position instances of 2-30 points, every delta, with exact coordinates.
@@ -228,10 +262,19 @@ def exact_instances(draw):
     ))
 
 
+TIE = 1 << 66  # from (0, 0), (3 * TIE, TIE + 1) and (3, 1) share a slope's 64-bit prefix
+
+
 @given(exact_instances())
+@example(validate(build_points([(0, 0, "R"), (3 * TIE, TIE + 1, "R"), (3, 1, "B"), (1, 5, "B")])))
 @settings(max_examples=100, deadline=None)
 def test_naive_equals_pairwise_exact(inst):
-    assert enumerate_naive(inst) == support.pairwise_naive(inst)
+    """Random drawings almost never tie two 64-bit slope prefixes; the
+    example does, at both red anchors, so only the exact ``Ratio`` orders
+    the sweep's rows there."""
+    lines = enumerate_naive(inst)
+    assert lines == support.pairwise_naive(inst)
+    assert enumerate_sweep(inst) == lines
 
 
 MAP_ENTRIES = st.fractions(min_value=-4, max_value=4, max_denominator=9)

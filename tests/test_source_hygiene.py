@@ -232,7 +232,7 @@ def test_no_unread_module_names():
 INDEPENDENT_CHECKERS = (("geometry.py", "is_balanced"), ("oracle.py", "enumerate_naive"))
 CONSTRUCTION_NAMES = {
     "Direction", "DirectedLine", "direction_of", "direction_key", "direction_key_from",
-    "fences", "pair_fences", "halfplane_weight", "just_after_keys", "offset",
+    "fences", "fence_rows", "pair_fences", "halfplane_weight", "just_after_keys", "offset",
 }
 
 
