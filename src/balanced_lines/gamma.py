@@ -4,7 +4,8 @@ The candidate family is finite and constructive, and every member is made
 of arcs only:
 
 * every plain level rotation, of either color, that is delta-preserving in
-  the one-sided sliding sense and positively oriented;
+  the one-sided sliding sense and positively oriented; their waists are
+  known from their levels, so only the least is lifted;
 * splices spawned from the current best candidate: the level rotations of
   its strip points, each followed except between its outermost meetings
   with the candidate, where the candidate is followed instead.
@@ -79,16 +80,6 @@ class Gamma:
     def color(self) -> Color:
         return self.sr.subset_color
 
-    @property
-    def sort_key(self) -> tuple:
-        return (
-            self.waist.value,
-            0 if self.color is Color.RED else 1,
-            0 if self.kind == "plain" else 1,
-            self.level,
-            self.waist.achieved_at.rank,
-        )
-
 
 def transition_low(color: Color, delta: int) -> int:
     """Lower value of the weight boundary relevant to the given subset color."""
@@ -96,7 +87,6 @@ def transition_low(color: Color, delta: int) -> int:
 
 
 def _validated(sr: SlidingRotation, inst: Instance, kind: str, level: int, *,
-               preserving_known: bool = False,
                waist_cap: Optional[int] = None) -> Optional[Gamma]:
     """Full membership check; None when the curve does not qualify.
 
@@ -111,7 +101,7 @@ def _validated(sr: SlidingRotation, inst: Instance, kind: str, level: int, *,
         validate_curve(sr, inst)
     except InvalidCurve:
         return None
-    if not preserving_known and not is_delta_preserving_sliding(sr, inst):
+    if not is_delta_preserving_sliding(sr, inst):
         return None
     try:
         w = waist(sr, inst)
@@ -123,27 +113,32 @@ def _validated(sr: SlidingRotation, inst: Instance, kind: str, level: int, *,
 
 
 def plain_candidates(inst: Instance) -> list[Gamma]:
-    """All delta-preserving, positively oriented plain rotations, lifted.
+    """The least-waist delta-preserving plain lift, as a list of at most one.
 
-    Levels above (m - 2) / 2 cannot be positively oriented: the strip
-    between the antipodal lines would have to hold m - 2k - 2 < 0 subset
-    points.  They are skipped before tracing.
+    A level-k rotation of a class of m points has k class points strictly
+    right of its line at t and of its line at t + pi, so for 2k + 2 < m,
+    the only levels traced, its strip holds m - 2k - 2 points at every
+    direction.  The levels whose omegas preserve delta are ranked by that
+    waist, red first on ties; only the winner is lifted, and it must pass
+    ``_validated`` with that waist (GuaranteeViolation otherwise).
     """
-    out = []
+    best = None
     for color in (Color.RED, Color.BLUE):
-        ids = inst.ids_of(color)
-        m = len(ids)
-        for k in range((m - 1) // 2 if m >= 2 else 0):
+        m = len(inst.ids_of(color))
+        for k in range((m - 1) // 2):
             trace = run_rotation(RotationSpec(color, k), inst)
-            if not _preserves_delta(color, trace.omega_values, inst.delta):
-                continue
-            cand = _validated(
-                lift_rotation(trace, inst, color), inst, "plain", k,
-                preserving_known=True,
-            )
-            if cand is not None:
-                out.append(cand)
-    return out
+            width = m - 2 * k - 2
+            if _preserves_delta(color, trace.omega_values, inst.delta) and (
+                    best is None or width < best[0]):
+                best = (width, color, k, trace)
+    if best is None:
+        return []
+    width, color, k, trace = best
+    cand = _validated(lift_rotation(trace, inst, color), inst, "plain", k)
+    if cand is None or cand.waist.value != width:
+        raise GuaranteeViolation(
+            f"the {color.name} level-{k} lift fails membership or its waist is not {width}")
+    return [cand]
 
 
 def find_gamma(inst: Instance) -> Optional[Gamma]:
@@ -153,7 +148,8 @@ def find_gamma(inst: Instance) -> Optional[Gamma]:
     which case the direct transition accounting already certifies the
     lower bound and no curve is needed.  Every splice has a smaller waist
     than the ``best`` it was spawned from (``waist_cap``), so the best of a
-    round's splices is the best of all curves seen so far.
+    round's splices, by waist and then level (they share color and kind),
+    is the best of all curves seen so far.
 
     Soundness never rests on the family: ``certificate._check_certificate``
     rechecks every certified line with ``geometry.is_balanced``, whatever
@@ -163,9 +159,9 @@ def find_gamma(inst: Instance) -> Optional[Gamma]:
     plain = plain_candidates(inst)
     if not plain:
         return None
-    best = min(plain, key=lambda c: c.sort_key)
+    best, = plain
     while improvements := surgery_candidates(inst, best):
-        best = min(improvements, key=lambda c: c.sort_key)
+        best = min(improvements, key=lambda c: (c.waist.value, c.level))
     return best
 
 
@@ -191,8 +187,7 @@ def _split_fhg(inst: Instance, gamma: Gamma) -> tuple[
     """``decompose_fhg`` without its preservation walk.
 
     For a gamma known to preserve delta, as every ``find_gamma`` result is:
-    ``_validated`` walked its profile, or ``plain_candidates`` read it off
-    the rotation.
+    ``_validated`` walked its profile.
     """
     t = gamma.waist.achieved_at
     o_low = gamma.waist.line_low.offset(t)

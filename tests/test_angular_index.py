@@ -6,9 +6,9 @@ bisects each pivot's fences (``Instance.fences``), ``run_rotation`` walks
 the pivots' fences, and the surgery's ``_curve_meetings`` and
 ``build_shift`` walk a trace in order; the oracles in ``support`` scan
 every piece, direction, tag, arc or point instead.  The curves are every
-one that the gamma search's membership check sees (plain and splice, arcs
-only), with the shift curves that ``build_shift`` makes of the search's
-strip rotations, the curves with slides; the traces are every rotation the
+splice that the gamma search's membership check sees and every plain lift
+that it ranks (arcs only), with the shift curves that ``build_shift`` makes
+of the search's strip rotations, the curves with slides; the traces are every rotation the
 search runs.  Lifts, splices and shift curves share one assembly,
 ``sliding._curve_through``, which ``linear_build_shift`` calls too.
 ``build_splice`` hands it anchor windows (``gamma._window``) that it
@@ -109,15 +109,24 @@ def search_log():
 
 @pytest.fixture(scope="module")
 def searched(search_log):
-    """The search's valid curves and the valid shift curves of its strip rotations."""
+    """The search's valid splices, every plain lift it ranks, and the shift curves.
+
+    The search lifts only its winning plain level, so the pool lifts every
+    colour-class trace that preserves delta itself.  The shift curves are
+    those of the search's strip rotations.
+    """
     curves, runs, _ = search_log
-    shifts = []
+    extra = []
     for trace, inst in runs:
-        if isinstance(trace.spec.subset, frozenset):
+        subset = trace.spec.subset
+        if isinstance(subset, frozenset):
             sr = gamma_module.build_shift(inst, trace, _subset_color(trace, inst).opposite)
             if sr is not None:
-                shifts.append((sr, inst, "shift"))
-    return curves + _valid(shifts), [trace for trace, _ in runs]
+                extra.append((sr, inst, "shift"))
+        elif _preserves_delta(subset, trace.omega_values, inst.delta):
+            extra.append((lift_rotation(trace, inst, subset), inst, "plain"))
+    splices = [curve for curve in curves if curve[2] == "splice"]
+    return splices + _valid(extra), [trace for trace, _ in runs]
 
 
 def _has_slide(sr):

@@ -1,9 +1,15 @@
+import dataclasses
+
 import pytest
 
-from balanced_lines.geometry import Color
+import support
+
+from balanced_lines import gamma as gamma_module
+from balanced_lines.geometry import Color, GuaranteeViolation
 from balanced_lines.generators import gen_random, gen_separated_convex
 from balanced_lines.gamma import (
     Gamma,
+    _validated,
     decompose_fhg,
     find_gamma,
     plain_candidates,
@@ -12,6 +18,7 @@ from balanced_lines.gamma import (
 from balanced_lines.rotation import RotationSpec, run_rotation
 from balanced_lines.sliding import (
     NotDeltaPreserving,
+    _preserves_delta,
     is_delta_preserving_sliding,
     is_positively_oriented,
     lift_rotation,
@@ -68,14 +75,92 @@ def test_gamma_minimal_over_all_plain_rotations(nested_instances):
                 assert gamma.waist.value <= waist(sr, inst).value
 
 
-def test_gamma_prefers_red_on_ties(nested_instances):
-    for inst in nested_instances:
+def _preserving_levels(inst, color):
+    """The levels of the color class whose rotation preserves delta, with their traces."""
+    for k in range(len(inst.ids_of(color))):
+        trace = run_rotation(RotationSpec(color, k), inst)
+        if _preserves_delta(color, trace.omega_values, inst.delta):
+            yield k, trace
+
+
+def test_gamma_prefers_red_on_ties(nested_instances, mixed_instances):
+    """No preserving, positively oriented red lift beats gamma, nor ties a blue one.
+
+    The red waists are walked on every level's lift, not read from
+    ``plain_candidates``, which lifts only the winning level.
+    """
+    compared = 0
+    for inst in nested_instances + mixed_instances:
         gamma = find_gamma(inst)
         if gamma is None:
             continue
-        reds = [c for c in plain_candidates(inst) if c.color is Color.RED]
-        if reds and gamma.color is Color.BLUE:
-            assert min(c.waist.value for c in reds) > gamma.waist.value
+        reds = [lift_rotation(trace, inst, Color.RED)
+                for _, trace in _preserving_levels(inst, Color.RED)]
+        red_waists = [waist(sr, inst).value for sr in reds if is_positively_oriented(sr, inst)]
+        if red_waists:
+            assert min(red_waists) >= gamma.waist.value
+            if gamma.color is Color.BLUE:
+                assert min(red_waists) > gamma.waist.value
+            compared += 1
+    assert compared
+
+
+def _rule_pool():
+    pool = support.nested_pool() + support.recharge_pool() + support.mixed_pool()
+    for seed in range(100):
+        r = 2 + seed % 13
+        pool.append(gen_random(seed, r, r + 2 * (seed % 4), 10**4))
+    return pool
+
+
+def test_preserving_plain_levels_have_closed_form_waist():
+    """Every preserving level k < (m - 1) // 2 lifts to a member of waist m - 2k - 2.
+
+    ``plain_candidates`` ranks the levels by this waist and lifts only the
+    winner.
+    """
+    levels = 0
+    for inst in _rule_pool():
+        for color in (Color.RED, Color.BLUE):
+            m = len(inst.ids_of(color))
+            for k, trace in _preserving_levels(inst, color):
+                if k >= (m - 1) // 2:
+                    continue
+                cand = _validated(lift_rotation(trace, inst, color), inst, "plain", k)
+                assert cand is not None
+                assert cand.waist.value == m - 2 * k - 2
+                levels += 1
+    assert levels > 50
+
+
+def test_plain_waist_mismatch_raises(monkeypatch, nested_instances):
+    inst = next(inst for inst in nested_instances if plain_candidates(inst))
+
+    def one_more(sr, inst):
+        w = waist(sr, inst)
+        return dataclasses.replace(w, value=w.value + 1)
+
+    monkeypatch.setattr(gamma_module, "waist", one_more)
+    with pytest.raises(GuaranteeViolation):
+        plain_candidates(inst)
+
+
+def test_find_gamma_validates_one_plain_curve(monkeypatch, nested_instances, mixed_instances):
+    """Only the winning plain level is lifted and checked; none when no level preserves."""
+    kinds = []
+
+    def spy(sr, inst, kind, level, **kwargs):
+        kinds.append(kind)
+        return _validated(sr, inst, kind, level, **kwargs)
+
+    monkeypatch.setattr(gamma_module, "_validated", spy)
+    found = 0
+    for inst in nested_instances + mixed_instances + [gen_separated_convex(3, 5)]:
+        kinds.clear()
+        gamma = find_gamma(inst)
+        assert kinds.count("plain") == (gamma is not None)
+        found += gamma is not None
+    assert found
 
 
 def test_decompose_partition(nested_instances):

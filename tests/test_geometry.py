@@ -1,3 +1,4 @@
+import json
 import math
 import operator
 from fractions import Fraction
@@ -521,6 +522,67 @@ def test_instance_json_rationals():
     assert inst.point(2).y == Fraction(1, 4)
     text = instance_to_json(inst)
     assert instance_from_json(text).points == inst.points
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=10,
+)
+_exact = st.one_of(
+    st.integers(-40, 40),
+    st.integers(-40, 40).map(str),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12).map(str),
+)
+_fields = {
+    "x": _exact | st.text(alphabet="0123456789-+./eE_ ", max_size=10) | _json_values,
+    "y": _exact | st.text(alphabet="0123456789-+./eE_ ", max_size=10) | _json_values,
+    "color": st.sampled_from(["R", "B", "r", "G"]) | _json_values,
+}
+_good_points = st.lists(
+    st.fixed_dictionaries({"x": _exact, "y": _exact, "color": st.sampled_from(["R", "B"])}),
+    min_size=2, max_size=6)
+
+
+@st.composite
+def _one_field_off(draw):
+    """Well-formed points with one field replaced, dropped or added."""
+    points = draw(_good_points)
+    point = points[draw(st.integers(0, len(points) - 1))]
+    field = draw(st.sampled_from([*_fields, "extra"]))
+    if draw(st.booleans()):
+        point.pop(field, None)
+    else:
+        point[field] = draw(_fields.get(field, _json_values))
+    return points
+
+
+_documents = st.one_of(
+    st.fixed_dictionaries({"points": _good_points}).map(json.dumps),
+    st.fixed_dictionaries({"points": _one_field_off()}).map(json.dumps),
+    st.fixed_dictionaries({"points": st.lists(
+        st.fixed_dictionaries({}, optional=_fields) | _json_values, max_size=4)}).map(json.dumps),
+    _json_values.map(json.dumps),
+    st.text(max_size=30),
+    st.binary(max_size=30),
+)
+
+
+@given(_documents)
+@settings(max_examples=400, deadline=None)
+def test_instance_documents_load_or_raise_validation_error(text):
+    """A document, whole or in its point fields, loads and round-trips, or raises ValidationError.
+
+    Any other exception escaping ``instance_from_json`` fails the property.
+    """
+    try:
+        inst = instance_from_json(text)
+    except ValidationError:
+        return
+    again = instance_to_json(inst)
+    assert instance_from_json(again).points == inst.points
+    assert instance_to_json(instance_from_json(again)) == again
 
 
 def test_labeled_point_ids_must_match_positions():

@@ -3,12 +3,14 @@
 A relabeling permutes the points: both enumerators' sets come back with
 every id renamed, and the certificate still reaches ``r``.  When r == b a
 colour swap turns every balanced pair (red, blue) into (blue, red), since
-both sides of the line still weigh delta = 0.  The affine maps are
-``test_oracle.py::test_affine_image_keeps_naive_lines``.  Each case is
-seeded, so a failure replays as it is.
+both sides of the line still weigh delta = 0.  An exact affine map with
+nonzero determinant keeps the balanced set, mirrors included: the
+enumerators are checked in ``test_oracle.py::test_affine_image_keeps_naive_lines``,
+the certificate here.  Each case is seeded, so a failure replays as it is.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -73,3 +75,36 @@ def test_color_swap_reverses_every_key(seed):
         assert _keys(enumerate_lines(swapped)) == {(blue, red) for red, blue in lines}
         assert len(lines) >= inst.r
     assert verify_lower_bound(swapped).total >= swapped.r
+
+
+AFFINE_FAMILIES = {
+    "nested": support.nested_pool,
+    "mixed": support.mixed_pool,
+    "recharge": support.recharge_pool,
+}
+
+# (matrix, translation): the default map of ``support.rational_image``, and
+# a mirror, (x, y) -> (-3x/4 + 1/3, 2x/9 + y/3 + 7/5) of determinant -1/4;
+# both move the abscissa with the old one alone, so abscissae stay distinct
+AFFINE_MAPS = {
+    "default": None,
+    "mirror": (((Fraction(-3, 4), 0), (Fraction(2, 9), Fraction(1, 3))),
+               (Fraction(1, 3), Fraction(7, 5))),
+}
+
+
+@pytest.mark.parametrize("family", AFFINE_FAMILIES)
+@pytest.mark.parametrize("name", AFFINE_MAPS)
+def test_affine_image_keeps_the_certificate(family, name):
+    """The image's certificate reaches r on lines that are balanced pairs of the original."""
+    args = AFFINE_MAPS[name] or ()
+    checked = 0
+    for inst in AFFINE_FAMILIES[family]():
+        if inst.n > 22:
+            continue
+        image = support.rational_image(inst, *args)
+        cert = verify_lower_bound(image)
+        assert cert.total >= image.r
+        assert {line.line.key for line in cert.lines} <= _keys(enumerate_naive(inst))
+        checked += 1
+    assert checked
