@@ -321,22 +321,13 @@ def certificate_to_json(cert: Certificate) -> str:
     gamma_payload = None
     if cert.gamma is not None:
         g = cert.gamma
-        pieces = []
-        for piece in g.sr.pieces:
-            if hasattr(piece, "pivot"):
-                pieces.append({
-                    "type": "arc",
-                    "pivot": piece.pivot,
-                    "from": {"dx": piece.d_from.dx, "dy": piece.d_from.dy},
-                    "to": {"dx": piece.d_to.dx, "dy": piece.d_to.dy},
-                })
-            else:
-                pieces.append({
-                    "type": "slide",
-                    "dir": {"dx": piece.direction.dx, "dy": piece.direction.dy},
-                    "from_point": piece.from_id,
-                    "to_point": piece.to_id,
-                })
+        anchors = g.sr.anchors  # the family's curves are arc-only: one arc per anchor
+        pieces = [{
+            "type": "arc",
+            "pivot": a,
+            "from": {"dx": u.dx, "dy": u.dy},
+            "to": {"dx": v.dx, "dy": v.dy},
+        } for (u, a), (v, _) in zip(anchors, anchors[1:] + anchors[:1])]
         gamma_payload = {
             "color": g.color.value,
             "kind": g.kind,

@@ -10,29 +10,28 @@ of arcs only:
   its strip points, each followed except between its outermost meetings
   with the candidate, where the candidate is followed instead.
 
-New composites are adopted only after full validation (curve continuity,
-preservation, positive orientation) and only when they strictly shrink the
-waist, so the iteration terminates.
+New composites are adopted only after full validation (a single turn about
+subset points, preservation, positive orientation) and only when they
+strictly shrink the waist, so the iteration terminates.
 
 The splice walks its inputs in angular order instead of pairing every part
 with every other: it finds where the strip rotation meets the curve by
-moving one pointer through the curve's arc index along the trace's
-intervals, then cuts three anchor windows out of the lift's and the
-curve's arc indexes and hands them to ``sliding._curve_through``, the
+moving one pointer through the curve's anchors along the trace's
+intervals, then slices three anchor windows out of the lift's and the
+curve's anchors and hands them to ``sliding._curve_through``, the
 package's one assembly of a curve.  ``build_shift`` builds the one curve
 with slides that the package constructs; it is not part of the family.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
 from .geometry import (
-    KEY_START,
     VERTICAL,
     Color,
     Direction,
@@ -52,7 +51,6 @@ from .rotation import (
     run_rotation,
 )
 from .sliding import (
-    InvalidCurve,
     NotDeltaPreserving,
     NotPositivelyOriented,
     SlidingRotation,
@@ -90,6 +88,8 @@ def _validated(sr: SlidingRotation, inst: Instance, kind: str, level: int, *,
                waist_cap: Optional[int] = None) -> Optional[Gamma]:
     """Full membership check; None when the curve does not qualify.
 
+    Every curve the search builds is valid by construction, so an
+    InvalidCurve from ``validate_curve`` is a fault and propagates.
     Rejection comes first: the preservation test stops at the first weight
     that breaks it, and most candidates that fail do so on their first
     interval, so it runs before the full ``waist`` walk, which also detects
@@ -97,10 +97,7 @@ def _validated(sr: SlidingRotation, inst: Instance, kind: str, level: int, *,
     improve.  Every failing filter returns None, so their order cannot
     change which curves qualify.
     """
-    try:
-        validate_curve(sr, inst)
-    except InvalidCurve:
-        return None
+    validate_curve(sr, inst)
     if not is_delta_preserving_sliding(sr, inst):
         return None
     try:
@@ -134,7 +131,7 @@ def plain_candidates(inst: Instance) -> list[Gamma]:
     if best is None:
         return []
     width, color, k, trace = best
-    cand = _validated(lift_rotation(trace, inst, color), inst, "plain", k)
+    cand = _validated(lift_rotation(trace, color), inst, "plain", k)
     if cand is None or cand.waist.value != width:
         raise GuaranteeViolation(
             f"the {color.name} level-{k} lift fails membership or its waist is not {width}")
@@ -255,7 +252,7 @@ def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> SlidingRo
     windows.
     """
     theta = trace.start_direction
-    lifted = lift_rotation(trace, inst, best.color)
+    lifted = lift_rotation(trace, best.color)
     meetings = sorted(_curve_meetings(inst, best.sr, trace),
                       key=lambda d: direction_key(theta, d))
     if len(meetings) < 2:
@@ -264,67 +261,63 @@ def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> SlidingRo
     anchors = _window(lifted, theta, t1) + _window(best.sr, t1, t2)
     if t2 != theta:
         anchors += _window(lifted, t2, theta)
-    return _curve_through(inst, anchors, best.color)
+    return _curve_through(anchors, best.color)
 
 
 def _window(sr: SlidingRotation, u: Direction, v: Direction) -> list[tuple[Direction, int]]:
     """The anchors of the curve on the counterclockwise window [u, v).
 
-    The curve's point at u (the pivot of the arc holding u, or of the one
-    starting there), then the start and pivot of every arc that starts
-    strictly inside the window, cut from ``sr.arc_index`` by two
-    bisections.  The window wraps past the start direction exactly when
-    u's key is not below v's; v at the start direction keys as a full turn.
+    The curve's point at u (the anchor of the arc holding u, or of the one
+    starting there), then every anchor strictly inside the window: a slice
+    of ``sr.anchors`` between two bisections of its keys.  The window wraps
+    past the start direction exactly when u's key is not below v's; v at
+    the start direction keys as a full turn.
     """
-    keys, where = sr.arc_index
-    start = sr.start_direction
-    key_u = KEY_START if u == start else direction_key(start, u)
+    start, anchors = sr.start_direction, sr.anchors
     key_v = direction_key(start, v)
-    i = bisect_right(keys, key_u) - 1
-    j = bisect_left(keys, key_v)
-    inside = range(i + 1, j) if key_u < key_v else [*range(i + 1, len(keys)), *range(j)]
-    arcs = [sr.pieces[where[k]] for k in (i, *inside)]
-    return [(u, arcs[0].pivot)] + [(arc.d_from, arc.pivot) for arc in arcs[1:]]
+    i, j = sr.arc_at(u), bisect_left(sr.keys, key_v)
+    wraps = u != start and direction_key(start, u) >= key_v
+    inside = anchors[i + 1:] + anchors[:j] if wraps else anchors[i + 1:j]
+    return [(u, anchors[i][1]), *inside]
 
 
 def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace) -> set[Direction]:
     """Directions where the rotating line coincides with an arc line of the curve.
 
-    Arc overlaps with a shared pivot contribute their boundary directions.
-    The trace's intervals and the curve's arcs both advance
-    counterclockwise, so one pointer into ``sr.arc_index``, placed by one
-    bisection, yields the arcs that overlap each interval: the walk costs
-    O(intervals + arcs) instead of their product.
+    The arcs are read off consecutive anchors: about c from u to v for
+    anchors (u, c) and (v, ·).  Arc overlaps with a shared pivot contribute
+    their boundary directions.  The trace's intervals and the curve's arcs
+    both advance counterclockwise, so one pointer into ``sr.anchors``,
+    placed by one bisection, yields the arcs that overlap each interval: the
+    walk costs O(intervals + arcs) instead of their product.
     """
     pts = inst.points
-    keys, where = sr.arc_index
-    start, theta = sr.start_direction, trace.start_direction
-    n = len(where)
-    j = bisect_right(keys, KEY_START if theta == start else direction_key(start, theta)) - 1
+    anchors = sr.anchors
+    n = len(anchors)
+    j = sr.arc_at(trace.start_direction)
     meetings: set[Direction] = set()
     for dfrom, dto, pivot, _ in trace.intervals():
         # the arc holding dfrom, the arc ending there, then every arc
         # starting in (dfrom, dto]; j ends on the arc holding dto
         near = {j}
-        if sr.pieces[where[j]].d_from == dfrom:
+        if anchors[j][0] == dfrom:
             near.add((j - 1) % n)
         for _ in range(n):
-            d = sr.pieces[where[(j + 1) % n]].d_from
+            d = anchors[(j + 1) % n][0]
             if d == dfrom or not ccw_arc_contains(dfrom, dto, d):
                 break
             j = (j + 1) % n
             near.add(j)
         g = pts[pivot]
         for i in near:
-            piece = sr.pieces[where[i]]
-            if piece.pivot == pivot:
-                ends = (dfrom, dto, piece.d_from, piece.d_to)
+            (u, c), v = anchors[i], anchors[(i + 1) % n][0]
+            if c == pivot:
+                ends = (dfrom, dto, u, v)
             else:
-                c = pts[piece.pivot]
-                fwd = direction_of(c.x - g.x, c.y - g.y)
+                fwd = direction_of(pts[c].x - g.x, pts[c].y - g.y)
                 ends = (fwd, fwd.antipode)
             for d in ends:
-                if ccw_arc_contains(dfrom, dto, d) and piece.contains(d):
+                if ccw_arc_contains(dfrom, dto, d) and ccw_arc_contains(u, v, d):
                     meetings.add(d)
     return meetings
 
@@ -385,4 +378,4 @@ def build_shift(inst: Instance, trace: RotationTrace, shift_color: Color) -> Opt
             anchors.append((u, order[right - 1]))
     if len(anchors) > 1 and anchors[-1][1] == anchors[0][1]:  # one arc about it across theta
         anchors[0] = anchors.pop()
-    return _curve_through(inst, anchors, shift_color)
+    return _curve_through(anchors, shift_color)

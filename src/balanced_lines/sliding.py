@@ -1,26 +1,30 @@
 """Sliding rotations: closed, angularly monotone curves in line space.
 
 A sliding rotation alternates rotation arcs about points of its subset with
-parallel displacements (slides) taken at a fixed direction.  Plain level
-rotations embed as arc-only curves.  The predicates here evaluate the curve
-combinatorially: one representative per interval between critical
-directions, everything by exact sign tests.
+parallel displacements (slides) taken at a fixed direction.  It is stored as
+its anchors, (direction, point) pairs in turn order: the arc about each
+anchor's point runs to the next anchor's direction, and a slide sits
+wherever two consecutive points lie on distinct lines there, so the curve
+is continuous by construction and ``curve_pieces`` reads the arcs and
+slides off the instance.  Plain level rotations embed as arc-only curves.
+The predicates here evaluate the curve combinatorially: one representative
+per interval between critical directions, everything by exact sign tests.
 
 The subset of a curve is a full color class; its waist at direction t
 counts the subset points strictly inside the strip between the line at t
 and the line at t + pi, and the waist of the curve is the minimum over a
 half turn.
 
-A valid curve turns exactly once: its arcs, in piece order, advance from
-the start direction through one full counterclockwise turn and back.
-``validate_curve`` checks this, and the queries rely on it: each curve
-keeps an angular index of its arcs (``SlidingRotation.arc_index``), so
-finding the line at a direction (``evaluate_at``) costs one bisection,
-O(log pieces).  The waist and the orientation check are views of one
-ordered walk, ``curve_sweep``, which passes every breakpoint of the half
-cycle once and carries both antipodal anchors and the strip along.
-``sliding_profile`` reads each pivot's fences, the angular order the
-instance keeps per point (``Instance.fences``), and walks every arc in
+A valid curve turns exactly once: its anchors advance from the start
+direction through one full counterclockwise turn.  ``validate_curve``
+checks this, and the queries rely on it: each curve keys its anchors by
+angle from the start (``SlidingRotation.keys``), so finding the arc at a
+direction (``SlidingRotation.arc_at``, and with it ``evaluate_at``) costs
+one bisection, O(log anchors).  The waist and the orientation check are
+views of one ordered walk, ``curve_sweep``, which passes every breakpoint
+of the half cycle once and carries both antipodal anchors and the strip
+along.  ``sliding_profile`` reads each pivot's fences, the angular order
+the instance keeps per point (``Instance.fences``), and walks every arc in
 O(log n) plus one step per crossed point.
 """
 
@@ -85,51 +89,43 @@ Piece = Union[RotateArc, Slide]
 
 @dataclass(frozen=True)
 class SlidingRotation:
-    pieces: tuple[Piece, ...]
+    """A closed curve, stored as its anchors.
+
+    ``anchors`` holds (direction, point) pairs in strict turn order from the
+    first: each arc rotates about its anchor's point from the anchor's
+    direction up to the next anchor's, and the last arc closes the turn at
+    the first direction.  ``curve_pieces`` adds the slides.
+    """
+
+    anchors: tuple[tuple[Direction, int], ...]
     subset_color: Color
 
     @property
     def start_direction(self) -> Direction:
-        first = self.pieces[0]
-        return first.d_from if isinstance(first, RotateArc) else first.direction
+        return self.anchors[0][0]
 
     @cached_property
-    def arc_index(self) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
-        """Start keys and piece positions of the arcs, in angular order.
+    def keys(self) -> tuple[tuple, ...]:
+        """The anchors' ``direction_key`` from the start direction, ``KEY_START`` first.
 
-        Keys are ``direction_key(start_direction, d_from)``, with
-        ``KEY_START`` for the first arc.  Raises InvalidCurve unless the
-        arcs advance through exactly one full turn: the first arc starts at
-        the start direction, the start keys increase strictly, and the last
-        arc ends at the start direction.
+        Raises InvalidCurve unless there are at least two anchors and the
+        keys increase strictly, so that the arcs turn exactly once.
         """
+        if len(self.anchors) < 2:
+            raise InvalidCurve("a curve needs at least two anchors")
         start = self.start_direction
-        keys: list[tuple] = []
-        where: list[int] = []
-        for i, piece in enumerate(self.pieces):
-            if not isinstance(piece, RotateArc):
-                continue
-            key = KEY_START if piece.d_from == start else direction_key(start, piece.d_from)
-            if not (keys[-1] < key if keys else key == KEY_START):
-                raise InvalidCurve("arcs do not advance through exactly one turn")
-            keys.append(key)
-            where.append(i)
-        if not where or self.pieces[where[-1]].d_to != start:
-            raise InvalidCurve("arcs do not advance through exactly one turn")
-        return tuple(keys), tuple(where)
+        keys = tuple(KEY_START if d == start else direction_key(start, d) for d, _ in self.anchors)
+        if not all(a < b for a, b in zip(keys, keys[1:])):
+            raise InvalidCurve("anchors do not advance through exactly one turn")
+        return keys
 
-    def piece_boundaries(self) -> list[Direction]:
-        out = []
-        for piece in self.pieces:
-            if isinstance(piece, RotateArc):
-                out.append(piece.d_from)
-                out.append(piece.d_to)
-            else:
-                out.append(piece.direction)
-        return out
+    def arc_at(self, t: Direction) -> int:
+        """The position of the anchor whose arc holds t: the last one at or before t."""
+        start = self.start_direction
+        return bisect_right(self.keys, KEY_START if t == start else direction_key(start, t)) - 1
 
 
-def lift_rotation(trace: RotationTrace, inst: Instance, subset_color: Color) -> SlidingRotation:
+def lift_rotation(trace: RotationTrace, subset_color: Color) -> SlidingRotation:
     """Embed a plain rotation as an arc-only sliding rotation.
 
     Anchored at the start and at each pivot change off it; a handover keeps
@@ -139,94 +135,68 @@ def lift_rotation(trace: RotationTrace, inst: Instance, subset_color: Color) -> 
     anchors = [(start, trace.initial_pivot)]
     anchors += [(ev.direction, ev.pivot_after) for ev in trace.events
                 if ev.kind is EventKind.PIVOT_CHANGE and ev.direction != start]
-    return _curve_through(inst, anchors, subset_color)
+    return _curve_through(anchors, subset_color)
 
 
-def _curve_through(inst: Instance, anchors: list[tuple[Direction, int]],
-                   color: Color) -> SlidingRotation:
+def _curve_through(anchors: list[tuple[Direction, int]], color: Color) -> SlidingRotation:
     """The curve rotating about each anchor's point from its direction to the next anchor's.
 
     ``anchors`` holds (direction, point) pairs at distinct directions in turn
-    order; the last arc closes the turn at the first direction.  A slide joins
-    two consecutive points not on one line there.  A lone anchor is joined by
-    its antipode, so the curve is two half arcs about its point.
+    order; the last arc closes the turn at the first direction.  A lone
+    anchor is joined by its antipode, so the curve is two half arcs about
+    its point.
     """
     if len(anchors) == 1:
         (u, a), = anchors
         anchors = [(u, a), (u.antipode, a)]
+    return SlidingRotation(tuple(anchors), color)
+
+
+def curve_pieces(sr: SlidingRotation, inst: Instance) -> Iterator[Piece]:
+    """The curve's arcs and slides, in turn order from its start direction.
+
+    An arc about each anchor's point up to the next anchor's direction; a
+    slide joins two consecutive points that lie on distinct lines there.
+    """
     xs, ys = inst.xs, inst.ys
-    pieces: list[Piece] = []
+    anchors = sr.anchors
     for (u, a), (v, b) in zip(anchors, anchors[1:] + anchors[:1]):
-        pieces.append(RotateArc(a, u, v))
+        yield RotateArc(a, u, v)
         if v.offset(xs[a], ys[a]) != v.offset(xs[b], ys[b]):
-            pieces.append(Slide(v, a, b))
-    return SlidingRotation(tuple(pieces), color)
+            yield Slide(v, a, b)
 
 
 def validate_curve(sr: SlidingRotation, inst: Instance) -> None:
-    """Check continuity and closure of the piece sequence, and a single turn.
+    """Check that the anchors turn exactly once about points of the subset.
 
-    Each piece is checked once and its ends taken; then each end meets the
-    next piece's start on one line, the offsets read from the rows.
+    The arcs and slides of ``curve_pieces`` join by construction, so no
+    continuity is left to check.
     """
-    if not sr.pieces:
-        raise InvalidCurve("curve has no pieces")
+    sr.keys  # raises InvalidCurve unless the anchors turn exactly once
     subset = set(inst.ids_of(sr.subset_color))
-    ends: list[tuple[Direction, int, Direction, int]] = []  # start, its anchor, end, its anchor
-    for piece in sr.pieces:
-        if isinstance(piece, RotateArc):
-            if piece.pivot not in subset:
-                raise InvalidCurve(f"arc pivot {piece.pivot} outside the subset")
-            if piece.d_from == piece.d_to:
-                raise InvalidCurve("zero-length arc")
-            ends.append((piece.d_from, piece.pivot, piece.d_to, piece.pivot))
-        else:
-            if piece.from_id not in subset or piece.to_id not in subset:
-                raise InvalidCurve("slide endpoints must be subset points")
-            if piece.from_id == piece.to_id:
-                raise InvalidCurve("zero-length slide")
-            ends.append((piece.direction, piece.from_id, piece.direction, piece.to_id))
-    xs, ys = inst.xs, inst.ys
-    for i, ((_, _, d, a), (d_next, b, _, _)) in enumerate(zip(ends, ends[1:] + ends[:1])):
-        if d != d_next:
-            raise InvalidCurve(f"piece {i} ends at direction {d}, next starts at {d_next}")
-        if d.offset(xs[a], ys[a]) != d.offset(xs[b], ys[b]):
-            raise InvalidCurve(f"pieces {i} and {(i + 1) % len(ends)} do not share a line")
-    sr.arc_index  # raises InvalidCurve unless the arcs turn exactly once
+    for _, a in sr.anchors:
+        if a not in subset:
+            raise InvalidCurve(f"arc pivot {a} outside the subset")
 
 
 def evaluate_at(sr: SlidingRotation, inst: Instance, t: Direction) -> DirectedLine:
     """The curve's line at direction t; the leftmost one if a slide sits at t.
 
-    Bisects the curve's arc index for the arc starting at or before t.  When
-    t is that arc's start, the previous arc ends at t and any slides at t
-    lie between the two, so those pieces are compared too, in piece order.
+    Bisects the curve's keys for the arc holding t.  When t is that arc's
+    start, the previous arc ends at t and any slide at t joins the two
+    points, so both are compared, in piece order: the previous point first,
+    except at the start direction, where the first arc precedes the last.
     Needs a curve that turns exactly once (see ``validate_curve``).
     """
-    keys, where = sr.arc_index
-    start = sr.start_direction
-    j = bisect_right(keys, KEY_START if t == start else direction_key(start, t)) - 1
-    here = where[j]
-    if t != sr.pieces[here].d_from:
-        near = (here,)
+    j = sr.arc_at(t)
+    u, a = sr.anchors[j]
+    if t != u:
+        near = (a,)
     else:
-        before = where[j - 1]
-        if before < here:
-            near = range(before, here + 1)
-        else:  # t is the start direction: the pieces at t wrap around the tuple
-            near = [*range(here + 1), *range(before, len(sr.pieces))]
-    best = None
-    best_offset = None
-    for i in near:
-        piece = sr.pieces[i]
-        anchors = [piece.pivot] if isinstance(piece, RotateArc) else [piece.from_id, piece.to_id]
-        for aid in anchors:
-            p = inst.point(aid)
-            off = t.offset(p.x, p.y)
-            if best_offset is None or off > best_offset:
-                best_offset = off
-                best = DirectedLine(p.x, p.y, t, (aid,))
-    return best
+        prev = sr.anchors[j - 1][1]
+        near = (a, prev) if j == 0 else (prev, a)
+    p = max((inst.point(i) for i in near), key=lambda p: t.offset(p.x, p.y))  # first on ties
+    return DirectedLine(p.x, p.y, t, (p.id,))
 
 
 def _anchor_for_offset(d: Direction, offset) -> tuple[Fraction, Fraction]:
@@ -259,7 +229,7 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
 def _profile_steps(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[DirectedLine, int]]:
     """The entries of ``sliding_profile``, lazily, in piece order."""
     ws = inst.ws
-    for piece in sr.pieces:
+    for piece in curve_pieces(sr, inst):
         if isinstance(piece, RotateArc):
             q = inst.point(piece.pivot)
             fences = inst.fences(q.id)
@@ -317,13 +287,13 @@ def is_delta_preserving_sliding(sr: SlidingRotation, inst: Instance) -> bool:
 def curve_sweep(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direction, int, int, set[int]]]:
     """Walk the half cycle once: ``(t, low, high, strip)`` per combinatorial interval.
 
-    The breakpoints are the piece boundaries, their antipodes and every
+    The breakpoints are the anchors' directions, their antipodes and every
     direction between two subset points (``Instance.pair_fences``), folded
     onto [start, start + pi); ``t`` is ``direction_between`` two consecutive
     ones.  ``low`` and ``high`` anchor the curve's lines at ``t`` and
     ``t + pi`` (what ``evaluate_at`` returns there), and ``strip`` holds the
-    subset points strictly between them.  Both anchors advance through
-    ``sr.arc_index`` at arc starts; in between, a point crosses an anchor's
+    subset points strictly between them.  Both advance through the curve's
+    anchors at arc starts; in between, a point crosses an anchor's
     line only at their pair fence.  So a walk costs O(1) per breakpoint plus
     O(m) per anchor change, m the subset size.  ``strip`` is the walk's own
     set and changes as it goes on: copy it to keep it.  Needs a curve that
@@ -331,16 +301,15 @@ def curve_sweep(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direction
     """
     start = sr.start_direction
     half = start.antipode
-    keys, where = sr.arc_index
-    arcs = [sr.pieces[i] for i in where]
+    keys, anchors = sr.keys, sr.anchors
     xs, ys = inst.xs, inst.ys
     ids = inst.ids_of(sr.subset_color)
-    # arcs[:n_low] start in [start, start + pi); arcs[i_high] holds start + pi
+    # anchors[:n_low] start arcs in [start, start + pi); anchors[i_high]'s arc holds start + pi
     key_half = direction_key(start, half)
     n_low = bisect_left(keys, key_half)
     i_high = bisect_right(keys, key_half) - 1
     k_start = direction_key(VERTICAL, start)
-    turns = [a.d_from for a in arcs[1:n_low]] + [a.d_from.antipode for a in arcs[i_high + 1:]]
+    turns = [d for d, _ in anchors[1:n_low]] + [d.antipode for d, _ in anchors[i_high + 1:]]
     # in the turn's order: keys above the start's, then those past vertical
     marks = sorted(((direction_key(VERTICAL, d), d, None, None) for d in turns),
                    key=lambda e: (e[0] < k_start, e[0]))
@@ -349,7 +318,7 @@ def curve_sweep(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direction
     stops.append((None, half, None, None))  # closes the last interval
 
     i_low = 0
-    a, b = arcs[i_low].pivot, arcs[i_high].pivot
+    a, b = anchors[i_low][1], anchors[i_high][1]
     left_low: set[int] = set()  # subset points strictly left of the line at t
     left_high: set[int] = set()  # ... strictly left of the line at t + pi
     strip: set[int] = set()
@@ -371,12 +340,12 @@ def curve_sweep(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direction
             yield t, a, b, strip
             u = d
         if p is None:  # an arc start, or the antipode of one
-            if i_low + 1 < n_low and d == arcs[i_low + 1].d_from:
+            if i_low + 1 < n_low and d == anchors[i_low + 1][0]:
                 i_low += 1
-                a, stale_low = arcs[i_low].pivot, True
-            if i_high + 1 < len(arcs) and d == arcs[i_high + 1].d_from.antipode:
+                a, stale_low = anchors[i_low][1], True
+            if i_high + 1 < len(anchors) and d == anchors[i_high + 1][0].antipode:
                 i_high += 1
-                b, stale_high = arcs[i_high].pivot, True
+                b, stale_high = anchors[i_high][1], True
             continue
         # d points from p to q: the line at t meets q with its head or p with
         # its tail, the line at t + pi meets p with its head or q with its tail

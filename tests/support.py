@@ -5,12 +5,16 @@ partly or fully surrounds the other; those are the instances whose level
 rotations stay on one side of delta, which is what drives the sliding
 rotation pipeline.  Everything is deterministic in the seed.
 
+``assert_pieces_join`` keeps the continuity checks of a curve's arcs and
+slides, which a curve stored as its anchors satisfies by construction.
+
 It also holds the linear-scan oracles of the indexed curve and trace
 queries: ``linear_evaluate_at``, ``linear_half_cycle_representatives``,
 ``linear_waist``, ``brute_waist``, ``recount_profile`` and
 ``linear_curve_meetings`` (which tests every interval against every arc
 with ``ccw_arc_contains``) share nothing with the angular indexes and walks
-in the package beyond the exact primitives; ``linear_build_shift`` scans
+in the package beyond the exact primitives and the arcs and slides that
+``sliding.curve_pieces`` reads off a curve; ``linear_build_shift`` scans
 for its anchors (the pivot of each cut from ``linear_pivot_at``) and
 shares only the assembly of a curve from them, ``sliding._curve_through``,
 which ``test_curve_assembly_digest`` pins; ``tag_walk_rotation`` walks a
@@ -67,6 +71,7 @@ from balanced_lines.sliding import (
     RotateArc,
     Waist,
     _curve_through,
+    curve_pieces,
 )
 
 
@@ -230,7 +235,7 @@ def linear_evaluate_at(sr, inst: Instance, t: Direction) -> DirectedLine:
     """Oracle for ``evaluate_at``: scan every piece, keep the leftmost line."""
     best = None
     best_offset = None
-    for piece in sr.pieces:
+    for piece in curve_pieces(sr, inst):
         anchors: list[int] = []
         if isinstance(piece, RotateArc):
             if piece.contains(t):
@@ -248,12 +253,37 @@ def linear_evaluate_at(sr, inst: Instance, t: Direction) -> DirectedLine:
     return best
 
 
+def assert_pieces_join(sr, inst: Instance) -> None:
+    """The continuity checks of a curve's pieces, kept as a test oracle.
+
+    Each piece of ``curve_pieces`` ends where the next one starts, on one
+    line (the offsets read from the points), no arc or slide has zero
+    length, and every pivot and slide end is a subset point.
+    """
+    subset = set(inst.ids_of(sr.subset_color))
+    pts = inst.points
+    ends = []  # start, its point, end, its point
+    for piece in curve_pieces(sr, inst):
+        if isinstance(piece, RotateArc):
+            assert piece.pivot in subset
+            assert piece.d_from != piece.d_to, "zero-length arc"
+            ends.append((piece.d_from, piece.pivot, piece.d_to, piece.pivot))
+        else:
+            d, a, b = piece.direction, pts[piece.from_id], pts[piece.to_id]
+            assert {a.id, b.id} <= subset
+            assert d.offset(a.x, a.y) != d.offset(b.x, b.y), "zero-length slide"
+            ends.append((d, a.id, d, b.id))
+    for (_, _, d, a), (d_next, b, _, _) in zip(ends, ends[1:] + ends[:1]):
+        assert d == d_next, f"a piece ends at {d}, the next starts at {d_next}"
+        assert d.offset(pts[a].x, pts[a].y) == d.offset(pts[b].x, pts[b].y), "pieces off one line"
+
+
 def linear_half_cycle_representatives(sr, inst: Instance) -> list[Direction]:
     """Oracle for the directions of ``curve_sweep``: fold and sort every breakpoint."""
     start = sr.start_direction
     ids = inst.ids_of(sr.subset_color)
-    raw = set(sr.piece_boundaries())
-    raw.update(d.antipode for d in sr.piece_boundaries())
+    raw = {d for d, _ in sr.anchors}
+    raw.update(d.antipode for d, _ in sr.anchors)
     for i in ids:
         for j in ids:
             if i != j:
@@ -288,8 +318,8 @@ def brute_waist(sr, inst):
     ids = inst.ids_of(sr.subset_color)
     pts = inst.points
     start = sr.start_direction
-    raw = set(sr.piece_boundaries())
-    raw |= {d.antipode for d in sr.piece_boundaries()}
+    raw = {d for d, _ in sr.anchors}
+    raw |= {d.antipode for d, _ in sr.anchors}
     for i in range(inst.n):
         for j in range(i + 1, inst.n):
             d = Direction.of(pts[j].x - pts[i].x, pts[j].y - pts[i].y)
@@ -320,7 +350,7 @@ def recount_profile(sr, inst: Instance) -> list[tuple[DirectedLine, int]]:
     """Oracle for ``sliding_profile``: recount every interval in full."""
     pts = inst.points
     out: list[tuple[DirectedLine, int]] = []
-    for piece in sr.pieces:
+    for piece in curve_pieces(sr, inst):
         if isinstance(piece, RotateArc):
             q = inst.point(piece.pivot)
             inside = []
@@ -472,7 +502,7 @@ def linear_curve_meetings(inst: Instance, sr, trace):
     marks = []
     for dfrom, dto, pivot, _ in trace.intervals():
         g = pts[pivot]
-        for idx, piece in enumerate(sr.pieces):
+        for idx, piece in enumerate(curve_pieces(sr, inst)):
             if not isinstance(piece, RotateArc):
                 continue
             c = pts[piece.pivot]
@@ -521,7 +551,7 @@ def linear_build_shift(inst: Instance, trace, shift_color: Color):
             anchors.append((u, best_id))
     if len(anchors) > 1 and anchors[-1][1] == anchors[0][1]:
         anchors[0] = anchors.pop()
-    return _curve_through(inst, anchors, shift_color)
+    return _curve_through(anchors, shift_color)
 
 
 def pairwise_naive(inst: Instance) -> set[BalancedLine]:

@@ -170,7 +170,7 @@ def test_criterion_8_waist_oracle(core_pool):
             m = len(inst.ids_of(color))
             for k in range(min(2, (m - 1) // 2 if m >= 2 else 0)):
                 trace = run_rotation(RotationSpec(color, k), inst)
-                sr = lift_rotation(trace, inst, color)
+                sr = lift_rotation(trace, color)
                 w = waist(sr, inst)
                 assert w.value == support.brute_waist(sr, inst)
                 checked += 1

@@ -1,6 +1,6 @@
 """The angular indexes and walks of curves and traces against their linear-scan oracles.
 
-``evaluate_at`` bisects a curve's arc index, ``curve_sweep`` (and with it
+``evaluate_at`` bisects a curve's anchor keys, ``curve_sweep`` (and with it
 ``waist``) walks the half cycle's breakpoints once, ``sliding_profile``
 bisects each pivot's fences (``Instance.fences``), ``run_rotation`` walks
 the pivots' fences, and the surgery's ``_curve_meetings`` and
@@ -12,11 +12,13 @@ of the search's strip rotations, the curves with slides; the traces are every ro
 search runs.  Lifts, splices and shift curves share one assembly,
 ``sliding._curve_through``, which ``linear_build_shift`` calls too.
 ``build_splice`` hands it anchor windows (``gamma._window``) that it
-bisects out of curves' arc indexes; windows of every lift are checked to
+slices out of curves' anchors; windows of every lift are checked to
 rejoin to the lift, split where they were cut, against arcs found by a
 scan, and every splice of the search against a recorded digest.  Every
 lift and shift curve of the search's traces is checked against a second
-digest.
+digest.  The digests hash each curve's arcs and slides (``curve_pieces``),
+and every curve of the pool is checked to join piece to piece
+(``support.assert_pieces_join``).
 """
 
 import hashlib
@@ -39,12 +41,12 @@ from balanced_lines.geometry import (
 from balanced_lines.generators import gen_random
 from balanced_lines.rotation import EventKind, RotationSpec, run_rotation
 from balanced_lines.sliding import (
-    InvalidCurve,
     NotPositivelyOriented,
     RotateArc,
     Slide,
     _curve_through,
     _preserves_delta,
+    curve_pieces,
     curve_sweep,
     evaluate_at,
     is_delta_preserving_sliding,
@@ -59,7 +61,7 @@ from balanced_lines.sliding import (
 def _search(instances):
     """Run find_gamma on each instance; every checked curve, every trace and its instance.
 
-    Also returns every ``build_splice`` result, in call order.
+    Also returns every ``build_splice`` result with its instance, in call order.
     """
     curves, runs, splices = [], [], []
     validated, run = gamma_module._validated, gamma_module.run_rotation
@@ -75,8 +77,8 @@ def _search(instances):
         return trace
 
     def spy_splice(inst, best, trace):
-        splices.append(splice(inst, best, trace))
-        return splices[-1]
+        splices.append((splice(inst, best, trace), inst))
+        return splices[-1][0]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gamma_module, "_validated", spy_validated)
@@ -84,19 +86,7 @@ def _search(instances):
         mp.setattr(gamma_module, "build_splice", spy_splice)
         for inst in instances:
             gamma_module.find_gamma(inst)
-    return _valid(curves), runs, splices
-
-
-def _valid(curves):
-    """The (curve, instance, kind) entries whose curve passes ``validate_curve``."""
-    valid = []
-    for sr, inst, kind in curves:
-        try:
-            validate_curve(sr, inst)
-        except InvalidCurve:
-            continue
-        valid.append((sr, inst, kind))
-    return valid
+    return curves, runs, splices
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +99,7 @@ def search_log():
 
 @pytest.fixture(scope="module")
 def searched(search_log):
-    """The search's valid splices, every plain lift it ranks, and the shift curves.
+    """The search's splices, every plain lift it ranks, and the shift curves.
 
     The search lifts only its winning plain level, so the pool lifts every
     colour-class trace that preserves delta itself.  The shift curves are
@@ -124,23 +114,36 @@ def searched(search_log):
             if sr is not None:
                 extra.append((sr, inst, "shift"))
         elif _preserves_delta(subset, trace.omega_values, inst.delta):
-            extra.append((lift_rotation(trace, inst, subset), inst, "plain"))
+            extra.append((lift_rotation(trace, subset), inst, "plain"))
     splices = [curve for curve in curves if curve[2] == "splice"]
-    return splices + _valid(extra), [trace for trace, _ in runs]
+    return splices + extra, [trace for trace, _ in runs]
 
 
-def _has_slide(sr):
-    return any(isinstance(piece, Slide) for piece in sr.pieces)
+def _has_slide(sr, inst):
+    return any(isinstance(piece, Slide) for piece in curve_pieces(sr, inst))
+
+
+def _pieces_repr(sr, inst):
+    """The curve's arcs and slides in the form the digests were recorded in, piece by piece."""
+    pieces = tuple(curve_pieces(sr, inst))
+    return f"SlidingRotation(pieces={pieces!r}, subset_color={sr.subset_color!r})"
 
 
 def test_search_sees_every_curve_kind(search_log, searched):
     """The search validates arc-only plain lifts and splices; the pool also holds slides."""
     curves = search_log[0]
     assert {kind for _, _, kind in curves} == {"plain", "splice"}
-    assert not any(_has_slide(sr) for sr, _, _ in curves)
+    assert not any(_has_slide(sr, inst) for sr, inst, _ in curves)
     pool, traces = searched
-    assert any(_has_slide(sr) for sr, _, _ in pool)
+    assert any(_has_slide(sr, inst) for sr, inst, _ in pool)
     assert traces
+
+
+def test_pieces_join(searched):
+    """Every curve of the pool, shift curves included, is valid and joins piece to piece."""
+    for sr, inst, _ in searched[0]:
+        validate_curve(sr, inst)
+        support.assert_pieces_join(sr, inst)
 
 
 def test_waist_matches_linear_scan(searched):
@@ -177,7 +180,7 @@ def test_early_stop_preservation_matches_full_profile(searched):
 def test_evaluate_at_matches_linear_scan(searched):
     for sr, inst, _ in searched[0]:
         reps = [t for t, _, _, _ in curve_sweep(sr, inst)]
-        for t in reps + [t.antipode for t in reps] + sr.piece_boundaries():
+        for t in reps + [t.antipode for t in reps] + [d for d, _ in sr.anchors]:
             assert evaluate_at(sr, inst, t) == support.linear_evaluate_at(sr, inst, t)
 
 
@@ -192,10 +195,10 @@ def test_evaluate_at_pivot_handover_at_start():
     start = Direction.of(b.x - a.x, b.y - a.y)
     handovers = 0
     for k in range(inst.r):
-        sr = lift_rotation(run_rotation(RotationSpec(Color.RED, k, start), inst), inst, Color.RED)
+        sr = lift_rotation(run_rotation(RotationSpec(Color.RED, k, start), inst), Color.RED)
         validate_curve(sr, inst)
-        handovers += sr.pieces[0].pivot != sr.pieces[-1].pivot
-        for t in [start, start.antipode] + sr.piece_boundaries():
+        handovers += sr.anchors[0][1] != sr.anchors[-1][1]
+        for t in [start, start.antipode] + [d for d, _ in sr.anchors]:
             assert evaluate_at(sr, inst, t) == support.linear_evaluate_at(sr, inst, t)
     assert handovers
 
@@ -353,7 +356,7 @@ def _lifts():
         for k in range(inst.r):
             theta = Direction.of(rng.randint(-50, 50), rng.randint(1, 50))
             yield inst, lift_rotation(run_rotation(RotationSpec(Color.RED, k, theta), inst),
-                                      inst, Color.RED)
+                                      Color.RED)
 
 
 def _split(arcs, t):
@@ -374,12 +377,11 @@ def test_lift_windows_rejoin_to_the_lift():
     window = gamma_module._window
     cuts = 0
     for inst, lift in _lifts():
-        arcs, theta = lift.pieces, lift.start_direction
+        arcs, theta = list(curve_pieces(lift, inst)), lift.start_direction
         mids = [direction_between(a.d_from, a.d_to) for a in arcs]
         for t in [a.d_from for a in arcs[1:]] + mids:
-            rejoined = _curve_through(inst, window(lift, theta, t) + window(lift, t, theta),
-                                      Color.RED)
-            assert list(rejoined.pieces) == _split(arcs, t)
+            rejoined = _curve_through(window(lift, theta, t) + window(lift, t, theta), Color.RED)
+            assert list(curve_pieces(rejoined, inst)) == _split(arcs, t)
             cuts += 1
     assert cuts > 500
 
@@ -393,16 +395,16 @@ def test_long_way_window_wraps_past_every_other_arc():
     window = gamma_module._window
     wraps = 0
     for inst, lift in _lifts():
-        arcs = lift.pieces
+        arcs = list(curve_pieces(lift, inst))
         for i, a in enumerate(arcs):
             v = direction_between(a.d_from, a.d_to)
             u = direction_between(v, a.d_to)
             long_way = window(lift, u, v)
             assert long_way == [(u, a.pivot)] + [(b.d_from, b.pivot)
                                                  for b in arcs[i + 1:] + arcs[:i + 1]]
-            rejoined = _curve_through(inst, long_way + window(lift, v, u), Color.RED)
+            rejoined = _curve_through(long_way + window(lift, v, u), Color.RED)
             split = _split(_split(arcs, v), u)  # ..., [d_from, v], [v, u], [u, d_to], ...
-            assert list(rejoined.pieces) == split[i + 2:] + split[:i + 2]
+            assert list(curve_pieces(rejoined, inst)) == split[i + 2:] + split[:i + 2]
             wraps += 1
     assert wraps > 300
 
@@ -413,8 +415,9 @@ SPLICE_DIGEST = (48, "8c2287f62c0e4c8f9dfc41d55667a5f02d6032c4223e9ca2e0a50276c0
 def test_build_splice_digest(search_log):
     """Every splice the search builds, piece by piece, is the recorded one."""
     splices = search_log[2]
-    assert any(s is not None for s in splices)
-    digest = hashlib.sha256("\n".join(map(repr, splices)).encode()).hexdigest()
+    assert splices
+    text = "\n".join(_pieces_repr(sr, inst) for sr, inst in splices)
+    digest = hashlib.sha256(text.encode()).hexdigest()
     assert (len(splices), digest) == SPLICE_DIGEST
 
 
@@ -431,11 +434,11 @@ def test_curve_assembly_digest(search_log):
     curves = []
     for trace, inst in search_log[1]:
         color = _subset_color(trace, inst)
-        curves.append(lift_rotation(trace, inst, color))
+        curves.append(_pieces_repr(lift_rotation(trace, color), inst))
         shifted = gamma_module.build_shift(inst, trace, color.opposite)
         if shifted is not None:
-            curves.append(shifted)
-    digest = hashlib.sha256("\n".join(map(repr, curves)).encode()).hexdigest()
+            curves.append(_pieces_repr(shifted, inst))
+    digest = hashlib.sha256("\n".join(curves).encode()).hexdigest()
     assert (len(curves), digest) == ASSEMBLY_DIGEST
 
 

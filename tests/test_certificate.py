@@ -247,9 +247,29 @@ def test_certificate_json_shape(nested_instances):
         assert set(payload) == {"gamma", "color", "F", "H", "G", "lines", "total"}
         assert payload["total"] == cert.total
         if payload["gamma"] is not None:
-            assert {p["type"] for p in payload["gamma"]["pieces"]} <= {"arc", "slide"}
+            assert {p["type"] for p in payload["gamma"]["pieces"]} == {"arc"}
         for entry in payload["lines"]:
             assert set(entry) == {"red", "blue", "provenance"}
+
+
+def test_certificate_arcs_rebuild_the_anchors(nested_instances, mixed_instances,
+                                              recharge_instances):
+    """Read as (from, pivot) pairs, a certificate's arcs are its curve's anchors.
+
+    Each arc ends where the next one starts, the last where the first does:
+    a reader rebuilds the curve from the arcs alone.
+    """
+    rebuilt = 0
+    for inst in nested_instances + mixed_instances + recharge_instances:
+        cert = verify_lower_bound(inst)
+        if cert.gamma is None:
+            continue
+        pieces = json.loads(certificate_to_json(cert))["gamma"]["pieces"]
+        anchors = tuple((Direction(p["from"]["dx"], p["from"]["dy"]), p["pivot"]) for p in pieces)
+        assert anchors == cert.gamma.sr.anchors
+        assert [p["to"] for p in pieces] == [p["from"] for p in pieces[1:] + pieces[:1]]
+        rebuilt += 1
+    assert rebuilt
 
 
 def test_certificate_deterministic():

@@ -67,7 +67,7 @@ def test_gamma_minimal_over_all_plain_rotations(nested_instances):
             ids = inst.ids_of(color)
             for k in range(len(ids)):
                 trace = run_rotation(RotationSpec(color, k), inst)
-                sr = lift_rotation(trace, inst, color)
+                sr = lift_rotation(trace, color)
                 if not is_delta_preserving_sliding(sr, inst):
                     continue
                 if not is_positively_oriented(sr, inst):
@@ -94,7 +94,7 @@ def test_gamma_prefers_red_on_ties(nested_instances, mixed_instances):
         gamma = find_gamma(inst)
         if gamma is None:
             continue
-        reds = [lift_rotation(trace, inst, Color.RED)
+        reds = [lift_rotation(trace, Color.RED)
                 for _, trace in _preserving_levels(inst, Color.RED)]
         red_waists = [waist(sr, inst).value for sr in reds if is_positively_oriented(sr, inst)]
         if red_waists:
@@ -126,7 +126,7 @@ def test_preserving_plain_levels_have_closed_form_waist():
             for k, trace in _preserving_levels(inst, color):
                 if k >= (m - 1) // 2:
                     continue
-                cand = _validated(lift_rotation(trace, inst, color), inst, "plain", k)
+                cand = _validated(lift_rotation(trace, color), inst, "plain", k)
                 assert cand is not None
                 assert cand.waist.value == m - 2 * k - 2
                 levels += 1
@@ -184,7 +184,7 @@ def test_decompose_partition(nested_instances):
 def test_decompose_requires_preserving():
     inst = gen_random(3, 7, 7, 1000)
     trace = run_rotation(RotationSpec(Color.RED, 0), inst)
-    sr = lift_rotation(trace, inst, Color.RED)
+    sr = lift_rotation(trace, Color.RED)
     assert not is_delta_preserving_sliding(sr, inst)
     fake = Gamma(sr, waist(sr, inst), "plain", 0)
     with pytest.raises(NotDeltaPreserving):

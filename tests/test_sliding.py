@@ -19,6 +19,7 @@ from balanced_lines.sliding import (
     RotateArc,
     Slide,
     SlidingRotation,
+    curve_pieces,
     evaluate_at,
     is_delta_preserving_sliding,
     is_positively_oriented,
@@ -32,7 +33,7 @@ from balanced_lines.gamma import build_shift
 
 def lifted(inst, color, k, start=None):
     spec = RotationSpec(color, k) if start is None else RotationSpec(color, k, start)
-    return lift_rotation(run_rotation(spec, inst), inst, color)
+    return lift_rotation(run_rotation(spec, inst), color)
 
 
 def test_lift_is_valid_curve():
@@ -46,7 +47,7 @@ def test_profile_matches_trace_and_recount():
     inst = gen_random(3, 4, 6, 1000)
     for color, k in [(Color.RED, 0), (Color.RED, 1), (Color.BLUE, 2)]:
         trace = run_rotation(RotationSpec(color, k), inst)
-        sr = lift_rotation(trace, inst, color)
+        sr = lift_rotation(trace, color)
         prof = sliding_profile(sr, inst)
         omegas = [w for _, w in prof]
         assert min(omegas) == trace.omega_min
@@ -58,7 +59,7 @@ def test_profile_matches_trace_and_recount():
 def test_evaluate_at_plain_rotation():
     inst = gen_random(3, 4, 4, 1000)
     trace = run_rotation(RotationSpec(Color.RED, 1), inst)
-    sr = lift_rotation(trace, inst, Color.RED)
+    sr = lift_rotation(trace, Color.RED)
     for d, pivot, _ in list(support.interval_representatives(trace))[::2]:
         line = evaluate_at(sr, inst, d)
         assert line.contains(inst.point(pivot))
@@ -114,7 +115,7 @@ def test_sliding_preserving_matches_trace_condition():
             m = len(inst.ids_of(color))
             for k in range(m):
                 trace = run_rotation(RotationSpec(color, k), inst)
-                sr = lift_rotation(trace, inst, color)
+                sr = lift_rotation(trace, color)
                 expected = (
                     trace.omega_max <= inst.delta
                     if color is Color.RED
@@ -130,21 +131,18 @@ def hand_built_slide_curve():
     ]))
     up = Direction.of(0, 1)
     down = up.antipode
-    sr = SlidingRotation(
-        (
-            Slide(up, 0, 1),
-            RotateArc(1, up, down),
-            Slide(down, 1, 0),
-            RotateArc(0, down, up),
-        ),
-        Color.RED,
-    )
-    return inst, sr
+    return inst, SlidingRotation(((up, 1), (down, 0)), Color.RED)
 
 
 def test_hand_built_curve_valid():
     inst, sr = hand_built_slide_curve()
     validate_curve(sr, inst)
+    support.assert_pieces_join(sr, inst)
+    up = Direction.of(0, 1)
+    assert list(curve_pieces(sr, inst)) == [
+        RotateArc(1, up, up.antipode), Slide(up.antipode, 1, 0),
+        RotateArc(0, up.antipode, up), Slide(up, 0, 1),
+    ]
 
 
 def test_evaluate_at_slide_returns_leftmost():
@@ -171,30 +169,22 @@ def test_slide_weights_in_profile():
 
 
 def test_validate_curve_rejects_gaps():
+    """A lone anchor, two anchors at one direction, and an anchor off the subset."""
     inst = gen_random(3, 4, 4, 1000)
     up = Direction.of(0, 1)
-    with pytest.raises(InvalidCurve):
-        validate_curve(
-            SlidingRotation((RotateArc(0, up, up.antipode),), Color.RED), inst
-        )
-    with pytest.raises(InvalidCurve):
-        validate_curve(
-            SlidingRotation(
-                (
-                    RotateArc(0, up, up.antipode),
-                    RotateArc(1, up.antipode, up),
-                ),
-                Color.RED,
-            ),
-            inst,
-        )
+    blue = inst.blue_ids[0]
+    for anchors, reason in ((((up, 0),), "two anchors"),
+                            (((up, 0), (up, 1)), "exactly one turn"),
+                            (((up, 0), (up.antipode, blue)), "outside the subset")):
+        with pytest.raises(InvalidCurve, match=reason):
+            validate_curve(SlidingRotation(anchors, Color.RED), inst)
 
 
 def test_validate_curve_rejects_double_turn():
     inst = gen_random(3, 5, 5, 1000)
     sr = lifted(inst, Color.RED, 0)
     validate_curve(sr, inst)
-    twice = SlidingRotation(sr.pieces + sr.pieces, Color.RED)
+    twice = SlidingRotation(sr.anchors + sr.anchors, Color.RED)
     with pytest.raises(InvalidCurve, match="exactly one turn"):
         validate_curve(twice, inst)
 

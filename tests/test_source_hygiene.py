@@ -21,7 +21,8 @@ catches a theorem-level failure (``GuaranteeViolation``,
 ``CertificateFailure``), and there is no bare ``except:``: a guarantee that
 fails must reach the caller.  One function assembles curves:
 ``sliding._curve_through`` is the only place that constructs a
-``RotateArc``, a ``Slide`` or a ``SlidingRotation``.
+``SlidingRotation``, and one reads their pieces: ``sliding.curve_pieces``
+is the only place that constructs a ``RotateArc`` or a ``Slide``.
 """
 
 import ast
@@ -273,7 +274,8 @@ def test_no_guarantee_is_caught():
     assert not problems, "\n".join(problems)
 
 
-CURVE_TYPES = {"RotateArc", "Slide", "SlidingRotation"}
+CURVE_TYPES = {"RotateArc": "curve_pieces", "Slide": "curve_pieces",
+               "SlidingRotation": "_curve_through"}
 
 
 def _curve_constructions(path: Path) -> list[str]:
@@ -295,7 +297,6 @@ def _curve_constructions(path: Path) -> list[str]:
 
 
 def test_one_curve_assembly():
-    sites = [s for path in sorted(PACKAGE.glob("*.py")) for s in _curve_constructions(path)]
-    assert sites  # the check still finds the assembly
-    problems = [s for s in sites if not s.startswith("sliding._curve_through:")]
-    assert not problems, "\n".join(problems)
+    sites = {s for path in sorted(PACKAGE.glob("*.py")) for s in _curve_constructions(path)}
+    # each type is still made, and only by its one function
+    assert sites == {f"sliding.{maker}: {kind}" for kind, maker in CURVE_TYPES.items()}
