@@ -10,9 +10,17 @@ of arcs only:
   its strip points, each followed except between its outermost meetings
   with the candidate, where the candidate is followed instead.
 
-New composites are adopted only after full validation (a single turn about
-subset points, preservation, positive orientation) and only when they
-strictly shrink the waist, so the iteration terminates.
+Membership is decided from the omegas of rotation traces before any curve
+is built.  A plain lift's profile weights are its trace's omegas, so the
+plain levels are walked best first and lazily, each only up to its first
+weight that breaks preservation, and only the winner is drained, lifted
+and walked once more (``plain_candidates``).  A splice follows the lift
+outside its two meetings with the preserving candidate, so its trace's
+bad intervals must lie between them (``build_splice``); one whose
+first interval is bad is rejected before its meetings are sought.  What
+is built is then checked for a single turn about subset points and
+positive orientation (``_validated``), and composites are adopted only
+when they strictly shrink the waist, so the iteration terminates.
 
 The splice walks its inputs in angular order instead of pairing every part
 with every other: it finds where the strip rotation meets the curve by
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, tee
 from operator import itemgetter
 from typing import Optional
 
@@ -49,6 +57,7 @@ from .rotation import (
     RotationTrace,
     Transition,
     run_rotation,
+    walk_rotation,
 )
 from .sliding import (
     NotDeltaPreserving,
@@ -86,20 +95,17 @@ def transition_low(color: Color, delta: int) -> int:
 
 def _validated(sr: SlidingRotation, inst: Instance, kind: str, level: int, *,
                waist_cap: Optional[int] = None) -> Optional[Gamma]:
-    """Full membership check; None when the curve does not qualify.
+    """Membership check of a curve already known to preserve delta; None when it fails.
 
-    Every curve the search builds is valid by construction, so an
-    InvalidCurve from ``validate_curve`` is a fault and propagates.
-    Rejection comes first: the preservation test stops at the first weight
-    that breaks it, and most candidates that fail do so on their first
-    interval, so it runs before the full ``waist`` walk, which also detects
-    orientation failures; ``waist_cap`` then prunes candidates that cannot
-    improve.  Every failing filter returns None, so their order cannot
-    change which curves qualify.
+    The callers decide preservation before they build the curve, from the
+    omegas of its rotation trace (``plain_candidates``, ``build_splice``),
+    so what is left is the turn, the orientation and the cap.  Every curve
+    the search builds is valid by construction, so an InvalidCurve from
+    ``validate_curve`` is a fault and propagates.  The ``waist`` walk also
+    detects orientation failures; ``waist_cap`` then prunes candidates that
+    cannot improve.
     """
     validate_curve(sr, inst)
-    if not is_delta_preserving_sliding(sr, inst):
-        return None
     try:
         w = waist(sr, inst)
     except NotPositivelyOriented:
@@ -114,25 +120,39 @@ def plain_candidates(inst: Instance) -> list[Gamma]:
 
     A level-k rotation of a class of m points has k class points strictly
     right of its line at t and of its line at t + pi, so for 2k + 2 < m,
-    the only levels traced, its strip holds m - 2k - 2 points at every
-    direction.  The levels whose omegas preserve delta are ranked by that
-    waist, red first on ties; only the winner is lifted, and it must pass
-    ``_validated`` with that waist (GuaranteeViolation otherwise).
+    the only levels walked, its strip holds m - 2k - 2 points at every
+    direction.  The search goes best first: red, then blue, each from its
+    highest level (least waist) down, and stops a color at the first
+    preserving level or once the waist reaches the best so far, so blue
+    must be strictly smaller and red wins ties.  Each level's omegas are
+    fed lazily from ``walk_rotation`` to ``_preserves_delta``, which stops
+    at the first weight that breaks preservation, so a level that breaks it
+    at its initial weight builds no fence; only a preserving level is
+    drained into its trace.  The winner is lifted and must pass
+    ``_validated`` with that waist and its own profile walk
+    (``is_delta_preserving_sliding``); GuaranteeViolation otherwise.
     """
+    delta = inst.delta
     best = None
     for color in (Color.RED, Color.BLUE):
         m = len(inst.ids_of(color))
-        for k in range((m - 1) // 2):
-            trace = run_rotation(RotationSpec(color, k), inst)
+        for k in reversed(range((m - 1) // 2)):
             width = m - 2 * k - 2
-            if _preserves_delta(color, trace.omega_values, inst.delta) and (
-                    best is None or width < best[0]):
-                best = (width, color, k, trace)
+            if best is not None and width >= best[0]:
+                break
+            spec = RotationSpec(color, k)
+            walk = walk_rotation(spec, inst)
+            start = next(walk)  # (subset_ids, start_direction, initial_pivot, initial_omega)
+            events, steps = tee(walk)
+            if _preserves_delta(color, chain((start[3],), (ev.omega_after for ev in steps)), delta):
+                best = (width, color, k, RotationTrace(spec, *start, tuple(events)))
+                break
     if best is None:
         return []
     width, color, k, trace = best
-    cand = _validated(lift_rotation(trace, color), inst, "plain", k)
-    if cand is None or cand.waist.value != width:
+    sr = lift_rotation(trace, color)
+    cand = _validated(sr, inst, "plain", k)
+    if cand is None or cand.waist.value != width or not is_delta_preserving_sliding(sr, inst):
         raise GuaranteeViolation(
             f"the {color.name} level-{k} lift fails membership or its waist is not {width}")
     return [cand]
@@ -184,7 +204,8 @@ def _split_fhg(inst: Instance, gamma: Gamma) -> tuple[
     """``decompose_fhg`` without its preservation walk.
 
     For a gamma known to preserve delta, as every ``find_gamma`` result is:
-    ``_validated`` walked its profile.
+    ``plain_candidates`` walked the winner's profile, and ``build_splice``
+    read each splice's off its trace.
     """
     t = gamma.waist.achieved_at
     o_low = gamma.waist.line_low.offset(t)
@@ -223,6 +244,7 @@ def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
 
     The strip is the waist witnesses: ``best`` passed the membership check,
     so it preserves delta, and ``decompose_fhg`` would return the same set.
+    Only the splices that preserve delta are built (``build_splice``).
     """
     strip = best.waist.witnesses
     theta = best.waist.achieved_at
@@ -231,33 +253,74 @@ def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
     levels = (len(strip) + 1) // 2
     for k in range(levels):
         trace = run_rotation(RotationSpec(strip, k, theta), inst)
-        cand = _validated(build_splice(inst, best, trace), inst, "splice", k, waist_cap=cap)
+        sr = build_splice(inst, best, trace)
+        if sr is None:
+            continue
+        cand = _validated(sr, inst, "splice", k, waist_cap=cap)
         if cand is not None:
             out.append(cand)
     return out
 
 
-def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> SlidingRotation:
-    """Follow the strip rotation except between its outermost meetings with the curve.
+def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> Optional[SlidingRotation]:
+    """The splice of the strip rotation with the curve, or None when it breaks delta.
 
-    Between the first and last direction where the rotating line lands on
-    the curve, t1 and t2 in turn order from the rotation's start direction
-    theta, the composite follows the curve instead.  Returns the plain lift
-    when they meet at fewer than two directions.
+    The splice follows the strip rotation except between its outermost
+    meetings with the curve, t1 and t2 (``_outermost_meetings``), where it
+    follows the curve; it is the plain lift when they meet at fewer than
+    two directions (``_splice_through`` assembles it).
 
+    Preservation is decided before the splice is built.  ``best``
+    preserves delta everywhere, and on the head [theta, t1) and the tail
+    [t2, theta) the splice follows the lift, whose profile weights are the
+    trace's omegas.  So the splice preserves delta exactly when every bad
+    interval of the trace (one whose omega breaks the one-sided
+    ``_preserves_delta``) lies between the meetings: t1 at or before the
+    start of the first, t2 at or after the end of the last.  The first
+    interval starts at theta and t1 never is theta, so when that interval
+    is bad the meetings are not sought.  With fewer than two meetings no
+    interval may be bad.
+    """
+    color, delta = best.color, inst.delta
+    theta = trace.start_direction
+    bad = [(u, v) for u, v, _, w in trace.intervals() if not _preserves_delta(color, (w,), delta)]
+    if bad and bad[0][0] == theta:
+        return None
+    ends = _outermost_meetings(inst, best.sr, trace)
+    if bad and (ends is None
+                or direction_key(theta, ends[0]) > direction_key(theta, bad[0][0])
+                or direction_key(theta, ends[1]) < direction_key(theta, bad[-1][1])):
+        return None
+    return _splice_through(best, trace, ends)
+
+
+def _outermost_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace
+                        ) -> Optional[tuple[Direction, Direction]]:
+    """The first and last of ``_curve_meetings`` in turn order from theta; None for fewer than two.
+
+    A meeting at theta sorts last (a full turn), so the first is never theta.
+    """
+    theta = trace.start_direction
+    meetings = sorted(_curve_meetings(inst, sr, trace), key=lambda d: direction_key(theta, d))
+    return (meetings[0], meetings[-1]) if len(meetings) > 1 else None
+
+
+def _splice_through(best: Gamma, trace: RotationTrace,
+                    ends: Optional[tuple[Direction, Direction]]) -> SlidingRotation:
+    """The splice of the trace's lift with ``best`` between the meetings ``ends``, t1 and t2.
+
+    The lift itself when ``ends`` is None.  Built whatever its profile:
+    ``build_splice`` calls it only for splices that preserve delta.
     ``_curve_through`` assembles the splice from three anchor windows: the
     lift on [theta, t1), ``best`` on [t1, t2) and, unless t2 is theta, the
-    lift on [t2, theta).  A meeting at theta sorts last (a full turn), so
-    t1 is never theta.  The lines agree at t1 and t2, so no slide joins the
-    windows.
+    lift on [t2, theta).  The lines agree at t1 and t2, so no slide joins
+    the windows.
     """
     theta = trace.start_direction
     lifted = lift_rotation(trace, best.color)
-    meetings = sorted(_curve_meetings(inst, best.sr, trace),
-                      key=lambda d: direction_key(theta, d))
-    if len(meetings) < 2:
+    if ends is None:
         return lifted
-    t1, t2 = meetings[0], meetings[-1]
+    t1, t2 = ends
     anchors = _window(lifted, theta, t1) + _window(best.sr, t1, t2)
     if t2 != theta:
         anchors += _window(lifted, t2, theta)

@@ -444,9 +444,6 @@ class DirectedLine(NamedTuple):
         """
         return frame.offset(self.ax, self.ay)
 
-    def contains(self, p) -> bool:
-        return self.side(p) is Side.ON
-
     @staticmethod
     def through_points(inst: "Instance", id_a: int, id_b: int) -> "DirectedLine":
         a, b = inst.point(id_a), inst.point(id_b)

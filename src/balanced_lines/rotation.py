@@ -173,6 +173,25 @@ class RotationTrace:
 def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
     """Simulate one full turn of the rotation described by ``spec``.
 
+    The trace of ``walk_rotation``, drained: its start state, then every
+    event of the turn.  Draining it runs the walk's closure check.
+    """
+    walk = walk_rotation(spec, inst)
+    start = next(walk)
+    return RotationTrace(spec, *start, tuple(walk))
+
+
+def walk_rotation(spec: RotationSpec, inst: Instance) -> Iterator:
+    """The walk of ``run_rotation``, one step at a time.
+
+    Yields the start state ``(subset_ids, start_direction, initial_pivot,
+    initial_omega)``, the fields of ``RotationTrace`` after its spec, then
+    each ``RotationEvent`` in turn order.  Once drained, it raises
+    GuaranteeViolation unless the walk closed on its start state.  A reader
+    that stops early pays only for the steps it took: the start state needs
+    no fences, and the fences of pivots the walk has not reached are not
+    built.
+
     The start state is read from ``geometry.just_after_keys`` at the start
     direction: the initial pivot is the subset point of rank ``level``
     among the subset's keys (exactly ``level`` subset points right of its
@@ -201,9 +220,9 @@ def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
     omega = sum(w for w, key in zip(ws, keys) if key < key_p)
 
     initial_pivot, initial_omega = pivot, omega
+    yield ids, d0, initial_pivot, initial_omega
     key0 = direction_key(VERTICAL, d0)
     key, wrapped = key0, False
-    events = []
     new = tuple.__new__  # builds a record from its fields in C, past NamedTuple's Python __new__
     # enum members read once: on Python 3.11 each ``End.HEAD`` costs about 0.15 us
     head_end, tail_end = End.HEAD, End.TAIL
@@ -218,23 +237,22 @@ def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
             end = head_end if head else tail_end
             if other in subset:
                 new_omega = omega if head else omega + ws[pivot] - ws[other]
-                events.append(new(RotationEvent, (
+                yield new(RotationEvent, (
                     d, pivot_change, pivot, other, other, end, omega, new_omega,
-                )))
+                ))
                 pivot, omega = other, new_omega
                 wrapped = wrapped or i < lo  # indices below lo come after the wrap
                 break
             new_omega = omega + (ws[other] if head else -ws[other])
-            events.append(new(RotationEvent, (
+            yield new(RotationEvent, (
                 d, weight_change, pivot, pivot, other, end, omega, new_omega,
-            )))
+            ))
             omega = new_omega
         else:
             break
 
     if pivot != initial_pivot or omega != initial_omega:
         raise GuaranteeViolation("rotation walk failed to close after a full turn")
-    return RotationTrace(spec, ids, d0, initial_pivot, initial_omega, tuple(events))
 
 
 @dataclass(frozen=True)

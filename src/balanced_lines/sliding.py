@@ -45,7 +45,6 @@ from .geometry import (
     Instance,
     Side,
     VERTICAL,
-    ccw_arc_contains,
     direction_between,
     direction_key,
     fences_within,
@@ -71,10 +70,6 @@ class RotateArc:
     pivot: int
     d_from: Direction
     d_to: Direction
-
-    def contains(self, t: Direction) -> bool:
-        """Whether t lies on the arc, endpoints included."""
-        return ccw_arc_contains(self.d_from, self.d_to, t)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,12 @@ rotations stay on one side of delta, which is what drives the sliding
 rotation pipeline.  Everything is deterministic in the seed.
 
 ``assert_pieces_join`` keeps the continuity checks of a curve's arcs and
-slides, which a curve stored as its anchors satisfies by construction.
+slides, which a curve stored as its anchors satisfies by construction, and
+``arc_contains`` and ``line_contains`` the arc and point-on-line tests that
+only the oracles read.  ``strip_traces`` runs the gamma search and reads off
+every strip rotation it runs with that round's best curve, and
+``assemble_splice`` builds the splice of each, also those the search
+rejects before building them.
 
 It also holds the linear-scan oracles of the indexed curve and trace
 queries: ``linear_evaluate_at``, ``linear_half_cycle_representatives``,
@@ -42,6 +47,9 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator
 
+import pytest
+
+from balanced_lines import gamma
 from balanced_lines.geometry import (
     Color,
     DirectedLine,
@@ -231,6 +239,46 @@ def separated_grid(max_r: int = 8, max_b: int = 12) -> list[Instance]:
     return out
 
 
+def strip_traces(inst: Instance) -> list[tuple]:
+    """Run ``gamma.find_gamma``: ``(best, trace)`` for every strip rotation it runs, in order.
+
+    The search calls ``run_rotation`` only in ``surgery_candidates``, on the
+    strip of that round's best curve, so spies on both read them off.
+    """
+    rounds, out = [], []
+    surgery, run = gamma.surgery_candidates, gamma.run_rotation
+
+    def spy_surgery(inst, best):
+        rounds.append(best)
+        return surgery(inst, best)
+
+    def spy_run(spec, inst):
+        trace = run(spec, inst)
+        out.append((rounds[-1], trace))
+        return trace
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gamma, "surgery_candidates", spy_surgery)
+        mp.setattr(gamma, "run_rotation", spy_run)
+        gamma.find_gamma(inst)
+    return out
+
+
+def assemble_splice(inst: Instance, best, trace: RotationTrace):
+    """The splice ``gamma.build_splice`` makes of a strip trace, built even when it breaks delta."""
+    return gamma._splice_through(best, trace, gamma._outermost_meetings(inst, best.sr, trace))
+
+
+def arc_contains(arc: RotateArc, t: Direction) -> bool:
+    """Whether t lies on the arc, endpoints included."""
+    return ccw_arc_contains(arc.d_from, arc.d_to, t)
+
+
+def line_contains(line: DirectedLine, p) -> bool:
+    """Whether the point lies on the line."""
+    return line.side(p) is Side.ON
+
+
 def linear_evaluate_at(sr, inst: Instance, t: Direction) -> DirectedLine:
     """Oracle for ``evaluate_at``: scan every piece, keep the leftmost line."""
     best = None
@@ -238,7 +286,7 @@ def linear_evaluate_at(sr, inst: Instance, t: Direction) -> DirectedLine:
     for piece in curve_pieces(sr, inst):
         anchors: list[int] = []
         if isinstance(piece, RotateArc):
-            if piece.contains(t):
+            if arc_contains(piece, t):
                 anchors.append(piece.pivot)
         elif piece.direction == t:
             anchors += [piece.from_id, piece.to_id]
@@ -359,7 +407,7 @@ def recount_profile(sr, inst: Instance) -> list[tuple[DirectedLine, int]]:
                     continue
                 fwd = Direction.of(p.x - q.x, p.y - q.y)
                 for d in (fwd, fwd.antipode):
-                    if d != piece.d_from and d != piece.d_to and piece.contains(d):
+                    if d != piece.d_from and d != piece.d_to and arc_contains(piece, d):
                         inside.append(d)
             inside.sort(key=lambda d: direction_key_from(piece.d_from, d))
             fences = [piece.d_from] + inside + [piece.d_to]
@@ -508,12 +556,12 @@ def linear_curve_meetings(inst: Instance, sr, trace):
             c = pts[piece.pivot]
             if piece.pivot == pivot:
                 for d in (dfrom, dto, piece.d_from, piece.d_to):
-                    if ccw_arc_contains(dfrom, dto, d) and piece.contains(d):
+                    if ccw_arc_contains(dfrom, dto, d) and arc_contains(piece, d):
                         marks.append((d, idx))
                 continue
             fwd = Direction.of(c.x - g.x, c.y - g.y)
             for d in (fwd, fwd.antipode):
-                if ccw_arc_contains(dfrom, dto, d) and piece.contains(d):
+                if ccw_arc_contains(dfrom, dto, d) and arc_contains(piece, d):
                     marks.append((d, idx))
     return marks
 

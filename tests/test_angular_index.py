@@ -5,16 +5,17 @@
 bisects each pivot's fences (``Instance.fences``), ``run_rotation`` walks
 the pivots' fences, and the surgery's ``_curve_meetings`` and
 ``build_shift`` walk a trace in order; the oracles in ``support`` scan
-every piece, direction, tag, arc or point instead.  The curves are every
-splice that the gamma search's membership check sees and every plain lift
-that it ranks (arcs only), with the shift curves that ``build_shift`` makes
-of the search's strip rotations, the curves with slides; the traces are every rotation the
-search runs.  Lifts, splices and shift curves share one assembly,
+every piece, direction, tag, arc or point instead.  The curves are the
+splice of every strip rotation of the gamma search and the lift of every
+preserving plain level it may rank (arcs only), with the shift curves that
+``build_shift`` makes of the search's strip rotations, the curves with
+slides; the traces are every rotation the search runs and every plain
+level it may rank.  Lifts, splices and shift curves share one assembly,
 ``sliding._curve_through``, which ``linear_build_shift`` calls too.
-``build_splice`` hands it anchor windows (``gamma._window``) that it
+A splice (``gamma._splice_through``) hands it anchor windows (``gamma._window``) that it
 slices out of curves' anchors; windows of every lift are checked to
 rejoin to the lift, split where they were cut, against arcs found by a
-scan, and every splice of the search against a recorded digest.  Every
+scan, and every splice of the pool against a recorded digest.  Every
 lift and shift curve of the search's traces is checked against a second
 digest.  The digests hash each curve's arcs and slides (``curve_pieces``),
 and every curve of the pool is checked to join piece to piece
@@ -61,31 +62,29 @@ from balanced_lines.sliding import (
 def _search(instances):
     """Run find_gamma on each instance; every checked curve, every trace and its instance.
 
-    Also returns every ``build_splice`` result with its instance, in call order.
+    The search walks only the plain levels that can win and builds only the
+    splices that can preserve delta, so the log replays the rest: before
+    each search, the colour-class traces of every level it may rank (red
+    then blue, k < (m - 1) // 2), and for every strip trace of the search
+    its splice with that round's best curve (``support.assemble_splice``),
+    with its instance, in call order.
     """
     curves, runs, splices = [], [], []
-    validated, run = gamma_module._validated, gamma_module.run_rotation
-    splice = gamma_module.build_splice
+    validated = gamma_module._validated
 
     def spy_validated(sr, inst, *args, **kwargs):
         curves.append((sr, inst, args[0]))
         return validated(sr, inst, *args, **kwargs)
 
-    def spy_run(spec, inst):
-        trace = run(spec, inst)
-        runs.append((trace, inst))
-        return trace
-
-    def spy_splice(inst, best, trace):
-        splices.append((splice(inst, best, trace), inst))
-        return splices[-1][0]
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gamma_module, "_validated", spy_validated)
-        mp.setattr(gamma_module, "run_rotation", spy_run)
-        mp.setattr(gamma_module, "build_splice", spy_splice)
         for inst in instances:
-            gamma_module.find_gamma(inst)
+            for color in (Color.RED, Color.BLUE):
+                for k in range((len(inst.ids_of(color)) - 1) // 2):
+                    runs.append((run_rotation(RotationSpec(color, k), inst), inst))
+            for best, trace in support.strip_traces(inst):
+                runs.append((trace, inst))
+                splices.append((support.assemble_splice(inst, best, trace), inst))
     return curves, runs, splices
 
 
@@ -99,13 +98,13 @@ def search_log():
 
 @pytest.fixture(scope="module")
 def searched(search_log):
-    """The search's splices, every plain lift it ranks, and the shift curves.
+    """Every splice of the search's strip traces, every plain lift it ranks, and the shift curves.
 
     The search lifts only its winning plain level, so the pool lifts every
     colour-class trace that preserves delta itself.  The shift curves are
     those of the search's strip rotations.
     """
-    curves, runs, _ = search_log
+    _, runs, built = search_log
     extra = []
     for trace, inst in runs:
         subset = trace.spec.subset
@@ -115,7 +114,7 @@ def searched(search_log):
                 extra.append((sr, inst, "shift"))
         elif _preserves_delta(subset, trace.omega_values, inst.delta):
             extra.append((lift_rotation(trace, subset), inst, "plain"))
-    splices = [curve for curve in curves if curve[2] == "splice"]
+    splices = [(sr, inst, "splice") for sr, inst in built]
     return splices + extra, [trace for trace, _ in runs]
 
 
@@ -319,11 +318,12 @@ def test_curve_sweep_matches_linear_scan(searched):
 
 
 def test_curve_meetings_match_all_pairs(search_log):
-    """Every trace of the search against every checked curve of its instance."""
-    curves, runs, _ = search_log
+    """Every trace of the search against its plain curve and every splice of its instance."""
+    curves, runs, splices = search_log
+    checked = [(sr, inst) for sr, inst, kind in curves if kind == "plain"] + splices
     pairs = 0
     for trace, inst in runs:
-        for sr, curve_inst, _ in curves:
+        for sr, curve_inst in checked:
             if curve_inst is inst:
                 got = gamma_module._curve_meetings(inst, sr, trace)
                 assert got == {d for d, _ in support.linear_curve_meetings(inst, sr, trace)}
@@ -362,9 +362,9 @@ def _lifts():
 def _split(arcs, t):
     """The arcs with the one holding t strictly inside cut in two there.
 
-    The arc is found by a scan with ``RotateArc.contains``, not by bisection.
+    The arc is found by a scan with ``support.arc_contains``, not by bisection.
     """
-    j = next(i for i, a in enumerate(arcs) if a.contains(t) and t != a.d_to)
+    j = next(i for i, a in enumerate(arcs) if support.arc_contains(a, t) and t != a.d_to)
     a = arcs[j]
     if t == a.d_from:
         return list(arcs)

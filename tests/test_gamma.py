@@ -1,21 +1,24 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
 import support
 
 from balanced_lines import gamma as gamma_module
-from balanced_lines.geometry import Color, GuaranteeViolation
+from balanced_lines.geometry import Color, GuaranteeViolation, direction_key
 from balanced_lines.generators import gen_random, gen_separated_convex
 from balanced_lines.gamma import (
     Gamma,
+    _outermost_meetings,
     _validated,
+    build_splice,
     decompose_fhg,
     find_gamma,
     plain_candidates,
     transition_low,
 )
-from balanced_lines.rotation import RotationSpec, run_rotation
+from balanced_lines.rotation import EventKind, RotationSpec, run_rotation, walk_rotation
 from balanced_lines.sliding import (
     NotDeltaPreserving,
     _preserves_delta,
@@ -131,6 +134,150 @@ def test_preserving_plain_levels_have_closed_form_waist():
                 assert cand.waist.value == m - 2 * k - 2
                 levels += 1
     assert levels > 50
+
+
+def test_plain_candidates_match_exhaustive_ranking():
+    """The best-first walk picks the winner of ranking every level in full, red first on ties."""
+    found = 0
+    for inst in _rule_pool():
+        ranked = []
+        for rank, color in enumerate((Color.RED, Color.BLUE)):
+            m = len(inst.ids_of(color))
+            ranked += [(m - 2 * k - 2, rank, color, k) for k, _ in _preserving_levels(inst, color)
+                       if k < (m - 1) // 2]
+        expected = [min(ranked)[2:]] if ranked else []
+        assert [(c.color, c.level) for c in plain_candidates(inst)] == expected
+        found += bool(ranked)
+    assert found > 30
+
+
+def test_plain_search_leaves_the_other_colour_unwalked():
+    """No fence of a point of the colour opposite to gamma's is built by the search.
+
+    The search stops that colour's levels at their initial weight, before
+    the walk reads a fence; the surgery and the checks walk only gamma's
+    colour.
+    """
+    searched = opposite = 0
+    for inst in support.nested_pool():
+        gamma = find_gamma(inst)
+        if gamma is None:
+            continue
+        ids = set(inst.ids_of(gamma.color.opposite))
+        assert not ids & set(inst._fence_table)
+        searched += 1
+        opposite += len(ids)
+    assert searched and opposite > 100
+
+
+def _skip_weight_step(inst, spec, rising):
+    """Drop the fence of the walk's first weight step up (or down) from its pivot's fences.
+
+    Returns whether the walk has such a step.
+    """
+    ev = next((ev for ev in run_rotation(spec, inst).events if ev.kind is EventKind.WEIGHT_CHANGE
+               and (ev.omega_after > ev.omega_before) == rising), None)
+    if ev is None:
+        return False
+    inst._fence_table[ev.pivot_before] = tuple(
+        f for f in inst.fences(ev.pivot_before) if (f[1], f[2]) != (ev.direction, ev.crossed_id))
+    return True
+
+
+def test_drained_walk_with_a_corrupted_fence_fails_to_close():
+    """A skipped weight step leaves the walk off its start weight; draining it raises."""
+    inst = gen_random(5, 6, 8, 1000)
+    spec = RotationSpec(Color.RED, 2)
+    assert _skip_weight_step(inst, spec, True)
+    with pytest.raises(GuaranteeViolation):
+        run_rotation(spec, inst)
+    walk = walk_rotation(spec, inst)
+    for _ in range(3):
+        next(walk)  # a walk stopped early checks nothing
+    with pytest.raises(GuaranteeViolation):
+        for _ in walk:
+            pass
+
+
+def test_plain_winner_drained_with_a_corrupted_fence_raises():
+    """The winning level's walk is drained, so a corrupted fence of it raises.
+
+    The skipped step moves the weights after it away from delta, so the
+    level still preserves and is drained.
+    """
+    corrupted = 0
+    for inst in support.mixed_pool() + support.recharge_pool():
+        found = plain_candidates(inst)
+        if not found:
+            continue
+        best, = found
+        if _skip_weight_step(inst, RotationSpec(best.color, best.level), best.color is Color.RED):
+            with pytest.raises(GuaranteeViolation, match="failed to close"):
+                plain_candidates(inst)
+            corrupted += 1
+    assert corrupted >= 4
+
+
+def _splice_pool():
+    """Nested, recharge and mixed instances and 300 random ones, with 150 mixed for volume.
+
+    Few random instances have a curve at all, and the mixed ones spawn
+    about four splices each.
+    """
+    pool = support.nested_pool() + support.recharge_pool() + support.mixed_pool()
+    for seed in range(300):
+        r = 2 + seed % 13
+        pool.append(gen_random(seed, r, r + 2 * (seed % 4), 10**4))
+    for i in range(150):
+        r = 10 + i % 9
+        pool.append(support.gen_mixed(300 + i, r, r + 2 * (i % 4), (i % 5) / 4.0))
+    return pool
+
+
+def _rule_branch(inst, best, trace):
+    """Which branch of ``build_splice``'s rule decides the splice of this strip trace."""
+    theta = trace.start_direction
+    bad = [(u, v) for u, v, _, w in trace.intervals()
+           if not _preserves_delta(best.color, (w,), inst.delta)]
+    ends = _outermost_meetings(inst, best.sr, trace)
+    if not bad:
+        return "no interval bad"
+    if bad[0][0] == theta:
+        return "first interval bad"
+    if ends is None:
+        return "fewer than two meetings"
+    if direction_key(theta, ends[0]) > direction_key(theta, bad[0][0]):
+        return "t1 after the first bad interval"
+    if direction_key(theta, ends[1]) < direction_key(theta, bad[-1][1]):
+        return "t2 before the last bad interval"
+    return "bad intervals between the meetings"
+
+
+def test_splice_rule_matches_profile_walk():
+    """The trace rule keeps a splice exactly when its profile preserves delta.
+
+    Every strip trace of the search, from each round's best curve: the
+    rule's verdict (``build_splice``) against the full preservation walk
+    of the splice assembled whatever its profile, over every branch of the
+    rule.
+    """
+    branches = Counter()
+    for inst in _splice_pool():
+        for best, trace in support.strip_traces(inst):
+            sr = support.assemble_splice(inst, best, trace)
+            kept = build_splice(inst, best, trace)
+            assert (kept is not None) == is_delta_preserving_sliding(sr, inst)
+            assert kept in (None, sr)
+            branches[_rule_branch(inst, best, trace), kept is not None] += 1
+    assert sum(branches.values()) >= 800
+    assert set(branches) == {
+        ("no interval bad", True),
+        ("first interval bad", False),
+        ("fewer than two meetings", False),
+        ("t1 after the first bad interval", False),
+        ("t2 before the last bad interval", False),
+        ("bad intervals between the meetings", True),
+    }
 
 
 def test_plain_waist_mismatch_raises(monkeypatch, nested_instances):

@@ -62,7 +62,7 @@ def test_evaluate_at_plain_rotation():
     sr = lift_rotation(trace, Color.RED)
     for d, pivot, _ in list(support.interval_representatives(trace))[::2]:
         line = evaluate_at(sr, inst, d)
-        assert line.contains(inst.point(pivot))
+        assert support.line_contains(line, inst.point(pivot))
         right = sum(
             1
             for i in inst.red_ids
@@ -150,10 +150,10 @@ def test_evaluate_at_slide_returns_leftmost():
     up = Direction.of(0, 1)
     line = evaluate_at(sr, inst, up)
     # offsets: the line through point 0 is left of the line through point 1
-    assert line.contains(inst.point(0))
+    assert support.line_contains(line, inst.point(0))
     down = up.antipode
     line2 = evaluate_at(sr, inst, down)
-    assert line2.contains(inst.point(1))
+    assert support.line_contains(line2, inst.point(1))
 
 
 def test_slide_weights_in_profile():
@@ -210,4 +210,4 @@ def test_shift_curve_structure():
             if o < o_line and (best is None or o > best[0]):
                 best = (o, bid)
         line = evaluate_at(sr, inst, t)
-        assert line.contains(inst.point(best[1]))
+        assert support.line_contains(line, inst.point(best[1]))
