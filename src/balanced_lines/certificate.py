@@ -12,6 +12,11 @@ provenance explaining which mechanism produced it:
   point is recharged: it induces a crossing back toward the boundary in
   that flank's rotation, which forces one more balanced crossing there.
 
+Every certificate is filled by one loop, ``_draw``, from slots that each
+hold a quota, lazy candidates and a label naming the slot when it falls
+short.  A flank pool is a generator, read only by the flank pick and the
+recharges that use it, each only as far as its own line.
+
 Before the certificate is returned, every certified line is recounted once
 by ``geometry.is_balanced``, which shares nothing with the rotations and
 curves that chose it; the cubic ``oracle.enumerate_naive`` is not needed.
@@ -21,15 +26,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping, Optional
+from typing import AbstractSet, Optional
 
 from .geometry import (
     BalancedLinesError,
     Color,
     DirectedLine,
+    Direction,
     GuaranteeViolation,
     Instance,
-    Side,
     ccw_arc_contains,
     direction_of,
     halfplane_weight,
@@ -87,7 +92,10 @@ class Certificate:
     h_ids: tuple[int, ...]
     g_ids: tuple[int, ...]
     lines: tuple[CertifiedLine, ...]
-    total: int
+
+    @property
+    def total(self) -> int:
+        return len(self.lines)
 
 
 def _boundary_steps(inst: Instance, gamma: Gamma, family: tuple[int, ...],
@@ -98,15 +106,16 @@ def _boundary_steps(inst: Instance, gamma: Gamma, family: tuple[int, ...],
 
 
 def _flank_pool(inst: Instance, gamma: Gamma, family: tuple[int, ...], level: int):
-    """Balanced central-strip boundary steps of one flank rotation, in sweep order.
+    """Balanced central-strip boundary steps of one flank rotation, lazily, in sweep order.
 
     Both step directions qualify: each spans a balanced line when the
     crossed point has the opposite color, and recharges may consume either.
     Balance is read first, in O(1) per step; only balanced steps pay for
-    ``in_central_region``, which evaluates the curve twice.
+    ``in_central_region``, which evaluates the curve twice, and only as far
+    as the caller reads.
     """
-    return [t for t in _boundary_steps(inst, gamma, family, level)
-            if t.is_balanced and in_central_region(inst, gamma, t)]
+    return (t for t in _boundary_steps(inst, gamma, family, level)
+            if t.is_balanced and in_central_region(inst, gamma, t))
 
 
 def _line_of(inst: Instance, t: Transition) -> BalancedLine:
@@ -115,42 +124,58 @@ def _line_of(inst: Instance, t: Transition) -> BalancedLine:
     return BalancedLine(red, blue, (inst.delta, inst.delta))
 
 
-def flank_lines(inst: Instance, gamma: Gamma, f_ids: tuple[int, ...], h_ids: tuple[int, ...]
-                ) -> tuple[list[CertifiedLine], dict[tuple[str, int], list[Transition]]]:
-    """One balanced central-strip departure per flank level, and the pools picked from.
+def _levels(count: int) -> list[tuple[int, int]]:
+    """(level, quota) of levels 0..ceil(count/2)-1 of a family of ``count`` points.
+
+    Each level must give two lines, the middle level of an odd count one.
+    """
+    return [(level, 1 if 2 * level + 1 == count else 2) for level in range((count + 1) // 2)]
+
+
+def _draw(slots, used: set[tuple[int, int]]) -> list[CertifiedLine]:
+    """The lines of every slot ``(quota, candidates, label)``, slot by slot.
+
+    ``candidates`` yields a slot's lines lazily, None for a candidate
+    without one, so nothing past a met quota is computed.  Lines already in
+    ``used`` are skipped, and every line taken is added to it; a slot that
+    falls short of its quota raises.
+    """
+    lines: list[CertifiedLine] = []
+    for quota, candidates, label in slots:
+        got = 0
+        for c in candidates:
+            if c is None or c.line.key in used:
+                continue
+            used.add(c.line.key)
+            lines.append(c)
+            got += 1
+            if got == quota:
+                break
+        if got < quota:
+            raise GuaranteeViolation(f"{label} yielded {got} of {quota} distinct lines")
+    return lines
+
+
+def flank_lines(inst: Instance, gamma: Gamma, f_ids: tuple[int, ...],
+                h_ids: tuple[int, ...]) -> list[CertifiedLine]:
+    """One balanced central-strip departure from delta per flank level.
 
     The guaranteed departure lies on the closed half turn that starts at the
     flank's own reference line (``ccw_arc_contains``): the achieving line for
     the first flank, its antipodal partner for the second.  That keeps the
-    picks distinct across levels and flanks.  The pools are keyed by
-    (flank, level), for ``recharge`` to draw from.
+    picks distinct across levels and flanks.  Each pick is the first such
+    departure of its ``_flank_pool``, which is read only up to it.
     """
+    def departures(name: str, family: tuple[int, ...], base: Direction, level: int):
+        for t in _flank_pool(inst, gamma, family, level):
+            if t.from_omega == inst.delta and ccw_arc_contains(base, base.antipode, t.direction):
+                yield CertifiedLine(_line_of(inst, t), Provenance(f"flank_{name}", level), t.line)
+
     theta = gamma.waist.achieved_at
-    pools: dict[tuple[str, int], list[Transition]] = {}
-    picks: list[CertifiedLine] = []
-    used: set[tuple[int, int]] = set()
-    for name, family in (("f", f_ids), ("h", h_ids)):
-        base = theta if name == "f" else theta.antipode
-        for level in range(len(family)):
-            pool = _flank_pool(inst, gamma, family, level)
-            pools[(name, level)] = pool
-            chosen = None
-            for t in pool:
-                if (t.from_omega != inst.delta
-                        or not ccw_arc_contains(base, base.antipode, t.direction)):
-                    continue
-                line = _line_of(inst, t)
-                if line.key in used:
-                    continue
-                chosen = CertifiedLine(line, Provenance(f"flank_{name}", level), t.line)
-                break
-            if chosen is None:
-                raise GuaranteeViolation(
-                    f"no balanced central departure for flank {name} level {level}"
-                )
-            used.add(chosen.line.key)
-            picks.append(chosen)
-    return picks, pools
+    slots = ((1, departures(name, family, base, level), f"flank {name} level {level}")
+             for name, family, base in (("f", f_ids, theta), ("h", h_ids, theta.antipode))
+             for level in range(len(family)))
+    return _draw(slots, set())
 
 
 def strip_transitions(inst: Instance, gamma: Gamma,
@@ -175,7 +200,6 @@ def strip_transitions(inst: Instance, gamma: Gamma,
 
 def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
              f_ids: tuple[int, ...], h_ids: tuple[int, ...],
-             pools: Mapping[tuple[str, int], list[Transition]],
              used: AbstractSet[tuple[int, int]]) -> Optional[CertifiedLine]:
     """Resolve one transition of strip level ``level`` into a certified line.
 
@@ -183,11 +207,11 @@ def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
     strip line.  A transition through a flank point induces a step back to
     the boundary in that flank's rotation at the level j of the induced
     line, which forces a distinct new balanced departure there: the first
-    line of pool (flank, j) not in ``used``.  ``pools`` is the pool map of
-    ``flank_lines``, which holds every level 0..|family| - 1 of both flanks;
-    j counts the family points other than the crossed one, so it is always
-    there.  None when every departure of that pool is used; whether the
-    paper's recharge step rules that out is open.
+    line of ``_flank_pool`` (flank, j) not in ``used``, read from the pool
+    only as far as that line.  j counts the family points other than the
+    crossed one, so it is a level 0..|family| - 1 of the flank.  None when
+    every departure of that pool is used; whether the paper's recharge step
+    rules that out is open.
     """
     crossed = inst.point(transition.crossed_id)
     if crossed.color is not gamma.color:
@@ -215,16 +239,15 @@ def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
             j += 1
     sgn = 1 if gamma.color is Color.RED else -1
     induced = DirectedLine(crossed.x, crossed.y, d_star, (crossed.id, transition.pivot_id))
-    w = halfplane_weight(induced, inst, Side.RIGHT)
+    w = halfplane_weight(induced, inst)
     if w != inst.delta + sgn:
         raise GuaranteeViolation(
             f"induced flank step at {d_star} has weight {w}, expected {inst.delta + sgn}"
         )
-    for t in pools[(name, j)]:
-        line = _line_of(inst, t)
-        if line.key not in used:
-            return CertifiedLine(line, Provenance("recharge", level, name, j), t.line)
-    return None
+    provenance = Provenance("recharge", level, name, j)
+    departures = (CertifiedLine(_line_of(inst, t), provenance, t.line)
+                  for t in _flank_pool(inst, gamma, family, j))
+    return next((c for c in departures if c.line.key not in used), None)
 
 
 def verify_lower_bound(inst: Instance) -> Certificate:
@@ -233,34 +256,6 @@ def verify_lower_bound(inst: Instance) -> Certificate:
     cert = _direct_certificate(inst) if gamma is None else _gamma_certificate(inst, gamma)
     _check_certificate(inst, cert)
     return cert
-
-
-def _quota_lines(count: int, candidates, used: set[tuple[int, int]],
-                 what: str) -> list[CertifiedLine]:
-    """Distinct lines from levels 0..ceil(count/2)-1 of a family of ``count`` points.
-
-    Each level must give two lines, the middle level of an odd count one.
-    ``candidates(level)`` yields a level's lines lazily, None for a
-    candidate without one, so nothing past a met quota is computed.  Lines
-    already in ``used`` are skipped, and every line taken is added to it.
-    """
-    lines: list[CertifiedLine] = []
-    for level in range((count + 1) // 2):
-        quota = 1 if (count % 2 == 1 and level == count // 2) else 2
-        got = 0
-        for c in candidates(level):
-            if c is None or c.line.key in used:
-                continue
-            used.add(c.line.key)
-            lines.append(c)
-            got += 1
-            if got == quota:
-                break
-        if got < quota:
-            raise GuaranteeViolation(
-                f"{what} level {level} yielded {got} of {quota} distinct lines"
-            )
-    return lines
 
 
 def _direct_certificate(inst: Instance) -> Certificate:
@@ -280,22 +275,24 @@ def _direct_certificate(inst: Instance) -> Certificate:
                 )
             yield CertifiedLine(_line_of(inst, t), Provenance("direct", level), t.line)
 
-    lines = _quota_lines(inst.r, candidates, set(), "red rotation")
-    return Certificate(None, Color.RED, (), (), (), tuple(lines), len(lines))
+    slots = ((quota, candidates(level), f"red rotation level {level}")
+             for level, quota in _levels(inst.r))
+    return Certificate(None, Color.RED, (), (), (), tuple(_draw(slots, set())))
 
 
 def _gamma_certificate(inst: Instance, gamma: Gamma) -> Certificate:
     f_ids, h_ids, g_ids = _split_fhg(inst, gamma)  # find_gamma returns preserving curves
-    picks, pools = flank_lines(inst, gamma, f_ids, h_ids)
+    picks = flank_lines(inst, gamma, f_ids, h_ids)
     used = {c.line.key for c in picks}
     per_level = strip_transitions(inst, gamma, g_ids)
 
-    def candidates(level: int):
-        return (recharge(inst, gamma, t, level, f_ids, h_ids, pools, used)
-                for t in per_level[level])
+    def resolved(level: int):
+        return (recharge(inst, gamma, t, level, f_ids, h_ids, used) for t in per_level[level])
 
-    lines = picks + _quota_lines(len(g_ids), candidates, used, "strip")
-    return Certificate(gamma, gamma.color, f_ids, h_ids, g_ids, tuple(lines), len(lines))
+    slots = ((quota, resolved(level), f"strip level {level}")
+             for level, quota in _levels(len(g_ids)))
+    return Certificate(gamma, gamma.color, f_ids, h_ids, g_ids,
+                       tuple(picks + _draw(slots, used)))
 
 
 def _check_certificate(inst: Instance, cert: Certificate) -> None:
@@ -306,8 +303,6 @@ def _check_certificate(inst: Instance, cert: Certificate) -> None:
         colors = (inst.point(red).color, inst.point(blue).color)
         if colors != (Color.RED, Color.BLUE) or not is_balanced(red, blue, inst):
             raise CertificateFailure(f"line {(red, blue)} is not a balanced red/blue pair")
-    if cert.total != len(cert.lines):
-        raise CertificateFailure("total does not match the number of lines")
     if cert.total < inst.r:
         raise CertificateFailure(f"certificate total {cert.total} below r={inst.r}")
     expected = inst.r if cert.color is Color.RED else inst.b

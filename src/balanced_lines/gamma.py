@@ -115,8 +115,8 @@ def _validated(sr: SlidingRotation, inst: Instance, kind: str, level: int, *,
     return Gamma(sr, w, kind, level)
 
 
-def plain_candidates(inst: Instance) -> list[Gamma]:
-    """The least-waist delta-preserving plain lift, as a list of at most one.
+def plain_candidates(inst: Instance) -> Optional[Gamma]:
+    """The least-waist delta-preserving plain lift, or None when no level preserves delta.
 
     A level-k rotation of a class of m points has k class points strictly
     right of its line at t and of its line at t + pi, so for 2k + 2 < m,
@@ -148,14 +148,14 @@ def plain_candidates(inst: Instance) -> list[Gamma]:
                 best = (width, color, k, RotationTrace(spec, *start, tuple(events)))
                 break
     if best is None:
-        return []
+        return None
     width, color, k, trace = best
     sr = lift_rotation(trace, color)
     cand = _validated(sr, inst, "plain", k)
     if cand is None or cand.waist.value != width or not is_delta_preserving_sliding(sr, inst):
         raise GuaranteeViolation(
             f"the {color.name} level-{k} lift fails membership or its waist is not {width}")
-    return [cand]
+    return cand
 
 
 def find_gamma(inst: Instance) -> Optional[Gamma]:
@@ -173,10 +173,9 @@ def find_gamma(inst: Instance) -> Optional[Gamma]:
     curve the lines were read from.  The family only decides whether a
     curve is found and which lines are certified.
     """
-    plain = plain_candidates(inst)
-    if not plain:
+    best = plain_candidates(inst)
+    if best is None:
         return None
-    best, = plain
     while improvements := surgery_candidates(inst, best):
         best = min(improvements, key=lambda c: (c.waist.value, c.level))
     return best

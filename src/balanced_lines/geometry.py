@@ -706,23 +706,19 @@ def swap_colors(inst: Instance) -> Instance:
     )
 
 
-def halfplane_weight(line: DirectedLine, inst: Instance, side: Side) -> int:
-    """Total weight of the points strictly on one side of the line.
+def halfplane_weight(line: DirectedLine, inst: Instance) -> int:
+    """Total weight of the points strictly right of the line.
 
     A full, exact recount: a point is right of the line when its offset
-    against the line's direction is below the anchor's, left when above,
-    so each point costs one integer comparison and no ``Side``.  The loop
-    reads the rows (``Instance.xs``, ``ys``, ``ws``) and computes each
-    ``Direction.offset`` inline, with no call per point.
+    against the line's direction is below the anchor's, so each point costs
+    one integer comparison and no ``Side``.  The loop reads the rows
+    (``Instance.xs``, ``ys``, ``ws``) and computes each ``Direction.offset``
+    inline, with no call per point.  The left side is the right side of
+    ``line.reversed``.
     """
-    if side is Side.ON:
-        raise ValueError("side must be LEFT or RIGHT")
     dx, dy = d = line.direction
     o = d.offset(line.ax, line.ay)
-    rows = zip(inst.xs, inst.ys, inst.ws)
-    if side is Side.RIGHT:
-        return sum(w for x, y, w in rows if dx * y - dy * x < o)
-    return sum(w for x, y, w in rows if dx * y - dy * x > o)
+    return sum(w for x, y, w in zip(inst.xs, inst.ys, inst.ws) if dx * y - dy * x < o)
 
 
 def is_balanced(id_a: int, id_b: int, inst: Instance) -> bool:

@@ -43,7 +43,6 @@ from .geometry import (
     DirectedLine,
     Direction,
     Instance,
-    Side,
     VERTICAL,
     direction_between,
     direction_key,
@@ -237,7 +236,7 @@ def _profile_steps(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direct
                     _, _, other, head = inside[j - 1]
                     w += ws[other] if head else -ws[other]
                 else:
-                    w = halfplane_weight(line, inst, Side.RIGHT)
+                    w = halfplane_weight(line, inst)
                 yield line, w
         else:
             d = piece.direction

@@ -121,7 +121,7 @@ def test_flank_lines_levels_and_membership(nested_instances):
         if gamma is None:
             continue
         f_ids, h_ids, g_ids = decompose_fhg(inst, gamma)
-        picks, _ = flank_lines(inst, gamma, f_ids, h_ids)
+        picks = flank_lines(inst, gamma, f_ids, h_ids)
         assert len(picks) == len(f_ids) + len(h_ids)
         keys = {p.line.key for p in picks}
         assert len(keys) == len(picks)
@@ -135,6 +135,23 @@ def test_flank_lines_levels_and_membership(nested_instances):
                 if snapshot.side(inst.point(i)) is Side.RIGHT
             )
             assert right == pick.provenance.level
+
+
+def test_flank_level_without_departure_raises(monkeypatch, nested_instances):
+    """A flank level whose pool holds no departure stops the certificate and is named."""
+    inst, f_ids = next((inst, f_ids) for inst in nested_instances
+                       if (gamma := find_gamma(inst)) is not None
+                       and len(f_ids := decompose_fhg(inst, gamma)[0]) >= 2)
+    original = certificate_module._flank_pool
+
+    def empty_at_f1(inst, gamma, family, level):
+        if (family, level) == (f_ids, 1):
+            return iter(())
+        return original(inst, gamma, family, level)
+
+    monkeypatch.setattr(certificate_module, "_flank_pool", empty_at_f1)
+    with pytest.raises(GuaranteeViolation, match=r"^flank f level 1 yielded 0 of 1 distinct lines$"):
+        verify_lower_bound(inst)
 
 
 def test_strip_transitions_counts_and_membership(nested_instances):
@@ -163,10 +180,9 @@ def test_recharge_classification(nested_instances):
         f_ids, h_ids, g_ids = decompose_fhg(inst, gamma)
         if not g_ids:
             continue
-        pools = flank_lines(inst, gamma, f_ids, h_ids)[1]
         for level, central in enumerate(strip_transitions(inst, gamma, g_ids)):
             for t in central:
-                result = recharge(inst, gamma, t, level, f_ids, h_ids, pools, frozenset())
+                result = recharge(inst, gamma, t, level, f_ids, h_ids, frozenset())
                 crossed = inst.point(t.crossed_id)
                 assert result.line.key in oracle_keys(inst)
                 if crossed.color is gamma.color:
@@ -348,7 +364,7 @@ def _mutants(inst, cert):
         "duplicated": dataclasses.replace(cert, lines=tuple(lines[:-1] + [first])),
         "unbalanced partner": with_first(BalancedLine(red, partner, first.line.weights)),
         "exchanged ids": with_first(BalancedLine(blue, red, first.line.weights)),
-        "short total": dataclasses.replace(cert, lines=tuple(lines[:-1]), total=len(lines) - 1),
+        "short total": dataclasses.replace(cert, lines=tuple(lines[:-1])),
     }
 
 

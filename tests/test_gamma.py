@@ -33,7 +33,7 @@ from balanced_lines.sliding import (
 def test_separated_has_no_candidates():
     for r, b in [(4, 4), (3, 5), (2, 4)]:
         inst = gen_separated_convex(r, b)
-        assert plain_candidates(inst) == []
+        assert plain_candidates(inst) is None
         assert find_gamma(inst) is None
 
 
@@ -41,7 +41,7 @@ def test_uniform_random_often_empty_family():
     inst = gen_random(7, 4, 6, 1000)
     gamma = find_gamma(inst)
     if gamma is None:
-        assert plain_candidates(inst) == []
+        assert plain_candidates(inst) is None
     else:
         validate_curve(gamma.sr, inst)
 
@@ -145,8 +145,9 @@ def test_plain_candidates_match_exhaustive_ranking():
             m = len(inst.ids_of(color))
             ranked += [(m - 2 * k - 2, rank, color, k) for k, _ in _preserving_levels(inst, color)
                        if k < (m - 1) // 2]
-        expected = [min(ranked)[2:]] if ranked else []
-        assert [(c.color, c.level) for c in plain_candidates(inst)] == expected
+        expected = min(ranked)[2:] if ranked else None
+        best = plain_candidates(inst)
+        assert (None if best is None else (best.color, best.level)) == expected
         found += bool(ranked)
     assert found > 30
 
@@ -207,10 +208,9 @@ def test_plain_winner_drained_with_a_corrupted_fence_raises():
     """
     corrupted = 0
     for inst in support.mixed_pool() + support.recharge_pool():
-        found = plain_candidates(inst)
-        if not found:
+        best = plain_candidates(inst)
+        if best is None:
             continue
-        best, = found
         if _skip_weight_step(inst, RotationSpec(best.color, best.level), best.color is Color.RED):
             with pytest.raises(GuaranteeViolation, match="failed to close"):
                 plain_candidates(inst)
@@ -281,7 +281,7 @@ def test_splice_rule_matches_profile_walk():
 
 
 def test_plain_waist_mismatch_raises(monkeypatch, nested_instances):
-    inst = next(inst for inst in nested_instances if plain_candidates(inst))
+    inst = next(inst for inst in nested_instances if plain_candidates(inst) is not None)
 
     def one_more(sr, inst):
         w = waist(sr, inst)

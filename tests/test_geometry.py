@@ -217,15 +217,15 @@ def test_halfplane_weight_vertical():
     inst = gen_random(5, 3, 5, 500)
     west = min(p.x for p in inst.points) - 1
     line = DirectedLine(west, 0, VERTICAL)
-    assert halfplane_weight(line, inst, Side.RIGHT) == 2 * inst.delta
-    assert halfplane_weight(line, inst, Side.LEFT) == 0
+    assert halfplane_weight(line, inst) == 2 * inst.delta
+    assert halfplane_weight(line.reversed, inst) == 0
 
 
 def test_halfplane_weight_spanning_two_point_instance():
     inst = validate(build_points([(0, 0, "R"), (1, 1, "B")]))
     line = DirectedLine.through_points(inst, 0, 1)
-    assert halfplane_weight(line, inst, Side.RIGHT) == 0
-    assert halfplane_weight(line, inst, Side.LEFT) == 0
+    assert halfplane_weight(line, inst) == 0
+    assert halfplane_weight(line.reversed, inst) == 0
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -240,8 +240,8 @@ def test_weight_identity_random_lines(seed):
     line = DirectedLine.through_points(inst, a, b)
     on_line = sum(p.weight for p in inst.points if line.side(p) is Side.ON)
     total = (
-        halfplane_weight(line, inst, Side.RIGHT)
-        + halfplane_weight(line, inst, Side.LEFT)
+        halfplane_weight(line, inst)
+        + halfplane_weight(line.reversed, inst)
         + on_line
     )
     assert total == 2 * inst.delta
@@ -291,9 +291,9 @@ def test_halfplane_weight_matches_side_recount(data):
         DirectedLine.pivot_direction(inst, a, Direction.of(*data.draw(nonzero_vectors))),
     ]
     for line in lines:
-        for side in (Side.RIGHT, Side.LEFT):
+        for side, read in ((Side.RIGHT, line), (Side.LEFT, line.reversed)):
             recount = sum(p.weight for p in inst.points if line.side(p) is side)
-            assert halfplane_weight(line, inst, side) == recount
+            assert halfplane_weight(read, inst) == recount
 
 
 @given(st.data())
@@ -318,9 +318,9 @@ def test_rows_and_fence_lines_match_points(data):
         assert type(d) is Direction and math.gcd(d.dx, d.dy) == 1
         assert d.dx * vy == d.dy * vx and d.dx * vx + d.dy * vy > 0
         line = DirectedLine.pivot_direction(inst, q.id, d)
-        for side in (Side.RIGHT, Side.LEFT):
+        for side, read in ((Side.RIGHT, line), (Side.LEFT, line.reversed)):
             recount = sum(s.weight for s in inst.points if line.side(s) is side)
-            assert halfplane_weight(line, inst, side) == recount
+            assert halfplane_weight(read, inst) == recount
 
 
 @given(st.data())

@@ -68,7 +68,7 @@ def test_recount_and_level_invariant(seed):
     trace = run_rotation(RotationSpec(color, k), inst)
     for d, pivot, omega in support.interval_representatives(trace):
         line = DirectedLine.pivot_direction(inst, pivot, d)
-        assert halfplane_weight(line, inst, Side.RIGHT) == omega
+        assert halfplane_weight(line, inst) == omega
         right = sum(
             1 for i in ids if i != pivot and line.side(inst.point(i)) is Side.RIGHT
         )

@@ -53,7 +53,7 @@ def test_profile_matches_trace_and_recount():
         assert min(omegas) == trace.omega_min
         assert max(omegas) == trace.omega_max
         for line, w in prof:
-            assert halfplane_weight(line, inst, Side.RIGHT) == w
+            assert halfplane_weight(line, inst) == w
 
 
 def test_evaluate_at_plain_rotation():
@@ -160,7 +160,7 @@ def test_slide_weights_in_profile():
     inst, sr = hand_built_slide_curve()
     prof = sliding_profile(sr, inst)
     for line, w in prof:
-        assert halfplane_weight(line, inst, Side.RIGHT) == w
+        assert halfplane_weight(line, inst) == w
     # the first slide sweeps past both blues, one interval per band
     slide_weights = [w for line, w in prof if line.direction == Direction.of(0, 1)
                      and not line.span]

@@ -22,7 +22,9 @@ catches a theorem-level failure (``GuaranteeViolation``,
 fails must reach the caller.  One function assembles curves:
 ``sliding._curve_through`` is the only place that constructs a
 ``SlidingRotation``, and one reads their pieces: ``sliding.curve_pieces``
-is the only place that constructs a ``RotateArc`` or a ``Slide``.
+is the only place that constructs a ``RotateArc`` or a ``Slide``.  No
+parameter of a package function is passed the same literal or enum member by
+every call in the package: a knob with one setting belongs in the body.
 """
 
 import ast
@@ -300,3 +302,56 @@ def test_one_curve_assembly():
     sites = {s for path in sorted(PACKAGE.glob("*.py")) for s in _curve_constructions(path)}
     # each type is still made, and only by its one function
     assert sites == {f"sliding.{maker}: {kind}" for kind, maker in CURVE_TYPES.items()}
+
+
+def _fixed(expr: ast.expr, enums: set[str]):
+    """The literal or enum member an argument spells, or None for anything computed."""
+    if isinstance(expr, ast.Constant):
+        return repr(expr.value)
+    if (isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name)
+            and expr.value.id in enums):
+        return f"{expr.value.id}.{expr.attr}"
+    return None
+
+
+def test_no_single_value_parameters():
+    """No package function has a parameter that every package call passes the same value.
+
+    Calls by bare name to the module-level functions are read; a parameter
+    counts when each such call spells it as the same literal or enum member.
+    A call with ``*args`` or ``**kwargs`` leaves its function out.  Such a
+    parameter is a knob with one setting: the value belongs in the body.
+    """
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    enums = {node.name for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)
+             and any(isinstance(b, ast.Name) and b.id == "Enum" for b in node.bases)}
+    funcs = {node.name: node for tree in trees for node in tree.body
+             if isinstance(node, ast.FunctionDef)}
+    passed: dict[str, dict[str, list]] = {}
+    opaque = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in funcs):
+                continue
+            func = funcs[node.func.id]
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                opaque.add(func.name)
+                continue
+            params = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+            given = {p.arg: a for p, a in zip(params, node.args)}
+            given.update((k.arg, k.value) for k in node.keywords)
+            values = passed.setdefault(func.name, {})
+            for p in params:
+                spelled = _fixed(given[p.arg], enums) if p.arg in given else None
+                values.setdefault(p.arg, []).append(spelled)
+    assert {"Color", "Side"} <= enums and "halfplane_weight" in passed  # the check still reads
+    problems = [
+        f"{name}({param}): every call passes {spelled[0]}"
+        for name, values in sorted(passed.items()) if name not in opaque
+        for param, spelled in values.items()
+        if spelled[0] is not None and len(set(spelled)) == 1
+    ]
+    assert not problems, "\n".join(problems)
