@@ -45,6 +45,7 @@ from .rotation import (
     RotationSpec,
     Transition,
     run_rotation,
+    transition_low,
     transitions_at,
 )
 from .gamma import (
@@ -52,7 +53,6 @@ from .gamma import (
     _split_fhg,
     find_gamma,
     in_central_region,
-    transition_low,
 )
 
 

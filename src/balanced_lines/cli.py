@@ -22,7 +22,6 @@ from typing import Iterator
 
 from . import svg
 from .certificate import certificate_to_json, verify_lower_bound
-from .gamma import transition_low
 from .generators import check_bound, gen_random, gen_separated_convex
 from .geometry import (
     BalancedLinesError,
@@ -48,6 +47,7 @@ from .rotation import (
     UnknownPoint,
     run_rotation,
     trace_to_jsonl,
+    transition_low,
     transitions_at,
     check_level_coupling,
     find_balanced_halving,
@@ -271,14 +271,16 @@ def _random_batch(args, seed0: int) -> Iterator[tuple[str, Instance]]:
 
 def cmd_verify(args) -> int:
     """Verify the files, all loaded before any output, then the batch, one instance at a time."""
+    if args.random_batch < 0:
+        raise _CliError(EXIT_BAD_PARAMS, "--random-batch must not be negative")
     instances = [(path, _load_instance(path)) for path in args.instances]
     if args.random_batch and args.max_points < 2:
         raise _CliError(EXIT_BAD_PARAMS, "--max-points must be at least 2 for a random batch")
-    count = len(instances) + max(args.random_batch, 0)
+    count = len(instances) + args.random_batch
     if not count:
         raise _CliError(EXIT_BAD_PARAMS, "nothing to verify")
     batch = ()
-    if args.random_batch > 0:  # the bound and the seed are read before any output
+    if args.random_batch:  # the bound and the seed are read before any output
         check_bound(max(r + b for r, b in _batch_shapes(args)), args.bound)
         batch = _random_batch(args, _seed(args))
     failed = 0

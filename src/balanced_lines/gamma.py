@@ -56,6 +56,7 @@ from .rotation import (
     RotationSpec,
     RotationTrace,
     Transition,
+    _preserves_delta,
     run_rotation,
     walk_rotation,
 )
@@ -65,7 +66,6 @@ from .sliding import (
     SlidingRotation,
     Waist,
     _curve_through,
-    _preserves_delta,
     evaluate_at,
     is_delta_preserving_sliding,
     lift_rotation,
@@ -86,11 +86,6 @@ class Gamma:
     @property
     def color(self) -> Color:
         return self.sr.subset_color
-
-
-def transition_low(color: Color, delta: int) -> int:
-    """Lower value of the weight boundary relevant to the given subset color."""
-    return delta if color is Color.RED else delta - 1
 
 
 def _validated(sr: SlidingRotation, inst: Instance, kind: str, level: int, *,
@@ -121,40 +116,37 @@ def plain_candidates(inst: Instance) -> Optional[Gamma]:
     A level-k rotation of a class of m points has k class points strictly
     right of its line at t and of its line at t + pi, so for 2k + 2 < m,
     the only levels walked, its strip holds m - 2k - 2 points at every
-    direction.  The search goes best first: red, then blue, each from its
-    highest level (least waist) down, and stops a color at the first
-    preserving level or once the waist reaches the best so far, so blue
-    must be strictly smaller and red wins ties.  Each level's omegas are
-    fed lazily from ``walk_rotation`` to ``_preserves_delta``, which stops
-    at the first weight that breaks preservation, so a level that breaks it
-    at its initial weight builds no fence; only a preserving level is
-    drained into its trace.  The winner is lifted and must pass
-    ``_validated`` with that waist and its own profile walk
+    direction.  Red level k and blue level k + delta share that waist, and
+    at most one of them preserves delta: red only if its initial weight is
+    at most delta, blue only otherwise (``rotation.check_level_coupling``,
+    which also rules out blue levels below delta).  So the search walks
+    one rotation per red level, from the highest (least waist) down, and
+    the first that preserves wins.  Its omegas are fed lazily from
+    ``walk_rotation`` to ``_preserves_delta``, which stops at the first
+    weight that breaks preservation; only the winner is drained, lifted
+    and must pass ``_validated`` with that waist and its own profile walk
     (``is_delta_preserving_sliding``); GuaranteeViolation otherwise.
     """
     delta = inst.delta
-    best = None
-    for color in (Color.RED, Color.BLUE):
-        m = len(inst.ids_of(color))
-        for k in reversed(range((m - 1) // 2)):
-            width = m - 2 * k - 2
-            if best is not None and width >= best[0]:
-                break
-            spec = RotationSpec(color, k)
+    for k in reversed(range((inst.r - 1) // 2)):
+        spec = RotationSpec(Color.RED, k)
+        walk = walk_rotation(spec, inst)
+        start = next(walk)  # (subset_ids, start_direction, initial_pivot, initial_omega)
+        if start[3] > delta:
+            spec = RotationSpec(Color.BLUE, k + delta)
             walk = walk_rotation(spec, inst)
-            start = next(walk)  # (subset_ids, start_direction, initial_pivot, initial_omega)
-            events, steps = tee(walk)
-            if _preserves_delta(color, chain((start[3],), (ev.omega_after for ev in steps)), delta):
-                best = (width, color, k, RotationTrace(spec, *start, tuple(events)))
-                break
-    if best is None:
+            start = next(walk)
+        events, steps = tee(walk)
+        if _preserves_delta(spec.subset, chain((start[3],), (ev.omega_after for ev in steps)), delta):
+            break
+    else:
         return None
-    width, color, k, trace = best
-    sr = lift_rotation(trace, color)
-    cand = _validated(sr, inst, "plain", k)
+    width, color = inst.r - 2 * k - 2, spec.subset
+    sr = lift_rotation(RotationTrace(spec, *start, tuple(events)), color)
+    cand = _validated(sr, inst, "plain", spec.level)
     if cand is None or cand.waist.value != width or not is_delta_preserving_sliding(sr, inst):
         raise GuaranteeViolation(
-            f"the {color.name} level-{k} lift fails membership or its waist is not {width}")
+            f"the {color.name} level-{spec.level} lift fails membership or its waist is not {width}")
     return cand
 
 

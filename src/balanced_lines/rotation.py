@@ -161,14 +161,6 @@ class RotationTrace:
     def omega_values(self) -> tuple[int, ...]:
         return (self.initial_omega,) + tuple(ev.omega_after for ev in self.events)
 
-    @property
-    def omega_min(self) -> int:
-        return min(self.omega_values)
-
-    @property
-    def omega_max(self) -> int:
-        return max(self.omega_values)
-
 
 def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
     """Simulate one full turn of the rotation described by ``spec``.
@@ -273,6 +265,22 @@ class Transition:
         return self.to_omega > self.from_omega
 
 
+def transition_low(color: Color, delta: int) -> int:
+    """Lower value of the weight boundary relevant to the given subset color."""
+    return delta if color is Color.RED else delta - 1
+
+
+def _preserves_delta(color: Color, omegas, delta: int) -> bool:
+    """One-sided preservation of right-halfplane weights: red <= delta, blue >= delta.
+
+    Stops at the first weight that breaks it, so ``omegas`` may be a lazy
+    iterable.
+    """
+    if color is Color.RED:
+        return all(w <= delta for w in omegas)
+    return all(w >= delta for w in omegas)
+
+
 def transitions_at(trace: RotationTrace, low: int, inst: Instance) -> list[Transition]:
     """All weight steps between ``low`` and ``low + 1`` along the trace.
 
@@ -311,17 +319,17 @@ def is_delta_preserving(trace: RotationTrace, inst: Instance) -> bool:
 
     An all-red rotation preserves when its weight stays <= delta or stays
     > delta for the whole turn; an all-blue rotation when it stays >= delta
-    or stays < delta.  Kept public as the paper's preservation condition for
-    plain rotations: ``test_rotation.py::test_preserving_when_weight_stays_low``
-    and ``test_separated_rotation_not_preserving`` check it.
+    or stays < delta.  Its weight moves in steps of one, so that is having
+    no boundary step (``transitions_at`` at ``transition_low``).  Kept
+    public as the paper's preservation condition for plain rotations:
+    ``test_rotation.py::test_preserving_when_weight_stays_low`` and
+    ``test_separated_rotation_not_preserving`` check it.
     """
     ids = set(trace.subset_ids)
-    delta = inst.delta
-    if ids == set(inst.red_ids):
-        return trace.omega_max <= delta or trace.omega_min > delta
-    if ids == set(inst.blue_ids):
-        return trace.omega_min >= delta or trace.omega_max < delta
-    raise WrongSubset("subset is neither all red nor all blue")
+    color = next((c for c in Color if ids == set(inst.ids_of(c))), None)
+    if color is None:
+        raise WrongSubset("subset is neither all red nor all blue")
+    return not transitions_at(trace, transition_low(color, inst.delta), inst)
 
 
 def find_balanced_halving(inst: Instance) -> BalancedLine:
@@ -357,12 +365,21 @@ def _side_counts(line: DirectedLine, inst: Instance) -> tuple[int, int]:
 
 
 def check_level_coupling(inst: Instance, j: int) -> bool:
-    """Cross-color weight coupling between levels j (red) and j + delta (blue).
+    """Whether red level j and blue level j + delta cross their boundaries together.
 
-    Checks, on actual traces, that a red rotation staying above delta forces
-    the blue rotation at level j + delta to stay at or above delta, and that
-    the blue rotation dropping below delta forces the red one to stay at or
-    below it.  A False return signals an implementation bug.
+    At every direction critical for neither, red's weight is above delta
+    exactly when blue's is at least delta.  Take the red pivot R and the
+    blue pivot B there.  If B is right of R's line, R's right side holds B
+    and the j + delta blues right of B, but only j reds (weight at least
+    delta + 1), and B's at most those j reds (weight at least delta).  If
+    R is right of B's line, B's right side holds R and the j reds right of
+    R (weight at most delta - 1), and R's at most the j + delta blues
+    right of B (weight at most delta).  So both traces step across
+    ``transition_low`` at the same directions, from coupled initial
+    weights.  Hence red level k and blue level k + delta, of equal waist
+    r - 2k - 2, never both preserve delta, and a blue level below delta
+    never does (its weight is at most its level).  A False return signals
+    an implementation bug.
     """
     if not inst.r:
         raise LevelOutOfRange("no red point: r=0 has no red rotation to couple")
@@ -370,14 +387,12 @@ def check_level_coupling(inst: Instance, j: int) -> bool:
         raise LevelOutOfRange(f"j={j} outside [0, {inst.r // 2}]")
     if j + inst.delta > inst.b - 1:
         raise LevelOutOfRange(f"blue level {j + inst.delta} exceeds b-1={inst.b - 1}")
-    red = run_rotation(RotationSpec(Color.RED, j), inst)
-    blue = run_rotation(RotationSpec(Color.BLUE, j + inst.delta), inst)
     delta = inst.delta
-    red_above = red.omega_min > delta
-    blue_at_least = blue.omega_min >= delta
-    blue_below = blue.omega_max < delta
-    red_at_most = red.omega_max <= delta
-    return ((not red_above) or blue_at_least) and ((not blue_below) or red_at_most)
+    red = run_rotation(RotationSpec(Color.RED, j), inst)
+    blue = run_rotation(RotationSpec(Color.BLUE, j + delta), inst)
+    steps = [[t.direction for t in transitions_at(trace, transition_low(color, delta), inst)]
+             for trace, color in ((red, Color.RED), (blue, Color.BLUE))]
+    return steps[0] == steps[1] and (red.initial_omega > delta) == (blue.initial_omega >= delta)
 
 
 def trace_to_jsonl(trace: RotationTrace) -> Iterator[str]:

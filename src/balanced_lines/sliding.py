@@ -49,7 +49,7 @@ from .geometry import (
     fences_within,
     halfplane_weight,
 )
-from .rotation import EventKind, RotationTrace
+from .rotation import EventKind, RotationTrace, _preserves_delta
 
 
 class NotPositivelyOriented(BalancedLinesError):
@@ -255,17 +255,6 @@ def _profile_steps(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direct
                 ax, ay = _anchor_for_offset(d, rep)
                 yield DirectedLine(ax, ay, d), w
                 w += crossed.get(b, 0)
-
-
-def _preserves_delta(color: Color, omegas, delta: int) -> bool:
-    """One-sided preservation of right-halfplane weights: red <= delta, blue >= delta.
-
-    Stops at the first weight that breaks it, so ``omegas`` may be a lazy
-    iterable.
-    """
-    if color is Color.RED:
-        return all(w <= delta for w in omegas)
-    return all(w >= delta for w in omegas)
 
 
 def is_delta_preserving_sliding(sr: SlidingRotation, inst: Instance) -> bool:

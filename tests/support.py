@@ -34,7 +34,9 @@ anchor.
 ``direction_of`` and ``direction_key`` and one sort of all 2(n-1) entries,
 as ``Instance.fences`` did before it sorted one slope row per other point.
 ``interval_representatives`` takes one direction inside each interval of a
-rotation trace, which only the tests sample, and ``rational_image`` maps an
+rotation trace, which only the tests sample; ``ranked_plain_winner`` ranks
+every plain level of both colours from full traces, the ranking that
+``gamma.plain_candidates`` shortcuts; and ``rational_image`` maps an
 instance exactly under a rational affine map (by default onto Fraction
 coordinates), keeping its balanced lines.
 """
@@ -45,7 +47,7 @@ import math
 import random
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterator, Optional
 
 import pytest
 
@@ -71,7 +73,10 @@ from balanced_lines.rotation import (
     End,
     EventKind,
     RotationEvent,
+    RotationSpec,
     RotationTrace,
+    _preserves_delta,
+    run_rotation,
 )
 from balanced_lines.sliding import (
     InvalidCurve,
@@ -649,6 +654,23 @@ def interval_representatives(trace: RotationTrace) -> Iterator[tuple[Direction, 
     """Yield (direction, pivot, omega) with one direction inside each interval of the trace."""
     for dfrom, dto, pivot, omega in trace.intervals():
         yield (direction_between(dfrom, dto), pivot, omega)
+
+
+def ranked_plain_winner(inst: Instance) -> Optional[tuple[Color, int]]:
+    """(color, level) of the least-waist preserving plain level, red first on ties; None when none.
+
+    Every level k < (m - 1) // 2 of each colour class of m points is traced
+    in full and, when its omegas preserve delta, ranked by its waist
+    m - 2k - 2.
+    """
+    ranked = []
+    for rank, color in enumerate((Color.RED, Color.BLUE)):
+        m = len(inst.ids_of(color))
+        for k in range((m - 1) // 2):
+            if _preserves_delta(color, run_rotation(RotationSpec(color, k), inst).omega_values,
+                                inst.delta):
+                ranked.append((m - 2 * k - 2, rank, color, k))
+    return min(ranked)[2:] if ranked else None
 
 
 def rational_image(inst: Instance,

@@ -40,13 +40,12 @@ from balanced_lines.geometry import (
     validate,
 )
 from balanced_lines.generators import gen_random
-from balanced_lines.rotation import EventKind, RotationSpec, run_rotation
+from balanced_lines.rotation import EventKind, RotationSpec, _preserves_delta, run_rotation
 from balanced_lines.sliding import (
     NotPositivelyOriented,
     RotateArc,
     Slide,
     _curve_through,
-    _preserves_delta,
     curve_pieces,
     curve_sweep,
     evaluate_at,

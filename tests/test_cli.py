@@ -227,6 +227,15 @@ def test_verify_random_batch_without_room_exit_2(run):
     assert err.startswith("error: --max-points")
 
 
+@pytest.mark.parametrize("extra", [(), ("--max-points", "1")])
+def test_verify_negative_random_batch_exit_2(run, sep44, extra):
+    """A negative batch is a bad parameter, even beside a file to verify or with no room."""
+    code, out, err = run("verify", sep44, "--random-batch", "-3", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --random-batch must not be negative")
+
+
 def test_verify_random_batch_bound_too_small_exit_2(run):
     """A bound too small for the batch's largest instance fails before any report, as `gen` does."""
     code, out, err = run("verify", "--random-batch", "3", "--bound", "2")

@@ -16,12 +16,17 @@ from balanced_lines.gamma import (
     decompose_fhg,
     find_gamma,
     plain_candidates,
-    transition_low,
 )
-from balanced_lines.rotation import EventKind, RotationSpec, run_rotation, walk_rotation
+from balanced_lines.rotation import (
+    EventKind,
+    RotationSpec,
+    _preserves_delta,
+    run_rotation,
+    transition_low,
+    walk_rotation,
+)
 from balanced_lines.sliding import (
     NotDeltaPreserving,
-    _preserves_delta,
     is_delta_preserving_sliding,
     is_positively_oriented,
     lift_rotation,
@@ -140,16 +145,41 @@ def test_plain_candidates_match_exhaustive_ranking():
     """The best-first walk picks the winner of ranking every level in full, red first on ties."""
     found = 0
     for inst in _rule_pool():
-        ranked = []
-        for rank, color in enumerate((Color.RED, Color.BLUE)):
-            m = len(inst.ids_of(color))
-            ranked += [(m - 2 * k - 2, rank, color, k) for k, _ in _preserving_levels(inst, color)
-                       if k < (m - 1) // 2]
-        expected = min(ranked)[2:] if ranked else None
+        expected = support.ranked_plain_winner(inst)
         best = plain_candidates(inst)
         assert (None if best is None else (best.color, best.level)) == expected
-        found += bool(ranked)
+        found += expected is not None
     assert found > 30
+
+
+def test_plain_search_walks_one_rotation_per_waist(
+        nested_instances, mixed_instances, recharge_instances, monkeypatch):
+    """The walks start at red levels from the highest down, each followed at most by blue level + delta.
+
+    Red level k and blue level k + delta share a waist, and the red
+    initial weight tells which of the two may preserve delta.
+    """
+    walk = gamma_module.walk_rotation
+    blues = 0
+    for inst in nested_instances + mixed_instances + recharge_instances:
+        starts = []
+
+        def spy(spec, inst):
+            starts.append((spec.subset, spec.level))
+            return walk(spec, inst)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(gamma_module, "walk_rotation", spy)
+            plain_candidates(inst)
+        k, i = (inst.r - 1) // 2 - 1, 0
+        while i < len(starts):
+            assert starts[i] == (Color.RED, k)
+            if i + 1 < len(starts) and starts[i + 1][0] is Color.BLUE:
+                assert starts[i + 1] == (Color.BLUE, k + inst.delta)
+                blues += 1
+                i += 1
+            k, i = k - 1, i + 1
+    assert blues
 
 
 def test_plain_search_leaves_the_other_colour_unwalked():

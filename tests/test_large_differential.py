@@ -6,7 +6,9 @@ inside a flat red ellipse, and on an exact rational image of the random
 ones (``support.rational_image``, so every slope takes the Fraction path),
 two seeds each at n = 120; and on random instances and on blue points half
 clustered at the centre (``support.gen_mixed``), two seeds each at n = 160.
-The rational image must keep the random instance's lines.
+The rational image must keep the random instance's lines.  On every one of
+these instances red level j and blue level j + delta must couple, and the
+plain search must pick the winner of ranking every level of both colours.
 """
 
 import pytest
@@ -14,9 +16,11 @@ import pytest
 import support
 
 from balanced_lines.certificate import verify_lower_bound
+from balanced_lines.gamma import plain_candidates
 from balanced_lines.geometry import Color
 from balanced_lines.generators import gen_random
 from balanced_lines.oracle import enumerate_naive, enumerate_sweep
+from balanced_lines.rotation import check_level_coupling
 
 FAMILIES = {
     "random": lambda seed: gen_random(seed, 45, 75, 10**6),
@@ -52,6 +56,20 @@ def test_enumerators_and_certificate_agree_at_n160(family, seed):
     assert enumerate_sweep(inst) == lines
     cert = verify_lower_bound(inst)
     assert inst.r <= cert.total <= len(lines)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n, family", [(120, f) for f in sorted(FAMILIES)]
+                         + [(160, f) for f in sorted(FAMILIES_160)])
+def test_level_coupling_and_plain_ranking(n, family, seed):
+    """Red level j couples with blue level j + delta, and the plain search picks the full ranking's winner."""
+    inst = (FAMILIES if n == 120 else FAMILIES_160)[family](seed)
+    assert inst.n == n
+    for j in range(min(inst.r // 2, inst.b - 1 - inst.delta) + 1):
+        assert check_level_coupling(inst, j)
+    best = plain_candidates(inst)
+    assert (None if best is None else (best.color, best.level)) == support.ranked_plain_winner(inst)
 
 
 @pytest.mark.slow

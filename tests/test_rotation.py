@@ -1,15 +1,19 @@
+import dataclasses
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
 
+from balanced_lines import rotation
 from balanced_lines.geometry import (
     Color,
     DirectedLine,
     Direction,
     Side,
+    direction_key,
     halfplane_weight,
     is_balanced,
 )
@@ -107,7 +111,7 @@ def test_transitions_empty_for_flat_profile():
     # delta + 1 on heavily blue instances
     inst = gen_random(3, 1, 9, 1000)
     trace = run_rotation(RotationSpec(Color.BLUE, 0), inst)
-    assert trace.omega_max < inst.delta
+    assert max(trace.omega_values) < inst.delta
     assert transitions_at(trace, inst.delta, inst) == []
 
 
@@ -178,6 +182,58 @@ def test_level_coupling_random(small_random_pool):
         for j in range(inst.r // 2 + 1):
             if j + inst.delta <= inst.b - 1:
                 assert check_level_coupling(inst, j)
+
+
+def _omega_after(trace):
+    """The trace's weight just past a direction: after its last event at or before it."""
+    start = trace.start_direction
+    keys = [direction_key(start, ev.direction) for ev in trace.events]
+    return lambda d: trace.omega_values[bisect_right(keys, direction_key(start, d))]
+
+
+def test_red_and_blue_levels_cross_delta_together(
+        nested_instances, mixed_instances, recharge_instances, small_random_pool):
+    """At every direction red level k is above delta exactly when blue level k + delta is at least delta.
+
+    Read at one direction inside every interval of both traces; the state
+    just past it is the state of an interval of each.
+    """
+    checked = 0
+    for inst in nested_instances + mixed_instances + recharge_instances + small_random_pool:
+        delta = inst.delta
+        for k in range(inst.r):
+            red = run_rotation(RotationSpec(Color.RED, k), inst)
+            blue = run_rotation(RotationSpec(Color.BLUE, k + delta), inst)
+            red_at, blue_at = _omega_after(red), _omega_after(blue)
+            for trace in (red, blue):
+                for d, _, _ in support.interval_representatives(trace):
+                    assert (red_at(d) > delta) == (blue_at(d) >= delta)
+                    checked += 1
+    assert checked > 40_000
+
+
+def test_level_coupling_catches_an_offset_blue_level(
+        monkeypatch, nested_instances, small_random_pool):
+    """Coupled with blue level j + delta + 1 instead, every red level that crosses delta fails."""
+    run = rotation.run_rotation
+
+    def offset_blue(spec, inst):
+        if spec.subset is Color.BLUE:
+            spec = dataclasses.replace(spec, level=spec.level + 1)
+        return run(spec, inst)
+
+    caught = 0
+    for inst in small_random_pool + nested_instances:
+        for j in range(inst.r // 2 + 1):
+            if j + inst.delta + 1 > inst.b - 1:
+                continue
+            if not transitions_at(run(RotationSpec(Color.RED, j), inst), inst.delta, inst):
+                continue
+            with monkeypatch.context() as mp:
+                mp.setattr(rotation, "run_rotation", offset_blue)
+                assert not check_level_coupling(inst, j)
+            caught += 1
+    assert caught > 200
 
 
 def test_level_coupling_out_of_range():

@@ -50,8 +50,8 @@ def test_profile_matches_trace_and_recount():
         sr = lift_rotation(trace, color)
         prof = sliding_profile(sr, inst)
         omegas = [w for _, w in prof]
-        assert min(omegas) == trace.omega_min
-        assert max(omegas) == trace.omega_max
+        assert min(omegas) == min(trace.omega_values)
+        assert max(omegas) == max(trace.omega_values)
         for line, w in prof:
             assert halfplane_weight(line, inst) == w
 
@@ -117,9 +117,9 @@ def test_sliding_preserving_matches_trace_condition():
                 trace = run_rotation(RotationSpec(color, k), inst)
                 sr = lift_rotation(trace, color)
                 expected = (
-                    trace.omega_max <= inst.delta
+                    max(trace.omega_values) <= inst.delta
                     if color is Color.RED
-                    else trace.omega_min >= inst.delta
+                    else min(trace.omega_values) >= inst.delta
                 )
                 assert is_delta_preserving_sliding(sr, inst) == expected
 
