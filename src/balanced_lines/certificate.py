@@ -15,7 +15,9 @@ provenance explaining which mechanism produced it:
 Every certificate is filled by one loop, ``_draw``, from slots that each
 hold a quota, lazy candidates and a label naming the slot when it falls
 short.  A flank pool is a generator, read only by the flank pick and the
-recharges that use it, each only as far as its own line.
+recharges that use it, each only as far as its own line, over the boundary
+steps of one table (``_Steps``): a family of m points walks its levels up
+to the middle and reads each level above off its antipodal one.
 
 Before the certificate is returned, every certified line is recounted once
 by ``geometry.is_balanced``, which shares nothing with the rotations and
@@ -44,6 +46,7 @@ from .oracle import BalancedLine
 from .rotation import (
     RotationSpec,
     Transition,
+    antipodal_transitions,
     run_rotation,
     transition_low,
     transitions_at,
@@ -98,14 +101,36 @@ class Certificate:
         return len(self.lines)
 
 
-def _boundary_steps(inst: Instance, gamma: Gamma, family: tuple[int, ...],
-                    level: int) -> list[Transition]:
-    """Steps at ``transition_low`` of a rotation of ``family`` from the achieving direction."""
-    trace = run_rotation(RotationSpec(frozenset(family), level, gamma.waist.achieved_at), inst)
-    return transitions_at(trace, transition_low(gamma.color, inst.delta), inst)
+class _Steps(dict):
+    """Boundary steps of the rotations one certificate assembly reads, by (family, level).
+
+    Each is ``transitions_at`` at ``transition_low`` of a rotation of the
+    family from the achieving direction.  Level j of a family of m points
+    is walked in full, so its closure is checked, when j <= m - 1 - j; a
+    higher level is read off the walked level m - 1 - j by
+    ``rotation.antipodal_transitions``.  So the m levels cost ceil(m/2)
+    walks.  The table lives as long as one assembly.
+    """
+
+    def __init__(self, inst: Instance, gamma: Gamma):
+        super().__init__()
+        self.inst, self.gamma = inst, gamma
+
+    def __missing__(self, key: tuple[tuple[int, ...], int]) -> list[Transition]:
+        family, level = key
+        inst, theta = self.inst, self.gamma.waist.achieved_at
+        mirror = len(family) - 1 - level
+        if mirror < level:
+            steps = antipodal_transitions(self[family, mirror], theta, inst)
+        else:
+            trace = run_rotation(RotationSpec(frozenset(family), level, theta), inst)
+            steps = transitions_at(trace, transition_low(self.gamma.color, inst.delta), inst)
+        self[key] = steps
+        return steps
 
 
-def _flank_pool(inst: Instance, gamma: Gamma, family: tuple[int, ...], level: int):
+def _flank_pool(inst: Instance, gamma: Gamma, steps: _Steps, family: tuple[int, ...],
+                level: int):
     """Balanced central-strip boundary steps of one flank rotation, lazily, in sweep order.
 
     Both step directions qualify: each spans a balanced line when the
@@ -114,7 +139,7 @@ def _flank_pool(inst: Instance, gamma: Gamma, family: tuple[int, ...], level: in
     ``in_central_region``, which evaluates the curve twice, and only as far
     as the caller reads.
     """
-    return (t for t in _boundary_steps(inst, gamma, family, level)
+    return (t for t in steps[family, level]
             if t.is_balanced and in_central_region(inst, gamma, t))
 
 
@@ -157,17 +182,21 @@ def _draw(slots, used: set[tuple[int, int]]) -> list[CertifiedLine]:
 
 
 def flank_lines(inst: Instance, gamma: Gamma, f_ids: tuple[int, ...],
-                h_ids: tuple[int, ...]) -> list[CertifiedLine]:
+                h_ids: tuple[int, ...], steps: Optional[_Steps] = None) -> list[CertifiedLine]:
     """One balanced central-strip departure from delta per flank level.
 
     The guaranteed departure lies on the closed half turn that starts at the
     flank's own reference line (``ccw_arc_contains``): the achieving line for
     the first flank, its antipodal partner for the second.  That keeps the
     picks distinct across levels and flanks.  Each pick is the first such
-    departure of its ``_flank_pool``, which is read only up to it.
+    departure of its ``_flank_pool``, which is read only up to it.  The
+    pools come from ``steps`` (a new table when None), so the two flanks'
+    m levels cost ceil(m/2) walks each.
     """
+    steps = _Steps(inst, gamma) if steps is None else steps
+
     def departures(name: str, family: tuple[int, ...], base: Direction, level: int):
-        for t in _flank_pool(inst, gamma, family, level):
+        for t in _flank_pool(inst, gamma, steps, family, level):
             if t.from_omega == inst.delta and ccw_arc_contains(base, base.antipode, t.direction):
                 yield CertifiedLine(_line_of(inst, t), Provenance(f"flank_{name}", level), t.line)
 
@@ -186,10 +215,10 @@ def strip_transitions(inst: Instance, gamma: Gamma,
     must contribute at least two transitions whose lines sit inside or on
     the strip at their own direction.
     """
+    steps = _Steps(inst, gamma)  # the strip shares no rotation with the flanks
     out = []
     for level in range((len(g_ids) + 1) // 2):
-        central = [t for t in _boundary_steps(inst, gamma, g_ids, level)
-                   if in_central_region(inst, gamma, t)]
+        central = [t for t in steps[g_ids, level] if in_central_region(inst, gamma, t)]
         if len(central) < 2:
             raise GuaranteeViolation(
                 f"strip level {level} produced {len(central)} central transitions"
@@ -200,7 +229,8 @@ def strip_transitions(inst: Instance, gamma: Gamma,
 
 def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
              f_ids: tuple[int, ...], h_ids: tuple[int, ...],
-             used: AbstractSet[tuple[int, int]]) -> Optional[CertifiedLine]:
+             used: AbstractSet[tuple[int, int]],
+             steps: Optional[_Steps] = None) -> Optional[CertifiedLine]:
     """Resolve one transition of strip level ``level`` into a certified line.
 
     A transition through an opposite-colored point is already balanced: a
@@ -211,7 +241,9 @@ def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
     only as far as that line.  j counts the family points other than the
     crossed one, so it is a level 0..|family| - 1 of the flank.  None when
     every departure of that pool is used; whether the paper's recharge step
-    rules that out is open.
+    rules that out is open.  The pool comes from ``steps``, the table of
+    ``flank_lines`` in a certificate, so no flank level is walked twice (a
+    new table when None).
     """
     crossed = inst.point(transition.crossed_id)
     if crossed.color is not gamma.color:
@@ -245,8 +277,9 @@ def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
             f"induced flank step at {d_star} has weight {w}, expected {inst.delta + sgn}"
         )
     provenance = Provenance("recharge", level, name, j)
+    steps = _Steps(inst, gamma) if steps is None else steps
     departures = (CertifiedLine(_line_of(inst, t), provenance, t.line)
-                  for t in _flank_pool(inst, gamma, family, j))
+                  for t in _flank_pool(inst, gamma, steps, family, j))
     return next((c for c in departures if c.line.key not in used), None)
 
 
@@ -282,12 +315,14 @@ def _direct_certificate(inst: Instance) -> Certificate:
 
 def _gamma_certificate(inst: Instance, gamma: Gamma) -> Certificate:
     f_ids, h_ids, g_ids = _split_fhg(inst, gamma)  # find_gamma returns preserving curves
-    picks = flank_lines(inst, gamma, f_ids, h_ids)
+    steps = _Steps(inst, gamma)
+    picks = flank_lines(inst, gamma, f_ids, h_ids, steps)
     used = {c.line.key for c in picks}
     per_level = strip_transitions(inst, gamma, g_ids)
 
     def resolved(level: int):
-        return (recharge(inst, gamma, t, level, f_ids, h_ids, used) for t in per_level[level])
+        return (recharge(inst, gamma, t, level, f_ids, h_ids, used, steps)
+                for t in per_level[level])
 
     slots = ((quota, resolved(level), f"strip level {level}")
              for level, quota in _levels(len(g_ids)))

@@ -47,7 +47,6 @@ from .geometry import (
     Instance,
     ccw_arc_contains,
     direction_key,
-    direction_of,
     fences_within,
     just_after_keys,
 )
@@ -340,12 +339,17 @@ def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace) -
 
     The arcs are read off consecutive anchors: about c from u to v for
     anchors (u, c) and (v, ·).  Arc overlaps with a shared pivot contribute
-    their boundary directions.  The trace's intervals and the curve's arcs
-    both advance counterclockwise, so one pointer into ``sr.anchors``,
-    placed by one bisection, yields the arcs that overlap each interval: the
-    walk costs O(intervals + arcs) instead of their product.
+    their boundary directions.  Against an arc about another point c, the
+    line through the interval's pivot g meets c's line only where it passes
+    through c, at a fence of g; every fence of g is an event of the trace,
+    so that can only be the interval's ends, and an end d is a meeting when
+    ``d.offset`` puts c and g on one line and the arc holds d.  The trace's
+    intervals and the curve's arcs both advance counterclockwise, so one
+    pointer into ``sr.anchors``, placed by one bisection, yields the arcs
+    that overlap each interval: the walk costs O(intervals + arcs) instead
+    of their product.
     """
-    pts = inst.points
+    xs, ys = inst.xs, inst.ys
     anchors = sr.anchors
     n = len(anchors)
     j = sr.arc_at(trace.start_direction)
@@ -362,17 +366,17 @@ def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace) -
                 break
             j = (j + 1) % n
             near.add(j)
-        g = pts[pivot]
+        gx, gy = xs[pivot], ys[pivot]
         for i in near:
             (u, c), v = anchors[i], anchors[(i + 1) % n][0]
             if c == pivot:
-                ends = (dfrom, dto, u, v)
+                for d in (dfrom, dto, u, v):
+                    if ccw_arc_contains(dfrom, dto, d) and ccw_arc_contains(u, v, d):
+                        meetings.add(d)
             else:
-                fwd = direction_of(pts[c].x - g.x, pts[c].y - g.y)
-                ends = (fwd, fwd.antipode)
-            for d in ends:
-                if ccw_arc_contains(dfrom, dto, d) and ccw_arc_contains(u, v, d):
-                    meetings.add(d)
+                for d in (dfrom, dto):
+                    if d.offset(xs[c], ys[c]) == d.offset(gx, gy) and ccw_arc_contains(u, v, d):
+                        meetings.add(d)
     return meetings
 
 

@@ -9,12 +9,13 @@ sort keys (``direction_key``) lead with an integer prefix of the exact
 quotient, so comparing them is integer work in C; the exact ``Ratio``
 decides only between keys whose prefixes tie.
 
-The value records of the rotation path, ``Direction``, ``DirectedLine`` and
-``rotation.RotationEvent``, are tuples (``typing.NamedTuple``): they build,
-hash and compare for equality in C.  Being tuples, they equal plain tuples
-of the same values (``Direction(0, 1) == (0, 1)``), and they cannot be
-ordered: ``<``, ``<=``, ``>`` and ``>=`` raise TypeError, because tuple
-order is not angular order (``Direction.rank`` and ``direction_key`` are).
+The value records of the rotation path, ``Direction``, ``DirectedLine``,
+``rotation.RotationEvent`` and ``rotation.Transition``, are tuples
+(``typing.NamedTuple``): they build, hash and compare for equality in C.
+Being tuples, they equal plain tuples of the same values
+(``Direction(0, 1) == (0, 1)``), and they cannot be ordered: ``<``, ``<=``,
+``>`` and ``>=`` raise TypeError, because tuple order is not angular order
+(``Direction.rank`` and ``direction_key`` are).
 
 The package keeps no state between instances: what an instance needs again
 (its fences, its rows) is kept on the instance.
@@ -195,7 +196,9 @@ def _as_exact(v) -> Coord:
     Every coordinate, a JSON number or a parsed string alike, is then held
     to the same cap: its canonical string, the form ``instance_to_json``
     writes, must fit in ``_MAX_COORD_CHARS`` characters, so every instance
-    that loads can be written and read back.
+    that loads can be written and read back.  A string of ASCII digits,
+    with an optional leading ``-``, is parsed by ``int``, which costs about a
+    twentieth of ``Fraction``; every other string goes through ``Fraction``.
     """
     if isinstance(v, bool):
         raise TypeError("bool is not a coordinate")
@@ -210,7 +213,8 @@ def _as_exact(v) -> Coord:
                 f"coordinate string over {_MAX_COORD_CHARS} characters or with an"
                 f" exponent beyond ±{_MAX_COORD_EXPONENT}"
             )
-        v = Fraction(v)
+        digits = v[1:] if v[:1] == "-" else v
+        v = int(v) if digits.isascii() and digits.isdigit() else Fraction(v)
     if isinstance(v, Fraction) and v.denominator == 1:
         v = v.numerator
     if isinstance(v, int):
@@ -386,18 +390,28 @@ direction_key_from = lru_cache(maxsize=1 << 18)(direction_key)  # for callers ou
 
 
 def ccw_arc_contains(d_from: Direction, d_to: Direction, t: Direction) -> bool:
-    """Whether t lies on the counterclockwise arc from d_from to d_to, inclusive."""
-    if t == d_from or t == d_to:
+    """Whether t lies on the counterclockwise arc from d_from to d_to, inclusive.
+
+    Integer cross and dot products only: directions are primitive vectors,
+    so t is an endpoint exactly when it is parallel to it (cross 0) and
+    points the same way (dot positive).  ``Direction ==`` would cost more,
+    since the order guard sends it through Python's generic comparison.
+    """
+    fx, fy = d_from
+    ex, ey = d_to
+    x, y = t
+    ct = fx * y - fy * x
+    ce = x * ey - y * ex  # t.cross(d_to)
+    if (ct == 0 and fx * x + fy * y > 0) or (ce == 0 and x * ex + y * ey > 0):
         return True
-    ct = d_from.cross(t)
-    cb = d_from.cross(d_to)
+    cb = fx * ey - fy * ex
     kt = 1 if ct > 0 else (2 if ct == 0 else 3)
     kb = 1 if cb > 0 else (2 if cb == 0 else 3)
     if kt != kb:
         return kt < kb
     if kt == 2:
         return False
-    return t.cross(d_to) > 0
+    return ce > 0
 
 
 def direction_between(u: Direction, v: Direction) -> Direction:

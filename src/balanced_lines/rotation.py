@@ -21,7 +21,7 @@ the walks.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -247,9 +247,12 @@ def walk_rotation(spec: RotationSpec, inst: Instance) -> Iterator:
         raise GuaranteeViolation("rotation walk failed to close after a full turn")
 
 
-@dataclass(frozen=True)
-class Transition:
-    """A single weight step across the boundary between ``low`` and ``low+1``."""
+class Transition(NamedTuple):
+    """A single weight step across the boundary between ``low`` and ``low+1``.
+
+    A tuple, built in C by ``_make_transition`` and ``antipodal_transitions``
+    as ``walk_rotation`` builds its events, and unordered like them.
+    """
 
     direction: Direction
     from_omega: int
@@ -259,6 +262,8 @@ class Transition:
     crossed_id: int
     end: End
     is_balanced: bool
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     @property
     def rising(self) -> bool:
@@ -308,10 +313,53 @@ def _make_transition(ev: RotationEvent, inst: Instance) -> Transition:
         inst.point(ev.pivot_before).color is not inst.point(ev.crossed_id).color
         and instant == inst.delta
     )
-    return Transition(
+    return tuple.__new__(Transition, (
         ev.direction, ev.omega_before, ev.omega_after, ev.line_in(inst),
         ev.pivot_before, ev.crossed_id, ev.end, balanced,
-    )
+    ))
+
+
+def antipodal_transitions(steps: list[Transition], theta: Direction,
+                          inst: Instance) -> list[Transition]:
+    """The steps of level m - 1 - j, read off the steps of level j.
+
+    ``steps`` are ``transitions_at(trace, low, inst)`` for the level-j
+    rotation of a family of m points from ``theta``; the result equals
+    ``transitions_at`` of the level-(m - 1 - j) rotation from ``theta`` at
+    ``2 delta - w - low - 1``, where w is the weight of the family's color.
+    So the boundary of ``transition_low`` maps onto itself.
+
+    The lemma: the line through the pivot p at direction d + pi, reversed,
+    is the line through p at d, and its right side is the other's left.  So
+    when j family points lie right of the line at d, the m - 1 - j others
+    lie right of the line at d + pi: level m - 1 - j pivots on p at d + pi
+    exactly when level j pivots on p at d, and crosses the same points.
+    The instance weighs 2 delta, so the right weight there is
+    2 delta - w - omega.  Hence each step of level j at d is a step of level
+    m - 1 - j at d + pi with the antipodal direction, omegas
+    2 delta - w - omega, the end flipped (a point ahead of the line is
+    behind its reverse), the same pivot, crossed point and balance (the
+    line through the two points is the same), and the line through the
+    pivot at the antipodal direction.  A walk from ``theta`` meets them
+    half a turn later: first the steps of (theta + pi, theta], then those of
+    (theta, theta + pi]; a step at theta maps to theta + pi, and a step at
+    theta + pi maps to theta, which sorts last.  A pivot meets one fence
+    per direction, so no two steps share a direction.
+    """
+    # the steps of (theta + pi, theta] are those of key halves 3 (right of theta) and 4 (theta)
+    split = bisect_left(steps, 3, key=lambda t: direction_key(theta, t.direction)[0])
+    xs, ys, ws, total = inst.xs, inst.ys, inst.ws, 2 * inst.delta
+    new = tuple.__new__
+    flip = {End.HEAD: End.TAIL, End.TAIL: End.HEAD}
+    out = []
+    for t in chain(steps[split:], steps[:split]):
+        p, d, mirror = t.pivot_id, t.direction.antipode, total - ws[t.pivot_id]
+        out.append(new(Transition, (
+            d, mirror - t.from_omega, mirror - t.to_omega,
+            new(DirectedLine, (xs[p], ys[p], d, (p, t.crossed_id))),
+            p, t.crossed_id, flip[t.end], t.is_balanced,
+        )))
+    return out
 
 
 def is_delta_preserving(trace: RotationTrace, inst: Instance) -> bool:

@@ -76,7 +76,10 @@ from balanced_lines.rotation import (
     RotationSpec,
     RotationTrace,
     _preserves_delta,
+    antipodal_transitions,
     run_rotation,
+    transition_low,
+    transitions_at,
 )
 from balanced_lines.sliding import (
     InvalidCurve,
@@ -671,6 +674,29 @@ def ranked_plain_winner(inst: Instance) -> Optional[tuple[Color, int]]:
                                 inst.delta):
                 ranked.append((m - 2 * k - 2, rank, color, k))
     return min(ranked)[2:] if ranked else None
+
+
+def check_antipodal_steps(inst: Instance) -> int:
+    """Check ``antipodal_transitions`` on every level of F, H and G of the instance's gamma.
+
+    For a family of m points, the steps read off the walked level j must
+    equal ``transitions_at`` of the walked level m - 1 - j, both from the
+    achieving direction at ``transition_low``, for every j (the middle
+    level of an odd family maps onto itself).  Returns the number of steps
+    compared, 0 when the instance has no gamma.
+    """
+    best = gamma.find_gamma(inst)
+    if best is None:
+        return 0
+    theta, low = best.waist.achieved_at, transition_low(best.color, inst.delta)
+    compared = 0
+    for family in gamma.decompose_fhg(inst, best):
+        walked = [transitions_at(run_rotation(RotationSpec(frozenset(family), j, theta), inst),
+                                 low, inst) for j in range(len(family))]
+        for j, steps in enumerate(walked):
+            assert antipodal_transitions(steps, theta, inst) == walked[-1 - j], (family, j)
+            compared += len(steps)
+    return compared
 
 
 def rational_image(inst: Instance,

@@ -8,7 +8,11 @@ import pytest
 
 import support
 
-from balanced_lines import certificate as certificate_module, oracle as oracle_module
+from balanced_lines import (
+    certificate as certificate_module,
+    oracle as oracle_module,
+    rotation as rotation_module,
+)
 from balanced_lines.cli import main
 from balanced_lines.geometry import (
     Color,
@@ -144,14 +148,51 @@ def test_flank_level_without_departure_raises(monkeypatch, nested_instances):
                        and len(f_ids := decompose_fhg(inst, gamma)[0]) >= 2)
     original = certificate_module._flank_pool
 
-    def empty_at_f1(inst, gamma, family, level):
+    def empty_at_f1(inst, gamma, steps, family, level):
         if (family, level) == (f_ids, 1):
             return iter(())
-        return original(inst, gamma, family, level)
+        return original(inst, gamma, steps, family, level)
 
     monkeypatch.setattr(certificate_module, "_flank_pool", empty_at_f1)
     with pytest.raises(GuaranteeViolation, match=r"^flank f level 1 yielded 0 of 1 distinct lines$"):
         verify_lower_bound(inst)
+
+
+def test_flank_lines_walks_half_the_levels(monkeypatch, nested_instances, recharge_instances):
+    """Each family of m points costs ceil(m/2) drained walks; recharges walk none.
+
+    ``flank_lines`` walks the lower levels of F and H and reads the upper
+    ones off them; a whole curve certificate adds the lower levels of G, and
+    its recharges read the flank table.  Every walk runs to its closure check.
+    """
+    cases = [(inst, gamma, decompose_fhg(inst, gamma))
+             for inst in nested_instances + recharge_instances
+             if (gamma := find_gamma(inst)) is not None]
+    walks = []
+    walk = rotation_module.walk_rotation
+
+    def spy(spec, inst):
+        record = [spec, False]
+        walks.append(record)
+        yield from walk(spec, inst)
+        record[1] = True  # reached only past the closure check
+
+    monkeypatch.setattr(rotation_module, "walk_rotation", spy)
+
+    def walked(families):
+        return sorted((tuple(sorted(family)), level) for family in families
+                      for level in range((len(family) + 1) // 2))
+
+    for inst, gamma, (f_ids, h_ids, g_ids) in cases:
+        walks.clear()
+        flank_lines(inst, gamma, f_ids, h_ids)
+        assert sorted((spec.resolve(inst), spec.level) for spec, _ in walks) == walked((f_ids, h_ids))
+        assert all(drained for _, drained in walks)
+        walks.clear()
+        certificate_module._gamma_certificate(inst, gamma)
+        assert len(walks) == len(walked((f_ids, h_ids, g_ids)))
+        assert all(drained for _, drained in walks)
+    assert cases
 
 
 def test_strip_transitions_counts_and_membership(nested_instances):

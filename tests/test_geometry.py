@@ -4,7 +4,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from balanced_lines.geometry import (
     CollinearTriple,
@@ -18,7 +18,10 @@ from balanced_lines.geometry import (
     SameColorPair,
     Side,
     ValidationError,
+    _MAX_COORD_CHARS,
+    _as_exact,
     build_points,
+    ccw_arc_contains,
     direction_between,
     direction_key,
     direction_key_from,
@@ -40,7 +43,7 @@ from balanced_lines.generators import (
     gen_random,
     gen_separated_convex,
 )
-from balanced_lines.rotation import End, EventKind, RotationEvent
+from balanced_lines.rotation import End, EventKind, RotationEvent, Transition
 from support import side_just_after
 
 coords = st.integers(min_value=-1000, max_value=1000)
@@ -348,6 +351,7 @@ RECORDS = {
     "direction": (Direction, (3, -4)),
     "line": (DirectedLine, (1, Fraction(1, 2), _D, (0, 1))),
     "event": (RotationEvent, (_D, EventKind.WEIGHT_CHANGE, 0, 0, 1, End.HEAD, 0, 1)),
+    "transition": (Transition, (_D, 0, 1, DirectedLine(0, 0, _D, (0, 1)), 0, 1, End.HEAD, True)),
 }
 
 
@@ -465,6 +469,25 @@ def test_direction_key_order_matches_reference(b, u, v):
     assert (ku < kv) == _reference_before(base, du, dv)
     assert (kv < ku) == _reference_before(base, dv, du)
     assert (ku == kv) == (du == dv)
+
+
+def _arc_contains_by_equality(d_from, d_to, t):
+    """``ccw_arc_contains`` as it read with ``Direction ==`` for its endpoints."""
+    if t == d_from or t == d_to:
+        return True
+    kt, kb = (1 if c > 0 else (2 if c == 0 else 3) for c in (d_from.cross(t), d_from.cross(d_to)))
+    if kt != kb:
+        return kt < kb
+    return kt != 2 and t.cross(d_to) > 0
+
+
+@given(any_vectors, any_vectors, any_vectors)
+@settings(max_examples=400)
+def test_ccw_arc_contains_matches_endpoint_equality(u, v, w):
+    d_from, d_to, t = Direction.of(*u), Direction.of(*v), Direction.of(*w)
+    for args in ((d_from, d_to, t), (d_from, d_to, d_from), (d_from, d_to, d_to),
+                 (d_from, d_from, t), (d_from, d_to, d_from.antipode)):
+        assert ccw_arc_contains(*args) == _arc_contains_by_equality(*args)
 
 
 def test_direction_key_tied_prefixes_fall_back_to_ratio():
@@ -602,6 +625,35 @@ def test_coordinate_strings_are_capped():
             build_points([(v, "0", "R")])
     for v in (10**1000 - 1, -(10**999 - 1), "1e999", Fraction(-1, 10**996)):
         assert len(str(build_points([(v, "0", "R")])[0].x)) == 1000
+
+
+def _outcome(parse, text):
+    try:
+        v = parse(text)
+    except Exception as exc:  # the error class is the outcome compared
+        return type(exc)
+    return type(v), v
+
+
+def _as_exact_via_fraction(text):
+    """``_as_exact`` of a string without an exponent, parsed by ``Fraction`` after the cap."""
+    if len(text) > _MAX_COORD_CHARS:
+        raise ValidationError("over the cap")
+    return _as_exact(Fraction(text))
+
+
+@given(st.sampled_from(["", "-"]), st.text("0123456789", max_size=1005))
+@example("", "9" * 1000)
+@example("-", "9" * 999)
+@example("", "9" * 1001)
+@example("-", "0" * 1000)
+@example("", "")
+@example("-", "")
+@settings(max_examples=200)
+def test_digit_strings_parse_as_int_or_fraction_alike(sign, digits):
+    """A signed digit string, parsed by ``int``, gives the value or the error ``Fraction`` gives."""
+    text = sign + digits
+    assert _outcome(_as_exact, text) == _outcome(_as_exact_via_fraction, text)
 
 
 def test_instance_json_round_trip_at_the_coordinate_cap():

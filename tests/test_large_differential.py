@@ -7,8 +7,10 @@ ones (``support.rational_image``, so every slope takes the Fraction path),
 two seeds each at n = 120; and on random instances and on blue points half
 clustered at the centre (``support.gen_mixed``), two seeds each at n = 160.
 The rational image must keep the random instance's lines.  On every one of
-these instances red level j and blue level j + delta must couple, and the
-plain search must pick the winner of ranking every level of both colours.
+these instances red level j and blue level j + delta must couple, the
+plain search must pick the winner of ranking every level of both colours,
+and every flank and strip level read off its antipodal level must equal
+its own walk.
 """
 
 import pytest
@@ -70,6 +72,17 @@ def test_level_coupling_and_plain_ranking(n, family, seed):
         assert check_level_coupling(inst, j)
     best = plain_candidates(inst)
     assert (None if best is None else (best.color, best.level)) == support.ranked_plain_winner(inst)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n, family", [(120, f) for f in sorted(FAMILIES)]
+                         + [(160, f) for f in sorted(FAMILIES_160)])
+def test_antipodal_steps_match_walk(n, family, seed):
+    """Every level of F, H and G, read off its antipodal level, equals its own walk."""
+    inst = (FAMILIES if n == 120 else FAMILIES_160)[family](seed)
+    assert inst.n == n
+    support.check_antipodal_steps(inst)
 
 
 @pytest.mark.slow

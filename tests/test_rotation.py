@@ -14,6 +14,7 @@ from balanced_lines.geometry import (
     Direction,
     Side,
     direction_key,
+    direction_of,
     halfplane_weight,
     is_balanced,
 )
@@ -26,6 +27,7 @@ from balanced_lines.rotation import (
     LevelOutOfRange,
     RotationSpec,
     WrongSubset,
+    antipodal_transitions,
     check_level_coupling,
     find_balanced_halving,
     is_delta_preserving,
@@ -123,6 +125,40 @@ def test_antipodal_level_structure():
     samples = list(support.interval_representatives(t_low))[::3]
     for d, pivot, _ in samples:
         assert support.linear_pivot_at(t_high, d.antipode) == pivot
+
+
+def test_antipodal_steps_match_walk(nested_instances, mixed_instances, recharge_instances,
+                                    small_random_pool):
+    """Level m - 1 - j's boundary steps, read off level j, equal its own walk's.
+
+    F, H and G of every gamma in the pools, every level (``support.check_antipodal_steps``).
+    """
+    pools = nested_instances + mixed_instances + recharge_instances + small_random_pool
+    assert sum(support.check_antipodal_steps(inst) for inst in pools) > 0
+
+
+def test_antipodal_steps_at_the_start_direction():
+    """A step at theta lands at theta + pi, and one at theta + pi lands at theta, last.
+
+    Each start direction is a fence between a red and a blue point, so some
+    red level steps at theta and its antipodal level at theta + pi.  Every
+    boundary low is compared with 2 delta - w - low - 1, which is
+    2 delta - low for red (w = -1).
+    """
+    ends = set()
+    for seed in range(4):
+        inst = gen_random(seed, 5, 7, 1000)
+        p, q = inst.red_ids[0], inst.blue_ids[seed]
+        toward = direction_of(inst.xs[q] - inst.xs[p], inst.ys[q] - inst.ys[p])
+        for theta in (toward, toward.antipode):
+            walked = [run_rotation(RotationSpec(Color.RED, j, theta), inst) for j in range(inst.r)]
+            for j, trace in enumerate(walked):
+                for low in range(-inst.r, inst.b + 1):
+                    steps = transitions_at(trace, low, inst)
+                    mirror = transitions_at(walked[-1 - j], 2 * inst.delta - low, inst)
+                    assert antipodal_transitions(steps, theta, inst) == mirror
+                    ends.update(t.direction == theta for t in steps if t.direction.cross(theta) == 0)
+    assert ends == {True, False}  # steps at theta and at theta + pi were both mirrored
 
 
 def test_is_delta_preserving_wrong_subset():
