@@ -342,12 +342,15 @@ def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace) -
     their boundary directions.  Against an arc about another point c, the
     line through the interval's pivot g meets c's line only where it passes
     through c, at a fence of g; every fence of g is an event of the trace,
-    so that can only be the interval's ends, and an end d is a meeting when
-    ``d.offset`` puts c and g on one line and the arc holds d.  The trace's
-    intervals and the curve's arcs both advance counterclockwise, so one
-    pointer into ``sr.anchors``, placed by one bisection, yields the arcs
-    that overlap each interval: the walk costs O(intervals + arcs) instead
-    of their product.
+    so that can only be the interval's ends.  Only ``dfrom`` is tested, a
+    meeting when ``d.offset`` puts c and g on one line and the arc holds
+    it: each interval's ``dto`` is the next one's ``dfrom``, where the line
+    is the same (a pivot change hands over on one line), and the last
+    ``dto`` is theta, the first interval's ``dfrom``; so every meeting lies
+    at some interval's ``dfrom``.  The trace's intervals and the curve's
+    arcs both advance counterclockwise, so one pointer into ``sr.anchors``,
+    placed by one bisection, yields the arcs that overlap each interval:
+    the walk costs O(intervals + arcs) instead of their product.
     """
     xs, ys = inst.xs, inst.ys
     anchors = sr.anchors
@@ -373,10 +376,8 @@ def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace) -
                 for d in (dfrom, dto, u, v):
                     if ccw_arc_contains(dfrom, dto, d) and ccw_arc_contains(u, v, d):
                         meetings.add(d)
-            else:
-                for d in (dfrom, dto):
-                    if d.offset(xs[c], ys[c]) == d.offset(gx, gy) and ccw_arc_contains(u, v, d):
-                        meetings.add(d)
+            elif dfrom.offset(xs[c], ys[c]) == dfrom.offset(gx, gy) and ccw_arc_contains(u, v, dfrom):
+                meetings.add(dfrom)
     return meetings
 
 

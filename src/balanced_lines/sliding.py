@@ -20,20 +20,22 @@ direction through one full counterclockwise turn.  ``validate_curve``
 checks this, and the queries rely on it: each curve keys its anchors by
 angle from the start (``SlidingRotation.keys``), so finding the arc at a
 direction (``SlidingRotation.arc_at``, and with it ``evaluate_at``) costs
-one bisection, O(log anchors).  The waist and the orientation check are
-views of one ordered walk, ``curve_sweep``, which passes every breakpoint
-of the half cycle once and carries both antipodal anchors and the strip
-along.  ``sliding_profile`` reads each pivot's fences, the angular order
-the instance keeps per point (``Instance.fences``), and walks every arc in
-O(log n) plus one step per crossed point.
+one bisection, O(log anchors).  The walks read the angular order the
+instance keeps per point, its fences (``Instance.fences``), cut to an arc
+by ``fences_within``: ``sliding_profile`` walks every arc in O(log n) plus
+one step per crossed point, and ``curve_sweep``, which the waist and the
+orientation check read, carries the two antipodal lines along the half
+cycle over the fences of their current anchors, in O(log n + m) per
+anchor change plus one step per subset point crossed.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterator, Union
 
 from .geometry import (
@@ -42,8 +44,10 @@ from .geometry import (
     Color,
     DirectedLine,
     Direction,
+    FENCE_KEY,
     Instance,
     VERTICAL,
+    ccw_arc_contains,
     direction_between,
     direction_key,
     fences_within,
@@ -267,87 +271,82 @@ def is_delta_preserving_sliding(sr: SlidingRotation, inst: Instance) -> bool:
     return _preserves_delta(sr.subset_color, omegas, inst.delta)
 
 
-def curve_sweep(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direction, int, int, set[int]]]:
-    """Walk the half cycle once: ``(t, low, high, strip)`` per combinatorial interval.
+def curve_sweep(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direction, Direction, int, int, set]]:
+    """Walk the half cycle once: ``(u, v, low, high, strip)`` per interval [u, v).
 
-    The breakpoints are the anchors' directions, their antipodes and every
-    direction between two subset points (``Instance.pair_fences``), folded
-    onto [start, start + pi); ``t`` is ``direction_between`` two consecutive
-    ones.  ``low`` and ``high`` anchor the curve's lines at ``t`` and
-    ``t + pi`` (what ``evaluate_at`` returns there), and ``strip`` holds the
-    subset points strictly between them.  Both advance through the curve's
-    anchors at arc starts; in between, a point crosses an anchor's
-    line only at their pair fence.  So a walk costs O(1) per breakpoint plus
-    O(m) per anchor change, m the subset size.  ``strip`` is the walk's own
-    set and changes as it goes on: copy it to keep it.  Needs a curve that
-    turns exactly once.
+    ``low`` and ``high`` anchor the curve's lines at t and t + pi for t
+    inside the interval (what ``evaluate_at`` returns), and ``strip`` holds
+    the subset points strictly between them.  It changes only where an
+    anchor changes or a subset point crosses one of the lines, at a fence
+    of its anchor (``Instance.fences``).  So each piece between anchor
+    changes merges the fences of its two anchors, ``high``'s with ``head``
+    flipped (its line points the other way), and recounts the strip once,
+    just past its start; then a point met by the tail of either line joins
+    the strip and one met by a head leaves it, until the lines cross at the
+    fence between the two anchors.  A walk costs
+    O(anchors * (log n + m) + crossings), m the subset size.
+
+    Raises NotPositivelyOriented at the first interval whose lines bound no
+    strip.  ``strip`` is the walk's own set, changed as it goes on: copy it
+    to keep it.  Needs a curve that turns exactly once.
     """
-    start = sr.start_direction
+    start, keys, anchors = sr.start_direction, sr.keys, sr.anchors
     half = start.antipode
-    keys, anchors = sr.keys, sr.anchors
-    xs, ys = inst.xs, inst.ys
-    ids = inst.ids_of(sr.subset_color)
-    # anchors[:n_low] start arcs in [start, start + pi); anchors[i_high]'s arc holds start + pi
     key_half = direction_key(start, half)
-    n_low = bisect_left(keys, key_half)
-    i_high = bisect_right(keys, key_half) - 1
-    k_start = direction_key(VERTICAL, start)
-    turns = [d for d, _ in anchors[1:n_low]] + [d.antipode for d, _ in anchors[i_high + 1:]]
-    # in the turn's order: keys above the start's, then those past vertical
-    marks = sorted(((direction_key(VERTICAL, d), d, None, None) for d in turns),
-                   key=lambda e: (e[0] < k_start, e[0]))
-    stops = fences_within(inst.pair_fences(sr.subset_color), k_start,
-                          direction_key(VERTICAL, half), marks)
-    stops.append((None, half, None, None))  # closes the last interval
-
-    i_low = 0
-    a, b = anchors[i_low][1], anchors[i_high][1]
-    left_low: set[int] = set()  # subset points strictly left of the line at t
-    left_high: set[int] = set()  # ... strictly left of the line at t + pi
-    strip: set[int] = set()
-    stale_low = stale_high = True
-    u = start
-    for _, d, p, q in stops:
-        if d != u:
-            t = direction_between(u, d)
-            if stale_low or stale_high:
-                tx, ty = t  # recounts read the rows, with t.offset inline per point
-                if stale_low:
-                    o = t.offset(xs[a], ys[a])
-                    left_low = {i for i in ids if tx * ys[i] - ty * xs[i] > o}
-                if stale_high:
-                    o = t.offset(xs[b], ys[b])
-                    left_high = {i for i in ids if tx * ys[i] - ty * xs[i] < o}
-                strip = left_low & left_high
-                stale_low = stale_high = False
-            yield t, a, b, strip
-            u = d
-        if p is None:  # an arc start, or the antipode of one
-            if i_low + 1 < n_low and d == anchors[i_low + 1][0]:
-                i_low += 1
-                a, stale_low = anchors[i_low][1], True
-            if i_high + 1 < len(anchors) and d == anchors[i_high + 1][0].antipode:
-                i_high += 1
-                b, stale_high = anchors[i_high][1], True
-            continue
-        # d points from p to q: the line at t meets q with its head or p with
-        # its tail, the line at t + pi meets p with its head or q with its tail
-        if not stale_low:
-            if a == p:
-                left_low.discard(q)
-                strip.discard(q)
-            elif a == q:
-                left_low.add(p)
-                if p in left_high:
+    # the anchor changes inside (start, start + pi), in turn order: the low line's at
+    # the anchors' directions, the high line's at the antipodes of those past start + pi
+    changes = sorted([(k, False, d, p) if k < key_half
+                      else (direction_key(start, d.antipode), True, d.antipode, p)
+                      for k, (d, p) in zip(keys[1:], anchors[1:]) if k != key_half], key=itemgetter(0, 1))
+    changes.append((None, False, half, None))  # closes the last piece
+    a, b = anchors[0][1], anchors[bisect_right(keys, key_half) - 1][1]
+    color, xs, ys = sr.subset_color, inst.xs, inst.ys
+    ids = inst.ids_of(color)
+    subset = set(ids)
+    u, ku = start, direction_key(VERTICAL, start)
+    for _, high, v, new in changes:
+        if v != u:  # the piece [u, v), where a and b anchor the lines
+            kv = direction_key(VERTICAL, v)
+            flipped = [(k, d, p, not head) for k, d, p, head in fences_within(inst.fences(b), ku, kv, ())
+                       if p in subset]
+            stops = [e for e in fences_within(inst.fences(a), ku, kv, flipped) if e[2] in subset]
+            stops.append((kv, v, a, True))  # closes the piece; a never enters the strip
+            t = direction_between(u, stops[0][1])
+            tx, ty = t  # the recount reads the rows, with t.offset inline per point
+            o_a, o_b = t.offset(xs[a], ys[a]), t.offset(xs[b], ys[b])
+            oriented = o_a < o_b
+            strip = {i for i in ids if o_a < tx * ys[i] - ty * xs[i] < o_b}
+            for _, d, p, head in stops:
+                if d != u:
+                    if not oriented:
+                        raise NotPositivelyOriented(
+                            f"antipodal lines out of order at {_representative(inst, color, u, d)}")
+                    yield u, d, a, b, strip
+                    u = d
+                if p == b:  # a's line meets b: the two lines cross
+                    oriented = False
+                elif head:
+                    strip.discard(p)
+                elif p != a:
                     strip.add(p)
-        if not stale_high:
-            if b == q:
-                left_high.discard(p)
-                strip.discard(p)
-            elif b == p:
-                left_high.add(q)
-                if q in left_low:
-                    strip.add(q)
+            ku = kv
+        a, b = (a, new) if high else (new, b)
+
+
+def _representative(inst: Instance, color: Color, u: Direction, v: Direction) -> Direction:
+    """The direction that names the interval [u, v) of ``curve_sweep``.
+
+    ``direction_between(u, d)``, d the nearer of v and the next direction
+    between two subset points (``Instance.pair_fences``, one bisection):
+    inside the first interval of the finer cut at every such direction, the
+    cut that waist records and orientation errors name.
+    """
+    pairs = inst.pair_fences(color)
+    if pairs:
+        _, d, _, _ = pairs[bisect_right(pairs, direction_key(VERTICAL, u), key=FENCE_KEY) % len(pairs)]
+        if ccw_arc_contains(u, v, d):
+            v = d
+    return direction_between(u, v)
 
 
 @dataclass(frozen=True)
@@ -364,29 +363,27 @@ class Waist:
 def waist(sr: SlidingRotation, inst: Instance) -> Waist:
     """Minimum number of subset points strictly between the antipodal lines.
 
-    Read off ``curve_sweep``, one representative per interval; the minimum
-    over the continuous parameter is attained on an interval, so this is
-    exact, and the first interval attaining it wins.  Raises
-    NotPositivelyOriented when some antipodal pair fails to bound a strip.
+    The first interval of ``curve_sweep`` with the fewest, named by
+    ``_representative``: the strip is constant on each interval, so this is
+    the minimum over the continuous parameter.  Costs what the walk costs,
+    O(anchors * (log n + m) + crossings).  Raises NotPositivelyOriented when
+    some antipodal pair bounds no strip.
     """
-    pts = inst.points
-    best: Waist | None = None
-    for t, low, high, strip in curve_sweep(sr, inst):
-        a, b = pts[low], pts[high]
-        if t.offset(b.x, b.y) <= t.offset(a.x, a.y):
-            raise NotPositivelyOriented(f"antipodal lines out of order at {t}")
-        if best is None or len(strip) < best.value:
-            best = Waist(len(strip), t, frozenset(strip),
-                         DirectedLine(a.x, a.y, t, (low,)),
-                         DirectedLine(b.x, b.y, t.antipode, (high,)))
-    return best
+    best = None
+    for u, v, low, high, strip in curve_sweep(sr, inst):
+        if best is None or len(strip) < len(best[4]):
+            best = (u, v, low, high, frozenset(strip))
+    u, v, low, high, witnesses = best
+    t = _representative(inst, sr.subset_color, u, v)
+    a, b = inst.points[low], inst.points[high]
+    return Waist(len(witnesses), t, witnesses, DirectedLine(a.x, a.y, t, (low,)),
+                 DirectedLine(b.x, b.y, t.antipode, (high,)))
 
 
 def is_positively_oriented(sr: SlidingRotation, inst: Instance) -> bool:
     """Whether the line at t + pi stays strictly left of the line at t.
 
-    Checked at one representative direction per combinatorial interval of
-    the half cycle: the check ``waist`` makes on its walk.  Kept public as
+    Read off the walk ``waist`` makes, ``curve_sweep``.  Kept public as
     the paper's orientation condition, which
     ``test_sliding.py::test_positivity_shortcut_families`` checks against the
     level rule 2k + 2 <= r.

@@ -14,8 +14,9 @@ every strip rotation it runs with that round's best curve, and
 rejects before building them.
 
 It also holds the linear-scan oracles of the indexed curve and trace
-queries: ``linear_evaluate_at``, ``linear_half_cycle_representatives``,
-``linear_waist``, ``brute_waist``, ``recount_profile`` and
+queries: ``linear_evaluate_at``, ``linear_half_cycle_breakpoints`` with
+its ``linear_half_cycle_representatives``, ``linear_waist``,
+``brute_waist``, ``recount_profile`` and
 ``linear_curve_meetings`` (which tests every interval against every arc
 with ``ccw_arc_contains``) share nothing with the angular indexes and walks
 in the package beyond the exact primitives and the arcs and slides that
@@ -29,6 +30,11 @@ per-point just-after rule, ``side_just_after``); and ``pairwise_naive``
 classifies every point against every red/blue pair the way
 ``enumerate_naive`` did before it kept its rows relative to each red
 anchor.
+
+``pair_fence_sweep`` and ``pair_fence_waist`` walk the half cycle over
+every direction between two subset points (``Instance.pair_fences``),
+keeping the subset points left of each line, the finer cut on which
+``sliding.waist`` names its intervals; their records must equal its.
 
 ``reference_fences`` builds a point's angular order fence by fence, with
 ``direction_of`` and ``direction_key`` and one sort of all 2(n-1) entries,
@@ -45,6 +51,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -65,6 +72,7 @@ from balanced_lines.geometry import (
     direction_key,
     direction_key_from,
     direction_of,
+    fences_within,
     validate,
 )
 from balanced_lines.generators import gen_random, gen_separated_convex
@@ -334,8 +342,12 @@ def assert_pieces_join(sr, inst: Instance) -> None:
         assert d.offset(pts[a].x, pts[a].y) == d.offset(pts[b].x, pts[b].y), "pieces off one line"
 
 
-def linear_half_cycle_representatives(sr, inst: Instance) -> list[Direction]:
-    """Oracle for the directions of ``curve_sweep``: fold and sort every breakpoint."""
+def linear_half_cycle_breakpoints(sr, inst: Instance) -> list[Direction]:
+    """Every direction where the strip of a curve may change, folded onto its half cycle.
+
+    The anchors' directions, their antipodes and every direction between two
+    subset points, folded onto [start, start + pi) and sorted from the start.
+    """
     start = sr.start_direction
     ids = inst.ids_of(sr.subset_color)
     raw = {d for d, _ in sr.anchors}
@@ -347,8 +359,13 @@ def linear_half_cycle_representatives(sr, inst: Instance) -> list[Direction]:
                 raw.add(Direction.of(q.x - p.x, q.y - p.y))
     folded = {d if d == start or start.cross(d) > 0 else d.antipode for d in raw}
     folded.add(start)
-    ordered = sorted(folded, key=lambda d: (d != start, direction_key_from(start, d)))
-    ends = ordered[1:] + [start.antipode]
+    return sorted(folded, key=lambda d: (d != start, direction_key_from(start, d)))
+
+
+def linear_half_cycle_representatives(sr, inst: Instance) -> list[Direction]:
+    """One direction inside each interval between consecutive breakpoints of the half cycle."""
+    ordered = linear_half_cycle_breakpoints(sr, inst)
+    ends = ordered[1:] + [sr.start_direction.antipode]
     return [direction_between(u, v) for u, v in zip(ordered, ends)]
 
 
@@ -366,6 +383,100 @@ def linear_waist(sr, inst: Instance) -> Waist:
         inside = frozenset(i for i in ids if o_low < t.offset(pts[i].x, pts[i].y) < o_high)
         if best is None or len(inside) < best.value:
             best = Waist(len(inside), t, inside, low, high)
+    return best
+
+
+def pair_fence_sweep(sr, inst: Instance) -> Iterator[tuple[Direction, int, int, set[int]]]:
+    """Oracle for ``curve_sweep``: ``(t, low, high, strip)`` on every pair-fence interval.
+
+    The breakpoints are the anchors' directions, their antipodes and every
+    direction between two subset points (``Instance.pair_fences``), folded
+    onto [start, start + pi); ``t`` is ``direction_between`` two consecutive
+    ones.  ``low`` and ``high`` anchor the curve's lines at ``t`` and
+    ``t + pi``, and ``strip`` holds the subset points strictly between them,
+    kept as the subset points left of each line, which every pair fence of
+    an anchor updates whether or not the curve is oriented.  ``strip``
+    changes as the walk goes on: copy it to keep it.
+    """
+    start = sr.start_direction
+    half = start.antipode
+    keys, anchors = sr.keys, sr.anchors
+    xs, ys = inst.xs, inst.ys
+    ids = inst.ids_of(sr.subset_color)
+    # anchors[:n_low] start arcs in [start, start + pi); anchors[i_high]'s arc holds start + pi
+    key_half = direction_key(start, half)
+    n_low = bisect_left(keys, key_half)
+    i_high = bisect_right(keys, key_half) - 1
+    k_start = direction_key(VERTICAL, start)
+    turns = [d for d, _ in anchors[1:n_low]] + [d.antipode for d, _ in anchors[i_high + 1:]]
+    # in the turn's order: keys above the start's, then those past vertical
+    marks = sorted(((direction_key(VERTICAL, d), d, None, None) for d in turns),
+                   key=lambda e: (e[0] < k_start, e[0]))
+    stops = fences_within(inst.pair_fences(sr.subset_color), k_start,
+                          direction_key(VERTICAL, half), marks)
+    stops.append((None, half, None, None))  # closes the last interval
+
+    i_low = 0
+    a, b = anchors[i_low][1], anchors[i_high][1]
+    left_low: set[int] = set()  # subset points strictly left of the line at t
+    left_high: set[int] = set()  # ... strictly left of the line at t + pi
+    strip: set[int] = set()
+    stale_low = stale_high = True
+    u = start
+    for _, d, p, q in stops:
+        if d != u:
+            t = direction_between(u, d)
+            if stale_low or stale_high:
+                if stale_low:
+                    o = t.offset(xs[a], ys[a])
+                    left_low = {i for i in ids if t.offset(xs[i], ys[i]) > o}
+                if stale_high:
+                    o = t.offset(xs[b], ys[b])
+                    left_high = {i for i in ids if t.offset(xs[i], ys[i]) < o}
+                strip = left_low & left_high
+                stale_low = stale_high = False
+            yield t, a, b, strip
+            u = d
+        if p is None:  # an arc start, or the antipode of one
+            if i_low + 1 < n_low and d == anchors[i_low + 1][0]:
+                i_low += 1
+                a, stale_low = anchors[i_low][1], True
+            if i_high + 1 < len(anchors) and d == anchors[i_high + 1][0].antipode:
+                i_high += 1
+                b, stale_high = anchors[i_high][1], True
+            continue
+        # d points from p to q: the line at t meets q with its head or p with
+        # its tail, the line at t + pi meets p with its head or q with its tail
+        if not stale_low:
+            if a == p:
+                left_low.discard(q)
+                strip.discard(q)
+            elif a == q:
+                left_low.add(p)
+                if p in left_high:
+                    strip.add(p)
+        if not stale_high:
+            if b == q:
+                left_high.discard(p)
+                strip.discard(p)
+            elif b == p:
+                left_high.add(q)
+                if q in left_low:
+                    strip.add(q)
+
+
+def pair_fence_waist(sr, inst: Instance) -> Waist:
+    """Oracle for ``waist``: the first minimal interval of ``pair_fence_sweep``."""
+    pts = inst.points
+    best: Optional[Waist] = None
+    for t, low, high, strip in pair_fence_sweep(sr, inst):
+        a, b = pts[low], pts[high]
+        if t.offset(b.x, b.y) <= t.offset(a.x, a.y):
+            raise NotPositivelyOriented(f"antipodal lines out of order at {t}")
+        if best is None or len(strip) < best.value:
+            best = Waist(len(strip), t, frozenset(strip),
+                         DirectedLine(a.x, a.y, t, (low,)),
+                         DirectedLine(b.x, b.y, t.antipode, (high,)))
     return best
 
 

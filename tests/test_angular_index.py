@@ -1,7 +1,8 @@
 """The angular indexes and walks of curves and traces against their linear-scan oracles.
 
 ``evaluate_at`` bisects a curve's anchor keys, ``curve_sweep`` (and with it
-``waist``) walks the half cycle's breakpoints once, ``sliding_profile``
+``waist``) walks the half cycle over its two anchors' fences, whose every
+cut must be one of the linear sort's breakpoints, ``sliding_profile``
 bisects each pivot's fences (``Instance.fences``), ``run_rotation`` walks
 the pivots' fences, and the surgery's ``_curve_meetings`` and
 ``build_shift`` walk a trace in order; the oracles in ``support`` scan
@@ -35,6 +36,7 @@ from balanced_lines.geometry import (
     Color,
     Direction,
     build_points,
+    ccw_arc_contains,
     direction_between,
     direction_key_from,
     validate,
@@ -177,7 +179,7 @@ def test_early_stop_preservation_matches_full_profile(searched):
 
 def test_evaluate_at_matches_linear_scan(searched):
     for sr, inst, _ in searched[0]:
-        reps = [t for t, _, _, _ in curve_sweep(sr, inst)]
+        reps = support.linear_half_cycle_representatives(sr, inst)
         for t in reps + [t.antipode for t in reps] + [d for d, _ in sr.anchors]:
             assert evaluate_at(sr, inst, t) == support.linear_evaluate_at(sr, inst, t)
 
@@ -294,26 +296,53 @@ def test_prefix_tie_instance_ties():
     assert [other for _, _, other, head in fences if head] == [2, 1, 3]
 
 
+def _walk(sr, inst):
+    """The intervals of ``curve_sweep``, strips copied, and whether it got past no unoriented one."""
+    steps = []
+    try:
+        for u, v, low, high, strip in curve_sweep(sr, inst):
+            steps.append((u, v, low, high, set(strip)))
+    except NotPositivelyOriented:
+        return steps, False
+    return steps, True
+
+
 def test_half_cycle_representatives_match_sort(searched):
+    """The sweep's intervals tile the half cycle, cut only at breakpoints of the linear sort."""
     for sr, inst, _ in searched[0]:
-        reps = [t for t, _, _, _ in curve_sweep(sr, inst)]
-        assert reps == support.linear_half_cycle_representatives(sr, inst)
+        steps, oriented = _walk(sr, inst)
+        half = sr.start_direction.antipode
+        fine = set(support.linear_half_cycle_breakpoints(sr, inst)) | {half}
+        cuts = [sr.start_direction] + [v for _, v, _, _, _ in steps]
+        assert [u for u, _, _, _, _ in steps] == cuts[:-1]
+        assert set(cuts) <= fine
+        assert (cuts[-1] == half) == oriented
 
 
 def test_curve_sweep_matches_linear_scan(searched):
-    """Every step of the sweep: both anchors and the strip, recounted from scratch."""
+    """Every interval of the sweep: both anchors and the strip, recounted from scratch."""
+    outcomes = set()
     for sr, inst, _ in searched[0]:
         pts = inst.points
         ids = inst.ids_of(sr.subset_color)
-        oriented = True
-        for t, low, high, strip in curve_sweep(sr, inst):
+        steps, walked = _walk(sr, inst)
+        for u, v, low, high, strip in steps:
+            t = direction_between(u, v)
             line_low = support.linear_evaluate_at(sr, inst, t)
             line_high = support.linear_evaluate_at(sr, inst, t.antipode)
             assert (low, high) == (line_low.span[0], line_high.span[0])
             o_low, o_high = line_low.offset(t), line_high.offset(t)
+            assert o_low < o_high
             assert strip == {i for i in ids if o_low < t.offset(pts[i].x, pts[i].y) < o_high}
-            oriented = oriented and o_low < o_high
-        assert is_positively_oriented(sr, inst) == oriented
+        try:
+            support.linear_waist(sr, inst)
+        except NotPositivelyOriented:
+            oriented = False
+        else:
+            oriented = True
+        assert is_positively_oriented(sr, inst) == walked == oriented
+        outcomes.add(walked)
+    assert outcomes == {True, False}
 
 
 def test_curve_meetings_match_all_pairs(search_log):
@@ -334,6 +363,37 @@ def _subset_color(trace, inst):
     """The color of a search trace's subset: a color class, or strip points of one color."""
     subset = trace.spec.subset
     return subset if isinstance(subset, Color) else inst.point(next(iter(subset))).color
+
+
+def test_curve_meetings_lie_at_interval_starts(search_log):
+    """A meeting with an arc about another point is met again where an interval starts.
+
+    ``_curve_meetings`` tests that end of an interval alone: at each such
+    meeting d, an interval starts, and its pivot's line at d passes through
+    the arc's point too.
+    """
+    curves, runs, splices = search_log
+    checked = [(sr, inst) for sr, inst, kind in curves if kind == "plain"] + splices
+    met = 0
+    for trace, inst in runs:
+        intervals = list(trace.intervals())
+        pivot_from = {dfrom: pivot for dfrom, _, pivot, _ in intervals}
+        for sr, curve_inst in checked:
+            if curve_inst is not inst:
+                continue
+            for arc in curve_pieces(sr, inst):
+                c = inst.point(arc.pivot)
+                for dfrom, dto, pivot, _ in intervals:
+                    if pivot == arc.pivot:
+                        continue
+                    g = inst.point(pivot)
+                    fwd = Direction.of(c.x - g.x, c.y - g.y)
+                    for d in (fwd, fwd.antipode):
+                        if ccw_arc_contains(dfrom, dto, d) and support.arc_contains(arc, d):
+                            h = inst.point(pivot_from[d])
+                            assert d.offset(h.x, h.y) == d.offset(c.x, c.y)
+                            met += d == dto
+    assert met
 
 
 def test_build_shift_matches_scan(search_log):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import tracemalloc
 import weakref
 
 import pytest
@@ -218,6 +219,26 @@ def test_verify_random_batch_holds_one_instance_at_a_time(run, monkeypatch):
     assert code == 0
     assert len(out.strip().split("\n")) == 4
     assert alive == [0, 0, 0, 0]
+
+
+def test_verify_random_batch_memory_stays_bounded(run):
+    """A second batch of 30 instances leaves under 64 KiB behind once collected.
+
+    The first batch warms the interpreter up; the traced second one keeps
+    about 1.7 KB, while keeping every drawn instance would keep about 6 MB.
+    """
+    run("verify", "--random-batch", "30", "--seed", "0")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code, _, _ = run("verify", "--random-batch", "30", "--seed", "0")
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert retained < 64 * 1024
 
 
 def test_verify_random_batch_without_room_exit_2(run):

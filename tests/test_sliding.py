@@ -7,6 +7,7 @@ from balanced_lines.geometry import (
     DirectedLine,
     Direction,
     Side,
+    VERTICAL,
     build_points,
     halfplane_weight,
     validate,
@@ -19,6 +20,7 @@ from balanced_lines.sliding import (
     RotateArc,
     Slide,
     SlidingRotation,
+    _curve_through,
     curve_pieces,
     evaluate_at,
     is_delta_preserving_sliding,
@@ -107,6 +109,30 @@ def test_waist_requires_positive_orientation():
     sr = lifted(inst, Color.RED, 2)
     with pytest.raises(NotPositivelyOriented):
         waist(sr, inst)
+
+
+def test_waist_stops_where_the_lines_cross():
+    """Half turns about two points a and b: the lines at t and t + pi cross where a's meets b.
+
+    Each curve bounds a strip at its start, so only the crossing inside the
+    walk's one piece can end it, with the error the linear scan raises.
+    """
+    inst = gen_random(3, 7, 7, 1000)
+    xs = inst.xs
+    for a in inst.red_ids:
+        for b in inst.red_ids:
+            if xs[a] <= xs[b]:
+                continue  # a right of b, seen looking up: a strip at the start
+            sr = _curve_through([(VERTICAL, a), (VERTICAL.antipode, b)], Color.RED)
+            validate_curve(sr, inst)
+            first = support.linear_half_cycle_representatives(sr, inst)[0]
+            low, high = evaluate_at(sr, inst, first), evaluate_at(sr, inst, first.antipode)
+            assert low.offset(first) < high.offset(first)
+            with pytest.raises(NotPositivelyOriented) as expected:
+                support.linear_waist(sr, inst)
+            with pytest.raises(NotPositivelyOriented) as got:
+                waist(sr, inst)
+            assert str(got.value) == str(expected.value)
 
 
 def test_sliding_preserving_matches_trace_condition():
