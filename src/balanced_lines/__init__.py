@@ -18,17 +18,13 @@ from .geometry import (
     Instance,
     LabeledPoint,
     SameColorPair,
-    Side,
     ValidationError,
     build_points,
     halfplane_weight,
     instance_from_json,
     instance_to_json,
     is_balanced,
-    orientation,
-    swap_colors,
     validate,
-    weight,
 )
 from .generators import gen_random, gen_separated_convex
 from .oracle import (
@@ -58,7 +54,6 @@ from .rotation import (
 )
 from .sliding import (
     InvalidCurve,
-    NotDeltaPreserving,
     NotPositivelyOriented,
     RotateArc,
     Slide,

@@ -14,10 +14,12 @@ provenance explaining which mechanism produced it:
 
 Every certificate is filled by one loop, ``_draw``, from slots that each
 hold a quota, lazy candidates and a label naming the slot when it falls
-short.  A flank pool is a generator, read only by the flank pick and the
-recharges that use it, each only as far as its own line, over the boundary
-steps of one table (``_Steps``): a family of m points walks its levels up
-to the middle and reads each level above off its antipodal one.
+short.  One table of boundary steps (``_Steps``) serves a whole curve
+certificate: the flank picks, the strip levels and the recharges all read
+it, and a family of m points walks its levels up to the middle and reads
+each level above off its antipodal one.  A flank pool is a generator over
+it, read only by the flank pick and the recharges that use it, each only
+as far as its own line.
 
 Before the certificate is returned, every certified line is recounted once
 by ``geometry.is_balanced``, which shares nothing with the rotations and
@@ -53,7 +55,7 @@ from .rotation import (
 )
 from .gamma import (
     Gamma,
-    _split_fhg,
+    decompose_fhg,
     find_gamma,
     in_central_region,
 )
@@ -109,7 +111,8 @@ class _Steps(dict):
     is walked in full, so its closure is checked, when j <= m - 1 - j; a
     higher level is read off the walked level m - 1 - j by
     ``rotation.antipodal_transitions``.  So the m levels cost ceil(m/2)
-    walks.  The table lives as long as one assembly.
+    walks.  The table lives as long as one assembly, and the flanks and the
+    strip share it: their families differ, so so do their keys.
     """
 
     def __init__(self, inst: Instance, gamma: Gamma):
@@ -182,7 +185,7 @@ def _draw(slots, used: set[tuple[int, int]]) -> list[CertifiedLine]:
 
 
 def flank_lines(inst: Instance, gamma: Gamma, f_ids: tuple[int, ...],
-                h_ids: tuple[int, ...], steps: Optional[_Steps] = None) -> list[CertifiedLine]:
+                h_ids: tuple[int, ...], steps: _Steps) -> list[CertifiedLine]:
     """One balanced central-strip departure from delta per flank level.
 
     The guaranteed departure lies on the closed half turn that starts at the
@@ -190,11 +193,9 @@ def flank_lines(inst: Instance, gamma: Gamma, f_ids: tuple[int, ...],
     the first flank, its antipodal partner for the second.  That keeps the
     picks distinct across levels and flanks.  Each pick is the first such
     departure of its ``_flank_pool``, which is read only up to it.  The
-    pools come from ``steps`` (a new table when None), so the two flanks'
-    m levels cost ceil(m/2) walks each.
+    pools come from the assembly's ``steps``, so the two flanks' m levels
+    cost ceil(m/2) walks each.
     """
-    steps = _Steps(inst, gamma) if steps is None else steps
-
     def departures(name: str, family: tuple[int, ...], base: Direction, level: int):
         for t in _flank_pool(inst, gamma, steps, family, level):
             if t.from_omega == inst.delta and ccw_arc_contains(base, base.antipode, t.direction):
@@ -207,15 +208,15 @@ def flank_lines(inst: Instance, gamma: Gamma, f_ids: tuple[int, ...],
     return _draw(slots, set())
 
 
-def strip_transitions(inst: Instance, gamma: Gamma,
-                      g_ids: tuple[int, ...]) -> list[list[Transition]]:
+def strip_transitions(inst: Instance, gamma: Gamma, g_ids: tuple[int, ...],
+                      steps: _Steps) -> list[list[Transition]]:
     """Central-strip boundary transitions of every strip level.
 
     Level k of a strip of size s runs for k in 0..ceil(s/2)-1; each level
     must contribute at least two transitions whose lines sit inside or on
-    the strip at their own direction.
+    the strip at their own direction.  The levels are read from the
+    assembly's ``steps``.
     """
-    steps = _Steps(inst, gamma)  # the strip shares no rotation with the flanks
     out = []
     for level in range((len(g_ids) + 1) // 2):
         central = [t for t in steps[g_ids, level] if in_central_region(inst, gamma, t)]
@@ -229,8 +230,7 @@ def strip_transitions(inst: Instance, gamma: Gamma,
 
 def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
              f_ids: tuple[int, ...], h_ids: tuple[int, ...],
-             used: AbstractSet[tuple[int, int]],
-             steps: Optional[_Steps] = None) -> Optional[CertifiedLine]:
+             used: AbstractSet[tuple[int, int]], steps: _Steps) -> Optional[CertifiedLine]:
     """Resolve one transition of strip level ``level`` into a certified line.
 
     A transition through an opposite-colored point is already balanced: a
@@ -241,9 +241,8 @@ def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
     only as far as that line.  j counts the family points other than the
     crossed one, so it is a level 0..|family| - 1 of the flank.  None when
     every departure of that pool is used; whether the paper's recharge step
-    rules that out is open.  The pool comes from ``steps``, the table of
-    ``flank_lines`` in a certificate, so no flank level is walked twice (a
-    new table when None).
+    rules that out is open.  The pool comes from ``steps``, the table
+    ``flank_lines`` read, so no flank level is walked twice.
     """
     crossed = inst.point(transition.crossed_id)
     if crossed.color is not gamma.color:
@@ -277,7 +276,6 @@ def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
             f"induced flank step at {d_star} has weight {w}, expected {inst.delta + sgn}"
         )
     provenance = Provenance("recharge", level, name, j)
-    steps = _Steps(inst, gamma) if steps is None else steps
     departures = (CertifiedLine(_line_of(inst, t), provenance, t.line)
                   for t in _flank_pool(inst, gamma, steps, family, j))
     return next((c for c in departures if c.line.key not in used), None)
@@ -314,11 +312,11 @@ def _direct_certificate(inst: Instance) -> Certificate:
 
 
 def _gamma_certificate(inst: Instance, gamma: Gamma) -> Certificate:
-    f_ids, h_ids, g_ids = _split_fhg(inst, gamma)  # find_gamma returns preserving curves
+    f_ids, h_ids, g_ids = decompose_fhg(inst, gamma)
     steps = _Steps(inst, gamma)
     picks = flank_lines(inst, gamma, f_ids, h_ids, steps)
     used = {c.line.key for c in picks}
-    per_level = strip_transitions(inst, gamma, g_ids)
+    per_level = strip_transitions(inst, gamma, g_ids, steps)
 
     def resolved(level: int):
         return (recharge(inst, gamma, t, level, f_ids, h_ids, used, steps)

@@ -60,7 +60,6 @@ from .rotation import (
     walk_rotation,
 )
 from .sliding import (
-    NotDeltaPreserving,
     NotPositivelyOriented,
     SlidingRotation,
     Waist,
@@ -174,28 +173,17 @@ def find_gamma(inst: Instance) -> Optional[Gamma]:
 
 def decompose_fhg(inst: Instance, gamma: Gamma) -> tuple[
         tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Split the subset by the waist-achieving antipodal lines.
+    """Split the subset by the waist-achieving antipodal lines: (F, H, G).
 
-    The first flank holds the subset points in the closed right halfplane
-    of the achieving line, the second those in the closed right halfplane
-    of its antipodal partner, and the strip set is everything in between
-    (exactly the waist witnesses).  Raises NotDeltaPreserving unless the
-    curve preserves delta; ``_split_fhg`` is the split alone.  Kept public as
-    the paper's decomposition: ``test_gamma.py::test_decompose_partition``
-    checks the partition, ``test_decompose_requires_preserving`` the guard.
-    """
-    if not is_delta_preserving_sliding(gamma.sr, inst):
-        raise NotDeltaPreserving("decomposition needs a delta-preserving curve")
-    return _split_fhg(inst, gamma)
-
-
-def _split_fhg(inst: Instance, gamma: Gamma) -> tuple[
-        tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """``decompose_fhg`` without its preservation walk.
-
-    For a gamma known to preserve delta, as every ``find_gamma`` result is:
-    ``plain_candidates`` walked the winner's profile, and ``build_splice``
-    read each splice's off its trace.
+    The first flank F holds the subset points in the closed right halfplane
+    of the achieving line, the second flank H those in the closed right
+    halfplane of its antipodal partner, and the strip G is everything in
+    between.  G must be exactly the waist witnesses, else
+    GuaranteeViolation.  The package's one F/H/G split, which the
+    certificate reads.  It does not walk the curve's profile again: every
+    ``Gamma`` the package makes preserves delta (``plain_candidates``
+    walked the winner's profile, and ``build_splice`` read each splice's
+    off its trace).
     """
     t = gamma.waist.achieved_at
     o_low = gamma.waist.line_low.offset(t)
@@ -232,8 +220,7 @@ def in_central_region(inst: Instance, gamma: Gamma, transition: Transition) -> b
 def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
     """Splices of the current best curve with the rotations of its strip points.
 
-    The strip is the waist witnesses: ``best`` passed the membership check,
-    so it preserves delta, and ``decompose_fhg`` would return the same set.
+    The strip is the waist witnesses, the G of ``decompose_fhg``.
     Only the splices that preserve delta are built (``build_splice``).
     """
     strip = best.waist.witnesses

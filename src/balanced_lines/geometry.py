@@ -98,44 +98,6 @@ class Color(Enum):
     def weight(self) -> int:
         return 1 if self is Color.BLUE else -1
 
-    @property
-    def opposite(self) -> "Color":
-        return Color.BLUE if self is Color.RED else Color.RED
-
-
-def weight(color: Color) -> int:
-    """Point weight: +1 for blue, -1 for red."""
-    return color.weight
-
-
-class Side(Enum):
-    LEFT = 1
-    ON = 0
-    RIGHT = -1
-
-    @property
-    def flipped(self) -> "Side":
-        if self is Side.ON:
-            return self
-        return Side.LEFT if self is Side.RIGHT else Side.RIGHT
-
-
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
-def orientation(p, q, s) -> Side:
-    """Turn direction of the triple: LEFT, RIGHT, or ON for collinear.
-
-    Accepts LabeledPoints or plain (x, y) pairs.  The result is the sign of
-    the determinant of (q - p, s - p), computed exactly.
-    """
-    px, py = _xy(p)
-    qx, qy = _xy(q)
-    sx, sy = _xy(s)
-    d = (qx - px) * (sy - py) - (qy - py) * (sx - px)
-    return Side(_sign(d))
-
 
 def slope(dx: Coord, dy: Coord) -> tuple[int, int]:
     """Canonical slope of a non-vertical vector, as a hashable key.
@@ -174,12 +136,6 @@ def slopes(px: Coord, py: Coord, points: Sequence[tuple[Coord, Coord]]) -> list[
     except TypeError:
         return [slope(x - px, y - py) for x, y in points]
     return out
-
-
-def _xy(p):
-    if isinstance(p, LabeledPoint):
-        return p.x, p.y
-    return p[0], p[1]
 
 
 _MAX_COORD_CHARS = 1000
@@ -301,9 +257,6 @@ class Direction(NamedTuple):
     def cross(self, other: "Direction") -> int:
         return self.dx * other.dy - self.dy * other.dx
 
-    def dot(self, other: "Direction") -> int:
-        return self.dx * other.dx + self.dy * other.dy
-
     def offset(self, x: Coord, y: Coord) -> Coord:
         """Signed position of the line through (x, y) parallel to this direction.
 
@@ -415,14 +368,19 @@ def ccw_arc_contains(d_from: Direction, d_to: Direction, t: Direction) -> bool:
 
 
 def direction_between(u: Direction, v: Direction) -> Direction:
-    """A direction strictly inside the counterclockwise arc from u to v."""
-    if u == v:
-        raise ValueError("empty arc")
+    """A direction strictly inside the counterclockwise arc from u to v.
+
+    Branches on the cross product; only parallel endpoints read the dot
+    product, which tells u == v (an empty arc: ValueError) from antipodal
+    ones, with no ``Direction ==``.
+    """
     c = u.cross(v)
     if c > 0:
         return direction_of(u.dx + v.dx, u.dy + v.dy)
     if c < 0:
         return direction_of(-(u.dx + v.dx), -(u.dy + v.dy))
+    if u.dx * v.dx + u.dy * v.dy > 0:
+        raise ValueError("empty arc")
     return u.perp_ccw  # antipodal endpoints
 
 
@@ -440,11 +398,6 @@ class DirectedLine(NamedTuple):
     span: tuple[int, ...] = ()
 
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
-
-    def side(self, p) -> Side:
-        px, py = _xy(p)
-        c = self.direction.dx * (py - self.ay) - self.direction.dy * (px - self.ax)
-        return Side(_sign(c))
 
     @property
     def reversed(self) -> "DirectedLine":
@@ -709,26 +662,15 @@ def validate(points: Sequence[LabeledPoint]) -> Instance:
     return Instance(tuple(points), r, b, (b - r) // 2)
 
 
-def swap_colors(inst: Instance) -> Instance:
-    """Re-validate the instance with every color flipped.
-
-    Only legal when r == b; otherwise the flipped set has a red surplus and
-    validation rejects it.
-    """
-    return validate(
-        [LabeledPoint(p.id, p.x, p.y, p.color.opposite) for p in inst.points]
-    )
-
-
 def halfplane_weight(line: DirectedLine, inst: Instance) -> int:
     """Total weight of the points strictly right of the line.
 
-    A full, exact recount: a point is right of the line when its offset
-    against the line's direction is below the anchor's, so each point costs
-    one integer comparison and no ``Side``.  The loop reads the rows
-    (``Instance.xs``, ``ys``, ``ws``) and computes each ``Direction.offset``
-    inline, with no call per point.  The left side is the right side of
-    ``line.reversed``.
+    A full, exact recount by the package's one side test, ``Direction.offset``:
+    a point is right of the line when its offset against the line's
+    direction is below the anchor's, so each point costs one integer
+    comparison.  The loop reads the rows (``Instance.xs``, ``ys``, ``ws``)
+    and computes each offset inline, with no call per point.  The left side
+    is the right side of ``line.reversed``.
     """
     dx, dy = d = line.direction
     o = d.offset(line.ax, line.ay)

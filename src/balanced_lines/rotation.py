@@ -24,7 +24,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain
 from typing import Iterator, NamedTuple, Union
 
@@ -36,7 +35,6 @@ from .geometry import (
     Direction,
     GuaranteeViolation,
     Instance,
-    Side,
     VERTICAL,
     _unordered,
     direction_key,
@@ -139,10 +137,6 @@ class RotationTrace:
     initial_omega: int
     events: tuple[RotationEvent, ...]
 
-    @property
-    def level(self) -> int:
-        return self.spec.level
-
     def intervals(self) -> Iterator[tuple[Direction, Direction, int, int]]:
         """Yield (from, to, pivot, omega) for every inter-event interval.
 
@@ -156,10 +150,6 @@ class RotationTrace:
             d, pivot, omega = ev.direction, ev.pivot_after, ev.omega_after
         if d != self.start_direction:
             yield (d, self.start_direction, pivot, omega)
-
-    @cached_property
-    def omega_values(self) -> tuple[int, ...]:
-        return (self.initial_omega,) + tuple(ev.omega_after for ev in self.events)
 
 
 def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
@@ -264,10 +254,6 @@ class Transition(NamedTuple):
     is_balanced: bool
 
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
-
-    @property
-    def rising(self) -> bool:
-        return self.to_omega > self.from_omega
 
 
 def transition_low(color: Color, delta: int) -> int:
@@ -407,9 +393,11 @@ def find_balanced_halving(inst: Instance) -> BalancedLine:
 
 
 def _side_counts(line: DirectedLine, inst: Instance) -> tuple[int, int]:
-    left = sum(1 for p in inst.points if line.side(p) is Side.LEFT)
-    right = sum(1 for p in inst.points if line.side(p) is Side.RIGHT)
-    return (left, right)
+    """(left, right): the points strictly on each side of the line, by ``Direction.offset``."""
+    d = line.direction
+    o = d.offset(line.ax, line.ay)
+    offsets = [d.offset(x, y) for x, y in zip(inst.xs, inst.ys)]
+    return sum(1 for v in offsets if v > o), sum(1 for v in offsets if v < o)
 
 
 def check_level_coupling(inst: Instance, j: int) -> bool:

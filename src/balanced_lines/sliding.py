@@ -60,10 +60,6 @@ class NotPositivelyOriented(BalancedLinesError):
     """Waist is undefined for a curve whose antipodal lines do not bound a strip."""
 
 
-class NotDeltaPreserving(BalancedLinesError):
-    """The operation needs a delta-preserving sliding rotation."""
-
-
 class InvalidCurve(BalancedLinesError):
     """Pieces do not form a closed angularly monotone curve."""
 

@@ -45,6 +45,12 @@ every plain level of both colours from full traces, the ranking that
 ``gamma.plain_candidates`` shortcuts; and ``rational_image`` maps an
 instance exactly under a rational affine map (by default onto Fraction
 coordinates), keeping its balanced lines.
+
+The side oracle ``Side``, ``orientation`` and ``side`` classifies a point
+against a directed line by the sign of a determinant, apart from the
+package's one side test, ``Direction.offset``; ``opposite``,
+``swap_colors`` and ``omega_values`` are small readings of instances and
+traces that only the tests make.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
+from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -64,7 +71,7 @@ from balanced_lines.geometry import (
     DirectedLine,
     Direction,
     Instance,
-    Side,
+    LabeledPoint,
     VERTICAL,
     build_points,
     ccw_arc_contains,
@@ -97,6 +104,55 @@ from balanced_lines.sliding import (
     _curve_through,
     curve_pieces,
 )
+
+
+class Side(Enum):
+    LEFT = 1
+    ON = 0
+    RIGHT = -1
+
+
+def _xy(p):
+    return (p.x, p.y) if isinstance(p, LabeledPoint) else (p[0], p[1])
+
+
+def _side_of(d: int) -> Side:
+    return Side.LEFT if d > 0 else (Side.RIGHT if d < 0 else Side.ON)
+
+
+def orientation(p, q, s) -> Side:
+    """Turn direction of the triple: LEFT, RIGHT, or ON for collinear.
+
+    Accepts LabeledPoints or plain (x, y) pairs.  The result is the sign of
+    the determinant of (q - p, s - p), computed exactly.
+    """
+    (px, py), (qx, qy), (sx, sy) = _xy(p), _xy(q), _xy(s)
+    return _side_of((qx - px) * (sy - py) - (qy - py) * (sx - px))
+
+
+def side(line: DirectedLine, p) -> Side:
+    """Where the point (a LabeledPoint or an (x, y) pair) lies against the directed line."""
+    px, py = _xy(p)
+    d = line.direction
+    return _side_of(d.dx * (py - line.ay) - d.dy * (px - line.ax))
+
+
+def opposite(color: Color) -> Color:
+    return Color.BLUE if color is Color.RED else Color.RED
+
+
+def swap_colors(inst: Instance) -> Instance:
+    """Re-validate the instance with every color flipped.
+
+    Only legal when r == b; otherwise the flipped set has a red surplus and
+    validation rejects it.
+    """
+    return validate([LabeledPoint(p.id, p.x, p.y, opposite(p.color)) for p in inst.points])
+
+
+def omega_values(trace: RotationTrace) -> tuple[int, ...]:
+    """The trace's right weights: the initial one, then the one after each event."""
+    return (trace.initial_omega,) + tuple(ev.omega_after for ev in trace.events)
 
 
 def _draw(rng, pts, taken_x, lo_x, hi_x, lo_y, hi_y):
@@ -133,7 +189,7 @@ def gen_nested(seed: int, inner_n: int, outer_n: int, inner_color: Color) -> Ins
         ang = 2 * math.pi * i / outer_n
         cx, cy = int(1000 * math.cos(ang)), int(1000 * math.sin(ang))
         outer.append(_draw(rng, pts, taken_x, cx - 30, cx + 30, cy - 30, cy + 30))
-    outer_color = inner_color.opposite
+    outer_color = opposite(inner_color)
     raw = [(x, y, inner_color) for x, y in inner]
     raw += [(x, y, outer_color) for x, y in outer]
     raw.sort(key=lambda t: t[2] is not Color.RED)
@@ -177,7 +233,7 @@ def gen_ellipse(seed: int, inner_n: int, outer_n: int, inner_color: Color,
         ang = 2 * math.pi * i / outer_n
         cx, cy = int(ex * math.cos(ang)), int(ey * math.sin(ang))
         outer.append(_draw(rng, pts, taken_x, cx - 20, cx + 20, cy - 20, cy + 20))
-    outer_color = inner_color.opposite
+    outer_color = opposite(inner_color)
     raw = [(x, y, inner_color) for x, y in inner]
     raw += [(x, y, outer_color) for x, y in outer]
     raw.sort(key=lambda t: t[2] is not Color.RED)
@@ -292,7 +348,7 @@ def arc_contains(arc: RotateArc, t: Direction) -> bool:
 
 def line_contains(line: DirectedLine, p) -> bool:
     """Whether the point lies on the line."""
-    return line.side(p) is Side.ON
+    return side(line, p) is Side.ON
 
 
 def linear_evaluate_at(sr, inst: Instance, t: Direction) -> DirectedLine:
@@ -781,7 +837,7 @@ def ranked_plain_winner(inst: Instance) -> Optional[tuple[Color, int]]:
     for rank, color in enumerate((Color.RED, Color.BLUE)):
         m = len(inst.ids_of(color))
         for k in range((m - 1) // 2):
-            if _preserves_delta(color, run_rotation(RotationSpec(color, k), inst).omega_values,
+            if _preserves_delta(color, omega_values(run_rotation(RotationSpec(color, k), inst)),
                                 inst.delta):
                 ranked.append((m - 2 * k - 2, rank, color, k))
     return min(ranked)[2:] if ranked else None

@@ -15,7 +15,6 @@ import support
 from balanced_lines.geometry import (
     Color,
     DirectedLine,
-    Side,
     build_points,
     validate,
 )
@@ -127,8 +126,8 @@ def test_criterion_5_halving(core_pool):
         assert (line.red_id, line.blue_id) in oracle
         seg = DirectedLine.through_points(inst, line.red_id, line.blue_id)
         half = (inst.r + inst.b - 2) // 2
-        left = sum(1 for p in inst.points if seg.side(p) is Side.LEFT)
-        right = sum(1 for p in inst.points if seg.side(p) is Side.RIGHT)
+        left = sum(1 for p in inst.points if support.side(seg, p) is support.Side.LEFT)
+        right = sum(1 for p in inst.points if support.side(seg, p) is support.Side.RIGHT)
         assert left == half and right == half
         checked += 1
     report("5 halving", f"balanced halving line on all {checked} odd-r instances")
@@ -144,8 +143,8 @@ def test_criterion_6_separated_transition_counts():
             for k in range((r + 1) // 2):
                 trace = run_rotation(RotationSpec(Color.RED, k), inst)
                 ts = transitions_at(trace, inst.delta, inst)
-                assert sum(1 for t in ts if t.rising) == 1, (r, b, k)
-                assert sum(1 for t in ts if not t.rising) == 1, (r, b, k)
+                assert sum(1 for t in ts if t.to_omega > t.from_omega) == 1, (r, b, k)
+                assert sum(1 for t in ts if t.to_omega < t.from_omega) == 1, (r, b, k)
                 checked += 1
     report("6 separated-traces",
            f"exactly one rising and one falling transition in {checked} traces")

@@ -110,10 +110,10 @@ def searched(search_log):
     for trace, inst in runs:
         subset = trace.spec.subset
         if isinstance(subset, frozenset):
-            sr = gamma_module.build_shift(inst, trace, _subset_color(trace, inst).opposite)
+            sr = gamma_module.build_shift(inst, trace, support.opposite(_subset_color(trace, inst)))
             if sr is not None:
                 extra.append((sr, inst, "shift"))
-        elif _preserves_delta(subset, trace.omega_values, inst.delta):
+        elif _preserves_delta(subset, support.omega_values(trace), inst.delta):
             extra.append((lift_rotation(trace, subset), inst, "plain"))
     splices = [(sr, inst, "splice") for sr, inst in built]
     return splices + extra, [trace for trace, _ in runs]
@@ -401,8 +401,8 @@ def test_build_shift_matches_scan(search_log):
     shifted = 0
     for trace, inst in search_log[1]:
         color = _subset_color(trace, inst)
-        got = gamma_module.build_shift(inst, trace, color.opposite)
-        assert got == support.linear_build_shift(inst, trace, color.opposite)
+        got = gamma_module.build_shift(inst, trace, support.opposite(color))
+        assert got == support.linear_build_shift(inst, trace, support.opposite(color))
         shifted += got is not None
     assert shifted
 
@@ -494,7 +494,7 @@ def test_curve_assembly_digest(search_log):
     for trace, inst in search_log[1]:
         color = _subset_color(trace, inst)
         curves.append(_pieces_repr(lift_rotation(trace, color), inst))
-        shifted = gamma_module.build_shift(inst, trace, color.opposite)
+        shifted = gamma_module.build_shift(inst, trace, support.opposite(color))
         if shifted is not None:
             curves.append(_pieces_repr(shifted, inst))
     digest = hashlib.sha256("\n".join(curves).encode()).hexdigest()

@@ -18,7 +18,6 @@ from balanced_lines.geometry import (
     Color,
     Direction,
     GuaranteeViolation,
-    Side,
     build_points,
     direction_key_from,
     instance_to_json,
@@ -125,7 +124,7 @@ def test_flank_lines_levels_and_membership(nested_instances):
         if gamma is None:
             continue
         f_ids, h_ids, g_ids = decompose_fhg(inst, gamma)
-        picks = flank_lines(inst, gamma, f_ids, h_ids)
+        picks = flank_lines(inst, gamma, f_ids, h_ids, certificate_module._Steps(inst, gamma))
         assert len(picks) == len(f_ids) + len(h_ids)
         keys = {p.line.key for p in picks}
         assert len(keys) == len(picks)
@@ -136,7 +135,7 @@ def test_flank_lines_levels_and_membership(nested_instances):
             right = sum(
                 1
                 for i in family
-                if snapshot.side(inst.point(i)) is Side.RIGHT
+                if support.side(snapshot, inst.point(i)) is support.Side.RIGHT
             )
             assert right == pick.provenance.level
 
@@ -185,7 +184,7 @@ def test_flank_lines_walks_half_the_levels(monkeypatch, nested_instances, rechar
 
     for inst, gamma, (f_ids, h_ids, g_ids) in cases:
         walks.clear()
-        flank_lines(inst, gamma, f_ids, h_ids)
+        flank_lines(inst, gamma, f_ids, h_ids, certificate_module._Steps(inst, gamma))
         assert sorted((spec.resolve(inst), spec.level) for spec, _ in walks) == walked((f_ids, h_ids))
         assert all(drained for _, drained in walks)
         walks.clear()
@@ -201,7 +200,7 @@ def test_strip_transitions_counts_and_membership(nested_instances):
         if gamma is None:
             continue
         f_ids, h_ids, g_ids = decompose_fhg(inst, gamma)
-        per_level = strip_transitions(inst, gamma, g_ids)
+        per_level = strip_transitions(inst, gamma, g_ids, certificate_module._Steps(inst, gamma))
         assert len(per_level) == (len(g_ids) + 1) // 2
         for level, central in enumerate(per_level):
             assert len(central) >= 2
@@ -221,9 +220,10 @@ def test_recharge_classification(nested_instances):
         f_ids, h_ids, g_ids = decompose_fhg(inst, gamma)
         if not g_ids:
             continue
-        for level, central in enumerate(strip_transitions(inst, gamma, g_ids)):
+        steps = certificate_module._Steps(inst, gamma)
+        for level, central in enumerate(strip_transitions(inst, gamma, g_ids, steps)):
             for t in central:
-                result = recharge(inst, gamma, t, level, f_ids, h_ids, frozenset())
+                result = recharge(inst, gamma, t, level, f_ids, h_ids, frozenset(), steps)
                 crossed = inst.point(t.crossed_id)
                 assert result.line.key in oracle_keys(inst)
                 if crossed.color is gamma.color:

@@ -9,7 +9,6 @@ from balanced_lines import gamma as gamma_module
 from balanced_lines.geometry import Color, GuaranteeViolation, direction_key
 from balanced_lines.generators import gen_random, gen_separated_convex
 from balanced_lines.gamma import (
-    Gamma,
     _outermost_meetings,
     _validated,
     build_splice,
@@ -26,7 +25,6 @@ from balanced_lines.rotation import (
     walk_rotation,
 )
 from balanced_lines.sliding import (
-    NotDeltaPreserving,
     is_delta_preserving_sliding,
     is_positively_oriented,
     lift_rotation,
@@ -87,7 +85,7 @@ def _preserving_levels(inst, color):
     """The levels of the color class whose rotation preserves delta, with their traces."""
     for k in range(len(inst.ids_of(color))):
         trace = run_rotation(RotationSpec(color, k), inst)
-        if _preserves_delta(color, trace.omega_values, inst.delta):
+        if _preserves_delta(color, support.omega_values(trace), inst.delta):
             yield k, trace
 
 
@@ -194,7 +192,7 @@ def test_plain_search_leaves_the_other_colour_unwalked():
         gamma = find_gamma(inst)
         if gamma is None:
             continue
-        ids = set(inst.ids_of(gamma.color.opposite))
+        ids = set(inst.ids_of(support.opposite(gamma.color)))
         assert not ids & set(inst._fence_table)
         searched += 1
         opposite += len(ids)
@@ -358,14 +356,21 @@ def test_decompose_partition(nested_instances):
         assert gamma.waist.line_high.span[0] in h_ids
 
 
-def test_decompose_requires_preserving():
-    inst = gen_random(3, 7, 7, 1000)
-    trace = run_rotation(RotationSpec(Color.RED, 0), inst)
-    sr = lift_rotation(trace, Color.RED)
-    assert not is_delta_preserving_sliding(sr, inst)
-    fake = Gamma(sr, waist(sr, inst), "plain", 0)
-    with pytest.raises(NotDeltaPreserving):
-        decompose_fhg(inst, fake)
+def test_decompose_checks_the_witnesses(nested_instances):
+    """The strip must be exactly the waist witnesses: a Gamma whose witnesses
+    lose a strip point, or gain a flank point, is refused."""
+    checked = 0
+    for inst in nested_instances:
+        gamma = find_gamma(inst)
+        if gamma is None or not gamma.waist.witnesses:
+            continue
+        f_ids, _, g_ids = decompose_fhg(inst, gamma)
+        for witnesses in (gamma.waist.witnesses - {g_ids[0]}, gamma.waist.witnesses | {f_ids[0]}):
+            altered = dataclasses.replace(gamma, waist=dataclasses.replace(gamma.waist, witnesses=witnesses))
+            with pytest.raises(GuaranteeViolation, match="strip set differs from the waist witnesses"):
+                decompose_fhg(inst, altered)
+        checked += 1
+    assert checked
 
 
 def test_transition_low():

@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import support
+
 from balanced_lines.geometry import (
     BoundTooSmall,
     CollinearTriple,
     Color,
     ColorImbalance,
     LabeledPoint,
-    Side,
     instance_from_json,
     instance_to_json,
-    orientation,
     validate,
 )
 from balanced_lines.generators import gen_random, gen_separated_convex
@@ -102,9 +102,9 @@ def test_separated_convex_position():
     pts = sorted(inst.points, key=lambda p: p.x)
     # on a strictly convex curve every consecutive triple turns the same way
     turns = {
-        orientation(pts[i], pts[i + 1], pts[i + 2]) for i in range(len(pts) - 2)
+        support.orientation(pts[i], pts[i + 1], pts[i + 2]) for i in range(len(pts) - 2)
     }
-    assert turns == {Side.LEFT}
+    assert turns == {support.Side.LEFT}
 
 
 def test_separated_rejects_bad_counts():

@@ -16,7 +16,6 @@ from balanced_lines.geometry import (
     KEY_START,
     LabeledPoint,
     SameColorPair,
-    Side,
     ValidationError,
     _MAX_COORD_CHARS,
     _as_exact,
@@ -30,12 +29,9 @@ from balanced_lines.geometry import (
     instance_to_json,
     is_balanced,
     just_after_keys,
-    orientation,
     slope,
     slopes,
-    swap_colors,
     validate,
-    weight,
     VERTICAL,
 )
 from balanced_lines.generators import (
@@ -44,28 +40,29 @@ from balanced_lines.generators import (
     gen_separated_convex,
 )
 from balanced_lines.rotation import End, EventKind, RotationEvent, Transition
+import support
 from support import side_just_after
 
 coords = st.integers(min_value=-1000, max_value=1000)
 
 
 def test_orientation_examples():
-    assert orientation((0, 0), (1, 0), (0, 1)) is Side.LEFT
-    assert orientation((0, 0), (1, 0), (2, 0)) is Side.ON
-    assert orientation((0, 0), (1, 0), (1, -1)) is Side.RIGHT
+    assert support.orientation((0, 0), (1, 0), (0, 1)) is support.Side.LEFT
+    assert support.orientation((0, 0), (1, 0), (2, 0)) is support.Side.ON
+    assert support.orientation((0, 0), (1, 0), (1, -1)) is support.Side.RIGHT
 
 
 @given(coords, coords, coords, coords, coords, coords)
 @settings(max_examples=60)
 def test_orientation_antisymmetric(px, py, qx, qy, sx, sy):
-    a = orientation((px, py), (qx, qy), (sx, sy))
-    b = orientation((px, py), (sx, sy), (qx, qy))
-    assert a is b.flipped
+    a = support.orientation((px, py), (qx, qy), (sx, sy))
+    b = support.orientation((px, py), (sx, sy), (qx, qy))
+    assert a.value == -b.value
 
 
 def test_weights():
-    assert weight(Color.BLUE) == 1
-    assert weight(Color.RED) == -1
+    assert Color.BLUE.weight == 1
+    assert Color.RED.weight == -1
 
 
 def test_validate_minimal():
@@ -92,7 +89,7 @@ def _first_collinear_triple(points):
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if orientation(points[i], points[j], points[k]) is Side.ON:
+                if support.orientation(points[i], points[j], points[k]) is support.Side.ON:
                     return (i, j, k)
     return None
 
@@ -209,11 +206,11 @@ def test_validate_imbalance():
 
 def test_swap_colors_round_trip():
     inst = gen_random(3, 4, 4, 200)
-    swapped = swap_colors(inst)
+    swapped = support.swap_colors(inst)
     assert swapped.r == inst.b and swapped.b == inst.r
-    assert swap_colors(swapped).points == inst.points
+    assert support.swap_colors(swapped).points == inst.points
     with pytest.raises(ColorImbalance):
-        swap_colors(gen_random(3, 2, 4, 200))
+        support.swap_colors(gen_random(3, 2, 4, 200))
 
 
 def test_halfplane_weight_vertical():
@@ -241,7 +238,7 @@ def test_weight_identity_random_lines(seed):
     if a == b:
         b = (b + 1) % inst.n
     line = DirectedLine.through_points(inst, a, b)
-    on_line = sum(p.weight for p in inst.points if line.side(p) is Side.ON)
+    on_line = sum(p.weight for p in inst.points if support.side(line, p) is support.Side.ON)
     total = (
         halfplane_weight(line, inst)
         + halfplane_weight(line.reversed, inst)
@@ -261,7 +258,7 @@ def test_reversal_swaps_sides(seed):
     line = DirectedLine.through_points(inst, a, b)
     rev = line.reversed
     for p in inst.points:
-        assert line.side(p) is rev.side(p).flipped
+        assert support.side(line, p).value == -support.side(rev, p).value
 
 
 @st.composite
@@ -294,8 +291,8 @@ def test_halfplane_weight_matches_side_recount(data):
         DirectedLine.pivot_direction(inst, a, Direction.of(*data.draw(nonzero_vectors))),
     ]
     for line in lines:
-        for side, read in ((Side.RIGHT, line), (Side.LEFT, line.reversed)):
-            recount = sum(p.weight for p in inst.points if line.side(p) is side)
+        for side, read in ((support.Side.RIGHT, line), (support.Side.LEFT, line.reversed)):
+            recount = sum(p.weight for p in inst.points if support.side(line, p) is side)
             assert halfplane_weight(read, inst) == recount
 
 
@@ -321,8 +318,8 @@ def test_rows_and_fence_lines_match_points(data):
         assert type(d) is Direction and math.gcd(d.dx, d.dy) == 1
         assert d.dx * vy == d.dy * vx and d.dx * vx + d.dy * vy > 0
         line = DirectedLine.pivot_direction(inst, q.id, d)
-        for side, read in ((Side.RIGHT, line), (Side.LEFT, line.reversed)):
-            recount = sum(s.weight for s in inst.points if line.side(s) is side)
+        for side, read in ((support.Side.RIGHT, line), (support.Side.LEFT, line.reversed)):
+            recount = sum(s.weight for s in inst.points if support.side(line, s) is side)
             assert halfplane_weight(read, inst) == recount
 
 
@@ -342,7 +339,7 @@ def test_just_after_keys_match_per_point_rule(data):
         keys = just_after_keys(d, inst.points)
         for p in inst.points:
             if p.id != a:
-                right = side_just_after(d, pa.x, pa.y, p.x, p.y) is Side.RIGHT
+                right = side_just_after(d, pa.x, pa.y, p.x, p.y) is support.Side.RIGHT
                 assert (keys[p.id] < keys[a]) == right
 
 
@@ -445,7 +442,7 @@ def _reference_half(base, d):
     c = base.cross(d)
     if c != 0:
         return 1 if c > 0 else 3
-    return 4 if base.dot(d) > 0 else 2
+    return 4 if base.dx * d.dx + base.dy * d.dy > 0 else 2
 
 
 def _reference_before(base, u, v):
@@ -523,6 +520,9 @@ def test_direction_between():
     assert u.cross(w) > 0
     far = direction_between(Direction.of(0, 1), Direction.of(1, 0))
     assert direction_key_from(u, far) < direction_key_from(u, Direction.of(1, 0))
+    for d in (u, v, Direction.of(3, -2)):
+        with pytest.raises(ValueError, match="empty arc"):
+            direction_between(d, d)
 
 
 def test_instance_json_round_trip():

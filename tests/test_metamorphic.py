@@ -17,7 +17,7 @@ import pytest
 import support
 
 from balanced_lines.certificate import verify_lower_bound
-from balanced_lines.geometry import Color, build_points, swap_colors, validate
+from balanced_lines.geometry import Color, build_points, validate
 from balanced_lines.generators import gen_random
 from balanced_lines.oracle import BalancedLine, enumerate_naive, enumerate_sweep
 
@@ -69,7 +69,7 @@ def _equal_classes(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_color_swap_reverses_every_key(seed):
     inst = _equal_classes(seed)
-    swapped = swap_colors(inst)
+    swapped = support.swap_colors(inst)
     for enumerate_lines in (enumerate_naive, enumerate_sweep):
         lines = _keys(enumerate_lines(inst))
         assert _keys(enumerate_lines(swapped)) == {(blue, red) for red, blue in lines}

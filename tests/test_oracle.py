@@ -11,10 +11,8 @@ from balanced_lines.geometry import (
     Color,
     GuaranteeViolation,
     Instance,
-    Side,
     build_points,
     is_balanced,
-    swap_colors,
     validate,
 )
 from balanced_lines.generators import gen_random, gen_separated_convex
@@ -87,7 +85,7 @@ def test_specific_seeded_equality():
 
 def test_color_swap_symmetry_when_delta_zero():
     inst = gen_random(23, 5, 5, 1000)
-    swapped = swap_colors(inst)
+    swapped = support.swap_colors(inst)
     pairs = {frozenset(k) for k in keys(enumerate_naive(inst))}
     pairs_swapped = {frozenset(k) for k in keys(enumerate_naive(swapped))}
     assert pairs == pairs_swapped
@@ -99,7 +97,7 @@ def test_halving_line_exists_for_odd_r():
     found = False
     for line in enumerate_naive(inst):
         seg = DirectedLine.through_points(inst, line.red_id, line.blue_id)
-        left = sum(1 for p in inst.points if seg.side(p) is Side.LEFT)
+        left = sum(1 for p in inst.points if support.side(seg, p) is support.Side.LEFT)
         if left == half:
             found = True
             break
@@ -192,7 +190,7 @@ def test_left_guard_rejects_a_wrong_delta():
 
     def right_weight(rid, bid):
         line = DirectedLine.through_points(inst, rid, bid)
-        return sum(p.weight for p in inst.points if line.side(p) is Side.RIGHT)
+        return sum(p.weight for p in inst.points if support.side(line, p) is support.Side.RIGHT)
 
     assert any(right_weight(rid, bid) == wrong.delta
                for rid in inst.red_ids for bid in inst.blue_ids)

@@ -12,7 +12,6 @@ from balanced_lines.geometry import (
     Color,
     DirectedLine,
     Direction,
-    Side,
     direction_key,
     direction_of,
     halfplane_weight,
@@ -76,7 +75,7 @@ def test_recount_and_level_invariant(seed):
         line = DirectedLine.pivot_direction(inst, pivot, d)
         assert halfplane_weight(line, inst) == omega
         right = sum(
-            1 for i in ids if i != pivot and line.side(inst.point(i)) is Side.RIGHT
+            1 for i in ids if i != pivot and support.side(line, inst.point(i)) is support.Side.RIGHT
         )
         assert right == k
 
@@ -99,7 +98,7 @@ def test_transitions_all_balanced_and_in_oracle(small_random_pool):
                 assert t.is_balanced
                 assert inst.point(t.crossed_id).color is Color.BLUE
                 assert (t.pivot_id, t.crossed_id) in oracle
-                assert (t.end is End.HEAD) == t.rising
+                assert (t.end is End.HEAD) == (t.to_omega > t.from_omega)
         for k in range(inst.b):
             trace = run_rotation(RotationSpec(Color.BLUE, k), inst)
             for t in transitions_at(trace, inst.delta - 1, inst):
@@ -113,7 +112,7 @@ def test_transitions_empty_for_flat_profile():
     # delta + 1 on heavily blue instances
     inst = gen_random(3, 1, 9, 1000)
     trace = run_rotation(RotationSpec(Color.BLUE, 0), inst)
-    assert max(trace.omega_values) < inst.delta
+    assert max(support.omega_values(trace)) < inst.delta
     assert transitions_at(trace, inst.delta, inst) == []
 
 
@@ -173,8 +172,8 @@ def test_separated_rotation_not_preserving():
     trace = run_rotation(RotationSpec(Color.RED, 0), inst)
     assert not is_delta_preserving(trace, inst)
     ts = transitions_at(trace, inst.delta, inst)
-    assert len([t for t in ts if t.rising]) == 1
-    assert len([t for t in ts if not t.rising]) == 1
+    assert len([t for t in ts if t.to_omega > t.from_omega]) == 1
+    assert len([t for t in ts if t.to_omega < t.from_omega]) == 1
 
 
 def test_separated_each_level_one_up_one_down(separated_instances):
@@ -182,8 +181,8 @@ def test_separated_each_level_one_up_one_down(separated_instances):
         for k in range((inst.r + 1) // 2):
             trace = run_rotation(RotationSpec(Color.RED, k), inst)
             ts = transitions_at(trace, inst.delta, inst)
-            assert sum(1 for t in ts if t.rising) == 1
-            assert sum(1 for t in ts if not t.rising) == 1
+            assert sum(1 for t in ts if t.to_omega > t.from_omega) == 1
+            assert sum(1 for t in ts if t.to_omega < t.from_omega) == 1
 
 
 def test_preserving_when_weight_stays_low():
@@ -202,8 +201,8 @@ def test_find_balanced_halving():
         assert (line.red_id, line.blue_id) in oracle
         seg = DirectedLine.through_points(inst, line.red_id, line.blue_id)
         half = (inst.n - 2) // 2
-        left = sum(1 for p in inst.points if seg.side(p) is Side.LEFT)
-        right = sum(1 for p in inst.points if seg.side(p) is Side.RIGHT)
+        left = sum(1 for p in inst.points if support.side(seg, p) is support.Side.LEFT)
+        right = sum(1 for p in inst.points if support.side(seg, p) is support.Side.RIGHT)
         assert (left, right) == (half, half)
 
 
@@ -224,7 +223,8 @@ def _omega_after(trace):
     """The trace's weight just past a direction: after its last event at or before it."""
     start = trace.start_direction
     keys = [direction_key(start, ev.direction) for ev in trace.events]
-    return lambda d: trace.omega_values[bisect_right(keys, direction_key(start, d))]
+    omegas = support.omega_values(trace)
+    return lambda d: omegas[bisect_right(keys, direction_key(start, d))]
 
 
 def test_red_and_blue_levels_cross_delta_together(

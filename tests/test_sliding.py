@@ -6,7 +6,6 @@ from balanced_lines.geometry import (
     Color,
     DirectedLine,
     Direction,
-    Side,
     VERTICAL,
     build_points,
     halfplane_weight,
@@ -52,8 +51,8 @@ def test_profile_matches_trace_and_recount():
         sr = lift_rotation(trace, color)
         prof = sliding_profile(sr, inst)
         omegas = [w for _, w in prof]
-        assert min(omegas) == min(trace.omega_values)
-        assert max(omegas) == max(trace.omega_values)
+        assert min(omegas) == min(support.omega_values(trace))
+        assert max(omegas) == max(support.omega_values(trace))
         for line, w in prof:
             assert halfplane_weight(line, inst) == w
 
@@ -68,7 +67,7 @@ def test_evaluate_at_plain_rotation():
         right = sum(
             1
             for i in inst.red_ids
-            if i != pivot and line.side(inst.point(i)) is Side.RIGHT
+            if i != pivot and support.side(line, inst.point(i)) is support.Side.RIGHT
         )
         assert right == 1
 
@@ -143,9 +142,9 @@ def test_sliding_preserving_matches_trace_condition():
                 trace = run_rotation(RotationSpec(color, k), inst)
                 sr = lift_rotation(trace, color)
                 expected = (
-                    max(trace.omega_values) <= inst.delta
+                    max(support.omega_values(trace)) <= inst.delta
                     if color is Color.RED
-                    else min(trace.omega_values) >= inst.delta
+                    else min(support.omega_values(trace)) >= inst.delta
                 )
                 assert is_delta_preserving_sliding(sr, inst) == expected
 

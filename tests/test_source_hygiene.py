@@ -13,7 +13,10 @@ never reads those two: it keeps no state between instances.  Outside the SVG
 renderer the package computes exactly: no float literal, no ``float(``
 call and nothing from ``math`` but ``gcd``.  Every module-level function,
 class and constant of the package is read somewhere in ``src/``, ``tests/``
-or ``perfbench/``, so dead definitions do not accumulate either.  The two
+or ``perfbench/``, so dead definitions do not accumulate either; and every
+public function, class and method is read outside the tests, in ``src/``,
+``perfbench/`` or README's code, so no public name serves the tests alone.
+README's ``python`` quick tour, which keeps names alive, is run.  The two
 independent checkers, ``geometry.is_balanced`` and ``oracle.enumerate_naive``,
 load nothing of the angular machinery the construction is built from, so a
 fault there cannot hide behind the check meant to catch it.  No handler
@@ -28,6 +31,7 @@ every call in the package: a knob with one setting belongs in the body.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -347,7 +351,7 @@ def test_no_single_value_parameters():
             for p in params:
                 spelled = _fixed(given[p.arg], enums) if p.arg in given else None
                 values.setdefault(p.arg, []).append(spelled)
-    assert {"Color", "Side"} <= enums and "halfplane_weight" in passed  # the check still reads
+    assert {"Color", "End"} <= enums and "halfplane_weight" in passed  # the check still reads
     problems = [
         f"{name}({param}): every call passes {spelled[0]}"
         for name, values in sorted(passed.items()) if name not in opaque
@@ -355,3 +359,71 @@ def test_no_single_value_parameters():
         if spelled[0] is not None and len(set(spelled)) == 1
     ]
     assert not problems, "\n".join(problems)
+
+
+def _public_definitions(path: Path) -> dict[str, int]:
+    """The public functions and classes of a module and the public methods of its classes.
+
+    Qualified names (``Direction.offset``) with their lines; dunders and
+    ``_`` names are left out, and so are the members of a ``_`` class.
+    """
+    found = {}
+
+    def visit(body, scope):
+        for node in body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                found[".".join(scope + (node.name,))] = node.lineno
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, scope + (node.name,))
+
+    visit(ast.parse(path.read_text(), filename=str(path)).body, ())
+    return found
+
+
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+FENCED = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+
+
+def _readme_names() -> set[str]:
+    """The identifiers README spells in code: fenced blocks and inline code spans."""
+    text = (ROOT / "README.md").read_text()
+    code = FENCED.findall(text) + re.findall(r"`([^`\n]+)`", FENCED.sub("", text))
+    return {name for span in code for name in IDENTIFIER.findall(span)}
+
+
+def _perfbench_strings(path: Path) -> set[str]:
+    """The identifiers in the file's string constants (``spans.LAYERS`` names functions so)."""
+    return {name for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for name in IDENTIFIER.findall(node.value)}
+
+
+def test_every_public_name_has_a_reader():
+    """Each public function, class and method is read outside the tests.
+
+    A reader is a load in ``src/`` or in ``perfbench/`` (not its frozen
+    ``reference`` copy), an identifier in a string constant of
+    ``perfbench/``, or a mention in README's code.  A name only the tests
+    call belongs in ``tests/support.py``; ``__init__``'s re-exports load
+    nothing, so they keep no name alive.
+    """
+    bench = [path for path in (ROOT / "perfbench").rglob("*.py")
+             if "reference" not in path.relative_to(ROOT).parts]
+    read = set().union(*map(_read_names, list(PACKAGE.glob("*.py")) + bench),
+                       *map(_perfbench_strings, bench), _readme_names())
+    problems = [
+        f"{path.name}:{line}: {name} has no reader outside the tests"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in _public_definitions(path).items()
+        if name.rsplit(".", 1)[-1] not in read
+    ]
+    assert bench and {"count_balanced", "rank", "build_shift"} <= read  # the check still reads
+    assert not problems, "\n".join(problems)
+
+
+def test_readme_quick_tour_runs():
+    """README's ``python`` block runs as written, with its own asserts."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
