@@ -15,6 +15,7 @@ from .geometry import (
     ColorImbalance,
     Instance,
     LabeledPoint,
+    slope,
     slopes,
     validate,
 )
@@ -80,10 +81,13 @@ def _completes_collinear_triple(accepted: list[tuple[int, int]], x: int, y: int)
     """Whether (x, y) lies on a line through two accepted points.
 
     The candidate's abscissa is unused, so two accepted points are collinear
-    with it exactly when they share a slope as seen from it: the ``slopes``
-    from the candidate, hashed in a set, count fewer than the points.
+    with it exactly when they share a slope as seen from it.  The slope
+    prefixes from the candidate (``slopes``), hashed in a set, decide when
+    they are all distinct; only when two prefixes tie are the exact
+    ``slope`` keys counted instead.
     """
-    return len(set(slopes(x, y, accepted))) < len(accepted)
+    return (len(set(slopes(x, y, accepted))) < len(accepted)
+            and len({slope(ax - x, ay - y) for ax, ay in accepted}) < len(accepted))
 
 
 def gen_separated_convex(r: int, b: int) -> Instance:

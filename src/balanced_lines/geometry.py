@@ -7,7 +7,9 @@ are exact. Floating point appears nowhere below the SVG rendering layer
 and ``math`` imports other than ``gcd`` in every other module).  Angular
 sort keys (``direction_key``) lead with an integer prefix of the exact
 quotient, so comparing them is integer work in C; the exact ``Ratio``
-decides only between keys whose prefixes tie.
+decides only between keys whose prefixes tie.  Slopes are compared the
+same way: ``slopes`` gives their 64-bit prefixes, and the exact ``slope``
+is asked only where two prefixes tie.
 
 The value records of the rotation path, ``Direction``, ``DirectedLine``,
 ``rotation.RotationEvent`` and ``rotation.Transition``, are tuples
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -99,13 +101,18 @@ class Color(Enum):
         return 1 if self is Color.BLUE else -1
 
 
+_PREFIX_BITS = 64
+_PREFIX_SCALE = 1 << _PREFIX_BITS
+
+
 def slope(dx: Coord, dy: Coord) -> tuple[int, int]:
     """Canonical slope of a non-vertical vector, as a hashable key.
 
     The reduced quotient dy/dx as (numerator, denominator) with a positive
     denominator: two vectors share a slope exactly when they are parallel,
     whichever their signs, and int and Fraction inputs give equal keys.
-    The per-pair definition; ``slopes`` computes it for many pairs at once.
+    The exact per-pair definition: ``slopes`` gives only the 64-bit prefix
+    of many slopes at once, and its readers ask this where prefixes tie.
     """
     if isinstance(dx, int) and isinstance(dy, int):
         if dx < 0:
@@ -116,26 +123,20 @@ def slope(dx: Coord, dy: Coord) -> tuple[int, int]:
     return q.numerator, q.denominator
 
 
-def slopes(px: Coord, py: Coord, points: Sequence[tuple[Coord, Coord]]) -> list[tuple[int, int]]:
-    """``slope`` from (px, py) to each of the ``(x, y)`` points, in order.
+def slopes(px: Coord, py: Coord, points: Iterable[tuple[Coord, Coord]]) -> list[int]:
+    """The 64-bit prefix of the slope from (px, py) to each of the ``(x, y)`` points.
 
     The one batched slope loop of the package: ``Instance.fence_rows``,
-    ``validate`` and ``gen_random`` read it.  Integer differences are
-    reduced inline, by ``gcd`` and floor division (the gcd negated when
-    dx < 0, so the denominator stays positive), with no call per pair.  A
-    difference with a Fraction in it is a Fraction, which ``gcd`` rejects
-    with TypeError; then every pair goes through ``slope``.  No point may
-    share the abscissa px.
+    ``validate`` and ``gen_random`` read it.  The prefix of a slope dy/dx
+    is ``floor(2**64 * dy / dx)``, computed as ``(dy * 2**64) // dx``: one
+    exact floor division, the same formula for int and Fraction
+    differences, with no ``gcd`` and no tuple per pair.  A floor is
+    monotone, so the prefixes order the slopes, and parallel vectors get
+    equal prefixes: distinct prefixes prove distinct slopes, and only
+    pairs whose prefixes tie need the exact ``slope`` to tell them apart
+    or to order them.  No point may share the abscissa px.
     """
-    out = []
-    try:
-        for x, y in points:
-            dx, dy = x - px, y - py
-            g = -gcd(dx, dy) if dx < 0 else gcd(dx, dy)
-            out.append((dy // g, dx // g))
-    except TypeError:
-        return [slope(x - px, y - py) for x, y in points]
-    return out
+    return [((y - py) * _PREFIX_SCALE) // (x - px) for x, y in points]
 
 
 _MAX_COORD_CHARS = 1000
@@ -311,7 +312,6 @@ _RATIO_ZERO = Ratio(0, 1)
 KEY_START = (0, 0, _RATIO_ZERO)  # before everything: the base itself, walks that begin there
 _KEY_ANTIPODE = (2, 0, _RATIO_ZERO)
 _KEY_BASE = (4, 0, _RATIO_ZERO)
-_PREFIX_BITS = 64
 
 
 def direction_key(base: Direction, d: Direction) -> tuple:
@@ -483,32 +483,44 @@ class Instance:
     def ws(self) -> tuple[int, ...]:
         return tuple(p.color.weight for p in self.points)
 
-    def fence_rows(self, pid: int) -> list[tuple[int, Ratio, int, int, int, bool]]:
+    def fence_rows(self, pid: int) -> list[tuple[int, int, bool]]:
         """One row per other point, in the angular order about the point ``pid``.
 
         No two points share an abscissa, so no fence is vertical, and the
-        two fences of another point lie on the line of slope ``num/den``
-        (``slopes``, ``den > 0``).  The row ``(prefix, Ratio(num, den),
-        other, num, den, right)`` carries ``prefix = (num << 64) // den``
-        and whether the other point lies right of ``pid`` (``x > qx``).
-        The rows are sorted once, in O(n log n), by the ``direction_key``
-        order of a half turn: their directions ``(-den, -num)`` are the
-        half-1 fences (``fences``), from just past vertical to just before
-        its antipode, and each line through ``pid`` and another point is
-        crossed there exactly once, toward the other point exactly when it
-        is not ``right``.  Built anew on each call and kept nowhere: a
-        caller that reads a point's order once (the sweep enumerator)
-        leaves nothing on the instance.
+        two fences of another point lie on the line through it and ``pid``.
+        The row ``(prefix, other, right)`` carries that line's slope prefix
+        (``slopes``) and whether the other point lies right of ``pid``
+        (``x > qx``).  The rows are sorted once, in O(n log n), by slope,
+        which is the ``direction_key`` order of a half turn: the half-1
+        fences (``fences``), from just past vertical to just before its
+        antipode, where each line through ``pid`` and another point is
+        crossed exactly once, toward the other point exactly when it is not
+        ``right``.  The prefix orders the rows; only a run of rows whose
+        prefixes tie, which random instances almost never have, is put in
+        exact order by a ``Ratio`` of each row's ``slope``.  No row is
+        reduced.  Built anew on each call and kept nowhere: a caller that
+        reads a point's order once (the sweep enumerator) leaves nothing on
+        the instance.
         """
         xs, ys = self.xs, self.ys
-        qx = xs[pid]
-        pts = list(zip(xs, ys))
-        del pts[pid]
-        others = chain(range(pid), range(pid + 1, len(xs)))
-        return sorted([
-            ((num << _PREFIX_BITS) // den, Ratio(num, den), other, num, den, x > qx)
-            for other, (x, _), (num, den) in zip(others, pts, slopes(qx, ys[pid], pts))
-        ])
+        qx, qy = xs[pid], ys[pid]
+        oxs = xs[:pid] + xs[pid + 1:]
+        prefixes = slopes(qx, qy, zip(oxs, ys[:pid] + ys[pid + 1:]))
+        rows = sorted(zip(prefixes, chain(range(pid), range(pid + 1, len(xs))),
+                          [x > qx for x in oxs]))
+        if len(set(prefixes)) == len(rows):
+            return rows
+
+        def exact(row):
+            return Ratio(*slope(xs[row[1]] - qx, ys[row[1]] - qy))
+
+        ordered = []
+        for _, run in groupby(rows, key=itemgetter(0)):
+            run = list(run)
+            if len(run) > 1:
+                run.sort(key=exact)
+            ordered += run
+        return ordered
 
     @cached_property
     def _fence_table(self) -> dict[int, tuple[tuple[tuple, Direction, int, bool], ...]]:
@@ -528,21 +540,32 @@ class Instance:
         rotations and sliding profiles, which come back to a pivot many
         times, build only the pivots they visit.
 
-        Built from ``fence_rows``: the row of slope ``num/den`` gives the
-        direction ``(-den, -num)``, key ``(1, prefix, Ratio(num, den))``,
-        and ``(den, num)``, key ``(3, prefix, Ratio(num, den))``; the head
-        is the one that points toward the other point.  So the rows, in
-        order, give the half-1 entries, then the half-3 entries.
+        Built from ``fence_rows``, in its order (by slope prefix, exact on a
+        tie), and the only place that reduces a row:
+        the vector to the other point, divided by its ``gcd`` (``slope``
+        when a Fraction is in it), is the slope ``num/den`` with ``den > 0``
+        and gives the primitive direction ``(-den, -num)``, key ``(1,
+        prefix, Ratio(num, den))``, and ``(den, num)``, key ``(3, prefix,
+        Ratio(num, den))``; the head is the one that points toward the other
+        point.  So the rows, in order, give the half-1 entries, then the
+        half-3 entries.
         """
         table = self._fence_table
         if pid not in table:
-            rows = self.fence_rows(pid)
-            table[pid] = tuple(
-                [((1, prefix, ratio), _new(Direction, (-den, -num)), other, not right)
-                 for prefix, ratio, other, num, den, right in rows]
-                + [((3, prefix, ratio), _new(Direction, (den, num)), other, right)
-                   for prefix, ratio, other, num, den, right in rows]
-            )
+            xs, ys = self.xs, self.ys
+            qx, qy = xs[pid], ys[pid]
+            heads, tails = [], []
+            for prefix, other, right in self.fence_rows(pid):
+                dx, dy = xs[other] - qx, ys[other] - qy
+                try:
+                    g = gcd(dx, dy) if right else -gcd(dx, dy)
+                    num, den = dy // g, dx // g
+                except TypeError:  # a Fraction difference, which ``gcd`` rejects
+                    num, den = slope(dx, dy)
+                ratio = Ratio(num, den)
+                heads.append(((1, prefix, ratio), _new(Direction, (-den, -num)), other, not right))
+                tails.append(((3, prefix, ratio), _new(Direction, (den, num)), other, right))
+            table[pid] = tuple(heads + tails)
         return table[pid]
 
     @cached_property
@@ -622,12 +645,13 @@ def validate(points: Sequence[LabeledPoint]) -> Instance:
     offending points; ids must equal list positions and every coordinate
     must be an int or a Fraction (``build_points`` coerces strings), else
     ValidationError.  General position is checked in id order: two later
-    points lie on one line with a point exactly when its ``slopes`` to them
-    are equal (``slope`` is sign-free), so every triple is seen from its
-    lowest id, and the distinct slopes of each row are counted in a set, in
-    O(n^2) expected time.  The first row that falls short is grouped by
-    slope, in the order of the later points, to name the lexicographically
-    first collinear triple.
+    points lie on one line with a point exactly when its slopes to them are
+    equal (``slope`` is sign-free), so every triple is seen from its lowest
+    id.  The distinct slope prefixes of each row (``slopes``) are counted in
+    a set, in O(n^2) expected time: when none tie, the slopes are distinct.
+    Only a row whose prefixes tie is grouped by exact ``slope``, in the
+    order of the later points; a collinear triple names the
+    lexicographically first one, and a tie of distinct slopes passes.
     """
     if not points:
         raise ValidationError("instance must contain at least one point")
@@ -647,11 +671,12 @@ def validate(points: Sequence[LabeledPoint]) -> Instance:
         by_x[p.x] = p.id
     coords = [(p.x, p.y) for p in points]
     for i, (x, y) in enumerate(coords):
-        row = slopes(x, y, coords[i + 1:])
+        later = coords[i + 1:]
+        row = slopes(x, y, later)
         if len(set(row)) < len(row):
             groups: dict[tuple[int, int], list[int]] = {}
-            for j, s in enumerate(row, i + 1):
-                groups.setdefault(s, []).append(j)
+            for j, (lx, ly) in enumerate(later, i + 1):
+                groups.setdefault(slope(lx - x, ly - y), []).append(j)
             for g in groups.values():
                 if len(g) > 1:
                     raise CollinearTriple((i, g[0], g[1]))

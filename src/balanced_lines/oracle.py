@@ -5,8 +5,10 @@ point, and an n^2 log n angular sweep around each red point.  The two must
 agree on every instance.  The sweep walks the same per-point angular order
 as the rotations and sliding profiles, over half a turn, from the sorted
 rows (``Instance.fence_rows``) that ``Instance.fences`` is built from, and
-keeps none of it on the instance; the naive check shares nothing with
-that order and cross-checks the sweep.  It packs
+keeps none of it on the instance.  Those rows are ordered by the 64-bit
+integer prefix of each slope, exactly on a tie (a ``Ratio`` only for runs
+of tied prefixes), and never reduced to a direction.  The naive check
+shares nothing with that order and cross-checks the sweep.  It packs
 every point into one fixed-width lane of a big integer, wide enough for any
 cross product inside the instance's bounding box, so one pair's side counts
 are a few big-integer operations and two popcounts, not a loop over points.
@@ -112,8 +114,10 @@ def enumerate_sweep(inst: Instance) -> set[BalancedLine]:
     another point; between them the right-halfplane weight is constant.
     The line starts just past vertical and turns counterclockwise to just
     before the antipode, so it meets each other point once, in the order
-    of p's rows (``Instance.fence_rows``): ahead of p (at the head) when
-    that point is not ``right`` of p, behind it otherwise.  A point met at
+    of p's rows (``Instance.fence_rows``: sorted on the slope prefix, exact
+    on a tie, and not reduced, so the sweep builds no ``Direction`` and no
+    ``Ratio`` where no prefixes tie): ahead of p (at the head) when that
+    point is not ``right`` of p, behind it otherwise.  A point met at
     the head joins the right side as the line passes it, one behind leaves
     it.  A blue point crossed while the right weight at that instant
     equals delta spans a balanced line with the anchor (the rule
@@ -136,7 +140,7 @@ def enumerate_sweep(inst: Instance) -> set[BalancedLine]:
         key_a = keys[rid]
         w = sum([wp for wp, key in zip(weights, keys) if key < key_a])
         w0 = w
-        for _, _, pid, _, _, right in inst.fence_rows(rid):
+        for _, pid, right in inst.fence_rows(rid):
             wp = weights[pid]
             if right:
                 w -= wp

@@ -102,21 +102,27 @@ class SlidingRotation:
     def keys(self) -> tuple[tuple, ...]:
         """The anchors' ``direction_key`` from the start direction, ``KEY_START`` first.
 
-        Raises InvalidCurve unless there are at least two anchors and the
-        keys increase strictly, so that the arcs turn exactly once.
+        The first anchor's key is read as ``KEY_START``: every other key
+        sorts after it.  Raises InvalidCurve unless there are at least two
+        anchors and the keys increase strictly, with none at half 4 (the
+        start direction itself), so that the arcs turn exactly once.
         """
         if len(self.anchors) < 2:
             raise InvalidCurve("a curve needs at least two anchors")
         start = self.start_direction
-        keys = tuple(KEY_START if d == start else direction_key(start, d) for d, _ in self.anchors)
-        if not all(a < b for a, b in zip(keys, keys[1:])):
+        keys = (KEY_START, *[direction_key(start, d) for d, _ in self.anchors[1:]])
+        if keys[-1][0] == 4 or not all(a < b for a, b in zip(keys, keys[1:])):
             raise InvalidCurve("anchors do not advance through exactly one turn")
         return keys
 
     def arc_at(self, t: Direction) -> int:
-        """The position of the anchor whose arc holds t: the last one at or before t."""
-        start = self.start_direction
-        return bisect_right(self.keys, KEY_START if t == start else direction_key(start, t)) - 1
+        """The position of the anchor whose arc holds t: the last one at or before t.
+
+        The start direction's key is at half 4, where it sorts last; it is
+        read as ``KEY_START``, the first arc's start.
+        """
+        k = direction_key(self.start_direction, t)
+        return bisect_right(self.keys, KEY_START if k[0] == 4 else k) - 1
 
 
 def lift_rotation(trace: RotationTrace, subset_color: Color) -> SlidingRotation:

@@ -67,8 +67,10 @@ import pytest
 
 from balanced_lines import gamma
 from balanced_lines.geometry import (
+    CollinearTriple,
     Color,
     DirectedLine,
+    DuplicateAbscissa,
     Direction,
     Instance,
     LabeledPoint,
@@ -238,6 +240,29 @@ def gen_ellipse(seed: int, inner_n: int, outer_n: int, inner_color: Color,
     raw += [(x, y, outer_color) for x, y in outer]
     raw.sort(key=lambda t: t[2] is not Color.RED)
     return validate(build_points(raw))
+
+
+def gen_tie_dense(seed: int, r: int, b: int) -> Instance:
+    """Grid points blown up past 2**64 and nudged off their grid lines.
+
+    Each point is ``(gx * 2**100 + ex, gy * 2**100 + ey)`` for a distinct
+    cell ``(gx, gy)`` of a 12 x 12 grid and nudges ``0 <= ex, ey < 2**16``.
+    Seen from one point, the others on a grid line through its cell, of
+    slope s, lie at slopes within about 2**-80 of s, so their 64-bit slope
+    prefixes tie (unless 2**64 * s is whole and a nudge takes one just
+    below it), while the nudges keep the slopes, and so general position,
+    apart.  A draw that leaves a triple collinear or repeats an abscissa is
+    drawn again.
+    """
+    rng = random.Random(seed)
+    cells = rng.sample([(gx, gy) for gx in range(12) for gy in range(12)], r + b)
+    while True:
+        raw = [(gx * 2**100 + rng.randrange(2**16), gy * 2**100 + rng.randrange(2**16),
+                Color.RED if i < r else Color.BLUE) for i, (gx, gy) in enumerate(cells)]
+        try:
+            return validate(build_points(raw))
+        except (CollinearTriple, DuplicateAbscissa):
+            continue
 
 
 def recharge_pool() -> list[Instance]:

@@ -4,7 +4,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from balanced_lines.geometry import (
     CollinearTriple,
@@ -169,11 +169,16 @@ def test_slope_equal_exactly_when_parallel(u, v):
 @given(st.data())
 @settings(max_examples=300)
 def test_slopes_match_slope(data):
-    """The batched loop gives ``slope`` of every difference, on ints, Fractions and both."""
+    """The batched loop gives the 64-bit prefix of ``slope`` of every difference,
+    on ints, Fractions and both."""
     coord = data.draw(st.sampled_from([coords, small_fractions, st.one_of(coords, small_fractions)]))
     px, py = data.draw(coord), data.draw(coord)
     points = data.draw(st.lists(st.tuples(coord.filter(lambda x: x != px), coord), max_size=12))
-    assert slopes(px, py, points) == [slope(x - px, y - py) for x, y in points]
+    expected = []
+    for x, y in points:
+        num, den = slope(x - px, y - py)
+        expected.append((num << 64) // den)
+    assert slopes(px, py, points) == expected
 
 
 def test_validate_large_coordinates_reports_first_triple():
@@ -189,6 +194,114 @@ def test_validate_large_coordinates_reports_first_triple():
     assert str(err.value) == "points (0, 2, 4) are collinear"
     by_x = sorted(points, key=lambda p: p.x)
     assert {by_x[i].id for i in _first_collinear_triple(by_x)} == {1, 3, 5}
+
+
+TIE = 1 << 66  # slopes b/a + e/(a*k) with k >= TIE and |e| <= 2 share b/a's 64-bit prefix, or miss it by one
+
+
+@st.composite
+def prefix_tie_points(draw, nudge=st.integers(-2, 2)):
+    """Points around a base point, many of whose slopes from it share a 64-bit prefix.
+
+    The base ``(px, py)`` (up to 2**80) is first in the list and the rest
+    are ``(px + a*k, py + b*k + e)``: a small direction ``(a, b)`` from a
+    pool of at most three, a scale ``k`` in [TIE, 4*TIE] and a nudge ``e``.
+    Points of one direction see the base at slopes within ``2/TIE`` of
+    ``b/a``, so their prefixes tie (or differ by one) while their slopes
+    mostly differ; two with ``e == 0`` lie on one line with the base.  All
+    coordinates may go over one denominator, so the Fraction path runs too
+    (a Fraction that is a whole number stays an int, as ``build_points``
+    leaves it).  Abscissae are distinct; the base's id is drawn.
+    """
+    px, py = draw(st.integers(-2**80, 2**80)), draw(st.integers(-2**80, 2**80))
+    pool = draw(st.lists(st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(-3, 3)),
+                         min_size=1, max_size=3))
+    pts = [(px, py)]
+    for _ in range(draw(st.integers(2, 8))):
+        a, b = draw(st.sampled_from(pool))
+        k = draw(st.integers(TIE, 4 * TIE))
+        pts.append((px + a * k, py + b * k + draw(nudge)))
+    den = draw(st.sampled_from([1, 1, 3, 7, (1 << 70) + 1]))
+    pts = [(Fraction(x, den), Fraction(y, den)) for x, y in pts]
+    assume(len({x for x, _ in pts}) == len(pts))
+    order = draw(st.permutations(range(len(pts))))
+    colors = draw(st.lists(st.sampled_from(Color), min_size=len(pts), max_size=len(pts)))
+    return build_points((*pts[i], c) for i, c in zip(order, colors))
+
+
+big_coords = st.one_of(st.integers(-2**80, 2**80),
+                       st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**40)))
+
+
+@given(big_coords, big_coords, st.lists(st.tuples(big_coords, big_coords), max_size=10))
+@settings(max_examples=200)
+def test_slopes_are_floors_of_the_exact_slopes(px, py, points):
+    """Each prefix is floor(2**64 * dy / dx), on ints up to 2**80 and Fractions."""
+    points = [(x, y) for x, y in points if x != px]
+    assert slopes(px, py, points) == [math.floor(Fraction(y - py) / (x - px) * 2**64)
+                                      for x, y in points]
+
+
+@given(prefix_tie_points(nudge=st.sampled_from([-2, -1, 1, 2])))
+@settings(max_examples=150, deadline=None)
+def test_fence_rows_follow_the_exact_slope_order(points):
+    """Rows come in the order of ``Fraction(dy, dx)``, with the right prefix and side."""
+    points = [LabeledPoint(p.id, p.x, p.y, Color.RED if p.id % 2 else Color.BLUE)
+              for p in points[:len(points) // 2 * 2]]
+    try:
+        inst = validate(points)
+    except CollinearTriple:
+        assume(False)
+    tied = False
+    for q in inst.points:
+        others = [p for p in inst.points if p.id != q.id]
+        exact = sorted(others, key=lambda p: Fraction(p.y - q.y) / (p.x - q.x))
+        rows = inst.fence_rows(q.id)
+        assert [other for _, other, _ in rows] == [p.id for p in exact]
+        assert [(prefix, right) for prefix, _, right in rows] == [
+            (math.floor(Fraction(p.y - q.y) / (p.x - q.x) * 2**64), p.x > q.x) for p in exact]
+        tied |= len({prefix for prefix, _, _ in rows}) < len(rows)
+    event("prefixes tie" if tied else "no tie")
+
+
+@given(prefix_tie_points())
+@settings(max_examples=300, deadline=None)
+def test_validate_matches_cubic_scan_on_prefix_ties(points):
+    """Accepts exactly the inputs in general position and names the first triple."""
+    triple = _first_collinear_triple(points)
+    assert _reported_collinear_triple(points) == triple
+    event("collinear" if triple else "general position")
+
+
+@given(prefix_tie_points())
+@settings(max_examples=300, deadline=None)
+def test_completes_collinear_triple_matches_pairwise_on_prefix_ties(points):
+    (x, y), *accepted = [(p.x, p.y) for p in points]
+    assert _completes_collinear_triple(accepted, x, y) == _pairwise_completes(accepted, x, y)
+
+
+def test_prefix_tie_of_distinct_slopes_is_accepted():
+    """(0, 0) sees (3*TIE, TIE + 1) and (3, 1) at one 64-bit prefix but two slopes."""
+    row = [(3 * TIE, TIE + 1), (3, 1)]
+    assert len(set(slopes(0, 0, row))) == 1
+    assert slope(*row[0]) != slope(*row[1])
+    assert not _completes_collinear_triple(row, 0, 0)
+    inst = validate(build_points([(0, 0, "R"), (*row[0], "R"), (*row[1], "B"), (1, 5, "B")]))
+    assert [other for _, other, _ in inst.fence_rows(0)] == [2, 1, 3]
+    assert _completes_collinear_triple(row + [(6 * TIE, 2 * TIE + 2)], 0, 0)
+
+
+def test_collinear_triple_above_2_64_is_named_past_a_prefix_tie():
+    """From point 0, point 1 ties the prefix of points 2 and 3 at a slope of
+    its own, and 2 and 3 lie on one line with 0: the exact grouping must
+    part the tie from the triple."""
+    raw = [(0, 0), (3 * TIE, TIE + 1), (3 * TIE + 3, TIE + 1), (6 * TIE + 6, 2 * TIE + 2), (1, 5)]
+    points = [LabeledPoint(i, x, y, Color.RED if i % 2 else Color.BLUE)
+              for i, (x, y) in enumerate(raw)]
+    assert len(set(slopes(0, 0, raw[1:4]))) == 1
+    with pytest.raises(CollinearTriple) as err:
+        validate(points)
+    assert err.value.ids == _first_collinear_triple(points) == (0, 2, 3)
 
 
 def test_validate_duplicate_abscissa():

@@ -4,7 +4,10 @@ Both enumerators must agree, and the certificate must reach ``r``, on
 random instances, on red clusters inside a blue ring, on blue clusters
 inside a flat red ellipse, and on an exact rational image of the random
 ones (``support.rational_image``, so every slope takes the Fraction path),
-two seeds each at n = 120; and on random instances and on blue points half
+two seeds each at n = 120; and on nudged grid points above 2**64
+(``support.gen_tie_dense``), where from every anchor some slopes tie in
+their 64-bit prefix, so the sweep's rows are put in order by the exact
+tie-break, two seeds at n = 120; and on random instances and on blue points half
 clustered at the centre (``support.gen_mixed``), two seeds each at n = 160.
 The rational image must keep the random instance's lines.  On every one of
 these instances red level j and blue level j + delta must couple, the
@@ -51,6 +54,20 @@ BY_SIZE = {120: FAMILIES, 160: FAMILIES_160, 240: FAMILIES_240}
 def test_enumerators_and_certificate_agree_at_n120(family, seed):
     inst = FAMILIES[family](seed)
     assert inst.n == 120
+    lines = enumerate_naive(inst)
+    assert enumerate_sweep(inst) == lines
+    cert = verify_lower_bound(inst)
+    assert inst.r <= cert.total <= len(lines)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [0, 1])
+def test_enumerators_and_certificate_agree_on_prefix_ties_at_n120(seed):
+    inst = support.gen_tie_dense(seed, 55, 65)
+    assert inst.n == 120
+    assert max(abs(v) for p in inst.points for v in (p.x, p.y)) > 2**64
+    assert any(len({prefix for prefix, _, _ in inst.fence_rows(q)}) < inst.n - 1
+               for q in inst.red_ids)
     lines = enumerate_naive(inst)
     assert enumerate_sweep(inst) == lines
     cert = verify_lower_bound(inst)

@@ -215,8 +215,8 @@ def test_sweep_reversal_guard_catches_a_wrong_side(monkeypatch, flip):
 
     def flipped(self, pid):
         rows = rows_of(self, pid)
-        prefix, ratio, other, num, den, right = rows[flip]
-        rows[flip] = (prefix, ratio, other, num, den, not right)
+        prefix, other, right = rows[flip]
+        rows[flip] = (prefix, other, not right)
         return rows
 
     monkeypatch.setattr(Instance, "fence_rows", flipped)

@@ -25,7 +25,10 @@ catches a theorem-level failure (``GuaranteeViolation``,
 fails must reach the caller.  One function assembles curves:
 ``sliding._curve_through`` is the only place that constructs a
 ``SlidingRotation``, and one reads their pieces: ``sliding.curve_pieces``
-is the only place that constructs a ``RotateArc`` or a ``Slide``.  No
+is the only place that constructs a ``RotateArc`` or a ``Slide``.  ``gcd``
+is called only where a slope, a direction or a fence row is reduced and
+for ``enumerate_naive``'s common denominator: every other slope question
+reads the 64-bit prefixes of ``geometry.slopes``.  No
 parameter of a package function is passed the same literal or enum member by
 every call in the package: a knob with one setting belongs in the body.
 """
@@ -284,8 +287,8 @@ CURVE_TYPES = {"RotateArc": "curve_pieces", "Slide": "curve_pieces",
                "SlidingRotation": "_curve_through"}
 
 
-def _curve_constructions(path: Path) -> list[str]:
-    """Calls of a curve type, by the innermost function that makes them."""
+def _call_sites(path: Path, names) -> list[str]:
+    """Calls of the named functions or types, by the innermost function that makes them."""
     sites = []
 
     def visit(node, scope):
@@ -294,7 +297,7 @@ def _curve_constructions(path: Path) -> list[str]:
                 visit(child, scope + (child.name,))
                 continue
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id in CURVE_TYPES):
+                    and child.func.id in names):
                 sites.append(f"{path.stem}.{'.'.join(scope)}: {child.func.id}")
             visit(child, scope)
 
@@ -303,9 +306,22 @@ def _curve_constructions(path: Path) -> list[str]:
 
 
 def test_one_curve_assembly():
-    sites = {s for path in sorted(PACKAGE.glob("*.py")) for s in _curve_constructions(path)}
+    sites = {s for path in sorted(PACKAGE.glob("*.py")) for s in _call_sites(path, CURVE_TYPES)}
     # each type is still made, and only by its one function
     assert sites == {f"sliding.{maker}: {kind}" for kind, maker in CURVE_TYPES.items()}
+
+
+GCD_CALLERS = {"geometry.slope", "geometry.direction_of", "geometry.Instance.fences",
+               "oracle.enumerate_naive"}
+
+
+def test_gcd_only_in_the_exact_reductions():
+    """``gcd`` reduces one slope, one direction and the rows of a fence table,
+    and finds the naive oracle's common denominator; nothing else calls it.
+    Every other slope question reads the 64-bit prefixes of ``slopes``, so
+    no second slope loop grows back."""
+    sites = {s for path in sorted(PACKAGE.glob("*.py")) for s in _call_sites(path, {"gcd"})}
+    assert sites == {f"{caller}: gcd" for caller in GCD_CALLERS}
 
 
 def _fixed(expr: ast.expr, enums: set[str]):
