@@ -203,15 +203,16 @@ TIE = 1 << 66  # slopes b/a + e/(a*k) with k >= TIE and |e| <= 2 share b/a's 64-
 def prefix_tie_points(draw, nudge=st.integers(-2, 2)):
     """Points around a base point, many of whose slopes from it share a 64-bit prefix.
 
-    The base ``(px, py)`` (up to 2**80) is first in the list and the rest
-    are ``(px + a*k, py + b*k + e)``: a small direction ``(a, b)`` from a
+    Around the base ``(px, py)`` (up to 2**80) lie the points
+    ``(px + a*k, py + b*k + e)``: a small direction ``(a, b)`` from a
     pool of at most three, a scale ``k`` in [TIE, 4*TIE] and a nudge ``e``.
     Points of one direction see the base at slopes within ``2/TIE`` of
     ``b/a``, so their prefixes tie (or differ by one) while their slopes
     mostly differ; two with ``e == 0`` lie on one line with the base.  All
     coordinates may go over one denominator, so the Fraction path runs too
     (a Fraction that is a whole number stays an int, as ``build_points``
-    leaves it).  Abscissae are distinct; the base's id is drawn.
+    leaves it).  Abscissae are distinct, and the ids are a drawn
+    permutation, so the base may take any of them.
     """
     px, py = draw(st.integers(-2**80, 2**80)), draw(st.integers(-2**80, 2**80))
     pool = draw(st.lists(st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(-3, 3)),
