@@ -43,7 +43,6 @@ from .rotation import (
     RotationEvent,
     RotationSpec,
     RotationTrace,
-    Transition,
     UnknownPoint,
     WrongSubset,
     check_level_coupling,

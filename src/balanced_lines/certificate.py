@@ -46,8 +46,8 @@ from .geometry import (
 )
 from .oracle import BalancedLine
 from .rotation import (
+    RotationEvent,
     RotationSpec,
-    Transition,
     antipodal_transitions,
     run_rotation,
     transition_low,
@@ -107,19 +107,20 @@ class _Steps(dict):
     """Boundary steps of the rotations one certificate assembly reads, by (family, level).
 
     Each is ``transitions_at`` at ``transition_low`` of a rotation of the
-    family from the achieving direction.  Level j of a family of m points
-    is walked in full, so its closure is checked, when j <= m - 1 - j; a
-    higher level is read off the walked level m - 1 - j by
-    ``rotation.antipodal_transitions``.  So the m levels cost ceil(m/2)
-    walks.  The table lives as long as one assembly, and the flanks and the
-    strip share it: their families differ, so so do their keys.
+    family from the achieving direction: the walk's own ``RotationEvent``s.
+    Level j of a family of m points is walked in full, so its closure is
+    checked, when j <= m - 1 - j; a higher level is read off the walked
+    level m - 1 - j by ``rotation.antipodal_transitions``.  So the m levels
+    cost ceil(m/2) walks.  The table lives as long as one assembly, and the
+    flanks and the strip share it: their families differ, so so do their
+    keys.
     """
 
     def __init__(self, inst: Instance, gamma: Gamma):
         super().__init__()
         self.inst, self.gamma = inst, gamma
 
-    def __missing__(self, key: tuple[tuple[int, ...], int]) -> list[Transition]:
+    def __missing__(self, key: tuple[tuple[int, ...], int]) -> list[RotationEvent]:
         family, level = key
         inst, theta = self.inst, self.gamma.waist.achieved_at
         mirror = len(family) - 1 - level
@@ -127,7 +128,7 @@ class _Steps(dict):
             steps = antipodal_transitions(self[family, mirror], theta, inst)
         else:
             trace = run_rotation(RotationSpec(frozenset(family), level, theta), inst)
-            steps = transitions_at(trace, transition_low(self.gamma.color, inst.delta), inst)
+            steps = transitions_at(trace, transition_low(self.gamma.color, inst.delta))
         self[key] = steps
         return steps
 
@@ -138,18 +139,18 @@ def _flank_pool(inst: Instance, gamma: Gamma, steps: _Steps, family: tuple[int, 
 
     Both step directions qualify: each spans a balanced line when the
     crossed point has the opposite color, and recharges may consume either.
-    Balance is read first, in O(1) per step; only balanced steps pay for
-    ``in_central_region``, which evaluates the curve twice, and only as far
-    as the caller reads.
+    Balance is read first, in O(1) per step (``RotationEvent.balanced_in``);
+    only balanced steps pay for ``in_central_region``, which evaluates the
+    curve twice, and only as far as the caller reads.
     """
     return (t for t in steps[family, level]
-            if t.is_balanced and in_central_region(inst, gamma, t))
+            if t.balanced_in(inst) and in_central_region(inst, gamma, t))
 
 
-def _line_of(inst: Instance, t: Transition) -> BalancedLine:
-    a, b = inst.point(t.pivot_id), inst.point(t.crossed_id)
+def _line_of(inst: Instance, t: RotationEvent) -> BalancedLine:
+    a, b = inst.point(t.pivot_before), inst.point(t.crossed_id)
     red, blue = (a.id, b.id) if a.color is Color.RED else (b.id, a.id)
-    return BalancedLine(red, blue, (inst.delta, inst.delta))
+    return BalancedLine(red, blue)
 
 
 def _levels(count: int) -> list[tuple[int, int]]:
@@ -198,8 +199,9 @@ def flank_lines(inst: Instance, gamma: Gamma, f_ids: tuple[int, ...],
     """
     def departures(name: str, family: tuple[int, ...], base: Direction, level: int):
         for t in _flank_pool(inst, gamma, steps, family, level):
-            if t.from_omega == inst.delta and ccw_arc_contains(base, base.antipode, t.direction):
-                yield CertifiedLine(_line_of(inst, t), Provenance(f"flank_{name}", level), t.line)
+            if t.omega_before == inst.delta and ccw_arc_contains(base, base.antipode, t.direction):
+                yield CertifiedLine(_line_of(inst, t), Provenance(f"flank_{name}", level),
+                                    t.line_in(inst))
 
     theta = gamma.waist.achieved_at
     slots = ((1, departures(name, family, base, level), f"flank {name} level {level}")
@@ -209,7 +211,7 @@ def flank_lines(inst: Instance, gamma: Gamma, f_ids: tuple[int, ...],
 
 
 def strip_transitions(inst: Instance, gamma: Gamma, g_ids: tuple[int, ...],
-                      steps: _Steps) -> list[list[Transition]]:
+                      steps: _Steps) -> list[list[RotationEvent]]:
     """Central-strip boundary transitions of every strip level.
 
     Level k of a strip of size s runs for k in 0..ceil(s/2)-1; each level
@@ -228,7 +230,7 @@ def strip_transitions(inst: Instance, gamma: Gamma, g_ids: tuple[int, ...],
     return out
 
 
-def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
+def recharge(inst: Instance, gamma: Gamma, transition: RotationEvent, level: int,
              f_ids: tuple[int, ...], h_ids: tuple[int, ...],
              used: AbstractSet[tuple[int, int]], steps: _Steps) -> Optional[CertifiedLine]:
     """Resolve one transition of strip level ``level`` into a certified line.
@@ -246,12 +248,12 @@ def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
     """
     crossed = inst.point(transition.crossed_id)
     if crossed.color is not gamma.color:
-        if not transition.is_balanced:
+        if not transition.balanced_in(inst):
             raise UnclassifiableTransition(
                 f"opposite-color transition at {transition.direction} is unbalanced"
             )
         return CertifiedLine(_line_of(inst, transition), Provenance("strip", level),
-                             transition.line)
+                             transition.line_in(inst))
     if crossed.id in f_ids:
         name, family = "f", f_ids
     elif crossed.id in h_ids:
@@ -260,7 +262,7 @@ def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
         raise UnclassifiableTransition(
             f"crossed point {crossed.id} is neither a flank nor an opposite point"
         )
-    g = inst.point(transition.pivot_id)
+    g = inst.point(transition.pivot_before)
     d_star = direction_of(g.x - crossed.x, g.y - crossed.y)
     o_crossed = d_star.offset(crossed.x, crossed.y)
     j = 0
@@ -269,16 +271,17 @@ def recharge(inst: Instance, gamma: Gamma, transition: Transition, level: int,
         if fid != crossed.id and d_star.offset(p.x, p.y) < o_crossed:
             j += 1
     sgn = 1 if gamma.color is Color.RED else -1
-    induced = DirectedLine(crossed.x, crossed.y, d_star, (crossed.id, transition.pivot_id))
+    induced = DirectedLine(crossed.x, crossed.y, d_star, (crossed.id, transition.pivot_before))
     w = halfplane_weight(induced, inst)
     if w != inst.delta + sgn:
         raise GuaranteeViolation(
             f"induced flank step at {d_star} has weight {w}, expected {inst.delta + sgn}"
         )
-    provenance = Provenance("recharge", level, name, j)
-    departures = (CertifiedLine(_line_of(inst, t), provenance, t.line)
-                  for t in _flank_pool(inst, gamma, steps, family, j))
-    return next((c for c in departures if c.line.key not in used), None)
+    for t in _flank_pool(inst, gamma, steps, family, j):
+        line = _line_of(inst, t)
+        if line.key not in used:
+            return CertifiedLine(line, Provenance("recharge", level, name, j), t.line_in(inst))
+    return None
 
 
 def verify_lower_bound(inst: Instance) -> Certificate:
@@ -299,12 +302,12 @@ def _direct_certificate(inst: Instance) -> Certificate:
     """
     def candidates(level: int):
         trace = run_rotation(RotationSpec(Color.RED, level), inst)
-        for t in transitions_at(trace, inst.delta, inst):
-            if not t.is_balanced:
+        for t in transitions_at(trace, inst.delta):
+            if not t.balanced_in(inst):
                 raise GuaranteeViolation(
                     f"unbalanced boundary step in red rotation level {level}"
                 )
-            yield CertifiedLine(_line_of(inst, t), Provenance("direct", level), t.line)
+            yield CertifiedLine(_line_of(inst, t), Provenance("direct", level), t.line_in(inst))
 
     slots = ((quota, candidates(level), f"red rotation level {level}")
              for level, quota in _levels(inst.r))

@@ -165,15 +165,15 @@ def cmd_trace(args) -> int:
     for line in trace_to_jsonl(trace):
         sys.stdout.write(line + "\n")
     if args.transitions is not None:
-        for t in transitions_at(trace, args.transitions, inst):
+        for t in transitions_at(trace, args.transitions):
             record = {
                 "transition": {
                     "dir": {"dx": t.direction.dx, "dy": t.direction.dy},
-                    "from": t.from_omega,
-                    "to": t.to_omega,
-                    "pivot": t.pivot_id,
+                    "from": t.omega_before,
+                    "to": t.omega_after,
+                    "pivot": t.pivot_before,
                     "crossed": t.crossed_id,
-                    "balanced": t.is_balanced,
+                    "balanced": t.balanced_in(inst),
                 }
             }
             sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
@@ -221,8 +221,8 @@ def _verify_instance(inst: Instance) -> RunReport:
     for color in (Color.RED, Color.BLUE):
         for k in range(len(inst.ids_of(color))):
             trace = run_rotation(RotationSpec(color, k), inst)
-            for t in transitions_at(trace, transition_low(color, inst.delta), inst):
-                if not (t.is_balanced and is_balanced(t.pivot_id, t.crossed_id, inst)):
+            for t in transitions_at(trace, transition_low(color, inst.delta)):
+                if not (t.balanced_in(inst) and is_balanced(t.pivot_before, t.crossed_id, inst)):
                     ok = False
     report.timings["transitions"] = time.perf_counter() - t0
     report.checks["transitions_balanced"] = ok

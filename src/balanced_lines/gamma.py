@@ -52,9 +52,9 @@ from .geometry import (
 )
 from .rotation import (
     End,
+    RotationEvent,
     RotationSpec,
     RotationTrace,
-    Transition,
     _preserves_delta,
     run_rotation,
     walk_rotation,
@@ -205,12 +205,15 @@ def decompose_fhg(inst: Instance, gamma: Gamma) -> tuple[
     return tuple(flank_f), tuple(flank_h), tuple(strip)
 
 
-def in_central_region(inst: Instance, gamma: Gamma, transition: Transition) -> bool:
-    """Whether the transition's line lies inside or on the strip boundary."""
-    t = transition.direction
+def in_central_region(inst: Instance, gamma: Gamma, transition: RotationEvent) -> bool:
+    """Whether the transition's line lies inside or on the strip boundary.
+
+    The line passes through the step's pivot, so its offset is the pivot's.
+    """
+    t, p = transition.direction, transition.pivot_before
     o_low = evaluate_at(gamma.sr, inst, t).offset(t)  # the strip: the curve's lines at t, t + pi
     o_high = evaluate_at(gamma.sr, inst, t.antipode).offset(t)
-    return o_low <= transition.line.offset(t) <= o_high
+    return o_low <= t.offset(inst.xs[p], inst.ys[p]) <= o_high
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ decides only between keys whose prefixes tie.  Slopes are compared the
 same way: ``slopes`` gives their 64-bit prefixes, and the exact ``slope``
 is asked only where two prefixes tie.
 
-The value records of the rotation path, ``Direction``, ``DirectedLine``,
-``rotation.RotationEvent`` and ``rotation.Transition``, are tuples
+The value records of the rotation path, ``Direction``, ``DirectedLine``
+and ``rotation.RotationEvent`` (a transition is one such event), are tuples
 (``typing.NamedTuple``): they build, hash and compare for equality in C.
 Being tuples, they equal plain tuples of the same values
 (``Direction(0, 1) == (0, 1)``), and they cannot be ordered: ``<``, ``<=``,

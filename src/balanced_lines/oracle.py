@@ -32,11 +32,10 @@ from .geometry import (
 
 @dataclass(frozen=True, order=True)
 class BalancedLine:
-    """A balanced red/blue pair with its halfplane weights as a certificate."""
+    """A balanced red/blue pair: each side of its line weighs delta."""
 
     red_id: int
     blue_id: int
-    weights: tuple[int, int]
 
     @property
     def key(self) -> tuple[int, int]:
@@ -103,7 +102,7 @@ def enumerate_naive(inst: Instance) -> set[BalancedLine]:
                 continue
             t = bias - v
             if (nb - (t & blue_top).bit_count()) - (nr - (t & red_top).bit_count()) == delta:
-                found.add(BalancedLine(rid, bid, (delta, delta)))
+                found.add(BalancedLine(rid, bid))
     return found
 
 
@@ -149,7 +148,7 @@ def enumerate_sweep(inst: Instance) -> set[BalancedLine]:
                 w_inst = w
                 w += wp
             if wp > 0 and w_inst == delta:
-                found.add(BalancedLine(rid, pid, (delta, delta)))
+                found.add(BalancedLine(rid, pid))
         if w != others - w0:
             raise GuaranteeViolation("sweep weight did not reverse over a half turn")
     return found

@@ -100,8 +100,11 @@ class RotationSpec:
 class RotationEvent(NamedTuple):
     """One state change of a rotation: where, what kind, the pivots and the weights.
 
-    The line through the pivot and the crossed point is not stored; few
-    readers need it, and ``line_in`` builds it from the instance.
+    A weight step across a boundary is a transition, the paper's step:
+    ``transitions_at`` returns the trace's own events, and
+    ``antipodal_transitions`` mirrors them.  The line through the pivot and
+    the crossed point is not stored; few readers need it, and ``line_in``
+    builds it from the instance.
     """
 
     direction: Direction
@@ -119,6 +122,19 @@ class RotationEvent(NamedTuple):
         """The line through the pivot before the event and the crossed point."""
         return DirectedLine(inst.xs[self.pivot_before], inst.ys[self.pivot_before],
                             self.direction, (self.pivot_before, self.crossed_id))
+
+    def balanced_in(self, inst: Instance) -> bool:
+        """Whether the line of a weight step (``line_in``) is balanced, in O(1).
+
+        The instance weighs 2 delta, so when the pivot and the crossed point
+        differ in weight (a red and a blue point, together 0) the line is
+        balanced exactly when its right weight at the instant of the step is
+        delta.  That weight is ``omega_before`` for a head crossing and
+        ``omega_after`` for a tail crossing.
+        """
+        ws = inst.ws
+        instant = self.omega_before if self.end is End.HEAD else self.omega_after
+        return ws[self.pivot_before] != ws[self.crossed_id] and instant == inst.delta
 
 
 @dataclass(frozen=True)
@@ -237,25 +253,6 @@ def walk_rotation(spec: RotationSpec, inst: Instance) -> Iterator:
         raise GuaranteeViolation("rotation walk failed to close after a full turn")
 
 
-class Transition(NamedTuple):
-    """A single weight step across the boundary between ``low`` and ``low+1``.
-
-    A tuple, built in C by ``_make_transition`` and ``antipodal_transitions``
-    as ``walk_rotation`` builds its events, and unordered like them.
-    """
-
-    direction: Direction
-    from_omega: int
-    to_omega: int
-    line: DirectedLine
-    pivot_id: int
-    crossed_id: int
-    end: End
-    is_balanced: bool
-
-    __lt__ = __le__ = __gt__ = __ge__ = _unordered
-
-
 def transition_low(color: Color, delta: int) -> int:
     """Lower value of the weight boundary relevant to the given subset color."""
     return delta if color is Color.RED else delta - 1
@@ -272,45 +269,23 @@ def _preserves_delta(color: Color, omegas, delta: int) -> bool:
     return all(w >= delta for w in omegas)
 
 
-def transitions_at(trace: RotationTrace, low: int, inst: Instance) -> list[Transition]:
-    """All weight steps between ``low`` and ``low + 1`` along the trace.
+def transitions_at(trace: RotationTrace, low: int) -> list[RotationEvent]:
+    """The trace's weight steps between ``low`` and ``low + 1``: its own events.
 
-    Each is annotated with whether the snapshot line (through the pivot and
-    the crossed point) is balanced, in O(1): the instance weighs 2 delta, so
-    when the two points on the line differ in color (weight 0) the line is
-    balanced exactly when its right weight at the instant of the step is
-    delta.  That weight is ``omega_before`` for a head crossing and
-    ``omega_after`` for a tail crossing.
+    Nothing is built per step; ``RotationEvent.balanced_in`` tells whether
+    a step's line is balanced and ``RotationEvent.line_in`` builds it.
     """
-    out = []
-    weight_change = EventKind.WEIGHT_CHANGE
-    for ev in trace.events:
-        if ev.kind is not weight_change:
-            continue
-        if {ev.omega_before, ev.omega_after} != {low, low + 1}:
-            continue
-        out.append(_make_transition(ev, inst))
-    return out
+    boundary, weight_change = {low, low + 1}, EventKind.WEIGHT_CHANGE
+    return [ev for ev in trace.events
+            if ev.kind is weight_change and {ev.omega_before, ev.omega_after} == boundary]
 
 
-def _make_transition(ev: RotationEvent, inst: Instance) -> Transition:
-    instant = ev.omega_before if ev.end is End.HEAD else ev.omega_after
-    balanced = (
-        inst.point(ev.pivot_before).color is not inst.point(ev.crossed_id).color
-        and instant == inst.delta
-    )
-    return tuple.__new__(Transition, (
-        ev.direction, ev.omega_before, ev.omega_after, ev.line_in(inst),
-        ev.pivot_before, ev.crossed_id, ev.end, balanced,
-    ))
-
-
-def antipodal_transitions(steps: list[Transition], theta: Direction,
-                          inst: Instance) -> list[Transition]:
+def antipodal_transitions(steps: list[RotationEvent], theta: Direction,
+                          inst: Instance) -> list[RotationEvent]:
     """The steps of level m - 1 - j, read off the steps of level j.
 
-    ``steps`` are ``transitions_at(trace, low, inst)`` for the level-j
-    rotation of a family of m points from ``theta``; the result equals
+    ``steps`` are ``transitions_at(trace, low)`` for the level-j rotation
+    of a family of m points from ``theta``; the result equals
     ``transitions_at`` of the level-(m - 1 - j) rotation from ``theta`` at
     ``2 delta - w - low - 1``, where w is the weight of the family's color.
     So the boundary of ``transition_low`` maps onto itself.
@@ -322,28 +297,30 @@ def antipodal_transitions(steps: list[Transition], theta: Direction,
     exactly when level j pivots on p at d, and crosses the same points.
     The instance weighs 2 delta, so the right weight there is
     2 delta - w - omega.  Hence each step of level j at d is a step of level
-    m - 1 - j at d + pi with the antipodal direction, omegas
-    2 delta - w - omega, the end flipped (a point ahead of the line is
-    behind its reverse), the same pivot, crossed point and balance (the
-    line through the two points is the same), and the line through the
-    pivot at the antipodal direction.  A walk from ``theta`` meets them
-    half a turn later: first the steps of (theta + pi, theta], then those of
-    (theta, theta + pi]; a step at theta maps to theta + pi, and a step at
-    theta + pi maps to theta, which sorts last.  A pivot meets one fence
-    per direction, so no two steps share a direction.
+    m - 1 - j at d + pi: a ``WEIGHT_CHANGE`` event with the antipodal
+    direction, the same pivot before and after, the same crossed point, the
+    end flipped (a point ahead of the line is behind its reverse) and
+    omegas 2 delta - w - omega.  Its ``balanced_in`` agrees with the
+    step's, since the line through the two points is the same.  A walk
+    from ``theta`` meets them half a turn later: first the steps of
+    (theta + pi, theta], then those of (theta, theta + pi]; a step at theta
+    maps to theta + pi, and a step at theta + pi maps to theta, which sorts
+    last.  A pivot meets one fence per direction, so no two steps share a
+    direction.
     """
     # the steps of (theta + pi, theta] are those of key halves 3 (right of theta) and 4 (theta)
-    split = bisect_left(steps, 3, key=lambda t: direction_key(theta, t.direction)[0])
-    xs, ys, ws, total = inst.xs, inst.ys, inst.ws, 2 * inst.delta
+    split = bisect_left(steps, 3, key=lambda ev: direction_key(theta, ev.direction)[0])
+    ws, total = inst.ws, 2 * inst.delta
     new = tuple.__new__
     flip = {End.HEAD: End.TAIL, End.TAIL: End.HEAD}
+    weight_change = EventKind.WEIGHT_CHANGE
     out = []
-    for t in chain(steps[split:], steps[:split]):
-        p, d, mirror = t.pivot_id, t.direction.antipode, total - ws[t.pivot_id]
-        out.append(new(Transition, (
-            d, mirror - t.from_omega, mirror - t.to_omega,
-            new(DirectedLine, (xs[p], ys[p], d, (p, t.crossed_id))),
-            p, t.crossed_id, flip[t.end], t.is_balanced,
+    for ev in chain(steps[split:], steps[:split]):
+        p = ev.pivot_before
+        mirror = total - ws[p]
+        out.append(new(RotationEvent, (
+            ev.direction.antipode, weight_change, p, p, ev.crossed_id, flip[ev.end],
+            mirror - ev.omega_before, mirror - ev.omega_after,
         )))
     return out
 
@@ -363,7 +340,7 @@ def is_delta_preserving(trace: RotationTrace, inst: Instance) -> bool:
     color = next((c for c in Color if ids == set(inst.ids_of(c))), None)
     if color is None:
         raise WrongSubset("subset is neither all red nor all blue")
-    return not transitions_at(trace, transition_low(color, inst.delta), inst)
+    return not transitions_at(trace, transition_low(color, inst.delta))
 
 
 def find_balanced_halving(inst: Instance) -> BalancedLine:
@@ -376,20 +353,20 @@ def find_balanced_halving(inst: Instance) -> BalancedLine:
     if inst.r % 2 == 0:
         raise EvenRedCount(f"r={inst.r} is even")
     trace = run_rotation(RotationSpec(Color.RED, inst.r // 2), inst)
-    steps = transitions_at(trace, inst.delta, inst)
+    steps = transitions_at(trace, inst.delta)
     if not steps:
         raise GuaranteeViolation("middle-level rotation produced no delta steps")
     t = steps[0]
-    if not t.is_balanced:
+    if not t.balanced_in(inst):
         raise GuaranteeViolation("middle-level delta step is not balanced")
     half = (inst.n - 2) // 2
-    sides = _side_counts(t.line, inst)
+    sides = _side_counts(t.line_in(inst), inst)
     if sides != (half, half):
         raise GuaranteeViolation(f"expected a halving line, sides are {sides}")
-    red, blue = t.pivot_id, t.crossed_id
+    red, blue = t.pivot_before, t.crossed_id
     if inst.point(red).color is not Color.RED:
         red, blue = blue, red
-    return BalancedLine(red, blue, (inst.delta, inst.delta))
+    return BalancedLine(red, blue)
 
 
 def _side_counts(line: DirectedLine, inst: Instance) -> tuple[int, int]:
@@ -426,7 +403,7 @@ def check_level_coupling(inst: Instance, j: int) -> bool:
     delta = inst.delta
     red = run_rotation(RotationSpec(Color.RED, j), inst)
     blue = run_rotation(RotationSpec(Color.BLUE, j + delta), inst)
-    steps = [[t.direction for t in transitions_at(trace, transition_low(color, delta), inst)]
+    steps = [[t.direction for t in transitions_at(trace, transition_low(color, delta))]
              for trace, color in ((red, Color.RED), (blue, Color.BLUE))]
     return steps[0] == steps[1] and (red.initial_omega > delta) == (blue.initial_omega >= delta)
 

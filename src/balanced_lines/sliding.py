@@ -218,17 +218,9 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
     cuts its range out of the pivot's fences (``Instance.fences``) with
     ``fences_within``, two bisections, instead of testing every direction
     against the arc.
-
-    The list of ``_profile_steps``, which yields the same entries one at a
-    time, so that ``is_delta_preserving_sliding`` can stop at the first
-    weight that breaks preservation.
     """
-    return list(_profile_steps(sr, inst))
-
-
-def _profile_steps(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[DirectedLine, int]]:
-    """The entries of ``sliding_profile``, lazily, in piece order."""
     ws = inst.ws
+    out = []
     for piece in curve_pieces(sr, inst):
         if isinstance(piece, RotateArc):
             q = inst.point(piece.pivot)
@@ -243,7 +235,7 @@ def _profile_steps(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direct
                     w += ws[other] if head else -ws[other]
                 else:
                     w = halfplane_weight(line, inst)
-                yield line, w
+                out.append((line, w))
         else:
             d = piece.direction
             offsets = [d.offset(x, y) for x, y in zip(inst.xs, inst.ys)]
@@ -259,17 +251,17 @@ def _profile_steps(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direct
             for a, b in zip(fences, fences[1:]):
                 rep = Fraction(a + b, 2)
                 ax, ay = _anchor_for_offset(d, rep)
-                yield DirectedLine(ax, ay, d), w
+                out.append((DirectedLine(ax, ay, d), w))
                 w += crossed.get(b, 0)
+    return out
 
 
 def is_delta_preserving_sliding(sr: SlidingRotation, inst: Instance) -> bool:
     """One-sided preservation: red curves stay <= delta, blue curves >= delta.
 
-    Walks ``_profile_steps`` only up to the first interval that breaks it;
-    most curves that fail do so on the first one.
+    Reads the weights of ``sliding_profile``.
     """
-    omegas = (w for _, w in _profile_steps(sr, inst))
+    omegas = (w for _, w in sliding_profile(sr, inst))
     return _preserves_delta(sr.subset_color, omegas, inst.delta)
 
 
@@ -301,7 +293,7 @@ def curve_sweep(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direction
                       else (direction_key(start, d.antipode), True, d.antipode, p)
                       for k, (d, p) in zip(keys[1:], anchors[1:]) if k != key_half], key=itemgetter(0, 1))
     changes.append((None, False, half, None))  # closes the last piece
-    a, b = anchors[0][1], anchors[bisect_right(keys, key_half) - 1][1]
+    a, b = anchors[0][1], anchors[sr.arc_at(half)][1]
     color, xs, ys = sr.subset_color, inst.xs, inst.ys
     ids = inst.ids_of(color)
     subset = set(ids)

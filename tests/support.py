@@ -823,7 +823,7 @@ def pairwise_naive(inst: Instance) -> set[BalancedLine]:
                 elif c < 0:
                     right += w
             if right == delta and left == delta:
-                found.add(BalancedLine(rid, bid, (right, left)))
+                found.add(BalancedLine(rid, bid))
     return found
 
 
@@ -883,8 +883,8 @@ def check_antipodal_steps(inst: Instance) -> int:
     theta, low = best.waist.achieved_at, transition_low(best.color, inst.delta)
     compared = 0
     for family in gamma.decompose_fhg(inst, best):
-        walked = [transitions_at(run_rotation(RotationSpec(frozenset(family), j, theta), inst),
-                                 low, inst) for j in range(len(family))]
+        walked = [transitions_at(run_rotation(RotationSpec(frozenset(family), j, theta), inst), low)
+                  for j in range(len(family))]
         for j, steps in enumerate(walked):
             assert antipodal_transitions(steps, theta, inst) == walked[-1 - j], (family, j)
             compared += len(steps)

@@ -102,13 +102,13 @@ def test_criterion_4_transitions_balanced(core_pool):
         for color, low in ((Color.RED, inst.delta), (Color.BLUE, inst.delta - 1)):
             for k in range(len(inst.ids_of(color))):
                 trace = run_rotation(RotationSpec(color, k), inst)
-                for t in transitions_at(trace, low, inst):
+                for t in transitions_at(trace, low):
                     total += 1
-                    assert t.is_balanced
+                    assert t.balanced_in(inst)
                     pair = (
-                        (t.pivot_id, t.crossed_id)
+                        (t.pivot_before, t.crossed_id)
                         if color is Color.RED
-                        else (t.crossed_id, t.pivot_id)
+                        else (t.crossed_id, t.pivot_before)
                     )
                     assert pair in oracle
     report("4 transitions-balanced",
@@ -142,9 +142,9 @@ def test_criterion_6_separated_transition_counts():
             inst = gen_separated_convex(r, b)
             for k in range((r + 1) // 2):
                 trace = run_rotation(RotationSpec(Color.RED, k), inst)
-                ts = transitions_at(trace, inst.delta, inst)
-                assert sum(1 for t in ts if t.to_omega > t.from_omega) == 1, (r, b, k)
-                assert sum(1 for t in ts if t.to_omega < t.from_omega) == 1, (r, b, k)
+                ts = transitions_at(trace, inst.delta)
+                assert sum(1 for t in ts if t.omega_after > t.omega_before) == 1, (r, b, k)
+                assert sum(1 for t in ts if t.omega_after < t.omega_before) == 1, (r, b, k)
                 checked += 1
     report("6 separated-traces",
            f"exactly one rising and one falling transition in {checked} traces")

@@ -403,8 +403,8 @@ def _mutants(inst, cert):
 
     return {
         "duplicated": dataclasses.replace(cert, lines=tuple(lines[:-1] + [first])),
-        "unbalanced partner": with_first(BalancedLine(red, partner, first.line.weights)),
-        "exchanged ids": with_first(BalancedLine(blue, red, first.line.weights)),
+        "unbalanced partner": with_first(BalancedLine(red, partner)),
+        "exchanged ids": with_first(BalancedLine(blue, red)),
         "short total": dataclasses.replace(cert, lines=tuple(lines[:-1])),
     }
 

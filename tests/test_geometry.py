@@ -39,7 +39,7 @@ from balanced_lines.generators import (
     gen_random,
     gen_separated_convex,
 )
-from balanced_lines.rotation import End, EventKind, RotationEvent, Transition
+from balanced_lines.rotation import End, EventKind, RotationEvent
 import support
 from support import side_just_after
 
@@ -462,7 +462,6 @@ RECORDS = {
     "direction": (Direction, (3, -4)),
     "line": (DirectedLine, (1, Fraction(1, 2), _D, (0, 1))),
     "event": (RotationEvent, (_D, EventKind.WEIGHT_CHANGE, 0, 0, 1, End.HEAD, 0, 1)),
-    "transition": (Transition, (_D, 0, 1, DirectedLine(0, 0, _D, (0, 1)), 0, 1, End.HEAD, True)),
 }
 
 

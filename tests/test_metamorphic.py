@@ -52,7 +52,7 @@ def test_relabeling_permutes_the_balanced_set(name):
     new_id = {old: new for new, old in enumerate(order)}
     for enumerate_lines in (enumerate_naive, enumerate_sweep):
         assert enumerate_lines(image) == {
-            BalancedLine(new_id[line.red_id], new_id[line.blue_id], line.weights)
+            BalancedLine(new_id[line.red_id], new_id[line.blue_id])
             for line in enumerate_lines(inst)
         }
     assert verify_lower_bound(image).total >= image.r

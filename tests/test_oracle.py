@@ -49,12 +49,6 @@ def test_separated_tightness_small():
     assert count_balanced(gen_separated_convex(2, 4)) == 2
 
 
-def test_weight_certificates():
-    inst = gen_random(7, 4, 6, 1000)
-    for line in enumerate_naive(inst):
-        assert line.weights == (inst.delta, inst.delta)
-
-
 def test_lower_bound_seeded():
     inst = gen_random(7, 4, 6, 1000)
     assert len(enumerate_naive(inst)) >= 4

@@ -24,6 +24,7 @@ from balanced_lines.rotation import (
     EvenRedCount,
     EventKind,
     LevelOutOfRange,
+    RotationEvent,
     RotationSpec,
     WrongSubset,
     antipodal_transitions,
@@ -32,6 +33,7 @@ from balanced_lines.rotation import (
     is_delta_preserving,
     run_rotation,
     trace_to_jsonl,
+    transition_low,
     transitions_at,
 )
 
@@ -94,17 +96,17 @@ def test_transitions_all_balanced_and_in_oracle(small_random_pool):
         oracle = {(l.red_id, l.blue_id) for l in enumerate_naive(inst)}
         for k in range(inst.r):
             trace = run_rotation(RotationSpec(Color.RED, k), inst)
-            for t in transitions_at(trace, inst.delta, inst):
-                assert t.is_balanced
+            for t in transitions_at(trace, inst.delta):
+                assert t.balanced_in(inst)
                 assert inst.point(t.crossed_id).color is Color.BLUE
-                assert (t.pivot_id, t.crossed_id) in oracle
-                assert (t.end is End.HEAD) == (t.to_omega > t.from_omega)
+                assert (t.pivot_before, t.crossed_id) in oracle
+                assert (t.end is End.HEAD) == (t.omega_after > t.omega_before)
         for k in range(inst.b):
             trace = run_rotation(RotationSpec(Color.BLUE, k), inst)
-            for t in transitions_at(trace, inst.delta - 1, inst):
-                assert t.is_balanced
+            for t in transitions_at(trace, inst.delta - 1):
+                assert t.balanced_in(inst)
                 assert inst.point(t.crossed_id).color is Color.RED
-                assert (t.crossed_id, t.pivot_id) in oracle
+                assert (t.crossed_id, t.pivot_before) in oracle
 
 
 def test_transitions_empty_for_flat_profile():
@@ -113,7 +115,7 @@ def test_transitions_empty_for_flat_profile():
     inst = gen_random(3, 1, 9, 1000)
     trace = run_rotation(RotationSpec(Color.BLUE, 0), inst)
     assert max(support.omega_values(trace)) < inst.delta
-    assert transitions_at(trace, inst.delta, inst) == []
+    assert transitions_at(trace, inst.delta) == []
 
 
 def test_antipodal_level_structure():
@@ -153,11 +155,33 @@ def test_antipodal_steps_at_the_start_direction():
             walked = [run_rotation(RotationSpec(Color.RED, j, theta), inst) for j in range(inst.r)]
             for j, trace in enumerate(walked):
                 for low in range(-inst.r, inst.b + 1):
-                    steps = transitions_at(trace, low, inst)
-                    mirror = transitions_at(walked[-1 - j], 2 * inst.delta - low, inst)
+                    steps = transitions_at(trace, low)
+                    mirror = transitions_at(walked[-1 - j], 2 * inst.delta - low)
                     assert antipodal_transitions(steps, theta, inst) == mirror
                     ends.update(t.direction == theta for t in steps if t.direction.cross(theta) == 0)
     assert ends == {True, False}  # steps at theta and at theta + pi were both mirrored
+
+
+def test_boundary_steps_are_rotation_events(nested_instances, mixed_instances):
+    """One record per step: ``transitions_at`` returns the trace's own events, in order.
+
+    Identity (``is``), so no second per-step record is built beside the
+    walk's; the steps ``antipodal_transitions`` reads off them are weight
+    changes about one pivot, the shape of a walked boundary step.
+    """
+    mirrored = 0
+    for inst in nested_instances + mixed_instances:
+        for color in Color:
+            for k in range(len(inst.ids_of(color))):
+                trace = run_rotation(RotationSpec(color, k), inst)
+                steps = transitions_at(trace, transition_low(color, inst.delta))
+                events = iter(trace.events)
+                assert all(any(t is ev for ev in events) for t in steps)
+                for t in antipodal_transitions(steps, trace.start_direction, inst):
+                    assert type(t) is RotationEvent and t.kind is EventKind.WEIGHT_CHANGE
+                    assert t.pivot_before == t.pivot_after
+                    mirrored += 1
+    assert mirrored > 0
 
 
 def test_is_delta_preserving_wrong_subset():
@@ -171,18 +195,18 @@ def test_separated_rotation_not_preserving():
     inst = gen_separated_convex(4, 4)
     trace = run_rotation(RotationSpec(Color.RED, 0), inst)
     assert not is_delta_preserving(trace, inst)
-    ts = transitions_at(trace, inst.delta, inst)
-    assert len([t for t in ts if t.to_omega > t.from_omega]) == 1
-    assert len([t for t in ts if t.to_omega < t.from_omega]) == 1
+    ts = transitions_at(trace, inst.delta)
+    assert len([t for t in ts if t.omega_after > t.omega_before]) == 1
+    assert len([t for t in ts if t.omega_after < t.omega_before]) == 1
 
 
 def test_separated_each_level_one_up_one_down(separated_instances):
     for inst in separated_instances:
         for k in range((inst.r + 1) // 2):
             trace = run_rotation(RotationSpec(Color.RED, k), inst)
-            ts = transitions_at(trace, inst.delta, inst)
-            assert sum(1 for t in ts if t.to_omega > t.from_omega) == 1
-            assert sum(1 for t in ts if t.to_omega < t.from_omega) == 1
+            ts = transitions_at(trace, inst.delta)
+            assert sum(1 for t in ts if t.omega_after > t.omega_before) == 1
+            assert sum(1 for t in ts if t.omega_after < t.omega_before) == 1
 
 
 def test_preserving_when_weight_stays_low():
@@ -263,7 +287,7 @@ def test_level_coupling_catches_an_offset_blue_level(
         for j in range(inst.r // 2 + 1):
             if j + inst.delta + 1 > inst.b - 1:
                 continue
-            if not transitions_at(run(RotationSpec(Color.RED, j), inst), inst.delta, inst):
+            if not transitions_at(run(RotationSpec(Color.RED, j), inst), inst.delta):
                 continue
             with monkeypatch.context() as mp:
                 mp.setattr(rotation, "run_rotation", offset_blue)
@@ -305,11 +329,12 @@ def test_trace_jsonl_shape():
 
 def test_transition_flag_is_the_independent_recount(nested_instances, mixed_instances,
                                                     recharge_instances):
-    """Every boundary step's O(1) balance flag equals the color test and ``is_balanced``.
+    """Every boundary step's O(1) ``balanced_in`` equals the color test and ``is_balanced``.
 
     Red, blue and random-subset rotations at every level, around the boundaries
     delta - 1, delta and delta + 1, so unbalanced steps and steps through a
-    point of the pivot's color are covered too.
+    point of the pivot's color are covered too; the walked steps and the
+    ones ``antipodal_transitions`` reads off them both.
     """
     seen = set()
     for idx, inst in enumerate(nested_instances + mixed_instances + recharge_instances):
@@ -319,9 +344,13 @@ def test_transition_flag_is_the_independent_recount(nested_instances, mixed_inst
             for k in range(len(RotationSpec(subset, 0).resolve(inst))):
                 trace = run_rotation(RotationSpec(subset, k), inst)
                 for low in (inst.delta - 1, inst.delta, inst.delta + 1):
-                    for t in transitions_at(trace, low, inst):
-                        same = inst.point(t.pivot_id).color is inst.point(t.crossed_id).color
-                        expected = not same and is_balanced(t.pivot_id, t.crossed_id, inst)
-                        assert t.is_balanced is expected
-                        seen.add((same, expected))
-    assert seen == {(True, False), (False, False), (False, True)}
+                    walked = transitions_at(trace, low)
+                    mirrored = antipodal_transitions(walked, trace.start_direction, inst)
+                    for antipodal, steps in ((False, walked), (True, mirrored)):
+                        for t in steps:
+                            same = inst.point(t.pivot_before).color is inst.point(t.crossed_id).color
+                            expected = not same and is_balanced(t.pivot_before, t.crossed_id, inst)
+                            assert t.balanced_in(inst) is expected
+                            seen.add((antipodal, same, expected))
+    assert seen == {(antipodal, same, expected) for antipodal in (False, True)
+                    for same, expected in ((True, False), (False, False), (False, True))}

@@ -223,6 +223,12 @@ def _read_names(path: Path) -> set[str]:
     return _loads(ast.parse(path.read_text(), filename=str(path)))
 
 
+def _attribute_loads(tree: ast.AST) -> set[str]:
+    """The names the tree loads as an attribute (``x.name``), not bare."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_no_unread_module_names():
     # perfbench/reference is a frozen earlier copy of the package: its reads
     # would keep names alive that the package itself no longer needs
@@ -420,21 +426,30 @@ def test_every_public_name_has_a_reader():
 
     A reader is a load in ``src/`` or in ``perfbench/`` (not its frozen
     ``reference`` copy), an identifier in a string constant of
-    ``perfbench/``, or a mention in README's code.  A name only the tests
-    call belongs in ``tests/support.py``; ``__init__``'s re-exports load
-    nothing, so they keep no name alive.
+    ``perfbench/``, or a mention in README's code.  A method or property
+    is read only by an attribute load there (``x.name``): a bare name of
+    the same spelling, such as the builtin ``reversed(...)`` or a local
+    ``rank``, is not a read of ``DirectedLine.reversed`` or
+    ``Direction.rank``.  A name only the tests call belongs in
+    ``tests/support.py``; ``__init__``'s re-exports load nothing, so they
+    keep no name alive.
     """
     bench = [path for path in (ROOT / "perfbench").rglob("*.py")
              if "reference" not in path.relative_to(ROOT).parts]
-    read = set().union(*map(_read_names, list(PACKAGE.glob("*.py")) + bench),
-                       *map(_perfbench_strings, bench), _readme_names())
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in list(PACKAGE.glob("*.py")) + bench]
+    named = set().union(*map(_perfbench_strings, bench), _readme_names())
+    read = set().union(*map(_loads, trees)) | named
+    read_members = set().union(*map(_attribute_loads, trees)) | named
     problems = [
         f"{path.name}:{line}: {name} has no reader outside the tests"
         for path in sorted(PACKAGE.glob("*.py"))
         for name, line in _public_definitions(path).items()
-        if name.rsplit(".", 1)[-1] not in read
+        if name.rsplit(".", 1)[-1] not in (read_members if "." in name else read)
     ]
     assert bench and {"count_balanced", "rank", "build_shift"} <= read  # the check still reads
+    probe = ast.parse("reversed(xs)\nordered[rank]\nline.offset(d)")  # a member read is x.name
+    assert _attribute_loads(probe) == {"offset"} and {"reversed", "rank", "offset"} <= _loads(probe)
     assert not problems, "\n".join(problems)
 
 
