@@ -13,14 +13,15 @@ of arcs only:
 Membership is decided from the omegas of rotation traces before any curve
 is built.  A plain lift's profile weights are its trace's omegas, so the
 plain levels are walked best first and lazily, each only up to its first
-weight that breaks preservation, and only the winner is drained, lifted
-and walked once more (``plain_candidates``).  A splice follows the lift
-outside its two meetings with the preserving candidate, so its trace's
-bad intervals must lie between them (``build_splice``); one whose
-first interval is bad is rejected before its meetings are sought.  What
-is built is then checked for a single turn about subset points and
-positive orientation (``_validated``), and composites are adopted only
-when they strictly shrink the waist, so the iteration terminates.
+weight that breaks preservation, and only the winner is drained and
+lifted (``plain_candidates``).  A splice follows the lift outside its two
+meetings with the preserving candidate, so its trace's bad intervals must
+lie between them (``build_splice``); one whose first interval is bad is
+rejected before its meetings are sought.  What is built is then checked
+for a single turn about subset points, positive orientation and, by the
+same waist walk, delta-preservation over the full turn (``_validated``),
+and composites are adopted only when they strictly shrink the waist, so
+the iteration terminates.
 
 The splice walks its inputs in angular order instead of pairing every part
 with every other: it finds where the strip rotation meets the curve by
@@ -65,7 +66,6 @@ from .sliding import (
     Waist,
     _curve_through,
     evaluate_at,
-    is_delta_preserving_sliding,
     lift_rotation,
     validate_curve,
     waist,
@@ -88,21 +88,28 @@ class Gamma:
 
 def _validated(sr: SlidingRotation, inst: Instance, kind: str, level: int, *,
                waist_cap: Optional[int] = None) -> Optional[Gamma]:
-    """Membership check of a curve already known to preserve delta; None when it fails.
+    """Membership check of a built curve; None when it is not positively oriented or not under the cap.
 
     The callers decide preservation before they build the curve, from the
-    omegas of its rotation trace (``plain_candidates``, ``build_splice``),
-    so what is left is the turn, the orientation and the cap.  Every curve
-    the search builds is valid by construction, so an InvalidCurve from
-    ``validate_curve`` is a fault and propagates.  The ``waist`` walk also
-    detects orientation failures; ``waist_cap`` then prunes candidates that
-    cannot improve.
+    omegas of its rotation trace (``plain_candidates``, ``build_splice``).
+    The ``waist`` walk checks that decision again, independently of the
+    trace: its ``omega_range`` spans the curve's right weights over the
+    full turn, and a curve whose range breaks delta is a fault of the
+    construction, so GuaranteeViolation, before the cap is read.  So is an
+    InvalidCurve from ``validate_curve``: every curve the search builds
+    turns once about subset points by construction.  The walk also detects
+    orientation failures; ``waist_cap`` then prunes candidates that cannot
+    improve.
     """
     validate_curve(sr, inst)
     try:
         w = waist(sr, inst)
     except NotPositivelyOriented:
         return None
+    if not _preserves_delta(sr.subset_color, w.omega_range, inst.delta):
+        raise GuaranteeViolation(
+            f"the {kind} curve of level {level} has right weights {w.omega_range[0]}..{w.omega_range[1]}, "
+            f"which break delta = {inst.delta}")
     if waist_cap is not None and w.value >= waist_cap:
         return None
     return Gamma(sr, w, kind, level)
@@ -122,8 +129,10 @@ def plain_candidates(inst: Instance) -> Optional[Gamma]:
     the first that preserves wins.  Its omegas are fed lazily from
     ``walk_rotation`` to ``_preserves_delta``, which stops at the first
     weight that breaks preservation; only the winner is drained, lifted
-    and must pass ``_validated`` with that waist and its own profile walk
-    (``is_delta_preserving_sliding``); GuaranteeViolation otherwise.
+    and must pass ``_validated`` with that waist, GuaranteeViolation
+    otherwise.  The walk of that waist rechecks preservation from the
+    curve alone (``Waist.omega_range``), so the winner's profile is not
+    walked a second time.
     """
     delta = inst.delta
     for k in reversed(range((inst.r - 1) // 2)):
@@ -142,7 +151,7 @@ def plain_candidates(inst: Instance) -> Optional[Gamma]:
     width, color = inst.r - 2 * k - 2, spec.subset
     sr = lift_rotation(RotationTrace(spec, *start, tuple(events)), color)
     cand = _validated(sr, inst, "plain", spec.level)
-    if cand is None or cand.waist.value != width or not is_delta_preserving_sliding(sr, inst):
+    if cand is None or cand.waist.value != width:
         raise GuaranteeViolation(
             f"the {color.name} level-{spec.level} lift fails membership or its waist is not {width}")
     return cand
@@ -181,9 +190,9 @@ def decompose_fhg(inst: Instance, gamma: Gamma) -> tuple[
     between.  G must be exactly the waist witnesses, else
     GuaranteeViolation.  The package's one F/H/G split, which the
     certificate reads.  It does not walk the curve's profile again: every
-    ``Gamma`` the package makes preserves delta (``plain_candidates``
-    walked the winner's profile, and ``build_splice`` read each splice's
-    off its trace).
+    ``Gamma`` the package makes preserves delta, decided from its trace
+    (``plain_candidates``, ``build_splice``) and checked again by
+    ``_validated`` on the weight range of its waist walk.
     """
     t = gamma.waist.achieved_at
     o_low = gamma.waist.line_low.offset(t)

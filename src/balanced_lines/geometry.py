@@ -17,7 +17,7 @@ and ``rotation.RotationEvent`` (a transition is one such event), are tuples
 Being tuples, they equal plain tuples of the same values
 (``Direction(0, 1) == (0, 1)``), and they cannot be ordered: ``<``, ``<=``,
 ``>`` and ``>=`` raise TypeError, because tuple order is not angular order
-(``Direction.rank`` and ``direction_key`` are).
+(``direction_key(VERTICAL, ·)`` is: from vertical, counterclockwise).
 
 The package keeps no state between instances: what an instance needs again
 (its fences, its rows) is kept on the instance.
@@ -266,11 +266,6 @@ class Direction(NamedTuple):
         """
         return self.dx * y - self.dy * x
 
-    @property
-    def rank(self) -> tuple:
-        """Sort key realizing the cyclic order from vertical, counterclockwise."""
-        return KEY_START if self == VERTICAL else direction_key(VERTICAL, self)
-
     def __repr__(self) -> str:
         return f"Direction({self.dx}, {self.dy})"
 
@@ -398,10 +393,6 @@ class DirectedLine(NamedTuple):
     span: tuple[int, ...] = ()
 
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
-
-    @property
-    def reversed(self) -> "DirectedLine":
-        return DirectedLine(self.ax, self.ay, self.direction.antipode, self.span)
 
     def offset(self, frame: Direction) -> Coord:
         """Signed position of this line among lines parallel to ``frame``.
@@ -695,7 +686,8 @@ def halfplane_weight(line: DirectedLine, inst: Instance) -> int:
     direction is below the anchor's, so each point costs one integer
     comparison.  The loop reads the rows (``Instance.xs``, ``ys``, ``ws``)
     and computes each offset inline, with no call per point.  The left side
-    is the right side of ``line.reversed``.
+    is the same pass with the comparison to the anchor's offset swapped:
+    the points whose offset is above it.
     """
     dx, dy = d = line.direction
     o = d.offset(line.ax, line.ay)

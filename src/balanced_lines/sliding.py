@@ -21,12 +21,14 @@ checks this, and the queries rely on it: each curve keys its anchors by
 angle from the start (``SlidingRotation.keys``), so finding the arc at a
 direction (``SlidingRotation.arc_at``, and with it ``evaluate_at``) costs
 one bisection, O(log anchors).  The walks read the angular order the
-instance keeps per point, its fences (``Instance.fences``), cut to an arc
-by ``fences_within``: ``sliding_profile`` walks every arc in O(log n) plus
-one step per crossed point, and ``curve_sweep``, which the waist and the
-orientation check read, carries the two antipodal lines along the half
-cycle over the fences of their current anchors, in O(log n + m) per
-anchor change plus one step per subset point crossed.
+instance keeps per point, its fences (``Instance.fences``).
+``sliding_profile`` cuts every arc out of its pivot's fences by
+``fences_within`` and walks the full turn in O(log n) per arc plus one
+step per crossed point.  ``curve_sweep``, which the waist, the
+orientation check and the delta check of the gamma search read, carries
+the two antipodal lines along the half cycle with one pointer into the
+fences of each line's current anchor: one O(n) count per curve, O(1) per
+fence and O(log n) per anchor change.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .geometry import (
     direction_key,
     fences_within,
     halfplane_weight,
+    just_after_keys,
 )
 from .rotation import EventKind, RotationTrace, _preserves_delta
 
@@ -217,7 +220,9 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
     slide passes the points whose offsets lie between its ends.  Each arc
     cuts its range out of the pivot's fences (``Instance.fences``) with
     ``fences_within``, two bisections, instead of testing every direction
-    against the arc.
+    against the arc.  The gamma search reads a curve's weights off its
+    waist walk (``Waist.omega_range``); this walk of the full turn, arc by
+    arc, is the independent one the tests compare it with.
     """
     ws = inst.ws
     out = []
@@ -259,7 +264,8 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
 def is_delta_preserving_sliding(sr: SlidingRotation, inst: Instance) -> bool:
     """One-sided preservation: red curves stay <= delta, blue curves >= delta.
 
-    Reads the weights of ``sliding_profile``.
+    Reads the weights of ``sliding_profile``; the gamma search reads the
+    same test off ``Waist.omega_range`` instead.
     """
     omegas = (w for _, w in sliding_profile(sr, inst))
     return _preserves_delta(sr.subset_color, omegas, inst.delta)
@@ -270,51 +276,87 @@ def curve_sweep(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direction
 
     ``low`` and ``high`` anchor the curve's lines at t and t + pi for t
     inside the interval (what ``evaluate_at`` returns), and ``strip`` holds
-    the subset points strictly between them.  It changes only where an
-    anchor changes or a subset point crosses one of the lines, at a fence
-    of its anchor (``Instance.fences``).  So each piece between anchor
-    changes merges the fences of its two anchors, ``high``'s with ``head``
-    flipped (its line points the other way), and recounts the strip once,
-    just past its start; then a point met by the tail of either line joins
-    the strip and one met by a head leaves it, until the lines cross at the
-    fence between the two anchors.  A walk costs
-    O(anchors * (log n + m) + crossings), m the subset size.
+    the subset points strictly between them.  The walk counts the strip,
+    both lines' right weights and their orientation once, just past the
+    start direction (``_just_after``); after that they change only at a
+    fence of a current anchor (``Instance.fences``; ``high``'s with ``head``
+    flipped, as its line points the other way) or where an anchor changes.
+    So one pointer per line steps through all its anchor's fences: each
+    point met steps that line's weight, a subset point met by the tail of
+    either line joins the strip and one met by a head leaves it, and the
+    fence between the two anchors, where the lines cross, ends the
+    oriented run.  An interval ends at a subset fence or an anchor change.
 
-    Raises NotPositivelyOriented at the first interval whose lines bound no
+    An arc-only change from a to a', which lies on a's line there, hands
+    the line over as ``rotation.walk_rotation`` does, by a's fence at a':
+    met by the head, a' leaves the strip and a joins it; met by the tail,
+    the strip stays.  The weight stays either way (the tail step
+    w(a) - w(a') is 0: every anchor has the subset's colour).  Two lines
+    that hand over at one direction are distinct parallels there, so each
+    does so on its own.  Only a slide (a' off a's line, ``curve_pieces``'
+    test) or a new anchor that is the other line's is counted again, just
+    past that direction.  So a walk costs one O(n) count, O(1) per fence
+    and O(log n) per anchor change, the bisection into the new fences.
+
+    Returns the least and greatest right weight either line held, with the
+    weights every slide passes (``_slide_range``), those at start and
+    start + pi included: the extremes of ``sliding_profile``.  Raises
+    NotPositivelyOriented at the first interval whose lines bound no
     strip.  ``strip`` is the walk's own set, changed as it goes on: copy it
     to keep it.  Needs a curve that turns exactly once.
     """
     start, keys, anchors = sr.start_direction, sr.keys, sr.anchors
     half = start.antipode
     key_half = direction_key(start, half)
-    # the anchor changes inside (start, start + pi), in turn order: the low line's at
-    # the anchors' directions, the high line's at the antipodes of those past start + pi
-    changes = sorted([(k, False, d, p) if k < key_half
-                      else (direction_key(start, d.antipode), True, d.antipode, p)
-                      for k, (d, p) in zip(keys[1:], anchors[1:]) if k != key_half], key=itemgetter(0, 1))
-    changes.append((None, False, half, None))  # closes the last piece
-    a, b = anchors[0][1], anchors[sr.arc_at(half)][1]
-    color, xs, ys = sr.subset_color, inst.xs, inst.ys
+    k0 = direction_key(VERTICAL, start)
+    j = sr.arc_at(half)
+    a, b = anchors[0][1], anchors[j][1]
+    # the anchor changes inside (start, start + pi): the low line's at the anchors'
+    # directions, the high line's at the antipodes of those past start + pi
+    ends: dict[Direction, list] = {}
+    for k, (d, p) in zip(keys[1:], anchors[1:]):
+        if k != key_half:
+            high = key_half < k
+            ends.setdefault(d.antipode if high else d, [None, None])[high] = p
+    # each at its place in the walk, (past vertical, key), the end last
+    changes = sorted([(_place(k0, v), v, *new) for v, new in ends.items()], key=itemgetter(0))
+    changes.append((_place(k0, half), half, None, None))
+    end = len(changes) - 1
+
+    color, ws = sr.subset_color, inst.ws
     ids = inst.ids_of(color)
     subset = set(ids)
-    u, ku = start, direction_key(VERTICAL, start)
-    for _, high, v, new in changes:
-        if v != u:  # the piece [u, v), where a and b anchor the lines
-            kv = direction_key(VERTICAL, v)
-            flipped = [(k, d, p, not head) for k, d, p, head in fences_within(inst.fences(b), ku, kv, ())
-                       if p in subset]
-            stops = [e for e in fences_within(inst.fences(a), ku, kv, flipped) if e[2] in subset]
-            stops.append((kv, v, a, True))  # closes the piece; a never enters the strip
-            t = direction_between(u, stops[0][1])
-            tx, ty = t  # the recount reads the rows, with t.offset inline per point
-            o_a, o_b = t.offset(xs[a], ys[a]), t.offset(xs[b], ys[b])
-            oriented = o_a < o_b
-            strip = {i for i in ids if o_a < tx * ys[i] - ty * xs[i] < o_b}
-            for _, d, p, head in stops:
+    offsets, strip, w_low, w_high, oriented = _just_after(inst, ids, start, a, b)
+    least, most = min(w_low, w_high), max(w_low, w_high)
+    # the slides at the walk's ends: into the first anchor at start, into one at start + pi
+    slides = [(offsets, anchors[-1][1], a)]
+    if keys[j] == key_half:
+        slides.append(([-o for o in offsets], anchors[j - 1][1], b))
+    for offs, p, q in slides:
+        if offs[p] != offs[q]:
+            least, most = _slide_range(ws, offs, p, q, least, most)
+
+    # a cursor per line: its anchor's fences, the index of the next one, that fence and its place
+    fa, fb = inst.fences(a), inst.fences(b)
+    na, ia, ea, pa = _cursor(fa, k0, False)
+    nb, ib, eb, pb = _cursor(fb, k0, False)
+    ci, u = 0, start
+    pc, v, new_a, new_b = changes[0]
+    while True:
+        # a fence at the change's place is crossed first by a line that keeps its point
+        take_a = pa < pc or pa == pc and new_a in (None, a) and ci < end
+        take_b = pb < pc or pb == pc and new_b in (None, b) and ci < end
+        if take_a and (not take_b or pa <= pb):
+            _, d, p, head = ea
+            w_low += ws[p] if head else -ws[p]
+            if w_low < least:
+                least = w_low
+            elif w_low > most:
+                most = w_low
+            if p in subset:
                 if d != u:
                     if not oriented:
-                        raise NotPositivelyOriented(
-                            f"antipodal lines out of order at {_representative(inst, color, u, d)}")
+                        raise _out_of_order(inst, color, u, d)
                     yield u, d, a, b, strip
                     u = d
                 if p == b:  # a's line meets b: the two lines cross
@@ -323,8 +365,128 @@ def curve_sweep(sr: SlidingRotation, inst: Instance) -> Iterator[tuple[Direction
                     strip.discard(p)
                 elif p != a:
                     strip.add(p)
-            ku = kv
-        a, b = (a, new) if high else (new, b)
+            ia += 1
+            ea = fa[ia % na]
+            pa = (ia >= na, ea[0])
+        elif take_b:
+            _, d, p, head = eb  # the high line points the other way: b's head is its tail
+            w_high += -ws[p] if head else ws[p]
+            if w_high < least:
+                least = w_high
+            elif w_high > most:
+                most = w_high
+            if p in subset:
+                if d != u:
+                    if not oriented:
+                        raise _out_of_order(inst, color, u, d)
+                    yield u, d, a, b, strip
+                    u = d
+                if not head:
+                    strip.discard(p)
+                elif p != a:
+                    strip.add(p)
+            ib += 1
+            eb = fb[ib % nb]
+            pb = (ib >= nb, eb[0])
+        else:
+            if v != u:
+                if not oriented:
+                    raise _out_of_order(inst, color, u, v)
+                yield u, v, a, b, strip
+                u = v
+            if ci == end:
+                return least, most
+            moves_a, moves_b = new_a not in (None, a), new_b not in (None, b)
+            # arc-only exactly when the old point's fence here is the one at the new point
+            hand_a = moves_a and pa == pc and ea[2] == new_a
+            hand_b = moves_b and pb == pc and eb[2] == new_b
+            new_a, new_b = new_a if moves_a else a, new_b if moves_b else b
+            if moves_a and (new_a == b or not hand_a) or moves_b and (new_b == a or not hand_b):
+                offsets, strip, w_low, w_high, oriented = _just_after(inst, ids, v, new_a, new_b)
+                least, most = min(least, w_low, w_high), max(most, w_low, w_high)
+                if offsets[a] != offsets[new_a]:
+                    least, most = _slide_range(ws, offsets, a, new_a, least, most)
+                if offsets[b] != offsets[new_b]:
+                    least, most = _slide_range(ws, [-o for o in offsets], b, new_b, least, most)
+            else:  # two distinct parallel lines, if both hand over here: each on its own
+                if moves_a and ea[3]:  # met by the head
+                    strip.discard(new_a)
+                    strip.add(a)
+                if moves_b and not eb[3]:  # met by the high line's head
+                    strip.discard(new_b)
+                    strip.add(b)
+            wrapped, kv = pc
+            if moves_a:
+                a, fa = new_a, inst.fences(new_a)
+                na, ia, ea, pa = _cursor(fa, kv, wrapped)
+            if moves_b:
+                b, fb = new_b, inst.fences(new_b)
+                nb, ib, eb, pb = _cursor(fb, kv, wrapped)
+            ci += 1
+            pc, v, new_a, new_b = changes[ci]
+
+
+def _place(k0: tuple, d: Direction) -> tuple[bool, tuple]:
+    """Where d lies in a walk from the direction keyed k0: past vertical or not, then its key."""
+    k = direction_key(VERTICAL, d)
+    return not k0 < k, k
+
+
+def _cursor(fences: tuple, key: tuple, wrapped: bool) -> tuple:
+    """A pointer into a point's fences just past ``key``: (length, index, fence, place).
+
+    The index runs on into a second pass of the fences once the walk is
+    past vertical (``wrapped``), so ``(index >= length, key)``, the place,
+    orders the fence in the walk.
+    """
+    n = len(fences)
+    i = bisect_right(fences, key, key=FENCE_KEY) + (n if wrapped else 0)
+    e = fences[i % n]
+    return n, i, e, (i >= n, e[0])
+
+
+def _just_after(inst: Instance, ids: tuple[int, ...], d: Direction, a: int, b: int) -> tuple:
+    """``curve_sweep``'s count just past d, for the lines through a at d and b at d + pi.
+
+    ``(offsets, strip, low weight, high weight, oriented)``, read off one
+    ``just_after_keys`` at d: a point is right of a's line exactly when its
+    key is below a's, and right of b's line at d + pi, the line at d turned
+    around, exactly when its key is above b's.  ``offsets`` holds every
+    point's ``d.offset``.
+    """
+    keys = just_after_keys(d, inst.points)
+    ka, kb = keys[a], keys[b]
+    ws = inst.ws
+    return ([key[0] for key in keys], {i for i in ids if ka < keys[i] < kb},
+            sum(w for w, key in zip(ws, keys) if key < ka),
+            sum(w for w, key in zip(ws, keys) if key > kb), ka < kb)
+
+
+def _slide_range(ws: tuple[int, ...], offsets: list, p: int, q: int,
+                 least: int, most: int) -> tuple[int, int]:
+    """``(least, most)`` widened by the right weights of a slide from p to q.
+
+    ``offsets`` are every point's offsets against the slide's direction;
+    the lines between the two ends have the weights of ``sliding_profile``'s
+    slide intervals: each offset from the lower end up to, not including,
+    the upper one puts its points and all below it on the right.
+    """
+    lo, hi = sorted((offsets[p], offsets[q]))
+    w = sum(pw for pw, o in zip(ws, offsets) if o <= lo)
+    crossed: dict = {}
+    for pw, o in zip(ws, offsets):
+        if lo < o < hi:
+            crossed[o] = crossed.get(o, 0) + pw
+    weights = [w]
+    for o in sorted(crossed):
+        w += crossed[o]
+        weights.append(w)
+    return min(least, *weights), max(most, *weights)
+
+
+def _out_of_order(inst: Instance, color: Color, u: Direction, v: Direction) -> NotPositivelyOriented:
+    """The error of ``curve_sweep`` for the interval [u, v), named as ``waist`` names one."""
+    return NotPositivelyOriented(f"antipodal lines out of order at {_representative(inst, color, u, v)}")
 
 
 def _representative(inst: Instance, color: Color, u: Direction, v: Direction) -> Direction:
@@ -345,13 +507,20 @@ def _representative(inst: Instance, color: Color, u: Direction, v: Direction) ->
 
 @dataclass(frozen=True)
 class Waist:
-    """The minimum strip occupancy of a positively oriented curve."""
+    """The minimum strip occupancy of a positively oriented curve.
+
+    ``omega_range`` is the least and the greatest right-halfplane weight of
+    the curve over its full turn, read off the same walk: the curve
+    preserves delta exactly when ``rotation._preserves_delta`` holds for
+    the pair.
+    """
 
     value: int
     achieved_at: Direction
     witnesses: frozenset[int]
     line_low: DirectedLine
     line_high: DirectedLine
+    omega_range: tuple[int, int]
 
 
 def waist(sr: SlidingRotation, inst: Instance) -> Waist:
@@ -359,19 +528,26 @@ def waist(sr: SlidingRotation, inst: Instance) -> Waist:
 
     The first interval of ``curve_sweep`` with the fewest, named by
     ``_representative``: the strip is constant on each interval, so this is
-    the minimum over the continuous parameter.  Costs what the walk costs,
-    O(anchors * (log n + m) + crossings).  Raises NotPositivelyOriented when
-    some antipodal pair bounds no strip.
+    the minimum over the continuous parameter.  The walk's weight range is
+    kept as ``omega_range``.  Costs what the walk costs: one O(n) count,
+    O(1) per fence and O(log n) per anchor change.  Raises
+    NotPositivelyOriented when some antipodal pair bounds no strip.
     """
+    walk = curve_sweep(sr, inst)
     best = None
-    for u, v, low, high, strip in curve_sweep(sr, inst):
+    while True:
+        try:
+            u, v, low, high, strip = next(walk)
+        except StopIteration as done:
+            omega_range = done.value
+            break
         if best is None or len(strip) < len(best[4]):
             best = (u, v, low, high, frozenset(strip))
     u, v, low, high, witnesses = best
     t = _representative(inst, sr.subset_color, u, v)
     a, b = inst.points[low], inst.points[high]
     return Waist(len(witnesses), t, witnesses, DirectedLine(a.x, a.y, t, (low,)),
-                 DirectedLine(b.x, b.y, t.antipode, (high,)))
+                 DirectedLine(b.x, b.y, t.antipode, (high,)), omega_range)
 
 
 def is_positively_oriented(sr: SlidingRotation, inst: Instance) -> bool:

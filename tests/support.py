@@ -16,7 +16,8 @@ rejects before building them.
 It also holds the linear-scan oracles of the indexed curve and trace
 queries: ``linear_evaluate_at``, ``linear_half_cycle_breakpoints`` with
 its ``linear_half_cycle_representatives``, ``linear_waist``,
-``brute_waist``, ``recount_profile`` and
+``brute_waist``, ``recount_profile`` (with ``profile_range``, its least
+and greatest weight, which ``Waist.omega_range`` must equal) and
 ``linear_curve_meetings`` (which tests every interval against every arc
 with ``ccw_arc_contains``) share nothing with the angular indexes and walks
 in the package beyond the exact primitives and the arcs and slides that
@@ -48,9 +49,10 @@ coordinates), keeping its balanced lines.
 
 The side oracle ``Side``, ``orientation`` and ``side`` classifies a point
 against a directed line by the sign of a determinant, apart from the
-package's one side test, ``Direction.offset``; ``opposite``,
-``swap_colors`` and ``omega_values`` are small readings of instances and
-traces that only the tests make.
+package's one side test, ``Direction.offset``; ``reversed_line``,
+``rank``, ``opposite``, ``swap_colors`` and ``omega_values`` are small
+readings of lines, directions, instances and traces that only the tests
+make.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from balanced_lines.geometry import (
     DuplicateAbscissa,
     Direction,
     Instance,
+    KEY_START,
     LabeledPoint,
     VERTICAL,
     build_points,
@@ -137,6 +140,23 @@ def side(line: DirectedLine, p) -> Side:
     px, py = _xy(p)
     d = line.direction
     return _side_of(d.dx * (py - line.ay) - d.dy * (px - line.ax))
+
+
+def reversed_line(line: DirectedLine) -> DirectedLine:
+    """The line turned around: the same anchor and span, the antipodal direction.
+
+    Its right side is the left side of ``line``.
+    """
+    return DirectedLine(line.ax, line.ay, line.direction.antipode, line.span)
+
+
+def rank(d: Direction) -> tuple:
+    """Sort key of the cyclic order from vertical, counterclockwise: vertical first.
+
+    ``direction_key(VERTICAL, d)``, except that vertical itself, which that
+    key sorts last, takes ``KEY_START``.
+    """
+    return KEY_START if d == VERTICAL else direction_key(VERTICAL, d)
 
 
 def opposite(color: Color) -> Color:
@@ -462,9 +482,16 @@ def linear_waist(sr, inst: Instance) -> Waist:
         if o_high <= o_low:
             raise NotPositivelyOriented(f"antipodal lines out of order at {t}")
         inside = frozenset(i for i in ids if o_low < t.offset(pts[i].x, pts[i].y) < o_high)
-        if best is None or len(inside) < best.value:
-            best = Waist(len(inside), t, inside, low, high)
-    return best
+        if best is None or len(inside) < len(best[3]):
+            best = (t, low, high, inside)
+    t, low, high, inside = best
+    return Waist(len(inside), t, inside, low, high, profile_range(sr, inst))
+
+
+def profile_range(sr, inst: Instance) -> tuple[int, int]:
+    """The least and greatest weight of ``recount_profile``: what ``Waist.omega_range`` holds."""
+    omegas = [w for _, w in recount_profile(sr, inst)]
+    return min(omegas), max(omegas)
 
 
 def pair_fence_sweep(sr, inst: Instance) -> Iterator[tuple[Direction, int, int, set[int]]]:
@@ -549,16 +576,16 @@ def pair_fence_sweep(sr, inst: Instance) -> Iterator[tuple[Direction, int, int, 
 def pair_fence_waist(sr, inst: Instance) -> Waist:
     """Oracle for ``waist``: the first minimal interval of ``pair_fence_sweep``."""
     pts = inst.points
-    best: Optional[Waist] = None
+    best = None
     for t, low, high, strip in pair_fence_sweep(sr, inst):
         a, b = pts[low], pts[high]
         if t.offset(b.x, b.y) <= t.offset(a.x, a.y):
             raise NotPositivelyOriented(f"antipodal lines out of order at {t}")
-        if best is None or len(strip) < best.value:
-            best = Waist(len(strip), t, frozenset(strip),
-                         DirectedLine(a.x, a.y, t, (low,)),
-                         DirectedLine(b.x, b.y, t.antipode, (high,)))
-    return best
+        if best is None or len(strip) < len(best[1]):
+            best = (t, frozenset(strip), DirectedLine(a.x, a.y, t, (low,)),
+                    DirectedLine(b.x, b.y, t.antipode, (high,)))
+    t, strip, line_low, line_high = best
+    return Waist(len(strip), t, strip, line_low, line_high, profile_range(sr, inst))
 
 
 def brute_waist(sr, inst):

@@ -2,7 +2,9 @@
 
 ``evaluate_at`` bisects a curve's anchor keys, ``curve_sweep`` (and with it
 ``waist``) walks the half cycle over its two anchors' fences, whose every
-cut must be one of the linear sort's breakpoints, ``sliding_profile``
+cut must be one of the linear sort's breakpoints and whose every interval
+and weight range must agree with the walk over every subset pair fence
+and with the recounted profile, ``sliding_profile``
 bisects each pivot's fences (``Instance.fences``), ``run_rotation`` walks
 the pivots' fences, and the surgery's ``_curve_meetings`` and
 ``build_shift`` walk a trace in order; the oracles in ``support`` scan
@@ -343,6 +345,75 @@ def test_curve_sweep_matches_linear_scan(searched):
         assert is_positively_oriented(sr, inst) == walked == oriented
         outcomes.add(walked)
     assert outcomes == {True, False}
+
+
+def _family_curves(instances):
+    """Every level lift of both colours of each instance, and every curve its gamma search validates."""
+    lifts = [(lift_rotation(run_rotation(RotationSpec(color, k), inst), color), inst)
+             for inst in instances for color in (Color.RED, Color.BLUE)
+             for k in range(len(inst.ids_of(color)))]
+    return lifts + [(sr, inst) for sr, inst, _ in _search(instances)[0]]
+
+
+def _sweep_to_end(sr, inst):
+    """The intervals of ``curve_sweep``, strips copied, and its weight range; None when it raised."""
+    steps = []
+    walk = curve_sweep(sr, inst)
+    try:
+        while True:
+            u, v, low, high, strip = next(walk)
+            steps.append((u, v, low, high, set(strip)))
+    except StopIteration as done:
+        return steps, done.value
+    except NotPositivelyOriented:
+        return steps, None
+
+
+def _check_sweep_against_oracles(sr, inst):
+    """The walk against ``support.pair_fence_sweep`` interval by interval, and its range against the profile.
+
+    Every interval of the pair-fence walk lies inside one interval of the
+    sweep and must carry its anchors and strip, oriented, up to the first
+    unoriented one, where the sweep must have raised; a sweep that ran
+    through must report the least and greatest weight of
+    ``support.recount_profile``.  Returns whether it ran through.
+    """
+    steps, weights = _sweep_to_end(sr, inst)
+    xs, ys = inst.xs, inst.ys
+    fine = [(t, low, high, set(strip)) for t, low, high, strip in support.pair_fence_sweep(sr, inst)]
+    i = 0
+    for t, low, high, strip in fine:
+        while i < len(steps) and not ccw_arc_contains(steps[i][0], steps[i][1], t):
+            i += 1
+        if i == len(steps):
+            assert weights is None
+            assert t.offset(xs[high], ys[high]) <= t.offset(xs[low], ys[low])
+            return False
+        assert steps[i][2:] == (low, high, strip)
+        assert t.offset(xs[low], ys[low]) < t.offset(xs[high], ys[high])
+    assert i == len(steps) - 1
+    assert weights == support.profile_range(sr, inst)
+    return True
+
+
+@pytest.mark.parametrize("pool", [
+    support.nested_pool,
+    support.mixed_pool,
+    support.recharge_pool,
+    lambda: [support.gen_nested(1, 16, 24, Color.RED), support.gen_nested(2, 20, 20, Color.BLUE),
+             support.gen_mixed(3, 16, 24, 0.5)],
+    lambda: [gen_random(seed, 1 + seed % 9, 1 + seed % 9 + 2 * (seed % 4), 1000) for seed in range(40)],
+], ids=["nested", "mixed", "recharge", "n40", "gen_random"])
+def test_curve_sweep_matches_pair_fence_walk_and_profile(pool):
+    """Every level lift of both colours and every validated curve: intervals, strips and weight range."""
+    outcomes = [_check_sweep_against_oracles(sr, inst) for sr, inst in _family_curves(pool())]
+    assert True in outcomes and False in outcomes
+
+
+def test_searched_curves_match_pair_fence_walk_and_profile(searched):
+    """The splices, the plain lifts the search ranks and the shift curves, whose slides the walk recounts."""
+    outcomes = {(_check_sweep_against_oracles(sr, inst), _has_slide(sr, inst)) for sr, inst, _ in searched[0]}
+    assert {(True, False), (False, False), (True, True)} <= outcomes
 
 
 def test_curve_meetings_match_all_pairs(search_log):

@@ -1,12 +1,14 @@
 import dataclasses
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import support
 
 from balanced_lines import gamma as gamma_module
-from balanced_lines.geometry import Color, GuaranteeViolation, direction_key
+from balanced_lines import sliding as sliding_module
+from balanced_lines.geometry import Color, GuaranteeViolation, direction_key, instance_from_json
 from balanced_lines.generators import gen_random, gen_separated_convex
 from balanced_lines.gamma import (
     _outermost_meetings,
@@ -15,6 +17,7 @@ from balanced_lines.gamma import (
     decompose_fhg,
     find_gamma,
     plain_candidates,
+    surgery_candidates,
 )
 from balanced_lines.rotation import (
     EventKind,
@@ -318,6 +321,81 @@ def test_plain_waist_mismatch_raises(monkeypatch, nested_instances):
     monkeypatch.setattr(gamma_module, "waist", one_more)
     with pytest.raises(GuaranteeViolation):
         plain_candidates(inst)
+
+
+def _coupled_lift(inst):
+    """The plain winner and the lift of its coupled level, which shares its waist and breaks delta.
+
+    Red level k and blue level k + delta have one waist, and at most one of
+    them preserves delta (``rotation.check_level_coupling``), so the level
+    coupled with the winner does not.
+    """
+    best = plain_candidates(inst)
+    if best.color is Color.RED:
+        color, level = Color.BLUE, best.level + inst.delta
+    else:
+        color, level = Color.RED, best.level - inst.delta
+    sr = lift_rotation(run_rotation(RotationSpec(color, level), inst), color)
+    assert is_positively_oriented(sr, inst) and not is_delta_preserving_sliding(sr, inst)
+    assert waist(sr, inst).value == best.waist.value
+    return best, sr
+
+
+def test_plain_winner_breaking_delta_raises(monkeypatch, nested_instances):
+    """A plain winner whose own walk breaks delta is a GuaranteeViolation, not a silent None."""
+    inst = next(inst for inst in nested_instances if plain_candidates(inst) is not None)
+    _, breaking = _coupled_lift(inst)
+    monkeypatch.setattr(gamma_module, "lift_rotation", lambda trace, color: breaking)
+    with pytest.raises(GuaranteeViolation, match="which break delta"):
+        plain_candidates(inst)
+
+
+def test_splice_breaking_delta_raises(monkeypatch, nested_instances):
+    """A splice whose own walk breaks delta is a GuaranteeViolation, read before the waist cap.
+
+    The lift handed back has the waist of the curve it was spliced from,
+    so the cap alone would drop it without a word.
+    """
+    inst = next(inst for inst in nested_instances
+                if plain_candidates(inst) is not None and plain_candidates(inst).waist.witnesses)
+    best, breaking = _coupled_lift(inst)
+    monkeypatch.setattr(gamma_module, "build_splice", lambda inst, best, trace: breaking)
+    with pytest.raises(GuaranteeViolation, match="which break delta"):
+        surgery_candidates(inst, best)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.skipif(not (PERFBENCH / "workloads.py").exists(), reason="perfbench/ is absent")
+def test_one_full_count_per_validated_curve(monkeypatch):
+    """On the 150 seed-1 ``gamma-curve`` inputs each validated curve is counted in full once.
+
+    The waist walk counts just past its start (``geometry.just_after_keys``)
+    and carries the strip and both weights across every anchor change of
+    these curves, which are arc-only and never hand a line to the other
+    line's anchor; the preservation check reads the same walk.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    samples = workloads.WORKLOADS["gamma-curve"].inputs(1, 150)
+    counts = Counter()
+    count_keys, validated = sliding_module.just_after_keys, gamma_module._validated
+
+    def spy_keys(*args):
+        counts["full"] += 1
+        return count_keys(*args)
+
+    def spy_validated(*args, **kwargs):
+        counts["curves"] += 1
+        return validated(*args, **kwargs)
+
+    monkeypatch.setattr(sliding_module, "just_after_keys", spy_keys)
+    monkeypatch.setattr(gamma_module, "_validated", spy_validated)
+    for sample in samples:
+        find_gamma(instance_from_json(sample.to_json()))
+    assert counts["full"] == counts["curves"] >= len(samples)
 
 
 def test_find_gamma_validates_one_plain_curve(monkeypatch, nested_instances, mixed_instances):
