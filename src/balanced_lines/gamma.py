@@ -36,19 +36,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, groupby, tee
-from operator import itemgetter
+from itertools import chain, tee
 from typing import Optional
 
 from .geometry import (
-    VERTICAL,
     Color,
     Direction,
     GuaranteeViolation,
     Instance,
     ccw_arc_contains,
     direction_key,
-    fences_within,
     just_after_keys,
 )
 from .rotation import (
@@ -234,6 +231,19 @@ def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
 
     The strip is the waist witnesses, the G of ``decompose_fhg``.
     Only the splices that preserve delta are built (``build_splice``).
+
+    The cap: a built splice's strip at theta, ``best``'s achieving
+    direction, is a proper subset of G.  At theta the splice follows the
+    strip rotation's lift, whose line passes through the rotation's pivot,
+    a point of G (the first meeting is never theta).  At theta + pi it
+    follows the lift, whose line passes through a point of G, or ``best``,
+    whose line there is ``best``'s own high line.  Both lines lie in
+    ``best``'s closed strip at theta, which holds exactly G strictly
+    inside, and the pivot lies on the first; so the subset points strictly
+    between them are points of G, the pivot not among them.  Hence a
+    positively oriented splice has a waist below |G|, the cap, and
+    ``waist_cap`` never prunes one.  Orientation has no proof yet, so the
+    cap and ``_validated``'s None paths stay.
     """
     strip = best.waist.witnesses
     theta = best.waist.achieved_at
@@ -399,41 +409,36 @@ def build_shift(inst: Instance, trace: RotationTrace, shift_color: Color) -> Opt
     name (``gamma.build_shift``), and ``test_build_shift_matches_scan`` and
     ``test_shift_curve_structure`` keep its slide paths checked.
 
-    The start order and count are read from ``just_after_keys`` at the
-    start direction, as ``run_rotation`` reads its start state.  The walk
-    keeps the shift-colored points sorted by offset and counts those right
-    of the line.  The count steps only at the trace's events that cross a
-    shift-colored point, and two points swap places only at their pair
-    fence (``Instance.pair_fences``), where they are adjacent; so after one
-    sort each event and fence costs O(1).
+    The curve is made of level rotations of the shift class.  The count of
+    shift-colored points right of the rotating line, read from
+    ``just_after_keys`` at the start direction, steps only at the trace's
+    events that cross one of them.  Between two such events the nearest of
+    them has exactly count - 1 shift-colored points right of its own
+    parallel line, so it is the pivot of the shift class's level
+    count - 1 rotation, which hands over where two of them share an
+    offset.  So each window between those events is a ``_window`` of that
+    rotation's lift, and ``_curve_through`` joins the windows, with a slide
+    where the nearest point jumps.  A trace that crosses no shift-colored
+    point has one window, the full turn.
     """
     pts = inst.points
     theta = trace.start_direction
     keys = just_after_keys(theta, pts)
-    order = sorted(inst.ids_of(shift_color), key=keys.__getitem__)
-    key_g = keys[trace.initial_pivot]
-    right = sum(1 for sid in order if keys[sid] < key_g)
-    if not right:
+    right = sum(1 for sid in inst.ids_of(shift_color) if keys[sid] < keys[trace.initial_pivot])
+    # (direction, count just past it) where the count steps; events at theta close the turn
+    cuts = [(theta, right)]
+    for ev in trace.events:
+        if ev.direction != theta and pts[ev.crossed_id].color is shift_color:
+            right += 1 if ev.end is End.HEAD else -1
+            cuts.append((ev.direction, right))
+    if not all(right for _, right in cuts):
         return None
-    place = {sid: i for i, sid in enumerate(order)}
-    k0 = direction_key(VERTICAL, theta)
-    # events at theta itself close the turn; the walk stops before them
-    events = [(direction_key(VERTICAL, ev.direction), ev.direction, None, ev)
-              for ev in trace.events if ev.direction != theta]
-    cuts = fences_within(inst.pair_fences(shift_color), k0, k0, events)
-    anchors = [(theta, order[right - 1])]  # (direction, chosen point) where the choice changes
-    for u, entries in groupby(cuts, key=itemgetter(1)):
-        for _, _, p, q in entries:  # a pair fence (p, q) or a trace event (None, q)
-            if p is not None:  # p and q meet in offset and swap places
-                i, j = place[p], place[q]
-                order[i], order[j] = q, p
-                place[p], place[q] = j, i
-            elif pts[q.crossed_id].color is shift_color:  # the line crosses it
-                right += 1 if q.end is End.HEAD else -1
-        if not right:
-            return None
-        if anchors[-1][1] != order[right - 1]:
-            anchors.append((u, order[right - 1]))
+    anchors: list[tuple[Direction, int]] = []  # (direction, nearest point) where it changes
+    for (u, right), (v, _) in zip(cuts, cuts[1:] + cuts[:1]):
+        level = run_rotation(RotationSpec(shift_color, right - 1, u), inst)
+        for d, p in _window(lift_rotation(level, shift_color), u, v):
+            if not anchors or anchors[-1][1] != p:
+                anchors.append((d, p))
     if len(anchors) > 1 and anchors[-1][1] == anchors[0][1]:  # one arc about it across theta
         anchors[0] = anchors.pop()
     return _curve_through(anchors, shift_color)

@@ -559,65 +559,22 @@ class Instance:
             table[pid] = tuple(heads + tails)
         return table[pid]
 
-    @cached_property
-    def _pair_table(self) -> dict[Color, tuple[tuple[tuple, Direction, int, int], ...]]:
-        return {}
-
-    def pair_fences(self, color: Color) -> tuple[tuple[tuple, Direction, int, int], ...]:
-        """Every direction from one point of the color class to another, in order.
-
-        One ``(key, direction, from_id, to_id)`` entry per ordered pair, read
-        from the head fences of ``fences`` and sorted by the same key, so the
-        antipode of every entry is an entry too and parallel pairs share a
-        key.  Built on first use from the class's fence lists, which are
-        sorted already, and kept on the instance like the fence table.
-        """
-        table = self._pair_table
-        if color not in table:
-            ids = self.ids_of(color)
-            inside = set(ids)
-            entries = [
-                (key, d, pid, other)
-                for pid in ids
-                for key, d, other, head in self.fences(pid)
-                if head and other in inside
-            ]
-            table[color] = tuple(sorted(entries, key=FENCE_KEY))
-        return table[color]
-
 
 FENCE_KEY = itemgetter(0)  # the sort and bisection key of an ``Instance.fences`` entry
 
 
-def fences_within(entries: Sequence[tuple], k_from: tuple, k_to: tuple,
-                  extra: Sequence[tuple]) -> list[tuple]:
+def fences_within(entries: Sequence[tuple], k_from: tuple, k_to: tuple) -> Sequence[tuple]:
     """The entries strictly inside the counterclockwise turn from key k_from to k_to.
 
     ``entries`` is sorted by its first field, a ``direction_key(VERTICAL, ·)``
-    key, as the lists of ``Instance.fences`` and ``Instance.pair_fences``
-    are; equal end keys mean the full turn.  ``extra`` holds more tuples
-    keyed the same way, strictly inside the turn and already in its order;
-    each goes before the entries of an equal or later key, so the tuples at
-    one direction stay adjacent.  Two bisections find the entries and one
-    more places each extra tuple, so no entry's key is compared one by one.
+    key, as the lists of ``Instance.fences`` are; equal end keys mean the
+    full turn.  Two bisections find the entries, in the turn's order, so no
+    entry's key is compared one by one.
     """
-    n = len(entries)
     lo = bisect_right(entries, k_from, key=FENCE_KEY)
     hi = bisect_left(entries, k_to, key=FENCE_KEY)
-    wrapped = not k_from < k_to  # the turn passes vertical, where the keys restart
-    run = entries[lo:] + entries[:hi] if wrapped else entries[lo:hi]
-    out: list[tuple] = []
-    i = 0
-    for e in extra:
-        if wrapped and e[0] < k_from:
-            j = n - lo + bisect_left(entries, e[0], 0, hi, key=FENCE_KEY)
-        else:
-            j = bisect_left(entries, e[0], lo, n if wrapped else hi, key=FENCE_KEY) - lo
-        out += run[i:j]
-        out.append(e)
-        i = j
-    out += run[i:]
-    return out
+    # a turn that passes vertical, where the keys restart, is two slices
+    return entries[lo:hi] if k_from < k_to else entries[lo:] + entries[:hi]
 
 
 def build_points(raw: Iterable[tuple[Coord, Coord, Color | str]]) -> list[LabeledPoint]:

@@ -52,6 +52,7 @@ from .geometry import (
     ccw_arc_contains,
     direction_between,
     direction_key,
+    direction_of,
     fences_within,
     halfplane_weight,
     just_after_keys,
@@ -231,7 +232,7 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
             q = inst.point(piece.pivot)
             fences = inst.fences(q.id)
             inside = fences_within(fences, direction_key(VERTICAL, piece.d_from),
-                                   direction_key(VERTICAL, piece.d_to), ())
+                                   direction_key(VERTICAL, piece.d_to))
             bounds = [piece.d_from, *(d for _, d, _, _ in inside), piece.d_to]
             for j, (u, v) in enumerate(zip(bounds, bounds[1:])):
                 line = DirectedLine(q.x, q.y, direction_between(u, v), (piece.pivot,))
@@ -244,20 +245,9 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
         else:
             d = piece.direction
             offsets = [d.offset(x, y) for x, y in zip(inst.xs, inst.ys)]
-            lo, hi = sorted((offsets[piece.from_id], offsets[piece.to_id]))
-            w = 0
-            crossed: dict = {}  # offset strictly between the ends -> weight of its points
-            for pw, o in zip(ws, offsets):
-                if o <= lo:
-                    w += pw
-                elif o < hi:
-                    crossed[o] = crossed.get(o, 0) + pw
-            fences = [lo, *sorted(crossed), hi]
-            for a, b in zip(fences, fences[1:]):
-                rep = Fraction(a + b, 2)
-                ax, ay = _anchor_for_offset(d, rep)
+            for a, b, w in _slide_steps(ws, offsets, piece.from_id, piece.to_id):
+                ax, ay = _anchor_for_offset(d, Fraction(a + b, 2))
                 out.append((DirectedLine(ax, ay, d), w))
-                w += crossed.get(b, 0)
     return out
 
 
@@ -462,25 +452,35 @@ def _just_after(inst: Instance, ids: tuple[int, ...], d: Direction, a: int, b: i
             sum(w for w, key in zip(ws, keys) if key > kb), ka < kb)
 
 
-def _slide_range(ws: tuple[int, ...], offsets: list, p: int, q: int,
-                 least: int, most: int) -> tuple[int, int]:
-    """``(least, most)`` widened by the right weights of a slide from p to q.
+def _slide_steps(ws: tuple[int, ...], offsets: list, p: int, q: int) -> list[tuple]:
+    """The lines a slide from p to q passes: ``(low, high, weight)`` per interval of offsets.
 
-    ``offsets`` are every point's offsets against the slide's direction;
-    the lines between the two ends have the weights of ``sliding_profile``'s
-    slide intervals: each offset from the lower end up to, not including,
-    the upper one puts its points and all below it on the right.
+    ``offsets`` are every point's offsets against the slide's direction.
+    The slide's lines run from the lower end's offset to the upper one's
+    and are cut at every offset strictly between them; on each interval
+    the points at or below its low offset are right of the line.  Both
+    ``sliding_profile`` and ``curve_sweep`` read a slide's weights here.
     """
     lo, hi = sorted((offsets[p], offsets[q]))
-    w = sum(pw for pw, o in zip(ws, offsets) if o <= lo)
-    crossed: dict = {}
+    w = 0
+    crossed: dict = {}  # offset strictly between the ends -> weight of its points
     for pw, o in zip(ws, offsets):
-        if lo < o < hi:
+        if o <= lo:
+            w += pw
+        elif o < hi:
             crossed[o] = crossed.get(o, 0) + pw
-    weights = [w]
-    for o in sorted(crossed):
-        w += crossed[o]
-        weights.append(w)
+    cuts = [lo, *sorted(crossed), hi]
+    steps = []
+    for a, b in zip(cuts, cuts[1:]):
+        steps.append((a, b, w))
+        w += crossed.get(b, 0)
+    return steps
+
+
+def _slide_range(ws: tuple[int, ...], offsets: list, p: int, q: int,
+                 least: int, most: int) -> tuple[int, int]:
+    """``(least, most)`` widened by the right weights of a slide from p to q (``_slide_steps``)."""
+    weights = [w for _, _, w in _slide_steps(ws, offsets, p, q)]
     return min(least, *weights), max(most, *weights)
 
 
@@ -493,13 +493,20 @@ def _representative(inst: Instance, color: Color, u: Direction, v: Direction) ->
     """The direction that names the interval [u, v) of ``curve_sweep``.
 
     ``direction_between(u, d)``, d the nearer of v and the next direction
-    between two subset points (``Instance.pair_fences``, one bisection):
-    inside the first interval of the finer cut at every such direction, the
-    cut that waist records and orientation errors name.
+    after u at which two subset points share an offset: inside the first
+    interval of the finer cut at every direction between two subset points,
+    the cut that waist records and orientation errors name.  The first two
+    subset points to share an offset after u are adjacent in their
+    ``just_after_keys`` order at u, since a point between them would lie on
+    their line.  From each point to the next in that order the direction
+    lies in (u, u + pi], where the two share an offset, so d is the nearest
+    of those directions.
     """
-    pairs = inst.pair_fences(color)
-    if pairs:
-        _, d, _, _ = pairs[bisect_right(pairs, direction_key(VERTICAL, u), key=FENCE_KEY) % len(pairs)]
+    pts = [inst.points[i] for i in inst.ids_of(color)]
+    ordered = [p for _, p in sorted(zip(just_after_keys(u, pts), pts), key=itemgetter(0))]
+    if len(ordered) > 1:
+        d = min((direction_of(q.x - p.x, q.y - p.y) for p, q in zip(ordered, ordered[1:])),
+                key=lambda e: direction_key(u, e))
         if ccw_arc_contains(u, v, d):
             v = d
     return direction_between(u, v)

@@ -33,9 +33,11 @@ classifies every point against every red/blue pair the way
 anchor.
 
 ``pair_fence_sweep`` and ``pair_fence_waist`` walk the half cycle over
-every direction between two subset points (``Instance.pair_fences``),
-keeping the subset points left of each line, the finer cut on which
-``sliding.waist`` names its intervals; their records must equal its.
+every direction between two subset points (``pair_fences``), keeping the
+subset points left of each line, the finer cut on which ``sliding.waist``
+names its intervals; their records must equal its.  One bisection into
+the same table, ``bisected_representative``, names an interval as
+``sliding._representative`` must.
 
 ``reference_fences`` builds a point's angular order fence by fence, with
 ``direction_of`` and ``direction_key`` and one sort of all 2(n-1) entries,
@@ -62,6 +64,7 @@ import random
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -494,11 +497,40 @@ def profile_range(sr, inst: Instance) -> tuple[int, int]:
     return min(omegas), max(omegas)
 
 
+def pair_fences(inst: Instance, color: Color) -> tuple[tuple[tuple, Direction, int, int], ...]:
+    """Every direction from one point of the color class to another, in order.
+
+    One ``(key, direction, from_id, to_id)`` entry per ordered pair, read
+    from the head fences of ``Instance.fences`` and sorted by the same key,
+    so the antipode of every entry is an entry too and parallel pairs share
+    a key.  The package keeps no such table: ``build_shift`` follows level
+    rotations, and ``waist`` names its interval by adjacent pairs.
+    """
+    ids = inst.ids_of(color)
+    inside = set(ids)
+    entries = [(key, d, pid, other) for pid in ids
+               for key, d, other, head in inst.fences(pid) if head and other in inside]
+    return tuple(sorted(entries, key=itemgetter(0)))
+
+
+def bisected_representative(pairs: tuple, u: Direction, v: Direction) -> Direction:
+    """Oracle for ``sliding._representative``: the next pair direction by bisection.
+
+    ``direction_between(u, d)``, d the nearer of v and the first entry of
+    ``pairs``, the subset's ``pair_fences``, past u's key, cyclically.
+    """
+    if pairs:
+        _, d, _, _ = pairs[bisect_right(pairs, direction_key(VERTICAL, u), key=itemgetter(0)) % len(pairs)]
+        if ccw_arc_contains(u, v, d):
+            v = d
+    return direction_between(u, v)
+
+
 def pair_fence_sweep(sr, inst: Instance) -> Iterator[tuple[Direction, int, int, set[int]]]:
     """Oracle for ``curve_sweep``: ``(t, low, high, strip)`` on every pair-fence interval.
 
     The breakpoints are the anchors' directions, their antipodes and every
-    direction between two subset points (``Instance.pair_fences``), folded
+    direction between two subset points (``pair_fences``), folded
     onto [start, start + pi); ``t`` is ``direction_between`` two consecutive
     ones.  ``low`` and ``high`` anchor the curve's lines at ``t`` and
     ``t + pi``, and ``strip`` holds the subset points strictly between them,
@@ -517,11 +549,11 @@ def pair_fence_sweep(sr, inst: Instance) -> Iterator[tuple[Direction, int, int, 
     i_high = bisect_right(keys, key_half) - 1
     k_start = direction_key(VERTICAL, start)
     turns = [d for d, _ in anchors[1:n_low]] + [d.antipode for d, _ in anchors[i_high + 1:]]
-    # in the turn's order: keys above the start's, then those past vertical
-    marks = sorted(((direction_key(VERTICAL, d), d, None, None) for d in turns),
-                   key=lambda e: (e[0] < k_start, e[0]))
-    stops = fences_within(inst.pair_fences(sr.subset_color), k_start,
-                          direction_key(VERTICAL, half), marks)
+    marks = [(direction_key(VERTICAL, d), d, None, None) for d in turns]
+    inside = fences_within(pair_fences(inst, sr.subset_color), k_start, direction_key(VERTICAL, half))
+    # in the turn's order (keys above the start's, then those past vertical) by a
+    # stable sort, marks first, so each mark goes before the pair fences at its direction
+    stops = sorted(chain(marks, inside), key=lambda e: (e[0] < k_start, e[0]))
     stops.append((None, half, None, None))  # closes the last interval
 
     i_low = 0

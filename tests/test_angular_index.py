@@ -6,15 +6,19 @@ cut must be one of the linear sort's breakpoints and whose every interval
 and weight range must agree with the walk over every subset pair fence
 and with the recounted profile, ``sliding_profile``
 bisects each pivot's fences (``Instance.fences``), ``run_rotation`` walks
-the pivots' fences, and the surgery's ``_curve_meetings`` and
-``build_shift`` walk a trace in order; the oracles in ``support`` scan
-every piece, direction, tag, arc or point instead.  The curves are the
+the pivots' fences, the surgery's ``_curve_meetings`` walks a trace in
+order, ``build_shift`` joins level rotations of the other colour between
+the trace's events and ``waist`` names its interval by the subset's
+adjacent pairs (``_representative``); the oracles in ``support`` scan
+every piece, direction, tag, arc, pair or point instead.  The curves are the
 splice of every strip rotation of the gamma search and the lift of every
 preserving plain level it may rank (arcs only), with the shift curves that
 ``build_shift`` makes of the search's strip rotations, the curves with
 slides; the traces are every rotation the search runs and every plain
-level it may rank.  Lifts, splices and shift curves share one assembly,
-``sliding._curve_through``, which ``linear_build_shift`` calls too.
+level it may rank, and for ``build_shift`` also every level of both
+colours of random instances from several starts.  Lifts, splices and
+shift curves share one assembly, ``sliding._curve_through``, which
+``linear_build_shift`` calls too.
 A splice (``gamma._splice_through``) hands it anchor windows (``gamma._window``) that it
 slices out of curves' anchors; windows of every lift are checked to
 rejoin to the lift, split where they were cut, against arcs found by a
@@ -50,6 +54,7 @@ from balanced_lines.sliding import (
     RotateArc,
     Slide,
     _curve_through,
+    _representative,
     curve_pieces,
     curve_sweep,
     evaluate_at,
@@ -321,6 +326,29 @@ def test_half_cycle_representatives_match_sort(searched):
         assert (cuts[-1] == half) == oriented
 
 
+def test_representative_matches_pair_fence_bisection():
+    """The adjacent pairs' next direction is the next of all the subset's pair directions.
+
+    From every fence direction u of 30 random instances, for both colours,
+    up to u's antipode and up to a random direction v, which may lie before
+    the next pair direction or past it.
+    """
+    rng = random.Random(17)
+    named = 0
+    for seed in range(30):
+        inst = gen_random(seed, 1 + seed % 7, 1 + seed % 7 + 2 * (seed % 4), 1000)
+        for color in (Color.RED, Color.BLUE):
+            pairs = support.pair_fences(inst, color)
+            for q in range(inst.n):
+                for _, u, _, _ in inst.fences(q):
+                    v = Direction.of(rng.randint(-60, 60), rng.choice((-1, 1)) * rng.randint(1, 60))
+                    for v in {u.antipode, v} - {u}:
+                        want = support.bisected_representative(pairs, u, v)
+                        assert _representative(inst, color, u, v) == want
+                        named += 1
+    assert named > 10000
+
+
 def test_curve_sweep_matches_linear_scan(searched):
     """Every interval of the sweep: both anchors and the strip, recounted from scratch."""
     outcomes = set()
@@ -476,6 +504,60 @@ def test_build_shift_matches_scan(search_log):
         assert got == support.linear_build_shift(inst, trace, support.opposite(color))
         shifted += got is not None
     assert shifted
+
+
+def _level_traces(seeds, fences_per_point):
+    """Every level of both colours of ``gen_random`` instances, each from several starts.
+
+    The starts are vertical, a random direction and ``fences_per_point``
+    fence directions of each point, where the rotating line starts on two
+    points.  ``gen_random(10, 2, 6)`` comes first: its blue level 5 runs
+    along the blue hull and never crosses the two reds inside it.
+    """
+    rng = random.Random(13)
+    instances = [gen_random(10, 2, 6)]
+    instances += [gen_random(seed, 1 + seed % 4, 1 + seed % 4 + 2 * (seed % 3), 1000) for seed in seeds]
+    for inst in instances:
+        starts = [VERTICAL, Direction.of(rng.randint(-60, 60), rng.randint(1, 60))]
+        for q in range(inst.n):
+            fences = inst.fences(q)
+            starts += [e[1] for e in rng.sample(fences, min(fences_per_point, len(fences)))]
+        for color in (Color.RED, Color.BLUE):
+            for k in range(len(inst.ids_of(color))):
+                for d0 in starts:
+                    yield run_rotation(RotationSpec(color, k, d0), inst), inst
+
+
+def _check_shift_of_every_level(seeds, fences_per_point):
+    """``build_shift`` equals its scan on ``_level_traces``: (curves built, of them lone windows).
+
+    A lone window is a built curve whose trace crosses no point of the
+    shift colour off its start direction, so the curve is one level
+    rotation's lift over the full turn.
+    """
+    built = lone = 0
+    for trace, inst in _level_traces(seeds, fences_per_point):
+        shift = support.opposite(_subset_color(trace, inst))
+        got = gamma_module.build_shift(inst, trace, shift)
+        assert got == support.linear_build_shift(inst, trace, shift)
+        if got is not None:
+            built += 1
+            lone += not any(inst.points[ev.crossed_id].color is shift for ev in trace.events
+                            if ev.direction != trace.start_direction)
+    return built, lone
+
+
+def test_build_shift_matches_scan_on_every_level():
+    """Every level of both colours, with the lone windows the search's traces never make."""
+    built, lone = _check_shift_of_every_level(range(12), 1)
+    assert built > 300 and lone > 10
+
+
+@pytest.mark.slow
+def test_build_shift_matches_scan_on_every_level_wide():
+    """As above, on 120 instances and from three fences of each point."""
+    built, lone = _check_shift_of_every_level(range(120), 3)
+    assert built > 3000 and lone > 100
 
 
 def _lifts():

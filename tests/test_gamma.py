@@ -28,6 +28,7 @@ from balanced_lines.rotation import (
     walk_rotation,
 )
 from balanced_lines.sliding import (
+    evaluate_at,
     is_delta_preserving_sliding,
     is_positively_oriented,
     lift_rotation,
@@ -284,6 +285,34 @@ def _rule_branch(inst, best, trace):
     return "bad intervals between the meetings"
 
 
+def test_built_splice_strip_is_inside_g():
+    """The cap of ``surgery_candidates``: at theta a built splice's strip is a proper subset of G.
+
+    Every strip rotation the search runs on the nested, mixed and recharge
+    pools, the n = 40 family and the random instances of
+    ``test_angular_index``'s search log; only those ``build_splice``
+    builds.
+    """
+    instances = support.nested_pool() + support.mixed_pool() + support.recharge_pool()
+    instances += [support.gen_nested(1, 16, 24, Color.RED), support.gen_nested(2, 20, 20, Color.BLUE),
+                  support.gen_mixed(3, 16, 24, 0.5)]
+    instances += [gen_random(seed, 2 + seed % 7, 2 + seed % 7 + 2 * (seed % 4), 1000) for seed in range(50)]
+    built = 0
+    for inst in instances:
+        for best, trace in support.strip_traces(inst):
+            sr = build_splice(inst, best, trace)
+            if sr is None:
+                continue
+            theta = best.waist.achieved_at
+            o_low = evaluate_at(sr, inst, theta).offset(theta)
+            o_high = evaluate_at(sr, inst, theta.antipode).offset(theta)
+            strip = {i for i in inst.ids_of(best.color)
+                     if o_low < theta.offset(inst.xs[i], inst.ys[i]) < o_high}
+            assert strip < best.waist.witnesses
+            built += 1
+    assert built > 10
+
+
 def test_splice_rule_matches_profile_walk():
     """The trace rule keeps a splice exactly when its profile preserves delta.
 
@@ -371,17 +400,20 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def test_one_full_count_per_validated_curve(monkeypatch):
     """On the 150 seed-1 ``gamma-curve`` inputs each validated curve is counted in full once.
 
-    The waist walk counts just past its start (``geometry.just_after_keys``)
-    and carries the strip and both weights across every anchor change of
-    these curves, which are arc-only and never hand a line to the other
-    line's anchor; the preservation check reads the same walk.
+    The waist walk counts just past its start (``sliding._just_after``,
+    one ``geometry.just_after_keys`` over every point) and carries the
+    strip and both weights across every anchor change of these curves,
+    which are arc-only and never hand a line to the other line's anchor;
+    the preservation check reads the same walk.  ``waist`` also sorts the
+    subset by its keys once, to name the winning interval, which is no
+    count.
     """
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
     samples = workloads.WORKLOADS["gamma-curve"].inputs(1, 150)
     counts = Counter()
-    count_keys, validated = sliding_module.just_after_keys, gamma_module._validated
+    count_keys, validated = sliding_module._just_after, gamma_module._validated
 
     def spy_keys(*args):
         counts["full"] += 1
@@ -391,7 +423,7 @@ def test_one_full_count_per_validated_curve(monkeypatch):
         counts["curves"] += 1
         return validated(*args, **kwargs)
 
-    monkeypatch.setattr(sliding_module, "just_after_keys", spy_keys)
+    monkeypatch.setattr(sliding_module, "_just_after", spy_keys)
     monkeypatch.setattr(gamma_module, "_validated", spy_validated)
     for sample in samples:
         find_gamma(instance_from_json(sample.to_json()))
