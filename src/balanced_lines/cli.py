@@ -1,6 +1,7 @@
 """Command line frontend.
 
-Subcommands: gen, enumerate, trace, verify, certificate, plot.
+``COMMANDS`` is the one list of subcommands: gen, enumerate, trace, verify,
+certificate, plot.  ``main`` builds the arguments of the invoked one only.
 Machine-readable output goes to stdout, diagnostics to stderr.  Exit codes:
 2 invalid parameters, 3 malformed or invalid instance file, 4 enumerator
 disagreement, 5 certificate or guarantee failure.
@@ -16,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import Iterator
 
@@ -193,15 +194,8 @@ class RunReport:
     timings: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "r": self.r,
-            "b": self.b,
-            "delta": self.delta,
-            "balanced_count": self.balanced_count,
-            "certificate_total": self.certificate_total,
-            "checks": self.checks,
-            "timings": {k: round(v, 4) for k, v in self.timings.items()},
-        }
+        payload = asdict(self)
+        payload["timings"] = {k: round(v, 4) for k, v in self.timings.items()}
         return json.dumps(payload, separators=(",", ":"))
 
 
@@ -329,64 +323,79 @@ def cmd_certificate(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="balanced-lines",
-        description="enumerate balanced lines and verify lower-bound certificates",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate an instance")
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=["random", "separated"])
     p.add_argument("-r", type=int, required=True, help="red count")
     p.add_argument("-b", type=int, required=True, help="blue count")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bound", type=int, default=1000)
     p.add_argument("-o", "--out", default=None)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("enumerate", help="list balanced lines")
+
+def _enumerate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument("--method", choices=["naive", "sweep", "both"], default="both")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("trace", help="dump rotation events as JSON lines")
+
+def _trace_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument("--subset", default="red", help="red, blue, or comma separated ids")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--start", default="0,1", help="start direction as dx,dy")
     p.add_argument("--transitions", type=int, default=None,
                    help="also list weight steps between this value and value+1")
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("verify", help="run all checks and certificates")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("instances", nargs="*")
     p.add_argument("--random-batch", type=int, default=0)
     p.add_argument("--max-points", type=int, default=30)
     p.add_argument("--bound", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("certificate", help="print the certificate JSON")
-    p.add_argument("instance")
-    p.set_defaults(func=cmd_certificate)
 
-    p = sub.add_parser("plot", help="emit a deterministic SVG figure")
+def _plot_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("instance")
     p.add_argument("--what", choices=["points", "balanced", "rotation", "certificate"],
                    default="points")
     p.add_argument("--subset", default="red")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("-o", "--out", default=None)
-    p.set_defaults(func=cmd_plot)
 
+
+COMMANDS = {  # name: (help, argument builder, handler), in the order of the help
+    "gen": ("generate an instance", _gen_args, cmd_gen),
+    "enumerate": ("list balanced lines", _enumerate_args, cmd_enumerate),
+    "trace": ("dump rotation events as JSON lines", _trace_args, cmd_trace),
+    "verify": ("run all checks and certificates", _verify_args, cmd_verify),
+    "certificate": ("print the certificate JSON", lambda p: p.add_argument("instance"),
+                    cmd_certificate),
+    "plot": ("emit a deterministic SVG figure", _plot_args, cmd_plot),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The subparser of ``command`` alone when it is one of ``COMMANDS``, else all six."""
+    parser = argparse.ArgumentParser(
+        prog="balanced-lines",
+        description="enumerate balanced lines and verify lower-bound certificates",
+    )
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # a lone subparser's usage lists all six too; with all six, errors name "command"
+    listing = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listing)
+    for name in names:
+        help_text, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

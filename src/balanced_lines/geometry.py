@@ -154,12 +154,16 @@ def _as_exact(v) -> Coord:
     to the same cap: its canonical string, the form ``instance_to_json``
     writes, must fit in ``_MAX_COORD_CHARS`` characters, so every instance
     that loads can be written and read back.  A string of ASCII digits,
-    with an optional leading ``-``, is parsed by ``int``, which costs about a
-    twentieth of ``Fraction``; every other string goes through ``Fraction``.
+    with an optional leading ``-``, within ``_MAX_COORD_CHARS`` is decided
+    first, by ``int`` alone: it has no exponent, and its value fits the cap.
+    Every other string is checked for its exponent, then parsed by ``Fraction``.
     """
     if isinstance(v, bool):
         raise TypeError("bool is not a coordinate")
     if isinstance(v, str):
+        digits = v[1:] if v[:1] == "-" else v
+        if digits.isascii() and digits.isdigit() and len(v) <= _MAX_COORD_CHARS:
+            return int(v)
         _, e, exponent = v.lower().rpartition("e")
         try:
             huge_exponent = bool(e) and abs(int(exponent)) > _MAX_COORD_EXPONENT
@@ -170,8 +174,7 @@ def _as_exact(v) -> Coord:
                 f"coordinate string over {_MAX_COORD_CHARS} characters or with an"
                 f" exponent beyond ±{_MAX_COORD_EXPONENT}"
             )
-        digits = v[1:] if v[:1] == "-" else v
-        v = int(v) if digits.isascii() and digits.isdigit() else Fraction(v)
+        v = Fraction(v)
     if isinstance(v, Fraction) and v.denominator == 1:
         v = v.numerator
     if isinstance(v, int):
@@ -673,9 +676,13 @@ def is_balanced(id_a: int, id_b: int, inst: Instance) -> bool:
 
 
 def instance_to_json(inst: Instance) -> str:
-    """Serialize to the canonical instance JSON (lossless rationals)."""
+    """Serialize to the canonical instance JSON (lossless rationals).
+
+    Each coordinate is written as ``str(v)``, which for an int or a Fraction
+    is ``str(Fraction(v))``: an integer as its digits, a rational as ``p/q``.
+    """
     pts = [
-        {"x": str(Fraction(p.x)), "y": str(Fraction(p.y)), "color": p.color.value}
+        {"x": str(p.x), "y": str(p.y), "color": p.color.value}
         for p in inst.points
     ]
     return json.dumps({"points": pts}, separators=(",", ":")) + "\n"

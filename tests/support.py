@@ -55,6 +55,10 @@ package's one side test, ``Direction.offset``; ``reversed_line``,
 ``rank``, ``opposite``, ``swap_colors`` and ``omega_values`` are small
 readings of lines, directions, instances and traces that only the tests
 make.
+
+``exponent_first_as_exact`` is ``geometry._as_exact`` as it was before it
+decided digit strings first: every string is checked for its exponent and
+the cap, then parsed, and every value is held to the cap afterwards.
 """
 
 from __future__ import annotations
@@ -81,6 +85,10 @@ from balanced_lines.geometry import (
     KEY_START,
     LabeledPoint,
     VERTICAL,
+    ValidationError,
+    _INT_LIMIT,
+    _MAX_COORD_CHARS,
+    _MAX_COORD_EXPONENT,
     build_points,
     ccw_arc_contains,
     direction_between,
@@ -971,3 +979,36 @@ def rational_image(inst: Instance,
     return validate(build_points(
         (a * p.x + b * p.y + e, c * p.x + d * p.y + f, p.color) for p in inst.points
     ))
+
+
+def exponent_first_as_exact(v):
+    """``_as_exact`` with the exponent and length checks ahead of every parse.
+
+    A string of ASCII digits, with an optional leading ``-``, is parsed by
+    ``int`` only after those checks; every other string goes through
+    ``Fraction``; the canonical-string cap then applies to every value.
+    """
+    if isinstance(v, bool):
+        raise TypeError("bool is not a coordinate")
+    if isinstance(v, str):
+        _, e, exponent = v.lower().rpartition("e")
+        try:
+            huge_exponent = bool(e) and abs(int(exponent)) > _MAX_COORD_EXPONENT
+        except ValueError:
+            huge_exponent = False
+        if len(v) > _MAX_COORD_CHARS or huge_exponent:
+            raise ValidationError("coordinate string over the cap")
+        digits = v[1:] if v[:1] == "-" else v
+        v = int(v) if digits.isascii() and digits.isdigit() else Fraction(v)
+    if isinstance(v, Fraction) and v.denominator == 1:
+        v = v.numerator
+    if isinstance(v, int):
+        fits = -_INT_LIMIT // 10 < v < _INT_LIMIT
+    elif isinstance(v, Fraction):
+        fits = (abs(v.numerator) < _INT_LIMIT and v.denominator < _INT_LIMIT
+                and len(str(v)) <= _MAX_COORD_CHARS)
+    else:
+        raise TypeError(f"coordinates must be exact, got {type(v)!r}")
+    if not fits:
+        raise ValidationError("coordinate over the cap")
+    return v

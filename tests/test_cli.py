@@ -1,8 +1,12 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -353,3 +357,63 @@ def test_enumerate_both_digest_at_benchmark_size(run, tmp_path):
             assert code == 0
             digest.update(out.encode())
     assert digest.hexdigest() == ENUMERATE_BOTH_N100_DIGEST
+
+
+# sha256 of json.dumps([exit code, stdout, stderr]) with COLUMNS=80, recorded
+# with Python 3.11 when ``build_parser`` built every subparser for every call
+CLI_TEXT_DIGESTS = {
+    ("--help",): "2e65f9dcc822d769d98e24556c5a14ad20e38c2669445ea45f09e998a256dcee",
+    (): "5299e0a6425ad5097733693a9ea52c461b4440664b65a60e77d409e81057e5a4",
+    ("bogus",): "cb2d4ca639116925150f2059e23469b72bfec1a9b1afe572fd8267133657e36b",
+    ("-x",): "5299e0a6425ad5097733693a9ea52c461b4440664b65a60e77d409e81057e5a4",
+    ("enumerate", "F", "--bogus"): "dbc5828fe454717c1459a13e0be7bca90471560a52a855c8d583df646a108669",
+    ("enumerate",): "235b01ad0ffb1c6d4d94d785d3e71cb232a9f95fc02e1c4f65aedbbb2a58a5d1",
+    ("gen", "sideways", "-r", "1", "-b", "1"): "b66c84a4324b086ed86a581262e2feab8001f4119ca1131f79402f7d7c3abbb5",
+    ("gen", "--help"): "1dc44e07be97e90cbe8a0268576dedfc3d2cf700cc2c393360cc247b4462c21c",
+    ("enumerate", "--help"): "f62335d7a98275c3ada2d0c9e4c92f7c4c9c2a8bcbb6d6d4d05fb9da9759b44c",
+    ("trace", "--help"): "ef0e2cfcb06b0d2f126683e0008ce7dc55045f020764c49f22ade161d543db59",
+    ("verify", "--help"): "9b8025ffc9cc256fee94c622759ce996005cb09cb5c82b77c1c998f325f1143b",
+    ("certificate", "--help"): "fe930070b92d9fdef4cf904549222188a90367ea6655f51ee4a245176e396cc8",
+    ("plot", "--help"): "9aab10d22feaaecc98585999612ad776c9a7b3473fe5257d334dd778344280c9",
+}
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        code = parse(list(argv))
+    except SystemExit as exc:  # help and usage errors exit from argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", list(CLI_TEXT_DIGESTS), ids=lambda argv: " ".join(argv) or "-")
+def test_cli_text_is_unchanged(capsys, monkeypatch, argv):
+    """Help and usage errors read the same when ``main`` builds one subparser
+    as when every subparser is built, so the usage line lists all six
+    commands; under the Python that recorded them, exit code, stdout and
+    stderr keep their digests."""
+    monkeypatch.setenv("COLUMNS", "80")
+    outcome = _parse_outcome(capsys, main, argv)
+    assert outcome == _parse_outcome(capsys, lambda a: cli.build_parser().parse_args(a), argv)
+    if sys.version_info[:2] == (3, 11):  # argparse words its help differently per version
+        digest = hashlib.sha256(json.dumps(outcome).encode()).hexdigest()
+        assert digest == CLI_TEXT_DIGESTS[argv]
+
+
+def _module_cli(*argv):
+    """``python -m balanced_lines.cli <argv>`` in a fresh process: (exit code, stdout, stderr)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "balanced_lines.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point_reads_sys_argv(run, sep44):
+    """Run as a module, ``main`` parses ``sys.argv[1:]``: the same exit code,
+    stdout and stderr as ``main`` given the arguments in process."""
+    argv = ("enumerate", sep44, "--method", "both")
+    assert _module_cli(*argv) == run(*argv)
+    code, out, err = _module_cli()
+    assert (code, out) == (2, "") and "required: command" in err

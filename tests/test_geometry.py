@@ -769,6 +769,51 @@ def test_digit_strings_parse_as_int_or_fraction_alike(sign, digits):
     assert _outcome(_as_exact, text) == _outcome(_as_exact_via_fraction, text)
 
 
+COORD_ALPHABET = "0123456789+-_.eE/ \u0663"  # the last is ARABIC-INDIC DIGIT THREE
+
+
+@given(st.text(COORD_ALPHABET, max_size=8),
+       st.sampled_from([0, 1, 2, 994, 996, 997, 998, 999, 1000, 1001]),
+       st.text(COORD_ALPHABET, max_size=8))
+@example("1_000", 0, "")
+@example(" 5", 0, "")
+@example("+5", 0, "")
+@example("\u0663", 0, "")
+@example("+", 1000, "")
+@example(" ", 1000, "")
+@example("1_", 999, "")
+@example("-", 1000, "")
+@example("", 1001, "")
+@example("1e", 2, "")
+@settings(max_examples=300)
+def test_as_exact_decides_digit_strings_first_as_before(head, zeros, tail):
+    """Deciding digit strings before the exponent changes no value and no error.
+
+    Strings of digits, signs, underscores, points, exponents, slashes,
+    spaces and a non-ASCII digit, some padded with zeros to the length cap,
+    give the value and type, or the error class, of the exponent-first
+    parse in ``support``.
+    """
+    text = head + "0" * zeros + tail
+    assert _outcome(_as_exact, text) == _outcome(support.exponent_first_as_exact, text)
+
+
+@pytest.mark.parametrize("coords", [
+    [(0, 3), (7, -2), (-5, 11), (12, 40)],
+    [(Fraction(1, 2), Fraction(-7, 3)), (-4, Fraction(9, 5)), (Fraction(-13, 6), 2), (3, 1)],
+    [(Fraction(5), Fraction(-8)), (Fraction(1, 3), 4), (-10**40, Fraction(3, 10**20)),
+     (Fraction(-2), 17)],
+], ids=["ints", "fractions", "fraction-integers"])
+def test_instance_json_writes_the_canonical_fraction_string(coords):
+    """``instance_to_json`` writes each coordinate as ``str(Fraction(v))``,
+    also for a ``Fraction`` with denominator 1 held by a ``LabeledPoint``."""
+    colors = (Color.RED, Color.BLUE, Color.BLUE, Color.BLUE)
+    inst = validate([LabeledPoint(i, x, y, c) for i, ((x, y), c) in enumerate(zip(coords, colors))])
+    written = json.loads(instance_to_json(inst))["points"]
+    assert [(w["x"], w["y"]) for w in written] == [
+        (str(Fraction(x)), str(Fraction(y))) for x, y in coords]
+
+
 def test_instance_json_round_trip_at_the_coordinate_cap():
     """Coordinates whose canonical strings are 1000 characters long, from
     JSON numbers and from strings, are written and read back unchanged."""
