@@ -2,7 +2,10 @@
 
 Both generators return validated instances: reds occupy ids 0..r-1 and
 blues r..n-1.  The random generator rejection-samples integer coordinates,
-so repeated calls with equal arguments give byte-identical instances.
+so repeated calls with equal arguments give byte-identical instances.  It
+checks each pair once, as it draws, and keeps each accepted point's slope
+prefixes as that point's row of ``Instance.prefix_rows``, so its instance
+needs no second pass through ``validate``.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from .geometry import (
     ColorImbalance,
     Instance,
     LabeledPoint,
-    slope,
-    slopes,
+    _instance,
+    _prefix_row,
     validate,
 )
 
@@ -34,18 +37,25 @@ def gen_random(seed: int, r: int, b: int, coordinate_bound: int = 1000) -> Insta
     """Sample an instance with integer coordinates in [0, coordinate_bound).
 
     Points are drawn one at a time and redrawn whenever they would repeat an
-    abscissa or complete a collinear triple (``_completes_collinear_triple``,
-    one batched ``slopes`` loop from the candidate to the accepted points),
-    so a draw costs O(k) with k points accepted and the whole instance
-    O(n^2) expected; ``validate`` then checks the result once more.  Raises
-    BoundTooSmall when the grid cannot hold the instance (fewer than n
-    distinct abscissae) or when the draw budget runs out.
+    abscissa (``xs_used``) or complete a collinear triple
+    (``geometry._prefix_row``, the test ``validate`` runs per point: one
+    batched ``slopes`` loop from the candidate to the accepted points), so
+    a draw costs O(k) with k points accepted and the whole instance O(n^2)
+    expected.  Every pair is checked once, when its later point is
+    accepted, and the accepted draw's prefixes become that point's row of
+    ``Instance.prefix_rows``.  With the colour counts checked first
+    (``_check_color_counts``), every invariant ``validate`` checks already
+    holds, so the instance comes from the same O(n) constructor,
+    ``geometry._instance``, with no second pass.  Raises BoundTooSmall
+    when the grid cannot hold the instance (fewer than n distinct
+    abscissae) or when the draw budget runs out.
     """
     _check_color_counts(r, b)
     n = r + b
     check_bound(n, coordinate_bound)
     rng = random.Random(seed)
     accepted: list[tuple[int, int]] = []
+    rows: list[list[int]] = []
     xs_used: set[int] = set()
     budget = _MAX_DRAWS_PER_POINT * n
     while len(accepted) < n:
@@ -58,15 +68,17 @@ def gen_random(seed: int, r: int, b: int, coordinate_bound: int = 1000) -> Insta
         y = rng.randrange(coordinate_bound)
         if x in xs_used:
             continue
-        if _completes_collinear_triple(accepted, x, y):
+        row = _prefix_row(accepted, x, y)
+        if row is None:
             continue
         accepted.append((x, y))
+        rows.append(row)
         xs_used.add(x)
     points = [
         LabeledPoint(i, x, y, Color.RED if i < r else Color.BLUE)
         for i, (x, y) in enumerate(accepted)
     ]
-    return validate(points)
+    return _instance(points, r, rows)
 
 
 def check_bound(n: int, coordinate_bound: int) -> None:
@@ -75,19 +87,6 @@ def check_bound(n: int, coordinate_bound: int) -> None:
         raise BoundTooSmall(
             f"bound {coordinate_bound} cannot hold {n} points in general position"
         )
-
-
-def _completes_collinear_triple(accepted: list[tuple[int, int]], x: int, y: int) -> bool:
-    """Whether (x, y) lies on a line through two accepted points.
-
-    The candidate's abscissa is unused, so two accepted points are collinear
-    with it exactly when they share a slope as seen from it.  The slope
-    prefixes from the candidate (``slopes``), hashed in a set, decide when
-    they are all distinct; only when two prefixes tie are the exact
-    ``slope`` keys counted instead.
-    """
-    return (len(set(slopes(x, y, accepted))) < len(accepted)
-            and len({slope(ax - x, ay - y) for ax, ay in accepted}) < len(accepted))
 
 
 def gen_separated_convex(r: int, b: int) -> Instance:

@@ -9,7 +9,10 @@ sort keys (``direction_key``) lead with an integer prefix of the exact
 quotient, so comparing them is integer work in C; the exact ``Ratio``
 decides only between keys whose prefixes tie.  Slopes are compared the
 same way: ``slopes`` gives their 64-bit prefixes, and the exact ``slope``
-is asked only where two prefixes tie.
+is asked only where two prefixes tie.  Each pair's prefix is computed once
+per instance, by the general-position check that admits the instance
+(``validate``, or the sampler of ``generators.gen_random``), and kept on it
+as ``Instance.prefix_rows``, which ``Instance.fence_rows`` reads.
 
 The value records of the rotation path, ``Direction``, ``DirectedLine``
 and ``rotation.RotationEvent`` (a transition is one such event), are tuples
@@ -20,7 +23,7 @@ Being tuples, they equal plain tuples of the same values
 (``direction_key(VERTICAL, ·)`` is: from vertical, counterclockwise).
 
 The package keeps no state between instances: what an instance needs again
-(its fences, its rows) is kept on the instance.
+(its slope prefixes, its fences, its rows) is kept on the instance.
 
 Conventions used throughout the package:
 
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -126,8 +129,9 @@ def slope(dx: Coord, dy: Coord) -> tuple[int, int]:
 def slopes(px: Coord, py: Coord, points: Iterable[tuple[Coord, Coord]]) -> list[int]:
     """The 64-bit prefix of the slope from (px, py) to each of the ``(x, y)`` points.
 
-    The one batched slope loop of the package: ``Instance.fence_rows``,
-    ``validate`` and ``gen_random`` read it.  The prefix of a slope dy/dx
+    The one batched slope loop of the package: ``_prefix_row`` calls it
+    once per point, for ``validate`` and ``gen_random``, whose rows the
+    instance keeps (``Instance.prefix_rows``).  The prefix of a slope dy/dx
     is ``floor(2**64 * dy / dx)``, computed as ``(dy * 2**64) // dx``: one
     exact floor division, the same formula for int and Fraction
     differences, with no ``gcd`` and no tuple per pair.  A floor is
@@ -433,12 +437,21 @@ def just_after_keys(d: Direction, points: Sequence[LabeledPoint]) -> list[tuple[
 
 @dataclass(frozen=True)
 class Instance:
-    """An immutable validated instance: red and blue points in general position."""
+    """An immutable validated instance: red and blue points in general position.
+
+    ``prefix_rows`` is the lower triangle of the slope prefixes, kept from
+    the check that admitted the points: row k is ``slopes(x_k, y_k, ·)``
+    to the points 0..k-1, in id order, so each pair's prefix is computed
+    once per instance.  It is derived from ``points`` and left out of
+    equality, hashing and ``repr``.  Only ``_instance`` makes an instance,
+    so none exists without its rows.
+    """
 
     points: tuple[LabeledPoint, ...]
     r: int
     b: int
     delta: int
+    prefix_rows: tuple[list[int], ...] = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -483,8 +496,13 @@ class Instance:
         No two points share an abscissa, so no fence is vertical, and the
         two fences of another point lie on the line through it and ``pid``.
         The row ``(prefix, other, right)`` carries that line's slope prefix
-        (``slopes``) and whether the other point lies right of ``pid``
-        (``x > qx``).  The rows are sorted once, in O(n log n), by slope,
+        and whether the other point lies right of ``pid`` (``x > qx``).
+        The prefixes are read, not computed: row ``pid`` of
+        ``prefix_rows`` for the lower ids and column ``pid`` of the later
+        rows for the higher ones.  A prefix seen from the other end is the
+        same, since ``(-a) // (-b) == a // b`` for ints and Fractions
+        alike.  So no coordinate is subtracted here unless two prefixes
+        tie.  The rows are sorted once, in O(n log n), by slope,
         which is the ``direction_key`` order of a half turn: the half-1
         fences (``fences``), from just past vertical to just before its
         antipode, where each line through ``pid`` and another point is
@@ -492,16 +510,15 @@ class Instance:
         ``right``.  The prefix orders the rows; only a run of rows whose
         prefixes tie, which random instances almost never have, is put in
         exact order by a ``Ratio`` of each row's ``slope``.  No row is
-        reduced.  Built anew on each call and kept nowhere: a caller that
-        reads a point's order once (the sweep enumerator) leaves nothing on
+        reduced.  Sorted anew on each call and kept nowhere: a caller that
+        reads a point's order once (the sweep enumerator) adds nothing to
         the instance.
         """
-        xs, ys = self.xs, self.ys
+        xs, ys, prefix_rows = self.xs, self.ys, self.prefix_rows
         qx, qy = xs[pid], ys[pid]
-        oxs = xs[:pid] + xs[pid + 1:]
-        prefixes = slopes(qx, qy, zip(oxs, ys[:pid] + ys[pid + 1:]))
+        prefixes = prefix_rows[pid] + [row[pid] for row in prefix_rows[pid + 1:]]
         rows = sorted(zip(prefixes, chain(range(pid), range(pid + 1, len(xs))),
-                          [x > qx for x in oxs]))
+                          [x > qx for x in xs[:pid] + xs[pid + 1:]]))
         if len(set(prefixes)) == len(rows):
             return rows
 
@@ -535,7 +552,8 @@ class Instance:
         times, build only the pivots they visit.
 
         Built from ``fence_rows``, in its order (by slope prefix, exact on a
-        tie), and the only place that reduces a row:
+        tie), and the only place that reduces a row, and so, where no
+        prefixes tie, the only place that subtracts a row's coordinates:
         the vector to the other point, divided by its ``gcd`` (``slope``
         when a Fraction is in it), is the slope ``num/den`` with ``den > 0``
         and gives the primitive direction ``(-den, -num)``, key ``(1,
@@ -589,20 +607,72 @@ def build_points(raw: Iterable[tuple[Coord, Coord, Color | str]]) -> list[Labele
     return pts
 
 
+def _prefix_row(earlier: Sequence[tuple[Coord, Coord]], x: Coord, y: Coord) -> list[int] | None:
+    """The slope prefixes from (x, y) to the earlier points, or None when it
+    lies on one line with two of them.
+
+    The one general-position test of a point against the points before it,
+    which ``validate`` and ``generators.gen_random`` run once per point,
+    and so once per pair.  No earlier point may share the abscissa x, so
+    two of them are collinear with (x, y) exactly when they share a slope
+    as seen from it.  The prefixes (``slopes``), hashed in a set, decide
+    when they are all distinct; only when two prefixes tie are the exact
+    ``slope`` keys counted instead.  The row it returns is the point's row
+    of ``Instance.prefix_rows``.
+    """
+    row = slopes(x, y, earlier)
+    if len(set(row)) < len(row) and len({slope(ex - x, ey - y) for ex, ey in earlier}) < len(row):
+        return None
+    return row
+
+
+def _first_collinear_triple(coords: Sequence[tuple[Coord, Coord]]) -> tuple[int, int, int] | None:
+    """The lexicographically first collinear triple of the points, None when there is none.
+
+    The points are walked in id order: two later points lie on one line
+    with a point exactly when its slopes to them are equal (``slope`` is
+    sign-free), so every triple is seen from its lowest id.  Only a point
+    whose prefixes to the later points tie has them grouped by exact
+    ``slope``, in id order, and its first group of two names the triple.
+    """
+    for i, (x, y) in enumerate(coords):
+        later = coords[i + 1:]
+        row = slopes(x, y, later)
+        if len(set(row)) < len(row):
+            groups: dict[tuple[int, int], list[int]] = {}
+            for j, (lx, ly) in enumerate(later, i + 1):
+                groups.setdefault(slope(lx - x, ly - y), []).append(j)
+            for g in groups.values():
+                if len(g) > 1:
+                    return (i, g[0], g[1])
+    return None
+
+
+def _instance(points: Sequence[LabeledPoint], r: int, prefix_rows: list[list[int]]) -> Instance:
+    """The one maker of an ``Instance``, in O(n), from points whose checks have passed.
+
+    ``validate`` and ``generators.gen_random`` call it once the abscissae,
+    the general position and the colour counts are known to hold, with the
+    red count r and every point's ``_prefix_row``.
+    """
+    b = len(points) - r
+    return Instance(tuple(points), r, b, (b - r) // 2, tuple(prefix_rows))
+
+
 def validate(points: Sequence[LabeledPoint]) -> Instance:
     """Check all instance invariants and derive r, b and delta.
 
     Raises CollinearTriple, DuplicateAbscissa or ColorImbalance naming the
     offending points; ids must equal list positions and every coordinate
     must be an int or a Fraction (``build_points`` coerces strings), else
-    ValidationError.  General position is checked in id order: two later
-    points lie on one line with a point exactly when its slopes to them are
-    equal (``slope`` is sign-free), so every triple is seen from its lowest
-    id.  The distinct slope prefixes of each row (``slopes``) are counted in
-    a set, in O(n^2) expected time: when none tie, the slopes are distinct.
-    Only a row whose prefixes tie is grouped by exact ``slope``, in the
-    order of the later points; a collinear triple names the
-    lexicographically first one, and a tie of distinct slopes passes.
+    ValidationError.  General position is one pass over the lower triangle
+    of the pairs: each point is tested against the points before it
+    (``_prefix_row``: distinct slope prefixes counted in a set, the exact
+    ``slope`` only on a tie), in O(n^2) expected time, and its row is kept
+    on the instance (``Instance.prefix_rows``).  The pass meets a collinear
+    triple at its highest id, which need not be the lexicographically first
+    one, so a failing row hands over to ``_first_collinear_triple``, which
+    names that one; a tie of distinct slopes passes.
     """
     if not points:
         raise ValidationError("instance must contain at least one point")
@@ -621,21 +691,17 @@ def validate(points: Sequence[LabeledPoint]) -> Instance:
             raise DuplicateAbscissa((by_x[p.x], p.id))
         by_x[p.x] = p.id
     coords = [(p.x, p.y) for p in points]
-    for i, (x, y) in enumerate(coords):
-        later = coords[i + 1:]
-        row = slopes(x, y, later)
-        if len(set(row)) < len(row):
-            groups: dict[tuple[int, int], list[int]] = {}
-            for j, (lx, ly) in enumerate(later, i + 1):
-                groups.setdefault(slope(lx - x, ly - y), []).append(j)
-            for g in groups.values():
-                if len(g) > 1:
-                    raise CollinearTriple((i, g[0], g[1]))
+    rows = []
+    for k, (x, y) in enumerate(coords):
+        row = _prefix_row(coords[:k], x, y)
+        if row is None:
+            raise CollinearTriple(_first_collinear_triple(coords))
+        rows.append(row)
     r = sum(1 for p in points if p.color is Color.RED)
     b = n - r
     if b < r or (b - r) % 2 != 0:
         raise ColorImbalance(r, b)
-    return Instance(tuple(points), r, b, (b - r) // 2)
+    return _instance(points, r, rows)
 
 
 def halfplane_weight(line: DirectedLine, inst: Instance) -> int:
@@ -659,19 +725,25 @@ def is_balanced(id_a: int, id_b: int, inst: Instance) -> bool:
 
     One pass of integer cross products relative to point ``id_a``, sharing
     nothing with ``Direction`` or ``Instance.fences``: the recount that stays
-    independent of the construction.  Symmetric in the two ids.
+    independent of the construction.  Symmetric in the two ids.  A point's
+    cross product ``dx*(y - ay) - dy*(x - ax)`` is ``dx*y - dy*x`` less the
+    same for ``id_a``, ``c_a``, so each point costs one comparison with
+    ``c_a``.  It reads the rows (``Instance.xs``, ``ys``, ``ws``), as
+    ``halfplane_weight`` does, and the weight row tells a same-coloured pair.
     """
-    a, b = inst.point(id_a), inst.point(id_b)
-    if a.color is b.color:
+    xs, ys, ws = inst.xs, inst.ys, inst.ws
+    if ws[id_a] == ws[id_b]:
         raise SameColorPair(f"points {id_a} and {id_b} have the same color")
-    dx, dy = b.x - a.x, b.y - a.y
+    ax, ay = xs[id_a], ys[id_a]
+    dx, dy = xs[id_b] - ax, ys[id_b] - ay
+    c_a = dx * ay - dy * ax
     right = left = 0
-    for p in inst.points:
-        c = dx * (p.y - a.y) - dy * (p.x - a.x)
-        if c < 0:
-            right += p.weight
-        elif c > 0:
-            left += p.weight
+    for x, y, w in zip(xs, ys, ws):
+        c = dx * y - dy * x
+        if c < c_a:
+            right += w
+        elif c > c_a:
+            left += w
     return right == left == inst.delta
 
 

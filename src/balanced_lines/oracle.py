@@ -4,10 +4,13 @@ Two methods: a cubic check of every red/blue pair against every other
 point, and an n^2 log n angular sweep around each red point.  The two must
 agree on every instance.  The sweep walks the same per-point angular order
 as the rotations and sliding profiles, over half a turn, from the sorted
-rows (``Instance.fence_rows``) that ``Instance.fences`` is built from, and
-keeps none of it on the instance.  Those rows are ordered by the 64-bit
-integer prefix of each slope, exactly on a tie (a ``Ratio`` only for runs
-of tied prefixes), and never reduced to a direction.  The naive check
+rows (``Instance.fence_rows``) that ``Instance.fences`` is built from.
+Those rows are ordered by the 64-bit integer prefix of each slope, exactly
+on a tie (a ``Ratio`` only for runs of tied prefixes), and never reduced
+to a direction.  The prefixes are the ones the instance keeps
+(``Instance.prefix_rows``), computed once when its points were checked, so
+the sweep computes no slope; it sorts each anchor's rows, walks them and
+drops them, and adds nothing to the instance.  The naive check
 shares nothing with that order and cross-checks the sweep.  It packs
 every point into one fixed-width lane of a big integer, wide enough for any
 cross product inside the instance's bounding box, so one pair's side counts
@@ -126,9 +129,10 @@ def enumerate_sweep(inst: Instance) -> set[BalancedLine]:
     past vertical, sums the points whose ``just_after_keys`` at vertical are
     below the anchor's; the keys are built once per instance.  After the
     half turn the two sides have swapped, so the right weight must read the
-    other points' total, ``b - r + 1``, less the start weight.  The rows
-    are built per anchor and dropped, so the sweep keeps no fence table on
-    the instance.
+    other points' total, ``b - r + 1``, less the start weight.  Each
+    anchor's rows are sorted from the prefixes the instance keeps
+    (``Instance.prefix_rows``) and dropped after its half turn, so the
+    sweep computes no slope and keeps no fence table on the instance.
     """
     found = set()
     delta = inst.delta

@@ -59,6 +59,12 @@ make.
 ``exponent_first_as_exact`` is ``geometry._as_exact`` as it was before it
 decided digit strings first: every string is checked for its exponent and
 the cap, then parsed, and every value is held to the cap afterwards.
+
+``computed_fence_rows`` is ``Instance.fence_rows`` as it was before the
+instance kept its slope prefixes: each row's prefix computed anew by
+``slopes`` from the point.  ``assert_prefix_rows`` checks an instance's
+kept rows (``Instance.prefix_rows``) against ``slopes``, against a fresh
+``validate`` of its points, and, through ``fence_rows``, against that copy.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ import random
 from bisect import bisect_left, bisect_right
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -84,6 +90,7 @@ from balanced_lines.geometry import (
     Instance,
     KEY_START,
     LabeledPoint,
+    Ratio,
     VERTICAL,
     ValidationError,
     _INT_LIMIT,
@@ -96,6 +103,8 @@ from balanced_lines.geometry import (
     direction_key_from,
     direction_of,
     fences_within,
+    slope,
+    slopes,
     validate,
 )
 from balanced_lines.generators import gen_random, gen_separated_convex
@@ -1012,3 +1021,49 @@ def exponent_first_as_exact(v):
     if not fits:
         raise ValidationError("coordinate over the cap")
     return v
+
+
+def computed_fence_rows(inst: Instance, pid: int) -> list[tuple[int, int, bool]]:
+    """``Instance.fence_rows(pid)`` with every prefix computed by ``slopes`` from the point.
+
+    Sorted by prefix; a run of tied prefixes is put in exact order by a
+    ``Ratio`` of each row's ``slope``.
+    """
+    xs, ys = inst.xs, inst.ys
+    qx, qy = xs[pid], ys[pid]
+    oxs = xs[:pid] + xs[pid + 1:]
+    prefixes = slopes(qx, qy, zip(oxs, ys[:pid] + ys[pid + 1:]))
+    rows = sorted(zip(prefixes, chain(range(pid), range(pid + 1, len(xs))),
+                      [x > qx for x in oxs]))
+    if len(set(prefixes)) == len(rows):
+        return rows
+
+    def exact(row):
+        return Ratio(*slope(xs[row[1]] - qx, ys[row[1]] - qy))
+
+    ordered = []
+    for _, run in groupby(rows, key=itemgetter(0)):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=exact)
+        ordered += run
+    return ordered
+
+
+def assert_prefix_rows(inst: Instance) -> None:
+    """The instance keeps each pair's slope prefix once, and its readers agree.
+
+    Row k of ``prefix_rows`` is ``slopes`` from point k to the points
+    before it; ``validate`` of the points gives the same instance, field by
+    field, rows included; and every point's ``fence_rows`` equals
+    ``computed_fence_rows``.
+    """
+    coords = list(zip(inst.xs, inst.ys))
+    assert len(inst.prefix_rows) == inst.n
+    for k, (x, y) in enumerate(coords):
+        assert inst.prefix_rows[k] == slopes(x, y, coords[:k]), k
+    again = validate(list(inst.points))
+    assert (again.points, again.r, again.b, again.delta, again.prefix_rows) == (
+        inst.points, inst.r, inst.b, inst.delta, inst.prefix_rows)
+    for pid in range(inst.n):
+        assert inst.fence_rows(pid) == computed_fence_rows(inst, pid), pid

@@ -1,10 +1,12 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 import support
 
+from balanced_lines import generators, geometry
 from balanced_lines.geometry import (
     BoundTooSmall,
     CollinearTriple,
@@ -16,6 +18,7 @@ from balanced_lines.geometry import (
     validate,
 )
 from balanced_lines.generators import gen_random, gen_separated_convex
+from balanced_lines.oracle import enumerate_sweep
 
 
 def test_gen_random_valid_and_deterministic():
@@ -81,6 +84,74 @@ def test_gen_random_n400_round_trip_and_collinear_point():
     with pytest.raises(CollinearTriple) as err:
         validate([*inst.points[:-1], moved])
     assert err.value.ids == (0, 1, inst.n - 1)
+
+
+# (seed, r, b, bound): bounds a few above n, where many draws are rejected,
+# and the benchmark size
+SAMPLER_CASES = [(0, 3, 3, 6), (1, 3, 5, 8), (2, 5, 5, 10), (3, 10, 12, 24), (0, 19, 21, 40),
+                 (1, 50, 50, 1000), (2, 49, 51, 1000)]
+
+
+@pytest.mark.parametrize("seed,r,b,bound", SAMPLER_CASES)
+def test_gen_random_keeps_its_sampler_rows(seed, r, b, bound):
+    """The rows kept from the sampler are the rows ``validate`` computes."""
+    support.assert_prefix_rows(gen_random(seed, r, b, bound))
+
+
+def _fresh_abscissa_draws(seed: int, inst, bound: int) -> int:
+    """How many draws of ``gen_random(seed, ·, ·, bound)`` reach its collinearity test.
+
+    Replays its sampler: a draw at an abscissa no accepted point has is
+    tested, and it is accepted exactly when it is the instance's next point
+    (a draw rejected against some accepted points is rejected again against
+    the same points).
+    """
+    rng = random.Random(seed)
+    used, k, tested = set(), 0, 0
+    while k < inst.n:
+        x, y = rng.randrange(bound), rng.randrange(bound)
+        if x in used:
+            continue
+        tested += 1
+        if (x, y) == (inst.points[k].x, inst.points[k].y):
+            used.add(x)
+            k += 1
+    return tested
+
+
+def test_one_slope_prefix_per_pair(monkeypatch):
+    """``gen_random`` calls ``slopes`` once per tested draw and never ``validate``;
+    reading an instance back, sweeping it and building every point's fences
+    calls ``slopes`` once per point."""
+    calls, validations = [], []
+    real_slopes, real_validate = geometry.slopes, geometry.validate
+
+    def counted_slopes(px, py, points):
+        calls.append(px)
+        return real_slopes(px, py, points)
+
+    def counted_validate(points):
+        validations.append(len(points))
+        return real_validate(points)
+
+    monkeypatch.setattr(geometry, "slopes", counted_slopes)
+    monkeypatch.setattr(geometry, "validate", counted_validate)
+    monkeypatch.setattr(generators, "validate", counted_validate)
+    for seed, r, b, bound in SAMPLER_CASES:
+        calls.clear()
+        inst = gen_random(seed, r, b, bound)
+        assert validations == []
+        assert len(calls) == _fresh_abscissa_draws(seed, inst, bound)
+        if bound < 1000:
+            assert len(calls) > inst.n  # some draws completed a collinear triple
+        calls.clear()
+        again = instance_from_json(instance_to_json(inst))
+        enumerate_sweep(again)
+        for pid in range(again.n):
+            again.fences(pid)
+        assert len(calls) == again.n
+        assert validations == [again.n]
+        validations.clear()
 
 
 def test_separated_structure():

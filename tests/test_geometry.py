@@ -2,6 +2,7 @@ import json
 import math
 import operator
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from balanced_lines.geometry import (
     ValidationError,
     _MAX_COORD_CHARS,
     _as_exact,
+    _prefix_row,
     build_points,
     ccw_arc_contains,
     direction_between,
@@ -34,11 +36,7 @@ from balanced_lines.geometry import (
     validate,
     VERTICAL,
 )
-from balanced_lines.generators import (
-    _completes_collinear_triple,
-    gen_random,
-    gen_separated_convex,
-)
+from balanced_lines.generators import gen_random, gen_separated_convex
 from balanced_lines.rotation import End, EventKind, RotationEvent
 import support
 from support import side_just_after
@@ -151,7 +149,7 @@ def test_completes_collinear_triple_matches_pairwise(accepted, candidate):
     x, y = candidate
     if any(ax == x for ax, _ in accepted):
         return  # gen_random redraws a repeated abscissa before this test
-    assert _completes_collinear_triple(accepted, x, y) == _pairwise_completes(accepted, x, y)
+    assert (_prefix_row(accepted, x, y) is None) == _pairwise_completes(accepted, x, y)
 
 
 nonvertical = st.tuples(
@@ -278,7 +276,7 @@ def test_validate_matches_cubic_scan_on_prefix_ties(points):
 @settings(max_examples=300, deadline=None)
 def test_completes_collinear_triple_matches_pairwise_on_prefix_ties(points):
     (x, y), *accepted = [(p.x, p.y) for p in points]
-    assert _completes_collinear_triple(accepted, x, y) == _pairwise_completes(accepted, x, y)
+    assert (_prefix_row(accepted, x, y) is None) == _pairwise_completes(accepted, x, y)
 
 
 def test_prefix_tie_of_distinct_slopes_is_accepted():
@@ -286,10 +284,10 @@ def test_prefix_tie_of_distinct_slopes_is_accepted():
     row = [(3 * TIE, TIE + 1), (3, 1)]
     assert len(set(slopes(0, 0, row))) == 1
     assert slope(*row[0]) != slope(*row[1])
-    assert not _completes_collinear_triple(row, 0, 0)
+    assert _prefix_row(row, 0, 0) == slopes(0, 0, row)
     inst = validate(build_points([(0, 0, "R"), (*row[0], "R"), (*row[1], "B"), (1, 5, "B")]))
     assert [other for _, other, _ in inst.fence_rows(0)] == [2, 1, 3]
-    assert _completes_collinear_triple(row + [(6 * TIE, 2 * TIE + 2)], 0, 0)
+    assert _prefix_row(row + [(6 * TIE, 2 * TIE + 2)], 0, 0) is None
 
 
 def test_collinear_triple_above_2_64_is_named_past_a_prefix_tie():
@@ -303,6 +301,63 @@ def test_collinear_triple_above_2_64_is_named_past_a_prefix_tie():
     with pytest.raises(CollinearTriple) as err:
         validate(points)
     assert err.value.ids == _first_collinear_triple(points) == (0, 2, 3)
+
+
+def test_validate_names_the_first_triple_past_an_earlier_row():
+    """Points 1, 2 and 3 lie on one line, and so do 0, 5 and 9, and no other
+    three: the pass over the lower triangle meets (1, 2, 3) first, at row 3,
+    but the error names (0, 5, 9), the lexicographically first triple."""
+    raw = [(2, 18), (1, 3), (4, 9), (6, 13), (9, 8), (8, 12), (5, 16), (0, 14), (12, 7), (11, 9)]
+    points = [LabeledPoint(i, x, y, Color.RED if i % 2 else Color.BLUE)
+              for i, (x, y) in enumerate(raw)]
+    assert [t for t in combinations(range(len(raw)), 3)
+            if support.orientation(*(raw[i] for i in t)) is support.Side.ON] == [(0, 5, 9), (1, 2, 3)]
+    assert [_prefix_row(raw[:k], *raw[k]) is None for k in range(4)] == [False, False, False, True]
+    with pytest.raises(CollinearTriple) as err:
+        validate(points)
+    assert err.value.ids == _first_collinear_triple(points) == (0, 5, 9)
+
+
+@st.composite
+def colored_general_position(draw, points):
+    """The drawn points that complete no collinear triple with earlier ones,
+    cut to an even count n >= 2, with ids by position and r <= n/2 of them
+    red, drawn at random, so both colours usually appear."""
+    kept = []
+    for p in draw(points):
+        if not any(support.orientation(a, b, p) is support.Side.ON for a, b in combinations(kept, 2)):
+            kept.append(p)
+    n = len(kept) // 2 * 2
+    assume(n >= 2)
+    red = set(draw(st.permutations(range(n)))[:draw(st.integers(0, n // 2))])
+    return [LabeledPoint(i, p.x, p.y, Color.RED if i in red else Color.BLUE)
+            for i, p in enumerate(kept[:n])]
+
+
+@given(st.one_of(
+    colored_general_position(distinct_abscissa_points(small_ints)),
+    colored_general_position(distinct_abscissa_points(small_fractions)),
+    colored_general_position(distinct_abscissa_points(st.one_of(small_ints, small_fractions))),
+    colored_general_position(distinct_abscissa_points(big_coords)),
+    colored_general_position(prefix_tie_points()),
+))
+@settings(max_examples=300, deadline=None)
+def test_validate_keeps_each_pairs_prefix(points):
+    """``validate`` keeps row k = ``slopes`` from point k to the points before
+    it, and ``fence_rows`` read from those rows equals the rows computed
+    from the point, on int, Fraction and mixed coordinates and on prefix ties."""
+    inst = validate(points)
+    support.assert_prefix_rows(inst)
+    event("prefixes tie" if any(len(set(row)) < len(row) for row in inst.prefix_rows) else "no tie")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_prefix_rows_of_tie_dense_instances(seed):
+    """The tie-dense family above 2**64, and the same points with the colours swapped."""
+    inst = support.gen_tie_dense(seed, 8, 8)
+    assert any(len(set(row)) < len(row) for row in inst.prefix_rows)
+    support.assert_prefix_rows(inst)
+    support.assert_prefix_rows(support.swap_colors(inst))
 
 
 def test_validate_duplicate_abscissa():

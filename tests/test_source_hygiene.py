@@ -25,7 +25,9 @@ catches a theorem-level failure (``GuaranteeViolation``,
 fails must reach the caller.  One function assembles curves:
 ``sliding._curve_through`` is the only place that constructs a
 ``SlidingRotation``, and one reads their pieces: ``sliding.curve_pieces``
-is the only place that constructs a ``RotateArc`` or a ``Slide``.  ``gcd``
+is the only place that constructs a ``RotateArc`` or a ``Slide``.  One
+function makes instances: ``geometry._instance`` is the only place that
+constructs an ``Instance``, so none exists without its slope-prefix rows.  ``gcd``
 is called only where a slope, a direction or a fence row is reduced and
 for ``enumerate_naive``'s common denominator: every other slope question
 reads the 64-bit prefixes of ``geometry.slopes``.  No
@@ -315,6 +317,13 @@ def test_one_curve_assembly():
     sites = {s for path in sorted(PACKAGE.glob("*.py")) for s in _call_sites(path, CURVE_TYPES)}
     # each type is still made, and only by its one function
     assert sites == {f"sliding.{maker}: {kind}" for kind, maker in CURVE_TYPES.items()}
+
+
+def test_one_instance_constructor():
+    """``Instance(`` is called in one place, the constructor that ``validate``
+    and ``gen_random`` share, so every instance carries its ``prefix_rows``."""
+    sites = {s for path in sorted(PACKAGE.glob("*.py")) for s in _call_sites(path, {"Instance"})}
+    assert sites == {"geometry._instance: Instance"}
 
 
 GCD_CALLERS = {"geometry.slope", "geometry.direction_of", "geometry.Instance.fences",
