@@ -16,20 +16,22 @@ plain levels are walked best first and lazily, each only up to its first
 weight that breaks preservation, and only the winner is drained and
 lifted (``plain_candidates``).  A splice follows the lift outside its two
 meetings with the preserving candidate, so its trace's bad intervals must
-lie between them (``build_splice``); one whose first interval is bad is
-rejected before its meetings are sought.  What is built is then checked
-for a single turn about subset points, positive orientation and, by the
-same waist walk, delta-preservation over the full turn (``_validated``),
-and composites are adopted only when they strictly shrink the waist, so
-the iteration terminates.
+lie between them (``build_splice``), decided in one forward walk of the
+trace that stops at the first bad interval no meeting comes before.  What
+is built is then checked for a single turn about subset points, positive
+orientation and, by the same waist walk, delta-preservation over the full
+turn (``_validated``).  A positively oriented splice has a smaller waist
+than the curve it was spawned from (``surgery_candidates``), and one that
+has not is a GuaranteeViolation, so the iteration terminates.
 
 The splice walks its inputs in angular order instead of pairing every part
 with every other: it finds where the strip rotation meets the curve by
 moving one pointer through the curve's anchors along the trace's
-intervals, then slices three anchor windows out of the lift's and the
-curve's anchors and hands them to ``sliding._curve_through``, the
-package's one assembly of a curve.  ``build_shift`` builds the one curve
-with slides that the package constructs; it is not part of the family.
+intervals (``_curve_meetings``), the same walk that reads each interval's
+omega, then slices three anchor windows out of the lift's and the curve's
+anchors and hands them to ``sliding._curve_through``, the package's one
+assembly of a curve.  ``build_shift`` builds the one curve with slides
+that the package constructs; it is not part of the family.
 """
 
 from __future__ import annotations
@@ -37,12 +39,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, tee
-from typing import Optional
+from typing import Iterator, Optional
 
 from .geometry import (
     Color,
     Direction,
     GuaranteeViolation,
+    KEY_START,
     Instance,
     ccw_arc_contains,
     direction_key,
@@ -83,20 +86,20 @@ class Gamma:
         return self.sr.subset_color
 
 
-def _validated(sr: SlidingRotation, inst: Instance, kind: str, level: int, *,
-               waist_cap: Optional[int] = None) -> Optional[Gamma]:
-    """Membership check of a built curve; None when it is not positively oriented or not under the cap.
+def _validated(sr: SlidingRotation, inst: Instance, kind: str, level: int) -> Optional[Gamma]:
+    """Membership check of a built curve; None when it is not positively oriented.
 
     The callers decide preservation before they build the curve, from the
     omegas of its rotation trace (``plain_candidates``, ``build_splice``).
     The ``waist`` walk checks that decision again, independently of the
     trace: its ``omega_range`` spans the curve's right weights over the
     full turn, and a curve whose range breaks delta is a fault of the
-    construction, so GuaranteeViolation, before the cap is read.  So is an
-    InvalidCurve from ``validate_curve``: every curve the search builds
-    turns once about subset points by construction.  The walk also detects
-    orientation failures; ``waist_cap`` then prunes candidates that cannot
-    improve.
+    construction, so GuaranteeViolation.  So is an InvalidCurve from
+    ``validate_curve``: every curve the search builds turns once about
+    subset points by construction.  The walk also detects orientation
+    failures, which have no proof of absence, so they stay a None.  The
+    callers check the waist they expect (``plain_candidates``,
+    ``surgery_candidates``).
     """
     validate_curve(sr, inst)
     try:
@@ -107,8 +110,6 @@ def _validated(sr: SlidingRotation, inst: Instance, kind: str, level: int, *,
         raise GuaranteeViolation(
             f"the {kind} curve of level {level} has right weights {w.omega_range[0]}..{w.omega_range[1]}, "
             f"which break delta = {inst.delta}")
-    if waist_cap is not None and w.value >= waist_cap:
-        return None
     return Gamma(sr, w, kind, level)
 
 
@@ -160,9 +161,10 @@ def find_gamma(inst: Instance) -> Optional[Gamma]:
     An empty family means no level rotation preserves delta at all, in
     which case the direct transition accounting already certifies the
     lower bound and no curve is needed.  Every splice has a smaller waist
-    than the ``best`` it was spawned from (``waist_cap``), so the best of a
-    round's splices, by waist and then level (they share color and kind),
-    is the best of all curves seen so far.
+    than the ``best`` it was spawned from, GuaranteeViolation otherwise
+    (``surgery_candidates``), so the best of a round's splices, by waist
+    and then level (they share color and kind), is the best of all curves
+    seen so far, and the rounds terminate.
 
     Soundness never rests on the family: ``certificate._check_certificate``
     rechecks every certified line with ``geometry.is_balanced``, whatever
@@ -241,9 +243,10 @@ def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
     ``best``'s closed strip at theta, which holds exactly G strictly
     inside, and the pivot lies on the first; so the subset points strictly
     between them are points of G, the pivot not among them.  Hence a
-    positively oriented splice has a waist below |G|, the cap, and
-    ``waist_cap`` never prunes one.  Orientation has no proof yet, so the
-    cap and ``_validated``'s None paths stay.
+    positively oriented splice has a waist below |G|, the cap, and a built
+    splice at or above it is a GuaranteeViolation, read after
+    ``_validated``'s delta check.  Orientation has no proof yet, so a
+    splice that ``_validated`` finds unoriented is dropped.
     """
     strip = best.waist.witnesses
     theta = best.waist.achieved_at
@@ -253,11 +256,12 @@ def surgery_candidates(inst: Instance, best: Gamma) -> list[Gamma]:
     for k in range(levels):
         trace = run_rotation(RotationSpec(strip, k, theta), inst)
         sr = build_splice(inst, best, trace)
-        if sr is None:
+        if sr is None or (cand := _validated(sr, inst, "splice", k)) is None:
             continue
-        cand = _validated(sr, inst, "splice", k, waist_cap=cap)
-        if cand is not None:
-            out.append(cand)
+        if cand.waist.value >= cap:
+            raise GuaranteeViolation(
+                f"the splice of level {k} has waist {cand.waist.value}, not below its curve's {cap}")
+        out.append(cand)
     return out
 
 
@@ -265,43 +269,40 @@ def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> Optional[
     """The splice of the strip rotation with the curve, or None when it breaks delta.
 
     The splice follows the strip rotation except between its outermost
-    meetings with the curve, t1 and t2 (``_outermost_meetings``), where it
-    follows the curve; it is the plain lift when they meet at fewer than
-    two directions (``_splice_through`` assembles it).
+    meetings with the curve, t1 and t2, where it follows the curve; it is
+    the plain lift when they meet at fewer than two directions
+    (``_splice_through`` assembles it).
 
-    Preservation is decided before the splice is built.  ``best``
-    preserves delta everywhere, and on the head [theta, t1) and the tail
-    [t2, theta) the splice follows the lift, whose profile weights are the
-    trace's omegas.  So the splice preserves delta exactly when every bad
-    interval of the trace (one whose omega breaks the one-sided
+    Preservation is decided before the splice is built, in one forward
+    walk of the trace's intervals with their meetings (``_curve_meetings``).
+    ``best`` preserves delta everywhere, and on the head [theta, t1) and the
+    tail [t2, theta) the splice follows the lift, whose profile weights are
+    the trace's omegas.  So the splice preserves delta exactly when every
+    bad interval of the trace (one whose omega breaks the one-sided
     ``_preserves_delta``) lies between the meetings: t1 at or before the
-    start of the first, t2 at or after the end of the last.  The first
-    interval starts at theta and t1 never is theta, so when that interval
-    is bad the meetings are not sought.  With fewer than two meetings no
-    interval may be bad.
+    start of the first, t2 at or after the end of the last.  Meetings are
+    keyed from theta, a meeting at theta last (a full turn), and the first
+    interval's start as ``KEY_START``; every meeting of a later interval
+    lies past the current one's start, so the walk rejects at the first
+    bad interval that no meeting seen so far comes before.  At the end it
+    compares the last meeting with the end of the last bad interval; with
+    fewer than two meetings no interval may be bad.
     """
-    color, delta = best.color, inst.delta
     theta = trace.start_direction
-    bad = [(u, v) for u, v, _, w in trace.intervals() if not _preserves_delta(color, (w,), delta)]
-    if bad and bad[0][0] == theta:
-        return None
-    ends = _outermost_meetings(inst, best.sr, trace)
-    if bad and (ends is None
-                or direction_key(theta, ends[0]) > direction_key(theta, bad[0][0])
-                or direction_key(theta, ends[1]) < direction_key(theta, bad[-1][1])):
+    # (key, direction) of t1 and t2 so far; (5,) sorts after every key, KEY_START before
+    first, last, bad_end = ((5,), None), (KEY_START, None), None
+    for dfrom, dto, omega, met in _curve_meetings(inst, best.sr, trace):
+        for d in met:
+            m = (direction_key(theta, d), d)
+            first, last = min(first, m), max(last, m)
+        if not _preserves_delta(best.color, (omega,), inst.delta):
+            if bad_end is None and first[0] > (KEY_START if dfrom == theta else direction_key(theta, dfrom)):
+                return None
+            bad_end = dto
+    ends = (first[1], last[1]) if first[0] < last[0] else None
+    if bad_end is not None and (ends is None or last[0] < direction_key(theta, bad_end)):
         return None
     return _splice_through(best, trace, ends)
-
-
-def _outermost_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace
-                        ) -> Optional[tuple[Direction, Direction]]:
-    """The first and last of ``_curve_meetings`` in turn order from theta; None for fewer than two.
-
-    A meeting at theta sorts last (a full turn), so the first is never theta.
-    """
-    theta = trace.start_direction
-    meetings = sorted(_curve_meetings(inst, sr, trace), key=lambda d: direction_key(theta, d))
-    return (meetings[0], meetings[-1]) if len(meetings) > 1 else None
 
 
 def _splice_through(best: Gamma, trace: RotationTrace,
@@ -343,30 +344,31 @@ def _window(sr: SlidingRotation, u: Direction, v: Direction) -> list[tuple[Direc
     return [(u, anchors[i][1]), *inside]
 
 
-def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace) -> set[Direction]:
-    """Directions where the rotating line coincides with an arc line of the curve.
+def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace) -> Iterator[tuple]:
+    """Yield (from, to, omega, meetings) for every interval of the trace, in turn order.
 
-    The arcs are read off consecutive anchors: about c from u to v for
-    anchors (u, c) and (v, ·).  Arc overlaps with a shared pivot contribute
-    their boundary directions.  Against an arc about another point c, the
-    line through the interval's pivot g meets c's line only where it passes
-    through c, at a fence of g; every fence of g is an event of the trace,
-    so that can only be the interval's ends.  Only ``dfrom`` is tested, a
-    meeting when ``d.offset`` puts c and g on one line and the arc holds
-    it: each interval's ``dto`` is the next one's ``dfrom``, where the line
-    is the same (a pivot change hands over on one line), and the last
-    ``dto`` is theta, the first interval's ``dfrom``; so every meeting lies
-    at some interval's ``dfrom``.  The trace's intervals and the curve's
-    arcs both advance counterclockwise, so one pointer into ``sr.anchors``,
-    placed by one bisection, yields the arcs that overlap each interval:
-    the walk costs O(intervals + arcs) instead of their product.
+    The meetings are the directions in the interval where the rotating
+    line coincides with an arc line of the curve.  The arcs are read off
+    consecutive anchors: about c from u to v for anchors (u, c) and (v, ·).
+    Arc overlaps with a shared pivot contribute their boundary directions.
+    Against an arc about another point c, the line through the interval's
+    pivot g meets c's line only where it passes through c, at a fence of
+    g; every fence of g is an event of the trace, so that can only be the
+    interval's ends.  Only ``dfrom`` is tested, a meeting when ``d.offset``
+    puts c and g on one line and the arc holds it: each interval's ``dto``
+    is the next one's ``dfrom``, where the line is the same (a pivot change
+    hands over on one line), and the last ``dto`` is theta, the first
+    interval's ``dfrom``; so every meeting lies at some interval's
+    ``dfrom``.  The trace's intervals and the curve's arcs both advance
+    counterclockwise, so one pointer into ``sr.anchors``, placed by one
+    bisection, yields the arcs that overlap each interval: the walk costs
+    O(intervals + arcs) instead of their product.
     """
     xs, ys = inst.xs, inst.ys
     anchors = sr.anchors
     n = len(anchors)
     j = sr.arc_at(trace.start_direction)
-    meetings: set[Direction] = set()
-    for dfrom, dto, pivot, _ in trace.intervals():
+    for dfrom, dto, pivot, omega in trace.intervals():
         # the arc holding dfrom, the arc ending there, then every arc
         # starting in (dfrom, dto]; j ends on the arc holding dto
         near = {j}
@@ -379,15 +381,16 @@ def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace) -
             j = (j + 1) % n
             near.add(j)
         gx, gy = xs[pivot], ys[pivot]
+        met = []
         for i in near:
             (u, c), v = anchors[i], anchors[(i + 1) % n][0]
             if c == pivot:
                 for d in (dfrom, dto, u, v):
                     if ccw_arc_contains(dfrom, dto, d) and ccw_arc_contains(u, v, d):
-                        meetings.add(d)
+                        met.append(d)
             elif dfrom.offset(xs[c], ys[c]) == dfrom.offset(gx, gy) and ccw_arc_contains(u, v, dfrom):
-                meetings.add(dfrom)
-    return meetings
+                met.append(dfrom)
+        yield dfrom, dto, omega, met
 
 
 def build_shift(inst: Instance, trace: RotationTrace, shift_color: Color) -> Optional[SlidingRotation]:

@@ -11,7 +11,8 @@ slides, which a curve stored as its anchors satisfies by construction, and
 only the oracles read.  ``strip_traces`` runs the gamma search and reads off
 every strip rotation it runs with that round's best curve, and
 ``assemble_splice`` builds the splice of each, also those the search
-rejects before building them.
+rejects before building them, between the outermost meetings that
+``outermost_meetings`` reads off ``linear_curve_meetings``.
 
 It also holds the linear-scan oracles of the indexed curve and trace
 queries: ``linear_evaluate_at``, ``linear_half_cycle_breakpoints`` with
@@ -403,7 +404,19 @@ def strip_traces(inst: Instance) -> list[tuple]:
 
 def assemble_splice(inst: Instance, best, trace: RotationTrace):
     """The splice ``gamma.build_splice`` makes of a strip trace, built even when it breaks delta."""
-    return gamma._splice_through(best, trace, gamma._outermost_meetings(inst, best.sr, trace))
+    return gamma._splice_through(best, trace, outermost_meetings(inst, best.sr, trace))
+
+
+def outermost_meetings(inst: Instance, sr, trace: RotationTrace):
+    """The splice's meetings t1 and t2, from ``linear_curve_meetings``; None for fewer than two.
+
+    The first and last meeting in turn order from theta, a meeting at theta
+    last (a full turn); shares no walk with ``gamma.build_splice``.
+    """
+    theta = trace.start_direction
+    meetings = sorted({d for d, _ in linear_curve_meetings(inst, sr, trace)},
+                      key=lambda d: direction_key_from(theta, d))
+    return (meetings[0], meetings[-1]) if len(meetings) > 1 else None
 
 
 def arc_contains(arc: RotateArc, t: Direction) -> bool:
@@ -823,10 +836,11 @@ def tag_walk_rotation(spec, inst: Instance) -> RotationTrace:
 def linear_curve_meetings(inst: Instance, sr, trace):
     """Oracle for ``gamma._curve_meetings``: test every interval against every arc."""
     pts = inst.points
+    pieces = list(enumerate(curve_pieces(sr, inst)))
     marks = []
     for dfrom, dto, pivot, _ in trace.intervals():
         g = pts[pivot]
-        for idx, piece in enumerate(curve_pieces(sr, inst)):
+        for idx, piece in pieces:
             if not isinstance(piece, RotateArc):
                 continue
             c = pts[piece.pivot]

@@ -1,6 +1,7 @@
 import dataclasses
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,10 +9,16 @@ import support
 
 from balanced_lines import gamma as gamma_module
 from balanced_lines import sliding as sliding_module
-from balanced_lines.geometry import Color, GuaranteeViolation, direction_key, instance_from_json
+from balanced_lines.geometry import (
+    VERTICAL,
+    Color,
+    GuaranteeViolation,
+    direction_key,
+    direction_of,
+    instance_from_json,
+)
 from balanced_lines.generators import gen_random, gen_separated_convex
 from balanced_lines.gamma import (
-    _outermost_meetings,
     _validated,
     build_splice,
     decompose_fhg,
@@ -250,13 +257,18 @@ def test_plain_winner_drained_with_a_corrupted_fence_raises():
     assert corrupted >= 4
 
 
+N40_FAMILY = ((support.gen_nested, 1, 16, 24, Color.RED), (support.gen_nested, 2, 20, 20, Color.BLUE),
+              (support.gen_mixed, 3, 16, 24, 0.5))
+
+
 def _splice_pool():
-    """Nested, recharge and mixed instances and 300 random ones, with 150 mixed for volume.
+    """Nested, recharge and mixed instances, the n = 40 family and 300 random ones, with 150 mixed for volume.
 
     Few random instances have a curve at all, and the mixed ones spawn
     about four splices each.
     """
     pool = support.nested_pool() + support.recharge_pool() + support.mixed_pool()
+    pool += [make(*args) for make, *args in N40_FAMILY]
     for seed in range(300):
         r = 2 + seed % 13
         pool.append(gen_random(seed, r, r + 2 * (seed % 4), 10**4))
@@ -266,12 +278,11 @@ def _splice_pool():
     return pool
 
 
-def _rule_branch(inst, best, trace):
-    """Which branch of ``build_splice``'s rule decides the splice of this strip trace."""
+def _rule_branch(inst, best, trace, ends):
+    """Which branch of ``build_splice``'s rule decides the splice of this strip trace, met at ``ends``."""
     theta = trace.start_direction
     bad = [(u, v) for u, v, _, w in trace.intervals()
            if not _preserves_delta(best.color, (w,), inst.delta)]
-    ends = _outermost_meetings(inst, best.sr, trace)
     if not bad:
         return "no interval bad"
     if bad[0][0] == theta:
@@ -294,8 +305,7 @@ def test_built_splice_strip_is_inside_g():
     builds.
     """
     instances = support.nested_pool() + support.mixed_pool() + support.recharge_pool()
-    instances += [support.gen_nested(1, 16, 24, Color.RED), support.gen_nested(2, 20, 20, Color.BLUE),
-                  support.gen_mixed(3, 16, 24, 0.5)]
+    instances += [make(*args) for make, *args in N40_FAMILY]
     instances += [gen_random(seed, 2 + seed % 7, 2 + seed % 7 + 2 * (seed % 4), 1000) for seed in range(50)]
     built = 0
     for inst in instances:
@@ -313,31 +323,76 @@ def test_built_splice_strip_is_inside_g():
     assert built > 10
 
 
-def test_splice_rule_matches_profile_walk():
-    """The trace rule keeps a splice exactly when its profile preserves delta.
+def _splice_rule_branches(instances):
+    """The trace rule keeps a splice exactly when its profile preserves delta; the branches it took.
 
     Every strip trace of the search, from each round's best curve: the
     rule's verdict (``build_splice``) against the full preservation walk
-    of the splice assembled whatever its profile, over every branch of the
-    rule.
+    of the splice assembled whatever its profile, between the meetings
+    that ``support.outermost_meetings`` finds by a scan (what
+    ``support.assemble_splice`` builds).
     """
     branches = Counter()
-    for inst in _splice_pool():
+    for inst in instances:
         for best, trace in support.strip_traces(inst):
-            sr = support.assemble_splice(inst, best, trace)
+            ends = support.outermost_meetings(inst, best.sr, trace)
+            sr = gamma_module._splice_through(best, trace, ends)
             kept = build_splice(inst, best, trace)
             assert (kept is not None) == is_delta_preserving_sliding(sr, inst)
             assert kept in (None, sr)
-            branches[_rule_branch(inst, best, trace), kept is not None] += 1
+            branches[_rule_branch(inst, best, trace, ends), kept is not None] += 1
+    return branches
+
+
+RULE_BRANCHES = {
+    ("no interval bad", True),
+    ("first interval bad", False),
+    ("fewer than two meetings", False),
+    ("t1 after the first bad interval", False),
+    ("t2 before the last bad interval", False),
+    ("bad intervals between the meetings", True),
+}
+
+
+def test_splice_rule_matches_profile_walk():
+    """The rule on the splice pool, over every branch of it."""
+    branches = _splice_rule_branches(_splice_pool())
     assert sum(branches.values()) >= 800
-    assert set(branches) == {
-        ("no interval bad", True),
-        ("first interval bad", False),
-        ("fewer than two meetings", False),
-        ("t1 after the first bad interval", False),
-        ("t2 before the last bad interval", False),
-        ("bad intervals between the meetings", True),
-    }
+    assert set(branches) == RULE_BRANCHES
+
+
+def test_splice_rule_on_scripted_walks(monkeypatch):
+    """The rule on scripted walks of (from, to, omega, meetings), red at delta 0 (omega 1 is bad).
+
+    No trace of the pools has a meeting inside a bad first interval, or
+    lists an interval's meetings out of turn order, so these two cases
+    are scripted: the first interval's start keys before every meeting,
+    and t2 is the greatest meeting, not the last one listed.
+    """
+    theta = VERTICAL
+    d1, d2, d3, d4 = (direction_of(-1, 2), direction_of(-1, 1), direction_of(-2, 1), direction_of(-1, 0))
+    assert [direction_key(theta, d) for d in (d1, d2, d3, d4)] == sorted(
+        direction_key(theta, d) for d in (d1, d2, d3, d4))
+    walks = [
+        ([(theta, d1, 1, [d1]), (d1, d2, 0, [d2]), (d2, theta, 0, [])], None),
+        ([(theta, d1, 0, [d1]), (d1, d2, 1, []), (d2, theta, 0, [d2])], (d1, d2)),
+        ([(theta, d1, 0, []), (d1, d2, 0, [d1]), (d2, d4, 1, [d4, d3]), (d4, theta, 0, [])], (d1, d4)),
+        ([(theta, d1, 0, []), (d1, d2, 0, [d1]), (d2, d4, 1, [d3]), (d4, theta, 0, [])], None),
+        ([(theta, d1, 0, [d1]), (d1, theta, 0, [])], "lift"),
+    ]
+    best = SimpleNamespace(color=Color.RED, sr=None)
+    inst, trace = SimpleNamespace(delta=0), SimpleNamespace(start_direction=theta)
+    monkeypatch.setattr(gamma_module, "_splice_through", lambda best, trace, ends: ends or "lift")
+    for walk, expected in walks:
+        monkeypatch.setattr(gamma_module, "_curve_meetings", lambda inst, sr, trace: iter(walk))
+        assert build_splice(inst, best, trace) == expected
+
+
+@pytest.mark.slow
+def test_splice_rule_matches_profile_walk_at_n160():
+    """The rule on ``gen_random`` at n = 160, seeds 0 and 3, over every branch of it."""
+    branches = _splice_rule_branches([gen_random(seed, 60, 100, 10**6) for seed in (0, 3)])
+    assert set(branches) == RULE_BRANCHES
 
 
 def test_plain_waist_mismatch_raises(monkeypatch, nested_instances):
@@ -383,13 +438,27 @@ def test_splice_breaking_delta_raises(monkeypatch, nested_instances):
     """A splice whose own walk breaks delta is a GuaranteeViolation, read before the waist cap.
 
     The lift handed back has the waist of the curve it was spliced from,
-    so the cap alone would drop it without a word.
+    so the cap check would raise too, with another message.
     """
     inst = next(inst for inst in nested_instances
                 if plain_candidates(inst) is not None and plain_candidates(inst).waist.witnesses)
     best, breaking = _coupled_lift(inst)
     monkeypatch.setattr(gamma_module, "build_splice", lambda inst, best, trace: breaking)
     with pytest.raises(GuaranteeViolation, match="which break delta"):
+        surgery_candidates(inst, best)
+
+
+def test_splice_at_the_cap_raises(monkeypatch, nested_instances):
+    """A built splice whose waist is not below its curve's is a GuaranteeViolation, not a silent drop.
+
+    ``best``'s own curve preserves delta and is positively oriented, at
+    exactly the cap.
+    """
+    inst = next(inst for inst in nested_instances
+                if plain_candidates(inst) is not None and plain_candidates(inst).waist.witnesses)
+    best = plain_candidates(inst)
+    monkeypatch.setattr(gamma_module, "build_splice", lambda inst, best, trace: best.sr)
+    with pytest.raises(GuaranteeViolation, match=f"not below its curve's {best.waist.value}"):
         surgery_candidates(inst, best)
 
 

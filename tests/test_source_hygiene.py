@@ -14,8 +14,9 @@ renderer the package computes exactly: no float literal, no ``float(``
 call and nothing from ``math`` but ``gcd``.  Every module-level function,
 class and constant of the package is read somewhere in ``src/``, ``tests/``
 or ``perfbench/``, so dead definitions do not accumulate either; and every
-public function, class and method is read outside the tests, in ``src/``,
-``perfbench/`` or README's code, so no public name serves the tests alone.
+public function, class and method is read outside the tests, in ``src/`` or
+``perfbench/``, so no public name serves the tests alone; README's code
+reads only the few names ``README_READERS`` lists, each with its reason.
 README's ``python`` quick tour, which keeps names alive, is run.  The two
 independent checkers, ``geometry.is_balanced`` and ``oracle.enumerate_naive``,
 load nothing of the angular machinery the construction is built from, so a
@@ -430,12 +431,23 @@ def _perfbench_strings(path: Path) -> set[str]:
             for name in IDENTIFIER.findall(node.value)}
 
 
+README_READERS = {
+    "count_balanced": "the quick tour counts the balanced lines with it",
+    "is_delta_preserving": "the paper's delta-preservation condition on a level rotation",
+    "is_delta_preserving_sliding": "the paper's delta-preservation condition on a sliding rotation",
+    "is_positively_oriented": "the paper's orientation condition on a sliding rotation",
+}
+
+
 def test_every_public_name_has_a_reader():
     """Each public function, class and method is read outside the tests.
 
     A reader is a load in ``src/`` or in ``perfbench/`` (not its frozen
     ``reference`` copy), an identifier in a string constant of
-    ``perfbench/``, or a mention in README's code.  A method or property
+    ``perfbench/``, or, for the names of ``README_READERS`` alone, a
+    mention in README's code.  Each of those must be spelled in README's
+    code and read nowhere else, so the set names exactly the public names
+    that README alone keeps.  A method or property
     is read only by an attribute load there (``x.name``): a bare name of
     the same spelling, such as the builtin ``reversed(...)`` or a local
     ``rank``, is not a read of ``DirectedLine.reversed`` or
@@ -447,16 +459,18 @@ def test_every_public_name_has_a_reader():
              if "reference" not in path.relative_to(ROOT).parts]
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in list(PACKAGE.glob("*.py")) + bench]
-    named = set().union(*map(_perfbench_strings, bench), _readme_names())
+    named = set().union(*map(_perfbench_strings, bench))
     read = set().union(*map(_loads, trees)) | named
     read_members = set().union(*map(_attribute_loads, trees)) | named
+    assert set(README_READERS) <= _readme_names() and not set(README_READERS) & read
+    read |= set(README_READERS)
     problems = [
         f"{path.name}:{line}: {name} has no reader outside the tests"
         for path in sorted(PACKAGE.glob("*.py"))
         for name, line in _public_definitions(path).items()
         if name.rsplit(".", 1)[-1] not in (read_members if "." in name else read)
     ]
-    assert bench and {"count_balanced", "rank", "build_shift"} <= read  # the check still reads
+    assert bench and {"rank", "build_shift"} <= read  # the check still reads
     probe = ast.parse("reversed(xs)\nordered[rank]\nline.offset(d)")  # a member read is x.name
     assert _attribute_loads(probe) == {"offset"} and {"reversed", "rank", "offset"} <= _loads(probe)
     assert not problems, "\n".join(problems)
