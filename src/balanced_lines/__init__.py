@@ -36,9 +36,7 @@ from .oracle import (
     lines_to_json,
 )
 from .rotation import (
-    End,
     EvenRedCount,
-    EventKind,
     LevelOutOfRange,
     RotationEvent,
     RotationSpec,

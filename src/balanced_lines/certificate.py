@@ -86,7 +86,6 @@ class Provenance:
 class CertifiedLine:
     line: BalancedLine
     provenance: Provenance
-    snapshot: DirectedLine
 
 
 @dataclass(frozen=True)
@@ -200,8 +199,7 @@ def flank_lines(inst: Instance, gamma: Gamma, f_ids: tuple[int, ...],
     def departures(name: str, family: tuple[int, ...], base: Direction, level: int):
         for t in _flank_pool(inst, gamma, steps, family, level):
             if t.omega_before == inst.delta and ccw_arc_contains(base, base.antipode, t.direction):
-                yield CertifiedLine(_line_of(inst, t), Provenance(f"flank_{name}", level),
-                                    t.line_in(inst))
+                yield CertifiedLine(_line_of(inst, t), Provenance(f"flank_{name}", level))
 
     theta = gamma.waist.achieved_at
     slots = ((1, departures(name, family, base, level), f"flank {name} level {level}")
@@ -252,8 +250,7 @@ def recharge(inst: Instance, gamma: Gamma, transition: RotationEvent, level: int
             raise UnclassifiableTransition(
                 f"opposite-color transition at {transition.direction} is unbalanced"
             )
-        return CertifiedLine(_line_of(inst, transition), Provenance("strip", level),
-                             transition.line_in(inst))
+        return CertifiedLine(_line_of(inst, transition), Provenance("strip", level))
     if crossed.id in f_ids:
         name, family = "f", f_ids
     elif crossed.id in h_ids:
@@ -280,7 +277,7 @@ def recharge(inst: Instance, gamma: Gamma, transition: RotationEvent, level: int
     for t in _flank_pool(inst, gamma, steps, family, j):
         line = _line_of(inst, t)
         if line.key not in used:
-            return CertifiedLine(line, Provenance("recharge", level, name, j), t.line_in(inst))
+            return CertifiedLine(line, Provenance("recharge", level, name, j))
     return None
 
 
@@ -307,7 +304,7 @@ def _direct_certificate(inst: Instance) -> Certificate:
                 raise GuaranteeViolation(
                     f"unbalanced boundary step in red rotation level {level}"
                 )
-            yield CertifiedLine(_line_of(inst, t), Provenance("direct", level), t.line_in(inst))
+            yield CertifiedLine(_line_of(inst, t), Provenance("direct", level))
 
     slots = ((quota, candidates(level), f"red rotation level {level}")
              for level, quota in _levels(inst.r))

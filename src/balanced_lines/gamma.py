@@ -52,7 +52,6 @@ from .geometry import (
     just_after_keys,
 )
 from .rotation import (
-    End,
     RotationEvent,
     RotationSpec,
     RotationTrace,
@@ -136,13 +135,13 @@ def plain_candidates(inst: Instance) -> Optional[Gamma]:
     for k in reversed(range((inst.r - 1) // 2)):
         spec = RotationSpec(Color.RED, k)
         walk = walk_rotation(spec, inst)
-        start = next(walk)  # (subset_ids, start_direction, initial_pivot, initial_omega)
-        if start[3] > delta:
+        start = next(walk)  # (initial_pivot, initial_omega)
+        if start[1] > delta:
             spec = RotationSpec(Color.BLUE, k + delta)
             walk = walk_rotation(spec, inst)
             start = next(walk)
         events, steps = tee(walk)
-        if _preserves_delta(spec.subset, chain((start[3],), (ev.omega_after for ev in steps)), delta):
+        if _preserves_delta(spec.subset, chain((start[1],), (ev.omega_after for ev in steps)), delta):
             break
     else:
         return None
@@ -288,7 +287,7 @@ def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> Optional[
     compares the last meeting with the end of the last bad interval; with
     fewer than two meetings no interval may be bad.
     """
-    theta = trace.start_direction
+    theta = trace.spec.start_direction
     # (key, direction) of t1 and t2 so far; (5,) sorts after every key, KEY_START before
     first, last, bad_end = ((5,), None), (KEY_START, None), None
     for dfrom, dto, omega, met in _curve_meetings(inst, best.sr, trace):
@@ -316,7 +315,7 @@ def _splice_through(best: Gamma, trace: RotationTrace,
     lift on [t2, theta).  The lines agree at t1 and t2, so no slide joins
     the windows.
     """
-    theta = trace.start_direction
+    theta = trace.spec.start_direction
     lifted = lift_rotation(trace, best.color)
     if ends is None:
         return lifted
@@ -367,7 +366,7 @@ def _curve_meetings(inst: Instance, sr: SlidingRotation, trace: RotationTrace) -
     xs, ys = inst.xs, inst.ys
     anchors = sr.anchors
     n = len(anchors)
-    j = sr.arc_at(trace.start_direction)
+    j = sr.arc_at(trace.spec.start_direction)
     for dfrom, dto, pivot, omega in trace.intervals():
         # the arc holding dfrom, the arc ending there, then every arc
         # starting in (dfrom, dto]; j ends on the arc holding dto
@@ -425,14 +424,14 @@ def build_shift(inst: Instance, trace: RotationTrace, shift_color: Color) -> Opt
     point has one window, the full turn.
     """
     pts = inst.points
-    theta = trace.start_direction
+    theta = trace.spec.start_direction
     keys = just_after_keys(theta, pts)
     right = sum(1 for sid in inst.ids_of(shift_color) if keys[sid] < keys[trace.initial_pivot])
     # (direction, count just past it) where the count steps; events at theta close the turn
     cuts = [(theta, right)]
     for ev in trace.events:
         if ev.direction != theta and pts[ev.crossed_id].color is shift_color:
-            right += 1 if ev.end is End.HEAD else -1
+            right += 1 if ev.head else -1
             cuts.append((ev.direction, right))
     if not all(right for _, right in cuts):
         return None

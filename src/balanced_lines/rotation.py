@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain
 from typing import Iterator, NamedTuple, Union
 
@@ -59,16 +58,6 @@ class LevelOutOfRange(BalancedLinesError):
     """The requested level is not in [0, |P| - 1] or violates a coupling bound."""
 
 
-class End(Enum):
-    HEAD = "head"
-    TAIL = "tail"
-
-
-class EventKind(Enum):
-    PIVOT_CHANGE = "pivot_change"
-    WEIGHT_CHANGE = "weight_change"
-
-
 Subset = Union[Color, frozenset]
 
 
@@ -98,8 +87,12 @@ class RotationSpec:
 
 
 class RotationEvent(NamedTuple):
-    """One state change of a rotation: where, what kind, the pivots and the weights.
+    """One state change of a rotation: where, the pivots, the end and the weights.
 
+    The event is a pivot change exactly when ``pivot_after != pivot_before``
+    (the crossed point is in the subset), and a weight step otherwise.
+    ``head`` tells whether the crossed point lies ahead of the pivot along
+    the direction (met by the head of the line) or behind it (the tail).
     A weight step across a boundary is a transition, the paper's step:
     ``transitions_at`` returns the trace's own events, and
     ``antipodal_transitions`` mirrors them.  The line through the pivot and
@@ -108,11 +101,10 @@ class RotationEvent(NamedTuple):
     """
 
     direction: Direction
-    kind: EventKind
     pivot_before: int
     pivot_after: int
     crossed_id: int
-    end: End
+    head: bool
     omega_before: int
     omega_after: int
 
@@ -133,7 +125,7 @@ class RotationEvent(NamedTuple):
         ``omega_after`` for a tail crossing.
         """
         ws = inst.ws
-        instant = self.omega_before if self.end is End.HEAD else self.omega_after
+        instant = self.omega_before if self.head else self.omega_after
         return ws[self.pivot_before] != ws[self.crossed_id] and instant == inst.delta
 
 
@@ -142,13 +134,11 @@ class RotationTrace:
     """The full cyclic event sequence of one level rotation.
 
     The state between events is (pivot, omega); the first interval starts
-    just past the start direction and the walk returns to the initial state
-    after a full turn.
+    just past ``spec.start_direction`` and the walk returns to the initial
+    state after a full turn.  The subset's ids are ``spec.resolve(inst)``.
     """
 
     spec: RotationSpec
-    subset_ids: tuple[int, ...]
-    start_direction: Direction
     initial_pivot: int
     initial_omega: int
     events: tuple[RotationEvent, ...]
@@ -158,14 +148,14 @@ class RotationTrace:
 
         There are events: a full turn meets every other point of the instance.
         """
-        d = self.start_direction
+        start = d = self.spec.start_direction
         pivot, omega = self.initial_pivot, self.initial_omega
         for ev in self.events:
             if ev.direction != d:
                 yield (d, ev.direction, pivot, omega)
             d, pivot, omega = ev.direction, ev.pivot_after, ev.omega_after
-        if d != self.start_direction:
-            yield (d, self.start_direction, pivot, omega)
+        if d != start:
+            yield (d, start, pivot, omega)
 
 
 def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
@@ -182,9 +172,9 @@ def run_rotation(spec: RotationSpec, inst: Instance) -> RotationTrace:
 def walk_rotation(spec: RotationSpec, inst: Instance) -> Iterator:
     """The walk of ``run_rotation``, one step at a time.
 
-    Yields the start state ``(subset_ids, start_direction, initial_pivot,
-    initial_omega)``, the fields of ``RotationTrace`` after its spec, then
-    each ``RotationEvent`` in turn order.  Once drained, it raises
+    Yields the start state ``(initial_pivot, initial_omega)``, the fields
+    of ``RotationTrace`` between its spec and its events, then each
+    ``RotationEvent`` in turn order.  Once drained, it raises
     GuaranteeViolation unless the walk closed on its start state.  A reader
     that stops early pays only for the steps it took: the start state needs
     no fences, and the fences of pivots the walk has not reached are not
@@ -201,11 +191,12 @@ def walk_rotation(spec: RotationSpec, inst: Instance) -> Iterator:
     vertical up to the start direction inclusive.  A fence toward or away
     from a subset point hands the pivot over, and the walk goes on from the
     same direction in the new pivot's fences, found by bisection; any other
-    fence is a weight step.  After the instance's fences are built,
-    O(n log n) per point and once per instance, each event costs O(1) and
-    each pivot change O(log n).  Events are tuples, built in C, and carry
-    no line: each step reads the weight row and builds nothing but its
-    event (``RotationEvent.line_in`` builds the line where it is read).
+    fence is a weight step.  Either event keeps the fence's ``head`` bool.
+    After the instance's fences are built, O(n log n) per point and once
+    per instance, each event costs O(1) and each pivot change O(log n).
+    Events are tuples, built in C, and carry no line: each step reads the
+    weight row and builds nothing but its event (``RotationEvent.line_in``
+    builds the line where it is read).
     """
     ids = spec.resolve(inst)
     d0 = spec.start_direction
@@ -218,13 +209,10 @@ def walk_rotation(spec: RotationSpec, inst: Instance) -> Iterator:
     omega = sum(w for w, key in zip(ws, keys) if key < key_p)
 
     initial_pivot, initial_omega = pivot, omega
-    yield ids, d0, initial_pivot, initial_omega
+    yield initial_pivot, initial_omega
     key0 = direction_key(VERTICAL, d0)
     key, wrapped = key0, False
     new = tuple.__new__  # builds a record from its fields in C, past NamedTuple's Python __new__
-    # enum members read once: on Python 3.11 each ``End.HEAD`` costs about 0.15 us
-    head_end, tail_end = End.HEAD, End.TAIL
-    pivot_change, weight_change = EventKind.PIVOT_CHANGE, EventKind.WEIGHT_CHANGE
     while True:
         fences = inst.fences(pivot)
         lo = bisect_right(fences, key, key=FENCE_KEY)
@@ -232,19 +220,14 @@ def walk_rotation(spec: RotationSpec, inst: Instance) -> Iterator:
         order = range(lo, stop) if wrapped else chain(range(lo, len(fences)), range(stop))
         for i in order:
             key, d, other, head = fences[i]
-            end = head_end if head else tail_end
             if other in subset:
                 new_omega = omega if head else omega + ws[pivot] - ws[other]
-                yield new(RotationEvent, (
-                    d, pivot_change, pivot, other, other, end, omega, new_omega,
-                ))
+                yield new(RotationEvent, (d, pivot, other, other, head, omega, new_omega))
                 pivot, omega = other, new_omega
                 wrapped = wrapped or i < lo  # indices below lo come after the wrap
                 break
             new_omega = omega + (ws[other] if head else -ws[other])
-            yield new(RotationEvent, (
-                d, weight_change, pivot, pivot, other, end, omega, new_omega,
-            ))
+            yield new(RotationEvent, (d, pivot, pivot, other, head, omega, new_omega))
             omega = new_omega
         else:
             break
@@ -272,12 +255,13 @@ def _preserves_delta(color: Color, omegas, delta: int) -> bool:
 def transitions_at(trace: RotationTrace, low: int) -> list[RotationEvent]:
     """The trace's weight steps between ``low`` and ``low + 1``: its own events.
 
-    Nothing is built per step; ``RotationEvent.balanced_in`` tells whether
-    a step's line is balanced and ``RotationEvent.line_in`` builds it.
+    A weight step is an event whose pivot stays.  Nothing is built per
+    step; ``RotationEvent.balanced_in`` tells whether a step's line is
+    balanced and ``RotationEvent.line_in`` builds it.
     """
-    boundary, weight_change = {low, low + 1}, EventKind.WEIGHT_CHANGE
+    boundary = {low, low + 1}
     return [ev for ev in trace.events
-            if ev.kind is weight_change and {ev.omega_before, ev.omega_after} == boundary]
+            if ev.pivot_after == ev.pivot_before and {ev.omega_before, ev.omega_after} == boundary]
 
 
 def antipodal_transitions(steps: list[RotationEvent], theta: Direction,
@@ -297,29 +281,26 @@ def antipodal_transitions(steps: list[RotationEvent], theta: Direction,
     exactly when level j pivots on p at d, and crosses the same points.
     The instance weighs 2 delta, so the right weight there is
     2 delta - w - omega.  Hence each step of level j at d is a step of level
-    m - 1 - j at d + pi: a ``WEIGHT_CHANGE`` event with the antipodal
-    direction, the same pivot before and after, the same crossed point, the
-    end flipped (a point ahead of the line is behind its reverse) and
-    omegas 2 delta - w - omega.  Its ``balanced_in`` agrees with the
-    step's, since the line through the two points is the same.  A walk
-    from ``theta`` meets them half a turn later: first the steps of
-    (theta + pi, theta], then those of (theta, theta + pi]; a step at theta
-    maps to theta + pi, and a step at theta + pi maps to theta, which sorts
-    last.  A pivot meets one fence per direction, so no two steps share a
-    direction.
+    m - 1 - j at d + pi: a weight step with the antipodal direction, the
+    same pivot before and after, the same crossed point, ``head`` negated
+    (a point ahead of the line is behind its reverse) and omegas
+    2 delta - w - omega.  Its ``balanced_in`` agrees with the step's, since
+    the line through the two points is the same.  A walk from ``theta``
+    meets them half a turn later: first the steps of (theta + pi, theta],
+    then those of (theta, theta + pi]; a step at theta maps to theta + pi,
+    and a step at theta + pi maps to theta, which sorts last.  A pivot meets
+    one fence per direction, so no two steps share a direction.
     """
     # the steps of (theta + pi, theta] are those of key halves 3 (right of theta) and 4 (theta)
     split = bisect_left(steps, 3, key=lambda ev: direction_key(theta, ev.direction)[0])
     ws, total = inst.ws, 2 * inst.delta
     new = tuple.__new__
-    flip = {End.HEAD: End.TAIL, End.TAIL: End.HEAD}
-    weight_change = EventKind.WEIGHT_CHANGE
     out = []
     for ev in chain(steps[split:], steps[:split]):
         p = ev.pivot_before
         mirror = total - ws[p]
         out.append(new(RotationEvent, (
-            ev.direction.antipode, weight_change, p, p, ev.crossed_id, flip[ev.end],
+            ev.direction.antipode, p, p, ev.crossed_id, not ev.head,
             mirror - ev.omega_before, mirror - ev.omega_after,
         )))
     return out
@@ -336,7 +317,7 @@ def is_delta_preserving(trace: RotationTrace, inst: Instance) -> bool:
     ``test_rotation.py::test_preserving_when_weight_stays_low`` and
     ``test_separated_rotation_not_preserving`` check it.
     """
-    ids = set(trace.subset_ids)
+    ids = set(trace.spec.resolve(inst))
     color = next((c for c in Color if ids == set(inst.ids_of(c))), None)
     if color is None:
         raise WrongSubset("subset is neither all red nor all blue")
@@ -416,11 +397,11 @@ def trace_to_jsonl(trace: RotationTrace) -> Iterator[str]:
         yield json.dumps(
             {
                 "dir": {"dx": ev.direction.dx, "dy": ev.direction.dy},
-                "kind": ev.kind.value,
+                "kind": "weight_change" if ev.pivot_after == ev.pivot_before else "pivot_change",
                 "pivot": ev.pivot_after,
                 "omega": ev.omega_after,
                 "crossed": ev.crossed_id,
-                "end": ev.end.value,
+                "end": "head" if ev.head else "tail",
                 "omega_before": ev.omega_before,
             },
             separators=(",", ":"),

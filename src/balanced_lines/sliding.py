@@ -57,7 +57,7 @@ from .geometry import (
     halfplane_weight,
     just_after_keys,
 )
-from .rotation import EventKind, RotationTrace, _preserves_delta
+from .rotation import RotationTrace, _preserves_delta
 
 
 class NotPositivelyOriented(BalancedLinesError):
@@ -135,10 +135,10 @@ def lift_rotation(trace: RotationTrace, subset_color: Color) -> SlidingRotation:
     Anchored at the start and at each pivot change off it; a handover keeps
     both pivots on one line, so no slide joins them.
     """
-    start = trace.start_direction
+    start = trace.spec.start_direction
     anchors = [(start, trace.initial_pivot)]
     anchors += [(ev.direction, ev.pivot_after) for ev in trace.events
-                if ev.kind is EventKind.PIVOT_CHANGE and ev.direction != start]
+                if ev.pivot_after != ev.pivot_before and ev.direction != start]
     return _curve_through(anchors, subset_color)
 
 

@@ -105,7 +105,7 @@ def render_balanced(inst: Instance, lines: set[BalancedLine]) -> str:
 def render_rotation(inst: Instance, trace: RotationTrace) -> str:
     view = _View(inst)
     start = DirectedLine.pivot_direction(
-        inst, trace.initial_pivot, trace.start_direction
+        inst, trace.initial_pivot, trace.spec.start_direction
     )
     body = [_infinite_line(view, start, CURVE)]
     for ev in trace.events:

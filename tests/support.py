@@ -111,8 +111,6 @@ from balanced_lines.geometry import (
 from balanced_lines.generators import gen_random, gen_separated_convex
 from balanced_lines.oracle import BalancedLine
 from balanced_lines.rotation import (
-    End,
-    EventKind,
     RotationEvent,
     RotationSpec,
     RotationTrace,
@@ -413,7 +411,7 @@ def outermost_meetings(inst: Instance, sr, trace: RotationTrace):
     The first and last meeting in turn order from theta, a meeting at theta
     last (a full turn); shares no walk with ``gamma.build_splice``.
     """
-    theta = trace.start_direction
+    theta = trace.spec.start_direction
     meetings = sorted({d for d, _ in linear_curve_meetings(inst, sr, trace)},
                       key=lambda d: direction_key_from(theta, d))
     return (meetings[0], meetings[-1]) if len(meetings) > 1 else None
@@ -727,10 +725,10 @@ def linear_pivot_at(trace, d: Direction) -> int:
 
     At an event direction the state just after the event is reported.
     """
-    key = direction_key_from(trace.start_direction, d)
+    key = direction_key_from(trace.spec.start_direction, d)
     pivot = trace.initial_pivot
     for ev in trace.events:
-        if direction_key_from(trace.start_direction, ev.direction) <= key:
+        if direction_key_from(trace.spec.start_direction, ev.direction) <= key:
             pivot = ev.pivot_after
         else:
             break
@@ -795,8 +793,8 @@ def tag_walk_rotation(spec, inst: Instance) -> RotationTrace:
             if p.id == qid or p.id in id_set:
                 continue
             head = Direction.of(p.x - q.x, p.y - q.y)
-            tags.append((direction_key_from(d0, head), head, qid, p.id, End.HEAD))
-            tags.append((direction_key_from(d0, head.antipode), head.antipode, qid, p.id, End.TAIL))
+            tags.append((direction_key_from(d0, head), head, qid, p.id, True))
+            tags.append((direction_key_from(d0, head.antipode), head.antipode, qid, p.id, False))
     for i, uid in enumerate(ids):
         u = pts[uid]
         for vid in ids[i + 1:]:
@@ -804,33 +802,29 @@ def tag_walk_rotation(spec, inst: Instance) -> RotationTrace:
             fwd = Direction.of(v.x - u.x, v.y - u.y)
             tags.append((direction_key_from(d0, fwd), fwd, uid, vid, None))
             tags.append((direction_key_from(d0, fwd.antipode), fwd.antipode, uid, vid, None))
-    tags.sort(key=lambda t: (t[0], t[2], t[3], t[4].value if t[4] else ""))
+    # at one key: pair tags (None) first, then head tags (True), then tail tags (False)
+    tags.sort(key=lambda t: (t[0], t[2], t[3], t[4] is not None, not t[4]))
 
     pivot, omega = initial_state(inst, ids, spec.level, d0)
     initial_pivot, initial_omega = pivot, omega
     events = []
-    for _, d, qid, sid, end in tags:
+    for _, d, qid, sid, ahead in tags:
         p = pts[pivot]
-        if end is None:
+        if ahead is None:
             if pivot not in (qid, sid):
                 continue
             other = sid if pivot == qid else qid
             o = pts[other]
             at_head = Direction.of(o.x - p.x, o.y - p.y) == d
             new_omega = omega if at_head else omega + p.weight - o.weight
-            events.append(RotationEvent(
-                d, EventKind.PIVOT_CHANGE, pivot, other, other,
-                End.HEAD if at_head else End.TAIL, omega, new_omega,
-            ))
+            events.append(RotationEvent(d, pivot, other, other, at_head, omega, new_omega))
             pivot, omega = other, new_omega
         elif qid == pivot:
             s = pts[sid]
-            new_omega = omega + (s.weight if end is End.HEAD else -s.weight)
-            events.append(RotationEvent(
-                d, EventKind.WEIGHT_CHANGE, pivot, pivot, sid, end, omega, new_omega,
-            ))
+            new_omega = omega + (s.weight if ahead else -s.weight)
+            events.append(RotationEvent(d, pivot, pivot, sid, ahead, omega, new_omega))
             omega = new_omega
-    return RotationTrace(spec, ids, d0, initial_pivot, initial_omega, tuple(events))
+    return RotationTrace(spec, initial_pivot, initial_omega, tuple(events))
 
 
 def linear_curve_meetings(inst: Instance, sr, trace):
@@ -864,7 +858,7 @@ def linear_build_shift(inst: Instance, trace, shift_color: Color):
     """
     pts = inst.points
     shift_ids = inst.ids_of(shift_color)
-    theta = trace.start_direction
+    theta = trace.spec.start_direction
     cuts = {ev.direction for ev in trace.events}
     for i in shift_ids:
         for j in shift_ids:

@@ -48,7 +48,7 @@ from balanced_lines.geometry import (
     validate,
 )
 from balanced_lines.generators import gen_random
-from balanced_lines.rotation import EventKind, RotationSpec, _preserves_delta, run_rotation
+from balanced_lines.rotation import RotationSpec, _preserves_delta, run_rotation
 from balanced_lines.sliding import (
     NotPositivelyOriented,
     RotateArc,
@@ -225,15 +225,16 @@ def test_find_gamma_at_n40_matches_waist_oracle(make):
 
 
 def _fence_starts(inst, subset, level):
-    """The first weight step and the first pivot change of the vertical walk.
+    """The first pivot change and the first weight step of the vertical walk.
 
     An event direction is a fence of the pivot just after it, so a walk
     started there begins exactly on a fence of its initial pivot (and, at a
     pivot change, hands the pivot over there at the end of its turn).
     """
     events = run_rotation(RotationSpec(subset, level), inst).events
-    return [next(ev.direction for ev in events if ev.kind is kind)
-            for kind in EventKind if any(ev.kind is kind for ev in events)]
+    return [next(ev.direction for ev in events if (ev.pivot_after != ev.pivot_before) is change)
+            for change in (True, False)
+            if any((ev.pivot_after != ev.pivot_before) is change for ev in events)]
 
 
 @pytest.mark.parametrize("pool", [
@@ -543,7 +544,7 @@ def _check_shift_of_every_level(seeds, fences_per_point):
         if got is not None:
             built += 1
             lone += not any(inst.points[ev.crossed_id].color is shift for ev in trace.events
-                            if ev.direction != trace.start_direction)
+                            if ev.direction != trace.spec.start_direction)
     return built, lone
 
 

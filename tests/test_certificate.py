@@ -19,6 +19,7 @@ from balanced_lines.geometry import (
     Direction,
     GuaranteeViolation,
     build_points,
+    ccw_arc_contains,
     direction_key_from,
     instance_to_json,
     validate,
@@ -124,18 +125,29 @@ def test_flank_lines_levels_and_membership(nested_instances):
         if gamma is None:
             continue
         f_ids, h_ids, g_ids = decompose_fhg(inst, gamma)
-        picks = flank_lines(inst, gamma, f_ids, h_ids, certificate_module._Steps(inst, gamma))
+        steps = certificate_module._Steps(inst, gamma)
+        picks = flank_lines(inst, gamma, f_ids, h_ids, steps)
         assert len(picks) == len(f_ids) + len(h_ids)
         keys = {p.line.key for p in picks}
         assert len(keys) == len(picks)
         assert keys <= oracle_keys(inst)
+        theta, used = gamma.waist.achieved_at, set()
         for pick in picks:
-            family = f_ids if pick.provenance.kind == "flank_f" else h_ids
-            snapshot = pick.snapshot
+            family, base = ((f_ids, theta) if pick.provenance.kind == "flank_f"
+                            else (h_ids, theta.antipode))
+            # the pick is its pool's first departure on the flank's half turn not picked before
+            event = next(
+                t for t in certificate_module._flank_pool(inst, gamma, steps, family,
+                                                          pick.provenance.level)
+                if t.omega_before == inst.delta and ccw_arc_contains(base, base.antipode, t.direction)
+                and certificate_module._line_of(inst, t).key not in used)
+            assert certificate_module._line_of(inst, event) == pick.line
+            used.add(pick.line.key)
+            line = event.line_in(inst)
             right = sum(
                 1
                 for i in family
-                if support.side(snapshot, inst.point(i)) is support.Side.RIGHT
+                if support.side(line, inst.point(i)) is support.Side.RIGHT
             )
             assert right == pick.provenance.level
 

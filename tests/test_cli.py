@@ -130,6 +130,32 @@ def test_trace_separated_two_transitions(run, sep44):
     assert all(t["transition"]["balanced"] for t in transitions)
 
 
+# sha256 of every ``trace --transitions`` stdout below, in order: event and
+# transition records of red, blue and mixed-id subsets, from vertical and
+# from non-vertical start directions.
+TRACE_JSONL_DIGEST = "deddb92ccbb505018ff547e2b61cf70f38567ff9bd568d27d6a1934c676d755e"
+
+
+def test_trace_jsonl_digest(run, tmp_path):
+    """``trace`` JSON lines stay byte-identical."""
+    digest = hashlib.sha256()
+    for seed, r, b in ((0, 5, 7), (1, 6, 6), (2, 4, 8)):
+        path = str(tmp_path / f"inst-{seed}.json")
+        code, _, _ = run("gen", "random", "-r", str(r), "-b", str(b),
+                         "--seed", str(seed), "-o", path)
+        assert code == 0
+        for subset, k, start, low in (("red", 1, "0,1", (b - r) // 2),
+                                      ("blue", 2, "0,1", (b - r) // 2 - 1),
+                                      ("0,2,5,8,9", 2, "0,1", 1),
+                                      ("red", 2, "3,-2", (b - r) // 2),
+                                      ("1,3,4,7", 1, "-5,1", 0)):
+            code, out, _ = run("trace", path, "--subset", subset, "--k", str(k),
+                               f"--start={start}", "--transitions", str(low))
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == TRACE_JSONL_DIGEST
+
+
 def test_trace_bad_level_exit_2(run, sep44):
     code, _, _ = run("trace", sep44, "--k", "99")
     assert code == 2

@@ -27,7 +27,6 @@ from balanced_lines.gamma import (
     surgery_candidates,
 )
 from balanced_lines.rotation import (
-    EventKind,
     RotationSpec,
     _preserves_delta,
     run_rotation,
@@ -215,7 +214,7 @@ def _skip_weight_step(inst, spec, rising):
 
     Returns whether the walk has such a step.
     """
-    ev = next((ev for ev in run_rotation(spec, inst).events if ev.kind is EventKind.WEIGHT_CHANGE
+    ev = next((ev for ev in run_rotation(spec, inst).events if ev.pivot_after == ev.pivot_before
                and (ev.omega_after > ev.omega_before) == rising), None)
     if ev is None:
         return False
@@ -280,7 +279,7 @@ def _splice_pool():
 
 def _rule_branch(inst, best, trace, ends):
     """Which branch of ``build_splice``'s rule decides the splice of this strip trace, met at ``ends``."""
-    theta = trace.start_direction
+    theta = trace.spec.start_direction
     bad = [(u, v) for u, v, _, w in trace.intervals()
            if not _preserves_delta(best.color, (w,), inst.delta)]
     if not bad:
@@ -381,7 +380,7 @@ def test_splice_rule_on_scripted_walks(monkeypatch):
         ([(theta, d1, 0, [d1]), (d1, theta, 0, [])], "lift"),
     ]
     best = SimpleNamespace(color=Color.RED, sr=None)
-    inst, trace = SimpleNamespace(delta=0), SimpleNamespace(start_direction=theta)
+    inst, trace = SimpleNamespace(delta=0), SimpleNamespace(spec=SimpleNamespace(start_direction=theta))
     monkeypatch.setattr(gamma_module, "_splice_through", lambda best, trace, ends: ends or "lift")
     for walk, expected in walks:
         monkeypatch.setattr(gamma_module, "_curve_meetings", lambda inst, sr, trace: iter(walk))

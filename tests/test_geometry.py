@@ -37,7 +37,7 @@ from balanced_lines.geometry import (
     VERTICAL,
 )
 from balanced_lines.generators import gen_random, gen_separated_convex
-from balanced_lines.rotation import End, EventKind, RotationEvent
+from balanced_lines.rotation import RotationEvent
 import support
 from support import side_just_after
 
@@ -516,7 +516,7 @@ _D = Direction(3, -4)
 RECORDS = {
     "direction": (Direction, (3, -4)),
     "line": (DirectedLine, (1, Fraction(1, 2), _D, (0, 1))),
-    "event": (RotationEvent, (_D, EventKind.WEIGHT_CHANGE, 0, 0, 1, End.HEAD, 0, 1)),
+    "event": (RotationEvent, (_D, 0, 0, 1, True, 0, 1)),
 }
 
 

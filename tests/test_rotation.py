@@ -20,9 +20,7 @@ from balanced_lines.geometry import (
 from balanced_lines.generators import gen_random, gen_separated_convex
 from balanced_lines.oracle import enumerate_naive
 from balanced_lines.rotation import (
-    End,
     EvenRedCount,
-    EventKind,
     LevelOutOfRange,
     RotationEvent,
     RotationSpec,
@@ -41,17 +39,17 @@ from balanced_lines.rotation import (
 def test_single_point_subset():
     inst = gen_random(1, 3, 3, 100)
     trace = run_rotation(RotationSpec(frozenset({0}), 0), inst)
-    kinds = [e.kind for e in trace.events]
-    assert kinds.count(EventKind.PIVOT_CHANGE) == 0
-    assert kinds.count(EventKind.WEIGHT_CHANGE) == 2 * (inst.n - 1)
-    heads = sum(1 for e in trace.events if e.end is End.HEAD)
+    changes = sum(1 for e in trace.events if e.pivot_after != e.pivot_before)
+    assert changes == 0
+    assert len(trace.events) - changes == 2 * (inst.n - 1)
+    heads = sum(1 for e in trace.events if e.head)
     assert heads == inst.n - 1
 
 
 def test_two_point_subset_pivot_changes():
     inst = gen_random(1, 3, 3, 100)
     trace = run_rotation(RotationSpec(frozenset({0, 1}), 0), inst)
-    changes = [e for e in trace.events if e.kind is EventKind.PIVOT_CHANGE]
+    changes = [e for e in trace.events if e.pivot_after != e.pivot_before]
     assert len(changes) == 2
 
 
@@ -87,7 +85,7 @@ def test_red_rotation_never_crosses_red():
     for k in range(inst.r):
         trace = run_rotation(RotationSpec(Color.RED, k), inst)
         for ev in trace.events:
-            if ev.kind is EventKind.WEIGHT_CHANGE:
+            if ev.pivot_after == ev.pivot_before:
                 assert inst.point(ev.crossed_id).color is Color.BLUE
 
 
@@ -100,7 +98,7 @@ def test_transitions_all_balanced_and_in_oracle(small_random_pool):
                 assert t.balanced_in(inst)
                 assert inst.point(t.crossed_id).color is Color.BLUE
                 assert (t.pivot_before, t.crossed_id) in oracle
-                assert (t.end is End.HEAD) == (t.omega_after > t.omega_before)
+                assert t.head == (t.omega_after > t.omega_before)
         for k in range(inst.b):
             trace = run_rotation(RotationSpec(Color.BLUE, k), inst)
             for t in transitions_at(trace, inst.delta - 1):
@@ -177,8 +175,8 @@ def test_boundary_steps_are_rotation_events(nested_instances, mixed_instances):
                 steps = transitions_at(trace, transition_low(color, inst.delta))
                 events = iter(trace.events)
                 assert all(any(t is ev for ev in events) for t in steps)
-                for t in antipodal_transitions(steps, trace.start_direction, inst):
-                    assert type(t) is RotationEvent and t.kind is EventKind.WEIGHT_CHANGE
+                for t in antipodal_transitions(steps, trace.spec.start_direction, inst):
+                    assert type(t) is RotationEvent
                     assert t.pivot_before == t.pivot_after
                     mirrored += 1
     assert mirrored > 0
@@ -245,7 +243,7 @@ def test_level_coupling_random(small_random_pool):
 
 def _omega_after(trace):
     """The trace's weight just past a direction: after its last event at or before it."""
-    start = trace.start_direction
+    start = trace.spec.start_direction
     keys = [direction_key(start, ev.direction) for ev in trace.events]
     omegas = support.omega_values(trace)
     return lambda d: omegas[bisect_right(keys, direction_key(start, d))]
@@ -308,7 +306,7 @@ def test_custom_start_direction():
     inst = gen_random(8, 4, 4, 1000)
     start = Direction.of(3, 1)
     trace = run_rotation(RotationSpec(Color.RED, 1, start), inst)
-    assert trace.start_direction == start
+    assert trace.spec.start_direction == start
     # same cyclic event multiset as the default start
     default = run_rotation(RotationSpec(Color.RED, 1), inst)
     a = sorted((e.direction.dx, e.direction.dy, e.crossed_id) for e in trace.events)
@@ -345,7 +343,7 @@ def test_transition_flag_is_the_independent_recount(nested_instances, mixed_inst
                 trace = run_rotation(RotationSpec(subset, k), inst)
                 for low in (inst.delta - 1, inst.delta, inst.delta + 1):
                     walked = transitions_at(trace, low)
-                    mirrored = antipodal_transitions(walked, trace.start_direction, inst)
+                    mirrored = antipodal_transitions(walked, trace.spec.start_direction, inst)
                     for antipodal, steps in ((False, walked), (True, mirrored)):
                         for t in steps:
                             same = inst.point(t.pivot_before).color is inst.point(t.crossed_id).color

@@ -17,6 +17,9 @@ or ``perfbench/``, so dead definitions do not accumulate either; and every
 public function, class and method is read outside the tests, in ``src/`` or
 ``perfbench/``, so no public name serves the tests alone; README's code
 reads only the few names ``README_READERS`` lists, each with its reason.
+Every field of a package record (a ``NamedTuple`` or a dataclass) is read
+in ``src/`` or ``perfbench/``, by an attribute load or through ``asdict``,
+but for the few ``UNREAD_FIELDS`` lists, each with its reason.
 README's ``python`` quick tour, which keeps names alive, is run.  The two
 independent checkers, ``geometry.is_balanced`` and ``oracle.enumerate_naive``,
 load nothing of the angular machinery the construction is built from, so a
@@ -383,7 +386,7 @@ def test_no_single_value_parameters():
             for p in params:
                 spelled = _fixed(given[p.arg], enums) if p.arg in given else None
                 values.setdefault(p.arg, []).append(spelled)
-    assert {"Color", "End"} <= enums and "halfplane_weight" in passed  # the check still reads
+    assert "Color" in enums and "halfplane_weight" in passed  # the check still reads
     problems = [
         f"{name}({param}): every call passes {spelled[0]}"
         for name, values in sorted(passed.items()) if name not in opaque
@@ -473,6 +476,77 @@ def test_every_public_name_has_a_reader():
     assert bench and {"rank", "build_shift"} <= read  # the check still reads
     probe = ast.parse("reversed(xs)\nordered[rank]\nline.offset(d)")  # a member read is x.name
     assert _attribute_loads(probe) == {"offset"} and {"reversed", "rank", "offset"} <= _loads(probe)
+    assert not problems, "\n".join(problems)
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A ``NamedTuple`` subclass or a ``@dataclass`` class, with or without arguments."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return (any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+            or any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators))
+
+
+def _unread_fields(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """The record fields of ``modules`` that no reader loads, ``UNREAD_FIELDS`` aside.
+
+    A field is an annotated name in a record's body.  It is read by an
+    attribute load (``x.field``) in a reader; a record whose own code calls
+    ``asdict`` (``RunReport.to_json``) reads all its fields there.
+    """
+    read = set().union(*map(_attribute_loads, readers))
+    problems = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_record(node)) or "asdict" in _loads(node):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    field = f"{node.name}.{stmt.target.id}"
+                    if stmt.target.id not in read and field not in UNREAD_FIELDS:
+                        problems.append(f"{module}:{stmt.lineno}: {field} is never read")
+    return problems
+
+
+UNREAD_FIELDS = {
+    "DirectedLine.span": "part of a line's equality and hash; only the tests read it",
+}
+
+SCRATCH_RECORDS = """
+@dataclass(frozen=True)
+class Scratch:
+    kept: int
+    dropped: int
+
+class Pair(NamedTuple):
+    left: int
+    right: int
+
+@dataclass
+class Report:
+    total: int
+
+    def to_json(self):
+        return asdict(self)
+"""
+
+
+def test_every_record_field_has_a_reader():
+    """Each field of a package ``NamedTuple`` or dataclass is read in ``src/`` or ``perfbench/``.
+
+    A field nothing reads is state that every construction pays for and no
+    answer depends on.  ``perfbench``'s frozen ``reference`` copy reads
+    nothing here, and neither do the tests.  The check flags a scratch
+    record's unread field and nothing else of it.
+    """
+    bench = [path for path in (ROOT / "perfbench").rglob("*.py")
+             if "reference" not in path.relative_to(ROOT).parts]
+    modules = {path.name: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    readers = list(modules.values()) + [ast.parse(path.read_text(), filename=str(path)) for path in bench]
+    scratch = {"scratch.py": ast.parse(SCRATCH_RECORDS)}
+    reader = ast.parse("def f(s, p):\n    return s.kept + p.left + p.right")
+    assert _unread_fields(scratch, [reader]) == ["scratch.py:5: Scratch.dropped is never read"]
+    problems = _unread_fields(modules, readers)
     assert not problems, "\n".join(problems)
 
 
