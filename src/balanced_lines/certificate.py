@@ -133,17 +133,24 @@ class _Steps(dict):
 
 
 def _flank_pool(inst: Instance, gamma: Gamma, steps: _Steps, family: tuple[int, ...],
-                level: int):
+                level: int, base: Optional[Direction] = None):
     """Balanced central-strip boundary steps of one flank rotation, lazily, in sweep order.
 
     Both step directions qualify: each spans a balanced line when the
     crossed point has the opposite color, and recharges may consume either.
-    Balance is read first, in O(1) per step (``RotationEvent.balanced_in``);
-    only balanced steps pay for ``in_central_region``, which evaluates the
-    curve twice, and only as far as the caller reads.
+    With ``base``, the flank pick's pool, only the departures from delta on
+    the closed half turn from ``base`` qualify.  The O(1) tests run first:
+    that departure and half turn, then balance (``RotationEvent.balanced_in``);
+    only a step that passes them pays for ``in_central_region``, which
+    evaluates the curve twice, and only as far as the caller reads.
     """
-    return (t for t in steps[family, level]
-            if t.balanced_in(inst) and in_central_region(inst, gamma, t))
+    delta = inst.delta
+    for t in steps[family, level]:
+        if base is not None and not (t.omega_before == delta
+                                     and ccw_arc_contains(base, base.antipode, t.direction)):
+            continue
+        if t.balanced_in(inst) and in_central_region(inst, gamma, t):
+            yield t
 
 
 def _line_of(inst: Instance, t: RotationEvent) -> BalancedLine:
@@ -191,15 +198,15 @@ def flank_lines(inst: Instance, gamma: Gamma, f_ids: tuple[int, ...],
     The guaranteed departure lies on the closed half turn that starts at the
     flank's own reference line (``ccw_arc_contains``): the achieving line for
     the first flank, its antipodal partner for the second.  That keeps the
-    picks distinct across levels and flanks.  Each pick is the first such
-    departure of its ``_flank_pool``, which is read only up to it.  The
-    pools come from the assembly's ``steps``, so the two flanks' m levels
-    cost ceil(m/2) walks each.
+    picks distinct across levels and flanks.  Each pick is the first step
+    of its ``_flank_pool`` given that reference direction, which tests the
+    departure and the half turn before balance and the curve, and is read
+    only up to the pick.  The pools come from the assembly's ``steps``, so
+    the two flanks' m levels cost ceil(m/2) walks each.
     """
     def departures(name: str, family: tuple[int, ...], base: Direction, level: int):
-        for t in _flank_pool(inst, gamma, steps, family, level):
-            if t.omega_before == inst.delta and ccw_arc_contains(base, base.antipode, t.direction):
-                yield CertifiedLine(_line_of(inst, t), Provenance(f"flank_{name}", level))
+        for t in _flank_pool(inst, gamma, steps, family, level, base):
+            yield CertifiedLine(_line_of(inst, t), Provenance(f"flank_{name}", level))
 
     theta = gamma.waist.achieved_at
     slots = ((1, departures(name, family, base, level), f"flank {name} level {level}")
@@ -268,7 +275,7 @@ def recharge(inst: Instance, gamma: Gamma, transition: RotationEvent, level: int
         if fid != crossed.id and d_star.offset(p.x, p.y) < o_crossed:
             j += 1
     sgn = 1 if gamma.color is Color.RED else -1
-    induced = DirectedLine(crossed.x, crossed.y, d_star, (crossed.id, transition.pivot_before))
+    induced = DirectedLine(crossed.x, crossed.y, d_star)
     w = halfplane_weight(induced, inst)
     if w != inst.delta + sgn:
         raise GuaranteeViolation(

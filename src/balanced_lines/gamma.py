@@ -55,6 +55,7 @@ from .rotation import (
     RotationEvent,
     RotationSpec,
     RotationTrace,
+    _delta_bound,
     _preserves_delta,
     run_rotation,
     walk_rotation,
@@ -64,8 +65,8 @@ from .sliding import (
     SlidingRotation,
     Waist,
     _curve_through,
-    evaluate_at,
     lift_rotation,
+    offset_at,
     validate_curve,
     waist,
 )
@@ -215,12 +216,14 @@ def decompose_fhg(inst: Instance, gamma: Gamma) -> tuple[
 def in_central_region(inst: Instance, gamma: Gamma, transition: RotationEvent) -> bool:
     """Whether the transition's line lies inside or on the strip boundary.
 
-    The line passes through the step's pivot, so its offset is the pivot's.
+    At the step's direction t the strip lies between the curve's lines at
+    t and at t + pi, read by ``sliding.offset_at``: the line at t + pi,
+    turned around, has the negated offset against t.  The step's line
+    passes through its pivot, so its offset is the pivot's.  The line at
+    t + pi is read only when the one at t is not left of the pivot.
     """
-    t, p = transition.direction, transition.pivot_before
-    o_low = evaluate_at(gamma.sr, inst, t).offset(t)  # the strip: the curve's lines at t, t + pi
-    o_high = evaluate_at(gamma.sr, inst, t.antipode).offset(t)
-    return o_low <= t.offset(inst.xs[p], inst.ys[p]) <= o_high
+    t, p, sr = transition.direction, transition.pivot_before, gamma.sr
+    return offset_at(sr, inst, t)[0] <= t.offset(inst.xs[p], inst.ys[p]) <= -offset_at(sr, inst, t.antipode)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +280,10 @@ def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> Optional[
     ``best`` preserves delta everywhere, and on the head [theta, t1) and the
     tail [t2, theta) the splice follows the lift, whose profile weights are
     the trace's omegas.  So the splice preserves delta exactly when every
-    bad interval of the trace (one whose omega breaks the one-sided
-    ``_preserves_delta``) lies between the meetings: t1 at or before the
-    start of the first, t2 at or after the end of the last.  Meetings are
+    bad interval of the trace (one whose omega breaks ``_delta_bound``, the
+    bound of the one-sided ``_preserves_delta``, compared in place) lies
+    between the meetings: t1 at or before the start of the first, t2 at or
+    after the end of the last.  Meetings are
     keyed from theta, a meeting at theta last (a full turn), and the first
     interval's start as ``KEY_START``; every meeting of a later interval
     lies past the current one's start, so the walk rejects at the first
@@ -288,13 +292,14 @@ def build_splice(inst: Instance, best: Gamma, trace: RotationTrace) -> Optional[
     fewer than two meetings no interval may be bad.
     """
     theta = trace.spec.start_direction
+    sign, bound = _delta_bound(best.color, inst.delta)
     # (key, direction) of t1 and t2 so far; (5,) sorts after every key, KEY_START before
     first, last, bad_end = ((5,), None), (KEY_START, None), None
     for dfrom, dto, omega, met in _curve_meetings(inst, best.sr, trace):
         for d in met:
             m = (direction_key(theta, d), d)
             first, last = min(first, m), max(last, m)
-        if not _preserves_delta(best.color, (omega,), inst.delta):
+        if sign * omega > bound:
             if bad_end is None and first[0] > (KEY_START if dfrom == theta else direction_key(theta, dfrom)):
                 return None
             bad_end = dto

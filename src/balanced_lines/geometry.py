@@ -387,17 +387,11 @@ def direction_between(u: Direction, v: Direction) -> Direction:
 
 
 class DirectedLine(NamedTuple):
-    """An oriented line through an exact anchor point.
-
-    ``span`` records the instance points the line passes through when it was
-    built from them: ``(a, b)`` for a line spanned by two points (direction
-    from a to b), or ``(pivot,)`` for a pivot-and-direction line.
-    """
+    """An oriented line through an exact anchor point."""
 
     ax: Coord
     ay: Coord
     direction: Direction
-    span: tuple[int, ...] = ()
 
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
@@ -412,12 +406,12 @@ class DirectedLine(NamedTuple):
     @staticmethod
     def through_points(inst: "Instance", id_a: int, id_b: int) -> "DirectedLine":
         a, b = inst.point(id_a), inst.point(id_b)
-        return DirectedLine(a.x, a.y, direction_of(b.x - a.x, b.y - a.y), (id_a, id_b))
+        return DirectedLine(a.x, a.y, direction_of(b.x - a.x, b.y - a.y))
 
     @staticmethod
     def pivot_direction(inst: "Instance", pivot_id: int, direction: Direction) -> "DirectedLine":
         p = inst.point(pivot_id)
-        return DirectedLine(p.x, p.y, direction, (pivot_id,))
+        return DirectedLine(p.x, p.y, direction)
 
 
 def just_after_keys(d: Direction, points: Sequence[LabeledPoint]) -> list[tuple[Coord, Coord]]:

@@ -112,8 +112,8 @@ class RotationEvent(NamedTuple):
 
     def line_in(self, inst: Instance) -> DirectedLine:
         """The line through the pivot before the event and the crossed point."""
-        return DirectedLine(inst.xs[self.pivot_before], inst.ys[self.pivot_before],
-                            self.direction, (self.pivot_before, self.crossed_id))
+        p = self.pivot_before
+        return DirectedLine(inst.xs[p], inst.ys[p], self.direction)
 
     def balanced_in(self, inst: Instance) -> bool:
         """Whether the line of a weight step (``line_in``) is balanced, in O(1).
@@ -241,27 +241,39 @@ def transition_low(color: Color, delta: int) -> int:
     return delta if color is Color.RED else delta - 1
 
 
+def _delta_bound(color: Color, delta: int) -> tuple[int, int]:
+    """``(sign, bound)``: a right weight w preserves delta exactly when ``sign * w <= bound``.
+
+    Red subsets keep w <= delta, blue ones w >= delta.  The one statement
+    of that bound: ``_preserves_delta`` reads it, and ``gamma.build_splice``
+    compares each interval's weight with it directly.
+    """
+    return (1, delta) if color is Color.RED else (-1, -delta)
+
+
 def _preserves_delta(color: Color, omegas, delta: int) -> bool:
     """One-sided preservation of right-halfplane weights: red <= delta, blue >= delta.
 
-    Stops at the first weight that breaks it, so ``omegas`` may be a lazy
-    iterable.
+    Every weight is held to ``_delta_bound``.  Stops at the first weight
+    that breaks it, so ``omegas`` may be a lazy iterable.
     """
-    if color is Color.RED:
-        return all(w <= delta for w in omegas)
-    return all(w >= delta for w in omegas)
+    sign, bound = _delta_bound(color, delta)
+    return all(sign * w <= bound for w in omegas)
 
 
 def transitions_at(trace: RotationTrace, low: int) -> list[RotationEvent]:
     """The trace's weight steps between ``low`` and ``low + 1``: its own events.
 
-    A weight step is an event whose pivot stays.  Nothing is built per
-    step; ``RotationEvent.balanced_in`` tells whether a step's line is
-    balanced and ``RotationEvent.line_in`` builds it.
+    A weight step is an event whose pivot stays.  It moves the weight by
+    the crossed point's weight, one up or down, so its two weights are
+    ``low`` and ``low + 1`` exactly when they sum to ``2 * low + 1``.  A
+    pivot change moves it by 0 or 2 (``walk_rotation``), so its sum is
+    even and never matches: one integer comparison per event, and nothing
+    is built per step.  ``RotationEvent.balanced_in`` tells whether a
+    step's line is balanced and ``RotationEvent.line_in`` builds it.
     """
-    boundary = {low, low + 1}
-    return [ev for ev in trace.events
-            if ev.pivot_after == ev.pivot_before and {ev.omega_before, ev.omega_after} == boundary]
+    crossing = 2 * low + 1
+    return [ev for ev in trace.events if ev.omega_before + ev.omega_after == crossing]
 
 
 def antipodal_transitions(steps: list[RotationEvent], theta: Direction,

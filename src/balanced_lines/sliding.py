@@ -19,7 +19,7 @@ A valid curve turns exactly once: its anchors advance from the start
 direction through one full counterclockwise turn.  ``validate_curve``
 checks this, and the queries rely on it: each curve keys its anchors by
 angle from the start (``SlidingRotation.keys``), so finding the arc at a
-direction (``SlidingRotation.arc_at``, and with it ``evaluate_at``) costs
+direction (``SlidingRotation.arc_at``, and with it ``offset_at``) costs
 one bisection, O(log anchors).  The walks read the angular order the
 instance keeps per point, its fences (``Instance.fences``).
 ``sliding_profile`` cuts every arc out of its pivot's fences by
@@ -44,6 +44,7 @@ from .geometry import (
     KEY_START,
     BalancedLinesError,
     Color,
+    Coord,
     DirectedLine,
     Direction,
     FENCE_KEY,
@@ -183,24 +184,35 @@ def validate_curve(sr: SlidingRotation, inst: Instance) -> None:
             raise InvalidCurve(f"arc pivot {a} outside the subset")
 
 
-def evaluate_at(sr: SlidingRotation, inst: Instance, t: Direction) -> DirectedLine:
-    """The curve's line at direction t; the leftmost one if a slide sits at t.
+def offset_at(sr: SlidingRotation, inst: Instance, t: Direction) -> tuple[Coord, int]:
+    """The curve's line at direction t: ``(t.offset of it, a point it passes through)``.
 
-    Bisects the curve's keys for the arc holding t.  When t is that arc's
-    start, the previous arc ends at t and any slide at t joins the two
-    points, so both are compared, in piece order: the previous point first,
+    The leftmost line if a slide sits at t.  Bisects the curve's keys for
+    the arc holding t and reads the offsets of its anchor points off
+    ``inst.xs`` and ``inst.ys``.  When t is that arc's start, the previous
+    arc ends at t and any slide at t joins the two points, so both are
+    compared, the first in piece order kept on a tie: the previous point,
     except at the start direction, where the first arc precedes the last.
-    Needs a curve that turns exactly once (see ``validate_curve``).
+    The one evaluation of a curve, which ``evaluate_at`` and
+    ``gamma.in_central_region`` read.  Needs a curve that turns exactly
+    once (see ``validate_curve``).
     """
     j = sr.arc_at(t)
     u, a = sr.anchors[j]
-    if t != u:
-        near = (a,)
-    else:
+    xs, ys = inst.xs, inst.ys
+    o = t.offset(xs[a], ys[a])
+    if t == u:
         prev = sr.anchors[j - 1][1]
-        near = (a, prev) if j == 0 else (prev, a)
-    p = max((inst.point(i) for i in near), key=lambda p: t.offset(p.x, p.y))  # first on ties
-    return DirectedLine(p.x, p.y, t, (p.id,))
+        o_prev = t.offset(xs[prev], ys[prev])
+        if o_prev > o or o_prev == o and j:
+            return o_prev, prev
+    return o, a
+
+
+def evaluate_at(sr: SlidingRotation, inst: Instance, t: Direction) -> DirectedLine:
+    """The curve's line at direction t, through the point ``offset_at`` names."""
+    _, p = offset_at(sr, inst, t)
+    return DirectedLine(inst.xs[p], inst.ys[p], t)
 
 
 def _anchor_for_offset(d: Direction, offset) -> tuple[Fraction, Fraction]:
@@ -235,7 +247,7 @@ def sliding_profile(sr: SlidingRotation, inst: Instance) -> list[tuple[DirectedL
                                    direction_key(VERTICAL, piece.d_to))
             bounds = [piece.d_from, *(d for _, d, _, _ in inside), piece.d_to]
             for j, (u, v) in enumerate(zip(bounds, bounds[1:])):
-                line = DirectedLine(q.x, q.y, direction_between(u, v), (piece.pivot,))
+                line = DirectedLine(q.x, q.y, direction_between(u, v))
                 if j:
                     _, _, other, head = inside[j - 1]
                     w += ws[other] if head else -ws[other]
@@ -553,8 +565,8 @@ def waist(sr: SlidingRotation, inst: Instance) -> Waist:
     u, v, low, high, witnesses = best
     t = _representative(inst, sr.subset_color, u, v)
     a, b = inst.points[low], inst.points[high]
-    return Waist(len(witnesses), t, witnesses, DirectedLine(a.x, a.y, t, (low,)),
-                 DirectedLine(b.x, b.y, t.antipode, (high,)), omega_range)
+    return Waist(len(witnesses), t, witnesses, DirectedLine(a.x, a.y, t),
+                 DirectedLine(b.x, b.y, t.antipode), omega_range)
 
 
 def is_positively_oriented(sr: SlidingRotation, inst: Instance) -> bool:

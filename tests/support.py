@@ -162,11 +162,17 @@ def side(line: DirectedLine, p) -> Side:
 
 
 def reversed_line(line: DirectedLine) -> DirectedLine:
-    """The line turned around: the same anchor and span, the antipodal direction.
+    """The line turned around: the same anchor, the antipodal direction.
 
     Its right side is the left side of ``line``.
     """
-    return DirectedLine(line.ax, line.ay, line.direction.antipode, line.span)
+    return DirectedLine(line.ax, line.ay, line.direction.antipode)
+
+
+def points_on(inst: Instance, line: DirectedLine, ids=None) -> tuple[int, ...]:
+    """The ids of the instance points on the line, among ``ids`` (every point by default)."""
+    return tuple(i for i in (range(inst.n) if ids is None else ids)
+                 if line_contains(line, inst.point(i)))
 
 
 def rank(d: Direction) -> tuple:
@@ -443,7 +449,7 @@ def linear_evaluate_at(sr, inst: Instance, t: Direction) -> DirectedLine:
             off = t.offset(p.x, p.y)
             if best_offset is None or off > best_offset:
                 best_offset = off
-                best = DirectedLine(p.x, p.y, t, (aid,))
+                best = DirectedLine(p.x, p.y, t)
     if best is None:
         raise InvalidCurve(f"curve has no line at direction {t}")
     return best
@@ -642,8 +648,8 @@ def pair_fence_waist(sr, inst: Instance) -> Waist:
         if t.offset(b.x, b.y) <= t.offset(a.x, a.y):
             raise NotPositivelyOriented(f"antipodal lines out of order at {t}")
         if best is None or len(strip) < len(best[1]):
-            best = (t, frozenset(strip), DirectedLine(a.x, a.y, t, (low,)),
-                    DirectedLine(b.x, b.y, t.antipode, (high,)))
+            best = (t, frozenset(strip), DirectedLine(a.x, a.y, t),
+                    DirectedLine(b.x, b.y, t.antipode))
     t, strip, line_low, line_high = best
     return Waist(len(strip), t, strip, line_low, line_high, profile_range(sr, inst))
 
@@ -702,7 +708,7 @@ def recount_profile(sr, inst: Instance) -> list[tuple[DirectedLine, int]]:
                 m = direction_between(u, v)
                 o_q = m.offset(q.x, q.y)
                 w = sum(p.weight for p in pts if m.offset(p.x, p.y) < o_q)
-                out.append((DirectedLine(q.x, q.y, m, (piece.pivot,)), w))
+                out.append((DirectedLine(q.x, q.y, m), w))
         else:
             d = piece.direction
             offsets = [d.offset(p.x, p.y) for p in pts]

@@ -361,7 +361,8 @@ def test_curve_sweep_matches_linear_scan(searched):
             t = direction_between(u, v)
             line_low = support.linear_evaluate_at(sr, inst, t)
             line_high = support.linear_evaluate_at(sr, inst, t.antipode)
-            assert (low, high) == (line_low.span[0], line_high.span[0])
+            assert support.points_on(inst, line_low, ids) == (low,)
+            assert support.points_on(inst, line_high, ids) == (high,)
             o_low, o_high = line_low.offset(t), line_high.offset(t)
             assert o_low < o_high
             assert strip == {i for i in ids if o_low < t.offset(pts[i].x, pts[i].y) < o_high}

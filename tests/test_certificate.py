@@ -159,14 +159,70 @@ def test_flank_level_without_departure_raises(monkeypatch, nested_instances):
                        and len(f_ids := decompose_fhg(inst, gamma)[0]) >= 2)
     original = certificate_module._flank_pool
 
-    def empty_at_f1(inst, gamma, steps, family, level):
+    def empty_at_f1(inst, gamma, steps, family, level, base=None):
         if (family, level) == (f_ids, 1):
             return iter(())
-        return original(inst, gamma, steps, family, level)
+        return original(inst, gamma, steps, family, level, base)
 
     monkeypatch.setattr(certificate_module, "_flank_pool", empty_at_f1)
     with pytest.raises(GuaranteeViolation, match=r"^flank f level 1 yielded 0 of 1 distinct lines$"):
         verify_lower_bound(inst)
+
+
+def _curve_cases(*pools):
+    """(inst, gamma, F, H, G) of every instance in the pools whose certificate reads a curve."""
+    return [(inst, gamma, *decompose_fhg(inst, gamma))
+            for pool in pools for inst in pool if (gamma := find_gamma(inst)) is not None]
+
+
+def test_central_test_matches_linear_evaluation(nested_instances, mixed_instances,
+                                                recharge_instances):
+    """``in_central_region`` on every step of every flank and strip level, against the
+    offsets of ``support.linear_evaluate_at``, which scans every piece of the curve, at t
+    and t + pi."""
+    cases = _curve_cases(nested_instances, mixed_instances, recharge_instances)
+    outcomes = set()
+    for inst, gamma, f_ids, h_ids, g_ids in cases:
+        steps = certificate_module._Steps(inst, gamma)
+        for family in (f_ids, h_ids, g_ids):
+            for level in range(len(family)):
+                for t in steps[family, level]:
+                    d, p = t.direction, inst.point(t.pivot_before)
+                    o_low = support.linear_evaluate_at(gamma.sr, inst, d).offset(d)
+                    o_high = support.linear_evaluate_at(gamma.sr, inst, d.antipode).offset(d)
+                    want = o_low <= d.offset(p.x, p.y) <= o_high
+                    assert in_central_region(inst, gamma, t) == want
+                    outcomes.add(want)
+    assert cases and outcomes == {True, False}
+
+
+def test_flank_pick_reads_the_curve_last(monkeypatch, nested_instances, recharge_instances):
+    """``flank_lines`` calls ``in_central_region`` only on balanced departures from delta
+    on the flank's half turn, and picks the same lines with the spy in place."""
+    cases = _curve_cases(nested_instances, recharge_instances)
+    original = certificate_module.in_central_region
+    seen = []
+
+    def spy(inst, gamma, t):
+        seen.append(t)
+        return original(inst, gamma, t)
+
+    checked = 0
+    for inst, gamma, f_ids, h_ids, _ in cases:
+        want = flank_lines(inst, gamma, f_ids, h_ids, certificate_module._Steps(inst, gamma))
+        seen.clear()
+        monkeypatch.setattr(certificate_module, "in_central_region", spy)
+        got = flank_lines(inst, gamma, f_ids, h_ids, certificate_module._Steps(inst, gamma))
+        monkeypatch.undo()
+        assert got == want
+        theta = gamma.waist.achieved_at
+        for t in seen:
+            base = theta if t.pivot_before in f_ids else theta.antipode
+            assert t.omega_before == inst.delta
+            assert ccw_arc_contains(base, base.antipode, t.direction)
+            assert t.balanced_in(inst)
+        checked += len(seen)
+    assert checked >= len(cases)
 
 
 def test_flank_lines_walks_half_the_levels(monkeypatch, nested_instances, recharge_instances):

@@ -529,9 +529,10 @@ def test_decompose_partition(nested_instances):
         assert not set(h_ids) & set(g_ids)
         assert len(g_ids) == gamma.waist.value
         assert frozenset(g_ids) == gamma.waist.witnesses
-        # the achieving lines pass through points of the two flanks
-        assert gamma.waist.line_low.span[0] in f_ids
-        assert gamma.waist.line_high.span[0] in h_ids
+        # the achieving lines pass through one subset point each, of the two flanks
+        (low,) = support.points_on(inst, gamma.waist.line_low, sorted(subset))
+        (high,) = support.points_on(inst, gamma.waist.line_high, sorted(subset))
+        assert low in f_ids and high in h_ids
 
 
 def test_decompose_checks_the_witnesses(nested_instances):

@@ -515,7 +515,7 @@ def test_just_after_keys_match_per_point_rule(data):
 _D = Direction(3, -4)
 RECORDS = {
     "direction": (Direction, (3, -4)),
-    "line": (DirectedLine, (1, Fraction(1, 2), _D, (0, 1))),
+    "line": (DirectedLine, (1, Fraction(1, 2), _D)),
     "event": (RotationEvent, (_D, 0, 0, 1, True, 0, 1)),
 }
 
@@ -542,7 +542,7 @@ def test_direction_keeps_memo_and_rank():
     west = Direction(-1, 0)
     assert support.rank(west) == direction_key(VERTICAL, west)
     assert repr(west) == "Direction(-1, 0)"
-    assert DirectedLine(0, 0, VERTICAL).span == ()
+    assert DirectedLine._fields == ("ax", "ay", "direction")
 
 
 def test_is_balanced_two_points():

@@ -182,6 +182,46 @@ def test_boundary_steps_are_rotation_events(nested_instances, mixed_instances):
     assert mirrored > 0
 
 
+def _check_transitions_at_every_low(trace) -> int:
+    """``transitions_at`` against its set definition, the weight steps whose two weights
+    are ``{low, low + 1}``, at every low from one below the least weight to the greatest.
+    Returns how many lows have a step."""
+    omegas = support.omega_values(trace)
+    hit = 0
+    for low in range(min(omegas) - 1, max(omegas) + 1):
+        want = [ev for ev in trace.events if ev.pivot_after == ev.pivot_before
+                and {ev.omega_before, ev.omega_after} == {low, low + 1}]
+        assert transitions_at(trace, low) == want
+        hit += bool(want)
+    return hit
+
+
+def test_transitions_at_is_the_set_definition(nested_instances, mixed_instances,
+                                              recharge_instances, small_random_pool):
+    hit = 0
+    for inst in nested_instances + mixed_instances + recharge_instances + small_random_pool[:20]:
+        for color in Color:
+            for k in range(len(inst.ids_of(color))):
+                hit += _check_transitions_at_every_low(run_rotation(RotationSpec(color, k), inst))
+    assert hit > 0
+
+
+@given(st.integers(min_value=0, max_value=5000), st.data())
+@settings(max_examples=40, deadline=None)
+def test_transitions_at_is_the_set_definition_on_any_subset(seed, data):
+    """Mixed-colour subsets too, from any start direction: their pivot changes step the
+    weight by 0 or 2, which neither definition counts."""
+    delta = seed % 3
+    r = 1 + seed % 6
+    inst = gen_random(seed, r, r + 2 * delta, 1000)
+    subset = data.draw(st.frozensets(st.integers(0, inst.n - 1), min_size=1))
+    level = data.draw(st.integers(0, len(subset) - 1))
+    dx, dy = data.draw(st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+                       .filter(lambda v: v != (0, 0)))
+    trace = run_rotation(RotationSpec(subset, level, direction_of(dx, dy)), inst)
+    _check_transitions_at_every_low(trace)
+
+
 def test_is_delta_preserving_wrong_subset():
     inst = gen_random(1, 3, 3, 100)
     trace = run_rotation(RotationSpec(frozenset({0, 4}), 0), inst)

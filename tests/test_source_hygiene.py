@@ -18,8 +18,7 @@ public function, class and method is read outside the tests, in ``src/`` or
 ``perfbench/``, so no public name serves the tests alone; README's code
 reads only the few names ``README_READERS`` lists, each with its reason.
 Every field of a package record (a ``NamedTuple`` or a dataclass) is read
-in ``src/`` or ``perfbench/``, by an attribute load or through ``asdict``,
-but for the few ``UNREAD_FIELDS`` lists, each with its reason.
+in ``src/`` or ``perfbench/``, by an attribute load or through ``asdict``.
 README's ``python`` quick tour, which keeps names alive, is run.  The two
 independent checkers, ``geometry.is_balanced`` and ``oracle.enumerate_naive``,
 load nothing of the angular machinery the construction is built from, so a
@@ -487,7 +486,7 @@ def _is_record(node: ast.ClassDef) -> bool:
 
 
 def _unread_fields(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
-    """The record fields of ``modules`` that no reader loads, ``UNREAD_FIELDS`` aside.
+    """The record fields of ``modules`` that no reader loads.
 
     A field is an annotated name in a record's body.  It is read by an
     attribute load (``x.field``) in a reader; a record whose own code calls
@@ -502,14 +501,10 @@ def _unread_fields(modules: dict[str, ast.Module], readers: list[ast.Module]) ->
             for stmt in node.body:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                     field = f"{node.name}.{stmt.target.id}"
-                    if stmt.target.id not in read and field not in UNREAD_FIELDS:
+                    if stmt.target.id not in read:
                         problems.append(f"{module}:{stmt.lineno}: {field} is never read")
     return problems
 
-
-UNREAD_FIELDS = {
-    "DirectedLine.span": "part of a line's equality and hash; only the tests read it",
-}
 
 SCRATCH_RECORDS = """
 @dataclass(frozen=True)
